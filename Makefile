@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint vet vet-lostcancel race bench store-test crash-test cluster-test
+.PHONY: build test check lint vet vet-lostcancel race bench bench-check store-test crash-test cluster-test
 
 build:
 	$(GO) build ./...
@@ -45,11 +45,20 @@ crash-test:
 cluster-test:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/serve/client/
 
+# bench/ is a module of its own (athena/bench), which the root
+# `go build ./...` and `go test ./...` do not reach: vet and test it,
+# then run every workload of the benchmark for one or two operations, so
+# an internal rename that breaks it fails here and not in a benchmark
+# run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke
+
 # check is the CI gate: compile, vet (plus the pinned lostcancel
 # analyzer), FHE-aware static analysis, the full suite under the race
-# detector (store suite included), then the crash-recovery integration
-# test against a real binary.
-check: build vet vet-lostcancel lint race crash-test
+# detector (store suite included), the crash-recovery integration test
+# against a real binary, then the benchmark module.
+check: build vet vet-lostcancel lint race crash-test bench-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -7,18 +7,9 @@
 //	athena-bench                 # tables 1-4, 6-9, figs 1, 8-13 (perf)
 //	athena-bench -accuracy       # adds table 5, fig 4, fig 12 (accuracy)
 //	athena-bench -only table6    # a single experiment
-//	athena-bench -json BENCH_kernels.json   # kernel microbenchmarks
-//	athena-bench -compare BENCH_kernels.json -tol 0.25   # regression gate
-//	athena-bench -scaling        # EncryptedInference p={1,2,4} speedup table
-//	athena-bench -cluster-scaling  # ClusterThroughput nodes={1,2,3} req/s table
 //
-// -json runs the hot-path kernel microbenchmarks (NTT, PMult, CMult,
-// keyswitch, pack, FBS, end-to-end inference at GOMAXPROCS 1/2/4/8) and
-// writes them to the given path as JSON keyed by kernel name with
-// fields ns_op, allocs_op and bytes_op (see README for the schema);
-// nothing else runs. -compare re-runs the same microbenchmarks and
-// exits non-zero if any kernel's ns/op regressed beyond -tol against
-// the baseline file (the CI bench-regression gate).
+// Measured performance (kernels, inference, serving, cluster) is the
+// job of the repository's benchmark, bench/ — see bench/README.md.
 package main
 
 import (
@@ -35,62 +26,7 @@ func main() {
 	samples := flag.Int("samples", 200, "test samples per model for the accuracy studies")
 	skip56 := flag.Bool("skip-resnet56", false, "skip ResNet-56 in the accuracy studies")
 	only := flag.String("only", "", "run a single experiment (e.g. table6, fig9)")
-	jsonPath := flag.String("json", "", "run the kernel microbenchmarks and write them to this path as JSON")
-	comparePath := flag.String("compare", "", "re-run the kernel microbenchmarks and compare against this baseline JSON; exit 1 on regression")
-	tol := flag.Float64("tol", 0.25, "fractional ns/op growth tolerated by -compare before failing")
-	scaling := flag.Bool("scaling", false, "run only the EncryptedInference/p={1,2,4} multicore rows and print a speedup table (the CI multicore-scaling job)")
-	clusterScaling := flag.Bool("cluster-scaling", false, "run only the ClusterThroughput/nodes={1,2,3} rows and print a req/s table (the CI cluster-integration job)")
 	flag.Parse()
-
-	if *clusterScaling {
-		table, err := report.ClusterScalingTable()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster benchmarks: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(table)
-		return
-	}
-
-	if *scaling {
-		table, err := report.ScalingTable([]int{1, 2, 4})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scaling benchmarks: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(table)
-		return
-	}
-
-	if *comparePath != "" {
-		base, err := report.ReadKernelBenchmarks(*comparePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "baseline: %v\n", err)
-			os.Exit(1)
-		}
-		cur, err := report.KernelBenchmarks()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kernel benchmarks: %v\n", err)
-			os.Exit(1)
-		}
-		table, flagged := report.CompareKernelBenchmarks(base, cur, *tol)
-		fmt.Print(table)
-		if len(flagged) > 0 {
-			fmt.Fprintf(os.Stderr, "kernels regressed beyond +%.0f%%: %s\n", *tol*100, strings.Join(flagged, ", "))
-			os.Exit(1)
-		}
-		fmt.Println("no kernel regressions")
-		return
-	}
-
-	if *jsonPath != "" {
-		if err := report.WriteKernelBenchmarks(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "kernel benchmarks: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote kernel benchmarks to %s\n", *jsonPath)
-		return
-	}
 
 	cfg := report.DefaultAccuracyConfig()
 	cfg.TestSamples = *samples
@@ -120,7 +56,6 @@ func main() {
 		{"fig12perf", false, report.Fig12Perf},
 		{"fig12acc", true, func() string { return report.Fig12Accuracy(cfg) }},
 		{"fig13", false, report.Fig13},
-		{"kernels", true, report.Kernels},
 		{"ablations", false, report.Ablations},
 		{"throughput", false, report.Throughput},
 		{"security", false, report.Security},

@@ -6,10 +6,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"athena/internal/serve"
 )
 
 // rpc posts one JSON-RPC request body and decodes the response.
@@ -228,5 +233,82 @@ func TestControlMetricsAggregation(t *testing.T) {
 	}
 	if snap.Cluster.Epoch != 1 {
 		t.Fatalf("epoch %d, want 1", snap.Cluster.Epoch)
+	}
+}
+
+// setCounters gives every numeric field reachable from v a distinct
+// non-zero value, in declaration order, allocating pointers and giving
+// empty slices two elements.
+func setCounters(v reflect.Value, next *int) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		*next++
+		v.SetInt(int64(*next))
+	case reflect.Uint64:
+		*next++
+		v.SetUint(uint64(*next))
+	case reflect.Float64:
+		*next++
+		v.SetFloat(float64(*next) + 0.5)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			setCounters(v.Field(i), next)
+		}
+	case reflect.Ptr:
+		v.Set(reflect.New(v.Type().Elem()))
+		setCounters(v.Elem(), next)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			setCounters(v.Index(i), next)
+		}
+	}
+}
+
+// TestMetricsDocumentsGolden pins the /metrics and router-aggregate JSON
+// byte for byte, with every counter set: the node document as marshalled,
+// and the cluster document after merging two nodes through mergeSnapshot.
+// The golden files were produced before serve.Snapshot.Ops became a
+// core.OpStats.
+func TestMetricsDocumentsGolden(t *testing.T) {
+	var node serve.Snapshot
+	n := 0
+	setCounters(reflect.ValueOf(&node).Elem(), &n)
+	if node.Ops.LWEAdds == 0 || node.Store == nil || node.Store.QuarantinedSegments == 0 {
+		t.Fatalf("setCounters left counters unset: %+v", node)
+	}
+
+	var cs ClusterSnapshot
+	mergeSnapshot(&cs.Snapshot, &node)
+	mergeSnapshot(&cs.Snapshot, &node)
+	if cs.Ops.FBSCalls != 2*node.Ops.FBSCalls {
+		t.Fatalf("merged fbs_calls %d, want %d", cs.Ops.FBSCalls, 2*node.Ops.FBSCalls)
+	}
+	cs.Cluster.Epoch = 7
+	cs.Cluster.Nodes = []NodeStatus{
+		{Node: Node{Name: "n0", Addr: "127.0.0.1:7700", State: NodeDraining}, Reachable: true, Snapshot: &node},
+		{Node: Node{Name: "n1", Addr: "127.0.0.1:7701"}, Error: "dial refused"},
+	}
+	cs.Cluster.Router = &RouterStats{}
+	setCounters(reflect.ValueOf(cs.Cluster.Router).Elem(), &n)
+
+	for _, doc := range []struct {
+		golden string
+		v      any
+	}{
+		{"snapshot.golden.json", node},
+		{"cluster_snapshot.golden.json", cs},
+	} {
+		got, err := json.Marshal(doc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", doc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s changed:\n got %s\nwant %s", doc.golden, got, want)
+		}
 	}
 }

@@ -3,87 +3,113 @@ package core
 import (
 	"fmt"
 
-	"athena/internal/bfv"
 	"athena/internal/coeffenc"
-	"athena/internal/lwe"
 	"athena/internal/par"
 	"athena/internal/qnn"
 )
 
-// InferBatch runs the same network on B inputs, sharing the functional
-// bootstrapping across the batch: the pending activations of all images
-// are packed together (the FBS slot capacity usually dwarfs one image's
-// layer), so the dominant FBS cost is paid once per ⌈values·B/N⌉ groups
-// instead of once per image. This realizes the throughput side of the
-// paper's "batch processing of precise non-linear functions".
-//
-// Linear layers and conversions run per image between the shared FBS
-// barriers, fanned out across the engine's worker lanes (each image's
-// state is independent there); after each shared FBS round the
-// activations are redistributed to their images as LWE values, and each
-// image's next convolution consumes them with an identity (FBS-free)
-// packing pass.
+// InferBatch runs the same network on B inputs: EncryptInput per image,
+// one EvaluateEncryptedBatch, DecryptLogits per image. This realizes the
+// throughput side of the paper's "batch processing of precise
+// non-linear functions".
 func (e *Engine) InferBatch(q *qnn.QNetwork, xs []*qnn.IntTensor) ([][]int64, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
-	}
-	if len(q.Blocks) == 0 {
-		return nil, fmt.Errorf("core: empty network")
-	}
 	// Encryption stays serial: it consumes the engine's PRNG stream, and
 	// the ciphertext bytes must not depend on scheduling.
-	states := make([]*inferState, len(xs))
+	ins := make([]*EncryptedInput, len(xs))
 	for i, x := range xs {
-		st, err := e.encryptInput(q, x)
+		in, err := e.EncryptInput(q, x)
 		if err != nil {
 			return nil, fmt.Errorf("core: input %d: %w", i, err)
 		}
-		states[i] = st
+		ins[i] = in
 	}
-	if err := e.evaluateStates(q, states); err != nil {
+	outs, err := e.EvaluateEncryptedBatch(q, ins)
+	if err != nil {
 		return nil, err
 	}
-
-	out := make([][]int64, len(xs))
-	for i := range states {
-		if states[i] == nil || states[i].final == nil {
-			return nil, errNoFinal
-		}
-		logits, err := e.DecryptLogits(&EncryptedLogits{model: q.Name, final: states[i].final})
-		if err != nil {
+	logits := make([][]int64, len(outs))
+	for i, out := range outs {
+		if logits[i], err = e.DecryptLogits(out); err != nil {
 			return nil, err
 		}
-		out[i] = logits
 	}
-	return out, nil
+	return logits, nil
 }
 
-// EvaluateEncryptedBatch is the server-side batching entry point: it
-// runs the network over a batch of independently encrypted inputs
-// (all under this engine's keys), sharing the functional-bootstrapping
-// rounds across the batch exactly as InferBatch does, and returns one
-// encrypted logits bundle per input, in order. Only public evaluation
-// material is used, so it works on evaluation-only engines.
+// EvaluateEncryptedBatch is the block driver of the engine: it runs the
+// network over a batch of independently encrypted inputs (all under
+// this engine's keys) and returns one encrypted logits bundle per
+// input, in order. A single image is a batch of one. Only public
+// evaluation material is used, so it works on evaluation-only engines.
+//
+// Every op runs per image, fanned out across the engine's worker lanes
+// (each image's state is independent there). An image's pending LUT is
+// normally fused into its next convolution's input packing; where
+// sharing lowers the number of FBS rounds (sharingSaves), the driver
+// instead takes a barrier: the pending activations of all images are
+// packed together — the FBS slot capacity usually dwarfs one image's
+// layer — so the dominant FBS cost is paid once per ⌈values·B/N⌉ packs,
+// the results are redistributed to their images as LWE values, and each
+// image's convolution consumes them with an identity (FBS-free) packing
+// pass.
 func (e *Engine) EvaluateEncryptedBatch(q *qnn.QNetwork, ins []*EncryptedInput) ([]*EncryptedLogits, error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
+	if len(q.Blocks) == 0 {
+		return nil, errEmptyNetwork
+	}
 	states := make([]*inferState, len(ins))
 	for i, in := range ins {
 		if in == nil {
-			return nil, fmt.Errorf("core: input %d is nil", i)
+			return nil, fmt.Errorf("core: input %d: %w", i, errNilInput)
 		}
 		if in.model != q.Name {
 			return nil, fmt.Errorf("core: input %d encrypted for model %q, evaluating %q", i, in.model, q.Name)
 		}
 		states[i] = &inferState{firstInputs: in.inputs, firstPlan: in.plan}
 	}
-	if err := e.evaluateStates(q, states); err != nil {
-		return nil, err
+	defer e.flushStats()
+	aBits := q.ABits
+	if aBits < 2 {
+		aBits = 8
 	}
-	out := make([]*EncryptedLogits, len(ins))
+	aMax := int64(1)<<(aBits-1) - 1
+
+	for bi, b := range q.Blocks {
+		switch blk := b.(type) {
+		case qnn.QSeq:
+			for oi, op := range blk {
+				lastOp := bi == len(q.Blocks)-1 && oi == len(blk)-1
+				if c, ok := op.(*qnn.QConv); ok && e.sharesFBS(c, states) {
+					if err := e.materializeShared(states); err != nil {
+						return nil, err
+					}
+				}
+				err := e.eachImage(states, func(ln *evalWorker, st *inferState) (*inferState, error) {
+					return ln.applyOp(op, st, lastOp, aMax)
+				})
+				if err != nil {
+					return nil, err
+				}
+			}
+		case *qnn.QResidual:
+			// Residual joins interleave linear and non-linear work
+			// image-locally, so the block runs per image throughout.
+			err := e.eachImage(states, func(ln *evalWorker, st *inferState) (*inferState, error) {
+				return ln.residualBlock(blk, st)
+			})
+			if err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("core: unsupported block %T", b)
+		}
+	}
+
+	out := make([]*EncryptedLogits, len(states))
 	for i, st := range states {
-		if st == nil || st.final == nil {
+		if st.final == nil {
 			return nil, errNoFinal
 		}
 		out[i] = &EncryptedLogits{model: q.Name, final: st.final}
@@ -91,159 +117,71 @@ func (e *Engine) EvaluateEncryptedBatch(q *qnn.QNetwork, ins []*EncryptedInput) 
 	return out, nil
 }
 
-// evaluateStates drives the shared-FBS batch loop over prepared
-// per-image states: per-image linear work fans out across the worker
-// lanes, and pending activations of all images are applied together in
-// shared packs at each FBS barrier.
-func (e *Engine) evaluateStates(q *qnn.QNetwork, states []*inferState) error {
-	defer e.flushStats()
-	e.netABits = q.ABits
-	if e.netABits < 2 {
-		e.netABits = 8
-	}
-	// Per-image work fans out across the worker group; every image is a
-	// heavy item (at least one linear layer), so no cost floor applies.
-	imgOpts := par.Options{MinGrain: 1}
-	for bi, b := range q.Blocks {
-		last := bi == len(q.Blocks)-1
-		seq, ok := b.(qnn.QSeq)
-		if !ok {
-			// Residual blocks fall back to per-image evaluation (their
-			// joins interleave linear and non-linear work image-locally).
-			r, ok := b.(*qnn.QResidual)
-			if !ok {
-				return fmt.Errorf("core: unsupported block %T", b)
-			}
-			errs := make([]error, len(states))
-			e.w0.forEach(len(states), imgOpts, func(ln *evalWorker, i int) {
-				st, err := ln.residualBlock(r, states[i])
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				states[i] = st
-			})
-			if err := firstErr(errs); err != nil {
-				return err
-			}
-			continue
+// eachImage advances every image's state by step, fanned out across the
+// worker group; every image is a heavy item (at least one linear layer
+// or LUT round), so no cost floor applies.
+func (e *Engine) eachImage(states []*inferState, step func(*evalWorker, *inferState) (*inferState, error)) error {
+	errs := make([]error, len(states))
+	e.w0.forEach(len(states), par.Options{MinGrain: 1}, func(ln *evalWorker, i int) {
+		st, err := step(ln, states[i])
+		if err != nil {
+			errs[i] = err
+			return
 		}
-		for oi, op := range seq {
-			lastOp := last && oi == len(seq)-1
-			// Shared materialization: when every image carries the same
-			// pending LUT, apply it across the batch in shared packs.
-			// This is the batch's FBS barrier; the per-image loop below
-			// resumes fan-out once it completes.
-			if _, isConv := op.(*qnn.QConv); isConv && states[0].vs != nil && states[0].vs.pending != nil {
-				if err := e.w0.materializeBatch(states); err != nil {
-					return err
-				}
-			}
-			errs := make([]error, len(states))
-			e.w0.forEach(len(states), imgOpts, func(ln *evalWorker, i int) {
-				st, err := ln.applyOp(op, states[i], lastOp)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				states[i] = st
-			})
-			if err := firstErr(errs); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		states[i] = st
+	})
+	return firstErr(errs)
 }
 
-// materializeBatch applies the (shared) pending LUT of all images'
-// value sets using packs filled across the batch, then replaces each
-// image's valSet with its materialized (identity-pending) values. The
-// slot-capacity chunks are independent bootstrapping rounds and fan out
-// across worker lanes; the slot order is fixed by (image, sorted key),
-// so the redistribution is scheduling-independent.
-func (wk *evalWorker) materializeBatch(states []*inferState) error {
-	e := wk.e
-	type slot struct {
-		img int
-		key vkey
-	}
-	var order []slot
-	var ordered []lwe.Ciphertext
-	pending := states[0].vs.pending
+// sharesFBS decides, from the batch itself, whether the images' pending
+// LUT is applied at a shared barrier before the linear layer next or
+// fused into each image's own input packing.
+func (e *Engine) sharesFBS(next *qnn.QConv, states []*inferState) bool {
+	pending := make([]int, len(states))
 	for i, st := range states {
-		if st.vs == nil || st.vs.pending != pending {
-			return fmt.Errorf("core: batch images diverged at materialization")
+		// Images can only share a pack under the same LUT (a residual
+		// join, for one, compiles its own per image).
+		if st.vs == nil || st.vs.pending == nil || st.vs.pending != states[0].vs.pending {
+			return false
 		}
-		for _, k := range sortedKeys(st.vs) {
-			order = append(order, slot{img: i, key: k})
-			ordered = append(ordered, st.vs.vals[k])
-		}
+		pending[i] = len(st.vs.vals)
 	}
-	results := make([]lwe.Ciphertext, len(ordered))
-	n := e.Ctx.N
-	chunks := (len(ordered) + n - 1) / n
-	errs := make([]error, chunks)
-	wk.forEach(chunks, par.Options{MinGrain: 1}, func(ln *evalWorker, ci int) {
-		start := ci * n
-		end := start + n
-		if end > len(ordered) {
-			end = len(ordered)
-		}
-		validity := make([]bool, end-start)
-		for i := range validity {
-			validity[i] = true
-		}
-		ct, err := ln.packFBS(ordered[start:end], pending, e.slotMask(validity))
-		if err != nil {
-			errs[ci] = err
-			return
-		}
-		ct, err = ln.toCoeffs(ct)
-		if err != nil {
-			errs[ci] = err
-			return
-		}
-		m, err := ln.extractFlat(ct, end-start)
-		if err != nil {
-			errs[ci] = err
-			return
-		}
-		copy(results[start:end], m)
-	})
-	if err := firstErr(errs); err != nil {
+	plan, err := coeffenc.NewPlan(next.Shape, e.Ctx.N, coeffenc.AthenaOrder)
+	if err != nil {
+		return false // convLayer reports it
+	}
+	return sharingSaves(pending, e.Ctx.N, plan.InBatches)
+}
+
+// sharingSaves is the share/fuse rule. Fused, every image pays the next
+// layer's inBatches FBS rounds; shared, the batch pays one round per
+// slots pending values, whoever they belong to. Share only when that is
+// fewer rounds — never for one image, which has nobody to share with.
+func sharingSaves(pending []int, slots, inBatches int) bool {
+	if len(pending) < 2 {
+		return false
+	}
+	total := 0
+	for _, n := range pending {
+		total += n
+	}
+	return (total+slots-1)/slots < len(pending)*inBatches
+}
+
+// materializeShared is the batch's FBS barrier: it applies the pending
+// LUT all images carry in packs filled across the batch and replaces
+// each image's value set with its materialized values.
+func (e *Engine) materializeShared(states []*inferState) error {
+	sets := make([]*valSet, len(states))
+	for i, st := range states {
+		sets[i] = st.vs
+	}
+	sets, err := e.w0.materializeSets(sets)
+	if err != nil {
 		return err
 	}
-	// Redistribute.
-	fresh := make([]map[vkey]lwe.Ciphertext, len(states))
-	for i, st := range states {
-		fresh[i] = make(map[vkey]lwe.Ciphertext, len(st.vs.vals))
-	}
-	for idx, s := range order {
-		fresh[s.img][s.key] = results[idx]
-	}
-	for i, st := range states {
-		states[i] = &inferState{vs: &valSet{
-			C: st.vs.C, H: st.vs.H, W: st.vs.W, vals: fresh[i],
-		}}
+	for i, vs := range sets {
+		states[i] = &inferState{vs: vs}
 	}
 	return nil
-}
-
-// extractFlat extracts coefficients 0..count-1 of ct as LWE values in
-// positional order.
-func (wk *evalWorker) extractFlat(ct *bfv.Ciphertext, count int) ([]lwe.Ciphertext, error) {
-	entries := make([]coeffenc.ValidEntry, count)
-	for i := range entries {
-		entries[i] = coeffenc.ValidEntry{Coeff: i, Cout: 0, Y: 0, X: i}
-	}
-	m, err := wk.extract(ct, entries)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]lwe.Ciphertext, count)
-	for i := 0; i < count; i++ {
-		out[i] = m[vkey{0, 0, i}]
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -152,9 +153,8 @@ func TestEncryptedMaxPool(t *testing.T) {
 	compareLogits(t, got, want, 3)
 }
 
-func TestEncryptedResidualBlock(t *testing.T) {
-	e := testEngine(t)
-	net := &qnn.QNetwork{
+func resNet() *qnn.QNetwork {
+	return &qnn.QNetwork{
 		Name: "tiny-res", InC: 1, InH: 6, InW: 6, WBits: 2, ABits: 4, InScale: 1,
 		Blocks: []qnn.QBlock{
 			qnn.QSeq{
@@ -172,6 +172,11 @@ func TestEncryptedResidualBlock(t *testing.T) {
 			},
 		},
 	}
+}
+
+func TestEncryptedResidualBlock(t *testing.T) {
+	e := testEngine(t)
+	net := resNet()
 	x := randInput(1, 6, 6, 7, 13)
 	want := net.ForwardInt(x).Data
 	got, err := e.Infer(net, x)
@@ -181,6 +186,16 @@ func TestEncryptedResidualBlock(t *testing.T) {
 	compareLogits(t, got, want, 3)
 	if e.Stats.LWEAdds == 0 {
 		t.Fatal("residual join did not use LWE additions")
+	}
+	// Each image's join compiles its own LUT, so the dense layer after
+	// the block has nothing to share across a batch and must fuse.
+	xs := []*qnn.IntTensor{x, randInput(1, 6, 6, 7, 12)}
+	batch, err := e.InferBatch(net, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		compareLogits(t, batch[i], net.ForwardInt(xs[i]).Data, 3)
 	}
 }
 
@@ -502,6 +517,17 @@ func TestThreePhaseSession(t *testing.T) {
 	if _, err := e.EvaluateEncrypted(other, in); err == nil {
 		t.Fatal("model mismatch accepted")
 	}
+	// A nil input and an empty network meet the driver's one validation,
+	// whichever entry point they arrive through.
+	if _, err := e.EvaluateEncrypted(net, nil); !errors.Is(err, errNilInput) {
+		t.Fatalf("nil input: %v", err)
+	}
+	if _, err := e.EvaluateEncryptedBatch(net, []*EncryptedInput{in, nil}); !errors.Is(err, errNilInput) {
+		t.Fatalf("nil input in batch: %v", err)
+	}
+	if _, err := e.EvaluateEncrypted(&qnn.QNetwork{Name: net.Name}, in); !errors.Is(err, errEmptyNetwork) {
+		t.Fatalf("empty network: %v", err)
+	}
 	if _, err := e.DecryptLogits(nil); err == nil {
 		t.Fatal("nil logits accepted")
 	}
@@ -687,7 +713,7 @@ func TestInferBatchSharesFBS(t *testing.T) {
 			batchFBS, batch*perImageFBS, batch, perImageFBS)
 	}
 	for i := range got {
-		// The shared-materialization path adds one conversion round, so
+		// The shared barrier adds one conversion round per image, so
 		// allow slightly wider e_ms tolerance than single-image runs.
 		for j := range got[i] {
 			d := got[i][j] - wants[i][j]

@@ -65,20 +65,48 @@ type Engine struct {
 
 	tMod ring.Modulus // cached Barrett constants for the LWE arithmetic
 
-	// netABits is the activation bit width of the network currently
-	// being inferred (set by Infer; used to size pooling domains).
-	netABits int
-
 	// Stats accumulates operation counts over Infer calls.
 	Stats OpStats
 }
 
-// OpStats counts homomorphic operations issued by the engine.
+// OpStats counts homomorphic operations issued by the engine. It is the
+// one counter type of the repository: engine totals, per-batch deltas,
+// and the "ops" object of the /metrics and router-aggregate documents.
 type OpStats struct {
-	PMult, HAdd, CMult, SMult int
-	Packs, FBSCalls, S2CCalls int
-	Extractions, KeySwitches  int
-	LWEAdds                   int
+	PMult       int `json:"pmult"`
+	HAdd        int `json:"hadd"`
+	CMult       int `json:"cmult"`
+	SMult       int `json:"smult"`
+	Packs       int `json:"packs"`
+	FBSCalls    int `json:"fbs_calls"`
+	S2CCalls    int `json:"s2c_calls"`
+	Extractions int `json:"extractions"`
+	KeySwitches int `json:"key_switches"`
+	LWEAdds     int `json:"lwe_adds"`
+}
+
+// addScaled adds k·o to s; it holds the only list of the counters.
+func (s *OpStats) addScaled(o OpStats, k int) {
+	s.PMult += k * o.PMult
+	s.HAdd += k * o.HAdd
+	s.CMult += k * o.CMult
+	s.SMult += k * o.SMult
+	s.Packs += k * o.Packs
+	s.FBSCalls += k * o.FBSCalls
+	s.S2CCalls += k * o.S2CCalls
+	s.Extractions += k * o.Extractions
+	s.KeySwitches += k * o.KeySwitches
+	s.LWEAdds += k * o.LWEAdds
+}
+
+// Add accumulates o into s.
+func (s *OpStats) Add(o OpStats) { s.addScaled(o, 1) }
+
+// Sub returns s − o, the counts issued between two readings of a
+// cumulative total.
+func (s OpStats) Sub(o OpStats) OpStats {
+	s.addScaled(o, -1)
+	return s
 }
 
 // NewEngine generates all key material for params.
@@ -347,17 +375,13 @@ func (wk *evalWorker) toCoeffs(ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	return out, nil
 }
 
-// extract converts valid coefficients of a result ciphertext into
-// dimension-n LWE ciphertexts at modulus t (Steps ②–③).
-func (wk *evalWorker) extract(ct *bfv.Ciphertext, entries []coeffenc.ValidEntry) (map[vkey]lwe.Ciphertext, error) {
+// extract converts the coefficients idx of a result ciphertext into
+// dimension-n LWE ciphertexts at modulus t (Steps ②–③), in idx order.
+func (wk *evalWorker) extract(ct *bfv.Ciphertext, idx []int) ([]lwe.Ciphertext, error) {
 	e := wk.e
 	a, b, err := e.Ctx.SwitchModulus(ct, e.P.QMid())
 	if err != nil {
 		return nil, err
-	}
-	idx := make([]int, len(entries))
-	for i, en := range entries {
-		idx[i] = en.Coeff
 	}
 	cts := lwe.SampleExtract(lwe.RLWE{A: a, B: b, Q: e.P.QMid()}, idx)
 	wk.stats.Extractions += len(cts)
@@ -370,11 +394,7 @@ func (wk *evalWorker) extract(ct *bfv.Ciphertext, entries []coeffenc.ValidEntry)
 	wk.forEach(len(cts), par.Options{MinGrain: 1, ItemCost: cost}, func(ln *evalWorker, i int) {
 		switched[i] = lwe.ModSwitch(ln.sw.Switch(cts[i]), e.P.T)
 	})
-	out := make(map[vkey]lwe.Ciphertext, len(entries))
-	for i, en := range entries {
-		out[vkey{en.Cout, en.Y, en.X}] = switched[i]
-	}
-	return out, nil
+	return switched, nil
 }
 
 // scaledEvaluator compiles the composition scale·fn (fn = identity when
@@ -413,79 +433,57 @@ func (wk *evalWorker) materializeScaled(vs *valSet, scale int64) (*valSet, error
 	if err != nil {
 		return nil, err
 	}
-	scaled := &valSet{C: vs.C, H: vs.H, W: vs.W, vals: vs.vals, pending: ev}
-	out, err := wk.forceMaterialize(scaled)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return wk.materialize(&valSet{C: vs.C, H: vs.H, W: vs.W, vals: vs.vals, pending: ev})
 }
 
 // materialize applies the pending LUT of vs (if any), returning int8
-// activations as LWE values (pack → FBS → S2C → extract).
+// activations as LWE values: a shared materialization of one set.
 func (wk *evalWorker) materialize(vs *valSet) (*valSet, error) {
 	if vs.pending == nil {
 		return vs, nil
 	}
-	return wk.forceMaterialize(vs)
-}
-
-// forceMaterialize runs pack → FBS → S2C → extract over the value set in
-// slot-capacity chunks. Each chunk is a full bootstrapping round, so the
-// chunks fan out across worker lanes; the chunk→key assignment is fixed
-// by the sorted key order and the per-chunk maps are merged afterwards,
-// keeping the result independent of scheduling.
-func (wk *evalWorker) forceMaterialize(vs *valSet) (*valSet, error) {
-	e := wk.e
-	keys := sortedKeys(vs)
-	n := e.Ctx.N
-	chunks := (len(keys) + n - 1) / n
-	maps := make([]map[vkey]lwe.Ciphertext, chunks)
-	errs := make([]error, chunks)
-	wk.forEach(chunks, par.Options{MinGrain: 1}, func(ln *evalWorker, ci int) {
-		start := ci * n
-		end := start + n
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[start:end]
-		ordered := make([]lwe.Ciphertext, len(chunk))
-		validity := make([]bool, len(chunk))
-		for i, k := range chunk {
-			ordered[i] = vs.vals[k]
-			validity[i] = true
-		}
-		ct, err := ln.packFBS(ordered, vs.pending, e.slotMask(validity))
-		if err != nil {
-			errs[ci] = err
-			return
-		}
-		ct, err = ln.toCoeffs(ct)
-		if err != nil {
-			errs[ci] = err
-			return
-		}
-		entries := make([]coeffenc.ValidEntry, len(chunk))
-		for i, k := range chunk {
-			entries[i] = coeffenc.ValidEntry{Coeff: i, Cout: k.C, Y: k.Y, X: k.X}
-		}
-		maps[ci], errs[ci] = ln.extract(ct, entries)
-	})
-	if err := firstErr(errs); err != nil {
+	out, err := wk.materializeSets([]*valSet{vs})
+	if err != nil {
 		return nil, err
 	}
-	out := &valSet{C: vs.C, H: vs.H, W: vs.W, vals: make(map[vkey]lwe.Ciphertext, len(keys))}
-	for _, m := range maps {
-		for k, v := range m {
-			out.vals[k] = v
+	return out[0], nil
+}
+
+// materializeSets applies the pending LUT the sets share in one LUT
+// round over their concatenated values and returns each set's
+// materialized (identity-pending) replacement. The slot order is fixed
+// by (set, sorted key), so packs fill across set boundaries and the
+// redistribution is independent of scheduling.
+func (wk *evalWorker) materializeSets(sets []*valSet) ([]*valSet, error) {
+	var flat []lwe.Ciphertext
+	keys := make([][]vkey, len(sets))
+	for i, vs := range sets {
+		keys[i] = sortedKeys(vs.vals)
+		for _, k := range keys[i] {
+			flat = append(flat, vs.vals[k])
 		}
+	}
+	flat, err := wk.batchLUT(flat, sets[0].pending)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*valSet, len(sets))
+	for i, vs := range sets {
+		vals := make(map[vkey]lwe.Ciphertext, len(keys[i]))
+		for j, k := range keys[i] {
+			vals[k] = flat[j]
+		}
+		flat = flat[len(keys[i]):]
+		out[i] = &valSet{C: vs.C, H: vs.H, W: vs.W, vals: vals}
 	}
 	return out, nil
 }
 
-func sortedKeys(vs *valSet) []vkey {
-	keys := make([]vkey, 0, len(vs.vals))
-	for k := range vs.vals {
+// sortedKeys returns m's keys in (C, Y, X) order: the fixed order every
+// value set is walked in, so slot assignment never depends on map order.
+func sortedKeys[V any](m map[vkey]V) []vkey {
+	keys := make([]vkey, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -609,35 +607,58 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 	return accs
 }
 
-// convLayer runs the full loop for one quantized linear layer, returning
-// the raw accumulators as LWE values with the layer's LUT pending.
-func (wk *evalWorker) convLayer(q *qnn.QConv, vs *valSet) (*valSet, error) {
+// convLayer runs the loop for one quantized linear layer. The first
+// layer's inputs are the client's coefficient encodings; every later
+// layer packs them from the labeled LWE values of st.vs, fusing the
+// pending LUT. Both then share one tail: accumulate, extract, and leave
+// the layer's own LUT pending — except that the network's last op stops
+// at its accumulators, which are the encrypted logits.
+func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inferState, error) {
 	e := wk.e
-	plan, err := coeffenc.NewPlan(q.Shape, e.Ctx.N, coeffenc.AthenaOrder)
-	if err != nil {
-		return nil, err
-	}
-	inputs, err := wk.convInputs(plan, vs)
-	if err != nil {
-		return nil, err
+	plan, inputs := st.firstPlan, st.firstInputs
+	var err error
+	if inputs != nil {
+		// Client ciphertexts arrive at the full chain — drop them to the
+		// post level so the accumulation runs on the short chain like
+		// every later layer.
+		inputs = make([]*bfv.Ciphertext, len(st.firstInputs))
+		for i, ct := range st.firstInputs {
+			if inputs[i], err = e.Ctx.ModDown(ct, e.ctxP.Level()); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		if plan, err = coeffenc.NewPlan(q.Shape, e.Ctx.N, coeffenc.AthenaOrder); err != nil {
+			return nil, err
+		}
+		if inputs, err = wk.convInputs(plan, st.vs); err != nil {
+			return nil, err
+		}
 	}
 	accs := wk.convAccumulate(q, plan, inputs)
+	if lastOp {
+		return &inferState{vs: &valSet{}, final: &finalResult{conv: q, plan: plan, accs: accs}}, nil
+	}
 	out := &valSet{C: q.Shape.Cout, H: q.Shape.OutH(), W: q.Shape.OutW(), vals: make(map[vkey]lwe.Ciphertext)}
 	for ob, acc := range accs {
-		m, err := wk.extract(acc, plan.ValidCoeffs(ob))
+		entries := plan.ValidCoeffs(ob)
+		idx := make([]int, len(entries))
+		for i, en := range entries {
+			idx[i] = en.Coeff
+		}
+		cts, err := wk.extract(acc, idx)
 		if err != nil {
 			return nil, err
 		}
-		for k, v := range m {
-			out.vals[k] = v
+		for i, en := range entries {
+			out.vals[vkey{en.Cout, en.Y, en.X}] = cts[i]
 		}
 	}
-	out.pending, err = e.lutFor(q)
-	if err != nil {
+	if out.pending, err = e.lutFor(q); err != nil {
 		return nil, err
 	}
 	out.fn = q.Remap
-	return out, nil
+	return &inferState{vs: out}, nil
 }
 
 // addLWE returns a+b at modulus t (phase addition under the shared key).

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"athena/internal/bfv"
 	"athena/internal/coeffenc"
@@ -17,9 +17,6 @@ import (
 // returns the decrypted output logits. It is the convenience wrapper
 // around the three-phase client/server API in session.go.
 func (e *Engine) Infer(q *qnn.QNetwork, x *qnn.IntTensor) ([]int64, error) {
-	if len(q.Blocks) == 0 {
-		return nil, fmt.Errorf("core: empty network")
-	}
 	in, err := e.EncryptInput(q, x)
 	if err != nil {
 		return nil, err
@@ -31,8 +28,9 @@ func (e *Engine) Infer(q *qnn.QNetwork, x *qnn.IntTensor) ([]int64, error) {
 	return e.DecryptLogits(out)
 }
 
-// inputState wraps either pre-encrypted conv inputs (first layer) or the
-// usual labeled LWE values.
+// inferState is one image's state between ops: either the client's
+// pre-encrypted conv inputs (before the first layer), the usual labeled
+// LWE values, or the terminal accumulators.
 type inferState struct {
 	vs *valSet
 	// firstInputs holds the client-encrypted coefficient encodings of
@@ -46,31 +44,15 @@ type inferState struct {
 	final *finalResult
 }
 
-func (e *Engine) encryptInput(q *qnn.QNetwork, x *qnn.IntTensor) (*inferState, error) {
-	first, err := firstConv(q)
-	if err != nil {
-		return nil, err
-	}
-	if x.C != first.Shape.Cin || x.H != first.Shape.H || x.W != first.Shape.W {
-		return nil, fmt.Errorf("core: input %dx%dx%d does not match first layer %dx%dx%d",
-			x.C, x.H, x.W, first.Shape.Cin, first.Shape.H, first.Shape.W)
-	}
-	plan, err := coeffenc.NewPlan(first.Shape, e.Ctx.N, coeffenc.AthenaOrder)
-	if err != nil {
-		return nil, err
-	}
-	m3 := x.To3D()
-	inputs := make([]*bfv.Ciphertext, plan.InBatches)
-	for ib := 0; ib < plan.InBatches; ib++ {
-		vec := plan.EncodeInput(m3, ib)
-		inputs[ib] = e.enc.Encrypt(e.cod.EncodeCoeffs(vec))
-	}
-	return &inferState{firstInputs: inputs, firstPlan: plan}, nil
-}
+var (
+	errEmptyNetwork = errors.New("core: empty network")
+	errNilInput     = errors.New("core: nil encrypted input")
+	errNoFinal      = errors.New("core: network did not end in a linear layer")
+)
 
 func firstConv(q *qnn.QNetwork) (*qnn.QConv, error) {
 	if len(q.Blocks) == 0 {
-		return nil, fmt.Errorf("core: empty network")
+		return nil, errEmptyNetwork
 	}
 	seq, ok := q.Blocks[0].(qnn.QSeq)
 	if !ok || len(seq) == 0 {
@@ -83,68 +65,25 @@ func firstConv(q *qnn.QNetwork) (*qnn.QConv, error) {
 	return c, nil
 }
 
-// applyOp dispatches one quantized operation.
-func (wk *evalWorker) applyOp(op qnn.QOp, st *inferState, lastOp bool) (*inferState, error) {
-	e := wk.e
+// applyOp dispatches one quantized operation. aMax is the network's
+// largest activation, which sizes the pooling domains.
+func (wk *evalWorker) applyOp(op qnn.QOp, st *inferState, lastOp bool, aMax int64) (*inferState, error) {
+	var vs *valSet
+	var err error
 	switch o := op.(type) {
 	case *qnn.QConv:
-		if st.firstInputs != nil {
-			// First layer: inputs are already coefficient-encoded, but
-			// arrive from the client at the full chain — drop them to the
-			// post level so the accumulation runs on the short chain like
-			// every later layer.
-			inputs := make([]*bfv.Ciphertext, len(st.firstInputs))
-			for i, ct := range st.firstInputs {
-				var err error
-				if inputs[i], err = e.Ctx.ModDown(ct, e.ctxP.Level()); err != nil {
-					return nil, err
-				}
-			}
-			accs := wk.convAccumulate(o, st.firstPlan, inputs)
-			if lastOp {
-				return &inferState{vs: &valSet{}, final: &finalResult{conv: o, plan: st.firstPlan, accs: accs}}, nil
-			}
-			out := &valSet{C: o.Shape.Cout, H: o.Shape.OutH(), W: o.Shape.OutW(), vals: map[vkey]lwe.Ciphertext{}}
-			for ob, acc := range accs {
-				m, err := wk.extract(acc, st.firstPlan.ValidCoeffs(ob))
-				if err != nil {
-					return nil, err
-				}
-				for k, v := range m {
-					out.vals[k] = v
-				}
-			}
-			var err error
-			out.pending, err = e.lutFor(o)
-			if err != nil {
-				return nil, err
-			}
-			out.fn = o.Remap
-			return &inferState{vs: out}, nil
-		}
-		if lastOp {
-			return wk.finalConv(o, st)
-		}
-		vs, err := wk.convLayer(o, st.vs)
-		if err != nil {
-			return nil, err
-		}
-		return &inferState{vs: vs}, nil
+		return wk.convLayer(o, st, lastOp)
 	case *qnn.QMaxPool:
-		vs, err := wk.maxPool(o, st.vs)
-		if err != nil {
-			return nil, err
-		}
-		return &inferState{vs: vs}, nil
+		vs, err = wk.maxPool(o, st.vs, aMax)
 	case *qnn.QAvgPool:
-		vs, err := wk.avgPool(o, st.vs)
-		if err != nil {
-			return nil, err
-		}
-		return &inferState{vs: vs}, nil
+		vs, err = wk.avgPool(o, st.vs, aMax)
 	default:
 		return nil, fmt.Errorf("core: unsupported op %T", op)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &inferState{vs: vs}, nil
 }
 
 // finalResult holds the terminal layer's accumulator ciphertexts for
@@ -153,23 +92,6 @@ type finalResult struct {
 	conv *qnn.QConv
 	plan *coeffenc.Plan
 	accs []*bfv.Ciphertext
-}
-
-var errNoFinal = fmt.Errorf("core: network did not end in a linear layer")
-
-// finalConv runs the last linear layer and carries its accumulators in
-// the returned state.
-func (wk *evalWorker) finalConv(q *qnn.QConv, st *inferState) (*inferState, error) {
-	plan, err := coeffenc.NewPlan(q.Shape, wk.e.Ctx.N, coeffenc.AthenaOrder)
-	if err != nil {
-		return nil, err
-	}
-	inputs, err := wk.convInputs(plan, st.vs)
-	if err != nil {
-		return nil, err
-	}
-	accs := wk.convAccumulate(q, plan, inputs)
-	return &inferState{vs: &valSet{}, final: &finalResult{conv: q, plan: plan, accs: accs}}, nil
 }
 
 // residualBlock runs body and shortcut, joins them with an LWE addition,
@@ -183,37 +105,13 @@ func (wk *evalWorker) residualBlock(r *qnn.QResidual, st *inferState) (*inferSta
 	if err != nil {
 		return nil, err
 	}
-	body := in
-	for _, op := range r.Body {
-		c, ok := op.(*qnn.QConv)
-		if !ok {
-			return nil, fmt.Errorf("core: residual body supports linear layers only, got %T", op)
-		}
-		body, err = wk.convLayer(c, body)
-		if err != nil {
-			return nil, err
-		}
-	}
-	body, err = wk.materialize(body)
+	body, err := wk.residualBranch(r.Body, in, "body")
 	if err != nil {
 		return nil, err
 	}
-	short := in
-	for _, op := range r.Shortcut {
-		c, ok := op.(*qnn.QConv)
-		if !ok {
-			return nil, fmt.Errorf("core: residual shortcut supports linear layers only, got %T", op)
-		}
-		short, err = wk.convLayer(c, short)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(r.Shortcut) > 0 {
-		short, err = wk.materialize(short)
-		if err != nil {
-			return nil, err
-		}
+	short, err := wk.residualBranch(r.Shortcut, in, "shortcut")
+	if err != nil {
+		return nil, err
 	}
 	if body.C != short.C || body.H != short.H || body.W != short.W {
 		return nil, fmt.Errorf("core: residual branch shapes differ")
@@ -236,12 +134,29 @@ func (wk *evalWorker) residualBlock(r *qnn.QResidual, st *inferState) (*inferSta
 	return &inferState{vs: out}, nil
 }
 
+// residualBranch runs one branch of a residual block (linear layers
+// only) on the materialized block input and materializes its result; an
+// empty branch is the identity.
+func (wk *evalWorker) residualBranch(ops qnn.QSeq, vs *valSet, name string) (*valSet, error) {
+	for _, op := range ops {
+		c, ok := op.(*qnn.QConv)
+		if !ok {
+			return nil, fmt.Errorf("core: residual %s supports linear layers only, got %T", name, op)
+		}
+		st, err := wk.convLayer(c, &inferState{vs: vs}, false)
+		if err != nil {
+			return nil, err
+		}
+		vs = st.vs
+	}
+	return wk.materialize(vs)
+}
+
 // avgPool sums each window with LWE additions in a scaled domain (so
 // the per-value extraction noise is crushed by the divide) and leaves
 // the divide LUT pending.
-func (wk *evalWorker) avgPool(p *qnn.QAvgPool, vs *valSet) (*valSet, error) {
+func (wk *evalWorker) avgPool(p *qnn.QAvgPool, vs *valSet, aMax int64) (*valSet, error) {
 	e := wk.e
-	aMax := int64(1)<<(e.netABits-1) - 1
 	scale := e.poolScale(aMax * int64(p.K*p.K))
 	in, err := wk.materializeScaled(vs, scale)
 	if err != nil {
@@ -277,9 +192,8 @@ func (wk *evalWorker) avgPool(p *qnn.QAvgPool, vs *valSet) (*valSet, error) {
 // The tree operates in a scaled domain so the extraction noise of each
 // ReLU round stays far below one activation step; the divide back is
 // left pending for the consumer's LUT.
-func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet) (*valSet, error) {
+func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet, aMax int64) (*valSet, error) {
 	e := wk.e
-	aMax := int64(1)<<(e.netABits-1) - 1
 	scale := e.poolScale(aMax)
 	in, err := wk.materializeScaled(vs, scale)
 	if err != nil {
@@ -314,7 +228,7 @@ func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet) (*valSet, error) {
 		}
 		var pends []pend
 		var diffs []lwe.Ciphertext
-		for _, k := range sortedWindowKeys(windows) {
+		for _, k := range sortedKeys(windows) {
 			cands := windows[k]
 			if len(cands) < 2 {
 				continue
@@ -346,24 +260,6 @@ func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet) (*valSet, error) {
 	return out, nil
 }
 
-func sortedWindowKeys(w map[vkey][]lwe.Ciphertext) []vkey {
-	keys := make([]vkey, 0, len(w))
-	for k := range w {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.C != b.C {
-			return a.C < b.C
-		}
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		return a.X < b.X
-	})
-	return keys
-}
-
 func levelHasPairs(w map[vkey][]lwe.Ciphertext) bool {
 	for _, c := range w {
 		if len(c) >= 2 {
@@ -378,10 +274,11 @@ func (e *Engine) reluFull() (*fbs.Evaluator, error) {
 	return e.reluClampFor(63) // lim = 2^62-1: effectively unclamped ReLU
 }
 
-// batchLUT applies a LUT to a flat list of LWE values via
-// pack→FBS→S2C→extract, preserving order. The slot-capacity chunks are
-// independent bootstrapping rounds and fan out across worker lanes;
-// each chunk writes only its own out[start:end] window.
+// batchLUT is the one LUT round of the pipeline: it applies lut to a
+// flat list of LWE values via pack→FBS→S2C→extract, preserving order.
+// The slot-capacity chunks are independent bootstrapping rounds and fan
+// out across worker lanes; each chunk writes only its own
+// out[start:end] window.
 func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, lut *fbs.Evaluator) ([]lwe.Ciphertext, error) {
 	e := wk.e
 	n := e.Ctx.N
@@ -395,8 +292,10 @@ func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, lut *fbs.Evaluator) ([]lwe
 			end = len(vals)
 		}
 		validity := make([]bool, end-start)
-		for i := range validity {
+		idx := make([]int, end-start)
+		for i := range idx {
 			validity[i] = true
+			idx[i] = i
 		}
 		ct, err := ln.packFBS(vals[start:end], lut, e.slotMask(validity))
 		if err != nil {
@@ -408,7 +307,7 @@ func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, lut *fbs.Evaluator) ([]lwe
 			errs[ci] = err
 			return
 		}
-		flat, err := ln.extractFlat(ct, end-start)
+		flat, err := ln.extract(ct, idx)
 		if err != nil {
 			errs[ci] = err
 			return

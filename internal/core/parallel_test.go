@@ -149,9 +149,8 @@ func TestInferBatchBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestInferBatchSingleImage pins the batch-of-1 edge case: the shared
-// materialization degenerates to per-image chunks and must still agree
-// with the plaintext reference.
+// TestInferBatchSingleImage pins the batch-of-1 edge case through the
+// one-shot API: it must agree with the plaintext reference.
 func TestInferBatchSingleImage(t *testing.T) {
 	e := testEngine(t)
 	net := detNet()
@@ -167,11 +166,90 @@ func TestInferBatchSingleImage(t *testing.T) {
 	compareLogits(t, got[0], want, 3)
 }
 
+// maskNet is a padded convolution (mixed-validity convInputs masks)
+// followed by a max-pool (batchLUT chunks, scaled-domain
+// materialization) and a dense layer.
+func maskNet() *qnn.QNetwork {
+	return &qnn.QNetwork{
+		Name: "par-mask", InC: 1, InH: 4, InW: 4, WBits: 2, ABits: 4, InScale: 1,
+		Blocks: []qnn.QBlock{qnn.QSeq{
+			tinyConv(coeffenc.ConvShape{H: 4, W: 4, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16, 320),
+			&qnn.QMaxPool{K: 2},
+			tinyConv(coeffenc.FCShape(2*2*2, 4), qnn.ActNone, 1.0/8, 321),
+		}},
+	}
+}
+
+// TestBatchOfOneIsEvaluateEncrypted: the two evaluation entry points are
+// one driver, so a one-element batch must return byte-identical
+// encrypted logits and leave identical Engine.Stats — on a plain conv
+// chain, on structural zeros with pooling, and across a residual join.
+func TestBatchOfOneIsEvaluateEncrypted(t *testing.T) {
+	e := testEngine(t)
+	for _, net := range []*qnn.QNetwork{detNet(), maskNet(), resNet()} {
+		in, err := e.EncryptInput(net, randInput(net.InC, net.InH, net.InW, 7, 330))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var blobs [2]bytes.Buffer
+		var stats [2]OpStats
+		for i, eval := range []func() (*EncryptedLogits, error){
+			func() (*EncryptedLogits, error) { return e.EvaluateEncrypted(net, in) },
+			func() (*EncryptedLogits, error) {
+				outs, err := e.EvaluateEncryptedBatch(net, []*EncryptedInput{in})
+				if err != nil {
+					return nil, err
+				}
+				return outs[0], nil
+			},
+		} {
+			e.Stats = OpStats{}
+			out, err := eval()
+			if err != nil {
+				t.Fatalf("%s: %v", net.Name, err)
+			}
+			stats[i] = e.Stats
+			if err := e.WriteEncryptedLogits(out, &blobs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(blobs[0].Bytes(), blobs[1].Bytes()) {
+			t.Errorf("%s: batch of one differs from EvaluateEncrypted", net.Name)
+		}
+		if stats[0] != stats[1] || stats[0].FBSCalls == 0 {
+			t.Errorf("%s: stats %+v (single) vs %+v (batch of one)", net.Name, stats[0], stats[1])
+		}
+	}
+}
+
+// TestSharingSaves is the share/fuse rule of the block driver as a
+// table: the barrier is taken only when packing the batch's pending
+// values together needs fewer FBS rounds than fusing them per image.
+func TestSharingSaves(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		pending          []int
+		slots, inBatches int
+		want             bool
+	}{
+		{"one image never shares", []int{72}, 128, 1, false},
+		{"one image, even when its layer spans input batches", []int{72}, 128, 4, false},
+		{"TestInferBatchSharesFBS: 3 x 72 values, 2 packs for 3", []int{72, 72, 72}, 128, 1, true},
+		{"two images that do not fit one pack", []int{72, 72}, 128, 1, false},
+		{"every image fills whole packs already", []int{256, 256, 256}, 128, 2, false},
+		{"fused packing would pad: 2 packs for 4", []int{64, 64}, 128, 2, true},
+	} {
+		if got := sharingSaves(c.pending, c.slots, c.inBatches); got != c.want {
+			t.Errorf("%s: sharingSaves(%v, %d, %d) = %v", c.name, c.pending, c.slots, c.inBatches, got)
+		}
+	}
+}
+
 // TestInferBatchOverflowsSlotCapacity drives the batch past the FBS slot
 // capacity: 5 images × 72 pending activations = 360 values over N=128
-// slots, forcing materializeBatch to split into 3 chunks that fan out
-// across worker lanes (images land mid-chunk, so the chunk boundaries
-// cross image boundaries).
+// slots, forcing the shared LUT round to split into 3 chunks that fan
+// out across worker lanes (images land mid-chunk, so the chunk
+// boundaries cross image boundaries).
 func TestInferBatchOverflowsSlotCapacity(t *testing.T) {
 	e := testEngine(t)
 	net := detNet()
@@ -196,20 +274,12 @@ func TestInferBatchOverflowsSlotCapacity(t *testing.T) {
 }
 
 // TestInferBatchMixedValidityMasks exercises structural zeros in the
-// parallel pipeline: a padded convolution (mixed-validity convInputs
-// masks) followed by a max-pool (batchLUT chunks, scaled-domain
-// materialization) across a batch. Run under -race in CI, this is the
-// canary for mask staging buffers shared between worker lanes.
+// parallel pipeline (maskNet) across a batch. Run under -race in CI,
+// this is the canary for mask staging buffers shared between worker
+// lanes.
 func TestInferBatchMixedValidityMasks(t *testing.T) {
 	e := testEngine(t)
-	net := &qnn.QNetwork{
-		Name: "par-mask", InC: 1, InH: 4, InW: 4, WBits: 2, ABits: 4, InScale: 1,
-		Blocks: []qnn.QBlock{qnn.QSeq{
-			tinyConv(coeffenc.ConvShape{H: 4, W: 4, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16, 320),
-			&qnn.QMaxPool{K: 2},
-			tinyConv(coeffenc.FCShape(2*2*2, 4), qnn.ActNone, 1.0/8, 321),
-		}},
-	}
+	net := maskNet()
 	xs := []*qnn.IntTensor{
 		randInput(1, 4, 4, 7, 322),
 		randInput(1, 4, 4, 7, 323),

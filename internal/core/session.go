@@ -41,51 +41,37 @@ func (e *Engine) EncryptInput(q *qnn.QNetwork, x *qnn.IntTensor) (*EncryptedInpu
 	if e.enc == nil {
 		return nil, ErrNoSecretKey
 	}
-	st, err := e.encryptInput(q, x)
+	first, err := firstConv(q)
 	if err != nil {
 		return nil, err
 	}
-	return &EncryptedInput{model: q.Name, inputs: st.firstInputs, plan: st.firstPlan}, nil
+	if x.C != first.Shape.Cin || x.H != first.Shape.H || x.W != first.Shape.W {
+		return nil, fmt.Errorf("core: input %dx%dx%d does not match first layer %dx%dx%d",
+			x.C, x.H, x.W, first.Shape.Cin, first.Shape.H, first.Shape.W)
+	}
+	plan, err := coeffenc.NewPlan(first.Shape, e.Ctx.N, coeffenc.AthenaOrder)
+	if err != nil {
+		return nil, err
+	}
+	m3 := x.To3D()
+	inputs := make([]*bfv.Ciphertext, plan.InBatches)
+	for ib := 0; ib < plan.InBatches; ib++ {
+		vec := plan.EncodeInput(m3, ib)
+		inputs[ib] = e.enc.Encrypt(e.cod.EncodeCoeffs(vec))
+	}
+	return &EncryptedInput{model: q.Name, inputs: inputs, plan: plan}, nil
 }
 
 // EvaluateEncrypted runs the network on the encrypted input and returns
-// the encrypted logits. Only public material (evaluation keys, packing
-// keys, LWE keyswitching keys) is used.
+// the encrypted logits: a batch of one through EvaluateEncryptedBatch.
+// Only public material (evaluation keys, packing keys, LWE keyswitching
+// keys) is used.
 func (e *Engine) EvaluateEncrypted(q *qnn.QNetwork, in *EncryptedInput) (*EncryptedLogits, error) {
-	if in.model != q.Name {
-		return nil, fmt.Errorf("core: input encrypted for model %q, evaluating %q", in.model, q.Name)
+	outs, err := e.EvaluateEncryptedBatch(q, []*EncryptedInput{in})
+	if err != nil {
+		return nil, err
 	}
-	defer e.flushStats()
-	e.netABits = q.ABits
-	if e.netABits < 2 {
-		e.netABits = 8
-	}
-	state := &inferState{firstInputs: in.inputs, firstPlan: in.plan}
-	var err error
-	for bi, b := range q.Blocks {
-		last := bi == len(q.Blocks)-1
-		switch blk := b.(type) {
-		case qnn.QSeq:
-			for oi, op := range blk {
-				lastOp := last && oi == len(blk)-1
-				state, err = e.w0.applyOp(op, state, lastOp)
-				if err != nil {
-					return nil, err
-				}
-			}
-		case *qnn.QResidual:
-			state, err = e.w0.residualBlock(blk, state)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("core: unsupported block %T", b)
-		}
-	}
-	if state == nil || state.final == nil {
-		return nil, errNoFinal
-	}
-	return &EncryptedLogits{model: q.Name, final: state.final}, nil
+	return outs[0], nil
 }
 
 // DecryptLogits recovers the output logits (the client-side epilogue:

@@ -75,28 +75,17 @@ func (wk *evalWorker) fbsFor(canonical *fbs.Evaluator) *fbs.Evaluator {
 	return canonical.ShallowCopy()
 }
 
-// add accumulates o into s and resets o.
-func (s *OpStats) add(o *OpStats) {
-	s.PMult += o.PMult
-	s.HAdd += o.HAdd
-	s.CMult += o.CMult
-	s.SMult += o.SMult
-	s.Packs += o.Packs
-	s.FBSCalls += o.FBSCalls
-	s.S2CCalls += o.S2CCalls
-	s.Extractions += o.Extractions
-	s.KeySwitches += o.KeySwitches
-	s.LWEAdds += o.LWEAdds
-	*o = OpStats{}
-}
-
 // flushStats folds the per-worker operation counters into e.Stats. The
 // counters are integer sums, so the totals are independent of how the
 // work was partitioned; flushing at the end of every public entry point
 // keeps the externally visible accumulation order fixed.
 func (e *Engine) flushStats() {
-	e.Stats.add(&e.w0.stats)
-	e.lanes.Each(func(ln *evalWorker) { e.Stats.add(&ln.stats) })
+	flush := func(wk *evalWorker) {
+		e.Stats.Add(wk.stats)
+		wk.stats = OpStats{}
+	}
+	flush(e.w0)
+	e.lanes.Each(flush)
 }
 
 // firstErr returns the lowest-indexed error of a fan-out, so the

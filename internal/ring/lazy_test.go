@@ -139,39 +139,6 @@ func TestLazyNTTBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRadix4ReferenceBitIdentity pins the retained radix-4 schedule
-// (ForwardRadix4/InverseRadix4, the benchmark reference) to the same
-// fully-reduced oracle, across every leftover-layer combination the
-// radix-4 bookkeeping distinguishes.
-func TestRadix4ReferenceBitIdentity(t *testing.T) {
-	for _, logN := range []int{1, 2, 3, 4, 5, 6, 7, 8, 10} {
-		n := 1 << uint(logN)
-		for _, q := range lazyTestPrimes(t, logN) {
-			tab := NewNTTTable(q, logN)
-			for ci, in := range lazyTestInputs(n, q) {
-				got := append([]uint64(nil), in...)
-				want := append([]uint64(nil), in...)
-				tab.ForwardRadix4(got)
-				refForward(tab, want)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("forward-r4 logN=%d q=%d case=%d: coeff %d = %d, reference %d", logN, q, ci, i, got[i], want[i])
-					}
-				}
-				got = append([]uint64(nil), in...)
-				want = append([]uint64(nil), in...)
-				tab.InverseRadix4(got)
-				refInverse(tab, want)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("inverse-r4 logN=%d q=%d case=%d: coeff %d = %d, reference %d", logN, q, ci, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestLazyNTTOutputCanonical checks the exported entry points never leak
 // extended-range residues, even from maximal inputs.
 func TestLazyNTTOutputCanonical(t *testing.T) {

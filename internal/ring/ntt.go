@@ -15,11 +15,9 @@ import "math/bits"
 // produce canonical residues and are bit-identical to a fully-reduced
 // reference transform (see the property tests).
 //
-// The default Forward/Inverse pair runs radix-8 middle stages (three
-// butterfly layers fused per pass, mirroring the paper's radix-8 NTT
-// datapath); ForwardRadix4/InverseRadix4 keep the previous radix-4
-// schedule as a tracked reference. All schedules share the same stage
-// helpers and butterfly contracts and produce bit-identical output.
+// Forward/Inverse run radix-8 middle stages (three butterfly layers
+// fused per pass, mirroring the paper's radix-8 NTT datapath), with
+// radix-4 and radix-2 passes taking the layers left over.
 type NTTTable struct {
 	M    Modulus
 	N    int
@@ -124,33 +122,6 @@ func (t *NTTTable) Forward(p []uint64) {
 	}
 	for ; length >= 16; length >>= 3 {
 		t.fwdRadix8Pass(p, length)
-	}
-	t.fwdFinalStage(p)
-}
-
-// ForwardRadix4 is the previous radix-4 transform schedule (two fused
-// layers per middle pass), kept as the tracked reference the benchmark
-// suite compares the radix-8 schedule against. Output is bit-identical
-// to Forward.
-//
-//lint:noalloc
-//lint:domain p:<q -> p:<q
-func (t *NTTTable) ForwardRadix4(p []uint64) {
-	n := t.N
-	p = p[:n]
-	if n == 2 {
-		t.fwdN2(p)
-		return
-	}
-	length := n >> 1
-	// Radix-4 passes consume middle layers two at a time; peel a single
-	// radix-2 layer first when the count is odd.
-	if t.LogN&1 == 1 && length >= 4 {
-		t.fwdRadix2Peel(p)
-		length >>= 1
-	}
-	for ; length >= 8; length >>= 2 {
-		t.fwdRadix4Pass(p, length)
 	}
 	t.fwdFinalStage(p)
 }
@@ -567,30 +538,6 @@ func (t *NTTTable) Inverse(p []uint64) {
 		}
 	}
 	if n >= 4 && l == n>>2 { // n == 4: single butterfly layer before the final
-		t.invRadix2Layer(p, l)
-	}
-	t.invFinalLayer(p)
-}
-
-// InverseRadix4 is the previous radix-4 inverse schedule, kept as the
-// tracked reference the benchmark suite compares the radix-8 schedule
-// against. Output is bit-identical to Inverse.
-//
-//lint:noalloc
-//lint:domain p:<q -> p:<q
-func (t *NTTTable) InverseRadix4(p []uint64) {
-	n := t.N
-	p = p[:n]
-	l := 1
-	if n >= 8 {
-		t.invFirstStage(p)
-		l = 4
-	}
-	for ; l <= n>>3; l <<= 2 {
-		t.invRadix4Pass(p, l)
-	}
-	// One leftover radix-2 layer when the middle-layer count is odd.
-	if n >= 4 && l == n>>2 {
 		t.invRadix2Layer(p, l)
 	}
 	t.invFinalLayer(p)

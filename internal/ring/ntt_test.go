@@ -174,8 +174,8 @@ func BenchmarkNTT(b *testing.B) {
 	}
 }
 
-// BenchmarkNTTSchedule compares the radix-8 default against the retained
-// radix-4 reference schedule, per single-limb transform.
+// BenchmarkNTTSchedule times the production schedule per single-limb
+// transform.
 func BenchmarkNTTSchedule(b *testing.B) {
 	for _, logN := range []int{7, 11, 13} {
 		r := testRing(b, logN, 1)
@@ -186,19 +186,9 @@ func BenchmarkNTTSchedule(b *testing.B) {
 				tab.Forward(p.Coeffs[0])
 			}
 		})
-		b.Run("fwd-r4/"+sizeName(logN), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tab.ForwardRadix4(p.Coeffs[0])
-			}
-		})
 		b.Run("inv-r8/"+sizeName(logN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tab.Inverse(p.Coeffs[0])
-			}
-		})
-		b.Run("inv-r4/"+sizeName(logN), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tab.InverseRadix4(p.Coeffs[0])
 			}
 		})
 	}

@@ -231,6 +231,11 @@ func (b *Batcher) runExecutor() {
 			if err == nil && len(outs) != len(live) {
 				err = fmt.Errorf("evaluation returned %d results for %d inputs", len(outs), len(live))
 			}
+			// Account the batch before answering it, so a client holding
+			// its reply already finds the batch in /metrics.
+			if b.metrics != nil {
+				b.metrics.recordBatch(len(live), dur, statsAfter.Sub(statsBefore))
+			}
 			if err != nil {
 				for _, r := range live {
 					b.finish(r, nil, &RequestError{Code: CodeInternal, Msg: err.Error()})
@@ -239,9 +244,6 @@ func (b *Batcher) runExecutor() {
 				for i, r := range live {
 					b.finish(r, outs[i], nil)
 				}
-			}
-			if b.metrics != nil {
-				b.metrics.recordBatch(len(live), dur, opsDelta(statsBefore, statsAfter))
 			}
 		}
 
@@ -286,20 +288,4 @@ func (b *Batcher) QueueDepth() (queued, inflight int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.queued, b.inflight
-}
-
-// opsDelta subtracts cumulative OpStats snapshots.
-func opsDelta(before, after core.OpStats) core.OpStats {
-	return core.OpStats{
-		PMult:       after.PMult - before.PMult,
-		HAdd:        after.HAdd - before.HAdd,
-		CMult:       after.CMult - before.CMult,
-		SMult:       after.SMult - before.SMult,
-		Packs:       after.Packs - before.Packs,
-		FBSCalls:    after.FBSCalls - before.FBSCalls,
-		S2CCalls:    after.S2CCalls - before.S2CCalls,
-		Extractions: after.Extractions - before.Extractions,
-		KeySwitches: after.KeySwitches - before.KeySwitches,
-		LWEAdds:     after.LWEAdds - before.LWEAdds,
-	}
 }

@@ -83,30 +83,7 @@ func (m *Metrics) recordBatch(size int, dur time.Duration, ops core.OpStats) {
 	}
 	m.batchHist[i]++
 	m.evalTime += dur
-	m.opsTotal.PMult += ops.PMult
-	m.opsTotal.HAdd += ops.HAdd
-	m.opsTotal.CMult += ops.CMult
-	m.opsTotal.SMult += ops.SMult
-	m.opsTotal.Packs += ops.Packs
-	m.opsTotal.FBSCalls += ops.FBSCalls
-	m.opsTotal.S2CCalls += ops.S2CCalls
-	m.opsTotal.Extractions += ops.Extractions
-	m.opsTotal.KeySwitches += ops.KeySwitches
-	m.opsTotal.LWEAdds += ops.LWEAdds
-}
-
-// OpStatsSnapshot is the JSON form of the accumulated operation counts.
-type OpStatsSnapshot struct {
-	PMult       int `json:"pmult"`
-	HAdd        int `json:"hadd"`
-	CMult       int `json:"cmult"`
-	SMult       int `json:"smult"`
-	Packs       int `json:"packs"`
-	FBSCalls    int `json:"fbs_calls"`
-	S2CCalls    int `json:"s2c_calls"`
-	Extractions int `json:"extractions"`
-	KeySwitches int `json:"key_switches"`
-	LWEAdds     int `json:"lwe_adds"`
+	m.opsTotal.Add(ops)
 }
 
 // BatchBucket is one batch-size histogram bucket in a snapshot.
@@ -137,7 +114,7 @@ type Snapshot struct {
 	BatchSizeHist []BatchBucket `json:"batch_size_hist"`
 	EvalTimeMS    float64       `json:"eval_time_ms"`
 
-	Ops OpStatsSnapshot `json:"ops"`
+	Ops core.OpStats `json:"ops"`
 
 	Sessions struct {
 		Count     int    `json:"count"`
@@ -201,18 +178,7 @@ func (m *Metrics) Snapshot(reg *Registry, b *Batcher) Snapshot {
 		s.BatchSizeHist = append(s.BatchSizeHist, bb)
 	}
 	s.EvalTimeMS = float64(m.evalTime) / float64(time.Millisecond)
-	s.Ops = OpStatsSnapshot{
-		PMult:       m.opsTotal.PMult,
-		HAdd:        m.opsTotal.HAdd,
-		CMult:       m.opsTotal.CMult,
-		SMult:       m.opsTotal.SMult,
-		Packs:       m.opsTotal.Packs,
-		FBSCalls:    m.opsTotal.FBSCalls,
-		S2CCalls:    m.opsTotal.S2CCalls,
-		Extractions: m.opsTotal.Extractions,
-		KeySwitches: m.opsTotal.KeySwitches,
-		LWEAdds:     m.opsTotal.LWEAdds,
-	}
+	s.Ops = m.opsTotal
 	s.Sessions.Opened = m.sessionsUp
 	m.mu.Unlock()
 
