@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint vet vet-lostcancel race bench bench-check store-test crash-test cluster-test
+.PHONY: build test check lint vet vet-lostcancel race bench bench-check fuzz-smoke store-test crash-test cluster-test
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,18 @@ cluster-test:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke
+
+# Every native fuzz target of the arithmetic packages, 15 s each (go
+# fuzzes one target of one package per invocation): the checked-in
+# corpora always run under `go test`; this looks a little past them on
+# every push.
+fuzz-smoke:
+	@set -e; for pkg in rns bfv fbs lwe; do \
+		for f in $$($(GO) test -list '^Fuzz' ./internal/$$pkg | grep '^Fuzz'); do \
+			echo "fuzz ./internal/$$pkg $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 15s ./internal/$$pkg; \
+		done; \
+	done
 
 # check is the CI gate: compile, vet (plus the pinned lostcancel
 # analyzer), FHE-aware static analysis, the full suite under the race

@@ -51,6 +51,18 @@ func TestEvaluatorSteadyStateZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("AutomorphismInto(g=1) allocates %v times per run, want 0", n)
 	}
+	// Warm the tensor and keyswitch scratch; the whole CMult, seven base
+	// changes included, then runs out of the arena.
+	if err := k.ev.MulInto(a, b, out); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := k.ev.MulInto(a, b, out); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("MulInto allocates %v times per run, want 0", n)
+	}
 }
 
 // TestIntoOpsMatchAllocatingOps pins the zero-alloc variants to their
@@ -92,4 +104,34 @@ func TestIntoOpsMatchAllocatingOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctEq("RotateRows aliased", alias, rot)
+
+	other := k.enc.Encrypt(k.cod.EncodeSlots(randVals(k.ctx.N, 10, 10)))
+	prod, err := k.ev.Mul(ct, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.ev.MulInto(ct, other, out); err != nil {
+		t.Fatal(err)
+	}
+	ctEq("Mul", out, prod)
+	// out may alias either operand, or both in a squaring.
+	alias = ct.Clone()
+	if err := k.ev.MulInto(alias, other, alias); err != nil {
+		t.Fatal(err)
+	}
+	ctEq("Mul, out == a", alias, prod)
+	alias = other.Clone()
+	if err := k.ev.MulInto(ct, alias, alias); err != nil {
+		t.Fatal(err)
+	}
+	ctEq("Mul, out == b", alias, prod)
+	sq, err := k.ev.Mul(ct, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias = ct.Clone()
+	if err := k.ev.MulInto(alias, alias, alias); err != nil {
+		t.Fatal(err)
+	}
+	ctEq("Mul, out == a == b", alias, sq)
 }

@@ -1,6 +1,10 @@
 package bfv
 
-import "testing"
+import (
+	"testing"
+
+	"athena/internal/ring"
+)
 
 func BenchmarkEncrypt(b *testing.B) {
 	k := newTestKit(b, 11, 6, nil)
@@ -30,14 +34,51 @@ func BenchmarkPMult(b *testing.B) {
 	}
 }
 
+// BenchmarkCMult measures MulInto at the two shapes the benchmark
+// workloads multiply at: the core.TestParams chain, and nine of the ten
+// 55-bit limbs of the N = 512, t = 12289 chain (its FBS level).
 func BenchmarkCMult(b *testing.B) {
-	k := newTestKit(b, 11, 6, nil)
-	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(randVals(k.ctx.N, 100, 5)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.ev.Mul(ct, ct); err != nil {
-			b.Fatal(err)
-		}
+	for _, s := range []struct {
+		name                     string
+		logN, bits, limbs, level int
+		t                        uint64
+	}{
+		{"n128_6x50_t257", 7, 50, 6, 6, 257},
+		{"n512_9of10x55_t12289", 9, 55, 10, 9, 12289},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			primes, err := ring.GenerateNTTPrimes(s.bits, s.logN, s.limbs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			full, err := NewContext(Parameters{LogN: s.logN, Qi: primes, T: s.t})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, err := full.AtLevel(s.level)
+			if err != nil {
+				b.Fatal(err)
+			}
+			kg := NewKeyGenerator(full, 1234)
+			sk := kg.GenSecretKey()
+			enc, cod := NewEncryptor(full, kg.GenPublicKey(sk), 77), NewEncoder(full)
+			var cts [2]*Ciphertext
+			for i := range cts {
+				ct := enc.Encrypt(cod.EncodeCoeffs(randVals(full.N, int64(s.t/2), uint64(5+i))))
+				if cts[i], err = full.ModDown(ct, s.level); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ev := NewEvaluator(ctx, kg.GenKeySet(sk, nil))
+			out := ctx.NewCiphertext()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ev.MulInto(cts[0], cts[1], out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"math/big"
 	"math/rand/v2"
 	"testing"
 
@@ -384,5 +385,58 @@ func TestContextValidation(t *testing.T) {
 	}
 	if ctx.Batching() {
 		t.Fatal("t=97 cannot batch at N=32")
+	}
+}
+
+// TestTensorBasisSizedFromInequality builds a chain under a 50-bit
+// plaintext prime, where the extension basis has to absorb fifty bits
+// more than the chain: at every level B must satisfy B > t·N·Q + 2, the
+// condition under which the rescaled tensor product is centered modulo B
+// and converts back to Q exactly, and a product of full-range messages
+// must decrypt to the negacyclic convolution modulo t.
+func TestTensorBasisSizedFromInequality(t *testing.T) {
+	const logN, limbs = 5, 5
+	qi, err := ring.GenerateNTTPrimes(55, logN, limbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := ring.GenerateNTTPrimes(50, logN, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewContext(Parameters{LogN: logN, Qi: qi, T: tp[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for L := 1; L <= limbs; L++ {
+		c, err := ctx.AtLevel(L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := new(big.Int).Mul(c.QBig, c.TBig)
+		bound.Lsh(bound, logN).Add(bound, big.NewInt(2))
+		b := big.NewInt(1)
+		for _, m := range c.RingB.Moduli {
+			b.Mul(b, new(big.Int).SetUint64(m.Q))
+		}
+		if b.Cmp(bound) <= 0 {
+			t.Fatalf("level %d: B has %d bits, t·N·Q + 2 has %d", L, b.BitLen(), bound.BitLen())
+		}
+	}
+
+	kg := NewKeyGenerator(ctx, 1234)
+	sk := kg.GenSecretKey()
+	enc, cod := NewEncryptor(ctx, kg.GenPublicKey(sk), 77), NewEncoder(ctx)
+	a := randVals(ctx.N, int64(tp[0]/2), 31)
+	b := randVals(ctx.N, int64(tp[0]/2), 32)
+	prod, err := NewEvaluator(ctx, kg.GenKeySet(sk, nil)).Mul(enc.Encrypt(cod.EncodeCoeffs(a)), enc.Encrypt(cod.EncodeCoeffs(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := NewDecryptor(ctx, sk).Decrypt(prod)
+	for i, want := range negacyclicModT(a, b, ctx.TMod) {
+		if got.Coeffs[i] != want {
+			t.Fatalf("coeff %d: %d want %d", i, got.Coeffs[i], want)
+		}
 	}
 }

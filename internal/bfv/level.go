@@ -17,10 +17,10 @@ import (
 // full-chain q̂_i), which AtLevel installs in the child.
 //
 // Dropping limbs after the noise-heavy stages is the classic RNS
-// acceleration: every NTT, multiply, and — dominating here — every
-// big-integer CRT lift in plaintext multiplication scales linearly in
-// the limb count, so running the post-FBS accumulation at a short chain
-// cuts the per-layer cost by the dropped fraction.
+// acceleration: every NTT and multiply scales linearly in the limb count
+// and the base conversions of a ciphertext multiplication quadratically,
+// so running the post-FBS accumulation at a short chain cuts the
+// per-layer cost by at least the dropped fraction.
 
 // Level returns the number of RNS limbs in this context's modulus chain.
 func (c *Context) Level() int { return len(c.Params.Qi) }
@@ -33,8 +33,9 @@ func (ct *Ciphertext) Level() int { return ct.C0.Level() }
 // chain. L equal to c's own level returns c itself; smaller levels build
 // (and cache) a derived context whose keyswitch digit constants are
 // corrected for full-chain key material. Children are full Contexts:
-// they carry their own ring, basis, Δ, tensor machinery, and batching
-// tables, so every bfv operation runs on them unmodified.
+// they carry their own ring, basis, Δ, tensor machinery (an extension
+// basis sized and verified for their own Q), and batching tables, so
+// every bfv operation runs on them unmodified.
 func (c *Context) AtLevel(L int) (*Context, error) {
 	full := c.Level()
 	if L == full {

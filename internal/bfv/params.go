@@ -4,9 +4,13 @@
 // framework needs — homomorphic addition, plaintext and scalar
 // multiplication, ciphertext-ciphertext multiplication with
 // relinearization, Galois automorphisms (slot rotations), batching, and
-// modulus switching — with exact big-integer scale-and-round on the cold
-// paths so that test-scale results are bit-identical to the plaintext
-// computation.
+// modulus switching. Every rescale is exact, so results are bit-identical
+// to the plaintext computation: ciphertext multiplication runs the
+// word-sized RNS kernels of package rns (base conversion into an
+// extension basis B, t/Q scale-and-round, conversion back), while
+// decryption, modulus switching and ModDown, which run once per
+// ciphertext rather than once per FBS ladder step, keep the big-integer
+// forms that define them.
 package bfv
 
 import (
@@ -43,10 +47,13 @@ type Context struct {
 	TBig    *big.Int
 	QBig    *big.Int
 
-	// Tensor-product machinery: the extended basis QB ⊃ Q large enough
-	// that the centered tensor product never wraps.
-	RingQB  *ring.Ring
-	BasisQB *rns.Basis
+	// Tensor-product machinery: an extension basis B of 59-bit primes
+	// disjoint from Q with B > t·N·Q + 2, so that a tensor product does
+	// not wrap modulo Q·B and its t/Q rescale is centered modulo B; the
+	// conversions Q → B and B → Q; and the scaling from Q ∪ B into B.
+	RingB    *ring.Ring
+	toB, toQ *rns.Converter
+	scale    *rns.Scaler
 
 	// Keyswitch digit constants: digit i of the CRT decomposition is
 	// multiplied by ksDigitInv[i] (Shoup companion alongside). At the
@@ -99,35 +106,9 @@ func NewContext(p Parameters) (*Context, error) {
 		c.ksDigitInvShoup[i] = m.ShoupPrecomp(c.ksDigitInv[i])
 	}
 
-	// Extended basis for tensor products: need prod(QB) > N·Q²
-	// (centered products bounded by N·(Q/2)², doubled for sign headroom).
-	extraBits := c.QBig.BitLen() + p.LogN + 2
-	extCount := (extraBits+58)/59 + 1
-	ext, err := ring.GenerateNTTPrimes(59, p.LogN, extCount+len(p.Qi))
-	if err != nil {
-		return nil, fmt.Errorf("bfv: tensor primes: %w", err)
+	if err := c.buildTensor(); err != nil {
+		return nil, err
 	}
-	used := make(map[uint64]bool, len(p.Qi))
-	for _, q := range p.Qi {
-		used[q] = true
-	}
-	qb := append([]uint64(nil), p.Qi...)
-	for _, q := range ext {
-		if len(qb) == len(p.Qi)+extCount {
-			break
-		}
-		if !used[q] {
-			qb = append(qb, q)
-		}
-	}
-	if len(qb) != len(p.Qi)+extCount {
-		return nil, fmt.Errorf("bfv: not enough distinct tensor primes")
-	}
-	c.RingQB, err = ring.NewRing(p.LogN, qb)
-	if err != nil {
-		return nil, fmt.Errorf("bfv: tensor ring: %w", err)
-	}
-	c.BasisQB = rns.NewBasis(qb)
 
 	// Batching requires t ≡ 1 (mod 2N) so Z_t[X]/(X^N+1) splits fully;
 	// 2N is a power of two, so the congruence is a mask test.
@@ -141,6 +122,57 @@ func NewContext(p Parameters) (*Context, error) {
 		c.slotIdx = buildSlotIndex(c.N, p.LogN)
 	}
 	return c, nil
+}
+
+// buildTensor picks the extension basis B and precomputes the three
+// word-sized kernels of Evaluator.tensor. Operands are centered modulo Q,
+// so a coefficient x of a tensor product has |x| ≤ 2·N·((Q−1)/2)², and
+// |round(t·x/Q)| ≤ (t·N·Q + 1)/2: the rescaled value is its own centered
+// representative modulo B exactly when B > t·N·Q + 2, which is what the
+// conversion back to Q needs (and more than the B > N·Q that keeps x
+// itself from wrapping modulo Q·B).
+func (c *Context) buildTensor() error {
+	p := c.Params
+	bound := new(big.Int).Mul(c.QBig, new(big.Int).SetUint64(p.T))
+	bound.Lsh(bound, uint(p.LogN)).Add(bound, big.NewInt(2))
+	// A 59-bit prime exceeds 2^58, and up to len(Qi) candidates may be
+	// taken by the chain itself.
+	cand, err := ring.GenerateNTTPrimes(59, p.LogN, bound.BitLen()/58+1+len(p.Qi))
+	if err != nil {
+		return fmt.Errorf("bfv: tensor primes: %w", err)
+	}
+	used := make(map[uint64]bool, len(p.Qi))
+	for _, q := range p.Qi {
+		used[q] = true
+	}
+	var bi []uint64
+	prod := big.NewInt(1)
+	for _, q := range cand {
+		if prod.Cmp(bound) > 0 {
+			break
+		}
+		if !used[q] {
+			bi = append(bi, q)
+			prod.Mul(prod, new(big.Int).SetUint64(q))
+		}
+	}
+	if prod.Cmp(bound) <= 0 {
+		return fmt.Errorf("bfv: tensor basis of %d bits violates B > t·N·Q + 2 (%d bits)", prod.BitLen(), bound.BitLen())
+	}
+	if c.RingB, err = ring.NewRing(p.LogN, bi); err != nil {
+		return fmt.Errorf("bfv: tensor ring: %w", err)
+	}
+	basisB := rns.NewBasis(bi)
+	if c.toB, err = rns.NewConverter(c.BasisQ, basisB); err != nil {
+		return fmt.Errorf("bfv: %w", err)
+	}
+	if c.toQ, err = rns.NewConverter(basisB, c.BasisQ); err != nil {
+		return fmt.Errorf("bfv: %w", err)
+	}
+	if c.scale, err = rns.NewScaler(c.BasisQ, basisB, p.T); err != nil {
+		return fmt.Errorf("bfv: %w", err)
+	}
+	return nil
 }
 
 // buildSlotIndex maps slot positions to plaintext NTT positions following

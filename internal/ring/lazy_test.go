@@ -261,6 +261,18 @@ func TestVecKernelsMatchScalar(t *testing.T) {
 		m.MulShoupSumAddVec(rows, wsum, wsumS, out)
 		check("MulShoupSumAddVec", func(i int) uint64 { return m.Add(b[i], sumRef(i)) })
 
+		// MulSumVec takes unreduced rows and weights: the column sum is a
+		// full 128-bit value whose high word can exceed q.
+		wide := []uint64{a[2], ^uint64(0), 1}
+		m.MulSumVec(rows, wide, out)
+		check("MulSumVec", func(i int) uint64 {
+			var s uint64
+			for k := range rows {
+				s = m.Add(s, m.Mul(m.Reduce(rows[k][i]), m.Reduce(wide[k])))
+			}
+			return s
+		})
+
 		lazy := make([]uint64, n)
 		for i := range lazy {
 			lazy[i] = a[i] + b[i]%q // < 2q

@@ -104,15 +104,17 @@ func (m Modulus) Reduce(a uint64) uint64 {
 }
 
 // ReduceWide reduces the 128-bit value hi·2^64+lo into [0, q) using
-// Barrett reduction. It requires hi < q (always true for products of two
-// reduced operands, since (q-1)^2 < q·2^64).
+// Barrett reduction. Any 128-bit value is accepted, not only products of
+// two reduced operands.
 //
 //lint:noalloc
 //lint:domain hi:any lo:any -> ret:<q
 func (m Modulus) ReduceWide(hi, lo uint64) uint64 {
-	// s ≈ floor(x / q) computed as floor(x · floor(2^128/q) / 2^128).
-	// x·brc is a 256-bit product; only bits [128,192) survive, and they
-	// fit one word because x < q·2^64 implies s < 2^64.
+	// s ≈ floor(x / q) computed as floor(x · floor(2^128/q) / 2^128),
+	// which is floor(x/q) or one less. x·brc is a 256-bit product; only
+	// bits [128,192) are formed. For hi ≥ q the quotient exceeds a word,
+	// but the remainder x − s·q < 2q is recovered from lo − s·q mod 2^64,
+	// which needs s mod 2^64 only.
 	ph1, _ := bits.Mul64(lo, m.brcLo)       // contributes only carries
 	ph2hi, ph2lo := bits.Mul64(lo, m.brcHi) // shifted by 64
 	ph3hi, ph3lo := bits.Mul64(hi, m.brcLo) // shifted by 64

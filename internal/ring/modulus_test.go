@@ -111,6 +111,29 @@ func TestModulusReduceWideProperty(t *testing.T) {
 	}
 }
 
+// TestModulusReduceWideAnyHigh pins ReduceWide on 128-bit values whose
+// high word is not below q, which the lazy column sums of MulSumVec and
+// the RNS base-conversion kernels produce.
+func TestModulusReduceWideAnyHigh(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	var x, qb big.Int
+	for _, q := range testPrimes {
+		m := NewModulus(q)
+		qb.SetUint64(q)
+		for i := 0; i < 5000; i++ {
+			hi, lo := rng.Uint64(), rng.Uint64()
+			if i == 0 {
+				hi, lo = ^uint64(0), ^uint64(0)
+			}
+			x.SetUint64(hi)
+			x.Lsh(&x, 64).Add(&x, new(big.Int).SetUint64(lo))
+			if got, want := m.ReduceWide(hi, lo), x.Mod(&x, &qb).Uint64(); got != want {
+				t.Fatalf("q=%d ReduceWide(%#x, %#x) = %d, want %d", q, hi, lo, got, want)
+			}
+		}
+	}
+}
+
 func TestModulusCentered(t *testing.T) {
 	m := NewModulus(17)
 	cases := map[uint64]int64{0: 0, 1: 1, 8: 8, 9: -8, 16: -1}

@@ -334,3 +334,43 @@ func (m Modulus) MulShoupSumAddVec(rows [][]uint64, w, wShoup []uint64, out []ui
 		out[j] = c + (q & uint64(int64(c)>>63))
 	}
 }
+
+// MulSumVec sets out[j] = Σ_k rows[k][j]·w[k] mod q: the whole dot
+// product of a column rides in one unreduced 128-bit accumulator and
+// takes a single Barrett reduction at the store, the way the RNS
+// base-conversion kernels of package rns combine the CRT digits of a
+// coefficient with one row of their weight matrix. Neither rows nor w
+// need be reduced; the caller guarantees that every column sum stays
+// below 2^128 (up to 64 rows of residues and weights below
+// 2^MaxModulusBits do).
+//
+//lint:noalloc
+//lint:domain w:any -> out:<q
+func (m Modulus) MulSumVec(rows [][]uint64, w []uint64, out []uint64) {
+	q := m.Q
+	brcHi, brcLo := m.brcHi, m.brcLo
+	w = w[:len(rows)]
+	for j := range out {
+		var hi, lo uint64
+		for k, row := range rows {
+			ph, pl := bits.Mul64(row[j], w[k])
+			var c uint64
+			lo, c = bits.Add64(lo, pl, 0)
+			hi += ph + c
+		}
+		// Barrett as in ReduceWide: only bits [128,192) of x·brc matter
+		// and they are formed mod 2^64, so hi needs no bound.
+		ph1, _ := bits.Mul64(lo, brcLo)
+		ph2hi, ph2lo := bits.Mul64(lo, brcHi)
+		ph3hi, ph3lo := bits.Mul64(hi, brcLo)
+		ph4 := hi * brcHi
+		mid, c1 := bits.Add64(ph2lo, ph3lo, 0)
+		_, c2 := bits.Add64(mid, ph1, 0)
+		s := ph4 + ph2hi + ph3hi + c1 + c2
+		r := lo - s*q
+		for r >= q {
+			r -= q
+		}
+		out[j] = r
+	}
+}

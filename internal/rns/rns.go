@@ -1,12 +1,15 @@
 // Package rns provides the exact cross-limb arithmetic that complements
 // the word-sized RNS representation in package ring: CRT reconstruction
-// to big integers, reduction back to residues, basis extension, the
+// to big integers, reduction back to residues, base conversion, the
 // scale-and-round operations at the heart of BFV multiplication and
 // decryption, and the CRT digit decomposition used by keyswitching.
 //
-// Everything here is exact big.Int arithmetic. It trades speed for
-// correctness on the cold paths (decryption, modulus switching, the
-// tensor-product rescale); the hot paths stay in package ring.
+// Two tiers compute the same exact functions. Basis works through
+// big.Int, one coefficient at a time; it defines the results and serves
+// the cold paths (decryption, modulus switching, ModDown). Converter and
+// Scaler (convert.go) are the word-sized, allocation-free forms a
+// ciphertext multiplication runs; they return to the Basis definition
+// only for the rare coefficient their fixed-point rounding cannot decide.
 package rns
 
 import (
@@ -180,26 +183,6 @@ func (b *Basis) ReducePoly(v []*big.Int, p ring.Poly) {
 	}
 }
 
-// ExtendPoly exactly extends src (over basis b, coefficient domain) into
-// dst (over basis target), interpreting each coefficient as its centered
-// representative. Used to move tensor-product operands into a larger
-// basis with no wraparound. Coefficients are processed in parallel.
-func (b *Basis) ExtendPoly(src ring.Poly, target *Basis, dst ring.Poly) {
-	n := len(src.Coeffs[0])
-	par.Chunks(n, func(start, end int) {
-		scratch := make([]uint64, b.Len())
-		outScratch := make([]uint64, target.Len())
-		var v big.Int
-		for j := start; j < end; j++ {
-			b.ReconstructCentered(at(src, j, scratch), &v)
-			target.Reduce(&v, outScratch)
-			for i := range dst.Coeffs {
-				dst.Coeffs[i][j] = outScratch[i]
-			}
-		}
-	})
-}
-
 // roundDiv returns round(num/den) for den > 0, rounding halves away from
 // zero for non-negative num and toward zero for negative (i.e. standard
 // floor((2·num+den)/(2·den)) rounding).
@@ -218,10 +201,21 @@ func roundDivInto(out, num, den, den2 *big.Int) {
 	out.Div(out, den2) // Euclidean floor division
 }
 
+// scaleRound returns round(num·x/den), half up, for the centered value x
+// of the residues: the per-coefficient definition of every scaling in
+// this package. x and r are the caller's scratch (r is returned) and den2
+// is 2·den.
+func (b *Basis) scaleRound(residues []uint64, num, den, den2 *big.Int, x, r *big.Int) *big.Int {
+	b.ReconstructCentered(residues, x)
+	x.Mul(x, num)
+	roundDivInto(r, x, den, den2)
+	return r
+}
+
 // ScaleAndRound computes round(scaleNum · v / scaleDen) for each centered
 // coefficient of p (over basis b), then reduces the result into out over
-// basis target. This is the BFV "multiply by t/Q and round" primitive.
-// Coefficients are processed in parallel.
+// basis target: the big-integer rescale behind ModDown. Coefficients are
+// processed in parallel.
 func (b *Basis) ScaleAndRound(p ring.Poly, scaleNum, scaleDen *big.Int, target *Basis, out ring.Poly) {
 	n := len(p.Coeffs[0])
 	den2 := new(big.Int).Lsh(scaleDen, 1) // shared, read-only across workers
@@ -230,10 +224,7 @@ func (b *Basis) ScaleAndRound(p ring.Poly, scaleNum, scaleDen *big.Int, target *
 		outScratch := make([]uint64, target.Len())
 		var v, r big.Int
 		for j := start; j < end; j++ {
-			b.ReconstructCentered(at(p, j, scratch), &v)
-			v.Mul(&v, scaleNum)
-			roundDivInto(&r, &v, scaleDen, den2)
-			target.Reduce(&r, outScratch)
+			target.Reduce(b.scaleRound(at(p, j, scratch), scaleNum, scaleDen, den2, &v, &r), outScratch)
 			for i := range out.Coeffs {
 				out.Coeffs[i][j] = outScratch[i]
 			}
@@ -255,9 +246,7 @@ func (b *Basis) ScaleAndRoundToUint(p ring.Poly, scaleNum, scaleDen *big.Int, ou
 		scratch := make([]uint64, b.Len())
 		var v, r big.Int
 		for j := start; j < end; j++ {
-			b.ReconstructCentered(at(p, j, scratch), &v)
-			v.Mul(&v, scaleNum)
-			roundDivInto(&r, &v, scaleDen, den2)
+			b.scaleRound(at(p, j, scratch), scaleNum, scaleDen, den2, &v, &r)
 			if useFast {
 				out[j] = reduceBig(om, &r)
 			} else {

@@ -56,35 +56,6 @@ func TestReconstructCentered(t *testing.T) {
 	}
 }
 
-func TestExtendPoly(t *testing.T) {
-	primes, err := ring.GenerateNTTPrimes(45, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bQ := NewBasis(primes[:3])
-	bQB := NewBasis(primes)
-	rQ, _ := ring.NewRing(6, primes[:3])
-	rQB, _ := ring.NewRing(6, primes)
-
-	// Small signed values must extend exactly.
-	vals := make([]int64, rQ.N)
-	rng := rand.New(rand.NewPCG(2, 2))
-	for i := range vals {
-		vals[i] = int64(rng.Uint64N(1<<30)) - (1 << 29)
-	}
-	p := rQ.NewPoly()
-	rQ.SetCoeffsInt64(vals, p)
-	ext := rQB.NewPoly()
-	bQ.ExtendPoly(p, bQB, ext)
-	for j, want := range vals {
-		for l, m := range bQB.Moduli {
-			if ext.Coeffs[l][j] != m.ReduceInt64(want) {
-				t.Fatalf("extension mismatch coeff %d limb %d", j, l)
-			}
-		}
-	}
-}
-
 func TestScaleAndRoundMatchesRational(t *testing.T) {
 	b := testBasis(t, 40, 6, 3)
 	r, _ := ring.NewRing(6, b.Values())
