@@ -20,9 +20,6 @@ func TestEvaluatorSteadyStateZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { k.ev.MulPlainAndAdd(a, pm, acc) }); n != 0 {
 		t.Fatalf("MulPlainAndAdd allocates %v times per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { k.ev.MulScalarAndAdd(a, 3, acc) }); n != 0 {
-		t.Fatalf("MulScalarAndAdd allocates %v times per run, want 0", n)
-	}
 
 	out := k.ctx.NewCiphertext()
 	pt := k.cod.EncodeSlots(vals)
@@ -62,6 +59,42 @@ func TestEvaluatorSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("MulInto allocates %v times per run, want 0", n)
+	}
+	// The three steps of a product on their own, as fbs drives them.
+	opA, opB, sum := k.ctx.NewOperand(), k.ctx.NewOperand(), k.ctx.NewAccumulator()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := k.ev.ExtendInto(a, opA); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.ev.ExtendInto(b, opB); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ExtendInto allocates %v times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sum.Reset()
+		for i := 0; i < 3; i++ {
+			if err := k.ev.Accumulate(opA, opB, sum); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("Accumulate allocates %v times per run, want 0", n)
+	}
+	part := k.ctx.NewAccumulator()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := k.ev.Accumulate(opA, opB, part); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.ev.AddAccumulator(part, sum); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.ev.FinishInto(sum, out); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("AddAccumulator + FinishInto allocate %v times per run, want 0", n)
 	}
 }
 

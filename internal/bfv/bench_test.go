@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"fmt"
 	"testing"
 
 	"athena/internal/ring"
@@ -34,10 +35,11 @@ func BenchmarkPMult(b *testing.B) {
 	}
 }
 
-// BenchmarkCMult measures MulInto at the two shapes the benchmark
-// workloads multiply at: the core.TestParams chain, and nine of the ten
-// 55-bit limbs of the N = 512, t = 12289 chain (its FBS level).
-func BenchmarkCMult(b *testing.B) {
+// cmultShapes runs f at the two shapes the benchmark workloads multiply
+// at — the core.TestParams chain, and nine of the ten 55-bit limbs of the
+// N = 512, t = 12289 chain (its FBS level) — with an evaluator and two
+// distinct ciphertexts at that level.
+func cmultShapes(b *testing.B, f func(b *testing.B, ctx *Context, ev *Evaluator, x, y *Ciphertext)) {
 	for _, s := range []struct {
 		name                     string
 		logN, bits, limbs, level int
@@ -69,17 +71,58 @@ func BenchmarkCMult(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ev := NewEvaluator(ctx, kg.GenKeySet(sk, nil))
-			out := ctx.NewCiphertext()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ev.MulInto(cts[0], cts[1], out); err != nil {
-					b.Fatal(err)
-				}
-			}
+			f(b, ctx, NewEvaluator(ctx, kg.GenKeySet(sk, nil)), cts[0], cts[1])
 		})
 	}
+}
+
+// BenchmarkCMult measures MulInto: two extensions, one product, one
+// finish.
+func BenchmarkCMult(b *testing.B) {
+	cmultShapes(b, func(b *testing.B, ctx *Context, ev *Evaluator, x, y *Ciphertext) {
+		out := ctx.NewCiphertext()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ev.MulInto(x, y, out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkMulSum measures a sum of products the way fbs forms its
+// giant-step sum: per term one extension and one product against an
+// operand extended beforehand, then one finish for the whole sum. 15 and
+// 110 are the term counts at t = 257 and t = 12289; ns/op over terms
+// against BenchmarkCMult is what a product costs once it shares its
+// finish.
+func BenchmarkMulSum(b *testing.B) {
+	cmultShapes(b, func(b *testing.B, ctx *Context, ev *Evaluator, x, y *Ciphertext) {
+		for _, terms := range []int{1, 15, 110} {
+			b.Run(fmt.Sprintf("terms=%d", terms), func(b *testing.B) {
+				opX, opY, acc, out := ctx.NewOperand(), ctx.NewOperand(), ctx.NewAccumulator(), ctx.NewCiphertext()
+				if err := ev.ExtendInto(y, opY); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for k := 0; k < terms; k++ {
+						if err := ev.ExtendInto(x, opX); err != nil {
+							b.Fatal(err)
+						}
+						if err := ev.Accumulate(opX, opY, acc); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := ev.FinishInto(acc, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
 }
 
 func BenchmarkRotation(b *testing.B) {

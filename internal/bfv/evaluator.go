@@ -24,17 +24,16 @@ type Evaluator struct {
 // first use and sized by the owning context, so an evaluator used only
 // for cheap operations never pays for the tensor-product arena.
 type evalScratch struct {
-	// tensor: coefficient-domain staging over Q, the B limbs of the four
-	// extended operands, the three products as their Q and B limbs, the
+	// extend and finish (mul.go): coefficient-domain staging over Q, the
 	// rescaled value over B, the degree-2 output term over Q, and the
 	// staging of the rns kernels.
 	cq  ring.Poly
-	eb  [4]ring.Poly
-	tq  [3]ring.Poly
-	tb  [3]ring.Poly
 	sb  ring.Poly
 	d2  ring.Poly
 	rns *rns.Scratch
+	// MulInto: its two operands and its one-term accumulator.
+	opA, opB *Operand
+	acc      *Accumulator
 	// keyswitch: the current digit and the two accumulators.
 	digit    ring.Poly
 	ks0, ks1 ring.Poly
@@ -72,27 +71,6 @@ func (ev *Evaluator) Keys() *KeySet { return ev.keys }
 // owning a fresh scratch arena, for use from another goroutine.
 func (ev *Evaluator) ShallowCopy() *Evaluator {
 	return &Evaluator{ctx: ev.ctx, keys: ev.keys, sc: &evalScratch{}}
-}
-
-// tensorScratch returns the arena polynomials used by tensor, allocating
-// them on first use.
-func (ev *Evaluator) tensorScratch() *evalScratch {
-	sc := ev.sc
-	if sc.cq.Level() == 0 {
-		sc.fillTensor(ev.ctx.RingQ, ev.ctx.RingB) //lint:allow noalloc one-time lazy arena fill, reused across calls
-	}
-	return sc
-}
-
-func (sc *evalScratch) fillTensor(rq, rb *ring.Ring) {
-	sc.cq, sc.d2, sc.sb = rq.NewPoly(), rq.NewPoly(), rb.NewPoly()
-	for i := range sc.eb {
-		sc.eb[i] = rb.NewPoly()
-	}
-	for i := range sc.tq {
-		sc.tq[i], sc.tb[i] = rq.NewPoly(), rb.NewPoly()
-	}
-	sc.rns = rns.NewScratch(max(rq.Level(), rb.Level()), rq.N)
 }
 
 // ksScratch returns the keyswitch arena, allocating it on first use.
@@ -249,23 +227,6 @@ func (ev *Evaluator) MulScalar(ct *Ciphertext, k uint64) *Ciphertext {
 	return out
 }
 
-// MulScalarAndAdd sets acc += ct · k for the scalar k ∈ Z_t (centered, as
-// in MulScalar) without allocating — the fused kernel behind FBS inner
-// sums that would otherwise build a product ciphertext per term.
-//
-//lint:noalloc
-func (ev *Evaluator) MulScalarAndAdd(ct *Ciphertext, k uint64, acc *Ciphertext) {
-	c := ev.ctx.TMod.Centered(ev.ctx.TMod.Reduce(k))
-	rq := ev.ctx.RingQ
-	for i := range rq.Moduli {
-		m := rq.Moduli[i]
-		kv := m.ReduceInt64(c)
-		sh := m.ShoupPrecomp(kv)
-		m.MulShoupAddVec(ct.C0.Coeffs[i], kv, sh, acc.C0.Coeffs[i])
-		m.MulShoupAddVec(ct.C1.Coeffs[i], kv, sh, acc.C1.Coeffs[i])
-	}
-}
-
 // sumScratch grows the fused scalar-sum staging to hold k terms; the
 // slices are sized once to the largest term count seen and reused.
 //
@@ -347,89 +308,6 @@ func (ev *Evaluator) MulScalarSumAndAdd(cts []*Ciphertext, ks []uint64, acc *Cip
 		}
 		m.MulShoupSumAddVec(sc.sumRows, sc.sumW, sc.sumWS, acc.C1.Coeffs[i])
 	}
-}
-
-// Mul returns the relinearized product a·b (CMult): RNS tensor product in
-// the extended basis, exact t/Q scale-and-round, then keyswitching of the
-// degree-2 term. Requires a relinearization key.
-func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
-	out := ev.ctx.NewCiphertext()
-	if err := ev.MulInto(a, b, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MulInto is Mul writing into a caller-provided ciphertext; out may alias
-// a or b (both are consumed into scratch before out is written).
-//
-//lint:noalloc
-func (ev *Evaluator) MulInto(a, b, out *Ciphertext) error {
-	if ev.keys == nil || ev.keys.Relin == nil {
-		return fmt.Errorf("bfv: Mul requires a relinearization key")
-	}
-	d2 := ev.tensor(a, b, out)
-	// d2 is in the coefficient domain; keyswitch folds it into (C0, C1).
-	ks0, ks1 := ev.keySwitchCoeff(d2, &ev.keys.Relin.SwitchingKey)
-	ev.ctx.RingQ.Add(out.C0, ks0, out.C0)
-	ev.ctx.RingQ.Add(out.C1, ks1, out.C1)
-	return nil
-}
-
-// extend fills e with the B limbs (NTT domain) of the NTT-domain
-// polynomial p over Q, read as its centered representative. Together
-// with p itself, which already holds the Q limbs, that is p over Q ∪ B.
-//
-//lint:noalloc
-func (ev *Evaluator) extend(p, e ring.Poly) {
-	ctx, sc := ev.ctx, ev.sc
-	p.CopyTo(sc.cq)
-	ctx.RingQ.INTT(sc.cq)
-	ctx.toB.Convert(sc.cq, e, sc.rns)
-	ctx.RingB.NTT(e)
-}
-
-// tensor computes the scaled tensor product (d0, d1, d2) over Q with
-// d0 + d1·s + d2·s² ≈ Δ·m_a·m_b. d0 and d1 land in out.C0 and out.C1 in
-// the NTT domain (out may alias a or b); d2 is returned in the
-// coefficient domain and, like every intermediate, lives in the
-// evaluator scratch until the next tensor call.
-//
-// The products are formed modulo Q·B, over the Q limbs the operands
-// already have and their extension to B; each is then rescaled by t/Q
-// into B and converted back to Q, all three steps exact and word-sized
-// (rns.Converter, rns.Scaler).
-//
-//lint:noalloc
-func (ev *Evaluator) tensor(a, b, out *Ciphertext) (d2 ring.Poly) {
-	ctx := ev.ctx
-	rq, rb := ctx.RingQ, ctx.RingB
-	sc := ev.tensorScratch()
-
-	a0, a1, b0, b1 := sc.eb[0], sc.eb[1], sc.eb[2], sc.eb[3]
-	ev.extend(a.C0, a0)
-	ev.extend(a.C1, a1)
-	ev.extend(b.C0, b0)
-	ev.extend(b.C1, b1)
-
-	rq.MulCoeffs(a.C0, b.C0, sc.tq[0])
-	rb.MulCoeffs(a0, b0, sc.tb[0])
-	rq.MulCoeffs(a.C0, b.C1, sc.tq[1])
-	rb.MulCoeffs(a0, b1, sc.tb[1])
-	rq.MulCoeffsAndAdd(a.C1, b.C0, sc.tq[1])
-	rb.MulCoeffsAndAdd(a1, b0, sc.tb[1])
-	rq.MulCoeffs(a.C1, b.C1, sc.tq[2])
-	rb.MulCoeffs(a1, b1, sc.tb[2])
-
-	for i, d := range [3]ring.Poly{out.C0, out.C1, sc.d2} {
-		rq.INTT(sc.tq[i])
-		rb.INTT(sc.tb[i])
-		ctx.scale.ScaleRound(sc.tq[i], sc.tb[i], sc.sb, sc.rns)
-		ctx.toQ.Convert(sc.sb, d, sc.rns)
-	}
-	rq.NTT(out.C0)
-	rq.NTT(out.C1)
-	return sc.d2
 }
 
 // keySwitchCoeff applies a switching key to a coefficient-domain

@@ -11,10 +11,17 @@
 // decryption, modulus switching and ModDown, which run once per
 // ciphertext rather than once per FBS ladder step, keep the big-integer
 // forms that define them.
+//
+// A multiplication is three steps a caller may also drive itself
+// (mul.go): ExtendInto lifts a ciphertext to the extended basis once for
+// every product it enters, Accumulate adds a product to an unreduced sum
+// of up to Context.SumCapacity terms, and FinishInto rescales and
+// relinearizes the whole sum once. Mul and MulInto are the one-term case.
 package bfv
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"sync"
 
@@ -50,10 +57,12 @@ type Context struct {
 	// Tensor-product machinery: an extension basis B of 59-bit primes
 	// disjoint from Q with B > t·N·Q + 2, so that a tensor product does
 	// not wrap modulo Q·B and its t/Q rescale is centered modulo B; the
-	// conversions Q → B and B → Q; and the scaling from Q ∪ B into B.
+	// conversions Q → B and B → Q; the scaling from Q ∪ B into B; and how
+	// many tensor products this B lets one Accumulator sum (SumCapacity).
 	RingB    *ring.Ring
 	toB, toQ *rns.Converter
 	scale    *rns.Scaler
+	sumCap   int
 
 	// Keyswitch digit constants: digit i of the CRT decomposition is
 	// multiplied by ksDigitInv[i] (Shoup companion alongside). At the
@@ -125,12 +134,12 @@ func NewContext(p Parameters) (*Context, error) {
 }
 
 // buildTensor picks the extension basis B and precomputes the three
-// word-sized kernels of Evaluator.tensor. Operands are centered modulo Q,
-// so a coefficient x of a tensor product has |x| ≤ 2·N·((Q−1)/2)², and
-// |round(t·x/Q)| ≤ (t·N·Q + 1)/2: the rescaled value is its own centered
-// representative modulo B exactly when B > t·N·Q + 2, which is what the
-// conversion back to Q needs (and more than the B > N·Q that keeps x
-// itself from wrapping modulo Q·B).
+// word-sized kernels of a ciphertext multiplication (mul.go). Operands
+// are centered modulo Q, so a coefficient x of a tensor product has
+// |x| ≤ 2·N·((Q−1)/2)², and |round(t·x/Q)| ≤ (t·N·Q + 1)/2: the rescaled
+// value is its own centered representative modulo B exactly when
+// B > t·N·Q + 2, which is what the conversion back to Q needs (and more
+// than the B > N·Q that keeps x itself from wrapping modulo Q·B).
 func (c *Context) buildTensor() error {
 	p := c.Params
 	bound := new(big.Int).Mul(c.QBig, new(big.Int).SetUint64(p.T))
@@ -158,6 +167,13 @@ func (c *Context) buildTensor() error {
 	}
 	if prod.Cmp(bound) <= 0 {
 		return fmt.Errorf("bfv: tensor basis of %d bits violates B > t·N·Q + 2 (%d bits)", prod.BitLen(), bound.BitLen())
+	}
+	// SumCapacity = ⌊(B − 2)/(t·N·Q + 1)⌋, and bound − 1 = t·N·Q + 1. The
+	// primes are taken whole, so B may clear the bound by up to 58 bits.
+	c.sumCap = math.MaxInt
+	prod.Sub(prod, big.NewInt(2)).Div(prod, bound.Sub(bound, big.NewInt(1)))
+	if prod.IsInt64() && prod.Int64() < math.MaxInt {
+		c.sumCap = int(prod.Int64())
 	}
 	if c.RingB, err = ring.NewRing(p.LogN, bi); err != nil {
 		return fmt.Errorf("bfv: tensor ring: %w", err)

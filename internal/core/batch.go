@@ -130,7 +130,7 @@ func (e *Engine) eachImage(states []*inferState, step func(*evalWorker, *inferSt
 		}
 		states[i] = st
 	})
-	return firstErr(errs)
+	return par.FirstErr(errs)
 }
 
 // sharesFBS decides, from the batch itself, whether the images' pending

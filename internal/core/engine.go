@@ -326,17 +326,17 @@ func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, pending *fbs.Evaluator, 
 		return nil, err
 	}
 	wk.stats.Packs++
-	var fe *fbs.Evaluator
 	if pending != nil {
-		fe = wk.fbsFor(pending)
-		ct, err = fe.Evaluate(wk.ev, ct)
+		// The compiled LUT is shared by every worker and image; what an
+		// evaluation writes lives in the worker's own scratch.
+		ct, err = pending.EvaluateWith(wk.ev, wk.fbsSc, ct)
 		if err != nil {
 			return nil, err
 		}
 		wk.stats.FBSCalls++
-		wk.stats.CMult += fe.CMults
-		wk.stats.SMult += fe.SMults
-		wk.stats.HAdd += fe.HAdds
+		wk.stats.CMult += pending.CMults
+		wk.stats.SMult += pending.SMults
+		wk.stats.HAdd += pending.HAdds
 	}
 	// Drop to the post level: the LUT's multiplicative depth is spent, so
 	// the mask product, S2C, the next layer's accumulation, and the final
@@ -345,7 +345,7 @@ func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, pending *fbs.Evaluator, 
 	if err != nil {
 		return nil, err
 	}
-	if fe != nil && mask != nil {
+	if pending != nil && mask != nil {
 		pm := wk.codP.LiftToMul(wk.codP.EncodeSlots(mask))
 		ct = wk.evP.MulPlain(ct, pm)
 		wk.stats.PMult++
@@ -566,7 +566,7 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, vs *valSet) ([]*bfv.Cipher
 		}
 		inputs[ib] = ct
 	})
-	if err := firstErr(errs); err != nil {
+	if err := par.FirstErr(errs); err != nil {
 		return nil, err
 	}
 	return inputs, nil

@@ -314,7 +314,7 @@ func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, lut *fbs.Evaluator) ([]lwe
 		}
 		copy(out[start:end], flat)
 	})
-	if err := firstErr(errs); err != nil {
+	if err := par.FirstErr(errs); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -10,16 +10,18 @@ import (
 
 // evalWorker bundles the single-goroutine state one evaluation thread
 // needs to run any stage of the five-step pipeline: an evaluator (its
-// scratch arena makes it single-caller), an encoder, packer staging, a
-// dimension-switch handle, and local operation counters. The engine owns
-// one top-level worker (w0, wrapping the engine's own evaluator) plus a
-// pool of ShallowCopy'd lanes that the operator-level fan-outs run on.
+// scratch arena makes it single-caller), an encoder, packer and FBS
+// staging, a dimension-switch handle, and local operation counters. The
+// engine owns one top-level worker (w0, wrapping the engine's own
+// evaluator) plus a pool of ShallowCopy'd lanes that the operator-level
+// fan-outs run on.
 type evalWorker struct {
 	e      *Engine
 	ev     *bfv.Evaluator // FBS-level evaluator (pack + LUT ladders)
 	evP    *bfv.Evaluator // post-level evaluator (mask, S2C, accumulation)
 	codP   *bfv.Encoder   // post-level encoder (kernel/mask lifts)
 	packSc *pack.Scratch
+	fbsSc  *fbs.Scratch
 	sw     *lwe.Switcher
 
 	// stats accumulates this worker's operation counts; flushStats folds
@@ -39,6 +41,7 @@ func (e *Engine) newWorker(ev, evP *bfv.Evaluator, codP *bfv.Encoder, canFork bo
 		evP:     evP,
 		codP:    codP,
 		packSc:  e.packer.NewScratch(),
+		fbsSc:   fbs.NewScratch(),
 		sw:      e.ksk.NewSwitcher(),
 		canFork: canFork,
 	}
@@ -61,20 +64,6 @@ func (wk *evalWorker) forEach(n int, o par.Options, f func(ln *evalWorker, i int
 	par.ForEach(n, o, func(w, i int) { f(lanes.Get(w), i) })
 }
 
-// fbsFor resolves a canonical FBS evaluator to the instance this worker
-// may evaluate with. The top-level worker is the only caller of the
-// canonical object, so it uses it directly (preserving its lane pool
-// across calls); pooled lanes take a fresh ShallowCopy, because the
-// canonical may be shared across concurrently-evaluated images. The
-// canonical pointer keeps its identity everywhere else (valSet.pending,
-// the engine LUT caches); clones live only for one packFBS call.
-func (wk *evalWorker) fbsFor(canonical *fbs.Evaluator) *fbs.Evaluator {
-	if canonical == nil || wk.canFork {
-		return canonical
-	}
-	return canonical.ShallowCopy()
-}
-
 // flushStats folds the per-worker operation counters into e.Stats. The
 // counters are integer sums, so the totals are independent of how the
 // work was partitioned; flushing at the end of every public entry point
@@ -86,15 +75,4 @@ func (e *Engine) flushStats() {
 	}
 	flush(e.w0)
 	e.lanes.Each(flush)
-}
-
-// firstErr returns the lowest-indexed error of a fan-out, so the
-// reported failure does not depend on scheduling.
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

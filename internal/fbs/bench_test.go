@@ -1,6 +1,10 @@
 package fbs
 
-import "testing"
+import (
+	"testing"
+
+	"athena/internal/bfv"
+)
 
 func BenchmarkInterpolateFermat(b *testing.B) {
 	l := ReLULUT(65537)
@@ -18,17 +22,44 @@ func BenchmarkInterpolateNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkFBSEvaluateT257(b *testing.B) {
-	ctx, enc, _, ev, cod := fbsKit(b, 6, 6, 257)
-	fe, err := NewEvaluator(ctx, ReLULUT(257))
+// benchEvaluate measures a warm EvaluateWith of the ReLU table: the
+// scratch has run once, so what is left is what every later call of a
+// worker pays.
+func benchEvaluate(b *testing.B, ctx *bfv.Context, ev *bfv.Evaluator, ct *bfv.Ciphertext) {
+	fe, err := NewEvaluator(ctx, ReLULUT(ctx.Params.T))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ct := enc.Encrypt(cod.EncodeSlots(make([]int64, ctx.N)))
+	sc := NewScratch()
+	if _, err := fe.EvaluateWith(ev, sc, ct); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fe.Evaluate(ev, ct); err != nil {
+		if _, err := fe.EvaluateWith(ev, sc, ct); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkFBSEvaluateT257(b *testing.B) {
+	ctx, enc, _, ev, cod := fbsKit(b, 6, 6, 257)
+	benchEvaluate(b, ctx, ev, enc.Encrypt(cod.EncodeSlots(make([]int64, ctx.N))))
+}
+
+// BenchmarkFBSEvaluateT12289 is the single_t12289 workload's shape: N =
+// 512, nine of ten 55-bit limbs, bs = gs = 111.
+func BenchmarkFBSEvaluateT12289(b *testing.B) {
+	full, enc, _, fullEv, cod := fbsKitBits(b, 9, 55, 10, 12289)
+	ctx, err := full.AtLevel(9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := bfv.NewEvaluator(ctx, fullEv.Keys())
+	ct, err := full.ModDown(enc.Encrypt(cod.EncodeSlots(make([]int64, full.N))), 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEvaluate(b, ctx, ev, ct)
 }

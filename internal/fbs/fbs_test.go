@@ -2,6 +2,7 @@ package fbs
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"athena/internal/bfv"
@@ -83,7 +84,12 @@ func TestLookupCentered(t *testing.T) {
 
 func fbsKit(t testing.TB, logN, limbs int, tq uint64) (*bfv.Context, *bfv.Encryptor, *bfv.Decryptor, *bfv.Evaluator, *bfv.Encoder) {
 	t.Helper()
-	primes, err := ring.GenerateNTTPrimes(50, logN, limbs)
+	return fbsKitBits(t, logN, 50, limbs, tq)
+}
+
+func fbsKitBits(t testing.TB, logN, bits, limbs int, tq uint64) (*bfv.Context, *bfv.Encryptor, *bfv.Decryptor, *bfv.Evaluator, *bfv.Encoder) {
+	t.Helper()
+	primes, err := ring.GenerateNTTPrimes(bits, logN, limbs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,39 +134,116 @@ func TestHomomorphicFBSReLU(t *testing.T) {
 			t.Fatalf("slot %d: FBS(%d)=%d want %d", i, v, got[i], lut.Lookup(v))
 		}
 	}
-	if fe.CMults == 0 || fe.SMults == 0 {
-		t.Fatal("operation counters not recorded")
-	}
 	bs, gs := fe.Steps()
 	if bs*gs < 257 {
 		t.Fatalf("BSGS split %d×%d does not cover the table", bs, gs)
 	}
+	// The plan's operation counts, derived flat instead of block by
+	// block: 16 + 14 ladder products and one per giant step a ≥ 1; one
+	// scalar product per nonzero coefficient but c_0; and, with B block
+	// products, (inner terms − B) additions inside the inner sums plus
+	// (B + remaining terms + [c_0 ≠ 0] − 1) to combine the result: one
+	// less than there are nonzero coefficients.
+	scalars, wantAdds := 0, -1
+	for i, c := range lut.Interpolate() {
+		if c != 0 && i > 0 {
+			scalars++
+		}
+		if c != 0 {
+			wantAdds++
+		}
+	}
+	if fe.CMults != 45 || fe.SMults != scalars || fe.HAdds != wantAdds {
+		t.Fatalf("plan counts %d CMult, %d SMult, %d HAdd; want 45, %d, %d", fe.CMults, fe.SMults, fe.HAdds, scalars, wantAdds)
+	}
 	t.Logf("FBS t=257: %d CMult, %d SMult, %d HAdd", fe.CMults, fe.SMults, fe.HAdds)
 }
 
-func TestHomomorphicFBSSigmoidLike(t *testing.T) {
-	// An arbitrary non-polynomial function: the point of FBS is that any
-	// table works, not just ReLU.
-	ctx, enc, dec, ev, cod := fbsKit(t, 5, 6, 257)
-	lut := NewLUT(257, func(x int64) int64 {
-		switch {
-		case x < -32:
-			return 0
-		case x > 32:
-			return 16
-		default:
-			return (x + 32) / 4
-		}
-	})
+// checkLookup evaluates lut on a ciphertext covering every input value
+// and requires slot-wise Evaluate == LUT.Lookup.
+func checkLookup(t *testing.T, name string, ctx *bfv.Context, enc *bfv.Encryptor, dec *bfv.Decryptor, ev *bfv.Evaluator, cod *bfv.Encoder, lut *LUT) *Evaluator {
+	t.Helper()
 	fe, err := NewEvaluator(ctx, lut)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vals := make([]int64, ctx.N)
 	for i := range vals {
-		vals[i] = int64(i*7%257) - 128
+		vals[i] = ctx.TMod.Centered(uint64(i*7) % lut.T)
 	}
-	ct := enc.Encrypt(cod.EncodeSlots(vals))
+	out, err := fe.Evaluate(ev, enc.Encrypt(cod.EncodeSlots(vals)))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got := cod.DecodeSlots(dec.Decrypt(out))
+	for i, v := range vals {
+		if got[i] != lut.Lookup(v) {
+			t.Fatalf("%s slot %d: FBS(%d)=%d want %d (budget %v)", name, i, v, got[i], lut.Lookup(v), dec.NoiseBudget(out))
+		}
+	}
+	return fe
+}
+
+// TestEvaluateMatchesLookup: the point of FBS is that any table works,
+// not just ReLU — a clamped ramp, a random table, and the two degenerate
+// polynomials (a constant, which no product reads, and zero).
+func TestEvaluateMatchesLookup(t *testing.T) {
+	ctx, enc, dec, ev, cod := fbsKit(t, 6, 6, 257)
+	rng := rand.New(rand.NewPCG(21, 22))
+	random := &LUT{T: 257, Table: make([]uint64, 257)}
+	for k := range random.Table {
+		random.Table[k] = rng.Uint64N(257)
+	}
+	for _, c := range []struct {
+		name string
+		lut  *LUT
+	}{
+		{"sigmoid-like", NewLUT(257, func(x int64) int64 {
+			switch {
+			case x < -32:
+				return 0
+			case x > 32:
+				return 16
+			default:
+				return (x + 32) / 4
+			}
+		})},
+		{"random", random},
+		{"constant", NewLUT(257, func(int64) int64 { return 5 })},
+		{"zero", NewLUT(257, func(int64) int64 { return 0 })},
+	} {
+		fe := checkLookup(t, c.name, ctx, enc, dec, ev, cod, c.lut)
+		t.Logf("%s: %d CMult, %d SMult, %d HAdd", c.name, fe.CMults, fe.SMults, fe.HAdds)
+	}
+}
+
+// TestEvaluateAtDigitNetShape runs one ReLU at the single_t12289
+// workload's shape: N = 512, t = 12289 (bs = gs = 111), nine of ten
+// 55-bit limbs.
+func TestEvaluateAtDigitNetShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("t = 12289 FBS takes seconds; run without -short")
+	}
+	full, enc, dec, fullEv, cod := fbsKitBits(t, 9, 55, 10, 12289)
+	ctx, err := full.AtLevel(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := bfv.NewEvaluator(ctx, fullEv.Keys())
+	lut := ReLULUT(12289)
+	fe, err := NewEvaluator(ctx, lut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(23, 24))
+	vals := make([]int64, ctx.N)
+	for i := range vals {
+		vals[i] = int64(rng.Uint64N(12289)) - 6144
+	}
+	ct, err := full.ModDown(enc.Encrypt(cod.EncodeSlots(vals)), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out, err := fe.Evaluate(ev, ct)
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +251,77 @@ func TestHomomorphicFBSSigmoidLike(t *testing.T) {
 	got := cod.DecodeSlots(dec.Decrypt(out))
 	for i, v := range vals {
 		if got[i] != lut.Lookup(v) {
-			t.Fatalf("slot %d: got %d want %d", i, got[i], lut.Lookup(v))
+			t.Fatalf("slot %d: FBS(%d)=%d want %d (budget %v)", i, v, got[i], lut.Lookup(v), dec.NoiseBudget(out))
 		}
+	}
+	t.Logf("t=12289: %d CMult, %d SMult, %d HAdd, sum capacity %d", fe.CMults, fe.SMults, fe.HAdds, ctx.SumCapacity())
+}
+
+// TestEvaluateInGroups: when the giant-step sum has more products than
+// the context's sum capacity (15 against 7 here: N = 32, four 55-bit
+// primes), it is finished in several groups and still exact.
+func TestEvaluateInGroups(t *testing.T) {
+	ctx, enc, dec, ev, cod := fbsKitBits(t, 5, 55, 4, 257)
+	const products = 15 // gs − 1 at t = 257
+	if c := ctx.SumCapacity(); c >= products {
+		t.Fatalf("sum capacity %d holds all %d block products; the test needs a smaller one", c, products)
+	}
+	checkLookup(t, "relu/4", ctx, enc, dec, ev, cod, NewLUT(257, func(x int64) int64 { return max(x, 0) / 4 }))
+}
+
+// TestEvaluateRejectsInputAtAnotherLevel: a ciphertext with more or fewer
+// limbs than the evaluator is an error, not a panic or a wrong result.
+func TestEvaluateRejectsInputAtAnotherLevel(t *testing.T) {
+	full, enc, _, fullEv, cod := fbsKit(t, 5, 4, 257)
+	mid, err := full.AtLevel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := bfv.NewEvaluator(mid, fullEv.Keys())
+	fe, err := NewEvaluator(mid, ReLULUT(257))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := enc.Encrypt(cod.EncodeSlots(make([]int64, full.N)))
+	low, err := full.ModDown(ct, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]*bfv.Ciphertext{"more limbs": ct, "fewer limbs": low} {
+		if _, err := fe.Evaluate(ev, bad); err == nil || !strings.Contains(err.Error(), "evaluator at level 3") {
+			t.Errorf("%s: Evaluate returned %v", name, err)
+		}
+	}
+	ok, err := full.ModDown(ct, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fe.Evaluate(ev, ok); err != nil {
+		t.Errorf("after the rejected inputs, a good one: %v", err)
+	}
+}
+
+// TestWarmEvaluateWithAllocations: with its scratch warm an evaluation
+// allocates the ciphertext it returns (five objects) and the closures of
+// the fan-out, nothing per product.
+func TestWarmEvaluateWithAllocations(t *testing.T) {
+	ctx, enc, _, ev, cod := fbsKit(t, 5, 4, 257)
+	fe, err := NewEvaluator(ctx, ReLULUT(257))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := enc.Encrypt(cod.EncodeSlots(make([]int64, ctx.N)))
+	sc := NewScratch()
+	run := func() {
+		if _, err := fe.EvaluateWith(ev, sc, ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	n := testing.AllocsPerRun(10, run)
+	t.Logf("warm EvaluateWith: %v allocations", n)
+	if n > 8 {
+		t.Fatalf("warm EvaluateWith allocates %v times per run, want ≤ 8", n)
 	}
 }
 

@@ -10,6 +10,12 @@
 // the interpolation sums Σ_k LUT(k)·k^j reduce to one power-of-two-length
 // DFT over Z_t and the whole table compiles in O(t log t) instead of
 // O(t²).
+//
+// An Evaluator is the compiled, immutable plan of one table; what an
+// evaluation writes lives in a Scratch the caller owns (EvaluateWith), so
+// one plan serves any number of goroutines. The evaluation runs in bfv's
+// extended basis: every power is extended once, and the giant-step sum
+// of products is rescaled and relinearized once (eval.go).
 package fbs
 
 import (

@@ -80,8 +80,9 @@ func Declass(x uint64) uint64 {
 }
 
 // TestAnnotationInventoryCoversRealModule sanity-checks the audit over
-// the production tree: the three long-standing scratchalias allows must
-// be present and justified.
+// the production tree: the two long-standing scratchalias allows (the
+// packer's giant-step fan-out and the engine's lane constructor) must be
+// present and justified.
 func TestAnnotationInventoryCoversRealModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -100,7 +101,7 @@ func TestAnnotationInventoryCoversRealModule(t *testing.T) {
 			}
 		}
 	}
-	if scratch != 3 {
-		t.Errorf("want the 3 audited scratchalias allows, got %d", scratch)
+	if scratch != 2 {
+		t.Errorf("want the 2 audited scratchalias allows, got %d", scratch)
 	}
 }

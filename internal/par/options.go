@@ -156,3 +156,15 @@ func (p *Pool[T]) Each(f func(T)) {
 		}
 	}
 }
+
+// FirstErr returns the lowest-indexed error of a fan-out that wrote
+// errs[i] from iteration i, so the reported failure does not depend on
+// scheduling.
+func FirstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
