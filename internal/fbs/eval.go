@@ -21,8 +21,12 @@ import (
 // when it is produced, and only if a later product reads it (x^1 …
 // x^⌈bs/2⌉ and every y^a), and the giant-step sum Σ_{a≥1} inner_a ⊗ y^a
 // is accumulated unreduced in that basis — one partial sum per worker
-// lane, added in lane order — and rescaled and relinearized once. The
-// additions are exact, so the result is bit-identical at any GOMAXPROCS.
+// lane, added in lane order — and rescaled and relinearized once. Both
+// ladders run level-parallel: powers m+1 … 2m read only 1 … m, so each
+// doubling level fans out over the same lanes, every power still one
+// product finished once on whichever lane computes it. The additions are
+// exact and a product does not depend on its evaluator's scratch, so the
+// result is bit-identical at any GOMAXPROCS.
 type Evaluator struct {
 	ctx *bfv.Context
 	plan
@@ -146,15 +150,29 @@ type Scratch struct {
 	tail terms // the scalar terms added to the finished sum
 	errs []error
 
-	// Giant-step fan-out lanes, keyed to the evaluator passed to
-	// EvaluateWith and reused while it stays the same.
+	// The ladder level being fanned out — rung k of cts/ops for k in
+	// [lo, lo+n) — and the worker function over it. step is built once per
+	// fit and reads the level through the scratch, so a level costs no
+	// closure.
+	level struct {
+		cts []*bfv.Ciphertext
+		ops []*bfv.Operand
+		lo  int
+	}
+	step func(w, i int)
+
+	// Fan-out lanes of the ladder levels and the giant steps, keyed to the
+	// evaluator passed to EvaluateWith and reused while it stays the same.
 	base  *bfv.Evaluator
 	lanes *par.Pool[*lane]
 }
 
-// lane is one worker of the giant-step fan-out: a ShallowCopy'd evaluator
-// (own scratch arena), the inner sum it is working on as ciphertext and
-// operand, its partial sum of block products, and scalar-sum staging.
+// lane is one worker of the fan-outs: a ShallowCopy'd evaluator (own
+// scratch arena) and an accumulator — the one product of a ladder rung,
+// then the lane's partial sum of block products — plus, for the giant
+// steps, the inner sum it is working on as ciphertext and operand and
+// its scalar-sum staging. A lane is only ever touched by the worker slot
+// it belongs to.
 type lane struct {
 	ev    *bfv.Evaluator
 	inner *bfv.Ciphertext
@@ -193,7 +211,13 @@ func (sc *Scratch) fit(e *Evaluator, ev *bfv.Evaluator) {
 			sc.tmp = ctx.NewCiphertext()
 		}
 		sc.tail = newTerms(bs + gs)
-		sc.errs = make([]error, gs)
+		sc.errs = make([]error, max(bs, gs))
+		sc.step = func(w, i int) {
+			// Writes rung lo+i, errs[i] and the lane it is handed; the rungs
+			// it reads belong to earlier levels.
+			ln, lv := sc.lanes.Get(w), &sc.level
+			sc.errs[i] = ladderStep(ln.ev, ln.acc, lv.cts, lv.ops, lv.lo+i)
+		}
 	}
 	if sc.lanes == nil || sc.base != ev {
 		sc.base = ev
@@ -232,22 +256,16 @@ func (e *Evaluator) EvaluateWith(ev *bfv.Evaluator, sc *Scratch, ct *bfv.Ciphert
 	acc := sc.lanes.Get(0).acc
 
 	// Baby powers x^2 … x^bs, then giant powers y^2 … y^(gs−1) with y =
-	// x^bs, each the product of its two balanced halves. Power k needs
-	// only powers ≤ ⌈k/2⌉, so m+1 … 2m are independent given 1 … m; they
-	// run in order here because the products are too few to split.
+	// x^bs, each the product of its two balanced halves.
 	sc.powers[1] = ct
 	if err := ev.ExtendInto(ct, sc.powerOps[1]); err != nil {
 		return nil, err
 	}
-	for k := 2; k <= e.bs; k++ {
-		if err := ladderStep(ev, acc, sc.powers, sc.powerOps, k); err != nil {
-			return nil, err
-		}
+	if err := sc.ladder(sc.powers, sc.powerOps, e.bs); err != nil {
+		return nil, err
 	}
-	for a := 2; a < e.gs; a++ {
-		if err := ladderStep(ev, acc, sc.giants, sc.giantOps, a); err != nil {
-			return nil, err
-		}
+	if err := sc.ladder(sc.giants, sc.giantOps, e.gs-1); err != nil {
+		return nil, err
 	}
 
 	// Σ_{a≥1} inner_a ⊗ y^a with inner_a = Σ_{b≥1} c_{a·bs+b}·x^b: the
@@ -307,6 +325,23 @@ func (e *Evaluator) EvaluateWith(ev *bfv.Evaluator, sc *Scratch, ct *bfv.Ciphert
 		ev.AddPlainInPlace(res, e.c0)
 	}
 	return res, nil
+}
+
+// ladder fills rungs 2 … top of a power ladder whose rung 1 is in place.
+// Rung k reads only rungs ⌊k/2⌋ and ⌈k/2⌉, so with 1 … m done the rungs
+// m+1 … min(2m, top) are independent: each doubling level is one fan-out
+// over the lanes, a CMult per item.
+func (sc *Scratch) ladder(cts []*bfv.Ciphertext, ops []*bfv.Operand, top int) error {
+	sc.level.cts, sc.level.ops = cts, ops
+	for m := 1; m < top; m *= 2 {
+		n := min(m, top-m)
+		sc.level.lo = m + 1
+		par.ForEach(n, par.Options{MinGrain: 1}, sc.step)
+		if err := par.FirstErr(sc.errs[:n]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ladderStep sets cts[k] = cts[⌊k/2⌋]·cts[⌈k/2⌉] and extends it when a

@@ -1,6 +1,7 @@
 package fbs
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -302,8 +303,13 @@ func TestEvaluateRejectsInputAtAnotherLevel(t *testing.T) {
 }
 
 // TestWarmEvaluateWithAllocations: with its scratch warm an evaluation
-// allocates the ciphertext it returns (five objects) and the closures of
-// the fan-out, nothing per product.
+// allocates the ciphertext it returns (five objects) and what the
+// giant-step fan-out captures (its closure and the group cursor it
+// shares with the loop) — nothing per product and nothing per ladder
+// level: the nine levels of the two ladders at t = 257 all run the one
+// worker function the scratch built when it was fitted, so the count
+// does not grow with log bs. (AllocsPerRun measures at GOMAXPROCS = 1;
+// a fan-out that does split also pays its goroutines.)
 func TestWarmEvaluateWithAllocations(t *testing.T) {
 	ctx, enc, _, ev, cod := fbsKit(t, 5, 4, 257)
 	fe, err := NewEvaluator(ctx, ReLULUT(257))
@@ -322,6 +328,51 @@ func TestWarmEvaluateWithAllocations(t *testing.T) {
 	t.Logf("warm EvaluateWith: %v allocations", n)
 	if n > 8 {
 		t.Fatalf("warm EvaluateWith allocates %v times per run, want ≤ 8", n)
+	}
+}
+
+// TestLadderFailureLeavesScratchUsable injects a failure inside a
+// parallel ladder level — rung 7 of the baby ladder (level 5 … 8, the
+// second lane's half at two workers) is swapped for a ciphertext at
+// another level, so its finish is refused with the product still in the
+// lane's accumulator. The evaluation must return that error, and the
+// same scratch, its rung restored, must then evaluate correctly.
+func TestLadderFailureLeavesScratchUsable(t *testing.T) {
+	full, enc, _, ev, cod := fbsKit(t, 5, 4, 257)
+	low, err := full.AtLevel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := NewEvaluator(full, ReLULUT(257))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]int64, full.N)
+	for i := range vals {
+		vals[i] = int64(i*5%257) - 128
+	}
+	ct := enc.Encrypt(cod.EncodeSlots(vals))
+	want, err := fe.Evaluate(ev, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sc := NewScratch()
+	if _, err := fe.EvaluateWith(ev, sc, ct); err != nil {
+		t.Fatal(err)
+	}
+	good := sc.powers[7]
+	sc.powers[7] = low.NewCiphertext()
+	if _, err := fe.EvaluateWith(ev, sc, ct); err == nil || !strings.Contains(err.Error(), "operand at level 3") {
+		t.Fatalf("a rung at another level: EvaluateWith returned %v", err)
+	}
+	sc.powers[7] = good
+	got, err := fe.EvaluateWith(ev, sc, ct)
+	if err != nil {
+		t.Fatalf("after the failed evaluation: %v", err)
+	}
+	if !bytes.Equal(serializeCT(t, got), serializeCT(t, want)) {
+		t.Fatal("after the failed evaluation the scratch gives a different result")
 	}
 }
 

@@ -2,13 +2,24 @@ package fbs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"athena/internal/bfv"
 )
+
+// updateGolden rewrites testdata/evaluate_t257.sha256. The checked-in
+// digest was generated with the serial ladder; regenerate it only for a
+// change that is meant to alter FBS output bytes.
+var updateGolden = flag.Bool("update", false, "rewrite the golden FBS output digest")
 
 // serializeCT flattens a ciphertext's coefficient words for bit-identity
 // comparison.
@@ -33,8 +44,14 @@ func serializeCT(t *testing.T, ct *bfv.Ciphertext) []byte {
 }
 
 // TestEvaluateBitIdenticalAcrossGOMAXPROCS pins the determinism contract
-// of the parallel giant-step schedule: the output ciphertext is
-// bit-identical whether the block sums run inline or across workers.
+// of the parallel schedule — the level-parallel power ladders and the
+// giant-step fan-out: the output ciphertext is bit-identical at every
+// worker count, and its digest is the one checked in under testdata,
+// which was generated at the parent of the level-parallel ladder (every
+// power computed in order on one evaluator). So the test pins identity
+// with the serial ladder, not only identity across worker counts. t = 257
+// gives ladder levels that do not split evenly: baby powers in levels of
+// 1, 2, 4, 8, 1 and giant powers in levels of 1, 2, 4, 7.
 func TestEvaluateBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	ctx, enc, _, ev, cod := fbsKit(t, 5, 4, 257)
 	lut := NewLUT(257, func(x int64) int64 {
@@ -53,7 +70,7 @@ func TestEvaluateBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 	var want []byte
-	for _, procs := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
 		fe, err := NewEvaluator(ctx, lut)
 		if err != nil {
@@ -71,6 +88,25 @@ func TestEvaluateBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		if !bytes.Equal(blob, want) {
 			t.Fatalf("GOMAXPROCS=%d: FBS output differs from serial result", procs)
 		}
+	}
+
+	sum := sha256.Sum256(want)
+	got := hex.EncodeToString(sum[:])
+	golden := filepath.Join("testdata", "evaluate_t257.sha256")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantSum, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden digest: %v", err)
+	}
+	if got != strings.TrimSpace(string(wantSum)) {
+		t.Fatalf("FBS output digest %s != golden %s: the schedule changed a byte of the result", got, strings.TrimSpace(string(wantSum)))
 	}
 }
 
