@@ -162,6 +162,10 @@ func largestFit(cout int, fits func(int) bool) int {
 // (1 when no subsampling; Stride for the Athena 1×1 strided case).
 func (p *Plan) SubFactor() int { return p.subEvery }
 
+// InputLen returns CB·EH·EW: EncodeInput writes only coefficients below
+// it, so one input batch occupies that many leading coefficients.
+func (p *Plan) InputLen() int { return p.CB * p.EH * p.EW }
+
 // tFor computes the Eq. 1 offset T for a (cb, ob) packing.
 func (p *Plan) tFor(cb, ob int) int {
 	hw := p.EH * p.EW

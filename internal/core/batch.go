@@ -44,14 +44,13 @@ func (e *Engine) InferBatch(q *qnn.QNetwork, xs []*qnn.IntTensor) ([][]int64, er
 //
 // Every op runs per image, fanned out across the engine's worker lanes
 // (each image's state is independent there). An image's pending LUT is
-// normally fused into its next convolution's input packing; where
-// sharing lowers the number of FBS rounds (sharingSaves), the driver
-// instead takes a barrier: the pending activations of all images are
-// packed together — the FBS slot capacity usually dwarfs one image's
-// layer — so the dominant FBS cost is paid once per ⌈values·B/N⌉ packs,
-// the results are redistributed to their images as LWE values, and each
-// image's convolution consumes them with an identity (FBS-free) packing
-// pass.
+// fused into its next convolution's input packing, where the layer's
+// input batches — windows of per = CB·EH·EW slots — fill LUT rounds G =
+// ⌊N/per⌋ at a time (convInputs). Where laying the windows of the whole
+// batch into common rounds needs fewer of them (sharesFBS), the driver
+// takes a barrier before the layer: the same convInputs runs once over
+// all images and hands each its prepared inputs, so the dominant FBS
+// cost is paid once per G windows, whoever they belong to.
 func (e *Engine) EvaluateEncryptedBatch(q *qnn.QNetwork, ins []*EncryptedInput) ([]*EncryptedLogits, error) {
 	if len(ins) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
@@ -67,7 +66,7 @@ func (e *Engine) EvaluateEncryptedBatch(q *qnn.QNetwork, ins []*EncryptedInput) 
 		if in.model != q.Name {
 			return nil, fmt.Errorf("core: input %d encrypted for model %q, evaluating %q", i, in.model, q.Name)
 		}
-		states[i] = &inferState{firstInputs: in.inputs, firstPlan: in.plan}
+		states[i] = &inferState{inputs: in.inputs, plan: in.plan}
 	}
 	defer e.flushStats()
 	aBits := q.ABits
@@ -81,8 +80,8 @@ func (e *Engine) EvaluateEncryptedBatch(q *qnn.QNetwork, ins []*EncryptedInput) 
 		case qnn.QSeq:
 			for oi, op := range blk {
 				lastOp := bi == len(q.Blocks)-1 && oi == len(blk)-1
-				if c, ok := op.(*qnn.QConv); ok && e.sharesFBS(c, states) {
-					if err := e.materializeShared(states); err != nil {
+				if c, ok := op.(*qnn.QConv); ok {
+					if err := e.shareConvInputs(c, states); err != nil {
 						return nil, err
 					}
 				}
@@ -133,55 +132,51 @@ func (e *Engine) eachImage(states []*inferState, step func(*evalWorker, *inferSt
 	return par.FirstErr(errs)
 }
 
-// sharesFBS decides, from the batch itself, whether the images' pending
-// LUT is applied at a shared barrier before the linear layer next or
-// fused into each image's own input packing.
-func (e *Engine) sharesFBS(next *qnn.QConv, states []*inferState) bool {
-	pending := make([]int, len(states))
-	for i, st := range states {
-		// Images can only share a pack under the same LUT (a residual
-		// join, for one, compiles its own per image).
-		if st.vs == nil || st.vs.pending == nil || st.vs.pending != states[0].vs.pending {
-			return false
-		}
-		pending[i] = len(st.vs.vals)
-	}
+// shareConvInputs is the batch's FBS barrier before the linear layer
+// next: when sharesFBS says common rounds are fewer, it prepares every
+// image's conv inputs in one convInputs call over the whole batch and
+// leaves them in the images' states for convLayer; otherwise it does
+// nothing and each image packs its own.
+func (e *Engine) shareConvInputs(next *qnn.QConv, states []*inferState) error {
 	plan, err := coeffenc.NewPlan(next.Shape, e.Ctx.N, coeffenc.AthenaOrder)
-	if err != nil {
-		return false // convLayer reports it
+	if err != nil || !e.sharesFBS(plan, states) {
+		return nil // convLayer reports a shape that does not compile
 	}
-	return sharingSaves(pending, e.Ctx.N, plan.InBatches)
-}
-
-// sharingSaves is the share/fuse rule. Fused, every image pays the next
-// layer's inBatches FBS rounds; shared, the batch pays one round per
-// slots pending values, whoever they belong to. Share only when that is
-// fewer rounds — never for one image, which has nobody to share with.
-func sharingSaves(pending []int, slots, inBatches int) bool {
-	if len(pending) < 2 {
-		return false
-	}
-	total := 0
-	for _, n := range pending {
-		total += n
-	}
-	return (total+slots-1)/slots < len(pending)*inBatches
-}
-
-// materializeShared is the batch's FBS barrier: it applies the pending
-// LUT all images carry in packs filled across the batch and replaces
-// each image's value set with its materialized values.
-func (e *Engine) materializeShared(states []*inferState) error {
 	sets := make([]*valSet, len(states))
 	for i, st := range states {
 		sets[i] = st.vs
 	}
-	sets, err := e.w0.materializeSets(sets)
+	inputs, err := e.w0.convInputs(plan, sets)
 	if err != nil {
 		return err
 	}
-	for i, vs := range sets {
-		states[i] = &inferState{vs: vs}
+	for i := range states {
+		states[i] = &inferState{inputs: inputs[i], plan: plan}
 	}
 	return nil
+}
+
+// sharesFBS decides, from the batch itself, whether the images' conv
+// inputs of the layer plan compiles are prepared at a shared barrier or
+// by each image on its own. Images can only share a round under the same
+// pending LUT (a residual join, for one, compiles its own per image), and
+// sharing must pay.
+func (e *Engine) sharesFBS(plan *coeffenc.Plan, states []*inferState) bool {
+	for _, st := range states {
+		if st.vs == nil || st.vs.pending != states[0].vs.pending {
+			return false
+		}
+	}
+	g := e.Ctx.N / plan.InputLen()
+	return g > 0 && fewerRounds(len(states), plan.InBatches, g)
+}
+
+// fewerRounds is the share/fuse rule. A layer's input batches are
+// windows that fill LUT rounds g at a time; fused, every image rounds its
+// own inBatches windows up to whole rounds, shared, the batch rounds up
+// once. Share only when that is fewer rounds — never for one image, which
+// has nobody to share with.
+func fewerRounds(images, inBatches, g int) bool {
+	ceil := func(a int) int { return (a + g - 1) / g }
+	return ceil(images*inBatches) < images*ceil(inBatches)
 }

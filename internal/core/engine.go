@@ -58,12 +58,21 @@ type Engine struct {
 	// look up evaluators concurrently during batched inference.
 	lutMu sync.Mutex
 
+	// shifts caches −X^(N−o) at the post level by window offset o (int →
+	// *bfv.PlaintextMul); lanes look it up concurrently.
+	shifts sync.Map
+
 	// w0 is the top-level evaluation worker (wrapping e.ev); lanes holds
 	// the ShallowCopy'd workers the operator-level fan-outs run on.
 	w0    *evalWorker
 	lanes *par.Pool[*evalWorker]
 
 	tMod ring.Modulus // cached Barrett constants for the LWE arithmetic
+
+	// zero is the LWE encryption of 0 every empty packing slot points at.
+	// It is shared and read-only (the packer only reads its inputs);
+	// code that accumulates into a zero takes its own from zeroLWE.
+	zero lwe.Ciphertext
 
 	// Stats accumulates operation counts over Infer calls.
 	Stats OpStats
@@ -79,6 +88,7 @@ type OpStats struct {
 	SMult       int `json:"smult"`
 	Packs       int `json:"packs"`
 	FBSCalls    int `json:"fbs_calls"`
+	FBSInputs   int `json:"fbs_inputs"` // valid slots fed to LUT rounds: fill = FBSInputs / (FBSCalls·N)
 	S2CCalls    int `json:"s2c_calls"`
 	Extractions int `json:"extractions"`
 	KeySwitches int `json:"key_switches"`
@@ -93,6 +103,7 @@ func (s *OpStats) addScaled(o OpStats, k int) {
 	s.SMult += k * o.SMult
 	s.Packs += k * o.Packs
 	s.FBSCalls += k * o.FBSCalls
+	s.FBSInputs += k * o.FBSInputs
 	s.S2CCalls += k * o.S2CCalls
 	s.Extractions += k * o.Extractions
 	s.KeySwitches += k * o.KeySwitches
@@ -175,6 +186,7 @@ func newEngineShell(p Params) (*Engine, error) {
 		relus: make(map[int]*fbs.Evaluator),
 		divs:  make(map[int]*fbs.Evaluator),
 	}
+	e.zero = e.zeroLWE()
 	fbsL, postL := p.Levels()
 	if e.ctxF, err = ctx.AtLevel(fbsL); err != nil {
 		return nil, fmt.Errorf("core: FBS level: %w", err)
@@ -303,6 +315,24 @@ func (e *Engine) divideFor(kk int) (*fbs.Evaluator, error) {
 	return ev, nil
 }
 
+// shiftFor returns (and caches) the post-level multiplier −X^(N−o), which
+// moves coefficients [o, N) of a polynomial down to [0, N−o): X^o times
+// it is −X^N = 1. A monomial is a signed permutation of the coefficients
+// (‖·‖₁ = 1), so the product changes no noise magnitude and needs no key.
+func (e *Engine) shiftFor(o int) *bfv.PlaintextMul {
+	if pm, ok := e.shifts.Load(o); ok {
+		return pm.(*bfv.PlaintextMul)
+	}
+	// Lanes racing here build the same multiplier; the first stored is
+	// kept.
+	pt := e.ctxP.NewPlaintext()
+	pt.Coeffs[e.Ctx.N-o] = e.P.T - 1
+	pm := e.codP.LiftToMul(pt)
+	e.codP.PrecomputeShoup(pm)
+	kept, _ := e.shifts.LoadOrStore(o, pm)
+	return kept.(*bfv.PlaintextMul)
+}
+
 func roundDiv(a, b int64) int64 {
 	if a >= 0 {
 		return (a + b/2) / b
@@ -310,13 +340,11 @@ func roundDiv(a, b int64) int64 {
 	return -((-a + b/2) / b)
 }
 
-// packFBS packs an ordered list of LWE values, applies the pending LUT
-// (when non-nil), and returns the slot-encoded BFV ciphertext at full Q.
-// mask, when non-nil, holds 1 at slots carrying real values and 0 at
-// structural zeros (padding, unused slots); it is applied after the LUT
-// because tables with LUT(0) ≠ 0 (sigmoid, GELU, biased remaps) would
-// otherwise turn structural zeros into non-zero activations.
-func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, pending *fbs.Evaluator, mask []int64) (*bfv.Ciphertext, error) {
+// packFBS packs an ordered list of LWE values, of which valid are real
+// (the rest structural zeros: padding, unused slots), applies the pending
+// LUT (when non-nil), and returns the slot-encoded BFV ciphertext at the
+// post level.
+func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, valid int, pending *fbs.Evaluator) (*bfv.Ciphertext, error) {
 	e := wk.e
 	if len(ordered) > e.Ctx.N {
 		return nil, fmt.Errorf("core: %d values exceed %d slots", len(ordered), e.Ctx.N)
@@ -334,6 +362,7 @@ func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, pending *fbs.Evaluator, 
 			return nil, err
 		}
 		wk.stats.FBSCalls++
+		wk.stats.FBSInputs += valid
 		wk.stats.CMult += pending.CMults
 		wk.stats.SMult += pending.SMults
 		wk.stats.HAdd += pending.HAdds
@@ -341,26 +370,24 @@ func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, pending *fbs.Evaluator, 
 	// Drop to the post level: the LUT's multiplicative depth is spent, so
 	// the mask product, S2C, the next layer's accumulation, and the final
 	// rescale all run on PostLevel limbs instead of FBSLevel.
-	ct, err = e.Ctx.ModDown(ct, e.ctxP.Level())
-	if err != nil {
-		return nil, err
-	}
-	if pending != nil && mask != nil {
-		pm := wk.codP.LiftToMul(wk.codP.EncodeSlots(mask))
-		ct = wk.evP.MulPlain(ct, pm)
-		wk.stats.PMult++
-	}
-	return ct, nil
+	return e.Ctx.ModDown(ct, e.ctxP.Level())
 }
 
-// slotMask builds the structural-zero mask for a group: 1 for the first
-// `valid` of `total` slots (or per the explicit validity slice).
-func (e *Engine) slotMask(validity []bool) []int64 {
+// maskSlots multiplies ct by a 0/1 slot vector: 1 at the slots to keep,
+// 0 at structural zeros and at slots that belong to someone else. It
+// follows every LUT because tables with LUT(0) ≠ 0 (sigmoid, GELU, biased
+// remaps) turn structural zeros into non-zero activations.
+func (wk *evalWorker) maskSlots(ct *bfv.Ciphertext, mask []int64) *bfv.Ciphertext {
+	pm := wk.codP.LiftToMul(wk.codP.EncodeSlots(mask))
+	wk.stats.PMult++
+	return wk.evP.MulPlain(ct, pm)
+}
+
+// prefixMask is the slot mask keeping the first n slots.
+func (e *Engine) prefixMask(n int) []int64 {
 	m := make([]int64, e.Ctx.N)
-	for i, ok := range validity {
-		if ok {
-			m[i] = 1
-		}
+	for i := range m[:n] {
+		m[i] = 1
 	}
 	return m
 }
@@ -499,72 +526,119 @@ func sortedKeys[V any](m map[vkey]V) []vkey {
 	return keys
 }
 
-// convInputs assembles, packs, FBS-processes, and S2C-converts the input
-// ciphertexts of a conv plan from the labeled LWE values of vs. The
-// input batches are independent bootstrapping rounds, so they fan out
-// across worker lanes (the value map is only read).
-func (wk *evalWorker) convInputs(plan *coeffenc.Plan, vs *valSet) ([]*bfv.Ciphertext, error) {
+// at resolves the layer-geometry coordinate (c, h, w) of a layer of shape
+// s to vs's value, handling the implicit flatten when a feature map feeds
+// a fully-connected layer (Cin = C·H·W, H = W = 1). A value vs does not
+// hold reads as absent: a structural zero.
+func (vs *valSet) at(s coeffenc.ConvShape, c, h, w int) (lwe.Ciphertext, bool) {
+	k := vkey{c, h, w}
+	if s.H == 1 && s.W == 1 {
+		k = vkey{c / (vs.H * vs.W), (c / vs.W) % vs.H, c % vs.W}
+	}
+	v, ok := vs.vals[k]
+	return v, ok
+}
+
+// feeds reports whether vs has the geometry a layer of shape s reads,
+// directly or through the flatten.
+func (vs *valSet) feeds(s coeffenc.ConvShape) bool {
+	return (s.Cin == vs.C && s.H == vs.H && s.W == vs.W) ||
+		(s.H == 1 && s.W == 1 && s.Cin == vs.C*vs.H*vs.W)
+}
+
+// convInputs is the one place a conv input is packed: it prepares the
+// coefficient-encoded input ciphertexts of a conv plan for every value
+// set of sets — one image is a list of one — and returns them per set,
+// per input batch, fusing the pending LUT the sets share.
+//
+// An input batch occupies a window of per = CB·EH·EW slots, so G = ⌊N/per⌋
+// windows fill one LUT round, whichever set or input batch each belongs
+// to: the windows of all (set, input batch) pairs are laid G to a round,
+// and a round is packed, bootstrapped and rescaled once. Then each window
+// is cut out by the 0/1 mask of its valid slots (which also clears the
+// LUT's image of structural zeros), moved to coefficients by the one
+// compiled S2C, and shifted from coefficients [o, o+per) to [0, per) by
+// the monomial −X^(N−o). Rounds, then windows, fan out across worker
+// lanes; the value maps are only read.
+func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.Ciphertext, error) {
 	e := wk.e
 	s := plan.Shape
 	sub := plan.SubFactor()
-	hw := plan.EH * plan.EW
-
-	// Resolve layer-geometry coordinates to the producing layer's value
-	// keys, handling the implicit flatten when a feature map feeds a
-	// fully-connected layer (Cin = C·H·W, H = W = 1).
-	resolve := func(c, h, w int) (vkey, bool) {
-		if s.Cin == vs.C && s.H == vs.H && s.W == vs.W {
-			return vkey{c, h, w}, true
-		}
-		if s.H == 1 && s.W == 1 && s.Cin == vs.C*vs.H*vs.W {
-			return vkey{c / (vs.H * vs.W), (c / vs.W) % vs.H, c % vs.W}, true
-		}
-		return vkey{}, false
+	n, per := e.Ctx.N, plan.InputLen()
+	if per > n {
+		return nil, fmt.Errorf("core: an input batch of %d coefficients exceeds %d slots", per, n)
 	}
-	if _, ok := resolve(0, 0, 0); !ok {
-		return nil, fmt.Errorf("core: layer expects %dx%dx%d input but got %dx%dx%d",
-			s.Cin, s.H, s.W, vs.C, vs.H, vs.W)
+	pending := sets[0].pending
+	for _, vs := range sets {
+		if vs.pending != pending {
+			return nil, fmt.Errorf("core: value sets packed together carry different pending LUTs")
+		}
+		if !vs.feeds(s) {
+			return nil, fmt.Errorf("core: layer expects %dx%dx%d input but got %dx%dx%d",
+				s.Cin, s.H, s.W, vs.C, vs.H, vs.W)
+		}
 	}
+	g := n / per
+	windows := len(sets) * plan.InBatches
+	rounds := (windows + g - 1) / g
 
-	inputs := make([]*bfv.Ciphertext, plan.InBatches)
-	errs := make([]error, plan.InBatches)
-	wk.forEach(plan.InBatches, par.Options{MinGrain: 1}, func(ln *evalWorker, ib int) {
-		ordered := make([]lwe.Ciphertext, plan.CB*hw)
-		validity := make([]bool, plan.CB*hw)
+	// Window w = (set w/InBatches, input batch w%InBatches) sits in round
+	// w/g at slot offset (w%g)·per.
+	slots := make([]*bfv.Ciphertext, rounds)
+	masks := make([][]int64, windows)
+	errs := make([]error, rounds)
+	wk.forEach(rounds, par.Options{MinGrain: 1}, func(ln *evalWorker, r int) {
+		lo, hi := r*g, min((r+1)*g, windows)
+		ordered := make([]lwe.Ciphertext, (hi-lo)*per)
 		for i := range ordered {
-			ordered[i] = e.zeroLWE()
+			ordered[i] = e.zero
 		}
-		for cl := 0; cl < plan.CB; cl++ {
-			c := ib*plan.CB + cl
-			if c >= s.Cin {
-				break
-			}
-			for eh := 0; eh < plan.EH; eh++ {
-				for ew := 0; ew < plan.EW; ew++ {
-					h := eh*sub - s.Pad
-					w := ew*sub - s.Pad
-					if h < 0 || h >= s.H || w < 0 || w >= s.W {
-						continue
-					}
-					key, _ := resolve(c, h, w)
-					if v, ok := vs.vals[key]; ok {
-						ordered[cl*hw+eh*plan.EW+ew] = v
-						validity[cl*hw+eh*plan.EW+ew] = true
-					}
+		valid := 0
+		for w := lo; w < hi; w++ {
+			vs, ib, o := sets[w/plan.InBatches], w%plan.InBatches, (w-lo)*per
+			masks[w] = make([]int64, n)
+			for i := 0; i < per; i++ {
+				// Slot i of the window is coefficient i of plan.EncodeInput.
+				cl, eh, ew := i/(plan.EH*plan.EW), i/plan.EW%plan.EH, i%plan.EW
+				c, h, x := ib*plan.CB+cl, eh*sub-s.Pad, ew*sub-s.Pad
+				if c >= s.Cin || h < 0 || h >= s.H || x < 0 || x >= s.W {
+					continue // a channel past the last, or zero padding
+				}
+				if v, ok := vs.at(s, c, h, x); ok {
+					ordered[o+i], masks[w][o+i] = v, 1
+					valid++
 				}
 			}
 		}
-		ct, err := ln.packFBS(ordered, vs.pending, e.slotMask(validity))
+		slots[r], errs[r] = ln.packFBS(ordered, valid, pending)
+	})
+	if err := par.FirstErr(errs); err != nil {
+		return nil, err
+	}
+
+	inputs := make([][]*bfv.Ciphertext, len(sets))
+	for i := range inputs {
+		inputs[i] = make([]*bfv.Ciphertext, plan.InBatches)
+	}
+	errs = make([]error, windows)
+	wk.forEach(windows, par.Options{MinGrain: 1}, func(ln *evalWorker, w int) {
+		r := w / g
+		ct := slots[r]
+		// An identity-packed window alone in its round needs no mask:
+		// nothing was bootstrapped and there is no neighbour to cut away.
+		if pending != nil || min((r+1)*g, windows)-r*g > 1 {
+			ct = ln.maskSlots(ct, masks[w])
+		}
+		ct, err := ln.toCoeffs(ct)
 		if err != nil {
-			errs[ib] = err
+			errs[w] = err
 			return
 		}
-		ct, err = ln.toCoeffs(ct)
-		if err != nil {
-			errs[ib] = err
-			return
+		if o := w % g * per; o > 0 {
+			ct = ln.evP.MulPlain(ct, e.shiftFor(o))
+			ln.stats.PMult++
 		}
-		inputs[ib] = ct
+		inputs[w/plan.InBatches][w%plan.InBatches] = ct
 	})
 	if err := par.FirstErr(errs); err != nil {
 		return nil, err
@@ -607,22 +681,23 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 	return accs
 }
 
-// convLayer runs the loop for one quantized linear layer. The first
-// layer's inputs are the client's coefficient encodings; every later
-// layer packs them from the labeled LWE values of st.vs, fusing the
-// pending LUT. Both then share one tail: accumulate, extract, and leave
-// the layer's own LUT pending — except that the network's last op stops
-// at its accumulators, which are the encrypted logits.
+// convLayer runs the loop for one quantized linear layer. Its inputs are
+// either already prepared — the client's coefficient encodings before the
+// first layer, or the batch barrier's — or are packed here from the
+// labeled LWE values of st.vs, fusing the pending LUT. Both then share
+// one tail: accumulate, extract, and leave the layer's own LUT pending —
+// except that the network's last op stops at its accumulators, which are
+// the encrypted logits.
 func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inferState, error) {
 	e := wk.e
-	plan, inputs := st.firstPlan, st.firstInputs
+	plan, inputs := st.plan, st.inputs
 	var err error
 	if inputs != nil {
 		// Client ciphertexts arrive at the full chain — drop them to the
 		// post level so the accumulation runs on the short chain like
-		// every later layer.
-		inputs = make([]*bfv.Ciphertext, len(st.firstInputs))
-		for i, ct := range st.firstInputs {
+		// every later layer. The barrier's are there already.
+		inputs = make([]*bfv.Ciphertext, len(st.inputs))
+		for i, ct := range st.inputs {
 			if inputs[i], err = e.Ctx.ModDown(ct, e.ctxP.Level()); err != nil {
 				return nil, err
 			}
@@ -631,9 +706,11 @@ func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inf
 		if plan, err = coeffenc.NewPlan(q.Shape, e.Ctx.N, coeffenc.AthenaOrder); err != nil {
 			return nil, err
 		}
-		if inputs, err = wk.convInputs(plan, st.vs); err != nil {
+		prepared, err := wk.convInputs(plan, []*valSet{st.vs})
+		if err != nil {
 			return nil, err
 		}
+		inputs = prepared[0]
 	}
 	accs := wk.convAccumulate(q, plan, inputs)
 	if lastOp {

@@ -28,15 +28,16 @@ func (e *Engine) Infer(q *qnn.QNetwork, x *qnn.IntTensor) ([]int64, error) {
 	return e.DecryptLogits(out)
 }
 
-// inferState is one image's state between ops: either the client's
-// pre-encrypted conv inputs (before the first layer), the usual labeled
-// LWE values, or the terminal accumulators.
+// inferState is one image's state between ops: either prepared conv
+// inputs, the usual labeled LWE values, or the terminal accumulators.
 type inferState struct {
 	vs *valSet
-	// firstInputs holds the client-encrypted coefficient encodings of
-	// the first linear layer, consumed once.
-	firstInputs []*bfv.Ciphertext
-	firstPlan   *coeffenc.Plan
+	// inputs holds the coefficient-encoded input ciphertexts of the next
+	// linear layer, laid out by plan and consumed once: the client's
+	// encryptions before the first layer, or what the batch barrier
+	// prepared for this image in rounds shared across the batch.
+	inputs []*bfv.Ciphertext
+	plan   *coeffenc.Plan
 
 	// final carries the terminal layer's accumulators once the last op
 	// has run. Keeping it in the per-inference state (rather than on the
@@ -98,7 +99,7 @@ type finalResult struct {
 // and leaves the post-add ReLU-clamp LUT pending.
 func (wk *evalWorker) residualBlock(r *qnn.QResidual, st *inferState) (*inferState, error) {
 	e := wk.e
-	if st.firstInputs != nil {
+	if st.inputs != nil {
 		return nil, fmt.Errorf("core: residual block cannot be the first block")
 	}
 	in, err := wk.materialize(st.vs)
@@ -291,18 +292,16 @@ func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, lut *fbs.Evaluator) ([]lwe
 		if end > len(vals) {
 			end = len(vals)
 		}
-		validity := make([]bool, end-start)
 		idx := make([]int, end-start)
 		for i := range idx {
-			validity[i] = true
 			idx[i] = i
 		}
-		ct, err := ln.packFBS(vals[start:end], lut, e.slotMask(validity))
+		ct, err := ln.packFBS(vals[start:end], end-start, lut)
 		if err != nil {
 			errs[ci] = err
 			return
 		}
-		ct, err = ln.toCoeffs(ct)
+		ct, err = ln.toCoeffs(ln.maskSlots(ct, e.prefixMask(end-start)))
 		if err != nil {
 			errs[ci] = err
 			return

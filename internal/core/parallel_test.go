@@ -18,9 +18,11 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden fingerprint files")
 
 // gomaxprocsMatrix is the worker-count sweep the CI matrix also runs;
-// 1 pins the serial path, 2 the minimal fan-out, 8 an oversubscribed
-// fan-out (more workers than most operator loops have items).
-var gomaxprocsMatrix = []int{1, 2, 8}
+// 1 pins the serial path, 2 the minimal fan-out, 4 more lanes than a
+// two-item loop (a ladder level, a round of two windows) has items, 8 an
+// oversubscribed fan-out (more workers than most operator loops have
+// items).
+var gomaxprocsMatrix = []int{1, 2, 4, 8}
 
 func detNet() *qnn.QNetwork {
 	return &qnn.QNetwork{
@@ -223,33 +225,37 @@ func TestBatchOfOneIsEvaluateEncrypted(t *testing.T) {
 }
 
 // TestSharingSaves is the share/fuse rule of the block driver as a
-// table: the barrier is taken only when packing the batch's pending
-// values together needs fewer FBS rounds than fusing them per image.
+// table. Since conv inputs fill LUT rounds by windows (an input batch is
+// a window of per slots, G = ⌊N/per⌋ to a round), an image already shares
+// rounds among its own input batches; the barrier is taken only when
+// laying the whole batch's windows into common rounds needs fewer still:
+// ⌈B·InBatches/G⌉ < B·⌈InBatches/G⌉.
 func TestSharingSaves(t *testing.T) {
 	for _, c := range []struct {
-		name             string
-		pending          []int
-		slots, inBatches int
-		want             bool
+		name                 string
+		images, inBatches, g int
+		want                 bool
 	}{
-		{"one image never shares", []int{72}, 128, 1, false},
-		{"one image, even when its layer spans input batches", []int{72}, 128, 4, false},
-		{"TestInferBatchSharesFBS: 3 x 72 values, 2 packs for 3", []int{72, 72, 72}, 128, 1, true},
-		{"two images that do not fit one pack", []int{72, 72}, 128, 1, false},
-		{"every image fills whole packs already", []int{256, 256, 256}, 128, 2, false},
-		{"fused packing would pad: 2 packs for 4", []int{64, 64}, 128, 2, true},
+		{"one image never shares", 1, 1, 4, false},
+		{"one image, even when its layer spans input batches", 1, 3, 4, false},
+		{"DemoNet, 16 images x 1 window of 32 at N = 128: 4 rounds for 16", 16, 1, 4, true},
+		{"TestInferBatchSharesFBS: 3 images x 3 windows, G = 4: 3 rounds either way", 3, 3, 4, false},
+		{"the same layer with a fourth image: 3 rounds for 4", 4, 3, 4, true},
+		{"a window fills the round: nothing to share", 5, 2, 1, false},
+		{"every image fills whole rounds already", 3, 4, 2, false},
+		{"DigitNet14's dense layer, 4 windows of 49 at N = 512, G = 10: 2 rounds for 3", 3, 4, 10, true},
 	} {
-		if got := sharingSaves(c.pending, c.slots, c.inBatches); got != c.want {
-			t.Errorf("%s: sharingSaves(%v, %d, %d) = %v", c.name, c.pending, c.slots, c.inBatches, got)
+		if got := fewerRounds(c.images, c.inBatches, c.g); got != c.want {
+			t.Errorf("%s: fewerRounds(%d, %d, %d) = %v", c.name, c.images, c.inBatches, c.g, got)
 		}
 	}
 }
 
 // TestInferBatchOverflowsSlotCapacity drives the batch past the FBS slot
-// capacity: 5 images × 72 pending activations = 360 values over N=128
-// slots, forcing the shared LUT round to split into 3 chunks that fan
-// out across worker lanes (images land mid-chunk, so the chunk
-// boundaries cross image boundaries).
+// capacity: 5 images × 3 windows of 32 slots (72 pending activations
+// each) over N=128 slots, forcing the shared barrier to split into 4
+// rounds that fan out across worker lanes (images land mid-round, so the
+// round boundaries cross image boundaries).
 func TestInferBatchOverflowsSlotCapacity(t *testing.T) {
 	e := testEngine(t)
 	net := detNet()

@@ -119,15 +119,12 @@ func (e *Engine) SoftmaxEncrypted(logits []int64, cfg SoftmaxConfig) ([]float64,
 	if err != nil {
 		return nil, err
 	}
-	maskV := make([]bool, cfg.Classes)
-	for i := range maskV {
-		maskV[i] = true
-	}
-	invCT, err := w0.packFBS(sums, invLUT, e.slotMask(maskV))
+	invCT, err := w0.packFBS(sums, cfg.Classes, invLUT)
 	if err != nil {
 		return nil, err
 	}
-	expCT, err := w0.packFBS(exps, nil, nil)
+	invCT = w0.maskSlots(invCT, e.prefixMask(cfg.Classes))
+	expCT, err := w0.packFBS(exps, cfg.Classes, nil)
 	if err != nil {
 		return nil, err
 	}
