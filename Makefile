@@ -59,7 +59,7 @@ bench-check:
 # corpora always run under `go test`; this looks a little past them on
 # every push.
 fuzz-smoke:
-	@set -e; for pkg in rns bfv fbs lwe; do \
+	@set -e; for pkg in ring rns bfv fbs lwe; do \
 		for f in $$($(GO) test -list '^Fuzz' ./internal/$$pkg | grep '^Fuzz'); do \
 			echo "fuzz ./internal/$$pkg $$f"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 15s ./internal/$$pkg; \

@@ -96,6 +96,18 @@ func TestEvaluatorSteadyStateZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("AddAccumulator + FinishInto allocate %v times per run, want 0", n)
 	}
+	// A scalar-sum matrix, warm: weights, tile and row headers are sized.
+	cts, ks, outs := []*Ciphertext{a, b, acc}, [][]uint64{{1, 2, 3}, {4, 0, 65536}, {7, 8, 9}}, []*Ciphertext{out, k.ctx.NewCiphertext(), k.ctx.NewCiphertext()}
+	if err := k.ev.MulScalarSums(cts, ks, outs); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := k.ev.MulScalarSums(cts, ks, outs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("MulScalarSums allocates %v times per run, want 0", n)
+	}
 }
 
 // TestIntoOpsMatchAllocatingOps pins the zero-alloc variants to their

@@ -29,6 +29,16 @@ func (ct *Ciphertext) CopyTo(dst *Ciphertext) {
 	ct.C1.CopyTo(dst.C1)
 }
 
+// half returns C0 (h = 0) or C1, for loops over both polynomials.
+//
+//lint:noalloc
+func (ct *Ciphertext) half(h int) ring.Poly {
+	if h == 0 {
+		return ct.C0
+	}
+	return ct.C1
+}
+
 // Plaintext is a polynomial over Z_t. Coeffs holds values in [0, t).
 type Plaintext struct {
 	Coeffs []uint64

@@ -41,12 +41,11 @@ type evalScratch struct {
 	aq [4]ring.Poly
 	// plain addition: the Δ·m lift.
 	dm ring.Poly
-	// fused scalar-sum staging: per-term centered scalars and the
-	// per-limb constant/row gathers behind MulScalarSum*.
-	sumC    []int64
-	sumW    []uint64
-	sumWS   []uint64
-	sumRows [][]uint64
+	// MulScalarSums: the weight matrix of the current limb, the packed
+	// tile, and the row headers handed to ring.
+	sumW, sumTile    []uint64
+	sumRows, sumOuts [][]uint64
+	sumWRows         [][]uint64
 	// cached automorphism permutation tables, keyed by Galois element.
 	autoIdx map[uint64]*autoTable
 
@@ -227,87 +226,95 @@ func (ev *Evaluator) MulScalar(ct *Ciphertext, k uint64) *Ciphertext {
 	return out
 }
 
-// sumScratch grows the fused scalar-sum staging to hold k terms; the
-// slices are sized once to the largest term count seen and reused.
+// sumTileWords caps the packed tile of MulScalarSums at 512 KB, to stay
+// in a core's L2 while the kernel passes over it. The wider the tile the
+// longer the run each row is read in — a whole 4 KB limb at N = 512 with
+// the 110 rows of t = 12289, which measured 0.73 ns per term against 1.0
+// with 32 KB tiles, whose 37-column runs leave the prefetcher nothing.
+const sumTileWords = 65536
+
+// sumScratch sizes the MulScalarSums staging for g sums of k terms in
+// tiles of cols columns; every buffer grows to the largest shape seen
+// and is reused.
 //
 //lint:noalloc
-func (ev *Evaluator) sumScratch(k int) *evalScratch {
+func (ev *Evaluator) sumScratch(g, k, cols int) *evalScratch {
 	sc := ev.sc
-	if cap(sc.sumC) < k {
-		//lint:prealloc sized once to the largest term count, then reused across calls
-		sc.sumC = make([]int64, k)
-		//lint:prealloc sized once to the largest term count, then reused across calls
-		sc.sumW = make([]uint64, k)
-		//lint:prealloc sized once to the largest term count, then reused across calls
-		sc.sumWS = make([]uint64, k)
+	if cap(sc.sumW) < g*k {
+		//lint:prealloc sized once to the largest weight matrix, then reused across calls
+		sc.sumW = make([]uint64, g*k)
+	}
+	if cap(sc.sumTile) < cols*k {
+		//lint:prealloc sized once to the largest tile, then reused across calls
+		sc.sumTile = make([]uint64, cols*k)
+	}
+	if cap(sc.sumRows) < k {
 		//lint:prealloc sized once to the largest term count, then reused across calls
 		sc.sumRows = make([][]uint64, k)
 	}
-	sc.sumC = sc.sumC[:k]
-	sc.sumW = sc.sumW[:k]
-	sc.sumWS = sc.sumWS[:k]
-	sc.sumRows = sc.sumRows[:k]
+	if cap(sc.sumOuts) < g {
+		//lint:prealloc sized once to the largest output count, then reused across calls
+		sc.sumOuts, sc.sumWRows = make([][]uint64, g), make([][]uint64, g)
+	}
+	sc.sumW, sc.sumTile = sc.sumW[:g*k], sc.sumTile[:cols*k]
+	sc.sumRows, sc.sumOuts, sc.sumWRows = sc.sumRows[:k], sc.sumOuts[:g], sc.sumWRows[:g]
 	return sc
 }
 
-// MulScalarSumInto sets out = Σ_k cts[k]·ks[k] for scalars ks[k] ∈ Z_t
-// (centered, as in MulScalar), fusing the whole multi-term SMult/HAdd
-// chain into one lazy-accumulating pass per output limb: each output
-// coefficient is loaded and stored once no matter how many terms the
-// sum has, the way the paper's FRU array pipelines the FBS baby-step
-// inner sum (Fig. 7). out must not alias any cts entry.
+// MulScalarSums sets outs[g] = Σ_k ks[g][k]·cts[k] for scalars ks[g][k] ∈
+// Z_t (centered, as in MulScalar; every ks[g] has len(cts) entries): the
+// product of the scalar matrix ks with the matrix whose rows are the
+// ciphertexts, the way the paper's FRU array streams the FBS baby-step
+// inner sums (Fig. 7). Per limb the weights are reduced once; per tile of
+// columns the rows are packed once (ring.PackTile) and every output is
+// one ring.MulSumTile column sum, so a coefficient of cts is read once
+// for all of outs and each output coefficient is reduced and stored
+// once. Sums modulo q are exact: the result is limb for limb what
+// MulScalar and Add give. No outs entry may alias a cts entry.
 //
 //lint:noalloc
-func (ev *Evaluator) MulScalarSumInto(cts []*Ciphertext, ks []uint64, out *Ciphertext) {
-	sc := ev.sumScratch(len(cts))
+func (ev *Evaluator) MulScalarSums(cts []*Ciphertext, ks [][]uint64, outs []*Ciphertext) error {
+	for _, ct := range cts {
+		if err := ev.checkLevel(ct); err != nil {
+			return err
+		}
+	}
+	for _, ct := range outs {
+		if err := ev.checkLevel(ct); err != nil {
+			return err
+		}
+	}
+	if len(outs) == 0 {
+		return nil
+	}
+	kn, n := len(cts), ev.ctx.N
+	cols := min(n, max(sumTileWords/max(kn, 1), 1))
+	sc := ev.sumScratch(len(outs), kn, cols)
 	tm := ev.ctx.TMod
-	for k := range cts {
-		sc.sumC[k] = tm.Centered(tm.Reduce(ks[k]))
+	for g := range outs {
+		sc.sumWRows[g] = sc.sumW[g*kn : (g+1)*kn]
 	}
-	rq := ev.ctx.RingQ
-	for i := range rq.Moduli {
-		m := rq.Moduli[i]
-		for k := range sc.sumC {
-			sc.sumW[k] = m.ReduceInt64(sc.sumC[k])
+	for i, m := range ev.ctx.RingQ.Moduli {
+		for g, row := range sc.sumWRows {
+			for k, v := range ks[g][:kn] {
+				row[k] = m.ReduceInt64(tm.Centered(tm.Reduce(v)))
+			}
 		}
-		m.ShoupPrecompVec(sc.sumW, sc.sumWS)
-		for k := range cts {
-			sc.sumRows[k] = cts[k].C0.Coeffs[i]
+		for h := 0; h < 2; h++ {
+			for k, ct := range cts {
+				sc.sumRows[k] = ct.half(h).Coeffs[i]
+			}
+			for j0 := 0; j0 < n; j0 += cols {
+				j1 := min(j0+cols, n)
+				ring.PackTile(sc.sumRows, j0, j1-j0, sc.sumTile)
+				for g, out := range outs {
+					sc.sumOuts[g] = out.half(h).Coeffs[i][j0:j1]
+				}
+				m.MulSumTile(sc.sumTile, sc.sumWRows, sc.sumOuts)
+			}
 		}
-		m.MulShoupSumVec(sc.sumRows, sc.sumW, sc.sumWS, out.C0.Coeffs[i])
-		for k := range cts {
-			sc.sumRows[k] = cts[k].C1.Coeffs[i]
-		}
-		m.MulShoupSumVec(sc.sumRows, sc.sumW, sc.sumWS, out.C1.Coeffs[i])
 	}
-}
-
-// MulScalarSumAndAdd sets acc += Σ_k cts[k]·ks[k], the accumulating form
-// of MulScalarSumInto. acc must not alias any cts entry.
-//
-//lint:noalloc
-func (ev *Evaluator) MulScalarSumAndAdd(cts []*Ciphertext, ks []uint64, acc *Ciphertext) {
-	sc := ev.sumScratch(len(cts))
-	tm := ev.ctx.TMod
-	for k := range cts {
-		sc.sumC[k] = tm.Centered(tm.Reduce(ks[k]))
-	}
-	rq := ev.ctx.RingQ
-	for i := range rq.Moduli {
-		m := rq.Moduli[i]
-		for k := range sc.sumC {
-			sc.sumW[k] = m.ReduceInt64(sc.sumC[k])
-		}
-		m.ShoupPrecompVec(sc.sumW, sc.sumWS)
-		for k := range cts {
-			sc.sumRows[k] = cts[k].C0.Coeffs[i]
-		}
-		m.MulShoupSumAddVec(sc.sumRows, sc.sumW, sc.sumWS, acc.C0.Coeffs[i])
-		for k := range cts {
-			sc.sumRows[k] = cts[k].C1.Coeffs[i]
-		}
-		m.MulShoupSumAddVec(sc.sumRows, sc.sumW, sc.sumWS, acc.C1.Coeffs[i])
-	}
+	return nil
 }
 
 // keySwitchCoeff applies a switching key to a coefficient-domain

@@ -19,14 +19,18 @@ import (
 // O(log t) (matching the 17-level CMult budget in Table 4). Every product
 // runs on bfv operands: a power is extended to the tensor basis once,
 // when it is produced, and only if a later product reads it (x^1 …
-// x^⌈bs/2⌉ and every y^a), and the giant-step sum Σ_{a≥1} inner_a ⊗ y^a
-// is accumulated unreduced in that basis — one partial sum per worker
-// lane, added in lane order — and rescaled and relinearized once. Both
-// ladders run level-parallel: powers m+1 … 2m read only 1 … m, so each
-// doubling level fans out over the same lanes, every power still one
-// product finished once on whichever lane computes it. The additions are
-// exact and a product does not depend on its evaluator's scratch, so the
-// result is bit-identical at any GOMAXPROCS.
+// x^⌈bs/2⌉ and every y^a). The baby step is a matrix product: the inner
+// sums inner_a = Σ_{b≥1} c_{a·bs+b}·x^b are the gs × (bs−1) coefficient
+// matrix times the matrix whose rows are the baby powers, computed a
+// group of rows at a time (bfv.MulScalarSums). The giant-step sum
+// Σ_{a≥1} inner_a ⊗ y^a is accumulated unreduced in the tensor basis —
+// one partial sum per worker lane, added in lane order — and rescaled
+// and relinearized once. Both ladders run level-parallel: powers m+1 …
+// 2m read only 1 … m, so each doubling level fans out over the same
+// lanes, every power still one product finished once on whichever lane
+// computes it. The additions and the scalar sums are exact and a product
+// does not depend on its evaluator's scratch, so the result is
+// bit-identical at any GOMAXPROCS and for any grouping.
 type Evaluator struct {
 	ctx *bfv.Context
 	plan
@@ -45,9 +49,27 @@ type Evaluator struct {
 // plan is the part of an Evaluator the fan-out workers read: the
 // polynomial and its split.
 type plan struct {
+	// coeffs is the gs × bs coefficient matrix, row a holding c_{a·bs} …
+	// c_{a·bs+bs−1} (zero past the polynomial's degree).
 	coeffs []uint64
 	bs, gs int
+	// blocks lists the giant steps a ≥ 1 whose inner sum has a term.
+	blocks []int
+	// The terms no product reads, as weight rows: head is c_1 … c_{bs−1}
+	// against x^1 … x^(bs−1) (giant step 0's inner sum), consts is c_{a·bs}
+	// against y^a for a ≥ 1; nil when the row is all zero.
+	head, consts []uint64
 }
+
+// groupSize is how many giant steps a lane takes at a time: their inner
+// sums are one MulScalarSums call — two passes of the ring kernel over
+// one packed tile — so the baby powers are read and packed once per
+// group, and the lane holds this many inner sums at once. At four the
+// packing is a fifth of the call; past that the ciphertexts cost more
+// than the packing saves, because every cold engine sizes them: on the
+// routed_churn workload, where each operation meets one, four reads
+// +0.6 % allocated bytes per operation and eight +1.3 %.
+const groupSize = 4
 
 // NewEvaluator interpolates lut and prepares the evaluation plan. The
 // LUT modulus must equal the context's plaintext modulus.
@@ -57,7 +79,9 @@ func NewEvaluator(ctx *bfv.Context, lut *LUT) (*Evaluator, error) {
 	}
 	t := int(lut.T)
 	bs := int(math.Ceil(math.Sqrt(float64(t))))
-	e := &Evaluator{ctx: ctx, plan: plan{coeffs: lut.Interpolate(), bs: bs, gs: (t + bs - 1) / bs}}
+	gs := (t + bs - 1) / bs
+	e := &Evaluator{ctx: ctx, plan: plan{coeffs: make([]uint64, gs*bs), bs: bs, gs: gs}}
+	copy(e.coeffs, lut.Interpolate())
 	if c := e.coeffs[0]; c != 0 {
 		e.c0 = ctx.NewPlaintext()
 		e.c0.Coeffs[0] = c
@@ -67,7 +91,7 @@ func NewEvaluator(ctx *bfv.Context, lut *LUT) (*Evaluator, error) {
 	// (unless the block has no x^b term) and the scalar terms: n − 1 adds
 	// inside an n-term inner sum, one per term that lands on the result.
 	e.CMults = e.bs - 1 + max(e.gs-2, 0)
-	blocks := 0
+	consts := make([]uint64, e.gs-1)
 	for a := 0; a < e.gs; a++ {
 		n := 0
 		for b := 1; b < e.bs; b++ {
@@ -78,63 +102,39 @@ func NewEvaluator(ctx *bfv.Context, lut *LUT) (*Evaluator, error) {
 		e.SMults += n
 		if a == 0 {
 			e.HAdds += n
+			if n > 0 {
+				e.head = e.coeffs[1:e.bs]
+			}
 			continue
 		}
 		if n > 0 {
-			blocks++
+			e.blocks = append(e.blocks, a)
 			e.HAdds += n - 1
 		}
-		if e.coeff(a, 0) != 0 {
+		if c := e.coeff(a, 0); c != 0 {
+			consts[a-1], e.consts = c, consts
 			e.SMults++
 			e.HAdds++
 		}
 	}
-	e.CMults += blocks
-	e.HAdds += max(blocks-1, 0)
+	e.CMults += len(e.blocks)
+	e.HAdds += max(len(e.blocks)-1, 0)
 	return e, nil
 }
 
 // Steps reports the (babySteps, giantSteps) split.
 func (e *Evaluator) Steps() (int, int) { return e.bs, e.gs }
 
-// coeff returns c_{a·bs+b}, zero past the polynomial's degree.
+// coeff returns c_{a·bs+b}.
 //
 //lint:noalloc
-func (p *plan) coeff(a, b int) uint64 {
-	if i := a*p.bs + b; i < len(p.coeffs) {
-		return p.coeffs[i]
-	}
-	return 0
-}
-
-// terms stages one fused scalar sum Σ ks[i]·cts[i].
-type terms struct {
-	cts []*bfv.Ciphertext
-	ks  []uint64
-}
-
-func newTerms(n int) terms {
-	return terms{cts: make([]*bfv.Ciphertext, 0, n), ks: make([]uint64, 0, n)}
-}
-
-//lint:noalloc
-func (t *terms) reset() { t.cts, t.ks = t.cts[:0], t.ks[:0] }
-
-// add stages k·ct unless k is zero.
-//
-//lint:noalloc
-func (t *terms) add(ct *bfv.Ciphertext, k uint64) {
-	if k != 0 {
-		//lint:prealloc newTerms sizes both slices to the most terms their sum can hold
-		t.cts, t.ks = append(t.cts, ct), append(t.ks, k)
-	}
-}
+func (p *plan) coeff(a, b int) uint64 { return p.coeffs[a*p.bs+b] }
 
 // Scratch is the per-caller state of an evaluation: the power ladders as
-// ciphertexts and operands, the fan-out lanes with their partial sums,
-// and the scalar-sum staging. It is sized on first use by the plan it
-// runs (B limbs only for the powers that become operands) and reused
-// while the context and split stay the same. Distinct Scratches over one
+// ciphertexts and operands and the fan-out lanes with their partial sums
+// and inner sums. It is sized on first use by the plan it runs (B limbs
+// only for the powers that become operands) and reused while the context
+// and split stay the same. Distinct Scratches over one
 // Evaluator may run concurrently; a single Scratch may not.
 type Scratch struct {
 	ctx    *bfv.Context
@@ -145,9 +145,8 @@ type Scratch struct {
 	// extensions, nil where no product reads the power.
 	powers, giants     []*bfv.Ciphertext
 	powerOps, giantOps []*bfv.Operand
-	tmp                *bfv.Ciphertext // a second group's finished sum
+	tmp                *bfv.Ciphertext // a second run's finished sum
 
-	tail terms // the scalar terms added to the finished sum
 	errs []error
 
 	// The ladder level being fanned out — rung k of cts/ops for k in
@@ -168,17 +167,18 @@ type Scratch struct {
 }
 
 // lane is one worker of the fan-outs: a ShallowCopy'd evaluator (own
-// scratch arena) and an accumulator — the one product of a ladder rung,
-// then the lane's partial sum of block products — plus, for the giant
-// steps, the inner sum it is working on as ciphertext and operand and
-// its scalar-sum staging. A lane is only ever touched by the worker slot
-// it belongs to.
+// scratch arena, the packed tile and weights of the scalar sums in it)
+// and an accumulator — the one product of a ladder rung, then the lane's
+// partial sum of block products — plus, for the giant steps, the inner
+// sums of the group it is working on with their rows of the coefficient
+// matrix, and the operand each is extended into in turn. A lane is only
+// ever touched by the worker slot it belongs to.
 type lane struct {
-	ev    *bfv.Evaluator
-	inner *bfv.Ciphertext
-	op    *bfv.Operand
-	acc   *bfv.Accumulator
-	terms terms
+	ev   *bfv.Evaluator
+	sums [groupSize]*bfv.Ciphertext
+	ks   [groupSize][]uint64
+	op   *bfv.Operand
+	acc  *bfv.Accumulator
 }
 
 // NewScratch returns evaluation state for one concurrent caller.
@@ -210,7 +210,6 @@ func (sc *Scratch) fit(e *Evaluator, ev *bfv.Evaluator) {
 		if gs-1 > ctx.SumCapacity() {
 			sc.tmp = ctx.NewCiphertext()
 		}
-		sc.tail = newTerms(bs + gs)
 		sc.errs = make([]error, max(bs, gs))
 		sc.step = func(w, i int) {
 			// Writes rung lo+i, errs[i] and the lane it is handed; the rungs
@@ -221,15 +220,13 @@ func (sc *Scratch) fit(e *Evaluator, ev *bfv.Evaluator) {
 	}
 	if sc.lanes == nil || sc.base != ev {
 		sc.base = ev
-		ctx, bs := sc.ctx, sc.bs
+		ctx := sc.ctx
 		sc.lanes = par.NewPool(func() *lane {
-			return &lane{
-				ev:    ev.ShallowCopy(),
-				inner: ctx.NewCiphertext(),
-				op:    ctx.NewOperand(),
-				acc:   ctx.NewAccumulator(),
-				terms: newTerms(bs),
+			ln := &lane{ev: ev.ShallowCopy(), op: ctx.NewOperand(), acc: ctx.NewAccumulator()}
+			for i := range ln.sums {
+				ln.sums[i] = ctx.NewCiphertext()
 			}
+			return ln
 		})
 	}
 }
@@ -268,21 +265,24 @@ func (e *Evaluator) EvaluateWith(ev *bfv.Evaluator, sc *Scratch, ct *bfv.Ciphert
 		return nil, err
 	}
 
-	// Σ_{a≥1} inner_a ⊗ y^a with inner_a = Σ_{b≥1} c_{a·bs+b}·x^b: the
-	// giant steps are independent — each costs ~bs scalar products, one
-	// extension and one tensor product — so every step is worth a worker.
-	// A lane adds its steps into its own accumulator; the partial sums
-	// are added in lane order and finished once per group of at most
-	// SumCapacity steps (one group at every shipped parameter shape).
+	// Σ_{a≥1} inner_a ⊗ y^a with inner_a = Σ_{b≥1} c_{a·bs+b}·x^b, over
+	// the giant steps that have an inner sum. A lane takes groupSize of
+	// them at a time — one matrix call for the inner sums, then one
+	// extension and one tensor product each — and adds them into its own
+	// accumulator; the partial sums are added in lane order and finished
+	// once per run of at most SumCapacity products (one run at every
+	// shipped parameter shape).
 	res := e.ctx.NewCiphertext()
 	plan, powers, giantOps, lanes := &e.plan, sc.powers, sc.giantOps, sc.lanes
-	for lo, group := 1, e.ctx.SumCapacity(); lo < e.gs; {
-		n := min(e.gs-lo, group)
+	for blocks, out := e.blocks, res; len(blocks) > 0; out = sc.tmp {
+		run := blocks[:min(len(blocks), e.ctx.SumCapacity())]
+		n := (len(run) + groupSize - 1) / groupSize
 		errs := sc.errs[:n]
 		par.ForEach(n, par.Options{MinGrain: 1}, func(w, i int) {
 			// Writes only the lane it is handed; the plan and the power
 			// ladders it reads are not written during the fan-out.
-			errs[i] = plan.blockProduct(lanes.Get(w), powers, giantOps, lo+i)
+			group := run[i*groupSize : min((i+1)*groupSize, len(run))]
+			errs[i] = plan.groupProducts(lanes.Get(w), powers, giantOps, group)
 		})
 		err := par.FirstErr(errs)
 		lanes.Each(func(ln *lane) {
@@ -293,38 +293,43 @@ func (e *Evaluator) EvaluateWith(ev *bfv.Evaluator, sc *Scratch, ct *bfv.Ciphert
 		if err != nil {
 			return nil, err
 		}
-		if acc.Terms() > 0 {
-			out := res
-			if lo > 1 {
-				out = sc.tmp
-			}
-			if err := ev.FinishInto(acc, out); err != nil {
-				return nil, err
-			}
-			if lo > 1 {
-				ev.AddInPlace(res, sc.tmp)
-			}
+		if err := ev.FinishInto(acc, out); err != nil {
+			return nil, err
 		}
-		lo += n
+		if out != res {
+			ev.AddInPlace(res, out)
+		}
+		blocks = blocks[len(run):]
 	}
 
-	// The terms no product reads: giant step 0's inner sum and the
-	// constants c_{a·bs}·y^a in one fused pass, then c_0.
-	tail := &sc.tail
-	tail.reset()
-	for b := 1; b < e.bs; b++ {
-		tail.add(sc.powers[b], e.coeff(0, b))
+	// The terms no product reads, two more scalar sums, then c_0.
+	if e.head != nil {
+		if err := lanes.Get(0).addScalarSum(ev, sc.powers[1:e.bs], e.head, res); err != nil {
+			return nil, err
+		}
 	}
-	for a := 1; a < e.gs; a++ {
-		tail.add(sc.giants[a], e.coeff(a, 0))
-	}
-	if len(tail.cts) > 0 {
-		ev.MulScalarSumAndAdd(tail.cts, tail.ks, res)
+	if e.consts != nil {
+		if err := lanes.Get(0).addScalarSum(ev, sc.giants[1:], e.consts, res); err != nil {
+			return nil, err
+		}
 	}
 	if e.c0 != nil {
 		ev.AddPlainInPlace(res, e.c0)
 	}
 	return res, nil
+}
+
+// addScalarSum sets res += Σ_k ks[k]·cts[k] through the lane's first
+// inner sum.
+//
+//lint:noalloc
+func (ln *lane) addScalarSum(ev *bfv.Evaluator, cts []*bfv.Ciphertext, ks []uint64, res *bfv.Ciphertext) error {
+	ln.ks[0] = ks
+	if err := ln.ev.MulScalarSums(cts, ln.ks[:1], ln.sums[:1]); err != nil {
+		return err
+	}
+	ev.AddInPlace(res, ln.sums[0])
+	return nil
 }
 
 // ladder fills rungs 2 … top of a power ladder whose rung 1 is in place.
@@ -361,23 +366,27 @@ func ladderStep(ev *bfv.Evaluator, acc *bfv.Accumulator, cts []*bfv.Ciphertext, 
 	return ev.ExtendInto(cts[k], ops[k])
 }
 
-// blockProduct adds inner_a ⊗ y^a to the lane's partial sum, inner_a =
-// Σ_{b≥1} c_{a·bs+b}·x^b being one fused MulScalarSumInto pass over the
-// nonzero terms; a block without any adds nothing.
+// groupProducts adds inner_a ⊗ y^a to the lane's partial sum for every
+// giant step a of group (at most groupSize, each with an inner sum): the
+// inner sums are rows a of the coefficient matrix times the baby powers,
+// one MulScalarSums call.
 //
 //lint:noalloc
-func (p *plan) blockProduct(ln *lane, powers []*bfv.Ciphertext, giantOps []*bfv.Operand, a int) error {
-	inner := &ln.terms
-	inner.reset()
-	for b := 1; b < p.bs; b++ {
-		inner.add(powers[b], p.coeff(a, b))
+func (p *plan) groupProducts(ln *lane, powers []*bfv.Ciphertext, giantOps []*bfv.Operand, group []int) error {
+	for i, a := range group {
+		ln.ks[i] = p.coeffs[a*p.bs+1 : (a+1)*p.bs]
 	}
-	if len(inner.cts) == 0 {
-		return nil
-	}
-	ln.ev.MulScalarSumInto(inner.cts, inner.ks, ln.inner)
-	if err := ln.ev.ExtendInto(ln.inner, ln.op); err != nil {
+	sums := ln.sums[:len(group)]
+	if err := ln.ev.MulScalarSums(powers[1:p.bs], ln.ks[:len(group)], sums); err != nil {
 		return err
 	}
-	return ln.ev.Accumulate(ln.op, giantOps[a], ln.acc)
+	for i, a := range group {
+		if err := ln.ev.ExtendInto(sums[i], ln.op); err != nil {
+			return err
+		}
+		if err := ln.ev.Accumulate(ln.op, giantOps[a], ln.acc); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -55,20 +55,42 @@ func TestInterpolationIsExactEverywhere(t *testing.T) {
 	}
 }
 
-func TestFFTPathMatchesNaive(t *testing.T) {
-	// 257 is a Fermat prime: both interpolation paths must agree.
-	const tq = 257
-	tm := ring.NewModulus(tq)
-	rng := rand.New(rand.NewPCG(9, 9))
-	l := &LUT{T: tq, Table: make([]uint64, tq)}
-	for k := range l.Table {
-		l.Table[k] = rng.Uint64N(tq)
+// powerSumsNaive computes g_j = Σ_{k≠0} LUT(k)·k^j directly in O(t²): the
+// oracle for powerSums.
+func (l *LUT) powerSumsNaive(tm ring.Modulus) []uint64 {
+	t := l.T
+	g := make([]uint64, t-1)
+	for k := uint64(1); k < t; k++ {
+		v := l.Table[k]
+		if v == 0 {
+			continue
+		}
+		pw := uint64(1)
+		for j := uint64(0); j < t-1; j++ {
+			g[j] = tm.Add(g[j], tm.Mul(v, pw))
+			pw = tm.Mul(pw, k)
+		}
 	}
-	fft := l.powerSumsFFT(tm)
-	naive := l.powerSumsNaive(tm)
-	for j := range naive {
-		if fft[j] != naive[j] {
-			t.Fatalf("g_%d: FFT %d naive %d", j, fft[j], naive[j])
+	return g
+}
+
+// TestPowerSumsMatchNaive pins the split DFT to the direct sums where
+// t − 1 is a power of two (257), where it has the odd cofactor 3 (97,
+// 769 and the paper-shaped 12289 = 3·2¹² + 1), and at 5·2 + 1 and 7·2² + 1.
+func TestPowerSumsMatchNaive(t *testing.T) {
+	for _, tq := range []uint64{11, 29, 97, 257, 769, 12289} {
+		tm := ring.NewModulus(tq)
+		rng := rand.New(rand.NewPCG(9, tq))
+		l := &LUT{T: tq, Table: make([]uint64, tq)}
+		for k := range l.Table {
+			l.Table[k] = rng.Uint64N(tq)
+		}
+		fft := l.powerSums(tm)
+		naive := l.powerSumsNaive(tm)
+		for j := range naive {
+			if fft[j] != naive[j] {
+				t.Fatalf("t=%d g_%d: DFT %d naive %d", tq, j, fft[j], naive[j])
+			}
 		}
 	}
 }
@@ -218,9 +240,12 @@ func TestEvaluateMatchesLookup(t *testing.T) {
 	}
 }
 
-// TestEvaluateAtDigitNetShape runs one ReLU at the single_t12289
-// workload's shape: N = 512, t = 12289 (bs = gs = 111), nine of ten
-// 55-bit limbs.
+// TestEvaluateAtDigitNetShape runs one fused ReLU + remap table — dense,
+// like the tables of a network's layers — at the single_t12289 workload's
+// shape: N = 512, t = 12289 (bs = gs = 111), nine of ten 55-bit limbs.
+// 110 + 109 ladder products and 110 block products; one scalar product
+// per coefficient but c_0 = 0; 110 baby-step groups of four rows leave a
+// group of two.
 func TestEvaluateAtDigitNetShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("t = 12289 FBS takes seconds; run without -short")
@@ -231,10 +256,13 @@ func TestEvaluateAtDigitNetShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := bfv.NewEvaluator(ctx, fullEv.Keys())
-	lut := ReLULUT(12289)
+	lut := NewLUT(12289, func(x int64) int64 { return max(x, 0) / 8 })
 	fe, err := NewEvaluator(ctx, lut)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fe.CMults != 329 || fe.SMults != 12288 || fe.HAdds != 12287 {
+		t.Fatalf("plan counts %d CMult, %d SMult, %d HAdd; want 329, 12288, 12287", fe.CMults, fe.SMults, fe.HAdds)
 	}
 	rng := rand.New(rand.NewPCG(23, 24))
 	vals := make([]int64, ctx.N)
@@ -303,13 +331,13 @@ func TestEvaluateRejectsInputAtAnotherLevel(t *testing.T) {
 }
 
 // TestWarmEvaluateWithAllocations: with its scratch warm an evaluation
-// allocates the ciphertext it returns (five objects) and what the
-// giant-step fan-out captures (its closure and the group cursor it
-// shares with the loop) — nothing per product and nothing per ladder
-// level: the nine levels of the two ladders at t = 257 all run the one
-// worker function the scratch built when it was fitted, so the count
-// does not grow with log bs. (AllocsPerRun measures at GOMAXPROCS = 1;
-// a fan-out that does split also pays its goroutines.)
+// allocates the ciphertext it returns (five objects) and the closure of
+// the giant-step fan-out — nothing per product or per baby-step group (tile, weights and inner sums live
+// in the lanes) and nothing per ladder level: the nine levels of the two
+// ladders at t = 257 all run the one worker function the scratch built
+// when it was fitted, so the count does not grow with log bs.
+// (AllocsPerRun measures at GOMAXPROCS = 1; a fan-out that does split
+// also pays its goroutines.)
 func TestWarmEvaluateWithAllocations(t *testing.T) {
 	ctx, enc, _, ev, cod := fbsKit(t, 5, 4, 257)
 	fe, err := NewEvaluator(ctx, ReLULUT(257))
@@ -326,8 +354,8 @@ func TestWarmEvaluateWithAllocations(t *testing.T) {
 	run()
 	n := testing.AllocsPerRun(10, run)
 	t.Logf("warm EvaluateWith: %v allocations", n)
-	if n > 8 {
-		t.Fatalf("warm EvaluateWith allocates %v times per run, want ≤ 8", n)
+	if n > 6 {
+		t.Fatalf("warm EvaluateWith allocates %v times per run, want ≤ 6", n)
 	}
 }
 
@@ -367,6 +395,106 @@ func TestLadderFailureLeavesScratchUsable(t *testing.T) {
 		t.Fatalf("a rung at another level: EvaluateWith returned %v", err)
 	}
 	sc.powers[7] = good
+	got, err := fe.EvaluateWith(ev, sc, ct)
+	if err != nil {
+		t.Fatalf("after the failed evaluation: %v", err)
+	}
+	if !bytes.Equal(serializeCT(t, got), serializeCT(t, want)) {
+		t.Fatal("after the failed evaluation the scratch gives a different result")
+	}
+}
+
+// lutFromPoly tabulates the polynomial with the given coefficients over
+// Z_t; interpolating the table gives the coefficients back, so a test can
+// choose which blocks of the split have terms.
+func lutFromPoly(tq uint64, coeffs []uint64) *LUT {
+	tm := ring.NewModulus(tq)
+	l := &LUT{T: tq, Table: make([]uint64, tq)}
+	for x := range l.Table {
+		l.Table[x] = evalPoly(coeffs, uint64(x), tm)
+	}
+	return l
+}
+
+// TestEvaluateSparsePlans: the baby-step groups follow the plan's list of
+// giant steps that have an inner sum. At t = 257 (bs = 17, gs = 16; a
+// group is four rows): a dense polynomial gives 15 blocks in groups of 4,
+// 4, 4, 3 — more groups than the two lanes of this host; a polynomial
+// living in one block gives one group of one — fewer; one with an empty
+// block in the middle and every c_{a·bs} = 0 gives 14 blocks and a tail
+// without constants; and one with only constants c_{a·bs} has no block
+// product at all.
+func TestEvaluateSparsePlans(t *testing.T) {
+	ctx, enc, dec, ev, cod := fbsKit(t, 6, 6, 257)
+	rng := rand.New(rand.NewPCG(31, 32))
+	dense := make([]uint64, 257)
+	for i := range dense {
+		dense[i] = 1 + rng.Uint64N(256)
+	}
+	oneBlock := make([]uint64, 257)
+	for b := 1; b < 17; b += 3 {
+		oneBlock[5*17+b] = 1 + rng.Uint64N(256)
+	}
+	gaps := append([]uint64(nil), dense...)
+	for i := range gaps {
+		if i%17 == 0 || i/17 == 7 {
+			gaps[i] = 0
+		}
+	}
+	constants := make([]uint64, 257)
+	for a := 0; a < 16; a++ {
+		constants[a*17] = 1 + rng.Uint64N(256)
+	}
+	for _, c := range []struct {
+		name   string
+		coeffs []uint64
+		blocks int
+	}{
+		{"dense", dense, 15},
+		{"one block", oneBlock, 1},
+		{"empty block, no constants", gaps, 14},
+		{"constants only", constants, 0},
+	} {
+		fe := checkLookup(t, c.name, ctx, enc, dec, ev, cod, lutFromPoly(257, c.coeffs))
+		if len(fe.blocks) != c.blocks || fe.CMults != 30+c.blocks {
+			t.Errorf("%s: %d blocks, %d CMults; want %d, %d", c.name, len(fe.blocks), fe.CMults, c.blocks, 30+c.blocks)
+		}
+	}
+}
+
+// TestGroupFailureLeavesScratchUsable injects a failure inside a
+// baby-step group: the second inner sum of lane 0 is swapped for a
+// ciphertext at another level, so the group's matrix call is refused
+// after the ladders are built and with other lanes' products already
+// accumulated. The evaluation must return that error, and the same
+// scratch, the ciphertext restored, must then evaluate correctly.
+func TestGroupFailureLeavesScratchUsable(t *testing.T) {
+	full, enc, _, ev, cod := fbsKit(t, 5, 4, 257)
+	low, err := full.AtLevel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := NewEvaluator(full, ReLULUT(257))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]int64, full.N)
+	for i := range vals {
+		vals[i] = int64(i*5%257) - 128
+	}
+	ct := enc.Encrypt(cod.EncodeSlots(vals))
+	sc := NewScratch()
+	want, err := fe.EvaluateWith(ev, sc, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := sc.lanes.Get(0)
+	good := ln.sums[1]
+	ln.sums[1] = low.NewCiphertext()
+	if _, err := fe.EvaluateWith(ev, sc, ct); err == nil || !strings.Contains(err.Error(), "operand at level 3") {
+		t.Fatalf("an inner sum at another level: EvaluateWith returned %v", err)
+	}
+	ln.sums[1] = good
 	got, err := fe.EvaluateWith(ev, sc, ct)
 	if err != nil {
 		t.Fatalf("after the failed evaluation: %v", err)

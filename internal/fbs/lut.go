@@ -5,11 +5,12 @@
 // over slot-encoded ciphertexts with the Baby-Step Giant-Step
 // (Paterson-Stockmeyer) schedule of Alg. 2.
 //
-// For the Fermat-prime moduli Athena uses (t = 65537, and 257 at test
-// scale) the multiplicative group Z_t^* is cyclic of two-power order, so
-// the interpolation sums Σ_k LUT(k)·k^j reduce to one power-of-two-length
-// DFT over Z_t and the whole table compiles in O(t log t) instead of
-// O(t²).
+// The multiplicative group Z_t^* is cyclic, so the interpolation sums
+// Σ_k LUT(k)·k^j are one DFT of length t − 1 over Z_t. For the
+// Fermat-prime moduli Athena uses (t = 65537, and 257 at test scale) the
+// length is a power of two; in general t − 1 = m·2^s with m odd splits
+// into m power-of-two transforms (m = 3 at t = 12289), so a table
+// compiles in O(t log t + m·t) instead of O(t²).
 //
 // An Evaluator is the compiled, immutable plan of one table; what an
 // evaluation writes lives in a Scratch the caller owns (EvaluateWith), so
@@ -71,13 +72,7 @@ func (l *LUT) Lookup(x int64) int64 {
 func (l *LUT) Interpolate() []uint64 {
 	t := l.T
 	tm := ring.NewModulus(t)
-	// g_j = Σ_{k≠0} LUT(k)·k^j for j = 0..t-2.
-	var g []uint64
-	if t > 2 && (t-1)&(t-2) == 0 {
-		g = l.powerSumsFFT(tm)
-	} else {
-		g = l.powerSumsNaive(tm)
-	}
+	g := l.powerSums(tm)
 	c := make([]uint64, t)
 	c[0] = l.Table[0]
 	for i := uint64(1); i < t; i++ {
@@ -90,40 +85,51 @@ func (l *LUT) Interpolate() []uint64 {
 	return c
 }
 
-// powerSumsNaive computes g_j directly in O(t²).
-func (l *LUT) powerSumsNaive(tm ring.Modulus) []uint64 {
-	t := l.T
-	g := make([]uint64, t-1)
-	for k := uint64(1); k < t; k++ {
-		v := l.Table[k]
-		if v == 0 {
-			continue
+// powerSums returns g_j = Σ_{k≠0} LUT(k)·k^j for j = 0 … t−2: writing
+// k = γ^a for a generator γ, g_j = Σ_a u_a·(γ^j)^a is the cyclic DFT of
+// u_a = LUT(γ^a), of length n = t − 1 = m·2^s with m odd. Splitting
+// a = r + m·a' gives m transforms of length 2^s with root γ^m and a
+// twiddled combination,
+//
+//	g_j = Σ_{r<m} γ^{rj}·U_r[j mod 2^s],   U_r = DFT(u_r, u_{r+m}, u_{r+2m}, …),
+//
+// O(n log n + m·n) in all.
+func (l *LUT) powerSums(tm ring.Modulus) []uint64 {
+	n := l.T - 1
+	gamma := ring.PrimitiveRoot(l.T)
+	s := uint(bits.TrailingZeros64(n))
+	m, size := n>>s, uint64(1)<<s
+
+	sub := make([][]uint64, m)
+	for r := range sub {
+		sub[r] = make([]uint64, size)
+	}
+	k := uint64(1)
+	for a := uint64(0); a < size; a++ {
+		for r := range sub {
+			sub[r][a] = l.Table[k]
+			k = tm.Mul(k, gamma)
 		}
-		pw := uint64(1)
-		for j := uint64(0); j < t-1; j++ {
-			g[j] = tm.Add(g[j], tm.Mul(v, pw))
-			pw = tm.Mul(pw, k)
+	}
+	root := tm.Pow(gamma, m)
+	for _, u := range sub {
+		fftInPlace(u, root, tm)
+	}
+	if m == 1 {
+		return sub[0]
+	}
+	g := make([]uint64, n)
+	w := uint64(1) // γ^j
+	for j := range g {
+		// Horner in γ^j over r.
+		var acc uint64
+		for r := len(sub) - 1; r >= 0; r-- {
+			acc = tm.Add(tm.Mul(acc, w), sub[r][uint64(j)&(size-1)])
 		}
+		g[j] = acc
+		w = tm.Mul(w, gamma)
 	}
 	return g
-}
-
-// powerSumsFFT computes g_j with one cyclic DFT of length t-1 = 2^s over
-// Z_t: writing k = γ^a for a generator γ, g_j = Σ_a LUT(γ^a)·(γ^j)^a is
-// the DFT of u_a = LUT(γ^a) evaluated at ω = γ.
-func (l *LUT) powerSumsFFT(tm ring.Modulus) []uint64 {
-	t := l.T
-	n := t - 1 // power of two
-	gamma := ring.PrimitiveRoot(t)
-
-	u := make([]uint64, n)
-	k := uint64(1)
-	for a := uint64(0); a < n; a++ {
-		u[a] = l.Table[k]
-		k = tm.Mul(k, gamma)
-	}
-	fftInPlace(u, gamma, tm)
-	return u
 }
 
 // fftInPlace computes the length-n cyclic DFT X[j] = Σ_a x[a]·ω^{aj} over

@@ -61,27 +61,28 @@ func TestQuickLUTComposition(t *testing.T) {
 	}
 }
 
-// Property: the FFT interpolation path agrees with the naive one for any
-// table over a Fermat prime.
+// Property: the DFT power sums agree with the direct ones for any table,
+// over a Fermat prime and over one with an odd cofactor.
 func TestQuickFFTEquivalence(t *testing.T) {
-	const tq = 257
-	tm := ring.NewModulus(tq)
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 5))
-		l := &LUT{T: tq, Table: make([]uint64, tq)}
-		for k := range l.Table {
-			l.Table[k] = rng.Uint64N(tq)
-		}
-		fft := l.powerSumsFFT(tm)
-		naive := l.powerSumsNaive(tm)
-		for j := range naive {
-			if fft[j] != naive[j] {
-				return false
+	for _, tq := range []uint64{257, 97} {
+		tm := ring.NewModulus(tq)
+		f := func(seed uint64) bool {
+			rng := rand.New(rand.NewPCG(seed, 5))
+			l := &LUT{T: tq, Table: make([]uint64, tq)}
+			for k := range l.Table {
+				l.Table[k] = rng.Uint64N(tq)
 			}
+			fft := l.powerSums(tm)
+			naive := l.powerSumsNaive(tm)
+			for j := range naive {
+				if fft[j] != naive[j] {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Errorf("t=%d: %v", tq, err)
+		}
 	}
 }

@@ -17,3 +17,19 @@ func TestNTTZeroAllocs(t *testing.T) {
 		t.Fatalf("Inverse allocates %v times per run, want 0", n)
 	}
 }
+
+// The tile kernel runs once per limb, polynomial and group of every FBS
+// baby step, on buffers its caller owns.
+func TestMulSumTileZeroAllocs(t *testing.T) {
+	m := NewModulus(557057)
+	rows := [][]uint64{make([]uint64, 16), make([]uint64, 16), make([]uint64, 16)}
+	w := [][]uint64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
+	outs := [][]uint64{make([]uint64, 16), make([]uint64, 16), make([]uint64, 16)}
+	tile := make([]uint64, 16*len(rows))
+	if n := testing.AllocsPerRun(100, func() {
+		PackTile(rows, 0, 16, tile)
+		m.MulSumTile(tile, w, outs)
+	}); n != 0 {
+		t.Fatalf("PackTile + MulSumTile allocate %v times per run, want 0", n)
+	}
+}

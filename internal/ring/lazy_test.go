@@ -243,24 +243,25 @@ func TestVecKernelsMatchScalar(t *testing.T) {
 		m.MulShoupElemAddVec(raw, b, bs, out)
 		check("MulShoupElemAddVec", func(i int) uint64 { return m.Add(a[i], m.MulShoup(raw[i], b[i], bs[i])) })
 
-		rows := [][]uint64{raw, a, b}
+		rows := [][]uint64{a, b, a}
 		wsum := []uint64{a[2], b[3], q - 1} // extremes included
-		wsumS := make([]uint64, len(wsum))
-		m.ShoupPrecompVec(wsum, wsumS)
 		sumRef := func(i int) uint64 {
 			var s uint64
 			for k := range rows {
-				s = m.Add(s, m.MulShoup(rows[k][i], wsum[k], wsumS[k]))
+				s = m.Add(s, m.Mul(rows[k][i], wsum[k]))
 			}
 			return s
 		}
-		m.MulShoupSumVec(rows, wsum, wsumS, out)
-		check("MulShoupSumVec", sumRef)
+		// Packed at an offset, in tiles that do not divide the length.
+		tile := make([]uint64, 3*len(rows))
+		for j0 := 0; j0 < n; j0 += 3 {
+			cols := min(3, n-j0)
+			PackTile(rows, j0, cols, tile)
+			m.MulSumTile(tile, [][]uint64{wsum}, [][]uint64{out[j0 : j0+cols]})
+		}
+		check("MulSumTile", sumRef)
 
-		copy(out, b)
-		m.MulShoupSumAddVec(rows, wsum, wsumS, out)
-		check("MulShoupSumAddVec", func(i int) uint64 { return m.Add(b[i], sumRef(i)) })
-
+		rows[0] = raw
 		// MulSumVec takes unreduced rows and weights: the column sum is a
 		// full 128-bit value whose high word can exceed q.
 		wide := []uint64{a[2], ^uint64(0), 1}

@@ -283,56 +283,135 @@ func (m Modulus) MulShoupElemAddVec(a, b, bShoup, out []uint64) {
 	}
 }
 
-// MulShoupSumVec sets out[j] = Σ_k rows[k][j]·w[k] mod q, accumulating
-// every term of the sum in one pass over the output: the partial sum
-// rides in the lazy range [0, 2q) (each Shoup-lazy product lands in
-// [0, 2q), the running sum stays < 4q < 2^63 for q ≤ 2^61 and is folded
-// branchlessly), and only the final store reduces to canonical [0, q).
-// w[k] < q with companions wShoup[k]; rows may hold any uint64 values.
+// PackTile copies columns [j0, j0+cols) of rows into tile, column by
+// column: tile[j·K+k] = rows[k][j0+j] with K = len(rows). The rows of a
+// limb are separate 8·N-byte arrays, usually page-aligned, so the K
+// values of one column lie in K cache lines that compete for one cache
+// set; packed, they are one contiguous run that MulSumTile reads
+// front to back. Rows go eight at a time so that a column's words are
+// written a cache line at once.
 //
 //lint:noalloc
-//lint:domain w:<q -> out:<q
-func (m Modulus) MulShoupSumVec(rows [][]uint64, w, wShoup []uint64, out []uint64) {
-	q := m.Q
-	twoQ := q << 1
-	w = w[:len(rows)]
-	wShoup = wShoup[:len(rows)]
-	for j := range out {
-		var acc uint64
-		for k := range rows {
-			a := rows[k][j]
-			hi, _ := bits.Mul64(a, wShoup[k])
-			acc += a*w[k] - hi*q // in [0, 4q)
-			c := acc - twoQ
-			acc = c + (twoQ & uint64(int64(c)>>63)) // fold to [0, 2q)
+func PackTile(rows [][]uint64, j0, cols int, tile []uint64) {
+	kn := len(rows)
+	tile = tile[:cols*kn]
+	k := 0
+	for ; k+8 <= kn; k += 8 {
+		r0, r1, r2, r3 := rows[k][j0:j0+cols], rows[k+1][j0:j0+cols], rows[k+2][j0:j0+cols], rows[k+3][j0:j0+cols]
+		r4, r5, r6, r7 := rows[k+4][j0:j0+cols], rows[k+5][j0:j0+cols], rows[k+6][j0:j0+cols], rows[k+7][j0:j0+cols]
+		for j := range r0 {
+			d := tile[j*kn+k : j*kn+k+8 : j*kn+k+8]
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = r0[j], r1[j], r2[j], r3[j], r4[j], r5[j], r6[j], r7[j]
 		}
-		c := acc - q
-		out[j] = c + (q & uint64(int64(c)>>63))
+	}
+	for ; k < kn; k++ {
+		for j, v := range rows[k][j0 : j0+cols] {
+			tile[j*kn+k] = v
+		}
 	}
 }
 
-// MulShoupSumAddVec sets out[j] = out[j] + Σ_k rows[k][j]·w[k] mod q for
-// canonical out, with the same lazy accumulation as MulShoupSumVec.
+// SumTerms is ⌊2^128/q²⌋ (capped at 2^62): how many products of two
+// values below q a 128-bit accumulator that starts below q can add
+// without wrapping, since (q−1) + n·(q−1)² < n·q². It is 64 for a
+// 61-bit q, at least 256 below 2^60 and over 2^17 at 55 bits.
 //
 //lint:noalloc
-//lint:domain w:<q out:<q -> out:<q
-func (m Modulus) MulShoupSumAddVec(rows [][]uint64, w, wShoup []uint64, out []uint64) {
-	q := m.Q
-	twoQ := q << 1
-	w = w[:len(rows)]
-	wShoup = wShoup[:len(rows)]
-	for j := range out {
-		acc := out[j] // canonical, so already < 2q
-		for k := range rows {
-			a := rows[k][j]
-			hi, _ := bits.Mul64(a, wShoup[k])
-			acc += a*w[k] - hi*q // in [0, 4q)
-			c := acc - twoQ
-			acc = c + (twoQ & uint64(int64(c)>>63)) // fold to [0, 2q)
-		}
-		c := acc - q
-		out[j] = c + (q & uint64(int64(c)>>63))
+func (m Modulus) SumTerms() int {
+	// ⌊⌊2^128/q⌋/q⌋ = ⌊2^128/q²⌋; a quotient of 2^64 or more is capped.
+	if m.brcHi >= m.Q {
+		return 1 << 62
 	}
+	n, _ := bits.Div64(m.brcHi, m.brcLo, m.Q)
+	return int(min(n, 1<<62))
+}
+
+// MulSumTile sets outs[g][j] = Σ_k tile[j·K+k]·w[g][k] mod q for every
+// output g and column j < len(outs[g]), K = len(w[g]): the product of
+// the G × K weight matrix with a K × cols tile packed by PackTile. Each
+// column sum rides unreduced in a 128-bit accumulator and takes one
+// Barrett reduction at the store (MulSumVec's arithmetic); outputs go two
+// to a pass, which shares the tile loads and is as wide as the loop can
+// be with every accumulator in a register. Tile words and weights must be
+// below q. Term bound: the accumulator holds SumTerms() products; a
+// longer column is folded — reduced to its residue mid-sum — every
+// SumTerms() rows, so the result is exact for any K (256 rows at a
+// 61-bit q fold three times, at 55 bits never).
+//
+//lint:noalloc
+//lint:domain tile:<q w:<q -> outs:<q
+func (m Modulus) MulSumTile(tile []uint64, w, outs [][]uint64) {
+	if len(outs) == 0 {
+		return
+	}
+	kn := len(w[0])
+	fold := min(m.SumTerms(), max(kn, 1))
+	g := 0
+	for ; g+2 <= len(outs); g += 2 {
+		w0, w1, o0, o1 := w[g], w[g+1], outs[g], outs[g+1][:len(outs[g])]
+		for j := range o0 {
+			col := tile[j*kn : (j+1)*kn]
+			var h0, l0, h1, l1 uint64
+			for k0 := 0; k0 < kn; k0 += fold {
+				if k0 > 0 {
+					h0, l0, h1, l1 = 0, m.ReduceWide(h0, l0), 0, m.ReduceWide(h1, l1)
+				}
+				k1 := min(k0+fold, kn)
+				h0, l0, h1, l1 = mulSum2(col[k0:k1], w0[k0:k1], w1[k0:k1], h0, l0, h1, l1)
+			}
+			o0[j], o1[j] = m.ReduceWide(h0, l0), m.ReduceWide(h1, l1)
+		}
+	}
+	if g < len(outs) {
+		w0, o0 := w[g], outs[g]
+		for j := range o0 {
+			col := tile[j*kn : (j+1)*kn]
+			var h0, l0 uint64
+			for k0 := 0; k0 < kn; k0 += fold {
+				if k0 > 0 {
+					h0, l0 = 0, m.ReduceWide(h0, l0)
+				}
+				k1 := min(k0+fold, kn)
+				h0, l0 = mulSum1(col[k0:k1], w0[k0:k1], h0, l0)
+			}
+			o0[j] = m.ReduceWide(h0, l0)
+		}
+	}
+}
+
+// mulSum2 adds Σ_k c[k]·v0[k] and Σ_k c[k]·v1[k] to the 128-bit
+// accumulators (h0, l0) and (h1, l1). It stays out of line: inside
+// MulSumTile's loops the accumulators would be spilled every term.
+//
+//go:noinline
+//lint:noalloc
+func mulSum2(c, v0, v1 []uint64, h0, l0, h1, l1 uint64) (uint64, uint64, uint64, uint64) {
+	v0, v1 = v0[:len(c)], v1[:len(c)]
+	for k, a := range c {
+		var cy uint64
+		ph, pl := bits.Mul64(a, v0[k])
+		l0, cy = bits.Add64(l0, pl, 0)
+		h0, _ = bits.Add64(h0, ph, cy)
+		ph, pl = bits.Mul64(a, v1[k])
+		l1, cy = bits.Add64(l1, pl, 0)
+		h1, _ = bits.Add64(h1, ph, cy)
+	}
+	return h0, l0, h1, l1
+}
+
+// mulSum1 is mulSum2 for the last of an odd number of outputs.
+//
+//go:noinline
+//lint:noalloc
+func mulSum1(c, v []uint64, hi, lo uint64) (uint64, uint64) {
+	v = v[:len(c)]
+	for k, a := range c {
+		var cy uint64
+		ph, pl := bits.Mul64(a, v[k])
+		lo, cy = bits.Add64(lo, pl, 0)
+		hi, _ = bits.Add64(hi, ph, cy)
+	}
+	return hi, lo
 }
 
 // MulSumVec sets out[j] = Σ_k rows[k][j]·w[k] mod q: the whole dot
