@@ -1,20 +1,24 @@
 package compiler
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"athena/internal/coeffenc"
 	"athena/internal/core"
+	"athena/internal/fbs"
 	"athena/internal/qnn"
 )
 
 // TestTraceTracksEngine cross-validates the compiler against the real
 // software pipeline: for a small network executed under encryption at
-// test parameters, the trace's operation counts must track the engine's
-// actual counters (packs and S2C calls exactly; FBS CMults within the
-// BSGS rounding slack — the engine interpolates over all of Z_t while
-// the trace models the range-sized LUT).
+// test parameters, the trace's pack and S2C counts must equal the
+// engine's counters. The FBS CMult counts are two algorithms and are
+// checked each against its own arithmetic: the trace models the paper's
+// flat Alg. 2 on the layer's range-sized LUT (what internal/arch
+// simulates), the engine evaluates the full-t table on the split
+// internal/fbs chooses.
 func TestTraceTracksEngine(t *testing.T) {
 	p := core.TestParams()
 	e, err := core.NewEngine(p)
@@ -64,7 +68,6 @@ func TestTraceTracksEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var packs, s2c int
-	var cmult int64
 	for _, s := range tr.Steps {
 		switch s.Kind {
 		case KPack:
@@ -72,7 +75,13 @@ func TestTraceTracksEngine(t *testing.T) {
 		case KS2C:
 			s2c++
 		case KFBS:
-			cmult += s.Counts.CMult
+			// Alg. 2 on the step's LUT: bs − 1 baby powers, gs − 2 giant
+			// powers, gs − 1 block products.
+			bs := int64(math.Ceil(math.Sqrt(float64(s.LUTSize))))
+			gs := (int64(s.LUTSize) + bs - 1) / bs
+			if want := (bs - 1) + (gs - 2) + (gs - 1); s.Cat != CatSoftmax && s.Counts.CMult != want {
+				t.Fatalf("FBS step %q, LUT size %d: trace has %d CMult, Alg. 2 issues %d", s.Layer, s.LUTSize, s.Counts.CMult, want)
+			}
 		}
 	}
 	// The trace includes the softmax epilogue (2 extra pack/FBS/S2C
@@ -86,17 +95,26 @@ func TestTraceTracksEngine(t *testing.T) {
 	if s2c != e.Stats.S2CCalls {
 		t.Fatalf("S2C count: trace %d vs engine %d", s2c, e.Stats.S2CCalls)
 	}
-	// FBS CMults: trace models range-sized LUTs, the engine full-t
-	// tables; at t=257 and MaxAcc=120 both are ~45 per call. Allow 30%.
-	var softmaxCM int64
-	for _, s := range tr.Steps {
-		if s.Cat == CatSoftmax && s.Kind == KFBS {
-			softmaxCM += s.Counts.CMult
+	// The engine: every FBS call runs the plan of its layer's table; the
+	// tables here are dense, so every plan issues the same products.
+	fbsL, _ := p.Levels()
+	ctxF, err := e.Ctx.AtLevel(fbsL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCall := 0
+	for _, op := range net.Blocks[0].(qnn.QSeq)[:2] {
+		plan, err := fbs.NewEvaluator(ctxF, fbs.NewLUT(p.T, op.(*qnn.QConv).Remap))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if perCall != 0 && plan.CMults != perCall {
+			t.Fatalf("the layers' plans issue %d and %d CMult per call", perCall, plan.CMults)
+		}
+		perCall = plan.CMults
 	}
-	cmult -= softmaxCM
-	ratio := float64(cmult) / float64(e.Stats.CMult)
-	if ratio < 0.7 || ratio > 1.3 {
-		t.Fatalf("FBS CMult count: trace %d vs engine %d (ratio %.2f)", cmult, e.Stats.CMult, ratio)
+	if e.Stats.FBSCalls == 0 || e.Stats.CMult != e.Stats.FBSCalls*perCall {
+		t.Fatalf("FBS CMult count: engine %d, %d calls × %d per call = %d", e.Stats.CMult, e.Stats.FBSCalls, perCall, e.Stats.FBSCalls*perCall)
 	}
+	t.Logf("engine: %d FBS calls × %d CMult", e.Stats.FBSCalls, perCall)
 }

@@ -75,8 +75,9 @@ func (p Params) Levels() (fbsL, postL int) {
 
 // TestParams is a reduced—but fully functional—parameter set: every code
 // path of the full pipeline runs, with zero security margin. t = 257
-// (a Fermat prime like the paper's 65537) keeps FBS at 46 ciphertext
-// multiplications so integration tests finish quickly.
+// (a Fermat prime like the paper's 65537) keeps FBS at 37 ciphertext
+// multiplications (fbs's 13 × 5 × 4 split) so integration tests finish
+// quickly.
 func TestParams() Params {
 	return Params{
 		LogN:   7,

@@ -40,6 +40,10 @@ func benchEvaluate(b *testing.B, ctx *bfv.Context, ev *bfv.Evaluator, ct *bfv.Ci
 			b.Fatal(err)
 		}
 	}
+	// What the split buys: a finish is 1.31 ms and an extension 0.38 ms of
+	// a t = 12289 call, a product 0.15 ms.
+	b.ReportMetric(float64(fe.finishes), "finishes/op")
+	b.ReportMetric(float64(fe.extensions), "extensions/op")
 }
 
 func BenchmarkFBSEvaluateT257(b *testing.B) {
@@ -48,7 +52,7 @@ func BenchmarkFBSEvaluateT257(b *testing.B) {
 }
 
 // benchEvaluateT12289 is the single_t12289 workload's shape: N = 512,
-// nine of ten 55-bit limbs, bs = gs = 111.
+// nine of ten 55-bit limbs, split 86 × 16 × 9.
 func benchEvaluateT12289(b *testing.B, lut *LUT) {
 	full, enc, _, fullEv, cod := fbsKitBits(b, 9, 55, 10, 12289)
 	ctx, err := full.AtLevel(9)

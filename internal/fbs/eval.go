@@ -2,46 +2,61 @@ package fbs
 
 import (
 	"fmt"
-	"math"
 
 	"athena/internal/bfv"
 	"athena/internal/par"
 )
 
 // Evaluator is the compiled plan of one LUT: its interpolated polynomial,
-// the Alg. 2 Baby-Step Giant-Step split, and the operation counts of one
-// evaluation. It is immutable after NewEvaluator and safe for concurrent
-// use through EvaluateWith, each caller with its own Scratch; Evaluate
-// runs on a default scratch and is single-caller, like pack.Packer.Pack.
+// a three-digit Baby-Step Giant-Step split, and the operation counts of
+// one evaluation. It is immutable after NewEvaluator and safe for
+// concurrent use through EvaluateWith, each caller with its own Scratch;
+// Evaluate runs on a default scratch and is single-caller, like
+// pack.Packer.Pack.
 //
-// With y = x^bs the polynomial is Σ_a (Σ_b c_{a·bs+b}·x^b)·y^a. Powers
-// are built by balanced splitting so the multiplicative depth stays at
-// O(log t) (matching the 17-level CMult budget in Table 4). Every product
-// runs on bfv operands: a power is extended to the tensor basis once,
-// when it is produced, and only if a later product reads it (x^1 …
-// x^⌈bs/2⌉ and every y^a). The baby step is a matrix product: the inner
-// sums inner_a = Σ_{b≥1} c_{a·bs+b}·x^b are the gs × (bs−1) coefficient
-// matrix times the matrix whose rows are the baby powers, computed a
-// group of rows at a time (bfv.MulScalarSums). The giant-step sum
-// Σ_{a≥1} inner_a ⊗ y^a is accumulated unreduced in the tensor basis —
-// one partial sum per worker lane, added in lane order — and rescaled
-// and relinearized once. Both ladders run level-parallel: powers m+1 …
-// 2m read only 1 … m, so each doubling level fans out over the same
-// lanes, every power still one product finished once on whichever lane
-// computes it. The additions and the scalar sums are exact and a product
-// does not depend on its evaluator's scratch, so the result is
-// bit-identical at any GOMAXPROCS and for any grouping.
+// A coefficient index is b + bs·(a₁ + g₁·a₂). With y = x^bs and z = y^g₁
+// the polynomial is Σ_{a₂} mid_{a₂}·z^{a₂}, where the middle sum mid_{a₂}
+// = inner_{0,a₂} + Σ_{a₁≥1} inner_{a₁,a₂} ⊗ y^{a₁} and the inner sum
+// inner_{a₁,a₂} = Σ_b c_{b+bs·(a₁+g₁·a₂)}·x^b. Alg. 2 of the paper is the
+// case g₂ = 1 (one middle sum, no z); its FRU array makes a CMult cheap,
+// whereas here the rescale and relinearization that finish a product are
+// over half of a call, so a second giant level pays: the powers y² … y^g₁
+// and z² … z^(g₂−1) replace y² … y^(gs−1). The split is chosen once, by
+// chooseSplit: the least weighted count of finishes, extensions and
+// products (split.cost; the weights are constants so that a plan never
+// depends on the host) among the splits whose multiplicative depth is no
+// greater than the flat split's ⌈log₂ bs⌉ + ⌈log₂(gs−1)⌉ + 1 — the noise
+// budget of Table 4 is sized by depth — and whose accumulators hold no
+// more than the context's SumCapacity products, g₁ − 1 + g₂ − 1 at most.
+//
+// Every product runs on bfv operands: a power is extended to the tensor
+// basis once, when it is produced, and only if a later product reads it
+// (x^1 … x^⌈bs/2⌉, x^bs, every y and z). The baby step is a matrix
+// product: the inner sums are the gs × bs coefficient matrix times the
+// matrix whose rows are x^0 … x^(bs−1) — x^0 a constant ciphertext, so a
+// coefficient c_{a·bs} is a plaintext addition inside its inner sum —
+// computed a group of rows at a time (bfv.MulScalarSums). Every sum of
+// products is accumulated unreduced in the tensor basis and rescaled and
+// relinearized once: a middle sum on the lane that computes it, which
+// then extends it once and adds mid ⊗ z^{a₂} to the lane's part of the
+// final sum; the products of mid₀ go into the final sum directly, so mid₀
+// is never finished. The parts are added in lane order. The three ladders
+// run level-parallel: powers m+1 … 2m read only 1 … m, so each doubling
+// level fans out over the same lanes, every power one product finished
+// once on whichever lane computes it. The additions and the scalar sums
+// are exact and a product does not depend on its evaluator's scratch, so
+// the result is bit-identical at any GOMAXPROCS and for any grouping.
 type Evaluator struct {
 	ctx *bfv.Context
 	plan
-	// c0 is the constant term as a plaintext (the constant polynomial is
-	// the slot encoding of a constant vector); nil when it is zero.
-	c0 *bfv.Plaintext
 
 	// Operations one evaluation issues, fixed by the plan: CMults counts
 	// ciphertext × ciphertext products, SMults scalar products, HAdds
-	// ciphertext additions (those inside the extended basis included).
+	// additions — of ciphertexts (those inside the extended basis
+	// included) and of the constants c_{a·bs}.
 	CMults, SMults, HAdds int
+	// finishes and extensions count its FinishInto and ExtendInto calls.
+	finishes, extensions int
 
 	sc *Scratch // Evaluate's default scratch, built on first use
 }
@@ -52,13 +67,15 @@ type plan struct {
 	// coeffs is the gs × bs coefficient matrix, row a holding c_{a·bs} …
 	// c_{a·bs+bs−1} (zero past the polynomial's degree).
 	coeffs []uint64
-	bs, gs int
-	// blocks lists the giant steps a ≥ 1 whose inner sum has a term.
-	blocks []int
-	// The terms no product reads, as weight rows: head is c_1 … c_{bs−1}
-	// against x^1 … x^(bs−1) (giant step 0's inner sum), consts is c_{a·bs}
-	// against y^a for a ≥ 1; nil when the row is all zero.
-	head, consts []uint64
+	split
+	// mids[a₂] lists the giant steps a = a₁ + g₁·a₂ of middle sum a₂ whose
+	// row has a term, in the order a lane takes them: those with a₁ ≥ 1,
+	// ascending, then the step a₁ = 0, whose inner sum no product by y
+	// reads. mids[0] leaves that one out: it is the head.
+	mids [][]int
+	// head reports that row 0 has a term: inner_{0,0} is added to the
+	// result as it is.
+	head bool
 }
 
 // groupSize is how many giant steps a lane takes at a time: their inner
@@ -71,64 +88,97 @@ type plan struct {
 // +0.6 % allocated bytes per operation and eight +1.3 %.
 const groupSize = 4
 
-// NewEvaluator interpolates lut and prepares the evaluation plan. The
-// LUT modulus must equal the context's plaintext modulus.
+// NewEvaluator interpolates lut and prepares the evaluation plan on the
+// split chooseSplit picks for the context. The LUT modulus must equal the
+// context's plaintext modulus.
 func NewEvaluator(ctx *bfv.Context, lut *LUT) (*Evaluator, error) {
 	if lut.T != ctx.Params.T {
 		return nil, fmt.Errorf("fbs: LUT modulus %d != plaintext modulus %d", lut.T, ctx.Params.T)
 	}
-	t := int(lut.T)
-	bs := int(math.Ceil(math.Sqrt(float64(t))))
-	gs := (t + bs - 1) / bs
-	e := &Evaluator{ctx: ctx, plan: plan{coeffs: make([]uint64, gs*bs), bs: bs, gs: gs}}
-	copy(e.coeffs, lut.Interpolate())
-	if c := e.coeffs[0]; c != 0 {
-		e.c0 = ctx.NewPlaintext()
-		e.c0.Coeffs[0] = c
-		e.HAdds++
+	s, err := chooseSplit(int(lut.T), ctx.SumCapacity())
+	if err != nil {
+		return nil, err
 	}
-	// The two power ladders, then per giant step a ≥ 1 one block product
-	// (unless the block has no x^b term) and the scalar terms: n − 1 adds
-	// inside an n-term inner sum, one per term that lands on the result.
-	e.CMults = e.bs - 1 + max(e.gs-2, 0)
-	consts := make([]uint64, e.gs-1)
-	for a := 0; a < e.gs; a++ {
-		n := 0
-		for b := 1; b < e.bs; b++ {
-			if e.coeff(a, b) != 0 {
-				n++
-			}
-		}
-		e.SMults += n
-		if a == 0 {
-			e.HAdds += n
-			if n > 0 {
-				e.head = e.coeffs[1:e.bs]
-			}
-			continue
-		}
-		if n > 0 {
-			e.blocks = append(e.blocks, a)
-			e.HAdds += n - 1
-		}
-		if c := e.coeff(a, 0); c != 0 {
-			consts[a-1], e.consts = c, consts
-			e.SMults++
-			e.HAdds++
-		}
-	}
-	e.CMults += len(e.blocks)
-	e.HAdds += max(len(e.blocks)-1, 0)
-	return e, nil
+	return newEvaluator(ctx, lut, s), nil
 }
 
-// Steps reports the (babySteps, giantSteps) split.
-func (e *Evaluator) Steps() (int, int) { return e.bs, e.gs }
+// newEvaluator compiles lut on the split s.
+func newEvaluator(ctx *bfv.Context, lut *LUT, s split) *Evaluator {
+	e := &Evaluator{ctx: ctx, plan: plan{coeffs: make([]uint64, s.gs*s.bs), split: s, mids: make([][]int, s.g2)}}
+	copy(e.coeffs, lut.Interpolate())
+	// The ladders are built whole, each rung one product finished once.
+	e.CMults, e.extensions = s.ladders()
+	e.finishes = e.CMults
+	final := 0 // products in the final sum
+	for a2 := range e.mids {
+		first := a2 * s.g1
+		var rows []int
+		for a := first + 1; a < min(first+s.g1, s.gs); a++ {
+			if e.countRow(a) {
+				rows = append(rows, a)
+			}
+		}
+		// One extension and one product per inner sum a power of y meets.
+		products := len(rows)
+		e.CMults += products
+		e.extensions += products
+		direct := e.countRow(first)
+		if a2 == 0 {
+			// The products of mid₀ are terms of the final sum, its inner sum
+			// inner_{0,0} is the head.
+			e.mids[0], e.head = rows, direct
+			final += products
+			continue
+		}
+		if direct {
+			rows = append(rows, first)
+		}
+		if len(rows) == 0 {
+			continue
+		}
+		// The middle sum: its parts added up, finished if it holds a
+		// product, extended and multiplied by z^a₂.
+		e.mids[a2] = rows
+		e.HAdds += len(rows) - 1
+		if products > 0 {
+			e.finishes++
+		}
+		e.CMults++
+		e.extensions++
+		final++
+	}
+	// The result: the final sum, finished once, and the head.
+	parts := final
+	if final > 0 {
+		e.finishes++
+	}
+	if e.head {
+		parts++
+	}
+	e.HAdds += max(parts-1, 0)
+	return e
+}
 
-// coeff returns c_{a·bs+b}.
-//
-//lint:noalloc
-func (p *plan) coeff(a, b int) uint64 { return p.coeffs[a*p.bs+b] }
+// countRow adds the scalar products and the additions inside inner sum a
+// to the plan's counts and reports whether it has a term. The term
+// c_{a·bs} is a constant: an addition, not a scalar product.
+func (e *Evaluator) countRow(a int) bool {
+	n := 0
+	for b, c := range e.coeffs[a*e.bs : (a+1)*e.bs] {
+		if c != 0 {
+			n++
+			if b > 0 {
+				e.SMults++
+			}
+		}
+	}
+	e.HAdds += max(n-1, 0)
+	return n > 0
+}
+
+// Steps reports the (babySteps, giantSteps) split; the giant steps are
+// the digits a₁ + g₁·a₂ together.
+func (e *Evaluator) Steps() (int, int) { return e.bs, e.gs }
 
 // Scratch is the per-caller state of an evaluation: the power ladders as
 // ciphertexts and operands and the fan-out lanes with their partial sums
@@ -137,15 +187,16 @@ func (p *plan) coeff(a, b int) uint64 { return p.coeffs[a*p.bs+b] }
 // and split stay the same. Distinct Scratches over one
 // Evaluator may run concurrently; a single Scratch may not.
 type Scratch struct {
-	ctx    *bfv.Context
-	bs, gs int
+	ctx *bfv.Context
+	split
 
-	// powers[k] = x^k for k ≤ bs (powers[1] is the caller's input),
-	// giants[a] = y^a (giants[1] is powers[bs]); the Op slices hold the
-	// extensions, nil where no product reads the power.
-	powers, giants     []*bfv.Ciphertext
-	powerOps, giantOps []*bfv.Operand
-	tmp                *bfv.Ciphertext // a second run's finished sum
+	// powers[k] = x^k for k ≤ bs (powers[0] is the constant 1, the noiseless
+	// ciphertext (Δ, 0); powers[1] the caller's input), ys[k] = y^k for k ≤
+	// yTop (ys[1] is powers[bs]), zs[k] = z^k for k < g₂ (zs[1] is ys[g₁]);
+	// the Op slices hold the extensions, nil where no product reads the
+	// power.
+	powers, ys, zs       []*bfv.Ciphertext
+	powerOps, yOps, zOps []*bfv.Operand
 
 	errs []error
 
@@ -160,7 +211,7 @@ type Scratch struct {
 	}
 	step func(w, i int)
 
-	// Fan-out lanes of the ladder levels and the giant steps, keyed to the
+	// Fan-out lanes of the ladder levels and the middle sums, keyed to the
 	// evaluator passed to EvaluateWith and reused while it stays the same.
 	base  *bfv.Evaluator
 	lanes *par.Pool[*lane]
@@ -168,17 +219,21 @@ type Scratch struct {
 
 // lane is one worker of the fan-outs: a ShallowCopy'd evaluator (own
 // scratch arena, the packed tile and weights of the scalar sums in it)
-// and an accumulator — the one product of a ladder rung, then the lane's
-// partial sum of block products — plus, for the giant steps, the inner
-// sums of the group it is working on with their rows of the coefficient
-// matrix, and the operand each is extended into in turn. A lane is only
-// ever touched by the worker slot it belongs to.
+// and an accumulator — the one product of a ladder rung, then the
+// products of the middle sum the lane is working on — plus, for the
+// middle sums, the inner sums of the current group with their rows of the
+// coefficient matrix, the operand each inner sum and each middle sum is
+// extended into in turn, the finished products of a middle sum, and the
+// lane's part of the final sum. A lane is only ever touched by the worker
+// slot it belongs to.
 type lane struct {
-	ev   *bfv.Evaluator
-	sums [groupSize]*bfv.Ciphertext
-	ks   [groupSize][]uint64
-	op   *bfv.Operand
-	acc  *bfv.Accumulator
+	ev    *bfv.Evaluator
+	sums  [groupSize]*bfv.Ciphertext
+	ks    [groupSize][]uint64
+	op    *bfv.Operand
+	acc   *bfv.Accumulator
+	mid   *bfv.Ciphertext
+	final *bfv.Accumulator
 }
 
 // NewScratch returns evaluation state for one concurrent caller.
@@ -187,30 +242,29 @@ func NewScratch() *Scratch { return &Scratch{} }
 // fit sizes the scratch for e's context and split and binds its lanes to
 // ev.
 func (sc *Scratch) fit(e *Evaluator, ev *bfv.Evaluator) {
-	if sc.ctx != e.ctx || sc.bs != e.bs || sc.gs != e.gs {
-		ctx, bs, gs := e.ctx, e.bs, e.gs
-		*sc = Scratch{ctx: ctx, bs: bs, gs: gs}
-		sc.powers, sc.powerOps = make([]*bfv.Ciphertext, bs+1), make([]*bfv.Operand, bs+1)
-		sc.giants, sc.giantOps = make([]*bfv.Ciphertext, gs), make([]*bfv.Operand, gs)
-		for k := 2; k <= bs; k++ {
+	if sc.ctx != e.ctx || sc.split != e.split {
+		ctx, s := e.ctx, e.split
+		*sc = Scratch{ctx: ctx, split: s}
+		sc.powers, sc.powerOps = make([]*bfv.Ciphertext, s.bs+1), make([]*bfv.Operand, s.bs+1)
+		sc.powers[0] = ctx.NewCiphertext()
+		for i, limb := range sc.powers[0].C0.Coeffs {
+			// Δ·1 is a constant polynomial: Δ in every NTT slot.
+			for j := range limb {
+				limb[j] = ctx.DeltaQi[i]
+			}
+		}
+		for k := 2; k <= s.bs; k++ {
 			sc.powers[k] = ctx.NewCiphertext()
 		}
-		for k := 1; k <= (bs+1)/2; k++ {
+		for k := 1; k <= (s.bs+1)/2; k++ {
 			sc.powerOps[k] = ctx.NewOperand()
 		}
-		if gs > 1 {
-			if sc.powerOps[bs] == nil {
-				sc.powerOps[bs] = ctx.NewOperand()
-			}
-			sc.giants[1], sc.giantOps[1] = sc.powers[bs], sc.powerOps[bs]
+		sc.powerOps[s.bs] = ctx.NewOperand()
+		sc.ys, sc.yOps = newLadder(ctx, sc.powers[s.bs], sc.powerOps[s.bs], s.yTop())
+		if s.g2 > 1 {
+			sc.zs, sc.zOps = newLadder(ctx, sc.ys[s.g1], sc.yOps[s.g1], s.g2-1)
 		}
-		for a := 2; a < gs; a++ {
-			sc.giants[a], sc.giantOps[a] = ctx.NewCiphertext(), ctx.NewOperand()
-		}
-		if gs-1 > ctx.SumCapacity() {
-			sc.tmp = ctx.NewCiphertext()
-		}
-		sc.errs = make([]error, max(bs, gs))
+		sc.errs = make([]error, max(s.bs, s.g1, s.g2))
 		sc.step = func(w, i int) {
 			// Writes rung lo+i, errs[i] and the lane it is handed; the rungs
 			// it reads belong to earlier levels.
@@ -222,13 +276,24 @@ func (sc *Scratch) fit(e *Evaluator, ev *bfv.Evaluator) {
 		sc.base = ev
 		ctx := sc.ctx
 		sc.lanes = par.NewPool(func() *lane {
-			ln := &lane{ev: ev.ShallowCopy(), op: ctx.NewOperand(), acc: ctx.NewAccumulator()}
+			ln := &lane{ev: ev.ShallowCopy(), op: ctx.NewOperand(), acc: ctx.NewAccumulator(), mid: ctx.NewCiphertext(), final: ctx.NewAccumulator()}
 			for i := range ln.sums {
 				ln.sums[i] = ctx.NewCiphertext()
 			}
 			return ln
 		})
 	}
+}
+
+// newLadder allocates rungs 2 … top of a power ladder above the given
+// rung 1, every rung with its operand.
+func newLadder(ctx *bfv.Context, ct *bfv.Ciphertext, op *bfv.Operand, top int) ([]*bfv.Ciphertext, []*bfv.Operand) {
+	cts, ops := make([]*bfv.Ciphertext, top+1), make([]*bfv.Operand, top+1)
+	cts[1], ops[1] = ct, op
+	for k := 2; k <= top; k++ {
+		cts[k], ops[k] = ctx.NewCiphertext(), ctx.NewOperand()
+	}
+	return cts, ops
 }
 
 // Evaluate applies the LUT to every slot of ct: each slot value v becomes
@@ -249,11 +314,10 @@ func (e *Evaluator) Evaluate(ev *bfv.Evaluator, ct *bfv.Ciphertext) (*bfv.Cipher
 func (e *Evaluator) EvaluateWith(ev *bfv.Evaluator, sc *Scratch, ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	sc.fit(e, ev)
 	// A call that failed midway may have left products behind.
-	sc.lanes.Each(func(ln *lane) { ln.acc.Reset() })
-	acc := sc.lanes.Get(0).acc
+	sc.lanes.Each(func(ln *lane) { ln.acc.Reset(); ln.final.Reset() })
 
-	// Baby powers x^2 … x^bs, then giant powers y^2 … y^(gs−1) with y =
-	// x^bs, each the product of its two balanced halves.
+	// Baby powers x^2 … x^bs, then y^2 … y^yTop with y = x^bs and z^2 …
+	// z^(g₂−1) with z = y^g₁, each the product of its two balanced halves.
 	sc.powers[1] = ct
 	if err := ev.ExtendInto(ct, sc.powerOps[1]); err != nil {
 		return nil, err
@@ -261,75 +325,50 @@ func (e *Evaluator) EvaluateWith(ev *bfv.Evaluator, sc *Scratch, ct *bfv.Ciphert
 	if err := sc.ladder(sc.powers, sc.powerOps, e.bs); err != nil {
 		return nil, err
 	}
-	if err := sc.ladder(sc.giants, sc.giantOps, e.gs-1); err != nil {
+	if err := sc.ladder(sc.ys, sc.yOps, e.yTop()); err != nil {
+		return nil, err
+	}
+	if err := sc.ladder(sc.zs, sc.zOps, e.g2-1); err != nil {
 		return nil, err
 	}
 
-	// Σ_{a≥1} inner_a ⊗ y^a with inner_a = Σ_{b≥1} c_{a·bs+b}·x^b, over
-	// the giant steps that have an inner sum. A lane takes groupSize of
-	// them at a time — one matrix call for the inner sums, then one
-	// extension and one tensor product each — and adds them into its own
-	// accumulator; the partial sums are added in lane order and finished
-	// once per run of at most SumCapacity products (one run at every
-	// shipped parameter shape).
+	// Σ_{a₂} mid_{a₂}·z^{a₂}, a lane a middle sum at a time: the products
+	// of every lane's middle sums by their powers of z, and those of mid₀
+	// by the powers of y, are one sum — a part per lane, added in lane
+	// order and finished once (split.terms products at most, which the
+	// chooser held to the capacity).
+	plan, errs, lanes := &e.plan, sc.errs[:e.g2], sc.lanes
+	powers, yOps, zOps := sc.powers[:e.bs], sc.yOps, sc.zOps
+	par.ForEach(e.g2, par.Options{MinGrain: 1}, func(w, i int) {
+		// Writes only the lane it is handed; the plan and the power ladders
+		// it reads are not written during the fan-out.
+		errs[i] = plan.midProduct(lanes.Get(w), powers, yOps, zOps, i)
+	})
+	err := par.FirstErr(errs)
+	ln := lanes.Get(0)
+	lanes.Each(func(part *lane) {
+		if part != ln && err == nil {
+			err = ev.AddAccumulator(part.final, ln.final)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := e.ctx.NewCiphertext()
-	plan, powers, giantOps, lanes := &e.plan, sc.powers, sc.giantOps, sc.lanes
-	for blocks, out := e.blocks, res; len(blocks) > 0; out = sc.tmp {
-		run := blocks[:min(len(blocks), e.ctx.SumCapacity())]
-		n := (len(run) + groupSize - 1) / groupSize
-		errs := sc.errs[:n]
-		par.ForEach(n, par.Options{MinGrain: 1}, func(w, i int) {
-			// Writes only the lane it is handed; the plan and the power
-			// ladders it reads are not written during the fan-out.
-			group := run[i*groupSize : min((i+1)*groupSize, len(run))]
-			errs[i] = plan.groupProducts(lanes.Get(w), powers, giantOps, group)
-		})
-		err := par.FirstErr(errs)
-		lanes.Each(func(ln *lane) {
-			if ln.acc != acc && err == nil {
-				err = ev.AddAccumulator(ln.acc, acc)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := ev.FinishInto(acc, out); err != nil {
-			return nil, err
-		}
-		if out != res {
-			ev.AddInPlace(res, out)
-		}
-		blocks = blocks[len(run):]
-	}
-
-	// The terms no product reads, two more scalar sums, then c_0.
-	if e.head != nil {
-		if err := lanes.Get(0).addScalarSum(ev, sc.powers[1:e.bs], e.head, res); err != nil {
+	if ln.final.Terms() > 0 {
+		if err := ev.FinishInto(ln.final, res); err != nil {
 			return nil, err
 		}
 	}
-	if e.consts != nil {
-		if err := lanes.Get(0).addScalarSum(ev, sc.giants[1:], e.consts, res); err != nil {
+	// inner_{0,0}, which no product reads: one more scalar sum.
+	if e.head {
+		ln.ks[0] = e.coeffs[:e.bs]
+		if err := ln.ev.MulScalarSums(powers, ln.ks[:1], ln.sums[:1]); err != nil {
 			return nil, err
 		}
-	}
-	if e.c0 != nil {
-		ev.AddPlainInPlace(res, e.c0)
+		ev.AddInPlace(res, ln.sums[0])
 	}
 	return res, nil
-}
-
-// addScalarSum sets res += Σ_k ks[k]·cts[k] through the lane's first
-// inner sum.
-//
-//lint:noalloc
-func (ln *lane) addScalarSum(ev *bfv.Evaluator, cts []*bfv.Ciphertext, ks []uint64, res *bfv.Ciphertext) error {
-	ln.ks[0] = ks
-	if err := ln.ev.MulScalarSums(cts, ln.ks[:1], ln.sums[:1]); err != nil {
-		return err
-	}
-	ev.AddInPlace(res, ln.sums[0])
-	return nil
 }
 
 // ladder fills rungs 2 … top of a power ladder whose rung 1 is in place.
@@ -366,27 +405,62 @@ func ladderStep(ev *bfv.Evaluator, acc *bfv.Accumulator, cts []*bfv.Ciphertext, 
 	return ev.ExtendInto(cts[k], ops[k])
 }
 
-// groupProducts adds inner_a ⊗ y^a to the lane's partial sum for every
-// giant step a of group (at most groupSize, each with an inner sum): the
-// inner sums are rows a of the coefficient matrix times the baby powers,
-// one MulScalarSums call.
+// midProduct adds mid_{a₂} ⊗ z^{a₂} to the lane's part of the final sum
+// or, for a₂ = 0, the products of mid₀ themselves. The giant steps of the
+// middle sum are taken groupSize at a time: their inner sums are rows a
+// of the coefficient matrix times the baby powers, one MulScalarSums
+// call, then each but the step a₁ = 0 is extended and multiplied by
+// y^{a₁}. That step comes last, so its inner sum is still in the lane
+// when the products are finished and is where the middle sum is put
+// together.
 //
 //lint:noalloc
-func (p *plan) groupProducts(ln *lane, powers []*bfv.Ciphertext, giantOps []*bfv.Operand, group []int) error {
-	for i, a := range group {
-		ln.ks[i] = p.coeffs[a*p.bs+1 : (a+1)*p.bs]
+func (p *plan) midProduct(ln *lane, powers []*bfv.Ciphertext, yOps, zOps []*bfv.Operand, a2 int) error {
+	rows, first, acc := p.mids[a2], a2*p.g1, ln.acc
+	if len(rows) == 0 {
+		return nil
 	}
-	sums := ln.sums[:len(group)]
-	if err := ln.ev.MulScalarSums(powers[1:p.bs], ln.ks[:len(group)], sums); err != nil {
+	if a2 == 0 {
+		acc = ln.final
+	}
+	for lo := 0; lo < len(rows); lo += groupSize {
+		group := rows[lo:min(lo+groupSize, len(rows))]
+		for i, a := range group {
+			ln.ks[i] = p.coeffs[a*p.bs : (a+1)*p.bs]
+		}
+		sums := ln.sums[:len(group)]
+		if err := ln.ev.MulScalarSums(powers, ln.ks[:len(group)], sums); err != nil {
+			return err
+		}
+		for i, a := range group {
+			if a == first {
+				continue
+			}
+			if err := ln.ev.ExtendInto(sums[i], ln.op); err != nil {
+				return err
+			}
+			if err := ln.ev.Accumulate(ln.op, yOps[a-first], acc); err != nil {
+				return err
+			}
+		}
+	}
+	if a2 == 0 {
+		return nil
+	}
+	mid := ln.mid
+	if last := len(rows) - 1; rows[last] == first {
+		mid = ln.sums[last%groupSize]
+	}
+	if acc.Terms() > 0 {
+		if err := ln.ev.FinishInto(acc, ln.mid); err != nil {
+			return err
+		}
+		if mid != ln.mid {
+			ln.ev.AddInPlace(mid, ln.mid)
+		}
+	}
+	if err := ln.ev.ExtendInto(mid, ln.op); err != nil {
 		return err
 	}
-	for i, a := range group {
-		if err := ln.ev.ExtendInto(sums[i], ln.op); err != nil {
-			return err
-		}
-		if err := ln.ev.Accumulate(ln.op, giantOps[a], ln.acc); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ln.ev.Accumulate(ln.op, zOps[a2], ln.final)
 }

@@ -3,7 +3,7 @@
 // fused activation + requantization ("remapping") table — is interpolated
 // into the degree-(t-1) polynomial of Eq. 3 and evaluated homomorphically
 // over slot-encoded ciphertexts with the Baby-Step Giant-Step
-// (Paterson-Stockmeyer) schedule of Alg. 2.
+// (Paterson-Stockmeyer) schedule of Alg. 2, taken to two giant levels.
 //
 // The multiplicative group Z_t^* is cyclic, so the interpolation sums
 // Σ_k LUT(k)·k^j are one DFT of length t − 1 over Z_t. For the
@@ -15,8 +15,9 @@
 // An Evaluator is the compiled, immutable plan of one table; what an
 // evaluation writes lives in a Scratch the caller owns (EvaluateWith), so
 // one plan serves any number of goroutines. The evaluation runs in bfv's
-// extended basis: every power is extended once, and the giant-step sum
-// of products is rescaled and relinearized once (eval.go).
+// extended basis on a split chosen by cost (split.go): every power is
+// extended once, and every sum of products — a middle sum, the final sum
+// — is rescaled and relinearized once (eval.go).
 package fbs
 
 import (

@@ -16,9 +16,11 @@ import (
 	"athena/internal/bfv"
 )
 
-// updateGolden rewrites testdata/evaluate_t257.sha256. The checked-in
-// digest was generated with the serial ladder; regenerate it only for a
-// change that is meant to alter FBS output bytes.
+// updateGolden rewrites testdata/evaluate_t257.sha256: the digest of one
+// FBS output on the 13 × 5 × 4 split the chooser picks there. Regenerate
+// it only for a change that is meant to alter FBS output bytes (a new
+// split, a new order of roundings); a change of schedule must leave it
+// passing.
 var updateGolden = flag.Bool("update", false, "rewrite the golden FBS output digest")
 
 // serializeCT flattens a ciphertext's coefficient words for bit-identity
@@ -45,13 +47,13 @@ func serializeCT(t *testing.T, ct *bfv.Ciphertext) []byte {
 
 // TestEvaluateBitIdenticalAcrossGOMAXPROCS pins the determinism contract
 // of the parallel schedule — the level-parallel power ladders and the
-// giant-step fan-out: the output ciphertext is bit-identical at every
-// worker count, and its digest is the one checked in under testdata,
-// which was generated at the parent of the level-parallel ladder (every
-// power computed in order on one evaluator). So the test pins identity
-// with the serial ladder, not only identity across worker counts. t = 257
-// gives ladder levels that do not split evenly: baby powers in levels of
-// 1, 2, 4, 8, 1 and giant powers in levels of 1, 2, 4, 7.
+// fan-out over the middle sums: the output ciphertext is bit-identical at
+// every worker count, and its digest is the one checked in under
+// testdata, so the test pins the bytes across changes of schedule, not
+// only identity across worker counts. t = 257 on the split 13 × 5 × 4
+// gives ladder levels that do not split evenly — baby powers in levels of
+// 1, 2, 4, 5, y powers in levels of 1, 2, 1, z powers in levels of 1, 1 —
+// and four middle sums of five rows, a group of four and a group of one.
 func TestEvaluateBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	ctx, enc, _, ev, cod := fbsKit(t, 5, 4, 257)
 	lut := NewLUT(257, func(x int64) int64 {
