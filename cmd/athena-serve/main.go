@@ -46,7 +46,7 @@ func main() {
 	executors := flag.Int("executors", 2, "concurrent batch evaluators")
 	memCap := flag.Int64("mem-cap", 0, "session key-material cap in bytes (0 = 1 GiB)")
 	dataDir := flag.String("data-dir", "", "durable session store directory: uploads survive restarts, evicted sessions reload from disk (empty = memory-only)")
-	diskCap := flag.Int64("disk-cap", 0, "on-disk session store cap in bytes; coldest entries evicted under pressure (0 = unbounded)")
+	diskCap := flag.Int64("disk-cap", 0, "on-disk session store cap in bytes; unowned, then coldest sessions are evicted under pressure (0 = unbounded)")
 	flag.Parse()
 
 	params := core.TestParams()
@@ -95,15 +95,8 @@ func main() {
 	}
 	if *dataDir != "" {
 		rec := srv.Recovery()
-		fmt.Printf("session store %s: recovered %d sessions (%d segments, %d WAL records",
-			*dataDir, rec.Entries, rec.Segments, rec.WALRecords)
-		if rec.WALDroppedBytes > 0 {
-			fmt.Printf(", dropped %d-byte torn tail", rec.WALDroppedBytes)
-		}
-		if rec.Quarantined > 0 {
-			fmt.Printf(", quarantined %d corrupt segments", rec.Quarantined)
-		}
-		fmt.Println(")")
+		fmt.Printf("session store %s: recovered %d sessions, removed %d partial uploads, quarantined %d\n",
+			*dataDir, rec.Entries, rec.PartialRemoved, rec.Quarantined)
 	}
 
 	if *admin != "" {

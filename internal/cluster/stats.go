@@ -67,7 +67,7 @@ func GatherClusterStats(m *Membership, rs *RouterStats, timeout time.Duration) C
 		} else {
 			st.Reachable = true
 			st.Snapshot = r.snap
-			mergeSnapshot(&out.Snapshot, r.snap)
+			out.Snapshot.Add(r.snap)
 		}
 		rows[r.i] = st
 	}
@@ -101,78 +101,6 @@ func fetchNodeSnapshot(addr string, timeout time.Duration) (*serve.Snapshot, err
 		return nil, fmt.Errorf("cluster: undecodable stats reply: %w", err)
 	}
 	return &snap, nil
-}
-
-// mergeSnapshot adds src's counters into dst, recomputing the derived
-// fields (mean batch size) from the summed totals.
-func mergeSnapshot(dst, src *serve.Snapshot) {
-	dst.Requests.Accepted += src.Requests.Accepted
-	dst.Requests.Completed += src.Requests.Completed
-	dst.Requests.RejectedBusy += src.Requests.RejectedBusy
-	dst.Requests.RateLimited += src.Requests.RateLimited
-	dst.Requests.DeadlineExpired += src.Requests.DeadlineExpired
-	dst.Requests.Failed += src.Requests.Failed
-	dst.Connections += src.Connections
-	dst.QueueDepth += src.QueueDepth
-	dst.InflightBatches += src.InflightBatches
-	dst.Batches += src.Batches
-	dst.Images += src.Images
-	if dst.Batches > 0 {
-		dst.MeanBatchSize = float64(dst.Images) / float64(dst.Batches)
-	}
-	mergeHist(dst, src)
-	dst.EvalTimeMS += src.EvalTimeMS
-
-	dst.Ops.Add(src.Ops)
-
-	dst.Sessions.Count += src.Sessions.Count
-	dst.Sessions.Bytes += src.Sessions.Bytes
-	dst.Sessions.CapBytes += src.Sessions.CapBytes
-	dst.Sessions.Evictions += src.Sessions.Evictions
-	dst.Sessions.Opened += src.Sessions.Opened
-	dst.Sessions.HotHits += src.Sessions.HotHits
-	dst.Sessions.ColdLoads += src.Sessions.ColdLoads
-	dst.Sessions.Misses += src.Sessions.Misses
-
-	if src.Store != nil {
-		if dst.Store == nil {
-			dst.Store = &serve.StoreSnapshot{}
-		}
-		dst.Store.Entries += src.Store.Entries
-		dst.Store.MemBytes += src.Store.MemBytes
-		dst.Store.WALBytes += src.Store.WALBytes
-		dst.Store.DiskBytes += src.Store.DiskBytes
-		dst.Store.Segments += src.Store.Segments
-		dst.Store.Puts += src.Store.Puts
-		dst.Store.Loads += src.Store.Loads
-		dst.Store.Spills += src.Store.Spills
-		dst.Store.Compactions += src.Store.Compactions
-		dst.Store.Evictions += src.Store.Evictions
-		dst.Store.RecoveredEntries += src.Store.RecoveredEntries
-		dst.Store.WALDroppedBytes += src.Store.WALDroppedBytes
-		dst.Store.QuarantinedSegments += src.Store.QuarantinedSegments
-	}
-}
-
-// mergeHist adds src's batch-size histogram into dst's. Buckets come
-// from the same server code, so shapes match; a mismatch (mixed
-// versions) keeps dst's shape and drops what cannot be aligned.
-func mergeHist(dst, src *serve.Snapshot) {
-	if len(dst.BatchSizeHist) == 0 {
-		dst.BatchSizeHist = append([]serve.BatchBucket(nil), src.BatchSizeHist...)
-		return
-	}
-	if len(dst.BatchSizeHist) != len(src.BatchSizeHist) {
-		return
-	}
-	for i := range dst.BatchSizeHist {
-		if dst.BatchSizeHist[i].LE != src.BatchSizeHist[i].LE {
-			return
-		}
-	}
-	for i := range dst.BatchSizeHist {
-		dst.BatchSizeHist[i].Count += src.BatchSizeHist[i].Count
-	}
 }
 
 // aggregateStatsJSON is the router's FrameStats answer: the aggregated

@@ -111,8 +111,8 @@ func (c *EvalKeyCodec) ReadEvalKeys(r io.Reader) (*EvalKeys, error) {
 // of materializing a second full copy in memory.
 const evalKeyChunk = 1 << 20
 
-// ReadEvalKeysAt decodes a bundle from random-access storage (a spilled
-// segment entry, a mapped file) in bounded chunks. The decoder pulls
+// ReadEvalKeysAt decodes a bundle from random-access storage (a stored
+// object's file) in bounded chunks. The decoder pulls
 // sections on demand, so the bundle never lives twice in memory, and a
 // read that fails with no progress is retried once at the same offset
 // before the error propagates — a partial read simply resumes at the

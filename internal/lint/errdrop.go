@@ -33,7 +33,7 @@ func (*ErrDrop) Doc() string {
 // errdropTier reports whether the package at module-relative path rel
 // is under the pass's contract: the engine, serving, cluster, and
 // durable-store tiers, where a dropped error is a dropped frame, a
-// stale route, or a silently-unsynced WAL.
+// stale route, or a silently unsynced file.
 func errdropTier(rel string) bool {
 	for _, root := range []string{"internal/core", "internal/serve", "internal/cluster", "internal/store"} {
 		if rel == root || strings.HasPrefix(rel, root+"/") {

@@ -57,10 +57,11 @@ func NewPanicFreeWire() *PanicFreeWire {
 		{Pkg: "internal/core", File: "evalkeys.go", Prefixes: rw},
 		{Pkg: "internal/serve", File: "proto.go", Prefixes: []string{"Read", "read", "Decode"}},
 		{Pkg: "internal/serve/client", File: "client.go", Prefixes: []string{"Read", "read", "Decode", "decode"}},
-		// The durable tier decodes attacker-controlled bytes after a
-		// crash: the WAL replay path and the segment open/read path.
-		{Pkg: "internal/store", File: "wal.go", Prefixes: []string{"replay", "read"}},
-		{Pkg: "internal/store", File: "segment.go", Prefixes: []string{"open", "read"}},
+		// The durable tier meets bytes it did not write after a crash or
+		// a rotted disk: the file names of the directory walk in Open, and
+		// the object Load opens and Verify hashes.
+		{Pkg: "internal/store", File: "store.go", Prefixes: []string{"Open", "Load", "validID"}},
+		{Pkg: "internal/store", File: "blob.go", Prefixes: []string{"Verify", "ReadAt"}},
 		// The cluster router relays frames between untrusted clients and
 		// backend nodes: both socket directions are wire entry points, as
 		// is the stats aggregator's per-node fetch.

@@ -106,7 +106,8 @@ func int64sEqual(a, b []int64) bool {
 // TestCrashRecoverySIGKILL is the hard half of the persistence gate: a
 // real athena-serve process is SIGKILLed with an upload torn mid-frame
 // on one connection and encrypted batches in flight on another, then
-// restarted on the same data dir. Every acked session must serve
+// restarted on the same data dir, in which a torn temp file and a
+// truncated object have been planted. Every acked session must serve
 // without re-upload; the torn upload must not exist. Gated on
 // ATHENA_SERVE_BIN (CI builds the binary; locally: make crash-test).
 func TestCrashRecoverySIGKILL(t *testing.T) {
@@ -174,15 +175,17 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	proc.Wait()
 	c1.Close()
 
-	// Simulate the torn tail a power cut leaves: junk after the last
-	// intact WAL record.
-	wal := filepath.Join(dir, "wal.log")
-	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
+	// What a power cut can leave beside the acked object: the temp file
+	// of an upload that never finished, and — the disk at fault, not the
+	// protocol — a truncated file under the torn upload's would-be name.
+	tornBlob := bytes.Repeat([]byte{0xAA}, 4096)
+	tornID := serve.SessionID(tornBlob)
+	if err := os.WriteFile(filepath.Join(dir, tornID+".tmp-123"), tornBlob[:1000], 0o600); err != nil {
 		t.Fatal(err)
 	}
-	f.Write([]byte{0x31, 0x4c, 0x57})
-	f.Close()
+	if err := os.WriteFile(filepath.Join(dir, tornID), tornBlob[:1000], 0o600); err != nil {
+		t.Fatal(err)
+	}
 
 	// Restart on the same data dir.
 	addr2 := freeAddr(t)
@@ -212,8 +215,11 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c3.Close()
-	if err := c3.Attach(serve.SessionID(bytes.Repeat([]byte{0xAA}, 4096))); err == nil {
+	if err := c3.Attach(tornID); err == nil {
 		t.Fatal("torn upload visible after restart")
+	}
+	if _, err := os.Stat(filepath.Join(dir, tornID+".tmp-123")); !os.IsNotExist(err) {
+		t.Fatalf("torn upload's temp file survived the restart: %v", err)
 	}
 	snap, err := c2.Stats()
 	if err != nil {
@@ -263,4 +269,93 @@ func startServeProc(t *testing.T, bin, addr, dir string) *exec.Cmd {
 	}
 	t.Fatalf("server at %s never came up", addr)
 	return nil
+}
+
+// TestRottedBundleHeals: one flipped byte in a stored bundle is caught
+// before any decoder sees it, the file is set aside, the attach answers
+// SESSION_NOT_FOUND, the reliable client re-uploads once and the fresh
+// copy serves — now and after another restart, where the quarantined
+// file is counted and never read.
+func TestRottedBundleHeals(t *testing.T) {
+	eng := itEngine(t)
+	model := serve.DemoNet()
+	dir := t.TempDir()
+
+	srv1, addr1 := startServer(t, serve.Config{MaxWait: 5 * time.Millisecond, DataDir: dir})
+	c1, err := client.Dial(addr1, eng, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c1.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.Close()
+	srv1.Shutdown()
+
+	object := filepath.Join(dir, id)
+	good, err := os.ReadFile(object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotted := append([]byte(nil), good...)
+	rotted[len(rotted)/2] ^= 0x01
+	if err := os.WriteFile(object, rotted, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, addr2 := startServer(t, serve.Config{MaxWait: 5 * time.Millisecond, DataDir: dir})
+	rc, err := client.DialReliable(addr2, eng, client.ReliableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if err := rc.Attach(id); err != nil {
+		t.Fatalf("attach over a rotted bundle: %v", err)
+	}
+	if _, _, _, reuploads := rc.Counters(); reuploads != 1 {
+		t.Fatalf("%d re-uploads, want exactly 1", reuploads)
+	}
+	x := serve.DemoInput(44)
+	got, err := rc.Infer(model, x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !int64sEqual(got, model.ForwardInt(x).Data) {
+		t.Fatal("inference on the healed session wrong")
+	}
+	snap := srv2.Metrics()
+	if snap.Store == nil || snap.Store.Quarantined != 1 || snap.Store.Entries != 1 || snap.Store.Puts != 1 {
+		t.Fatalf("store after healing: %+v", snap.Store)
+	}
+	if snap.Sessions.ColdLoads != 0 {
+		t.Fatalf("cold_loads=%d: the rotted bundle was served", snap.Sessions.ColdLoads)
+	}
+	if set, err := os.ReadFile(object + ".corrupt"); err != nil || !bytes.Equal(set, rotted) {
+		t.Fatalf("rotted bytes not kept as %s.corrupt: %v", id, err)
+	}
+	if healed, err := os.ReadFile(object); err != nil || !bytes.Equal(healed, good) {
+		t.Fatalf("healed object does not hold the uploaded bytes: %v", err)
+	}
+	rc.Close()
+	srv2.Shutdown()
+
+	srv3, addr3 := startServer(t, serve.Config{MaxWait: 5 * time.Millisecond, DataDir: dir})
+	if rec := srv3.Recovery(); rec.Entries != 1 || rec.Quarantined != 1 || rec.PartialRemoved != 0 {
+		t.Fatalf("recovery after healing: %+v", rec)
+	}
+	c3, err := client.Dial(addr3, eng, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	if err := c3.Attach(id); err != nil {
+		t.Fatalf("attach to the healed session after restart: %v", err)
+	}
+	if err := c3.Attach(id + ".corrupt"); err == nil {
+		t.Fatal("the quarantined file attached")
+	}
+	if snap := srv3.Metrics(); snap.Sessions.ColdLoads != 1 {
+		t.Fatalf("cold_loads=%d want 1", snap.Sessions.ColdLoads)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"athena/internal/core"
+	"athena/internal/store"
 )
 
 // batchHistBuckets are the inclusive upper bounds of the batch-size
@@ -128,28 +129,64 @@ type Snapshot struct {
 	} `json:"sessions"`
 
 	// Store is the durable session tier (nil when running memory-only).
-	Store *StoreSnapshot `json:"store,omitempty"`
+	Store *store.Stats `json:"store,omitempty"`
 }
 
-// StoreSnapshot is the /metrics view of the durable tier: occupancy,
-// lifetime put/load/spill/compaction/eviction counters, and what the
-// last recovery found.
-type StoreSnapshot struct {
-	Entries   int   `json:"entries"`
-	MemBytes  int64 `json:"mem_bytes"`
-	WALBytes  int64 `json:"wal_bytes"`
-	DiskBytes int64 `json:"disk_bytes"`
-	Segments  int   `json:"segments"`
+// Add sums src's counters into s and recomputes the derived mean batch
+// size: the cluster document is the nodes' documents added up. Every
+// counter of the struct above belongs here, so the router cannot forget
+// one. Histograms come from the same server code and have one shape; a
+// mismatch (mixed versions) keeps s's shape and drops src's buckets.
+func (s *Snapshot) Add(src *Snapshot) {
+	s.Requests.Accepted += src.Requests.Accepted
+	s.Requests.Completed += src.Requests.Completed
+	s.Requests.RejectedBusy += src.Requests.RejectedBusy
+	s.Requests.RateLimited += src.Requests.RateLimited
+	s.Requests.DeadlineExpired += src.Requests.DeadlineExpired
+	s.Requests.Failed += src.Requests.Failed
+	s.Connections += src.Connections
+	s.QueueDepth += src.QueueDepth
+	s.InflightBatches += src.InflightBatches
+	s.Batches += src.Batches
+	s.Images += src.Images
+	if s.Batches > 0 {
+		s.MeanBatchSize = float64(s.Images) / float64(s.Batches)
+	}
+	if len(s.BatchSizeHist) == 0 {
+		s.BatchSizeHist = append([]BatchBucket(nil), src.BatchSizeHist...)
+	} else if sameBuckets(s.BatchSizeHist, src.BatchSizeHist) {
+		for i := range s.BatchSizeHist {
+			s.BatchSizeHist[i].Count += src.BatchSizeHist[i].Count
+		}
+	}
+	s.EvalTimeMS += src.EvalTimeMS
+	s.Ops.Add(src.Ops)
+	s.Sessions.Count += src.Sessions.Count
+	s.Sessions.Bytes += src.Sessions.Bytes
+	s.Sessions.CapBytes += src.Sessions.CapBytes
+	s.Sessions.Evictions += src.Sessions.Evictions
+	s.Sessions.Opened += src.Sessions.Opened
+	s.Sessions.HotHits += src.Sessions.HotHits
+	s.Sessions.ColdLoads += src.Sessions.ColdLoads
+	s.Sessions.Misses += src.Sessions.Misses
+	if src.Store != nil {
+		if s.Store == nil {
+			s.Store = &store.Stats{}
+		}
+		s.Store.Add(*src.Store)
+	}
+}
 
-	Puts        uint64 `json:"puts"`
-	Loads       uint64 `json:"loads"`
-	Spills      uint64 `json:"spills"`
-	Compactions uint64 `json:"compactions"`
-	Evictions   uint64 `json:"evictions"`
-
-	RecoveredEntries    int   `json:"recovered_entries"`
-	WALDroppedBytes     int64 `json:"wal_dropped_bytes"`
-	QuarantinedSegments int   `json:"quarantined_segments"`
+func sameBuckets(a, b []BatchBucket) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].LE != b[i].LE {
+			return false
+		}
+	}
+	return true
 }
 
 // Snapshot assembles the current metrics document. reg and b may be nil
@@ -189,21 +226,7 @@ func (m *Metrics) Snapshot(reg *Registry, b *Batcher) Snapshot {
 		s.Sessions.Count, s.Sessions.Bytes, s.Sessions.CapBytes, s.Sessions.Evictions = reg.Stats()
 		s.Sessions.HotHits, s.Sessions.ColdLoads, s.Sessions.Misses = reg.TierStats()
 		if st, ok := reg.StoreStats(); ok {
-			s.Store = &StoreSnapshot{
-				Entries:             st.Entries,
-				MemBytes:            st.MemBytes,
-				WALBytes:            st.WALBytes,
-				DiskBytes:           st.DiskBytes,
-				Segments:            st.Segments,
-				Puts:                st.Puts,
-				Loads:               st.Loads,
-				Spills:              st.Spills,
-				Compactions:         st.Compactions,
-				Evictions:           st.Evictions,
-				RecoveredEntries:    st.RecoveredEntries,
-				WALDroppedBytes:     st.WALDroppedBytes,
-				QuarantinedSegments: st.QuarantinedSegments,
-			}
+			s.Store = &st
 		}
 	}
 	return s

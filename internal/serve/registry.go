@@ -2,8 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -91,11 +89,9 @@ func NewRegistry(p core.Params, capBytes int64) *Registry {
 	return &Registry{p: p, capBytes: capBytes, sessions: make(map[string]*Session)}
 }
 
-// SessionID derives the content-addressed session ID of a key blob.
-func SessionID(blob []byte) string {
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:16])
-}
+// SessionID derives the content-addressed session ID of a key blob:
+// the name the durable tier stores it under.
+func SessionID(blob []byte) string { return store.ID(blob) }
 
 // SetStore attaches the durable session tier. Call before serving; the
 // registry does not take ownership (the server closes the store on
@@ -144,16 +140,18 @@ func (r *Registry) Open(blob []byte) (s *Session, created bool, err error) {
 	}
 	s = &Session{ID: id, Eng: eng, Bytes: int64(len(blob))}
 
-	// Durable before acked: the blob reaches the WAL (fsync'd) before the
-	// session becomes visible, so a crash after the client sees OK can
-	// never lose it. Persisting only after the engine build means garbage
-	// is never written to disk. Put copies the blob, which matters — it
-	// aliases the connection's read arena.
+	// Durable before acked: Put returns once the blob is a file under its
+	// content address with the file and the directory fsync'd, and only
+	// then does the session become visible, so a crash after the client
+	// sees OK can never lose it. Persisting only after the engine build
+	// means garbage is never written to disk. The blob aliases the
+	// connection's read arena; Put has written it out before returning
+	// and keeps no reference.
 	r.mu.Lock()
 	st := r.store
 	r.mu.Unlock()
 	if st != nil {
-		if err := st.Put(id, blob); err != nil {
+		if _, err := st.Put(blob); err != nil {
 			return nil, false, fmt.Errorf("serve: persisting session: %w", err)
 		}
 	}
@@ -219,9 +217,10 @@ func (r *Registry) Lookup(id string) (*Session, error) {
 		return nil, ErrSessionNotFound
 	}
 
-	// Cold load, outside the lock: stream the blob from disk, verify its
-	// digest end to end (and that the digest matches the content
-	// address), then decode and rebuild the engine.
+	// Cold load, outside the lock: hash the file against its name (the
+	// content address), then decode and rebuild the engine. A blob that
+	// fails the check is quarantined by the store and reported as not
+	// found, so the client re-uploads and the fresh copy replaces it.
 	s, err := r.loadCold(st, id)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
@@ -258,10 +257,6 @@ func (r *Registry) loadCold(st *store.Store, id string) (*Session, error) {
 	defer b.Close()
 	if err := b.Verify(); err != nil {
 		return nil, fmt.Errorf("serve: session %s: %w", id, err)
-	}
-	d := b.Digest()
-	if hex.EncodeToString(d[:16]) != id {
-		return nil, fmt.Errorf("serve: session %s: stored blob has wrong content address", id)
 	}
 	codec, err := r.evalKeyCodec()
 	if err != nil {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"athena/internal/core"
@@ -34,8 +36,8 @@ func TestRegistryColdLoadAfterEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	aID := a.ID
-	if !st.Contains(aID) {
-		t.Fatal("acked session not in the durable tier")
+	if _, err := os.Stat(filepath.Join(dir, aID)); err != nil {
+		t.Fatalf("acked session is not a file under its content address: %v", err)
 	}
 	if _, _, err := r.Open(blobB); err != nil {
 		t.Fatal(err)
@@ -111,9 +113,14 @@ func TestRegistrySurvivesRestart(t *testing.T) {
 	if s2.Eng == nil {
 		t.Fatal("restored session has no engine")
 	}
-	// Re-uploading the same material after restart reuses the durable
-	// entry without a second WAL write.
-	walBefore := st2.Stats().WALBytes
+	// Re-uploading the same material to the resident session touches
+	// neither tier; to a registry that does not hold it (another restart,
+	// or an eviction) it rebuilds the engine and the store takes the
+	// bytes for present: no Put counted, the file not rewritten.
+	before, err := os.Stat(filepath.Join(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s3, created, err := r2.Open(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -121,13 +128,26 @@ func TestRegistrySurvivesRestart(t *testing.T) {
 	if created || s3 != s2 {
 		t.Fatal("re-upload after cold load did not reuse the session")
 	}
-	if got := st2.Stats().WALBytes; got != walBefore {
-		t.Fatalf("idempotent re-upload grew WAL %d -> %d", walBefore, got)
+	r3 := NewRegistry(core.TestParams(), 0)
+	r3.SetStore(st2)
+	if _, created, err := r3.Open(blob); err != nil || !created {
+		t.Fatalf("re-upload to a registry without the session: created=%v err=%v", created, err)
+	}
+	after, err := os.Stat(filepath.Join(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !before.ModTime().Equal(after.ModTime()) {
+		t.Fatal("idempotent re-upload rewrote the object")
+	}
+	if st := st2.Stats(); st.Puts != 0 || st.Entries != 1 {
+		t.Fatalf("idempotent re-upload counted as a write: %+v", st)
 	}
 }
 
-// A corrupted durable entry must fail the cold load, never produce a
-// session from bad bytes.
+// A durable entry whose bytes no longer hash to its name must never
+// produce a session: the cold load reports the session unknown, the
+// store sets the file aside, and the next upload of the keys heals it.
 func TestRegistryColdLoadRejectsCorruption(t *testing.T) {
 	blob := evalKeysBlob(t, 304)
 	dir := t.TempDir()
@@ -139,18 +159,24 @@ func TestRegistryColdLoadRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := s.ID
-	// Plant a non-matching blob under the same ID (simulates on-disk
-	// corruption that still passes the store's own digest, i.e. the wrong
-	// content at the right key).
-	if err := st.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(id, []byte("wrong bytes entirely")); err != nil {
+	// The wrong content at the right name.
+	if err := os.WriteFile(filepath.Join(dir, id), []byte("wrong bytes entirely"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	r2 := NewRegistry(core.TestParams(), 0)
 	r2.SetStore(st)
-	if _, err := r2.Lookup(id); err == nil {
-		t.Fatal("cold load accepted a blob whose content address does not match")
+	if _, err := r2.Lookup(id); !errors.Is(err, ErrSessionNotFound) {
+		t.Fatalf("cold load of a blob that does not match its address: %v, want ErrSessionNotFound", err)
+	}
+	if st := st.Stats(); st.Quarantined != 1 || st.Entries != 0 {
+		t.Fatalf("store after the failed cold load: %+v", st)
+	}
+	if _, created, err := r2.Open(blob); err != nil || !created {
+		t.Fatalf("re-upload: created=%v err=%v", created, err)
+	}
+	r3 := NewRegistry(core.TestParams(), 0)
+	r3.SetStore(st)
+	if _, err := r3.Lookup(id); err != nil {
+		t.Fatalf("cold load after the healing re-upload: %v", err)
 	}
 }

@@ -33,14 +33,15 @@ type Config struct {
 	// MaxFrame bounds one frame payload (0 = DefaultMaxFrame).
 	MaxFrame uint32
 
-	// DataDir enables the durable session tier: uploaded key blobs are
-	// WAL-persisted here before the upload is acked, survive restarts,
-	// and evicted sessions reload from disk on attach ("" = memory-only,
-	// the previous behavior).
+	// DataDir enables the durable session tier: an uploaded key blob is
+	// a fsync'd file here, named by its content address, before the
+	// upload is acked; it survives restarts, and evicted sessions reload
+	// from disk on attach ("" = memory-only).
 	DataDir string
 	// DiskCapBytes bounds the durable tier's on-disk footprint; under
-	// pressure the least-recently-accessed entries are evicted
-	// (0 = unbounded). Only meaningful with DataDir set.
+	// pressure sessions this node does not own, then the least recently
+	// accessed, are evicted (0 = unbounded). Only meaningful with
+	// DataDir set.
 	DiskCapBytes int64
 
 	// RatePerSec enables token-bucket admission per client connection:
@@ -243,7 +244,8 @@ func (s *Server) Shutdown() {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	// With all traffic drained, flush the memtable and release the WAL.
+	// With all traffic drained, no upload is in flight: close the store
+	// (every acked blob is on disk already).
 	if s.store != nil {
 		_ = s.store.Close()
 	}

@@ -7,103 +7,41 @@ import (
 	"os"
 )
 
-// Blob is a random-access handle on one stored value, served either
-// from the memtable (no file descriptor) or from a segment's data
-// region (its own descriptor, immune to concurrent compaction deleting
-// the file). The expected digest travels with the handle so callers can
-// verify without a second lookup.
+// Blob is a random-access handle on one stored object. It holds its own
+// file descriptor, so it stays readable after the object is evicted,
+// deleted or quarantined.
 type Blob struct {
-	ra     io.ReaderAt
-	size   int64
-	digest [sha256.Size]byte
-	f      *os.File // nil for memtable blobs
+	f    *os.File
+	size int64
+	s    *Store
+	id   string
+	e    *entry // the index entry Load saw; Verify quarantines only that one
 }
 
-// memReaderAt serves a memtable value. The slice is immutable once
-// installed (Put stores a private copy), so no lock is needed.
-type memReaderAt struct{ val []byte }
-
-func (m memReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off > int64(len(m.val)) {
-		return 0, fmt.Errorf("store: blob read at %d out of range", off)
-	}
-	n := copy(p, m.val[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func newMemBlob(val []byte, digest [sha256.Size]byte) *Blob {
-	return &Blob{ra: memReaderAt{val: val}, size: int64(len(val)), digest: digest}
-}
-
-func newFileBlob(f *os.File, base, size int64, digest [sha256.Size]byte) *Blob {
-	return &Blob{ra: &blobReaderAt{f: f, base: base, size: size}, size: size, digest: digest, f: f}
-}
-
-// Size returns the value length in bytes.
+// Size returns the object length in bytes.
 func (b *Blob) Size() int64 { return b.size }
 
-// Digest returns the SHA-256 of the full value as recorded at write
-// time. Verify (or an incremental hash over all bytes read) checks the
-// bytes actually on disk against it.
-func (b *Blob) Digest() [sha256.Size]byte { return b.digest }
+// ReadAt reads from the object at off, io.ReaderAt semantics.
+func (b *Blob) ReadAt(p []byte, off int64) (int, error) { return b.f.ReadAt(p, off) }
 
-// ReadAt reads from the value at off, io.ReaderAt semantics.
-func (b *Blob) ReadAt(p []byte, off int64) (int, error) { return b.ra.ReadAt(p, off) }
-
-// Verify streams the whole value through SHA-256 and compares against
-// the recorded digest, catching disk corruption before the bytes are
-// trusted by a decoder.
+// Verify streams the object through SHA-256 and compares the result
+// with its name, catching disk corruption before a decoder trusts the
+// bytes. An object that fails is quarantined (see Store.Load) and the
+// error wraps ErrNotFound: to every caller the object is gone, and a
+// fresh Put of the same bytes replaces it.
 func (b *Blob) Verify() error {
 	h := sha256.New()
-	buf := make([]byte, 1<<20)
-	var off int64
-	for off < b.size {
-		n := len(buf)
-		if rem := b.size - off; rem < int64(n) {
-			n = int(rem)
-		}
-		if _, err := readFullAt(b.ra, buf[:n], off); err != nil {
-			return err
-		}
-		_, _ = h.Write(buf[:n]) // hash.Hash.Write never errors
-		off += int64(n)
+	if _, err := io.Copy(h, io.NewSectionReader(b.f, 0, b.size)); err != nil {
+		return err
 	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	if sum != b.digest {
-		return fmt.Errorf("store: blob digest mismatch")
-	}
-	return nil
-}
-
-// Close releases the underlying file descriptor, if any.
-func (b *Blob) Close() error {
-	if b.f == nil {
+	if idOf(h.Sum(nil)) == b.id {
 		return nil
 	}
-	return b.f.Close()
+	if err := b.s.remove(b.id, b.e, &b.s.st.Quarantined); err != nil {
+		return err
+	}
+	return fmt.Errorf("store: object %s does not hash to its name, quarantined: %w", b.id, ErrNotFound)
 }
 
-// readFullAt is io.ReadFull over a ReaderAt: short reads are retried at
-// the advanced offset, so a flaky reader that returns partial counts
-// still fills p or errors.
-func readFullAt(ra io.ReaderAt, p []byte, off int64) (int, error) {
-	total := 0
-	for total < len(p) {
-		n, err := ra.ReadAt(p[total:], off+int64(total))
-		total += n
-		if total == len(p) {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-		if n == 0 {
-			return total, io.ErrUnexpectedEOF
-		}
-	}
-	return total, nil
-}
+// Close releases the file descriptor.
+func (b *Blob) Close() error { return b.f.Close() }

@@ -1,846 +1,296 @@
+// Package store is the durable session tier behind the serve registry:
+// a directory of content-addressed files. What a server holds for a
+// client is one immutable evaluation-key bundle, uploaded once and
+// megabytes large, so an object is a file named by the SHA-256 of its
+// bytes and the only in-memory state is an index of names and sizes.
+//
+// Put writes <id>.tmp-*, fsyncs it, renames it to <id> and fsyncs the
+// directory before it returns, so an acknowledged object survives a
+// crash at any later point and a crash at any earlier point leaves at
+// most a *.tmp-* file that Open removes. The name is the integrity
+// check: Blob.Verify hashes the file and compares with its name, and an
+// object that fails is renamed to <id>.corrupt, never served, and healed
+// by the next Put of the same bytes.
+//
+// The mutex guards the index only — no write, fsync, read or unlink
+// runs under it. A file is created, replaced or removed by at most one
+// call at a time: an id is in the index (readable, removable) or in
+// busy (one Put or removal owns the file), never both, and a second Put
+// of a busy id waits for the first outside the mutex.
 package store
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
 
-// ErrNotFound reports a Load/Get of a key that is absent (or deleted).
-var ErrNotFound = errors.New("store: entry not found")
+// ErrNotFound reports a Load of an id that is absent, deleted, evicted
+// or quarantined.
+var ErrNotFound = errors.New("store: object not found")
 
-// ErrDiskCap reports a Put that cannot fit under the disk cap even
-// after compaction and cold-entry eviction.
+// ErrDiskCap reports a Put larger than the disk cap, or one that does
+// not fit with every object that is not being written evicted.
 var ErrDiskCap = errors.New("store: disk cap exceeded and nothing evictable")
 
 // Options tunes a Store.
 type Options struct {
-	// MemtableBytes is the spill threshold: when the in-memory tier
-	// exceeds it, the memtable is written to an immutable segment and
-	// the WAL is truncated (0 = 64 MiB).
-	MemtableBytes int64
-	// DiskCapBytes bounds total on-disk bytes (segments + WAL). When a
-	// Put would exceed it, the store compacts and then evicts the
-	// least-recently-accessed entries (tombstone + compaction) to make
-	// room (0 = unbounded).
+	// DiskCapBytes bounds the bytes of stored objects. A Put that would
+	// exceed it first evicts objects this node does not own (see
+	// SetEvictionHint), then the least recently accessed (0 = unbounded).
 	DiskCapBytes int64
-	// CompactAt is the number of same-size-tier adjacent segments that
-	// triggers a tiered compaction (0 = 4).
-	CompactAt int
 }
 
-// Recovery summarizes what Open reconstructed from the data directory.
+// Recovery summarizes what Open found in the data directory.
 type Recovery struct {
-	// Entries is the live key count after recovery.
+	// Entries is the number of objects indexed.
 	Entries int
-	// WALRecords is how many intact WAL records were replayed.
-	WALRecords int
-	// WALDroppedBytes is the size of the torn/corrupt WAL tail that
-	// replay truncated away (0 on a clean shutdown).
-	WALDroppedBytes int64
-	// Segments is the number of segment files reattached.
-	Segments int
-	// Quarantined counts segment files that failed validation and were
-	// renamed aside rather than served from.
+	// PartialRemoved counts *.tmp-* files of uploads that never
+	// completed, which Open removed.
+	PartialRemoved int
+	// Quarantined counts *.corrupt files set aside earlier and still
+	// in the directory.
 	Quarantined int
 }
 
 // Stats is a point-in-time snapshot of store occupancy and lifetime
-// counters.
+// counters; it is the "store" block of the /metrics document.
 type Stats struct {
 	Entries   int   `json:"entries"`
-	MemBytes  int64 `json:"mem_bytes"`
-	WALBytes  int64 `json:"wal_bytes"`
 	DiskBytes int64 `json:"disk_bytes"`
-	Segments  int   `json:"segments"`
 
-	Puts           uint64 `json:"puts"`
-	Deletes        uint64 `json:"deletes"`
-	Loads          uint64 `json:"loads"`
-	Spills         uint64 `json:"spills"`
-	Compactions    uint64 `json:"compactions"`
-	Evictions      uint64 `json:"evictions"`
-	BloomNegatives uint64 `json:"bloom_negatives"`
+	Puts      uint64 `json:"puts"`
+	Deletes   uint64 `json:"deletes"`
+	Loads     uint64 `json:"loads"`
+	Evictions uint64 `json:"evictions"`
+	// Quarantined counts objects set aside as <id>.corrupt: those found
+	// at Open plus those caught since.
+	Quarantined uint64 `json:"quarantined"`
 
-	RecoveredEntries    int   `json:"recovered_entries"`
-	WALDroppedBytes     int64 `json:"wal_dropped_bytes"`
-	QuarantinedSegments int   `json:"quarantined_segments"`
+	RecoveredEntries int `json:"recovered_entries"`
 }
 
-// Store is a durable, crash-safe key/value tier: a WAL-backed memtable
-// in front of immutable segments. All methods are safe for concurrent
+// Add sums o into s field by field (the cluster aggregate).
+func (s *Stats) Add(o Stats) {
+	s.Entries += o.Entries
+	s.DiskBytes += o.DiskBytes
+	s.Puts += o.Puts
+	s.Deletes += o.Deletes
+	s.Loads += o.Loads
+	s.Evictions += o.Evictions
+	s.Quarantined += o.Quarantined
+	s.RecoveredEntries += o.RecoveredEntries
+}
+
+// idLen is the length of an object name: 128 bits of SHA-256 in hex,
+// which is also the wire format of a session ID.
+const idLen = 32
+
+// ID returns the content address of val, the name Put stores it under.
+func ID(val []byte) string {
+	sum := sha256.Sum256(val)
+	return idOf(sum[:])
+}
+
+func idOf(sum []byte) string { return hex.EncodeToString(sum[:idLen/2]) }
+
+func validID(name string) bool {
+	_, err := hex.DecodeString(name)
+	return err == nil && len(name) == idLen && name == strings.ToLower(name)
+}
+
+// entry is the index record of one object. Entries are compared by
+// pointer: a removal names the entry it saw, so it cannot take away an
+// object that was re-uploaded in between.
+type entry struct {
+	size  int64
+	clock uint64 // logical last-access time (not persisted)
+}
+
+// Store is the object directory. All methods are safe for concurrent
 // use. See the package comment for the design.
 type Store struct {
-	dir  string
-	opts Options
+	dir string
+	cap int64
 
-	mu      sync.Mutex
-	mem     map[string][]byte
-	memSum  map[string][sha256.Size]byte
-	memTomb map[string]bool
-	memB    int64
-	wal     *walWriter
-	segs    []*segment // age order: oldest first
-	nextSeq uint64
-
-	access map[string]uint64 // logical last-access clock (not persisted)
-	clock  uint64
-
-	// owned is the cluster ownership hint (nil = everything owned):
-	// disk-cap eviction removes entries this node does not own before
-	// any owned entry, regardless of recency.
+	mu    sync.Mutex
+	index map[string]*entry
+	// busy holds the ids whose file a Put or a removal is working on;
+	// the channel is closed when that call is done.
+	busy  map[string]chan struct{}
+	bytes int64 // indexed objects plus Puts in flight
+	clock uint64
+	// owned is the cluster ownership hint (nil = everything owned).
 	owned func(id string) bool
-
-	st     Stats
-	rec    Recovery
-	closed bool
+	st    Stats
 }
 
-const walFile = "wal.log"
-
-func segName(seq uint64, gen uint32) string {
-	return fmt.Sprintf("seg-%06d-%06d.sst", seq, gen)
-}
-
-func parseSegName(base string) (seq uint64, gen uint32, ok bool) {
-	var s, g uint64
-	if n, err := fmt.Sscanf(base, "seg-%d-%d.sst", &s, &g); n != 2 || err != nil {
-		return 0, 0, false
-	}
-	if !strings.HasSuffix(base, ".sst") {
-		return 0, 0, false
-	}
-	return s, uint32(g), true
-}
-
-// Open attaches a store to dir, creating it if needed, and recovers:
-// interrupted compactions are rolled forward or discarded, stray temp
-// files removed, valid segments reattached (corrupt ones quarantined),
-// and the WAL replayed idempotently into a fresh memtable with any torn
-// tail truncated. The returned Recovery reports what was found.
+// Open attaches a store to dir, creating it if needed: one ReadDir
+// that removes the *.tmp-* files of uploads a crash interrupted and
+// indexes every file whose name is a well-formed id. Nothing is hashed
+// here; objects are verified when they are loaded. A directory written
+// by the earlier log-structured store is refused.
 func Open(dir string, opts Options) (*Store, Recovery, error) {
-	if opts.MemtableBytes <= 0 {
-		opts.MemtableBytes = 64 << 20
-	}
-	if opts.CompactAt <= 0 {
-		opts.CompactAt = 4
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Recovery{}, err
 	}
-	s := &Store{
-		dir:     dir,
-		opts:    opts,
-		mem:     map[string][]byte{},
-		memSum:  map[string][sha256.Size]byte{},
-		memTomb: map[string]bool{},
-		access:  map[string]uint64{},
-	}
-	if err := s.recoverCompaction(); err != nil {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		return nil, Recovery{}, err
 	}
-	if err := s.openSegments(); err != nil {
-		return nil, Recovery{}, err
+	for _, ent := range ents {
+		name := ent.Name()
+		if name == "wal.log" || (strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".sst")) {
+			return nil, Recovery{}, fmt.Errorf("store: %s holds %s, the WAL+segment format of an earlier version; this version keeps one file per object and does not read it — move the directory aside and let clients re-upload", dir, name)
+		}
 	}
-	if err := s.openWAL(); err != nil {
-		return nil, Recovery{}, err
+	s := &Store{dir: dir, cap: opts.DiskCapBytes, index: map[string]*entry{}, busy: map[string]chan struct{}{}}
+	var rec Recovery
+	for _, ent := range ents {
+		name := ent.Name()
+		switch {
+		case !ent.Type().IsRegular():
+		case strings.Contains(name, ".tmp-"):
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, Recovery{}, err
+			}
+			rec.PartialRemoved++
+		case strings.HasSuffix(name, ".corrupt"):
+			rec.Quarantined++
+		case validID(name):
+			fi, err := ent.Info()
+			if err != nil {
+				return nil, Recovery{}, err
+			}
+			s.index[name] = &entry{size: fi.Size()}
+			s.bytes += fi.Size()
+		}
 	}
-	s.rec.Entries = len(s.liveLocked())
-	s.rec.Segments = len(s.segs)
-	s.st.RecoveredEntries = s.rec.Entries
-	s.st.WALDroppedBytes = s.rec.WALDroppedBytes
-	s.st.QuarantinedSegments = s.rec.Quarantined
-	return s, s.rec, nil
+	rec.Entries = len(s.index)
+	s.st.RecoveredEntries = rec.Entries
+	s.st.Quarantined = uint64(rec.Quarantined)
+	return s, rec, nil
 }
 
-// recoverCompaction completes or discards an interrupted compaction.
-// The commit file is the decision point: once it is durable the inputs
-// are logically dead, so recovery rolls the merge forward (rename the
-// pending output into place, delete the inputs); without it, any
-// pending/tmp outputs are leftovers of a merge that never committed and
-// are discarded. This two-phase protocol is what lets compaction drop
-// tombstones without a crash resurrecting masked values.
-func (s *Store) recoverCompaction() error {
-	commitPath := filepath.Join(s.dir, "compact.commit")
-	blob, err := os.ReadFile(commitPath)
-	switch {
-	case err == nil:
-		lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-		if len(lines) == 0 || !strings.HasPrefix(lines[0], "v1 ") {
-			// Unrecognized commit file: fail loudly rather than guess at
-			// which files are dead.
-			return fmt.Errorf("store: malformed compaction commit file %s", commitPath)
-		}
-		final := strings.TrimPrefix(lines[0], "v1 ")
-		if final != "-" {
-			finalPath := filepath.Join(s.dir, final)
-			pendPath := finalPath + ".pending"
-			if _, err := os.Stat(pendPath); err == nil {
-				if err := os.Rename(pendPath, finalPath); err != nil {
-					return err
-				}
-				if err := syncDir(finalPath); err != nil {
-					return err
-				}
-			}
-		}
-		for _, in := range lines[1:] {
-			if in == "" {
-				continue
-			}
-			if err := os.Remove(filepath.Join(s.dir, in)); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-		if err := os.Remove(commitPath); err != nil {
-			return err
-		}
-	case !os.IsNotExist(err):
-		return err
-	}
-	// Any remaining pending/tmp file belongs to a merge or spill that
-	// never committed.
-	stray, err := filepath.Glob(filepath.Join(s.dir, "*.tmp"))
-	if err != nil {
-		return err
-	}
-	pend, err := filepath.Glob(filepath.Join(s.dir, "*.pending"))
-	if err != nil {
-		return err
-	}
-	for _, p := range append(stray, pend...) {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	return nil
-}
+func (s *Store) path(id string) string { return filepath.Join(s.dir, id) }
 
-// openSegments attaches every valid segment file in age order,
-// quarantining corrupt ones (renamed to *.corrupt so they stop matching
-// the segment glob but remain for forensics).
-func (s *Store) openSegments() error {
-	names, err := filepath.Glob(filepath.Join(s.dir, "seg-*.sst"))
-	if err != nil {
-		return err
-	}
-	type segFile struct {
-		path string
-		seq  uint64
-		gen  uint32
-	}
-	var files []segFile
-	for _, p := range names {
-		seq, gen, ok := parseSegName(filepath.Base(p))
-		if !ok {
-			continue
-		}
-		files = append(files, segFile{path: p, seq: seq, gen: gen})
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].seq != files[j].seq {
-			return files[i].seq < files[j].seq
-		}
-		return files[i].gen < files[j].gen
-	})
-	for i, f := range files {
-		// Same-seq duplicates cannot survive a completed recovery; be
-		// defensive anyway and keep only the newest generation.
-		if i+1 < len(files) && files[i+1].seq == f.seq {
-			if err := quarantine(f.path); err != nil {
-				return err
-			}
-			s.rec.Quarantined++
-			continue
-		}
-		seg, err := openSegment(f.path, f.seq)
-		if err != nil {
-			if qerr := quarantine(f.path); qerr != nil {
-				return qerr
-			}
-			s.rec.Quarantined++
-			continue
-		}
-		s.segs = append(s.segs, seg)
-		if f.seq >= s.nextSeq {
-			s.nextSeq = f.seq + 1
-		}
-	}
-	return nil
-}
-
-func quarantine(path string) error {
-	return os.Rename(path, path+".corrupt")
-}
-
-// openWAL replays the log into the memtable, truncates any torn tail,
-// and positions the writer at the intact end.
-func (s *Store) openWAL() error {
-	f, err := os.OpenFile(filepath.Join(s.dir, walFile), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	good, dropped, err := replayWAL(f, func(op walOp) {
-		s.rec.WALRecords++
-		if op.del {
-			s.applyDeleteLocked(op.id)
-			return
-		}
-		s.applyPutLocked(op.id, op.val, op.digest)
-	})
-	if err != nil {
-		_ = f.Close() // abandoning recovery; the replay error wins
-		return err
-	}
-	s.rec.WALDroppedBytes = dropped
-	if dropped > 0 {
-		if err := f.Truncate(good); err != nil {
-			_ = f.Close() // abandoning recovery; the truncate error wins
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			_ = f.Close() // abandoning recovery; the sync error wins
-			return err
-		}
-	}
-	if _, err := f.Seek(good, 0); err != nil {
-		_ = f.Close() // abandoning recovery; the seek error wins
-		return err
-	}
-	s.wal = &walWriter{f: f, off: good}
-	// A replayed memtable over the threshold spills immediately so boot
-	// memory stays bounded.
-	if s.memB > s.opts.MemtableBytes {
-		if err := s.flushLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyPutLocked installs a value in the memtable (no WAL write — used
-// by replay and by Put after its WAL append).
-func (s *Store) applyPutLocked(id string, val []byte, sum [sha256.Size]byte) {
-	if old, ok := s.mem[id]; ok {
-		s.memB -= int64(len(old))
-	}
-	s.mem[id] = val
-	s.memSum[id] = sum
-	delete(s.memTomb, id)
-	s.memB += int64(len(val))
+func (s *Store) touchLocked(e *entry) {
 	s.clock++
-	s.access[id] = s.clock
+	e.clock = s.clock
 }
 
-func (s *Store) applyDeleteLocked(id string) {
-	if old, ok := s.mem[id]; ok {
-		s.memB -= int64(len(old))
-		delete(s.mem, id)
-		delete(s.memSum, id)
-	}
-	s.memTomb[id] = true
-	delete(s.access, id)
+// releaseLocked ends the caller's hold on id's file and wakes the Puts
+// waiting for it.
+func (s *Store) releaseLocked(id string) {
+	close(s.busy[id])
+	delete(s.busy, id)
 }
 
-// Put makes (id, val) durable: the pair is WAL-appended in CRC-framed
-// chunks and fsync'd before Put returns, so a crash at any later point
-// preserves it. Re-putting an identical value (the content-addressed
-// steady state) is a no-op that only refreshes the access clock.
-func (s *Store) Put(id string, val []byte) error {
-	if len(id) == 0 || len(id) > walMaxIDLen {
-		return fmt.Errorf("store: key length %d out of range", len(id))
+// Put makes val durable under its content address and returns that
+// address. It returns only after the file's fsync, the rename and the
+// directory's fsync. An object already present is a no-op that
+// refreshes its access clock.
+func (s *Store) Put(val []byte) (string, error) {
+	id, need := ID(val), int64(len(val))
+	if need == 0 {
+		return "", errors.New("store: empty value")
 	}
-	if len(val) == 0 {
-		return fmt.Errorf("store: empty value")
+	if s.cap > 0 && need > s.cap {
+		return "", ErrDiskCap
 	}
-	sum := sha256.Sum256(val)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if cur, ok := s.digestLocked(id); ok && cur == sum {
-		s.clock++
-		s.access[id] = s.clock
-		return nil
-	}
-	//lint:holdok disk-cap admission must be atomic with the put that needs the room; eviction may flush and compact under the lock
-	if err := s.ensureRoomLocked(putCost(id, val), id); err != nil {
-		return err
-	}
-	//lint:holdok WAL order must match memtable apply order and fsync-before-ack is the durability contract
-	if err := s.wal.appendRecord(walPut, id, val); err != nil {
-		return err
-	}
-	s.applyPutLocked(id, append([]byte(nil), val...), sum)
-	s.st.Puts++
-	if s.memB > s.opts.MemtableBytes {
-		//lint:holdok the spilled segment must be durable before the WAL truncates; the store is the cold session tier, off the inference hot path
-		if err := s.flushLocked(); err != nil {
-			return err
-		}
-		//lint:holdok tiered compaction runs at the spill point by design; segment IO under the lock is the cold-tier trade
-		return s.maybeCompactLocked()
-	}
-	return nil
-}
-
-// putCost approximates the WAL footprint of one put record.
-func putCost(id string, val []byte) int64 {
-	chunks := (int64(len(val)) + walChunkSize - 1) / walChunkSize
-	return int64(walHdrLen) + int64(len(id)) + 4 + int64(len(val)) + 4*chunks + sha256.Size
-}
-
-// Delete tombstones id. The tombstone is WAL-durable immediately and
-// masks every older copy until a compaction that includes the oldest
-// segment drops both for good. Deleting an absent key is a no-op.
-func (s *Store) Delete(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if _, ok := s.digestLocked(id); !ok {
-		return nil
-	}
-	//lint:holdok WAL order must match memtable apply order and fsync-before-ack is the durability contract
-	if err := s.wal.appendRecord(walDelete, id, nil); err != nil {
-		return err
-	}
-	s.applyDeleteLocked(id)
-	s.st.Deletes++
-	return nil
-}
-
-// digestLocked resolves id to its current value digest, newest tier
-// first. ok is false for absent or tombstoned keys.
-func (s *Store) digestLocked(id string) ([sha256.Size]byte, bool) {
-	if sum, ok := s.memSum[id]; ok {
-		return sum, true
-	}
-	if s.memTomb[id] {
-		return [sha256.Size]byte{}, false
-	}
-	for i := len(s.segs) - 1; i >= 0; i-- {
-		seg := s.segs[i]
-		if !seg.bloom.MayContain(id) {
-			s.st.BloomNegatives++
-			continue
-		}
-		if ei, ok := seg.find(id); ok {
-			if seg.metas[ei].tomb {
-				return [sha256.Size]byte{}, false
-			}
-			return seg.metas[ei].digest, true
-		}
-	}
-	return [sha256.Size]byte{}, false
-}
-
-// Contains reports whether id is live, answering registry misses
-// without touching any segment's data region (memtable map hit, then
-// per-segment bloom filters and in-memory indexes only).
-func (s *Store) Contains(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.digestLocked(id)
-	return ok
-}
-
-// Get returns a copy of id's value (tests and small entries; the
-// serving path uses Load to stream without materializing).
-func (s *Store) Get(id string) ([]byte, error) {
-	b, err := s.Load(id)
-	if err != nil {
-		return nil, err
-	}
-	defer b.Close()
-	val := make([]byte, b.Size())
-	if _, err := readFullAt(b, val, 0); err != nil {
-		return nil, err
-	}
-	if sum := sha256.Sum256(val); sum != b.Digest() {
-		return nil, fmt.Errorf("store: entry %q digest mismatch", id)
-	}
-	return val, nil
-}
-
-// Load opens id's current value for random-access streaming. Segment
-// hits get their own file descriptor, so the blob stays readable even
-// if a concurrent compaction deletes the segment file. Callers should
-// verify integrity (Blob.Verify, or an incremental digest of all bytes
-// read) before trusting the content, and must Close the blob.
-func (s *Store) Load(id string) (*Blob, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("store: closed")
-	}
-	s.clock++
-	if val, ok := s.mem[id]; ok {
-		s.access[id] = s.clock
-		s.st.Loads++
-		return newMemBlob(val, s.memSum[id]), nil
-	}
-	if s.memTomb[id] {
-		return nil, ErrNotFound
-	}
-	for i := len(s.segs) - 1; i >= 0; i-- {
-		seg := s.segs[i]
-		if !seg.bloom.MayContain(id) {
-			s.st.BloomNegatives++
-			continue
-		}
-		ei, ok := seg.find(id)
-		if !ok {
-			continue
-		}
-		if seg.metas[ei].tomb {
-			return nil, ErrNotFound
-		}
-		f, err := os.Open(seg.path)
-		if err != nil {
-			return nil, err
-		}
-		s.access[id] = s.clock
-		s.st.Loads++
-		m := &seg.metas[ei]
-		return newFileBlob(f, m.off, m.vlen, m.digest), nil
-	}
-	return nil, ErrNotFound
-}
-
-// liveLocked materializes the live key set (segments oldest→newest,
-// then the memtable, tombstones masking as they go).
-func (s *Store) liveLocked() map[string]bool {
-	live := map[string]bool{}
-	for _, seg := range s.segs {
-		for i, id := range seg.ids {
-			if seg.metas[i].tomb {
-				delete(live, id)
-			} else {
-				live[id] = true
-			}
-		}
-	}
-	for id := range s.mem {
-		live[id] = true
-	}
-	for id := range s.memTomb {
-		delete(live, id)
-	}
-	return live
-}
-
-// Keys returns the sorted live key set.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	live := s.liveLocked()
-	out := make([]string, 0, len(live))
-	for id := range live {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the live key count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.liveLocked())
-}
-
-// Flush spills the memtable to a fresh segment and truncates the WAL.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	//lint:holdok Flush is an explicit maintenance entry point; callers opt into the stall
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	//lint:holdok explicit-flush compaction; callers opt into the stall
-	return s.maybeCompactLocked()
-}
-
-func (s *Store) flushLocked() error {
-	if len(s.mem) == 0 && len(s.memTomb) == 0 {
-		return nil
-	}
-	entries := make([]segEntry, 0, len(s.mem)+len(s.memTomb))
-	for id, val := range s.mem {
-		entries = append(entries, segEntry{id: id, val: val, digest: s.memSum[id]})
-	}
-	for id := range s.memTomb {
-		entries = append(entries, segEntry{id: id, tomb: true})
-	}
-	seq := s.nextSeq
-	path := filepath.Join(s.dir, segName(seq, 0))
-	if _, err := writeSegment(path, entries); err != nil {
-		return err
-	}
-	seg, err := openSegment(path, seq)
-	if err != nil {
-		return err
-	}
-	s.nextSeq++
-	s.segs = append(s.segs, seg)
-	s.mem = map[string][]byte{}
-	s.memSum = map[string][sha256.Size]byte{}
-	s.memTomb = map[string]bool{}
-	s.memB = 0
-	s.st.Spills++
-	// The segment is durable; the WAL no longer needs to cover it. A
-	// crash between the rename above and this truncate just replays puts
-	// that the segment already holds — replay is idempotent and the next
-	// compaction dedups the copies.
-	if err := s.wal.f.Truncate(0); err != nil {
-		return err
-	}
-	if err := s.wal.f.Sync(); err != nil {
-		return err
-	}
-	if _, err := s.wal.f.Seek(0, 0); err != nil {
-		return err
-	}
-	s.wal.off = 0
-	return nil
-}
-
-// sizeTier buckets a segment by log2 of its file size, the grouping key
-// of size-tiered compaction.
-func sizeTier(size int64) int {
-	t := 0
-	for size >= 4096 {
-		size >>= 1
-		t++
-	}
-	return t
-}
-
-// maybeCompactLocked runs tiered compaction: any run of CompactAt or
-// more age-adjacent segments in the same size tier is merged (adjacency
-// keeps newest-wins semantics exact). Repeats until no run qualifies.
-func (s *Store) maybeCompactLocked() error {
 	for {
-		lo, hi, found := -1, -1, false
-		run := 1
-		for i := 1; i <= len(s.segs); i++ {
-			if i < len(s.segs) && sizeTier(s.segs[i].size) == sizeTier(s.segs[i-1].size) {
-				run++
-				continue
-			}
-			if run >= s.opts.CompactAt {
-				lo, hi, found = i-run, i-1, true
-				break
-			}
-			run = 1
+		s.mu.Lock()
+		if e, ok := s.index[id]; ok {
+			s.touchLocked(e)
+			s.mu.Unlock()
+			return id, nil
 		}
-		if !found {
-			return nil
-		}
-		if err := s.compactRunLocked(lo, hi); err != nil {
-			return err
-		}
-	}
-}
-
-// Compact merges everything — memtable flushed first, then all segments
-// folded into one with tombstones dropped.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	//lint:holdok Compact is an explicit maintenance entry point; callers opt into the stall
-	return s.compactAllLocked()
-}
-
-func (s *Store) compactAllLocked() error {
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	if len(s.segs) == 0 {
-		return nil
-	}
-	return s.compactRunLocked(0, len(s.segs)-1)
-}
-
-// compactRunLocked merges segments [lo, hi] (age order, inclusive) into
-// one, newest value per key winning. Tombstones are dropped only when
-// the run includes the oldest segment — otherwise they must survive to
-// keep masking older copies. The merge commits via a two-phase
-// protocol: the merged output is written to a .pending path, a commit
-// file naming the output and the dead inputs is fsync'd (the point of
-// no return), then the output is renamed live and the inputs deleted.
-// Open replays whichever half a crash interrupted.
-func (s *Store) compactRunLocked(lo, hi int) error {
-	dropTombs := lo == 0
-	type pick struct {
-		seg *segment
-		ei  int
-	}
-	newest := map[string]pick{}
-	var order []string
-	for i := hi; i >= lo; i-- {
-		seg := s.segs[i]
-		for ei, id := range seg.ids {
-			if _, ok := newest[id]; ok {
-				continue
-			}
-			newest[id] = pick{seg: seg, ei: ei}
-			order = append(order, id)
-		}
-	}
-	var entries []segEntry
-	for _, id := range order {
-		p := newest[id]
-		m := &p.seg.metas[p.ei]
-		if m.tomb {
-			if !dropTombs {
-				entries = append(entries, segEntry{id: id, tomb: true})
-			}
+		if wait, taken := s.busy[id]; taken {
+			// Another call is writing these bytes (or removing the
+			// object): when it is done the object is durable, and the next
+			// turn finds it, or absent, and this call writes it.
+			s.mu.Unlock()
+			<-wait
 			continue
 		}
-		val, err := p.seg.load(p.ei)
-		if err != nil {
-			return err
+		if s.cap <= 0 || s.bytes+need <= s.cap {
+			s.busy[id] = make(chan struct{})
+			s.bytes += need
+			s.mu.Unlock()
+			break
 		}
-		entries = append(entries, segEntry{id: id, val: val, digest: m.digest})
+		victim, e := s.coldestLocked()
+		s.mu.Unlock()
+		if e == nil {
+			return "", ErrDiskCap
+		}
+		if err := s.remove(victim, e, &s.st.Evictions); err != nil {
+			return "", err
+		}
 	}
 
-	outSeq, outGen := s.segs[hi].seq, uint32(0)
-	if _, gen, ok := parseSegName(filepath.Base(s.segs[hi].path)); ok {
-		outGen = gen + 1
+	err := s.write(id, val)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.releaseLocked(id)
+	if err != nil {
+		s.bytes -= need
+		return "", err
 	}
-	final := segName(outSeq, outGen)
-	finalPath := filepath.Join(s.dir, final)
-	commitFinal := final
-	if len(entries) == 0 {
-		commitFinal = "-"
-	} else {
-		if _, err := writeSegment(finalPath+".pending", entries); err != nil {
-			return err
-		}
-	}
-	var commit strings.Builder
-	_, _ = commit.WriteString("v1 " + commitFinal + "\n") // strings.Builder never errors
-	for i := lo; i <= hi; i++ {
-		_, _ = commit.WriteString(filepath.Base(s.segs[i].path) + "\n")
-	}
-	commitPath := filepath.Join(s.dir, "compact.commit")
-	if err := writeFileSync(commitPath, []byte(commit.String())); err != nil {
-		return err
-	}
-	// Point of no return: the inputs are logically dead.
-	var merged *segment
-	if len(entries) > 0 {
-		if err := os.Rename(finalPath+".pending", finalPath); err != nil {
-			return err
-		}
-		if err := syncDir(finalPath); err != nil {
-			return err
-		}
-		var err error
-		merged, err = openSegment(finalPath, outSeq)
-		if err != nil {
-			return err
-		}
-	}
-	for i := lo; i <= hi; i++ {
-		if err := os.Remove(s.segs[i].path); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	if err := os.Remove(commitPath); err != nil {
-		return err
-	}
-	rest := append([]*segment{}, s.segs[:lo]...)
-	if merged != nil {
-		rest = append(rest, merged)
-	}
-	s.segs = append(rest, s.segs[hi+1:]...)
-	s.st.Compactions++
-	return nil
+	e := &entry{size: need}
+	s.touchLocked(e)
+	s.index[id] = e
+	s.st.Puts++
+	return id, nil
 }
 
-// writeFileSync writes path atomically (tmp + rename) and fsyncs both
-// the file and its directory.
-func writeFileSync(path string, blob []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// write is the put protocol: temp file, fsync, rename, directory fsync.
+func (s *Store) write(id string, val []byte) error {
+	f, err := os.CreateTemp(s.dir, id+".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(blob); err != nil {
-		_ = f.Close() // abandoning the temp file; the write error wins
+	if _, err = f.Write(val); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), s.path(id))
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // the write error wins; Open removes what this leaves
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // abandoning the temp file; the sync error wins
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(path)
+	return s.Flush()
 }
 
-// diskBytesLocked is the store's on-disk footprint: segment files plus
-// the WAL.
-func (s *Store) diskBytesLocked() int64 {
-	total := s.wal.off
-	for _, seg := range s.segs {
-		total += seg.size
+// coldestLocked picks what the disk cap evicts next: an object this
+// node does not own before any it owns, then the oldest access clock,
+// id order breaking ties (every object is equally old after a restart).
+func (s *Store) coldestLocked() (victim string, ve *entry) {
+	victimOwned := true
+	for id, e := range s.index {
+		owned := s.owned == nil || s.owned(id)
+		switch {
+		case ve == nil, victimOwned && !owned,
+			victimOwned == owned && (e.clock < ve.clock || e.clock == ve.clock && id < victim):
+			victim, ve, victimOwned = id, e, owned
+		}
 	}
-	return total
+	return victim, ve
 }
 
-// ensureRoomLocked makes need bytes of WAL headroom available under the
-// disk cap: compact first (reclaims dead versions and dropped
-// tombstones), then evict the least-recently-accessed live entries
-// (skipping the incoming key) until the projected footprint fits.
-func (s *Store) ensureRoomLocked(need int64, skip string) error {
-	cap := s.opts.DiskCapBytes
-	if cap <= 0 || s.diskBytesLocked()+need <= cap {
-		return nil
-	}
-	if err := s.compactAllLocked(); err != nil {
-		return err
-	}
-	for s.diskBytesLocked()+need > cap {
-		victim, ok := s.coldestLocked(skip)
-		if !ok {
-			return ErrDiskCap
-		}
-		if err := s.wal.appendRecord(walDelete, victim, nil); err != nil {
-			return err
-		}
-		s.applyDeleteLocked(victim)
-		s.st.Evictions++
-		if err := s.compactAllLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetEvictionHint installs the cluster ownership predicate: entries
+// SetEvictionHint installs the cluster ownership predicate: objects
 // for which owned returns false are evicted under disk pressure before
-// any owned entry, regardless of recency. nil clears the hint. The
+// any owned object, regardless of recency. nil clears the hint. The
 // predicate must be safe for concurrent use and must not call back
 // into the store.
 func (s *Store) SetEvictionHint(owned func(id string) bool) {
@@ -849,34 +299,83 @@ func (s *Store) SetEvictionHint(owned func(id string) bool) {
 	s.mu.Unlock()
 }
 
-// coldestLocked picks the eviction victim: unowned entries (per the
-// eviction hint) before owned ones, then the oldest access clock
-// (never-accessed entries first, id order breaking ties).
-func (s *Store) coldestLocked(skip string) (string, bool) {
-	var victim string
-	var victimClock uint64
-	victimOwned := true
-	found := false
-	live := s.liveLocked()
-	ids := make([]string, 0, len(live))
-	for id := range live {
-		ids = append(ids, id)
+// Load opens id's object for random-access reading. The caller must
+// check it with Blob.Verify before trusting the bytes — an object that
+// no longer hashes to its name is renamed to <id>.corrupt there and
+// reported as ErrNotFound — and must Close the blob.
+func (s *Store) Load(id string) (*Blob, error) {
+	s.mu.Lock()
+	e, ok := s.index[id]
+	if ok {
+		s.touchLocked(e)
+		s.st.Loads++
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if id == skip {
-			continue
-		}
-		c := s.access[id]
-		idOwned := s.owned == nil || s.owned(id)
-		switch {
-		case !found,
-			victimOwned && !idOwned,
-			victimOwned == idOwned && c < victimClock:
-			victim, victimClock, victimOwned, found = id, c, idOwned, true
-		}
+	s.mu.Unlock()
+	if !ok {
+		return nil, ErrNotFound
 	}
-	return victim, found
+	f, err := os.Open(s.path(id))
+	if errors.Is(err, fs.ErrNotExist) {
+		// Evicted since the index was read (then e is gone from it and
+		// remove does nothing), or deleted behind the store's back.
+		if err := s.remove(id, e, &s.st.Deletes); err != nil {
+			return nil, err
+		}
+		return nil, ErrNotFound
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Blob{f: f, size: e.size, s: s, id: id, e: e}, nil
+}
+
+// Delete removes id's object. Deleting an absent id is a no-op.
+func (s *Store) Delete(id string) error { return s.remove(id, nil, &s.st.Deletes) }
+
+// remove takes id out of the index, counts it in one of the store's
+// counters, and then unlinks its file — or, when the counter is
+// Quarantined, renames it to <id>.corrupt. With want set it acts only
+// if the index still holds that very entry.
+func (s *Store) remove(id string, want *entry, count *uint64) error {
+	s.mu.Lock()
+	e, ok := s.index[id]
+	if !ok || (want != nil && e != want) {
+		s.mu.Unlock()
+		return nil
+	}
+	delete(s.index, id)
+	s.bytes -= e.size
+	s.busy[id] = make(chan struct{})
+	*count++
+	s.mu.Unlock()
+
+	var err error
+	if count == &s.st.Quarantined {
+		err = os.Rename(s.path(id), s.path(id)+".corrupt")
+	} else {
+		err = os.Remove(s.path(id))
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		err = nil
+	}
+	s.mu.Lock()
+	s.releaseLocked(id)
+	s.mu.Unlock()
+	return err
+}
+
+// Flush fsyncs the data directory. Put already does before it returns;
+// this stays for callers that want a barrier of their own.
+func (s *Store) Flush() error {
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Stats returns a snapshot of occupancy and counters.
@@ -884,31 +383,12 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.st
-	st.Entries = len(s.liveLocked())
-	st.MemBytes = s.memB
-	st.WALBytes = s.wal.off
-	st.DiskBytes = s.diskBytesLocked()
-	st.Segments = len(s.segs)
+	st.Entries = len(s.index)
+	st.DiskBytes = s.bytes
 	return st
 }
 
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Close flushes the memtable (so the next Open reattaches segments
-// instead of replaying the WAL) and releases the log file. The store is
-// unusable afterwards.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	//lint:holdok Close drains the memtable once at shutdown; no other caller can enter a closed store
-	err := s.flushLocked()
-	if cerr := s.wal.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close does nothing: no descriptor is held between calls and every
+// acknowledged Put is on disk already. It stays for the callers that
+// pair it with Open.
+func (s *Store) Close() error { return nil }

@@ -2,12 +2,11 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -22,515 +21,581 @@ func openTestStore(t *testing.T, dir string, opts Options) (*Store, Recovery) {
 	return s, rec
 }
 
-func TestStorePutGetDelete(t *testing.T) {
-	s, _ := openTestStore(t, t.TempDir(), Options{})
-	val := bytes.Repeat([]byte{0xAB}, 1000)
-	if err := s.Put("alpha", val); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get("alpha")
+// testVal is n deterministic bytes that differ per seed.
+func testVal(seed int64, n int) []byte {
+	val := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(val)
+	return val
+}
+
+func mustPut(t *testing.T, s *Store, val []byte) string {
+	t.Helper()
+	id, err := s.Put(val)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Put: %v", err)
+	}
+	if id != ID(val) {
+		t.Fatalf("Put returned %s, want the content address %s", id, ID(val))
+	}
+	return id
+}
+
+// mustHold asserts id loads, verifies and reads back as val.
+func mustHold(t *testing.T, s *Store, id string, val []byte) {
+	t.Helper()
+	b, err := s.Load(id)
+	if err != nil {
+		t.Fatalf("Load(%s): %v", id, err)
+	}
+	defer b.Close()
+	if err := b.Verify(); err != nil {
+		t.Fatalf("Verify(%s): %v", id, err)
+	}
+	got := make([]byte, b.Size())
+	if _, err := b.ReadAt(got, 0); err != nil {
+		t.Fatalf("ReadAt(%s): %v", id, err)
 	}
 	if !bytes.Equal(got, val) {
-		t.Fatal("value mismatch")
-	}
-	if !s.Contains("alpha") || s.Contains("beta") {
-		t.Fatal("Contains wrong")
-	}
-	if err := s.Delete("alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Contains("alpha") {
-		t.Fatal("deleted key still present")
-	}
-	if _, err := s.Get("alpha"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get after delete: %v", err)
-	}
-	// Deleting an absent key is a no-op.
-	if err := s.Delete("never"); err != nil {
-		t.Fatal(err)
+		t.Fatalf("object %s does not read back", id)
 	}
 }
 
-// Re-putting identical content (the content-addressed steady state)
-// must not grow the WAL.
-func TestStoreIdempotentPut(t *testing.T) {
-	s, _ := openTestStore(t, t.TempDir(), Options{})
-	val := bytes.Repeat([]byte{1}, 500)
-	if err := s.Put("id", val); err != nil {
-		t.Fatal(err)
-	}
-	walAfterFirst := s.Stats().WALBytes
-	for i := 0; i < 5; i++ {
-		if err := s.Put("id", val); err != nil {
-			t.Fatal(err)
+func mustMiss(t *testing.T, s *Store, id string) {
+	t.Helper()
+	if b, err := s.Load(id); !errors.Is(err, ErrNotFound) {
+		if err == nil {
+			b.Close()
 		}
+		t.Fatalf("Load(%s): %v, want ErrNotFound", id, err)
 	}
-	if got := s.Stats().WALBytes; got != walAfterFirst {
-		t.Fatalf("duplicate puts grew WAL: %d -> %d", walAfterFirst, got)
-	}
-	// A different value under the same key does overwrite.
-	val2 := bytes.Repeat([]byte{2}, 500)
-	if err := s.Put("id", val2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get("id")
+}
+
+// dirNames lists the data directory, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, val2) {
-		t.Fatal("overwrite lost")
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+func mustNoTemps(t *testing.T, dir string) {
+	t.Helper()
+	for _, name := range dirNames(t, dir) {
+		if strings.Contains(name, ".tmp-") {
+			t.Fatalf("temp file %s left in the data directory", name)
+		}
 	}
 }
 
-func TestStoreReopenFromWAL(t *testing.T) {
+func TestStorePutLoadDelete(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openTestStore(t, dir, Options{})
+	val := testVal(1, 1000)
+	id := mustPut(t, s, val)
+	if !validID(id) {
+		t.Fatalf("id %q is not well formed", id)
+	}
+	mustHold(t, s, id, val)
+	if got := dirNames(t, dir); len(got) != 1 || got[0] != id {
+		t.Fatalf("directory holds %v, want exactly the object under its address", got)
+	}
+	if err := s.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	mustMiss(t, s, id)
+	if got := dirNames(t, dir); len(got) != 0 {
+		t.Fatalf("delete left %v", got)
+	}
+	// Deleting an absent id is a no-op; an empty value has no address.
+	if err := s.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(nil); err == nil {
+		t.Fatal("empty value stored")
+	}
+	if st := s.Stats(); st.Puts != 1 || st.Deletes != 1 || st.Loads != 1 || st.Entries != 0 || st.DiskBytes != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// Re-putting an object that is present (the content-addressed steady
+// state) writes nothing: same file, no new Put counted.
+func TestStoreIdempotentPut(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openTestStore(t, dir, Options{})
+	val := testVal(2, 500)
+	id := mustPut(t, s, val)
+	before, err := os.Stat(filepath.Join(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		mustPut(t, s, val)
+	}
+	after, err := os.Stat(filepath.Join(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !before.ModTime().Equal(after.ModTime()) {
+		t.Fatal("duplicate puts rewrote the object")
+	}
+	if st := s.Stats(); st.Puts != 1 || st.Entries != 1 || st.DiskBytes != int64(len(val)) {
+		t.Fatalf("stats %+v after duplicate puts", st)
+	}
+	mustNoTemps(t, dir)
+}
+
+func TestStoreReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTestStore(t, dir, Options{})
 	vals := map[string][]byte{}
 	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("sess-%d", i)
-		vals[id] = bytes.Repeat([]byte{byte(i)}, 200+i)
-		if err := s.Put(id, vals[id]); err != nil {
-			t.Fatal(err)
-		}
+		val := testVal(int64(10+i), 200+i)
+		vals[mustPut(t, s, val)] = val
 	}
-	s.Delete("sess-3")
-	delete(vals, "sess-3")
-	// Simulate a crash: do NOT Close (no flush), reopen and replay.
-	s.mu.Lock()
-	s.wal.f.Close()
-	s.closed = true
-	s.mu.Unlock()
-
+	gone := mustPut(t, s, testVal(99, 300))
+	if err := s.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	// No Close: whatever Put acknowledged is on disk already.
 	s2, rec := openTestStore(t, dir, Options{})
-	if rec.Entries != len(vals) || rec.WALRecords != 11 || rec.WALDroppedBytes != 0 {
+	if rec != (Recovery{Entries: len(vals)}) {
 		t.Fatalf("recovery = %+v", rec)
 	}
-	for id, want := range vals {
-		got, err := s2.Get(id)
-		if err != nil {
-			t.Fatalf("Get(%s): %v", id, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("value mismatch for %s", id)
-		}
+	for id, val := range vals {
+		mustHold(t, s2, id, val)
 	}
-	if s2.Contains("sess-3") {
-		t.Fatal("tombstone lost on replay")
+	mustMiss(t, s2, gone)
+	if st := s2.Stats(); st.RecoveredEntries != len(vals) || st.Entries != len(vals) {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
-// A torn WAL tail (crash mid-record) must drop exactly the torn record
-// and preserve every earlier one.
-func TestStoreReopenTornTail(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openTestStore(t, dir, Options{})
-	if err := s.Put("acked", bytes.Repeat([]byte{7}, 300)); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.wal.f.Close()
-	s.closed = true
-	s.mu.Unlock()
-	// Append garbage simulating a torn in-flight record.
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	junk := append(bytes.Repeat([]byte{0xFF}, 3), []byte("torn-upload")...)
-	if _, err := f.Write(junk); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, rec := openTestStore(t, dir, Options{})
-	if rec.WALDroppedBytes != int64(len(junk)) {
-		t.Fatalf("dropped %d bytes, want %d", rec.WALDroppedBytes, len(junk))
-	}
-	if !s2.Contains("acked") {
-		t.Fatal("acked entry lost")
-	}
-	if s2.Len() != 1 {
-		t.Fatalf("Len=%d want 1", s2.Len())
-	}
-	// And the truncation must be durable: a third open sees a clean log.
-	s2.Close()
-	_, rec3 := openTestStore(t, dir, Options{})
-	if rec3.WALDroppedBytes != 0 {
-		t.Fatalf("truncation not durable: dropped %d", rec3.WALDroppedBytes)
-	}
-}
-
-func TestStoreSpillAndReopenFromSegments(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny memtable so every few puts spill to a segment.
-	s, _ := openTestStore(t, dir, Options{MemtableBytes: 4096})
-	vals := map[string][]byte{}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 30; i++ {
-		id := fmt.Sprintf("sess-%02d", i)
-		val := make([]byte, 500+rng.Intn(1500))
-		rng.Read(val)
-		vals[id] = val
-		if err := s.Put(id, val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Spills == 0 || st.Segments == 0 {
-		t.Fatalf("no spills happened: %+v", st)
-	}
-	for id, want := range vals {
-		got, err := s.Get(id)
-		if err != nil {
-			t.Fatalf("Get(%s): %v", id, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("mismatch for %s", id)
-		}
-	}
-	s.Close()
-
-	s2, rec := openTestStore(t, dir, Options{MemtableBytes: 4096})
-	if rec.Entries != len(vals) {
-		t.Fatalf("recovered %d entries, want %d", rec.Entries, len(vals))
-	}
-	if rec.WALRecords != 0 {
-		t.Fatalf("clean close left %d WAL records", rec.WALRecords)
-	}
-	for id, want := range vals {
-		got, err := s2.Get(id)
-		if err != nil {
-			t.Fatalf("Get(%s) after reopen: %v", id, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("mismatch for %s after reopen", id)
-		}
-	}
-}
-
-// Property: any interleaving of puts, overwrites, and deletes followed
-// by compaction yields exactly the live set a model map predicts.
-func TestStoreCompactionPreservesLiveSet(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+// TestStoreCrashPoints builds, by hand, the directory each prefix of
+// the put protocol leaves behind when the process dies there, beside
+// one object whose Put had returned. After Open the acknowledged object
+// is present and verifies, nothing that was not acknowledged is visible
+// unless it is complete under its own address, no temp file is left and
+// the Recovery counts are exact.
+func TestStoreCrashPoints(t *testing.T) {
+	acked, torn := testVal(20, 4096), testVal(21, 4096)
+	tornID := ID(torn)
+	for _, tc := range []struct {
+		name    string
+		files   map[string][]byte // beside the acknowledged object
+		visible bool              // torn is served after Open
+		partial int
+	}{
+		{name: "temp created empty", files: map[string][]byte{tornID + ".tmp-1": {}}, partial: 1},
+		{name: "temp half written", files: map[string][]byte{tornID + ".tmp-1": torn[:2048]}, partial: 1},
+		{name: "temp complete, not renamed", files: map[string][]byte{tornID + ".tmp-1": torn}, partial: 1},
+		// The rename reached the disk or it did not; a crash before the
+		// directory fsync may leave either. Not renamed is the row above.
+		// Renamed, the object is whole (its own fsync came first) and
+		// hashes to its name: serving it is right although nobody was told.
+		{name: "renamed, directory not yet synced", files: map[string][]byte{tornID: torn}, visible: true},
+		{name: "second put of the id racing the first, neither done",
+			files: map[string][]byte{tornID + ".tmp-1": torn, tornID + ".tmp-2": torn[:100]}, partial: 2},
+		{name: "second put of the id racing the first, first done",
+			files: map[string][]byte{tornID: torn, tornID + ".tmp-2": torn[:100]}, visible: true, partial: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, _ := openTestStore(t, dir, Options{MemtableBytes: 2048, CompactAt: 3})
-			rng := rand.New(rand.NewSource(seed))
-			model := map[string][]byte{}
-			for step := 0; step < 200; step++ {
-				id := fmt.Sprintf("k%02d", rng.Intn(25))
-				switch rng.Intn(4) {
-				case 0:
-					if err := s.Delete(id); err != nil {
-						t.Fatal(err)
-					}
-					delete(model, id)
-				default:
-					val := make([]byte, 100+rng.Intn(400))
-					rng.Read(val)
-					if err := s.Put(id, val); err != nil {
-						t.Fatal(err)
-					}
-					model[id] = val
+			s0, _ := openTestStore(t, dir, Options{})
+			ackedID := mustPut(t, s0, acked)
+			for name, content := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), content, 0o600); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if err := s.Compact(); err != nil {
-				t.Fatal(err)
+
+			s, rec := openTestStore(t, dir, Options{})
+			want := Recovery{Entries: 1, PartialRemoved: tc.partial}
+			if tc.visible {
+				want.Entries = 2
 			}
-			st := s.Stats()
-			if st.Segments > 1 {
-				t.Fatalf("full compaction left %d segments", st.Segments)
+			if rec != want {
+				t.Fatalf("recovery = %+v, want %+v", rec, want)
 			}
-			checkAgainstModel(t, s, model)
-			// Tombstones must actually be gone after a full compaction.
-			if len(s.segs) == 1 && s.segs[0].live != len(s.segs[0].ids) {
-				t.Fatalf("full compaction kept tombstones: %d live of %d", s.segs[0].live, len(s.segs[0].ids))
+			mustNoTemps(t, dir)
+			mustHold(t, s, ackedID, acked)
+			if tc.visible {
+				mustHold(t, s, tornID, torn)
+			} else {
+				mustMiss(t, s, tornID)
 			}
-			// And the same live set must survive a reopen.
-			s.Close()
-			s2, _ := openTestStore(t, dir, Options{MemtableBytes: 2048, CompactAt: 3})
-			checkAgainstModel(t, s2, model)
+			// The client whose upload was cut off retries, and it lands.
+			mustPut(t, s, torn)
+			mustHold(t, s, tornID, torn)
+			mustNoTemps(t, dir)
 		})
 	}
 }
 
-func checkAgainstModel(t *testing.T, s *Store, model map[string][]byte) {
-	t.Helper()
-	keys := s.Keys()
-	if len(keys) != len(model) {
-		t.Fatalf("live set size %d, model %d", len(keys), len(model))
-	}
-	for _, id := range keys {
-		want, ok := model[id]
-		if !ok {
-			t.Fatalf("store has %s, model does not", id)
+// A directory of the earlier WAL+segment format is refused with an
+// error that says so, never opened as an empty store.
+func TestStoreRefusesOldFormat(t *testing.T) {
+	for _, name := range []string{"wal.log", "seg-000001-000000.sst"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		got, err := s.Get(id)
-		if err != nil {
-			t.Fatalf("Get(%s): %v", id, err)
+		temp := filepath.Join(dir, ID([]byte("x"))+".tmp-1")
+		if err := os.WriteFile(temp, []byte("x"), 0o600); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("value mismatch for %s", id)
+		_, _, err := Open(dir, Options{})
+		if err == nil || !strings.Contains(err.Error(), "earlier version") || !strings.Contains(err.Error(), name) {
+			t.Fatalf("Open over %s: %v, want a refusal naming the old format", name, err)
+		}
+		if _, err := os.Stat(temp); err != nil {
+			t.Fatalf("refused directory was modified: %v", err)
 		}
 	}
 }
 
-// An interrupted compaction (crash right after the commit file became
-// durable, inputs still on disk) must roll forward on open without
-// resurrecting tombstoned values.
-func TestStoreCompactionCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openTestStore(t, dir, Options{})
-	if err := s.Put("keep", bytes.Repeat([]byte{1}, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("gone", bytes.Repeat([]byte{2}, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("gone"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Two segments: [puts], [tombstone]. Stage the crash window by hand:
-	// merged output pending + commit file present, inputs not yet deleted.
-	s.mu.Lock()
-	if len(s.segs) != 2 {
-		s.mu.Unlock()
-		t.Fatalf("want 2 segments, have %d", len(s.segs))
-	}
-	in0, in1 := s.segs[0], s.segs[1]
-	merged := []segEntry{{id: "keep", val: bytes.Repeat([]byte{1}, 100), digest: sha256.Sum256(bytes.Repeat([]byte{1}, 100))}}
-	final := segName(in1.seq, 1)
-	if _, err := writeSegment(filepath.Join(dir, final+".pending"), merged); err != nil {
-		s.mu.Unlock()
-		t.Fatal(err)
-	}
-	commit := "v1 " + final + "\n" + filepath.Base(in0.path) + "\n" + filepath.Base(in1.path) + "\n"
-	if err := writeFileSync(filepath.Join(dir, "compact.commit"), []byte(commit)); err != nil {
-		s.mu.Unlock()
-		t.Fatal(err)
-	}
-	s.wal.f.Close()
-	s.closed = true
-	s.mu.Unlock()
+// A byte flip anywhere in an object is caught by Verify, the object is
+// set aside as <id>.corrupt and reported as absent, and the next Put of
+// the same bytes heals it.
+func TestStoreQuarantineAndHeal(t *testing.T) {
+	val := testVal(30, 10_000)
+	id := ID(val)
+	for _, damage := range []struct {
+		name string
+		do   func(path string) error
+	}{
+		{"first byte", func(p string) error { return flipByte(p, 0) }},
+		{"last byte", func(p string) error { return flipByte(p, int64(len(val)-1)) }},
+		{"truncated", func(p string) error { return os.Truncate(p, int64(len(val)/2)) }},
+		{"extended", func(p string) error {
+			f, err := os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			_, err = f.Write([]byte("junk"))
+			return err
+		}},
+	} {
+		t.Run(damage.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s0, _ := openTestStore(t, dir, Options{})
+			mustPut(t, s0, val)
+			if err := damage.do(filepath.Join(dir, id)); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, rec := openTestStore(t, dir, Options{})
-	if rec.Quarantined != 0 {
-		t.Fatalf("recovery quarantined %d segments", rec.Quarantined)
-	}
-	if !s2.Contains("keep") {
-		t.Fatal("live entry lost rolling compaction forward")
-	}
-	if s2.Contains("gone") {
-		t.Fatal("tombstoned value resurrected by interrupted compaction")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "compact.commit")); !os.IsNotExist(err) {
-		t.Fatal("commit file not cleaned up")
+			s, _ := openTestStore(t, dir, Options{})
+			b, err := s.Load(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Verify(); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Verify of a damaged object: %v, want ErrNotFound", err)
+			}
+			b.Close()
+			mustMiss(t, s, id)
+			if got := dirNames(t, dir); len(got) != 1 || got[0] != id+".corrupt" {
+				t.Fatalf("directory holds %v, want only the quarantined file", got)
+			}
+			if st := s.Stats(); st.Quarantined != 1 || st.Entries != 0 || st.DiskBytes != 0 {
+				t.Fatalf("stats %+v", st)
+			}
+			mustPut(t, s, val)
+			mustHold(t, s, id, val)
+
+			// The quarantined file is counted, and never served, after a restart.
+			s2, rec := openTestStore(t, dir, Options{})
+			if rec != (Recovery{Entries: 1, Quarantined: 1}) {
+				t.Fatalf("recovery = %+v", rec)
+			}
+			mustHold(t, s2, id, val)
+			mustMiss(t, s2, id+".corrupt")
+		})
 	}
 }
 
-// A crash before the commit file exists must discard the pending output
-// and keep serving from the inputs.
-func TestStoreCompactionAbortedDiscarded(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openTestStore(t, dir, Options{})
-	if err := s.Put("a", bytes.Repeat([]byte{3}, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Pending merge output with no commit file: never committed.
-	if _, err := writeSegment(filepath.Join(dir, segName(99, 1)+".pending"), []segEntry{{id: "ghost", val: []byte{9}, digest: sha256.Sum256([]byte{9})}}); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.wal.f.Close()
-	s.closed = true
-	s.mu.Unlock()
-
-	s2, _ := openTestStore(t, dir, Options{})
-	if s2.Contains("ghost") {
-		t.Fatal("uncommitted merge output became visible")
-	}
-	if !s2.Contains("a") {
-		t.Fatal("input entry lost")
-	}
-	pend, _ := filepath.Glob(filepath.Join(dir, "*.pending"))
-	if len(pend) != 0 {
-		t.Fatalf("pending files survived recovery: %v", pend)
-	}
-}
-
-// A corrupt segment file is quarantined, not served from and not fatal.
-func TestStoreQuarantinesCorruptSegment(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openTestStore(t, dir, Options{})
-	if err := s.Put("ok", bytes.Repeat([]byte{5}, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.sst"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("want 1 segment, got %v (%v)", segs, err)
-	}
-	blob, err := os.ReadFile(segs[0])
+func flipByte(path string, off int64) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	blob[len(blob)-1] ^= 0xFF // break the footer magic
-	if err := os.WriteFile(segs[0], blob, 0o644); err != nil {
-		t.Fatal(err)
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		return err
 	}
-
-	s2, rec := openTestStore(t, dir, Options{})
-	if rec.Quarantined != 1 {
-		t.Fatalf("quarantined=%d want 1", rec.Quarantined)
-	}
-	if s2.Contains("ok") {
-		t.Fatal("entry served from corrupt segment")
-	}
-	qs, _ := filepath.Glob(filepath.Join(dir, "*.corrupt"))
-	if len(qs) != 1 {
-		t.Fatalf("corrupt file not kept for forensics: %v", qs)
-	}
+	b[0] ^= 0x40
+	_, err = f.WriteAt(b[:], off)
+	return err
 }
 
-// With a disk cap, cold entries are evicted (oldest access first) to
-// make room, and the incoming entry always survives.
+// With a disk cap, cold objects are evicted (oldest access first) to
+// make room, and the incoming object always survives.
 func TestStoreDiskCapEvictsCold(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openTestStore(t, dir, Options{MemtableBytes: 1, DiskCapBytes: 64 << 10})
-	val := bytes.Repeat([]byte{1}, 8<<10)
+	const size, limit = 8 << 10, 40 << 10
+	s, _ := openTestStore(t, dir, Options{DiskCapBytes: limit})
+	var cold []string
 	for i := 0; i < 4; i++ {
-		if err := s.Put(fmt.Sprintf("cold-%d", i), val); err != nil {
-			t.Fatal(err)
-		}
+		cold = append(cold, mustPut(t, s, testVal(int64(40+i), size)))
 	}
-	// Touch cold-0 so it is the hottest.
-	if _, err := s.Get("cold-0"); err != nil {
-		t.Fatal(err)
-	}
-	// Push enough new entries to exceed the cap.
-	for i := 0; i < 4; i++ {
-		if err := s.Put(fmt.Sprintf("new-%d", i), val); err != nil {
-			t.Fatal(err)
-		}
+	// Touch the first so it is the hottest.
+	mustHold(t, s, cold[0], testVal(40, size))
+	var fresh []string
+	for i := 0; i < 3; i++ {
+		fresh = append(fresh, mustPut(t, s, testVal(int64(50+i), size)))
 	}
 	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions under cap pressure: %+v", st)
+	if st.Evictions != 2 || st.Entries != 5 || st.DiskBytes != 5*size {
+		t.Fatalf("stats %+v, want 2 evictions leaving 5 objects", st)
 	}
-	if st.DiskBytes > 64<<10 {
-		t.Fatalf("disk bytes %d exceed cap", st.DiskBytes)
+	// Eviction is an unlink: the directory holds what the index holds.
+	if got := dirNames(t, dir); len(got) != 5 {
+		t.Fatalf("directory holds %v", got)
 	}
-	// The most recent put always survives.
-	if !s.Contains("new-3") {
-		t.Fatal("incoming entry evicted")
+	mustMiss(t, s, cold[1])
+	mustMiss(t, s, cold[2])
+	for _, id := range append([]string{cold[0], cold[3]}, fresh...) {
+		if b, err := s.Load(id); err != nil {
+			t.Fatalf("survivor %s: %v", id, err)
+		} else {
+			b.Close()
+		}
 	}
-	// A single value larger than the cap is rejected, not looped on.
-	if err := s.Put("huge", bytes.Repeat([]byte{2}, 80<<10)); !errors.Is(err, ErrDiskCap) {
+	// A value larger than the cap is rejected, and costs nobody a place.
+	if _, err := s.Put(testVal(60, limit+1)); !errors.Is(err, ErrDiskCap) {
 		t.Fatalf("oversized put: %v", err)
+	}
+	if st := s.Stats(); st.Evictions != 2 || st.Entries != 5 {
+		t.Fatalf("rejected put evicted: %+v", st)
+	}
+	// The cap holds across a restart: sizes come from the directory.
+	s2, _ := openTestStore(t, dir, Options{DiskCapBytes: limit})
+	mustPut(t, s2, testVal(61, size))
+	if st := s2.Stats(); st.Evictions != 1 || st.DiskBytes != 5*size {
+		t.Fatalf("stats after restart %+v", st)
 	}
 }
 
+// The disk-cap eviction honors the cluster ownership hint: objects this
+// node no longer owns go before any owned one, even when the unowned
+// one is the most recently accessed.
+func TestStoreEvictsUnownedFirst(t *testing.T) {
+	s, _ := openTestStore(t, t.TempDir(), Options{DiskCapBytes: 36 << 10})
+	vals := [][]byte{testVal(70, 10<<10), testVal(71, 10<<10), testVal(72, 10<<10), testVal(73, 10<<10)}
+	a, b, c := mustPut(t, s, vals[0]), mustPut(t, s, vals[1]), mustPut(t, s, vals[2])
+	// Make the soon-to-be-unowned object the hottest, so plain LRU would
+	// keep it.
+	for i := 0; i < 3; i++ {
+		mustHold(t, s, b, vals[1])
+	}
+	s.SetEvictionHint(func(id string) bool { return id != b })
+
+	d := mustPut(t, s, vals[3])
+	mustMiss(t, s, b)
+	mustHold(t, s, a, vals[0])
+	mustHold(t, s, c, vals[2])
+	mustHold(t, s, d, vals[3])
+	if s.Stats().Evictions != 1 {
+		t.Fatalf("stats %+v", s.Stats())
+	}
+}
+
+// Clearing the hint restores pure recency order.
+func TestStoreEvictionHintCleared(t *testing.T) {
+	s, _ := openTestStore(t, t.TempDir(), Options{DiskCapBytes: 36 << 10})
+	vals := [][]byte{testVal(80, 10<<10), testVal(81, 10<<10), testVal(82, 10<<10), testVal(83, 10<<10)}
+	a, b, c := mustPut(t, s, vals[0]), mustPut(t, s, vals[1]), mustPut(t, s, vals[2])
+	// Touch all but a, making it the coldest.
+	mustHold(t, s, b, vals[1])
+	mustHold(t, s, c, vals[2])
+	s.SetEvictionHint(func(id string) bool { return id != b })
+	s.SetEvictionHint(nil) // cleared: b is no longer preferred
+
+	mustPut(t, s, vals[3])
+	mustMiss(t, s, a)
+	mustHold(t, s, b, vals[1])
+}
+
+// A blob streams at any offset, and one opened before its object is
+// deleted, evicted or quarantined keeps reading: it holds its own
+// descriptor.
 func TestStoreBlobVerifyAndStream(t *testing.T) {
-	s, _ := openTestStore(t, t.TempDir(), Options{})
-	val := bytes.Repeat([]byte{0xC3}, 100_000)
-	if err := s.Put("big", val); err != nil {
-		t.Fatal(err)
-	}
-	check := func(label string) {
-		b, err := s.Load("big")
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		defer b.Close()
-		if b.Size() != int64(len(val)) {
-			t.Fatalf("%s: size %d", label, b.Size())
-		}
-		if err := b.Verify(); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		mid := make([]byte, 1000)
-		if _, err := readFullAt(b, mid, 50_000); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if !bytes.Equal(mid, val[50_000:51_000]) {
-			t.Fatalf("%s: mid-read mismatch", label)
-		}
-	}
-	check("memtable")
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	check("segment")
-	// A blob opened before compaction keeps reading after the segment
-	// file is replaced (it holds its own descriptor).
-	b, err := s.Load("big")
+	s, _ := openTestStore(t, t.TempDir(), Options{DiskCapBytes: 150_000})
+	val := testVal(90, 100_000)
+	id := mustPut(t, s, val)
+	b, err := s.Load(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if err := s.Put("other", bytes.Repeat([]byte{1}, 100)); err != nil {
-		t.Fatal(err)
+	if b.Size() != int64(len(val)) {
+		t.Fatalf("size %d", b.Size())
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	mid := make([]byte, 1000)
+	if _, err := b.ReadAt(mid, 50_000); err != nil || !bytes.Equal(mid, val[50_000:51_000]) {
+		t.Fatalf("mid-read: %v", err)
 	}
+	mustPut(t, s, testVal(91, 100_000)) // evicts id
+	mustMiss(t, s, id)
 	if err := b.Verify(); err != nil {
-		t.Fatalf("blob unreadable after compaction: %v", err)
+		t.Fatalf("blob unreadable after its object was evicted: %v", err)
+	}
+	if _, err := b.ReadAt(mid, 99_000); err != nil || !bytes.Equal(mid, val[99_000:]) {
+		t.Fatalf("tail read after eviction: %v", err)
+	}
+	// A verdict on the evicted copy must not touch what replaced it.
+	if s.Stats().Quarantined != 0 {
+		t.Fatal("a passing Verify quarantined something")
 	}
 }
 
-func TestStoreConcurrentAccess(t *testing.T) {
-	s, _ := openTestStore(t, t.TempDir(), Options{MemtableBytes: 8 << 10, CompactAt: 2})
+// Many writers of one bundle (the same client reconnecting, or a fleet
+// sharing keys) produce one file, written once, and every one of them
+// returns only when it is durable.
+func TestStoreConcurrentPutsOfOneObject(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openTestStore(t, dir, Options{})
+	val := testVal(100, 64<<10)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		w := w
+	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if _, err := s.Put(val); err != nil {
+				t.Error(err)
+				return
+			}
+			// Acknowledged means present, for every caller.
+			if b, err := s.Load(ID(val)); err != nil {
+				t.Error(err)
+			} else {
+				b.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Puts != 1 || st.Entries != 1 || st.DiskBytes != int64(len(val)) {
+		t.Fatalf("stats %+v, want one write", st)
+	}
+	mustNoTemps(t, dir)
+	mustHold(t, s, ID(val), val)
+}
+
+// Writers, readers and deleters over a small pool of objects under a
+// tight cap, so evictions, re-uploads and removals of the same ids
+// interleave; run with -race. Whatever Load returns must verify — an
+// object is only ever visible whole — and the index must match the
+// directory at the end.
+func TestStoreConcurrentAccess(t *testing.T) {
+	dir := t.TempDir()
+	const size = 4 << 10
+	s, _ := openTestStore(t, dir, Options{DiskCapBytes: 6 * size})
+	pool := make([][]byte, 12)
+	for i := range pool {
+		pool[i] = testVal(int64(200+i), size)
+	}
+
+	// One blob held open across the eviction of its object.
+	heldID := mustPut(t, s, pool[0])
+	held, err := s.Load(heldID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 50; i++ {
-				id := fmt.Sprintf("w%d-k%d", w, rng.Intn(10))
+			for i := 0; i < 150; i++ {
+				val := pool[rng.Intn(len(pool))]
+				id := ID(val)
 				switch rng.Intn(5) {
 				case 0:
 					if err := s.Delete(id); err != nil {
 						t.Error(err)
 						return
 					}
-				case 1:
-					if b, err := s.Load(id); err == nil {
-						if err := b.Verify(); err != nil {
-							t.Error(err)
-						}
-						b.Close()
-					} else if !errors.Is(err, ErrNotFound) {
+				case 1, 2:
+					b, err := s.Load(id)
+					if errors.Is(err, ErrNotFound) {
+						continue
+					}
+					if err != nil {
 						t.Error(err)
 						return
 					}
+					if err := b.Verify(); err != nil {
+						t.Errorf("visible object %s does not verify: %v", id, err)
+					}
+					b.Close()
 				default:
-					val := make([]byte, 100+rng.Intn(2000))
-					rng.Read(val)
-					if err := s.Put(id, val); err != nil {
+					if _, err := s.Put(val); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
+
+	// Push the held object out for certain, then read it through the
+	// descriptor that was open all along.
+	if err := s.Delete(heldID); err != nil {
+		t.Fatal(err)
+	}
+	if err := held.Verify(); err != nil {
+		t.Fatalf("blob held across eviction: %v", err)
+	}
+	st := s.Stats()
+	if st.Quarantined != 0 {
+		t.Fatalf("%d objects quarantined with no damage done", st.Quarantined)
+	}
+	if st.DiskBytes > 6*size || st.DiskBytes != int64(st.Entries)*size {
+		t.Fatalf("stats %+v", st)
+	}
+	names := dirNames(t, dir)
+	if len(names) != st.Entries {
+		t.Fatalf("index holds %d objects, directory %v", st.Entries, names)
+	}
+	for _, name := range names {
+		b, err := s.Load(name)
+		if err != nil {
+			t.Fatalf("%s is in the directory, not in the index: %v", name, err)
+		}
+		if err := b.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		b.Close()
+	}
+}
+
+// An object deleted behind the store's back is a miss, and the stale
+// index entry goes with it, so a re-upload is written rather than
+// taken for present.
+func TestStoreHealsExternalDelete(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openTestStore(t, dir, Options{})
+	val := testVal(310, 1000)
+	id := mustPut(t, s, val)
+	if err := os.Remove(filepath.Join(dir, id)); err != nil {
+		t.Fatal(err)
+	}
+	mustMiss(t, s, id)
+	mustPut(t, s, val)
+	mustHold(t, s, id, val)
+	if st := s.Stats(); st.Puts != 2 || st.Entries != 1 {
+		t.Fatalf("stats %+v", st)
+	}
 }
