@@ -2,7 +2,6 @@ package bfv
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -23,62 +22,45 @@ const (
 	wireVersion     = 1
 )
 
+// wireWriter and wireReader carry a sticky error so a decoder reads as
+// a straight sequence of fields; the words themselves move in bulk
+// through ring.WriteWords and ring.WordReader.
 type wireWriter struct {
 	w   *bufio.Writer
 	err error
 }
 
-func (w *wireWriter) u64(v uint64) {
-	if w.err != nil {
-		return
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, w.err = w.w.Write(b[:])
-}
-
-func (w *wireWriter) u64s(vs []uint64) {
-	w.u64(uint64(len(vs)))
-	for _, v := range vs {
-		w.u64(v)
+func (w *wireWriter) u64(vs ...uint64) {
+	if w.err == nil {
+		w.err = ring.WriteWords(w.w, vs...)
 	}
 }
 
+// poly writes the limb count, then each limb as its length and its words.
 func (w *wireWriter) poly(p ring.Poly) {
 	w.u64(uint64(len(p.Coeffs)))
 	for _, limb := range p.Coeffs {
-		w.u64s(limb)
+		w.u64(uint64(len(limb)))
+		w.u64(limb...)
 	}
 }
 
 type wireReader struct {
-	r   *bufio.Reader
+	ring.WordReader
 	err error
+}
+
+func newWireReader(r io.Reader) *wireReader {
+	return &wireReader{WordReader: ring.WordReader{R: bufio.NewReader(r)}}
 }
 
 func (r *wireReader) u64() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	var b [8]byte
-	_, r.err = io.ReadFull(r.r, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (r *wireReader) u64s(max int) []uint64 {
-	n := r.u64()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(max) {
-		r.err = fmt.Errorf("bfv: wire length %d exceeds limit %d", n, max)
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.u64()
-	}
-	return out
+	var v uint64
+	v, r.err = r.Word()
+	return v
 }
 
 // poly reads a full-level polynomial: key material always travels over
@@ -110,42 +92,33 @@ func (r *wireReader) ctPoly(rq *ring.Ring) ring.Poly {
 	return r.polyBody(rq, int(got))
 }
 
+// polyBody reads limbs limbs of N words each, decoding every limb
+// straight into the polynomial. Residues at or above q_i break the
+// Barrett/Shoup preconditions downstream and silently corrupt NTT limbs;
+// WordsBelow rejects them here, at the trust boundary.
 func (r *wireReader) polyBody(rq *ring.Ring, limbs int) ring.Poly {
 	p := ring.Poly{Coeffs: make([][]uint64, limbs)}
 	backing := make([]uint64, limbs*rq.N)
 	for i := range p.Coeffs {
-		p.Coeffs[i] = backing[i*rq.N : (i+1)*rq.N]
-	}
-	for i := range p.Coeffs {
-		limb := r.u64s(rq.N)
+		n := r.u64()
 		if r.err != nil {
 			return ring.Poly{}
 		}
-		if len(limb) != rq.N {
-			r.err = fmt.Errorf("bfv: wire limb has %d coeffs, want %d", len(limb), rq.N)
+		if n != uint64(rq.N) {
+			r.err = fmt.Errorf("bfv: wire limb has %d coeffs, want %d", n, rq.N)
 			return ring.Poly{}
 		}
-		// Residues at or above q_i break the Barrett/Shoup preconditions
-		// downstream and silently corrupt NTT limbs; reject them here,
-		// at the trust boundary.
-		q := rq.Moduli[i].Q
-		for j, c := range limb {
-			if c >= q {
-				r.err = fmt.Errorf("bfv: wire coefficient %d of limb %d is %d, outside [0, %d)", j, i, c, q)
-				return ring.Poly{}
-			}
+		p.Coeffs[i] = backing[i*rq.N : (i+1)*rq.N]
+		if err := r.WordsBelow(p.Coeffs[i], rq.Moduli[i].Q); err != nil {
+			r.err = fmt.Errorf("bfv: wire limb %d: %w", i, err)
+			return ring.Poly{}
 		}
-		copy(p.Coeffs[i], limb)
 	}
 	return p
 }
 
 func (c *Context) writeHeader(w *wireWriter, magic uint64) {
-	w.u64(magic)
-	w.u64(wireVersion)
-	w.u64(uint64(c.Params.LogN))
-	w.u64(uint64(len(c.Params.Qi)))
-	w.u64(c.Params.T)
+	w.u64(magic, wireVersion, uint64(c.Params.LogN), uint64(len(c.Params.Qi)), c.Params.T)
 }
 
 func (c *Context) readHeader(r *wireReader, magic uint64) error {
@@ -182,7 +155,7 @@ func (c *Context) WriteCiphertext(ct *Ciphertext, w io.Writer) error {
 // ReadCiphertext deserializes a ciphertext produced under the same
 // parameters.
 func (c *Context) ReadCiphertext(r io.Reader) (*Ciphertext, error) {
-	rr := &wireReader{r: bufio.NewReader(r)}
+	rr := newWireReader(r)
 	if err := c.readHeader(rr, magicCiphertext); err != nil {
 		return nil, err
 	}
@@ -214,7 +187,7 @@ func (c *Context) WriteSecretKey(sk *SecretKey, w io.Writer) error {
 
 // ReadSecretKey deserializes a secret key.
 func (c *Context) ReadSecretKey(r io.Reader) (*SecretKey, error) {
-	rr := &wireReader{r: bufio.NewReader(r)}
+	rr := newWireReader(r)
 	if err := c.readHeader(rr, magicSecretKey); err != nil {
 		return nil, err
 	}
@@ -254,7 +227,7 @@ func (c *Context) WritePublicKey(pk *PublicKey, w io.Writer) error {
 
 // ReadPublicKey deserializes a public key.
 func (c *Context) ReadPublicKey(r io.Reader) (*PublicKey, error) {
-	rr := &wireReader{r: bufio.NewReader(r)}
+	rr := newWireReader(r)
 	if err := c.readHeader(rr, magicPublicKey); err != nil {
 		return nil, err
 	}
@@ -303,7 +276,7 @@ func (c *Context) WriteKeySet(ks *KeySet, w io.Writer) error {
 
 // ReadKeySet deserializes evaluation keys.
 func (c *Context) ReadKeySet(r io.Reader) (*KeySet, error) {
-	rr := &wireReader{r: bufio.NewReader(r)}
+	rr := newWireReader(r)
 	if err := c.readHeader(rr, magicKeySet); err != nil {
 		return nil, err
 	}

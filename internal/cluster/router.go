@@ -161,6 +161,9 @@ func (r *Router) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// The Add shares the draining check's critical section: once
+		// Shutdown has set draining, no handler can join the group its
+		// Wait is counting down.
 		r.mu.Lock()
 		if r.draining {
 			r.mu.Unlock()
@@ -168,9 +171,9 @@ func (r *Router) Serve(ln net.Listener) error {
 			continue
 		}
 		r.conns[conn] = struct{}{}
+		r.connWG.Add(1)
 		r.mu.Unlock()
 		r.count(func(s *RouterStats) { s.Connections++ })
-		r.connWG.Add(1)
 		go r.handleConn(conn)
 	}
 }
@@ -536,7 +539,15 @@ func (r *Router) initBackend(bc *backendConn, blob []byte) {
 		fail(fmt.Errorf("cluster: node %s: unexpected frame %d during session setup", bc.node, typ))
 		return
 	}
+	// As in Serve: join the group only under the lock that sees draining.
+	r.mu.Lock()
+	if r.draining {
+		r.mu.Unlock()
+		fail(&serve.RequestError{Code: serve.CodeDraining, Msg: "router shutting down"})
+		return
+	}
 	r.connWG.Add(1)
+	r.mu.Unlock()
 	go r.backendReadLoop(bc)
 }
 

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
-	"sync"
 
 	"athena/internal/bfv"
 	"athena/internal/coeffenc"
@@ -12,24 +12,17 @@ import (
 	"athena/internal/pack"
 	"athena/internal/par"
 	"athena/internal/qnn"
-	"athena/internal/ring"
 )
 
 // Engine holds all key material and compiled transforms for running
 // quantized networks under FHE. In a deployment the secret key and
 // decryptor live with the client and everything else with the server;
-// the engine keeps both sides for end-to-end evaluation.
+// the engine keeps both sides for end-to-end evaluation. What does not
+// depend on the keys — contexts (Ctx among them), S2C, compiled LUTs —
+// is the plan the engine shares with every other engine at its Params.
 type Engine struct {
-	P   Params
-	Ctx *bfv.Context
-
-	// Level schedule (Params.Levels): ctxF is the FBS-level context the
-	// packing and LUT ladders run under; ctxP is the post-level context
-	// for everything after the LUT (masking, S2C, conv accumulation,
-	// extraction). Either may alias Ctx when the schedule keeps the full
-	// chain.
-	ctxF *bfv.Context
-	ctxP *bfv.Context
+	P Params
+	*plan
 
 	sk   *bfv.SecretKey
 	enc  *bfv.Encryptor
@@ -42,7 +35,6 @@ type Engine struct {
 	lweSK  *lwe.SecretKey    // dimension n secret (client side)
 	ksk    *lwe.KeySwitchKey // ring-degree -> n at qMid
 	packer *pack.Packer      // working packer at ctxF (ModDown'd babies)
-	s2c    *pack.Transform   // compiled at ctxP
 
 	// Full-level packing keys as generated/received: the wire format
 	// (EvalKeys) always carries full-chain babies, the working packer is
@@ -50,29 +42,10 @@ type Engine struct {
 	packN      int
 	packBabies []*bfv.Ciphertext
 
-	luts  map[*qnn.QConv]*fbs.Evaluator
-	relus map[int]*fbs.Evaluator // post-add ReLU-clamp by ActBits
-	divs  map[int]*fbs.Evaluator // avg-pool divide by k²
-
-	// lutMu guards the three LUT caches above: pooled lanes compile and
-	// look up evaluators concurrently during batched inference.
-	lutMu sync.Mutex
-
-	// shifts caches −X^(N−o) at the post level by window offset o (int →
-	// *bfv.PlaintextMul); lanes look it up concurrently.
-	shifts sync.Map
-
 	// w0 is the top-level evaluation worker (wrapping e.ev); lanes holds
 	// the ShallowCopy'd workers the operator-level fan-outs run on.
 	w0    *evalWorker
 	lanes *par.Pool[*evalWorker]
-
-	tMod ring.Modulus // cached Barrett constants for the LWE arithmetic
-
-	// zero is the LWE encryption of 0 every empty packing slot points at.
-	// It is shared and read-only (the packer only reads its inputs);
-	// code that accumulates into a zero takes its own from zeroLWE.
-	zero lwe.Ciphertext
 
 	// Stats accumulates operation counts over Infer calls.
 	Stats OpStats
@@ -122,7 +95,7 @@ func (s OpStats) Sub(o OpStats) OpStats {
 
 // NewEngine generates all key material for params.
 func NewEngine(p Params) (*Engine, error) {
-	e, err := newEngineShell(p)
+	e, err := newEngine(p)
 	if err != nil {
 		return nil, err
 	}
@@ -150,10 +123,6 @@ func NewEngine(p Params) (*Engine, error) {
 	if err := e.buildPacker(); err != nil {
 		return nil, err
 	}
-	e.s2c, err = pack.CompileTransform(e.ctxP, pack.S2CMatrix(e.ctxP))
-	if err != nil {
-		return nil, err
-	}
 
 	els := pack.DedupGalois(e.packer.GaloisElements(), e.s2c.GaloisElements())
 	keys := kg.GenKeySet(e.sk, els)
@@ -161,43 +130,14 @@ func NewEngine(p Params) (*Engine, error) {
 	return e, nil
 }
 
-// newEngineShell validates params and builds the keyless engine frame
-// shared by the client-side (NewEngine) and server-side
-// (NewEvaluationEngine) constructors.
-func newEngineShell(p Params) (*Engine, error) {
-	bp, err := p.BFVParameters()
+// newEngine is the keyless frame both constructors start from: the
+// process's plan for p and the engine's own encoders.
+func newEngine(p Params) (*Engine, error) {
+	pl, err := planFor(p)
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := bfv.NewContext(bp)
-	if err != nil {
-		return nil, err
-	}
-	if !ctx.Batching() {
-		return nil, fmt.Errorf("core: parameters do not support batching (t=%d, N=%d)", p.T, 1<<p.LogN)
-	}
-	if p.LWEDim > ctx.N/2 || (ctx.N/2)%p.LWEDim != 0 {
-		return nil, fmt.Errorf("core: LWE dimension %d must divide N/2=%d", p.LWEDim, ctx.N/2)
-	}
-	e := &Engine{
-		P:     p,
-		Ctx:   ctx,
-		luts:  make(map[*qnn.QConv]*fbs.Evaluator),
-		relus: make(map[int]*fbs.Evaluator),
-		divs:  make(map[int]*fbs.Evaluator),
-	}
-	e.zero = e.zeroLWE()
-	fbsL, postL := p.Levels()
-	if e.ctxF, err = ctx.AtLevel(fbsL); err != nil {
-		return nil, fmt.Errorf("core: FBS level: %w", err)
-	}
-	if e.ctxP, err = ctx.AtLevel(postL); err != nil {
-		return nil, fmt.Errorf("core: post level: %w", err)
-	}
-	e.tMod = ring.NewModulus(p.T)
-	e.cod = bfv.NewEncoder(ctx)
-	e.codP = bfv.NewEncoder(e.ctxP)
-	return e, nil
+	return &Engine{P: p, plan: pl, cod: bfv.NewEncoder(pl.Ctx), codP: bfv.NewEncoder(pl.ctxP)}, nil
 }
 
 // buildPacker constructs the working packer at the FBS level from the
@@ -253,37 +193,26 @@ type valSet struct {
 	fn      func(int64) int64 // plaintext shadow of pending (nil = identity)
 }
 
-func (e *Engine) zeroLWE() lwe.Ciphertext {
-	return lwe.Ciphertext{A: make([]uint64, e.P.LWEDim), B: 0, Q: e.P.T}
+// lut returns the plan's compiled evaluator of the table of f. The key
+// is the SHA-256 of the table's words, staged in the worker's own
+// buffer, so a lookup allocates nothing once the buffer has grown.
+func (wk *evalWorker) lut(f func(int64) int64) (*fbs.Evaluator, error) {
+	wk.table = fbs.AppendTable(wk.table[:0], wk.e.P.T, f)
+	return wk.e.compiled(sha256.Sum256(wk.table), f)
 }
 
-// lutFor compiles (and caches) the FBS evaluator of a conv's fused remap.
-func (e *Engine) lutFor(q *qnn.QConv) (*fbs.Evaluator, error) {
-	e.lutMu.Lock()
-	defer e.lutMu.Unlock()
-	if ev, ok := e.luts[q]; ok {
-		return ev, nil
+// lutFor returns the FBS evaluator of a conv's fused remap.
+func (wk *evalWorker) lutFor(q *qnn.QConv) (*fbs.Evaluator, error) {
+	if t := wk.e.P.T; q.MaxAcc >= int64(t/2) {
+		return nil, fmt.Errorf("core: %s accumulator bound %d exceeds t/2 = %d", q.OpName(), q.MaxAcc, t/2)
 	}
-	if q.MaxAcc >= int64(e.P.T/2) {
-		return nil, fmt.Errorf("core: %s accumulator bound %d exceeds t/2 = %d", q.OpName(), q.MaxAcc, e.P.T/2)
-	}
-	l := fbs.NewLUT(e.P.T, q.Remap)
-	ev, err := fbs.NewEvaluator(e.ctxF, l)
-	if err != nil {
-		return nil, err
-	}
-	e.luts[q] = ev
-	return ev, nil
+	return wk.lut(q.Remap)
 }
 
-func (e *Engine) reluClampFor(actBits int) (*fbs.Evaluator, error) {
-	e.lutMu.Lock()
-	defer e.lutMu.Unlock()
-	if ev, ok := e.relus[actBits]; ok {
-		return ev, nil
-	}
+// reluClampFor returns the post-add ReLU clamped to actBits.
+func (wk *evalWorker) reluClampFor(actBits int) (*fbs.Evaluator, error) {
 	lim := int64(1)<<(actBits-1) - 1
-	l := fbs.NewLUT(e.P.T, func(x int64) int64 {
+	return wk.lut(func(x int64) int64 {
 		if x < 0 {
 			return 0
 		}
@@ -292,45 +221,12 @@ func (e *Engine) reluClampFor(actBits int) (*fbs.Evaluator, error) {
 		}
 		return x
 	})
-	ev, err := fbs.NewEvaluator(e.ctxF, l)
-	if err != nil {
-		return nil, err
-	}
-	e.relus[actBits] = ev
-	return ev, nil
 }
 
-func (e *Engine) divideFor(kk int) (*fbs.Evaluator, error) {
-	e.lutMu.Lock()
-	defer e.lutMu.Unlock()
-	if ev, ok := e.divs[kk]; ok {
-		return ev, nil
-	}
-	l := fbs.NewLUT(e.P.T, func(x int64) int64 { return roundDiv(x, int64(kk)) })
-	ev, err := fbs.NewEvaluator(e.ctxF, l)
-	if err != nil {
-		return nil, err
-	}
-	e.divs[kk] = ev
-	return ev, nil
-}
-
-// shiftFor returns (and caches) the post-level multiplier −X^(N−o), which
-// moves coefficients [o, N) of a polynomial down to [0, N−o): X^o times
-// it is −X^N = 1. A monomial is a signed permutation of the coefficients
-// (‖·‖₁ = 1), so the product changes no noise magnitude and needs no key.
-func (e *Engine) shiftFor(o int) *bfv.PlaintextMul {
-	if pm, ok := e.shifts.Load(o); ok {
-		return pm.(*bfv.PlaintextMul)
-	}
-	// Lanes racing here build the same multiplier; the first stored is
-	// kept.
-	pt := e.ctxP.NewPlaintext()
-	pt.Coeffs[e.Ctx.N-o] = e.P.T - 1
-	pm := e.codP.LiftToMul(pt)
-	e.codP.PrecomputeShoup(pm)
-	kept, _ := e.shifts.LoadOrStore(o, pm)
-	return kept.(*bfv.PlaintextMul)
+// divideFor returns the rounded divide by kk (avg-pool's k², or a pooling
+// domain scale).
+func (wk *evalWorker) divideFor(kk int) (*fbs.Evaluator, error) {
+	return wk.lut(func(x int64) int64 { return roundDiv(x, int64(kk)) })
 }
 
 func roundDiv(a, b int64) int64 {
@@ -424,19 +320,18 @@ func (wk *evalWorker) extract(ct *bfv.Ciphertext, idx []int) ([]lwe.Ciphertext, 
 	return switched, nil
 }
 
-// scaledEvaluator compiles the composition scale·fn (fn = identity when
-// nil) into an FBS evaluator. Pooling runs its trees in a scaled domain
-// so that the extraction noise e_ms, which lands at fixed absolute
-// magnitude, is crushed by the divide folded into the consumer's LUT —
-// the same remap-compression argument as Section 3.3.
-func (e *Engine) scaledEvaluator(fn func(int64) int64, scale int64) (*fbs.Evaluator, error) {
-	l := fbs.NewLUT(e.P.T, func(x int64) int64 {
+// scaledEvaluator returns the evaluator of the composition scale·fn (fn =
+// identity when nil). Pooling runs its trees in a scaled domain so that
+// the extraction noise e_ms, which lands at fixed absolute magnitude, is
+// crushed by the divide folded into the consumer's LUT — the same
+// remap-compression argument as Section 3.3.
+func (wk *evalWorker) scaledEvaluator(fn func(int64) int64, scale int64) (*fbs.Evaluator, error) {
+	return wk.lut(func(x int64) int64 {
 		if fn != nil {
 			x = fn(x)
 		}
 		return x * scale
 	})
-	return fbs.NewEvaluator(e.ctxF, l)
 }
 
 // poolScale picks the largest power-of-two domain scale such that
@@ -456,7 +351,7 @@ func (wk *evalWorker) materializeScaled(vs *valSet, scale int64) (*valSet, error
 	if vs.pending != nil && vs.fn == nil {
 		return nil, fmt.Errorf("core: pending LUT without plaintext shadow")
 	}
-	ev, err := wk.e.scaledEvaluator(vs.fn, scale)
+	ev, err := wk.scaledEvaluator(vs.fn, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -731,7 +626,7 @@ func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inf
 			out.vals[vkey{en.Cout, en.Y, en.X}] = cts[i]
 		}
 	}
-	if out.pending, err = e.lutFor(q); err != nil {
+	if out.pending, err = wk.lutFor(q); err != nil {
 		return nil, err
 	}
 	out.fn = q.Remap

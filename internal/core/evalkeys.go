@@ -2,13 +2,13 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"athena/internal/bfv"
 	"athena/internal/lwe"
 	"athena/internal/pack"
+	"athena/internal/ring"
 )
 
 // Evaluation-key material: everything the server side of a deployment
@@ -55,74 +55,31 @@ func (e *Engine) WriteEvalKeys(w io.Writer) error {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	var b [8]byte
-	for _, v := range []uint64{evalKeysMagic, evalKeysVersion,
-		uint64(e.P.LogN), uint64(len(e.Ctx.Params.Qi)), e.P.T, uint64(ek.PackDim)} {
-		binary.LittleEndian.PutUint64(b[:], v)
-		if _, err := bw.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if err := ring.WriteWords(bw, evalKeysMagic, evalKeysVersion,
+		uint64(e.P.LogN), uint64(len(e.Ctx.Params.Qi)), e.P.T, uint64(ek.PackDim)); err != nil {
 		return err
 	}
-	if err := e.Ctx.WriteKeySet(ek.KeySet, w); err != nil {
+	if err := e.Ctx.WriteKeySet(ek.KeySet, bw); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(b[:], uint64(len(ek.PackKeys)))
-	if _, err := w.Write(b[:]); err != nil {
+	if err := ring.WriteWords(bw, uint64(len(ek.PackKeys))); err != nil {
 		return err
 	}
 	for _, ct := range ek.PackKeys {
-		if err := e.Ctx.WriteCiphertext(ct, w); err != nil {
+		if err := e.Ctx.WriteCiphertext(ct, bw); err != nil {
 			return err
 		}
 	}
-	return lwe.WriteKeySwitchKey(ek.KSK, w)
-}
-
-// EvalKeyCodec decodes evaluation-key bundles for one fixed parameter
-// set. Building the codec validates the (trusted, server-local) params
-// once; ReadEvalKeys then only parses and validates untrusted bytes —
-// the split keeps the wire-facing path free of construction invariants.
-// A codec is safe for concurrent use.
-type EvalKeyCodec struct {
-	e *Engine // parameter shell: context and params, no keys
-}
-
-// NewEvalKeyCodec builds a decoder for bundles at params p.
-func NewEvalKeyCodec(p Params) (*EvalKeyCodec, error) {
-	e, err := newEngineShell(p)
-	if err != nil {
-		return nil, err
+	if err := lwe.WriteKeySwitchKey(ek.KSK, bw); err != nil {
+		return err
 	}
-	return &EvalKeyCodec{e: e}, nil
-}
-
-// ReadEvalKeys deserializes an evaluation-key bundle. All length fields
-// are bounded and every coefficient is range-checked by the underlying
-// decoders, so malformed input surfaces as an error, never a panic.
-func (c *EvalKeyCodec) ReadEvalKeys(r io.Reader) (*EvalKeys, error) {
-	return c.e.readEvalKeys(r)
+	return bw.Flush()
 }
 
 // evalKeyChunk bounds one section read of a random-access bundle: a
 // 300 MB key file streams through the decoder in 1 MiB pieces instead
 // of materializing a second full copy in memory.
 const evalKeyChunk = 1 << 20
-
-// ReadEvalKeysAt decodes a bundle from random-access storage (a stored
-// object's file) in bounded chunks. The decoder pulls
-// sections on demand, so the bundle never lives twice in memory, and a
-// read that fails with no progress is retried once at the same offset
-// before the error propagates — a partial read simply resumes at the
-// advanced offset on the next pull.
-func (c *EvalKeyCodec) ReadEvalKeysAt(ra io.ReaderAt, size int64) (*EvalKeys, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("core: negative eval-keys size %d", size)
-	}
-	return c.e.readEvalKeys(&chunkedReaderAt{ra: ra, size: size})
-}
 
 // chunkedReaderAt adapts an io.ReaderAt into the sequential reader the
 // bundle decoder wants, with bounded section size and one same-offset
@@ -160,22 +117,14 @@ func (r *chunkedReaderAt) Read(p []byte) (int, error) {
 	return 0, err
 }
 
-func (e *Engine) readEvalKeys(r io.Reader) (*EvalKeys, error) {
+// readEvalKeys decodes a bundle at the plan's parameters.
+func (pl *plan) readEvalKeys(r io.Reader) (*EvalKeys, error) {
 	br := bufio.NewReader(r)
-	var b [8]byte
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b[:]), nil
-	}
+	wr := ring.WordReader{R: br}
+	p := pl.params
 	var hdr [6]uint64
-	for i := range hdr {
-		v, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("core: eval keys header: %w", err)
-		}
-		hdr[i] = v
+	if err := wr.Words(hdr[:]); err != nil {
+		return nil, fmt.Errorf("core: eval keys header: %w", err)
 	}
 	if hdr[0] != evalKeysMagic {
 		return nil, fmt.Errorf("core: bad eval-keys magic %#x", hdr[0])
@@ -183,57 +132,51 @@ func (e *Engine) readEvalKeys(r io.Reader) (*EvalKeys, error) {
 	if hdr[1] != evalKeysVersion {
 		return nil, fmt.Errorf("core: unsupported eval-keys version %d", hdr[1])
 	}
-	if int(hdr[2]) != e.P.LogN || int(hdr[3]) != len(e.Ctx.Params.Qi) ||
-		hdr[4] != e.P.T || int(hdr[5]) != e.P.LWEDim {
+	if int(hdr[2]) != p.LogN || int(hdr[3]) != len(pl.Ctx.Params.Qi) ||
+		hdr[4] != p.T || int(hdr[5]) != p.LWEDim {
 		return nil, fmt.Errorf("core: eval keys for logN=%d limbs=%d t=%d n=%d, engine expects logN=%d limbs=%d t=%d n=%d",
-			hdr[2], hdr[3], hdr[4], hdr[5], e.P.LogN, len(e.Ctx.Params.Qi), e.P.T, e.P.LWEDim)
+			hdr[2], hdr[3], hdr[4], hdr[5], p.LogN, len(pl.Ctx.Params.Qi), p.T, p.LWEDim)
 	}
-	ks, err := e.Ctx.ReadKeySet(br)
+	ks, err := pl.Ctx.ReadKeySet(br)
 	if err != nil {
 		return nil, fmt.Errorf("core: eval keys: %w", err)
 	}
-	nb, err := readU64()
+	nb, err := wr.Word()
 	if err != nil {
 		return nil, fmt.Errorf("core: eval keys: %w", err)
 	}
-	want := pack.BabySteps(e.P.LWEDim)
-	if int(nb) != want {
-		return nil, fmt.Errorf("core: %d packing keys, dimension %d needs %d", nb, e.P.LWEDim, want)
+	want := pack.BabySteps(p.LWEDim)
+	if nb != uint64(want) {
+		return nil, fmt.Errorf("core: %d packing keys, dimension %d needs %d", nb, p.LWEDim, want)
 	}
 	babies := make([]*bfv.Ciphertext, nb)
 	for i := range babies {
-		ct, err := e.Ctx.ReadCiphertext(br)
+		ct, err := pl.Ctx.ReadCiphertext(br)
 		if err != nil {
 			return nil, fmt.Errorf("core: packing key %d: %w", i, err)
 		}
 		babies[i] = ct
 	}
-	ksk, err := lwe.ReadKeySwitchKey(br)
+	ksk, err := lwe.ReadKeySwitchKey(br, pl.ksk)
 	if err != nil {
 		return nil, fmt.Errorf("core: eval keys: %w", err)
 	}
-	ek := &EvalKeys{KeySet: ks, PackDim: e.P.LWEDim, PackKeys: babies, KSK: ksk}
-	if err := e.validateEvalKeys(ek); err != nil {
+	ek := &EvalKeys{KeySet: ks, PackDim: p.LWEDim, PackKeys: babies, KSK: ksk}
+	if err := pl.validateEvalKeys(ek); err != nil {
 		return nil, err
 	}
 	return ek, nil
 }
 
 // validateEvalKeys checks the bundle's cross-component consistency
-// against the engine parameters, so a bad upload fails at session open
-// rather than mid-inference.
-func (e *Engine) validateEvalKeys(ek *EvalKeys) error {
+// against the plan, so a bad upload fails at session open rather than
+// mid-inference.
+func (pl *plan) validateEvalKeys(ek *EvalKeys) error {
 	if ek.KeySet == nil || ek.KeySet.Relin == nil {
 		return fmt.Errorf("core: eval keys missing relinearization key")
 	}
-	if ek.KSK.Q != e.P.QMid() {
-		return fmt.Errorf("core: keyswitch key at modulus %d, engine expects qMid=%d", ek.KSK.Q, e.P.QMid())
-	}
-	if len(ek.KSK.Keys) != e.Ctx.N {
-		return fmt.Errorf("core: keyswitch key covers %d ring coefficients, engine expects %d", len(ek.KSK.Keys), e.Ctx.N)
-	}
-	if len(ek.KSK.Keys) > 0 && len(ek.KSK.Keys[0]) > 0 && len(ek.KSK.Keys[0][0].A) != e.P.LWEDim {
-		return fmt.Errorf("core: keyswitch key targets dimension %d, engine expects %d", len(ek.KSK.Keys[0][0].A), e.P.LWEDim)
+	if ek.KSK == nil || ek.KSK.Shape() != pl.ksk {
+		return fmt.Errorf("core: keyswitch key does not have the shape %+v the parameters fix", pl.ksk)
 	}
 	return nil
 }
@@ -243,7 +186,7 @@ func (e *Engine) validateEvalKeys(ek *EvalKeys) error {
 // EvaluateEncryptedBatch but holds no secret or encryption keys —
 // EncryptInput and DecryptLogits return ErrNoSecretKey.
 func NewEvaluationEngine(p Params, ek *EvalKeys) (*Engine, error) {
-	e, err := newEngineShell(p)
+	e, err := newEngine(p)
 	if err != nil {
 		return nil, err
 	}
@@ -255,10 +198,6 @@ func NewEvaluationEngine(p Params, ek *EvalKeys) (*Engine, error) {
 	}
 	e.packN, e.packBabies = ek.PackDim, ek.PackKeys
 	if err := e.buildPacker(); err != nil {
-		return nil, err
-	}
-	e.s2c, err = pack.CompileTransform(e.ctxP, pack.S2CMatrix(e.ctxP))
-	if err != nil {
 		return nil, err
 	}
 	// The packing and S2C rotations are the engine's only automorphism
@@ -276,11 +215,7 @@ func NewEvaluationEngine(p Params, ek *EvalKeys) (*Engine, error) {
 // NewEvaluationEngineFromReader is the one-shot server-side path:
 // decode an uploaded bundle and stand up the evaluation-only engine.
 func NewEvaluationEngineFromReader(p Params, r io.Reader) (*Engine, error) {
-	c, err := NewEvalKeyCodec(p)
-	if err != nil {
-		return nil, err
-	}
-	ek, err := c.ReadEvalKeys(r)
+	ek, err := ReadEvalKeys(p, r)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"athena/internal/coeffenc"
@@ -206,7 +208,7 @@ func TestEvalKeysMalformed(t *testing.T) {
 	t.Run("truncated", func(t *testing.T) {
 		for _, frac := range []float64{0, 0.01, 0.5, 0.99} {
 			n := int(float64(len(good)) * frac)
-			if _, err := mustCodec(t, p).ReadEvalKeys(bytes.NewReader(good[:n])); err == nil {
+			if _, err := ReadEvalKeys(p, bytes.NewReader(good[:n])); err == nil {
 				t.Fatalf("truncation to %d bytes: decoder accepted", n)
 			}
 		}
@@ -214,15 +216,49 @@ func TestEvalKeysMalformed(t *testing.T) {
 	t.Run("bad-magic", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[0] ^= 0xff
-		if _, err := mustCodec(t, p).ReadEvalKeys(bytes.NewReader(bad)); err == nil {
+		if _, err := ReadEvalKeys(p, bytes.NewReader(bad)); err == nil {
 			t.Fatal("corrupted magic accepted")
 		}
 	})
 	t.Run("wrong-params", func(t *testing.T) {
 		p2 := p
 		p2.LWEDim = 64
-		if _, err := mustCodec(t, p2).ReadEvalKeys(bytes.NewReader(good)); err == nil {
+		if _, err := ReadEvalKeys(p2, bytes.NewReader(good)); err == nil {
 			t.Fatal("parameter mismatch accepted")
+		}
+	})
+	t.Run("inflated-ksk-header", func(t *testing.T) {
+		// The bundle up to its keyswitch key, then a bare key header
+		// claiming 2^20 → 2^20: rejected against the parameters' shape
+		// before the reader allocates a row, so the attempt costs no more
+		// than decoding the honest bundle.
+		pl, err := planFor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := pl.ksk
+		kskLen := 56 + 8*s.NIn*s.Digits*(s.NOut+1)
+		bad := append([]byte(nil), good[:len(good)-kskLen]...)
+		for _, v := range []uint64{0x414b4b31, 1, s.Q, p.KSBase, uint64(s.Digits), 1 << 20, 1 << 20} {
+			bad = binary.LittleEndian.AppendUint64(bad, v)
+		}
+		allocated := func(blob []byte) (uint64, error) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadEvalKeys(p, bytes.NewReader(blob))
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc, err
+		}
+		honest, err := allocated(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inflated, err := allocated(bad)
+		if err == nil {
+			t.Fatal("inflated keyswitch header accepted")
+		}
+		if inflated > 2*honest {
+			t.Fatalf("inflated header allocated %d bytes, the honest bundle %d", inflated, honest)
 		}
 	})
 	t.Run("bit-flips", func(t *testing.T) {
@@ -238,20 +274,10 @@ func TestEvalKeysMalformed(t *testing.T) {
 						t.Fatalf("offset %d: panic %v", off, r)
 					}
 				}()
-				_, _ = mustCodec(t, p).ReadEvalKeys(bytes.NewReader(bad))
+				_, _ = ReadEvalKeys(p, bytes.NewReader(bad))
 			}()
 		}
 	})
-}
-
-// mustCodec builds an EvalKeyCodec or fails the test.
-func mustCodec(t *testing.T, p Params) *EvalKeyCodec {
-	t.Helper()
-	c, err := NewEvalKeyCodec(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // flakyReaderAt fails every other read attempt with a transient error
@@ -292,12 +318,11 @@ func TestReadEvalKeysAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := blob.Bytes()
-	c := mustCodec(t, p)
-	want, err := c.ReadEvalKeys(bytes.NewReader(good))
+	want, err := ReadEvalKeys(p, bytes.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ReadEvalKeysAt(&flakyReaderAt{data: good}, int64(len(good)))
+	got, err := ReadEvalKeysAt(p, &flakyReaderAt{data: good}, int64(len(good)))
 	if err != nil {
 		t.Fatalf("ReadEvalKeysAt over flaky reader: %v", err)
 	}
@@ -326,7 +351,7 @@ func TestReadEvalKeysAt(t *testing.T) {
 		t.Fatal("chunked decode disagrees with sequential decode")
 	}
 	// Truncated size must fail cleanly, not hang retrying.
-	if _, err := c.ReadEvalKeysAt(&flakyReaderAt{data: good[:len(good)/2]}, int64(len(good)/2)); err == nil {
+	if _, err := ReadEvalKeysAt(p, &flakyReaderAt{data: good[:len(good)/2]}, int64(len(good)/2)); err == nil {
 		t.Fatal("truncated chunked bundle accepted")
 	}
 }

@@ -180,7 +180,7 @@ func (wk *evalWorker) avgPool(p *qnn.QAvgPool, vs *valSet, aMax int64) (*valSet,
 		}
 	}
 	div := scale * int64(p.K*p.K)
-	out.pending, err = e.divideFor(int(div))
+	out.pending, err = wk.divideFor(int(div))
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet, aMax int64) (*valSet,
 			}
 		}
 	}
-	relu, err := e.reluFull()
+	relu, err := wk.reluFull()
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet, aMax int64) (*valSet,
 	for k, cands := range windows {
 		out.vals[k] = cands[0]
 	}
-	out.pending, err = e.divideFor(int(scale))
+	out.pending, err = wk.divideFor(int(scale))
 	if err != nil {
 		return nil, err
 	}
@@ -271,8 +271,8 @@ func levelHasPairs(w map[vkey][]lwe.Ciphertext) bool {
 }
 
 // reluFull is the plain ReLU LUT (no clamp change) used by the max tree.
-func (e *Engine) reluFull() (*fbs.Evaluator, error) {
-	return e.reluClampFor(63) // lim = 2^62-1: effectively unclamped ReLU
+func (wk *evalWorker) reluFull() (*fbs.Evaluator, error) {
+	return wk.reluClampFor(63) // lim = 2^62-1: effectively unclamped ReLU
 }
 
 // batchLUT is the one LUT round of the pipeline: it applies lut to a

@@ -1,0 +1,207 @@
+package core
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"sync"
+
+	"athena/internal/bfv"
+	"athena/internal/fbs"
+	"athena/internal/lwe"
+	"athena/internal/pack"
+	"athena/internal/ring"
+)
+
+// plan is the part of an engine that depends on its Params and not on
+// its keys: the three bfv contexts, the compiled S2C transform, the
+// shared zero, the modulus of the LWE arithmetic, and the memo tables of
+// compiled LUTs and shift multipliers. One plan is built per process for
+// each Params with Seed cleared (planFor) and shared by every engine at
+// those parameters, client or evaluation-only, so attaching a session is
+// decoding and verifying its keys — nothing here is rebuilt.
+//
+// Sharing is safe because a plan is immutable once newPlan returns: the
+// contexts, the transform and the zero are only read (bfv.Context's own
+// level cache is locked), and the two memo tables only gain entries,
+// each immutable once stored, the first stored winning a race.
+type plan struct {
+	params Params // Seed cleared: the cache key
+
+	// Ctx is the full-chain context. ctxF is the FBS-level context the
+	// packing and LUT ladders run under; ctxP is the post-level context
+	// for everything after the LUT (masking, S2C, conv accumulation,
+	// extraction). Either may alias Ctx when the schedule keeps the full
+	// chain (Params.Levels).
+	Ctx  *bfv.Context
+	ctxF *bfv.Context
+	ctxP *bfv.Context
+
+	s2c *pack.Transform // compiled at ctxP
+
+	// ksk is the shape every uploaded N→n keyswitch key must have.
+	ksk lwe.KeySwitchShape
+
+	tMod ring.Modulus // cached Barrett constants for the LWE arithmetic
+
+	// zero is the LWE encryption of 0 every empty packing slot points at.
+	// It is shared and read-only (the packer only reads its inputs);
+	// code that accumulates into a zero takes its own from zeroLWE.
+	zero lwe.Ciphertext
+
+	// luts holds the compiled FBS evaluator of every table asked for,
+	// keyed by the SHA-256 of the table's words (fbs.AppendTable):
+	// content keys pin no model.
+	lutMu sync.Mutex
+	luts  map[[sha256.Size]byte]*fbs.Evaluator
+
+	// shifts caches −X^(N−o) at the post level by window offset o (int →
+	// *bfv.PlaintextMul); lanes look it up concurrently.
+	shifts sync.Map
+}
+
+// plans memoizes one plan per Params with Seed cleared. A plan whose
+// build failed is remembered with its error: the build is a function of
+// the parameters alone.
+var plans = struct {
+	mu sync.Mutex
+	m  map[Params]*planOnce
+}{m: map[Params]*planOnce{}}
+
+type planOnce struct {
+	once sync.Once
+	pl   *plan
+	err  error
+}
+
+// planFor returns the process's plan for p, building it on first use;
+// concurrent first uses of one Params build it once.
+func planFor(p Params) (*plan, error) {
+	p.Seed = 0
+	plans.mu.Lock()
+	po := plans.m[p]
+	if po == nil {
+		po = &planOnce{}
+		plans.m[p] = po
+	}
+	plans.mu.Unlock()
+	po.once.Do(func() { po.pl, po.err = newPlan(p) })
+	return po.pl, po.err
+}
+
+// newPlan validates p and builds everything key-independent.
+func newPlan(p Params) (*plan, error) {
+	bp, err := p.BFVParameters()
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := bfv.NewContext(bp)
+	if err != nil {
+		return nil, err
+	}
+	if !ctx.Batching() {
+		return nil, fmt.Errorf("core: parameters do not support batching (t=%d, N=%d)", p.T, 1<<p.LogN)
+	}
+	if p.LWEDim > ctx.N/2 || (ctx.N/2)%p.LWEDim != 0 {
+		return nil, fmt.Errorf("core: LWE dimension %d must divide N/2=%d", p.LWEDim, ctx.N/2)
+	}
+	if p.KSBase < 2 {
+		return nil, fmt.Errorf("core: keyswitch base %d must be at least 2", p.KSBase)
+	}
+	pl := &plan{
+		params: p,
+		Ctx:    ctx,
+		ksk:    lwe.KeySwitchShape{NIn: ctx.N, NOut: p.LWEDim, Q: p.QMid(), Digits: lwe.Digits(p.QMid(), p.KSBase)},
+		tMod:   ring.NewModulus(p.T),
+		luts:   map[[sha256.Size]byte]*fbs.Evaluator{},
+	}
+	pl.zero = pl.zeroLWE()
+	fbsL, postL := p.Levels()
+	if pl.ctxF, err = ctx.AtLevel(fbsL); err != nil {
+		return nil, fmt.Errorf("core: FBS level: %w", err)
+	}
+	if pl.ctxP, err = ctx.AtLevel(postL); err != nil {
+		return nil, fmt.Errorf("core: post level: %w", err)
+	}
+	if pl.s2c, err = pack.CompileTransform(pl.ctxP, pack.S2CMatrix(pl.ctxP)); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// ReadEvalKeys decodes an evaluation-key bundle for parameters p. All
+// length fields are bounded and every coefficient is range-checked by
+// the underlying decoders, so malformed input surfaces as an error,
+// never a panic. The decoder is the shared plan's: the parameters are
+// the server's own, and only the bytes are untrusted.
+func ReadEvalKeys(p Params, r io.Reader) (*EvalKeys, error) {
+	pl, err := planFor(p)
+	if err != nil {
+		return nil, err
+	}
+	return pl.readEvalKeys(r)
+}
+
+// ReadEvalKeysAt decodes a bundle for parameters p from random-access
+// storage (a stored object's file) in bounded chunks. The decoder pulls
+// sections on demand, so the bundle never lives twice in memory, and a
+// read that fails with no progress is retried once at the same offset
+// before the error propagates — a partial read simply resumes at the
+// advanced offset on the next pull.
+func ReadEvalKeysAt(p Params, ra io.ReaderAt, size int64) (*EvalKeys, error) {
+	if size < 0 {
+		return nil, fmt.Errorf("core: negative eval-keys size %d", size)
+	}
+	pl, err := planFor(p)
+	if err != nil {
+		return nil, err
+	}
+	return pl.readEvalKeys(&chunkedReaderAt{ra: ra, size: size})
+}
+
+func (pl *plan) zeroLWE() lwe.Ciphertext {
+	return lwe.Ciphertext{A: make([]uint64, pl.params.LWEDim), B: 0, Q: pl.params.T}
+}
+
+// compiled returns the evaluator stored under key, the SHA-256 of the
+// table of f (evalWorker.lut), compiling that table on the first request.
+// Lanes racing on a miss compile the same table; the first stored is
+// kept.
+func (pl *plan) compiled(key [sha256.Size]byte, f func(int64) int64) (*fbs.Evaluator, error) {
+	pl.lutMu.Lock()
+	ev := pl.luts[key]
+	pl.lutMu.Unlock()
+	if ev != nil {
+		return ev, nil
+	}
+	ev, err := fbs.NewEvaluator(pl.ctxF, fbs.NewLUT(pl.params.T, f))
+	if err != nil {
+		return nil, err
+	}
+	pl.lutMu.Lock()
+	defer pl.lutMu.Unlock()
+	if kept := pl.luts[key]; kept != nil {
+		return kept, nil
+	}
+	pl.luts[key] = ev
+	return ev, nil
+}
+
+// shiftFor returns (and caches) the post-level multiplier −X^(N−o), which
+// moves coefficients [o, N) of a polynomial down to [0, N−o): X^o times
+// it is −X^N = 1. A monomial is a signed permutation of the coefficients
+// (‖·‖₁ = 1), so the product changes no noise magnitude and needs no key.
+func (pl *plan) shiftFor(o int) *bfv.PlaintextMul {
+	if pm, ok := pl.shifts.Load(o); ok {
+		return pm.(*bfv.PlaintextMul)
+	}
+	// Lanes racing here build the same multiplier; the first stored is
+	// kept. Lifting reads only the context, so a throwaway encoder will do.
+	cod := bfv.NewEncoder(pl.ctxP)
+	pt := pl.ctxP.NewPlaintext()
+	pt.Coeffs[pl.Ctx.N-o] = pl.params.T - 1
+	pm := cod.LiftToMul(pt)
+	cod.PrecomputeShoup(pm)
+	kept, _ := pl.shifts.LoadOrStore(o, pm)
+	return kept.(*bfv.PlaintextMul)
+}

@@ -2,13 +2,13 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"athena/internal/bfv"
 	"athena/internal/coeffenc"
 	"athena/internal/qnn"
+	"athena/internal/ring"
 )
 
 // Wire formats for the client/server boundary: an EncryptedInput travels
@@ -22,40 +22,30 @@ const (
 )
 
 func writeHeader(w *bufio.Writer, magic uint64, model string, count int) error {
-	var b [8]byte
-	for _, v := range []uint64{magic, uint64(len(model)), uint64(count)} {
-		binary.LittleEndian.PutUint64(b[:], v)
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
+	if err := ring.WriteWords(w, magic, uint64(len(model)), uint64(count)); err != nil {
+		return err
 	}
 	_, err := w.WriteString(model)
 	return err
 }
 
 func readHeader(r *bufio.Reader, magic uint64) (model string, count int, err error) {
-	var b [8]byte
-	read := func() (uint64, error) {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b[:]), nil
-	}
-	m, err := read()
+	wr := ring.WordReader{R: r}
+	m, err := wr.Word()
 	if err != nil {
 		return "", 0, err
 	}
 	if m != magic {
 		return "", 0, fmt.Errorf("core: bad wire magic %#x", m)
 	}
-	nameLen, err := read()
+	nameLen, err := wr.Word()
 	if err != nil {
 		return "", 0, err
 	}
 	if nameLen > 1024 {
 		return "", 0, fmt.Errorf("core: implausible model name length %d", nameLen)
 	}
-	cnt, err := read()
+	cnt, err := wr.Word()
 	if err != nil {
 		return "", 0, err
 	}

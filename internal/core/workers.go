@@ -23,6 +23,7 @@ type evalWorker struct {
 	packSc *pack.Scratch
 	fbsSc  *fbs.Scratch
 	sw     *lwe.Switcher
+	table  []byte // a LUT's words, hashed into its key (lut)
 
 	// stats accumulates this worker's operation counts; flushStats folds
 	// them into Engine.Stats at the end of every public entry point.

@@ -2,6 +2,7 @@ package fbs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -784,4 +785,19 @@ func TestHomomorphicFBSFullAthenaT(t *testing.T) {
 		}
 	}
 	t.Logf("full-t FBS: %d CMult, %d SMult, %d HAdd", fe.CMults, fe.SMults, fe.HAdds)
+}
+
+// TestAppendTableIsTable: AppendTable lays down exactly the words of the
+// table NewLUT builds, after whatever dst already holds.
+func TestAppendTableIsTable(t *testing.T) {
+	f := func(x int64) int64 { return 3*x*x - x + 7 }
+	for _, tm := range []uint64{5, 257, 12289} {
+		want := []byte("prefix")
+		for _, v := range NewLUT(tm, f).Table {
+			want = binary.LittleEndian.AppendUint64(want, v)
+		}
+		if got := AppendTable([]byte("prefix"), tm, f); !bytes.Equal(got, want) {
+			t.Fatalf("t=%d: AppendTable differs from NewLUT's table", tm)
+		}
+	}
 }

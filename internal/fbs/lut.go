@@ -21,6 +21,7 @@
 package fbs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -46,6 +47,17 @@ func NewLUT(t uint64, f func(x int64) int64) *LUT {
 		l.Table[k] = tm.ReduceInt64(f(tm.Centered(k)))
 	}
 	return l
+}
+
+// AppendTable appends the little-endian words of NewLUT(t, f).Table to
+// dst without building the LUT: the bytes whose SHA-256 keys a compiled
+// table wherever it is shared, whichever function value produced it.
+func AppendTable(dst []byte, t uint64, f func(x int64) int64) []byte {
+	tm := ring.NewModulus(t)
+	for k := uint64(0); k < t; k++ {
+		dst = binary.LittleEndian.AppendUint64(dst, tm.ReduceInt64(f(tm.Centered(k))))
+	}
+	return dst
 }
 
 // ReLULUT returns the plain ReLU table (no remapping).

@@ -24,9 +24,11 @@ import (
 // dispatch handlers are deliberately not entry points: every attacker
 // byte they touch flows through the proto.go/evalkeys.go decoders first
 // (which ARE walked), and the engine construction behind Registry.Open
-// panics only on parameters those decoders have already validated — the
-// EvalKeyCodec split from PR 4 exists precisely to keep construction
-// out of the attacker-bytes walk. The walk is
+// panics only on parameters those decoders have already validated. The
+// bundle decoder is the shared plan's readEvalKeys in evalkeys.go; the
+// exported core.ReadEvalKeys/ReadEvalKeysAt live in plan.go because they
+// first resolve the plan from the server's own Params — construction
+// from trusted input, kept out of the attacker-bytes walk. The walk is
 // static and module-internal: calls through function values, interface
 // methods, and the standard library are treated as boundaries. That
 // under-approximates reachability, so keep wire code first-order — which
@@ -54,6 +56,7 @@ func NewPanicFreeWire() *PanicFreeWire {
 		{Pkg: "internal/bfv", File: "serialize.go", Prefixes: rw},
 		{Pkg: "internal/lwe", File: "serialize.go", Prefixes: rw},
 		{Pkg: "internal/core", File: "wire.go", Prefixes: rw},
+		// (*plan).readEvalKeys and the chunked ReaderAt adapter.
 		{Pkg: "internal/core", File: "evalkeys.go", Prefixes: rw},
 		{Pkg: "internal/serve", File: "proto.go", Prefixes: []string{"Read", "read", "Decode"}},
 		{Pkg: "internal/serve/client", File: "client.go", Prefixes: []string{"Read", "read", "Decode", "decode"}},

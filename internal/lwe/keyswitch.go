@@ -25,15 +25,7 @@ func NewKeySwitchKey(skIn, skOut *SecretKey, q, base uint64, sigma float64, seed
 	if base < 2 {
 		panic("lwe: decomposition base must be at least 2")
 	}
-	digits := 0
-	for pw := uint64(1); pw < q; {
-		digits++
-		hi, lo := bits.Mul64(pw, base)
-		if hi != 0 { // next power overflows uint64, so it already covers q
-			break
-		}
-		pw = lo
-	}
+	digits := Digits(q, base)
 	m := ring.NewModulus(q)
 	smp := newStream(seed)
 	k := &KeySwitchKey{
@@ -52,6 +44,21 @@ func NewKeySwitchKey(skIn, skOut *SecretKey, q, base uint64, sigma float64, seed
 		}
 	}
 	return k
+}
+
+// Digits returns the digit count of a base-base decomposition of residues
+// mod q (base ≥ 2): the number of components per input coefficient.
+func Digits(q, base uint64) int {
+	digits := 0
+	for pw := uint64(1); pw < q; {
+		digits++
+		hi, lo := bits.Mul64(pw, base)
+		if hi != 0 { // next power overflows uint64, so it already covers q
+			break
+		}
+		pw = lo
+	}
+	return digits
 }
 
 // Switch converts ct (under skIn) to a ciphertext under skOut. The

@@ -269,7 +269,7 @@ func TestKeySwitchKeySerialization(t *testing.T) {
 	if err := WriteKeySwitchKey(k, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadKeySwitchKey(&buf)
+	back, err := ReadKeySwitchKey(&buf, k.Shape())
 	if err != nil {
 		t.Fatal(err)
 	}

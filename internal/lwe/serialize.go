@@ -2,7 +2,6 @@ package lwe
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -15,35 +14,16 @@ const (
 	wireVer  = 1
 )
 
-func writeU64s(w *bufio.Writer, vs ...uint64) error {
-	var b [8]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(b[:], v)
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readU64(r *bufio.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
 // WriteCiphertext serializes one LWE ciphertext.
 func WriteCiphertext(ct Ciphertext, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if err := writeU64s(bw, magicLWE, wireVer, ct.Q, uint64(len(ct.A))); err != nil {
+	if err := ring.WriteWords(bw, magicLWE, wireVer, ct.Q, uint64(len(ct.A))); err != nil {
 		return err
 	}
-	if err := writeU64s(bw, ct.A...); err != nil {
+	if err := ring.WriteWords(bw, ct.A...); err != nil {
 		return err
 	}
-	if err := writeU64s(bw, ct.B); err != nil {
+	if err := ring.WriteWords(bw, ct.B); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -51,14 +31,10 @@ func WriteCiphertext(ct Ciphertext, w io.Writer) error {
 
 // ReadCiphertext deserializes one LWE ciphertext.
 func ReadCiphertext(r io.Reader) (Ciphertext, error) {
-	br := bufio.NewReader(r)
+	wr := ring.WordReader{R: bufio.NewReader(r)}
 	var hdr [4]uint64
-	for i := range hdr {
-		v, err := readU64(br)
-		if err != nil {
-			return Ciphertext{}, err
-		}
-		hdr[i] = v
+	if err := wr.Words(hdr[:]); err != nil {
+		return Ciphertext{}, err
 	}
 	if hdr[0] != magicLWE {
 		return Ciphertext{}, fmt.Errorf("lwe: bad magic %#x", hdr[0])
@@ -77,37 +53,32 @@ func ReadCiphertext(r io.Reader) (Ciphertext, error) {
 		return Ciphertext{}, fmt.Errorf("lwe: wire modulus rejected: %w", err)
 	}
 	ct := Ciphertext{Q: hdr[2], A: make([]uint64, n)}
-	for i := range ct.A {
-		v, err := readU64(br)
-		if err != nil {
-			return Ciphertext{}, err
-		}
-		if v >= ct.Q {
-			return Ciphertext{}, fmt.Errorf("lwe: wire mask coefficient %d is %d, outside [0, %d)", i, v, ct.Q)
-		}
-		ct.A[i] = v
-	}
-	b, err := readU64(br)
-	if err != nil {
+	if err := readRow(&wr, &ct); err != nil {
 		return Ciphertext{}, err
 	}
-	if b >= ct.Q {
-		return Ciphertext{}, fmt.Errorf("lwe: wire body %d outside [0, %d)", b, ct.Q)
-	}
-	ct.B = b
 	return ct, nil
+}
+
+// readRow decodes a mask of len(ct.A) words and then the body, each
+// below ct.Q, straight into ct.
+func readRow(wr *ring.WordReader, ct *Ciphertext) error {
+	if err := wr.WordsBelow(ct.A, ct.Q); err != nil {
+		return fmt.Errorf("lwe: wire mask: %w", err)
+	}
+	var b [1]uint64
+	if err := wr.WordsBelow(b[:], ct.Q); err != nil {
+		return fmt.Errorf("lwe: wire body: %w", err)
+	}
+	ct.B = b[0]
+	return nil
 }
 
 // WriteKeySwitchKey serializes the N→n switching material (the largest
 // public object of the conversion pipeline).
 func WriteKeySwitchKey(k *KeySwitchKey, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	nIn := uint64(len(k.Keys))
-	var nOut uint64
-	if nIn > 0 && len(k.Keys[0]) > 0 {
-		nOut = uint64(len(k.Keys[0][0].A))
-	}
-	if err := writeU64s(bw, magicKSK, wireVer, k.Q, k.Base, uint64(k.Digits), nIn, nOut); err != nil {
+	s := k.Shape()
+	if err := ring.WriteWords(bw, magicKSK, wireVer, k.Q, k.Base, uint64(k.Digits), uint64(s.NIn), uint64(s.NOut)); err != nil {
 		return err
 	}
 	for _, row := range k.Keys {
@@ -115,10 +86,10 @@ func WriteKeySwitchKey(k *KeySwitchKey, w io.Writer) error {
 			return fmt.Errorf("lwe: ragged keyswitch key")
 		}
 		for _, ct := range row {
-			if err := writeU64s(bw, ct.A...); err != nil {
+			if err := ring.WriteWords(bw, ct.A...); err != nil {
 				return err
 			}
-			if err := writeU64s(bw, ct.B); err != nil {
+			if err := ring.WriteWords(bw, ct.B); err != nil {
 				return err
 			}
 		}
@@ -126,16 +97,32 @@ func WriteKeySwitchKey(k *KeySwitchKey, w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadKeySwitchKey deserializes the switching material.
-func ReadKeySwitchKey(r io.Reader) (*KeySwitchKey, error) {
-	br := bufio.NewReader(r)
+// KeySwitchShape is what a reader expects of a keyswitch key: the input
+// and output dimensions, the modulus and the digit count.
+type KeySwitchShape struct {
+	NIn, NOut, Digits int
+	Q                 uint64
+}
+
+// Shape returns k's dimensions.
+func (k *KeySwitchKey) Shape() KeySwitchShape {
+	s := KeySwitchShape{NIn: len(k.Keys), Digits: k.Digits, Q: k.Q}
+	if len(k.Keys) > 0 && len(k.Keys[0]) > 0 {
+		s.NOut = len(k.Keys[0][0].A)
+	}
+	return s
+}
+
+// ReadKeySwitchKey deserializes switching material of shape want. The
+// header must match want before anything is allocated, so a short
+// upload claiming a huge key costs the reader nothing; rows are then
+// allocated one ciphertext at a time, each just before its words are
+// read.
+func ReadKeySwitchKey(r io.Reader, want KeySwitchShape) (*KeySwitchKey, error) {
+	wr := ring.WordReader{R: bufio.NewReader(r)}
 	var hdr [7]uint64
-	for i := range hdr {
-		v, err := readU64(br)
-		if err != nil {
-			return nil, err
-		}
-		hdr[i] = v
+	if err := wr.Words(hdr[:]); err != nil {
+		return nil, err
 	}
 	if hdr[0] != magicKSK {
 		return nil, fmt.Errorf("lwe: bad magic %#x", hdr[0])
@@ -143,9 +130,10 @@ func ReadKeySwitchKey(r io.Reader) (*KeySwitchKey, error) {
 	if hdr[1] != wireVer {
 		return nil, fmt.Errorf("lwe: unsupported version %d", hdr[1])
 	}
-	q, base, digits, nIn, nOut := hdr[2], hdr[3], int(hdr[4]), hdr[5], hdr[6]
-	if nIn > 1<<20 || nOut > 1<<20 || digits < 1 || digits > 64 {
-		return nil, fmt.Errorf("lwe: implausible keyswitch dimensions")
+	q, base, digits, nIn, nOut := hdr[2], hdr[3], hdr[4], hdr[5], hdr[6]
+	if q != want.Q || digits != uint64(want.Digits) || nIn != uint64(want.NIn) || nOut != uint64(want.NOut) {
+		return nil, fmt.Errorf("lwe: keyswitch key q=%d digits=%d %d→%d, want q=%d digits=%d %d→%d",
+			q, digits, nIn, nOut, want.Q, want.Digits, want.NIn, want.NOut)
 	}
 	if _, err := ring.TryNewModulus(q); err != nil {
 		return nil, fmt.Errorf("lwe: wire modulus rejected: %w", err)
@@ -153,30 +141,15 @@ func ReadKeySwitchKey(r io.Reader) (*KeySwitchKey, error) {
 	if base < 2 {
 		return nil, fmt.Errorf("lwe: wire decomposition base %d must be at least 2", base)
 	}
-	k := &KeySwitchKey{Q: q, Base: base, Digits: digits, Keys: make([][]Ciphertext, nIn)}
+	k := &KeySwitchKey{Q: q, Base: base, Digits: want.Digits, Keys: make([][]Ciphertext, want.NIn)}
 	for j := range k.Keys {
-		k.Keys[j] = make([]Ciphertext, digits)
-		for d := 0; d < digits; d++ {
-			ct := Ciphertext{Q: q, A: make([]uint64, nOut)}
-			for i := range ct.A {
-				v, err := readU64(br)
-				if err != nil {
-					return nil, err
-				}
-				if v >= q {
-					return nil, fmt.Errorf("lwe: wire keyswitch coefficient outside [0, %d)", q)
-				}
-				ct.A[i] = v
+		k.Keys[j] = make([]Ciphertext, want.Digits)
+		for d := range k.Keys[j] {
+			ct := &k.Keys[j][d]
+			*ct = Ciphertext{Q: q, A: make([]uint64, want.NOut)}
+			if err := readRow(&wr, ct); err != nil {
+				return nil, fmt.Errorf("lwe: keyswitch row %d digit %d: %w", j, d, err)
 			}
-			b, err := readU64(br)
-			if err != nil {
-				return nil, err
-			}
-			if b >= q {
-				return nil, fmt.Errorf("lwe: wire keyswitch body outside [0, %d)", q)
-			}
-			ct.B = b
-			k.Keys[j][d] = ct
 		}
 	}
 	return k, nil

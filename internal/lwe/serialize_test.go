@@ -3,6 +3,7 @@ package lwe
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"athena/internal/ring"
@@ -48,7 +49,7 @@ func TestKeySwitchKeyRoundTrip(t *testing.T) {
 	if err := WriteKeySwitchKey(k, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadKeySwitchKey(&buf)
+	back, err := ReadKeySwitchKey(&buf, k.Shape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +154,83 @@ func TestKeySwitchKeyWireRejectsBadHeader(t *testing.T) {
 		"zero digits":     patch(32, 0),
 		"huge digits":     patch(32, 65),
 		"huge dimensions": patch(40, 1<<21),
+		"other modulus":   patch(16, wireTestQ+2),
+		"other input dim": patch(40, 8),
+		"other output":    patch(48, 3),
+		"inflated header": inflatedKSKHeader(k),
 	}
 	for name, mut := range cases {
-		if _, err := ReadKeySwitchKey(bytes.NewReader(mut)); err == nil {
+		if _, err := ReadKeySwitchKey(bytes.NewReader(mut), k.Shape()); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
+}
+
+// inflatedKSKHeader is a bare 56-byte header that keeps k's modulus,
+// base and digits but claims 2^20 inputs and 2^20 outputs: a reader that
+// trusted it would allocate the row table and a first 8 MiB row before
+// meeting EOF.
+func inflatedKSKHeader(k *KeySwitchKey) []byte {
+	var b []byte
+	for _, v := range []uint64{magicKSK, wireVer, k.Q, k.Base, uint64(k.Digits), 1 << 20, 1 << 20} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// TestKeySwitchKeyHeaderCheckedBeforeAllocation: the reader compares the
+// header with the expected shape before it allocates, so the inflated
+// header costs the heap next to nothing, and a header of the right shape
+// with no payload costs one row.
+func TestKeySwitchKeyHeaderCheckedBeforeAllocation(t *testing.T) {
+	k := NewKeySwitchKey(NewSecretKey(4, 31), NewSecretKey(2, 32), wireTestQ, 16, wireTestSigma, 33)
+	var buf bytes.Buffer
+	if err := WriteKeySwitchKey(k, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{
+		"inflated header":     inflatedKSKHeader(k),
+		"header without rows": buf.Bytes()[:56],
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadKeySwitchKey(bytes.NewReader(blob), k.Shape())
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: reader allocated %d bytes before failing", name, grew)
+		}
+	}
+}
+
+// FuzzReadKeySwitchKey: arbitrary bytes against a fixed expected shape
+// must yield an error or a key of exactly that shape with every word
+// reduced — never a panic. testdata/fuzz holds the inflated header.
+func FuzzReadKeySwitchKey(f *testing.F) {
+	k := NewKeySwitchKey(NewSecretKey(4, 31), NewSecretKey(2, 32), wireTestQ, 16, wireTestSigma, 33)
+	var buf bytes.Buffer
+	if err := WriteKeySwitchKey(k, &buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:56])
+	want := k.Shape()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadKeySwitchKey(bytes.NewReader(data), want)
+		if err != nil {
+			return
+		}
+		if got.Shape() != want {
+			t.Fatalf("decoded shape %+v, want %+v", got.Shape(), want)
+		}
+		for _, row := range got.Keys {
+			for _, ct := range row {
+				checkInvariants(t, ct)
+			}
+		}
+	})
 }
 
 // FuzzLWEReadCiphertext: arbitrary attacker bytes must produce either an

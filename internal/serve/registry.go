@@ -50,9 +50,6 @@ var ErrSessionNotFound = fmt.Errorf("serve: unknown session")
 // session mid-request.
 type Registry struct {
 	p        core.Params
-	codec    *core.EvalKeyCodec // built lazily on first Open
-	codecErr error
-	codecMu  sync.Mutex
 	capBytes int64
 
 	mu       sync.Mutex
@@ -126,11 +123,7 @@ func (r *Registry) Open(blob []byte) (s *Session, created bool, err error) {
 	// Build the engine outside the lock: decoding and key validation
 	// are the expensive part, and concurrent opens of distinct sessions
 	// should not serialize on the registry.
-	codec, err := r.evalKeyCodec()
-	if err != nil {
-		return nil, false, err
-	}
-	ek, err := codec.ReadEvalKeys(bytes.NewReader(blob))
+	ek, err := core.ReadEvalKeys(r.p, bytes.NewReader(blob))
 	if err != nil {
 		return nil, false, err
 	}
@@ -169,17 +162,6 @@ func (r *Registry) Open(blob []byte) (s *Session, created bool, err error) {
 	r.total += s.Bytes
 	r.touchLocked(s)
 	return s, true, nil
-}
-
-// evalKeyCodec builds (once) the bundle decoder for the registry's
-// parameter set.
-func (r *Registry) evalKeyCodec() (*core.EvalKeyCodec, error) {
-	r.codecMu.Lock()
-	defer r.codecMu.Unlock()
-	if r.codec == nil && r.codecErr == nil {
-		r.codec, r.codecErr = core.NewEvalKeyCodec(r.p)
-	}
-	return r.codec, r.codecErr
 }
 
 // Get returns the resident session by ID, refreshing its LRU position.
@@ -258,11 +240,7 @@ func (r *Registry) loadCold(st *store.Store, id string) (*Session, error) {
 	if err := b.Verify(); err != nil {
 		return nil, fmt.Errorf("serve: session %s: %w", id, err)
 	}
-	codec, err := r.evalKeyCodec()
-	if err != nil {
-		return nil, err
-	}
-	ek, err := codec.ReadEvalKeysAt(b, b.Size())
+	ek, err := core.ReadEvalKeysAt(r.p, b, b.Size())
 	if err != nil {
 		return nil, fmt.Errorf("serve: session %s: %w", id, err)
 	}

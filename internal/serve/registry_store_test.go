@@ -10,7 +10,7 @@ import (
 	"athena/internal/store"
 )
 
-func testStore(t *testing.T, dir string) *store.Store {
+func testStore(t testing.TB, dir string) *store.Store {
 	t.Helper()
 	st, _, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -179,4 +179,31 @@ func TestRegistryColdLoadRejectsCorruption(t *testing.T) {
 	if _, err := r3.Lookup(id); err != nil {
 		t.Fatalf("cold load after the healing re-upload: %v", err)
 	}
+}
+
+// BenchmarkColdAttach times a Registry.Lookup of a session that is in the
+// store but not resident — the cold attach every routed_churn operation
+// pays: hash the file against its name, decode the bundle, build the
+// evaluation engine. Each iteration uses a fresh registry; the process's
+// plan for the parameters is already built, as on any node that has
+// served before.
+func BenchmarkColdAttach(b *testing.B) {
+	blob := evalKeysBlob(b, 7)
+	st := testStore(b, b.TempDir())
+	seed := NewRegistry(core.TestParams(), 0)
+	seed.SetStore(st)
+	s, _, err := seed.Open(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewRegistry(core.TestParams(), 0)
+		r.SetStore(st)
+		if _, err := r.Lookup(s.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
 }

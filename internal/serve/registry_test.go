@@ -9,7 +9,7 @@ import (
 )
 
 // evalKeysBlob generates a distinct key bundle per seed.
-func evalKeysBlob(t *testing.T, seed uint64) []byte {
+func evalKeysBlob(t testing.TB, seed uint64) []byte {
 	t.Helper()
 	p := core.TestParams()
 	p.Seed = seed
