@@ -167,11 +167,7 @@ func auditAllows(prog *lint.Program, root string, jsonOut bool) {
 		return
 	}
 	for _, a := range annots {
-		detail := a.Detail
-		if detail == "" {
-			detail = "-"
-		}
-		fmt.Printf("%s:%d: %-10s %-12s %s\n", a.Pos.Filename, a.Pos.Line, a.Kind, a.Pass, detail)
+		fmt.Println(a.String())
 	}
 	fmt.Fprintf(os.Stderr, "athena-lint: %d annotation(s)\n", len(annots))
 }

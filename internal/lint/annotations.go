@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/token"
 	"sort"
 	"strings"
@@ -25,6 +26,15 @@ type Annotation struct {
 	// domain signature (domain), or empty (noalloc).
 	Detail string
 	Pos    token.Position
+}
+
+// String renders one line of the `athena-lint -allows` inventory.
+func (a Annotation) String() string {
+	detail := a.Detail
+	if detail == "" {
+		detail = "-"
+	}
+	return fmt.Sprintf("%s:%d: %-10s %-12s %s", a.Pos.Filename, a.Pos.Line, a.Kind, a.Pass, detail)
 }
 
 // annotationKinds maps each directive to the pass that consumes it.

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -84,14 +83,7 @@ func Declass(x uint64) uint64 {
 // packer's giant-step fan-out and the engine's lane constructor) must be
 // present and justified.
 func TestAnnotationInventoryCoversRealModule(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	prog, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	annots := CollectAnnotations(prog)
+	annots := CollectAnnotations(repo(t))
 	scratch := 0
 	for _, a := range annots {
 		if a.Kind == "allow" && a.Pass == "scratchalias" {

@@ -161,14 +161,7 @@ func TestWellFormedAllowsSuppress(t *testing.T) {
 // TestRepoIsClean lints the real module: the production tree must stay
 // at zero findings (the same gate CI runs via cmd/athena-lint).
 func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	prog, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := Run(prog, AllPasses()); len(fs) != 0 {
+	if fs := Run(repo(t), AllPasses()); len(fs) != 0 {
 		for _, f := range fs {
 			t.Error(f)
 		}

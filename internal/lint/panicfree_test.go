@@ -70,13 +70,7 @@ func TestPanicFreeWireReportsCallPath(t *testing.T) {
 // The production entry points must exist: a typo in a file name would
 // silently disable the pass.
 func TestPanicFreeWireProductionEntriesResolve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	prog, err := LoadModule("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := repo(t)
 	for _, e := range NewPanicFreeWire().Entries {
 		pkg := prog.ByPath[prog.ModulePath+"/"+e.Pkg]
 		if pkg == nil {
