@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"fmt"
-	"go/types"
-	"path/filepath"
-)
+import "fmt"
 
 // BlockHold flags potentially-blocking operations reached while a
 // mutex is statically held — the lock-held-across-IO stalls that turn
@@ -13,8 +9,8 @@ import (
 // selects without a default clause, and range-over-channel) are
 // combined with the per-function may-held dataflow; a site with a
 // non-empty held set is a finding, and so is a held call into a module
-// function that transitively blocks — resolved bottom-up through
-// memoized summaries with a witness chain, in the noalloc style.
+// function that transitively blocks — the index's reachability query
+// over the shared concurrency summaries, with a witness chain.
 //
 // A select with a default clause is non-blocking by construction and
 // never flagged; a deliberate short critical section is annotated on
@@ -38,91 +34,31 @@ func (*BlockHold) Doc() string {
 	return "no blocking operation (channel op, net/io read-write, fsync, sleep, Wait, RPC) while a mutex is held (interprocedural, CFG-based); justify with //lint:holdok <reason>"
 }
 
-// blockholdState memoizes the transitive does-it-block query.
-type blockholdState struct {
-	prog      *Program
-	summaries map[*types.Func]*concSummary
-	memo      map[*types.Func]int8 // 0 unvisited, 1 in progress, 2 clean, 3 blocks
-	witness   map[*types.Func]string
-}
-
 // Run implements Pass.
 func (p *BlockHold) Run(prog *Program) []Finding {
-	allows, _ := collectAllows(prog)
-	holdok, findings := collectHoldok(prog)
-	fns, _ := collectConcFns(prog)
-
-	disp := map[*types.Var]string{}
-	st := &blockholdState{
-		prog:      prog,
-		summaries: map[*types.Func]*concSummary{},
-		memo:      map[*types.Func]int8{},
-		witness:   map[*types.Func]string{},
-	}
-	sums := make([]*concSummary, len(fns))
-	for i, fn := range fns {
-		sums[i] = buildConcSummary(prog, fn.pkg, fn.body, allows, holdok, disp)
-		if fn.obj != nil {
-			st.summaries[fn.obj] = sums[i]
-		}
-	}
-
-	for i, fn := range fns {
-		sum := sums[i]
-		for _, s := range sum.blocks {
+	idx, conc := prog.index(), prog.concurrency()
+	findings := idx.malformed("blockhold")
+	blocks := newReachability(prog, conc.summaryOf)
+	for i, fn := range idx.funcs {
+		sum := conc.sums[i]
+		for _, s := range sum.sites {
 			if len(s.held) == 0 {
 				continue
 			}
 			findings = append(findings, Finding{Pass: "blockhold", Pos: prog.Fset.Position(s.pos),
 				Message: fmt.Sprintf("%s: %s while holding %s (justify a deliberate short critical section with //lint:holdok <reason>)",
-					fn.name, s.what, displayHeld(disp, s.held))})
+					fn.name, s.what, displayHeld(conc.disp, s.held))})
 		}
 		for _, c := range sum.calls {
-			if len(c.held) == 0 || holdokAt(prog.Fset, holdok, c.pos) {
+			if len(c.held) == 0 || idx.covers("holdok", "blockhold", prog.Fset.Position(c.pos)) {
 				continue
 			}
-			if w, blocks := st.fnBlocks(c.callee); blocks {
+			if w, ok := blocks.reaches(c.callee); ok {
 				findings = append(findings, Finding{Pass: "blockhold", Pos: prog.Fset.Position(c.pos),
 					Message: fmt.Sprintf("%s: call blocks while holding %s: %s (justify with //lint:holdok <reason>)",
-						fn.name, displayHeld(disp, c.held), w)})
+						fn.name, displayHeld(conc.disp, c.held), w)})
 			}
 		}
 	}
 	return findings
-}
-
-// fnBlocks reports whether fn (or anything it transitively calls
-// through static module calls) can block, with a witness chain.
-// In-progress cycle members answer clean, as in noalloc's allocates.
-func (st *blockholdState) fnBlocks(fn *types.Func) (string, bool) {
-	switch st.memo[fn] {
-	case 1, 2:
-		return "", false
-	case 3:
-		return st.witness[fn], true
-	}
-	sum := st.summaries[fn]
-	if sum == nil {
-		// No analyzable body in the module; stdlib blockers are already
-		// classified by blockingCall, so nothing to prove here.
-		st.memo[fn] = 2
-		return "", false
-	}
-	st.memo[fn] = 1
-	if len(sum.blocks) > 0 {
-		s := sum.blocks[0]
-		p := st.prog.Fset.Position(s.pos)
-		st.witness[fn] = fmt.Sprintf("%s: %s at %s:%d", shortName(fn), s.what, filepath.Base(p.Filename), p.Line)
-		st.memo[fn] = 3
-		return st.witness[fn], true
-	}
-	for _, c := range sum.calls {
-		if w, blocks := st.fnBlocks(c.callee); blocks {
-			st.witness[fn] = shortName(fn) + " → " + w
-			st.memo[fn] = 3
-			return st.witness[fn], true
-		}
-	}
-	st.memo[fn] = 2
-	return "", false
 }

@@ -12,7 +12,8 @@ import (
 // blockhold passes (goleak reuses the channel-identity half): mutex and
 // channel identity resolution against go/types objects, a forward
 // may-held dataflow over the CFG of cfg.go, and per-function summaries
-// in the bottom-up style of secrettaint/noalloc.
+// built once per Program over the index's bodies and shared by both
+// passes (blockhold chases them with the index's reachability query).
 //
 // Identity is the *types.Var behind the lock or channel expression: a
 // struct field (`b.mu` → field mu of Batcher — every instance of the
@@ -50,73 +51,49 @@ type concAcquire struct {
 	held  []*types.Var
 }
 
-// concCall is one static module call edge with the held set at it.
-type concCall struct {
-	callee *types.Func
-	pos    token.Pos
-	held   []*types.Var
-}
-
-// blockSite is one potentially-blocking operation with the held set at
-// it. Sites carrying a //lint:holdok or //lint:allow blockhold are
-// dropped while the summary is built, so a justified hold never poisons
-// callers.
-type blockSite struct {
-	pos  token.Pos
-	what string
-	held []*types.Var
-}
-
-// concSummary is the per-function concurrency summary.
+// concSummary is the per-function concurrency summary: direct
+// acquisitions, plus the reachability summary — blocking sites and
+// module call edges, each with the held set at it. Sites carrying a
+// //lint:holdok or //lint:allow blockhold are dropped while the summary
+// is built, so a justified hold never poisons callers.
 type concSummary struct {
 	acquires []concAcquire
-	calls    []concCall
-	blocks   []blockSite
+	summary
 }
 
-// concFn is one analyzable body: a declared function (obj non-nil) or a
-// function literal (obj nil — literals are atoms to their enclosing
-// CFG and run with an empty held set of their own).
-type concFn struct {
-	obj  *types.Func
-	name string
-	body *ast.BlockStmt
-	pkg  *Package
+// concIndex is every body's summary, parallel to index.funcs, with the
+// declared functions' summaries by object and the display name of every
+// lock identity seen.
+type concIndex struct {
+	sums   []*concSummary
+	byFunc map[*types.Func]*concSummary
+	disp   map[*types.Var]string
 }
 
-// collectConcFns returns every function body in the module — declared
-// functions first, then the function literals nested in each — in
-// deterministic (package, file, position) order, plus the decl index
-// needed to chase call edges.
-func collectConcFns(prog *Program) ([]*concFn, map[*types.Func]*concFn) {
-	var fns []*concFn
-	decls := map[*types.Func]*concFn{}
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				fn := &concFn{obj: obj, name: shortName(obj), body: fd.Body, pkg: pkg}
-				fns = append(fns, fn)
-				decls[obj] = fn
-				name := fn.name
-				p := pkg
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.FuncLit); ok {
-						fns = append(fns, &concFn{name: name + " (func literal)", body: lit.Body, pkg: p})
-					}
-					return true
-				})
+// concurrency returns prog's concurrency summaries, building them on
+// first use.
+func (prog *Program) concurrency() *concIndex {
+	idx := prog.index()
+	idx.concOnce.Do(func() {
+		c := &concIndex{byFunc: map[*types.Func]*concSummary{}, disp: map[*types.Var]string{}}
+		for _, fn := range idx.funcs {
+			sum := buildConcSummary(prog, fn.pkg, fn.body, c.disp)
+			c.sums = append(c.sums, sum)
+			if fn.obj != nil {
+				c.byFunc[fn.obj] = sum
 			}
 		}
+		idx.conc = c
+	})
+	return idx.conc
+}
+
+// summaryOf is the reachability view of fn's summary.
+func (c *concIndex) summaryOf(fn *types.Func) *summary {
+	if sum := c.byFunc[fn]; sum != nil {
+		return &sum.summary
 	}
-	return fns, decls
+	return nil
 }
 
 // lockIdent resolves a mutex or channel expression to its identity
@@ -129,11 +106,7 @@ func lockIdent(pkg *Package, e ast.Expr) (*types.Var, string) {
 	}
 	switch x := e.(type) {
 	case *ast.Ident:
-		v, ok := pkg.Info.Uses[x].(*types.Var)
-		if !ok {
-			v, ok = pkg.Info.Defs[x].(*types.Var)
-		}
-		if ok {
+		if v, ok := objOf(pkg, x).(*types.Var); ok {
 			return v, identDisplay(v)
 		}
 	case *ast.SelectorExpr:
@@ -286,66 +259,24 @@ func blockingCall(callee *types.Func) (string, bool) {
 	return "", false
 }
 
-// collectHoldok parses every //lint:holdok directive (blockhold's
-// escape hatch for justified short critical sections). The map is
-// filename → directive lines; a directive covers an operation on its
-// own line or the line below. Directives with no reason are findings.
-func collectHoldok(prog *Program) (map[string]map[int]bool, []Finding) {
-	lines := map[string]map[int]bool{}
-	var bad []Finding
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					rest, ok := strings.CutPrefix(text, "lint:holdok")
-					if !ok {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					if strings.TrimSpace(rest) == "" {
-						bad = append(bad, Finding{Pass: "blockhold", Pos: pos,
-							Message: "lint:holdok has no reason; unexplained hold-across-blocking exemptions are forbidden"})
-						continue
-					}
-					byLine := lines[pos.Filename]
-					if byLine == nil {
-						byLine = map[int]bool{}
-						lines[pos.Filename] = byLine
-					}
-					byLine[pos.Line] = true
-				}
-			}
-		}
-	}
-	return lines, bad
-}
-
 // concBuilder accumulates one function's summary.
 type concBuilder struct {
-	prog   *Program
-	pkg    *Package
-	allows map[string]map[int][]allow
-	holdok map[string]map[int]bool
-	disp   map[*types.Var]string
-	sum    *concSummary
+	prog *Program
+	pkg  *Package
+	disp map[*types.Var]string
+	sum  *concSummary
 
 	selectOf   map[ast.Node]*ast.SelectStmt // comm statement → its select
-	selDefault map[*ast.SelectStmt]bool     // select has a default clause
 	rangeChan  map[ast.Expr]bool            // X operands of range-over-channel
 	flaggedSel map[*ast.SelectStmt]bool     // one block site per select
 }
 
 // buildConcSummary runs the held-set dataflow over body and returns its
 // summary. disp accumulates display names for every lock identity seen.
-func buildConcSummary(prog *Program, pkg *Package, body *ast.BlockStmt,
-	allows map[string]map[int][]allow, holdok map[string]map[int]bool,
-	disp map[*types.Var]string) *concSummary {
-
-	b := &concBuilder{prog: prog, pkg: pkg, allows: allows, holdok: holdok, disp: disp,
+func buildConcSummary(prog *Program, pkg *Package, body *ast.BlockStmt, disp map[*types.Var]string) *concSummary {
+	b := &concBuilder{prog: prog, pkg: pkg, disp: disp,
 		sum:        &concSummary{},
 		selectOf:   map[ast.Node]*ast.SelectStmt{},
-		selDefault: map[*ast.SelectStmt]bool{},
 		rangeChan:  map[ast.Expr]bool{},
 		flaggedSel: map[*ast.SelectStmt]bool{},
 	}
@@ -365,8 +296,7 @@ func buildConcSummary(prog *Program, pkg *Package, body *ast.BlockStmt,
 
 // prewalk indexes the select and range-over-channel structure the flat
 // block scan cannot see: which comm statements belong to which select,
-// whether a select has a default, and which range operands are
-// channels. Function literals are deliberately included — harmless for
+// and which range operands are channels. Function literals are deliberately included — harmless for
 // this body (their comms never appear in its blocks) and their own
 // builder call reuses nothing.
 func (b *concBuilder) prewalk(body *ast.BlockStmt) {
@@ -374,12 +304,9 @@ func (b *concBuilder) prewalk(body *ast.BlockStmt) {
 		switch st := n.(type) {
 		case *ast.SelectStmt:
 			for _, c := range st.Body.List {
-				cc := c.(*ast.CommClause)
-				if cc.Comm == nil {
-					b.selDefault[st] = true
-					continue
+				if comm := c.(*ast.CommClause).Comm; comm != nil {
+					b.selectOf[comm] = st
 				}
-				b.selectOf[cc.Comm] = st
 			}
 		case *ast.RangeStmt:
 			if tv, ok := b.pkg.Info.Types[st.X]; ok && tv.Type != nil {
@@ -437,29 +364,19 @@ func (b *concBuilder) heldSnapshot(held map[*types.Var]bool) []*types.Var {
 	return out
 }
 
-// holdokAt reports whether a //lint:holdok directive covers pos (the
-// directive's own line or the line above the operation).
-func holdokAt(fset *token.FileSet, holdok map[string]map[int]bool, pos token.Pos) bool {
-	p := fset.Position(pos)
-	byLine := holdok[p.Filename]
-	return byLine != nil && (byLine[p.Line] || byLine[p.Line-1])
-}
-
 // suppressedSite reports whether a blockhold site at pos carries a
 // holdok directive or an ordinary allow — folded into the summary so a
 // justified site never poisons callers.
 func (b *concBuilder) suppressedSite(pos token.Pos) bool {
-	if holdokAt(b.prog.Fset, b.holdok, pos) {
-		return true
-	}
-	return suppressed(b.allows, Finding{Pass: "blockhold", Pos: b.prog.Fset.Position(pos)})
+	p, idx := b.prog.Fset.Position(pos), b.prog.index()
+	return idx.covers("holdok", "blockhold", p) || idx.covers("allow", "blockhold", p)
 }
 
 func (b *concBuilder) site(pos token.Pos, what string, held map[*types.Var]bool) {
 	if b.suppressedSite(pos) {
 		return
 	}
-	b.sum.blocks = append(b.sum.blocks, blockSite{pos: pos, what: what, held: b.heldSnapshot(held)})
+	b.sum.sites = append(b.sum.sites, site{pos: pos, what: what, held: b.heldSnapshot(held)})
 }
 
 // walkNode applies one block node to the held set in source order,
@@ -477,7 +394,7 @@ func (b *concBuilder) walkNode(n ast.Node, held map[*types.Var]bool, emit bool) 
 	}
 	if stmt, ok := n.(ast.Stmt); ok {
 		if sel := b.selectOf[stmt]; sel != nil {
-			if emit && !b.selDefault[sel] && !b.flaggedSel[sel] {
+			if emit && !selectHasDefault(sel) && !b.flaggedSel[sel] {
 				b.flaggedSel[sel] = true
 				b.site(sel.Pos(), "select without a default clause blocks", held)
 			}
@@ -535,12 +452,12 @@ func (b *concBuilder) handleCall(call *ast.CallExpr, held map[*types.Var]bool, e
 		}
 		return
 	}
-	if calleePkg := callee.Pkg(); calleePkg != nil && moduleMember(b.prog, calleePkg) && emit {
+	if emit && moduleMember(b.prog, callee.Pkg()) {
 		// Call edges are never dropped by holdok here: lockorder chases
 		// acquisitions through them, and a blocking justification must
 		// not hide a deadlock edge. blockhold applies holdok to its
 		// call-edge findings at emission instead.
-		b.sum.calls = append(b.sum.calls, concCall{callee: callee, pos: call.Pos(), held: b.heldSnapshot(held)})
+		b.sum.calls = append(b.sum.calls, edge{callee: callee, pos: call.Pos(), held: b.heldSnapshot(held)})
 	}
 }
 
@@ -567,11 +484,9 @@ func collectChanFacts(prog *Program) *chanFacts {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch e := n.(type) {
 				case *ast.CallExpr:
-					if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && len(e.Args) == 1 {
-						if bi, ok := p.Info.Uses[id].(*types.Builtin); ok && bi.Name() == "close" {
-							if v, _ := lockIdent(p, e.Args[0]); v != nil {
-								f.closed[v] = true
-							}
+					if len(e.Args) == 1 && builtinName(p, e) == "close" {
+						if v, _ := lockIdent(p, e.Args[0]); v != nil {
+							f.closed[v] = true
 						}
 					}
 				case *ast.AssignStmt:
@@ -610,14 +525,7 @@ func collectChanFacts(prog *Program) *chanFacts {
 // constant zero.
 func bufferedChanMake(pkg *Package, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) < 2 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if bi, ok := pkg.Info.Uses[id].(*types.Builtin); !ok || bi.Name() != "make" {
+	if !ok || len(call.Args) < 2 || builtinName(pkg, call) != "make" {
 		return false
 	}
 	tv, ok := pkg.Info.Types[call.Args[0]]

@@ -120,7 +120,21 @@ type domainAnnot struct {
 
 // Run implements Pass.
 func (p *ModDomain) Run(prog *Program) []Finding {
-	annots, findings := collectDomainAnnots(prog)
+	idx := prog.index()
+	annots := map[*types.Func]*domainAnnot{}
+	var findings []Finding
+	for _, d := range idx.directives {
+		if d.Kind != "domain" || d.fn == nil {
+			continue // a domain contract lives in a declaration's doc comment
+		}
+		annot, err := parseDomainAnnot(d.Detail, d.fn)
+		if err != "" {
+			findings = append(findings, Finding{Pass: "moddomain", Pos: d.Pos,
+				Message: "malformed lint:domain directive: " + err})
+			continue
+		}
+		annots[d.fn] = annot
+	}
 	if len(annots) == 0 {
 		return findings
 	}
@@ -132,61 +146,19 @@ func (p *ModDomain) Run(prog *Program) []Finding {
 		reported[pos] = true
 		findings = append(findings, Finding{Pass: "moddomain", Pos: prog.Fset.Position(pos), Message: msg})
 	}
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				interp := &domainInterp{prog: prog, pkg: pkg, annots: annots, state: map[types.Object]domain{}}
-				interp.seedParams(pkg, fd, annots)
-				// Two passes: the first stabilizes loop-carried domains,
-				// the second reports against the settled state.
-				interp.execBlock(fd.Body)
-				interp.report = report
-				interp.execBlock(fd.Body)
-			}
+	for _, fn := range idx.funcs {
+		if fn.obj == nil {
+			continue
 		}
+		interp := &domainInterp{pkg: fn.pkg, annots: annots, state: map[types.Object]domain{}}
+		interp.seedParams(fn.decl, annots[fn.obj])
+		// Two passes: the first stabilizes loop-carried domains, the
+		// second reports against the settled state.
+		interp.execBlock(fn.body)
+		interp.report = report
+		interp.execBlock(fn.body)
 	}
 	return findings
-}
-
-// collectDomainAnnots parses every lint:domain directive attached to a
-// function declaration. Malformed directives become findings.
-func collectDomainAnnots(prog *Program) (map[*types.Func]*domainAnnot, []Finding) {
-	annots := map[*types.Func]*domainAnnot{}
-	var bad []Finding
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				for _, c := range fd.Doc.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					spec, ok := strings.CutPrefix(text, "lint:domain")
-					if !ok {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-					if obj == nil {
-						continue
-					}
-					annot, err := parseDomainAnnot(strings.TrimSpace(spec), obj)
-					if err != "" {
-						bad = append(bad, Finding{Pass: "moddomain", Pos: pos,
-							Message: "malformed lint:domain directive: " + err})
-						continue
-					}
-					annots[obj] = annot
-				}
-			}
-		}
-	}
-	return annots, bad
 }
 
 // parseDomainAnnot parses "a:<q b:<2q -> ret:<4q out:<q" against fn's
@@ -250,7 +222,6 @@ func parseDomainAnnot(spec string, fn *types.Func) (*domainAnnot, string) {
 
 // domainInterp is the per-function abstract interpreter.
 type domainInterp struct {
-	prog   *Program
 	pkg    *Package
 	annots map[*types.Func]*domainAnnot
 	state  map[types.Object]domain
@@ -259,32 +230,19 @@ type domainInterp struct {
 
 // seedParams initializes parameter domains: declared inputs of the
 // function's own annotation, <q otherwise (the canonical default).
-func (in *domainInterp) seedParams(pkg *Package, fd *ast.FuncDecl, annots map[*types.Func]*domainAnnot) {
-	obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	var annot *domainAnnot
-	if obj != nil {
-		annot = annots[obj]
-	}
+func (in *domainInterp) seedParams(fd *ast.FuncDecl, annot *domainAnnot) {
 	if annot == nil || fd.Type.Params == nil {
 		return
 	}
 	for _, field := range fd.Type.Params.List {
 		for _, name := range field.Names {
 			if d, ok := annot.inputs[name.Name]; ok {
-				if v := pkg.Info.Defs[name]; v != nil {
+				if v := in.pkg.Info.Defs[name]; v != nil {
 					in.state[v] = d
 				}
 			}
 		}
 	}
-}
-
-func (in *domainInterp) clone() map[types.Object]domain {
-	c := make(map[types.Object]domain, len(in.state))
-	for k, v := range in.state {
-		c[k] = v
-	}
-	return c
 }
 
 // joinInto merges other into the current state pointwise at the max.
@@ -330,7 +288,7 @@ func (in *domainInterp) execStmt(st ast.Stmt) {
 			in.execStmt(s.Init)
 		}
 		in.exprDomain(s.Cond)
-		saved := in.clone()
+		saved := cloneDomains(in.state)
 		in.execBlock(s.Body)
 		thenState := in.state
 		in.state = saved
@@ -369,7 +327,7 @@ func (in *domainInterp) execStmt(st ast.Stmt) {
 		if s.Init != nil {
 			in.execStmt(s.Init)
 		}
-		saved := in.clone()
+		saved := cloneDomains(in.state)
 		for _, c := range s.Body.List {
 			cc, ok := c.(*ast.CaseClause)
 			if !ok {
@@ -382,7 +340,7 @@ func (in *domainInterp) execStmt(st ast.Stmt) {
 			branch := in.state
 			in.state = saved
 			in.joinInto(branch)
-			saved = in.clone()
+			saved = cloneDomains(in.state)
 		}
 	case *ast.BlockStmt:
 		in.execBlock(s)
@@ -458,14 +416,14 @@ func (in *domainInterp) assignTo(lhs ast.Expr, d domain, define bool) {
 		in.setIdent(e, d)
 	case *ast.IndexExpr:
 		if base := rootIdent(e.X); base != nil {
-			obj := in.objOf(base)
+			obj := objOf(in.pkg, base)
 			if obj != nil {
 				in.state[obj] = maxDomain(in.state[obj], d)
 			}
 		}
 	case *ast.StarExpr:
 		if base := rootIdent(e.X); base != nil {
-			if obj := in.objOf(base); obj != nil {
+			if obj := objOf(in.pkg, base); obj != nil {
 				in.state[obj] = maxDomain(in.state[obj], d)
 			}
 		}
@@ -476,16 +434,9 @@ func (in *domainInterp) setIdent(id *ast.Ident, d domain) {
 	if id.Name == "_" {
 		return
 	}
-	if obj := in.objOf(id); obj != nil {
+	if obj := objOf(in.pkg, id); obj != nil {
 		in.state[obj] = d
 	}
-}
-
-func (in *domainInterp) objOf(id *ast.Ident) types.Object {
-	if o := in.pkg.Info.Defs[id]; o != nil {
-		return o
-	}
-	return in.pkg.Info.Uses[id]
 }
 
 // exprDomain computes the abstract domain of e, checking annotated calls
@@ -495,7 +446,7 @@ func (in *domainInterp) exprDomain(e ast.Expr) domain {
 	case nil:
 		return domQ
 	case *ast.Ident:
-		if obj := in.objOf(x); obj != nil {
+		if obj := objOf(in.pkg, x); obj != nil {
 			if d, ok := in.state[obj]; ok {
 				return d
 			}
@@ -564,7 +515,7 @@ func (in *domainInterp) binaryDomain(x *ast.BinaryExpr) domain {
 // callDomain checks a call against the callee's annotation (if any) and
 // returns the result's domain.
 func (in *domainInterp) callDomain(call *ast.CallExpr) domain {
-	callee := in.staticCallee(call)
+	callee := staticCalleeFunc(in.pkg, call)
 	var annot *domainAnnot
 	if callee != nil {
 		annot = in.annots[callee]
@@ -600,18 +551,4 @@ func (in *domainInterp) callDomain(call *ast.CallExpr) domain {
 		return annot.ret
 	}
 	return domQ
-}
-
-func (in *domainInterp) staticCallee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := in.pkg.Info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := in.pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
 }

@@ -102,17 +102,5 @@ func (p *ErrDrop) dropsError(pkg *Package, call *ast.CallExpr) (string, bool) {
 
 // stdoutPrint reports whether call is fmt.Print/Printf/Println.
 func (p *ErrDrop) stdoutPrint(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" {
-		return false
-	}
-	switch fn.Name() {
-	case "Print", "Printf", "Println":
-		return true
-	}
-	return false
+	return isPkgFunc(staticCalleeFunc(pkg, call), "fmt", "Print", "Printf", "Println")
 }

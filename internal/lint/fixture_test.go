@@ -112,23 +112,28 @@ func TestLoadModuleFixture(t *testing.T) {
 
 func TestAllowlistMalformedDirectives(t *testing.T) {
 	prog := fixture(t)
-	_, bad := collectAllows(prog)
-	wantMsgs := []string{
-		"missing pass name",
-		`unknown pass "nosuchpass"`,
-		"has no reason",
+	bad := prog.index().bad["allowlist"]
+	wantMsgs := []struct{ file, msg string }{
+		{"allowdemo.go", "missing pass name"},
+		{"allowdemo.go", `unknown pass "nosuchpass"`},
+		{"allowdemo.go", "has no reason"},
+		// Near misses: a kind followed by more letters names no kind.
+		{"allowdemo.go", "unknown directive lint:declassifying"},
+		{"allowdemo.go", "unknown directive lint:preallocated"},
+		{"holddemo.go", "unknown directive lint:holdokay"},
+		{"allocdemo.go", "unknown directive lint:noaloc"},
 	}
-	for _, wantMsg := range wantMsgs {
+	for _, want := range wantMsgs {
 		found := false
 		for _, f := range bad {
-			if f.Pass == "allowlist" && strings.Contains(f.Message, wantMsg) &&
-				filepath.Base(f.Pos.Filename) == "allowdemo.go" {
+			if f.Pass == "allowlist" && strings.Contains(f.Message, want.msg) &&
+				filepath.Base(f.Pos.Filename) == want.file {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Errorf("no allowlist finding containing %q", wantMsg)
+			t.Errorf("no allowlist finding in %s containing %q", want.file, want.msg)
 		}
 	}
 	if len(bad) != len(wantMsgs) {
@@ -142,12 +147,14 @@ func TestAllowlistMalformedDirectives(t *testing.T) {
 }
 
 func TestWellFormedAllowsSuppress(t *testing.T) {
-	prog := fixture(t)
-	allows, _ := collectAllows(prog)
 	n := 0
-	for _, byLine := range allows {
+	for _, byLine := range fixture(t).index().lines {
 		for _, as := range byLine {
-			n += len(as)
+			for _, a := range as {
+				if a.Kind == "allow" {
+					n++
+				}
+			}
 		}
 	}
 	// modfix and allocdemo have two each; bfv, parfix, scratchdemo

@@ -55,7 +55,7 @@ func (*GoLeak) Doc() string {
 type goleakState struct {
 	prog  *Program
 	facts *chanFacts
-	decls map[*types.Func]*concFn
+	decls map[*types.Func]*funcBody
 	memo  map[*types.Func]string // "" = proven; otherwise the failure reason
 }
 
@@ -64,9 +64,9 @@ func (p *GoLeak) Run(prog *Program) []Finding {
 	st := &goleakState{
 		prog:  prog,
 		facts: collectChanFacts(prog),
+		decls: prog.index().decls,
 		memo:  map[*types.Func]string{},
 	}
-	_, st.decls = collectConcFns(prog)
 
 	var findings []Finding
 	for _, pkg := range prog.Packages {
@@ -254,19 +254,10 @@ func (st *goleakState) commIsSafeRecv(pkg *Package, comm ast.Stmt) bool {
 func (st *goleakState) safeRecvSource(pkg *Package, ch ast.Expr) bool {
 	ch = ast.Unparen(ch)
 	if call, ok := ch.(*ast.CallExpr); ok {
-		callee := staticCalleeFunc(pkg, call)
-		if callee == nil || callee.Pkg() == nil {
-			return false
-		}
-		switch callee.Pkg().Path() {
-		case "time":
-			return callee.Name() == "After" || callee.Name() == "Tick"
-		case "context":
-			return callee.Name() == "Done"
-		}
-		// Interface method Done() on context.Context lives in package
-		// context and is caught above; anything else is unproven.
-		return false
+		// The interface method Done() of context.Context lives in
+		// package context; any other call is unproven.
+		f := staticCalleeFunc(pkg, call)
+		return isPkgFunc(f, "time", "After", "Tick") || isPkgFunc(f, "context", "Done")
 	}
 	if sel, ok := ch.(*ast.SelectorExpr); ok && sel.Sel.Name == "C" {
 		if s, ok := pkg.Info.Selections[sel]; ok {
@@ -350,18 +341,10 @@ func hasDeferredWaitGroupDone(pkg *Package, body *ast.BlockStmt) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
-		d, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return true
+		if d, ok := n.(*ast.DeferStmt); ok {
+			found = isPkgFunc(staticCalleeFunc(pkg, d.Call), "sync", "Done")
 		}
-		if sel, ok := ast.Unparen(d.Call.Fun).(*ast.SelectorExpr); ok {
-			if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Name() == "Done" &&
-				fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-				found = true
-				return false
-			}
-		}
-		return true
+		return !found
 	})
 	return found
 }

@@ -7,9 +7,9 @@
 //   - cryptorand: secret/noise sampling in crypto packages must never
 //     touch math/rand; the seeded ChaCha8 core in internal/ring is the
 //     single approved keystream.
-//   - parsafe: closures handed to par.ForN / par.Chunks may only write
-//     index-derived state; anything else is a data race the scheduler
-//     hides most days.
+//   - parsafe: closures handed to par.ForWork / par.Chunks may only
+//     write index-derived state; anything else is a data race the
+//     scheduler hides most days.
 //   - panicfree-wire: no panic may be reachable from the wire
 //     deserialization entry points — a malicious ciphertext must yield
 //     an error, not a crash.
@@ -51,6 +51,13 @@
 //     (WaitGroup accounting, closed-channel range, bounded channel
 //     protocol, or a loop-exiting cancellation select).
 //
+// The passes share one index of the program (index.go), built once per
+// Program: every function body, every lint: directive parsed once, the
+// concurrency summaries, and one memoized reachability query ("does fn
+// reach a local site through static module calls", with a witness
+// chain) under noalloc and blockhold. A pass contributes only what a
+// body adds to its summary and how a finding is worded.
+//
 // Everything is built on the standard library only (go/ast, go/parser,
 // go/types); go.mod stays bare. Findings can be suppressed in source
 // with an explained comment:
@@ -59,15 +66,18 @@
 //
 // either at the end of the offending line or on its own line directly
 // above it. The reason is mandatory: a bare suppression is itself
-// reported as a finding. Findings located in generated files
-// ("Code generated … DO NOT EDIT.") are dropped: generated code is
-// fixed at its generator.
+// reported as a finding, and so is any other directive comment that is
+// not `lint:<kind>` followed by whitespace or the comment's end.
+// Findings located in generated files ("Code generated … DO NOT
+// EDIT.") are dropped: generated code is fixed at its generator.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -120,102 +130,32 @@ func PassByName(name string) Pass {
 	return nil
 }
 
-// allow is one parsed //lint:allow directive.
-type allow struct {
-	pass   string
-	reason string
-	pos    token.Position
-}
-
-// collectAllows parses every //lint:allow comment in the program.
-// The returned map is keyed by filename then line. Malformed directives
-// (missing pass or reason) are returned as findings so they fail the
-// gate instead of silently suppressing nothing.
-func collectAllows(prog *Program) (map[string]map[int][]allow, []Finding) {
-	allows := map[string]map[int][]allow{}
-	var bad []Finding
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					text = strings.TrimSpace(text)
-					if !strings.HasPrefix(text, "lint:allow") {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					rest := strings.TrimSpace(strings.TrimPrefix(text, "lint:allow"))
-					fields := strings.SplitN(rest, " ", 2)
-					if len(fields) == 0 || fields[0] == "" {
-						bad = append(bad, Finding{Pass: "allowlist", Pos: pos,
-							Message: "lint:allow directive missing pass name"})
-						continue
-					}
-					pass, reason := fields[0], ""
-					if len(fields) == 2 {
-						reason = strings.TrimSpace(fields[1])
-					}
-					if PassByName(pass) == nil {
-						bad = append(bad, Finding{Pass: "allowlist", Pos: pos,
-							Message: fmt.Sprintf("lint:allow names unknown pass %q", pass)})
-						continue
-					}
-					if reason == "" {
-						bad = append(bad, Finding{Pass: "allowlist", Pos: pos,
-							Message: fmt.Sprintf("lint:allow %s has no reason; unexplained suppressions are forbidden", pass)})
-						continue
-					}
-					byLine := allows[pos.Filename]
-					if byLine == nil {
-						byLine = map[int][]allow{}
-						allows[pos.Filename] = byLine
-					}
-					byLine[pos.Line] = append(byLine[pos.Line], allow{pass: pass, reason: reason, pos: pos})
-				}
-			}
-		}
-	}
-	return allows, bad
-}
-
-// suppressed reports whether finding f is covered by an allow directive
-// on the same line or the line directly above.
-func suppressed(allows map[string]map[int][]allow, f Finding) bool {
-	byLine := allows[f.Pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
-		for _, a := range byLine[line] {
-			if a.pass == f.Pass {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Run executes the passes over prog, applies the allowlist, and returns
-// the surviving findings sorted by position.
+// the surviving findings sorted by file, line and pass (then column and
+// message, so the order never depends on the order passes report in).
 func Run(prog *Program, passes []Pass) []Finding {
-	allows, bad := collectAllows(prog)
-	findings := bad
+	idx := prog.index()
+	findings := idx.malformed("allowlist")
 	for _, p := range passes {
 		for _, f := range p.Run(prog) {
-			if !suppressed(allows, f) && !prog.Generated[f.Pos.Filename] {
+			if !idx.covers("allow", f.Pass, f.Pos) && !prog.Generated[f.Pos.Filename] {
 				findings = append(findings, f)
 			}
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Pos, findings[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
+		a, b := findings[i], findings[j]
+		switch {
+		case a.Pos.Filename != b.Pos.Filename:
+			return a.Pos.Filename < b.Pos.Filename
+		case a.Pos.Line != b.Pos.Line:
+			return a.Pos.Line < b.Pos.Line
+		case a.Pass != b.Pass:
+			return a.Pass < b.Pass
+		case a.Pos.Column != b.Pos.Column:
+			return a.Pos.Column < b.Pos.Column
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return findings[i].Pass < findings[j].Pass
+		return a.Message < b.Message
 	})
 	return findings
 }
@@ -229,13 +169,45 @@ func relPkgPath(prog *Program, pkg *Package) string {
 	return strings.TrimPrefix(pkg.PkgPath, prog.ModulePath+"/")
 }
 
-// exprIdents appends every identifier appearing in e to dst.
-func exprIdents(e ast.Expr, dst []*ast.Ident) []*ast.Ident {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			dst = append(dst, id)
+// staticCalleeFunc resolves call's target when it is a plain function
+// or method reference — the one callee resolver every pass uses.
+func staticCalleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		f, _ := pkg.Info.Uses[fun].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := pkg.Info.Uses[fun.Sel].(*types.Func)
+		return f
+	}
+	return nil
+}
+
+// isPkgFunc reports whether f is one of the named functions (or
+// methods) of the package at path.
+func isPkgFunc(f *types.Func, path string, names ...string) bool {
+	return f != nil && f.Pkg() != nil && f.Pkg().Path() == path && slices.Contains(names, f.Name())
+}
+
+// builtinName returns the name of the builtin call invokes, or "".
+func builtinName(pkg *Package, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
 		}
-		return true
-	})
-	return dst
+	}
+	return ""
+}
+
+// objOf returns the object id defines or uses.
+func objOf(pkg *Package, id *ast.Ident) types.Object {
+	if o := pkg.Info.Defs[id]; o != nil {
+		return o
+	}
+	return pkg.Info.Uses[id]
+}
+
+// moduleMember reports whether pkg belongs to the analyzed module.
+func moduleMember(prog *Program, pkg *types.Package) bool {
+	return pkg != nil && (pkg.Path() == prog.ModulePath || strings.HasPrefix(pkg.Path(), prog.ModulePath+"/"))
 }

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked module package.
@@ -37,6 +38,9 @@ type Program struct {
 	// declarations participate in type-checking) but findings located in
 	// them are dropped by Run: generated code is fixed at its generator.
 	Generated map[string]bool
+
+	idxOnce sync.Once
+	idx     *index // see index.go
 }
 
 // LoadModule parses and type-checks every non-test package under root,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -59,10 +58,8 @@ type transAcq struct {
 
 // lockOrderState carries the composed graph.
 type lockOrderState struct {
-	prog      *Program
-	decls     map[*types.Func]*concFn
-	summaries map[*types.Func]*concSummary
-	disp      map[*types.Var]string
+	prog *Program
+	conc *concIndex
 
 	edges   []*lockEdge
 	edgeIdx map[[2]*types.Var]*lockEdge
@@ -73,39 +70,26 @@ type lockOrderState struct {
 
 // Run implements Pass.
 func (p *LockOrder) Run(prog *Program) []Finding {
-	allows, _ := collectAllows(prog)
-	holdok, _ := collectHoldok(prog) // parsed for summary symmetry; findings are blockhold's
-	fns, decls := collectConcFns(prog)
-
 	st := &lockOrderState{
 		prog:      prog,
-		decls:     decls,
-		summaries: map[*types.Func]*concSummary{},
-		disp:      map[*types.Var]string{},
+		conc:      prog.concurrency(),
 		edgeIdx:   map[[2]*types.Var]*lockEdge{},
 		adj:       map[*types.Var][]*lockEdge{},
 		transMemo: map[*types.Func][]transAcq{},
 	}
-	sums := make([]*concSummary, len(fns))
-	for i, fn := range fns {
-		sums[i] = buildConcSummary(prog, fn.pkg, fn.body, allows, holdok, st.disp)
-		if fn.obj != nil {
-			st.summaries[fn.obj] = sums[i]
-		}
-	}
-
+	disp := st.conc.disp
 	var findings []Finding
-	for i, fn := range fns {
-		sum := sums[i]
+	for i, fn := range prog.index().funcs {
+		sum := st.conc.sums[i]
 		for _, a := range sum.acquires {
-			site := fmt.Sprintf("%s acquires %s at %s", fn.name, st.disp[a.mu], st.shortPos(a.pos))
+			site := fmt.Sprintf("%s acquires %s at %s", fn.name, disp[a.mu], shortPos(prog, a.pos))
 			for _, h := range a.held {
 				if h == a.mu {
 					findings = append(findings, Finding{Pass: "lockorder", Pos: prog.Fset.Position(a.pos),
-						Message: fmt.Sprintf("%s re-acquired while already held (sync mutexes are not reentrant): %s", st.disp[a.mu], site)})
+						Message: fmt.Sprintf("%s re-acquired while already held (sync mutexes are not reentrant): %s", disp[a.mu], site)})
 					continue
 				}
-				st.addEdge(h, a.mu, a.pos, site+fmt.Sprintf(" while holding %s", st.disp[h]))
+				st.addEdge(h, a.mu, a.pos, site+fmt.Sprintf(" while holding %s", disp[h]))
 			}
 		}
 		for _, c := range sum.calls {
@@ -113,14 +97,14 @@ func (p *LockOrder) Run(prog *Program) []Finding {
 				continue
 			}
 			for _, t := range st.transAcquires(c.callee) {
-				site := fmt.Sprintf("%s calls %s at %s → %s", fn.name, shortName(c.callee), st.shortPos(c.pos), t.chain)
+				site := fmt.Sprintf("%s calls %s at %s → %s", fn.name, shortName(c.callee), shortPos(prog, c.pos), t.chain)
 				for _, h := range c.held {
 					if h == t.mu {
 						findings = append(findings, Finding{Pass: "lockorder", Pos: prog.Fset.Position(c.pos),
-							Message: fmt.Sprintf("call re-acquires %s, already held here (sync mutexes are not reentrant): %s", st.disp[t.mu], site)})
+							Message: fmt.Sprintf("call re-acquires %s, already held here (sync mutexes are not reentrant): %s", disp[t.mu], site)})
 						continue
 					}
-					st.addEdge(h, t.mu, c.pos, site+fmt.Sprintf(" while holding %s", st.disp[h]))
+					st.addEdge(h, t.mu, c.pos, site+fmt.Sprintf(" while holding %s", disp[h]))
 				}
 			}
 		}
@@ -128,11 +112,6 @@ func (p *LockOrder) Run(prog *Program) []Finding {
 
 	findings = append(findings, st.cycleFindings()...)
 	return findings
-}
-
-func (st *lockOrderState) shortPos(pos token.Pos) string {
-	p := st.prog.Fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
 // addEdge records from → to once, keeping the first witness.
@@ -150,12 +129,14 @@ func (st *lockOrderState) addEdge(from, to *types.Var, pos token.Pos, witness st
 // transAcquires returns every mutex fn transitively acquires through
 // static module calls, each with a witness chain. In-progress cycle
 // members answer empty (a recursive cycle adds nothing new); results
-// are memoized.
+// are memoized. This is a set-valued walk (every mutex, not the first
+// site), so it stays beside the index's first-witness reachability
+// query rather than forcing a mode onto it.
 func (st *lockOrderState) transAcquires(fn *types.Func) []transAcq {
 	if got, ok := st.transMemo[fn]; ok {
 		return got
 	}
-	sum := st.summaries[fn]
+	sum := st.conc.byFunc[fn]
 	if sum == nil {
 		st.transMemo[fn] = nil
 		return nil
@@ -169,7 +150,7 @@ func (st *lockOrderState) transAcquires(fn *types.Func) []transAcq {
 		}
 		seen[a.mu] = true
 		out = append(out, transAcq{mu: a.mu,
-			chain: fmt.Sprintf("%s acquires %s at %s", shortName(fn), st.disp[a.mu], st.shortPos(a.pos))})
+			chain: fmt.Sprintf("%s acquires %s at %s", shortName(fn), st.conc.disp[a.mu], shortPos(st.prog, a.pos))})
 	}
 	for _, c := range sum.calls {
 		for _, t := range st.transAcquires(c.callee) {
@@ -178,7 +159,7 @@ func (st *lockOrderState) transAcquires(fn *types.Func) []transAcq {
 			}
 			seen[t.mu] = true
 			out = append(out, transAcq{mu: t.mu,
-				chain: fmt.Sprintf("%s calls %s at %s → %s", shortName(fn), shortName(c.callee), st.shortPos(c.pos), t.chain)})
+				chain: fmt.Sprintf("%s calls %s at %s → %s", shortName(fn), shortName(c.callee), shortPos(st.prog, c.pos), t.chain)})
 		}
 	}
 	st.transMemo[fn] = out
@@ -199,7 +180,7 @@ func (st *lockOrderState) cycleFindings() []Finding {
 		cycle := append([]*lockEdge{e}, path...)
 		names := make([]string, len(cycle))
 		for i, ce := range cycle {
-			names[i] = st.disp[ce.from]
+			names[i] = st.conc.disp[ce.from]
 		}
 		key := canonicalCycle(names)
 		if reported[key] {

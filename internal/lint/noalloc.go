@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
@@ -16,9 +15,9 @@ import (
 //	//lint:noalloc
 //
 // is proven free of heap-allocating constructs, and so is everything it
-// transitively calls through static module calls — via bottom-up
-// per-function summaries in the style of secrettaint, so one annotation
-// on a kernel entry point covers its whole call tree.
+// transitively calls through static module calls — per-function
+// summaries chased by the index's reachability query (index.go), so one
+// annotation on a kernel entry point covers its whole call tree.
 //
 // Allocating constructs: make/new, slice and map composite literals,
 // &T{...} (address of a composite escapes), append (backing-array
@@ -68,208 +67,60 @@ func (*NoAlloc) Doc() string {
 	return "//lint:noalloc functions (and their static callees) must not heap-allocate outside cold panic/error paths (interprocedural, CFG-based)"
 }
 
-// allocSite is one allocating construct found in a warm block.
-type allocSite struct {
-	pos  token.Pos
-	what string
-}
-
-// allocEdge is one warm static call into a module function.
-type allocEdge struct {
-	pos    token.Pos
-	callee *types.Func
-}
-
-// allocSummary is the per-function summary: unsuppressed warm
-// allocation sites plus the warm module call edges to chase.
-type allocSummary struct {
-	sites []allocSite
-	edges []allocEdge
-}
-
-// allocFn is one analyzable function body.
-type allocFn struct {
-	obj  *types.Func
-	decl *ast.FuncDecl
-	pkg  *Package
-}
-
 // Run implements Pass.
 func (p *NoAlloc) Run(prog *Program) []Finding {
 	// Allows are folded into summaries so a justified site does not
-	// poison callers; the malformed-directive findings are emitted by
-	// Run()'s own collectAllows call, not duplicated here.
-	allows, _ := collectAllows(prog)
-	prealloc, findings := collectPrealloc(prog)
-
-	// Function universe in deterministic (package, file, decl) order.
-	var fns []*allocFn
+	// poison callers. Summaries are built on demand: only functions on
+	// some annotated function's call tree are ever scanned.
+	idx := prog.index()
+	findings := idx.malformed("noalloc")
 	annotated := map[*types.Func]bool{}
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				fns = append(fns, &allocFn{obj: obj, decl: fd, pkg: pkg})
-				if hasNoallocAnnot(fd) {
-					annotated[obj] = true
-				}
-			}
+	for _, d := range idx.directives {
+		if d.Kind == "noalloc" && d.fn != nil {
+			annotated[d.fn] = true
 		}
 	}
-	if len(annotated) == 0 {
-		return findings
+	sums := map[*types.Func]*summary{}
+	summaryOf := func(obj *types.Func) *summary {
+		sum, done := sums[obj]
+		if fn := idx.decls[obj]; !done && fn != nil {
+			sum = buildAllocSummary(prog, fn)
+			sums[obj] = sum
+		}
+		return sum
 	}
-
-	st := &noallocState{
-		prog:      prog,
-		annotated: annotated,
-		summaries: map[*types.Func]*allocSummary{},
-		memo:      map[*types.Func]int8{},
-		witness:   map[*types.Func]string{},
-	}
-	for _, fn := range fns {
-		st.summaries[fn.obj] = buildAllocSummary(prog, fn.pkg, fn.decl, allows, prealloc)
-	}
-
-	for _, fn := range fns {
+	allocates := newReachability(prog, summaryOf)
+	for _, fn := range idx.funcs {
 		if !annotated[fn.obj] {
 			continue
 		}
-		sum := st.summaries[fn.obj]
+		sum := summaryOf(fn.obj)
 		for _, s := range sum.sites {
 			findings = append(findings, Finding{Pass: "noalloc", Pos: prog.Fset.Position(s.pos),
-				Message: fmt.Sprintf("%s is annotated //lint:noalloc but %s", shortName(fn.obj), s.what)})
+				Message: fmt.Sprintf("%s is annotated //lint:noalloc but %s", fn.name, s.what)})
 		}
-		for _, e := range sum.edges {
-			if annotated[e.callee] {
+		for _, c := range sum.calls {
+			if annotated[c.callee] {
 				// An annotated callee carries its own contract; its
 				// violations are reported at its own sites, once.
 				continue
 			}
-			if w, bad := st.allocates(e.callee); bad {
-				findings = append(findings, Finding{Pass: "noalloc", Pos: prog.Fset.Position(e.pos),
-					Message: fmt.Sprintf("call allocates on the //lint:noalloc path of %s: %s",
-						shortName(fn.obj), w)})
+			if w, ok := allocates.reaches(c.callee); ok {
+				findings = append(findings, Finding{Pass: "noalloc", Pos: prog.Fset.Position(c.pos),
+					Message: fmt.Sprintf("call allocates on the //lint:noalloc path of %s: %s", fn.name, w)})
 			}
 		}
 	}
 	return findings
 }
 
-// hasNoallocAnnot reports whether fd's doc comment declares the
-// contract.
-func hasNoallocAnnot(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == "lint:noalloc" || strings.HasPrefix(text, "lint:noalloc ") {
-			return true
-		}
-	}
-	return false
-}
-
-// collectPrealloc parses every //lint:prealloc directive. The returned
-// map is filename -> set of directive lines; a directive exempts
-// append/make growth sites on its own line or the line below.
-// Directives with no reason are returned as findings.
-func collectPrealloc(prog *Program) (map[string]map[int]bool, []Finding) {
-	lines := map[string]map[int]bool{}
-	var bad []Finding
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					rest, ok := strings.CutPrefix(text, "lint:prealloc")
-					if !ok {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					if strings.TrimSpace(rest) == "" {
-						bad = append(bad, Finding{Pass: "noalloc", Pos: pos,
-							Message: "lint:prealloc has no reason; unexplained arena-growth exemptions are forbidden"})
-						continue
-					}
-					byLine := lines[pos.Filename]
-					if byLine == nil {
-						byLine = map[int]bool{}
-						lines[pos.Filename] = byLine
-					}
-					byLine[pos.Line] = true
-				}
-			}
-		}
-	}
-	return lines, bad
-}
-
-// noallocState memoizes the transitive does-it-allocate query over
-// function summaries.
-type noallocState struct {
-	prog      *Program
-	annotated map[*types.Func]bool
-	summaries map[*types.Func]*allocSummary
-	memo      map[*types.Func]int8 // 0 unvisited, 1 in progress, 2 clean, 3 allocates
-	witness   map[*types.Func]string
-}
-
-// allocates reports whether fn (or anything it transitively calls)
-// allocates, with a witness chain naming the allocating expression.
-// In-progress cycle members answer clean: a recursive cycle that is
-// otherwise allocation-free stays clean, and a cycle containing a real
-// site is caught when the site's owner finishes.
-func (st *noallocState) allocates(fn *types.Func) (string, bool) {
-	switch st.memo[fn] {
-	case 1, 2:
-		return "", false
-	case 3:
-		return st.witness[fn], true
-	}
-	sum := st.summaries[fn]
-	if sum == nil {
-		// Module function without an analyzable body; nothing to prove.
-		st.memo[fn] = 2
-		return "", false
-	}
-	st.memo[fn] = 1
-	if len(sum.sites) > 0 {
-		s := sum.sites[0]
-		p := st.prog.Fset.Position(s.pos)
-		st.witness[fn] = fmt.Sprintf("%s: %s at %s:%d", shortName(fn), s.what, filepath.Base(p.Filename), p.Line)
-		st.memo[fn] = 3
-		return st.witness[fn], true
-	}
-	for _, e := range sum.edges {
-		if w, bad := st.allocates(e.callee); bad {
-			st.witness[fn] = shortName(fn) + " → " + w
-			st.memo[fn] = 3
-			return st.witness[fn], true
-		}
-	}
-	st.memo[fn] = 2
-	return "", false
-}
-
-// buildAllocSummary scans fd's warm blocks for allocation sites and
+// buildAllocSummary scans fn's warm blocks for allocation sites and
 // module call edges, folding in allow/prealloc suppressions.
-func buildAllocSummary(prog *Program, pkg *Package, fd *ast.FuncDecl,
-	allows map[string]map[int][]allow, prealloc map[string]map[int]bool) *allocSummary {
+func buildAllocSummary(prog *Program, fn *funcBody) *summary {
+	cfg := BuildCFG(fn.body)
+	cold := cfg.ColdBlocks(panicDetector(fn.pkg), coldReturnDetector(fn.pkg))
 
-	cfg := BuildCFG(fd.Body)
-	cold := cfg.ColdBlocks(panicDetector(pkg), coldReturnDetector(pkg))
-
-	w := &allocWalker{prog: prog, pkg: pkg, allows: allows, prealloc: prealloc,
-		sum: &allocSummary{}, callFuns: map[ast.Node]bool{}}
+	w := &allocWalker{prog: prog, pkg: fn.pkg, sum: &summary{}, callFuns: map[ast.Node]bool{}}
 	for _, blk := range cfg.Blocks {
 		if cold[blk] {
 			continue
@@ -285,46 +136,27 @@ func buildAllocSummary(prog *Program, pkg *Package, fd *ast.FuncDecl,
 type allocWalker struct {
 	prog     *Program
 	pkg      *Package
-	allows   map[string]map[int][]allow
-	prealloc map[string]map[int]bool
-	sum      *allocSummary
+	sum      *summary
 	callFuns map[ast.Node]bool // call-position expressions (not method values)
 }
 
-// suppressedAt reports whether an allow for noalloc covers pos.
-func (w *allocWalker) suppressedAt(pos token.Pos) bool {
-	return suppressed(w.allows, Finding{Pass: "noalloc", Pos: w.prog.Fset.Position(pos)})
-}
-
-// preallocAt reports whether a lint:prealloc directive covers pos (the
-// directive's line or the line above the site).
-func (w *allocWalker) preallocAt(pos token.Pos) bool {
-	p := w.prog.Fset.Position(pos)
-	byLine := w.prealloc[p.Filename]
-	return byLine != nil && (byLine[p.Line] || byLine[p.Line-1])
+// covered reports whether a directive of kind for noalloc covers pos.
+func (w *allocWalker) covered(kind string, pos token.Pos) bool {
+	return w.prog.index().covers(kind, "noalloc", w.prog.Fset.Position(pos))
 }
 
 func (w *allocWalker) site(pos token.Pos, what string) {
-	if w.suppressedAt(pos) {
-		return
+	if !w.covered("allow", pos) {
+		w.sum.sites = append(w.sum.sites, site{pos: pos, what: what})
 	}
-	w.sum.sites = append(w.sum.sites, allocSite{pos: pos, what: what})
 }
 
 // growthSite records an append/make style arena-growth site, exemptable
 // by //lint:prealloc.
 func (w *allocWalker) growthSite(pos token.Pos, what string) {
-	if w.preallocAt(pos) {
-		return
+	if !w.covered("prealloc", pos) {
+		w.site(pos, what+" (arena refills may be declared with //lint:prealloc <reason>)")
 	}
-	w.site(pos, what+" (arena refills may be declared with //lint:prealloc <reason>)")
-}
-
-func (w *allocWalker) edge(pos token.Pos, callee *types.Func) {
-	if w.suppressedAt(pos) {
-		return
-	}
-	w.sum.edges = append(w.sum.edges, allocEdge{pos: pos, callee: callee})
 }
 
 // scan inspects one block node. Function literals are atoms: the
@@ -400,23 +232,21 @@ func (w *allocWalker) call(call *ast.CallExpr) {
 	}
 
 	// Builtins.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := w.pkg.Info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append":
-				w.growthSite(call.Pos(), "append may grow its backing array")
-			case "make":
-				w.growthSite(call.Pos(), "make allocates")
-			case "new":
-				w.site(call.Pos(), "new allocates")
-			case "print", "println":
-				w.site(call.Pos(), "print/println box their arguments")
-			}
-			// len, cap, copy, delete, clear, min, max, real, imag,
-			// complex, recover: allocation-free. panic lives in cold
-			// blocks by construction.
-			return
+	if name := builtinName(w.pkg, call); name != "" {
+		switch name {
+		case "append":
+			w.growthSite(call.Pos(), "append may grow its backing array")
+		case "make":
+			w.growthSite(call.Pos(), "make allocates")
+		case "new":
+			w.site(call.Pos(), "new allocates")
+		case "print", "println":
+			w.site(call.Pos(), "print/println box their arguments")
 		}
+		// len, cap, copy, delete, clear, min, max, real, imag,
+		// complex, recover: allocation-free. panic lives in cold
+		// blocks by construction.
+		return
 	}
 
 	callee := staticCalleeFunc(w.pkg, call)
@@ -438,8 +268,10 @@ func (w *allocWalker) call(call *ast.CallExpr) {
 		}
 	}
 
-	if calleePkg := callee.Pkg(); calleePkg != nil && moduleMember(w.prog, calleePkg) {
-		w.edge(call.Pos(), callee)
+	if moduleMember(w.prog, callee.Pkg()) {
+		if !w.covered("allow", call.Pos()) {
+			w.sum.calls = append(w.sum.calls, edge{callee: callee, pos: call.Pos()})
+		}
 		return
 	}
 	w.stdlibCall(call, callee)
@@ -510,20 +342,8 @@ func panicDetector(pkg *Package) func(ast.Node) bool {
 			if _, ok := x.(*ast.FuncLit); ok {
 				return false
 			}
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fun := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				if b, ok := pkg.Info.Uses[fun].(*types.Builtin); ok && b.Name() == "panic" {
-					found = true
-				}
-			case *ast.SelectorExpr:
-				if f, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok &&
-					f.Pkg() != nil && f.Pkg().Path() == "os" && f.Name() == "Exit" {
-					found = true
-				}
+			if call, ok := x.(*ast.CallExpr); ok {
+				found = builtinName(pkg, call) == "panic" || isPkgFunc(staticCalleeFunc(pkg, call), "os", "Exit")
 			}
 			return !found
 		})
@@ -547,13 +367,8 @@ func coldReturnDetector(pkg *Package) func(*ast.ReturnStmt) bool {
 				case *ast.FuncLit:
 					return false
 				case *ast.CallExpr:
-					if f := staticCalleeFunc(pkg, e); f != nil && f.Pkg() != nil {
-						switch {
-						case f.Pkg().Path() == "fmt" && f.Name() == "Errorf",
-							f.Pkg().Path() == "errors" && f.Name() == "New":
-							cold = true
-						}
-					}
+					f := staticCalleeFunc(pkg, e)
+					cold = isPkgFunc(f, "fmt", "Errorf") || isPkgFunc(f, "errors", "New")
 				case *ast.UnaryExpr:
 					if e.Op == token.AND {
 						if lit, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok && errorTypedLit(pkg, lit) {
@@ -580,27 +395,6 @@ func errorTypedLit(pkg *Package, lit *ast.CompositeLit) bool {
 	}
 	named, ok := tv.Type.(*types.Named)
 	return ok && strings.HasSuffix(named.Obj().Name(), "Error")
-}
-
-// staticCalleeFunc resolves call's target when it is a plain function
-// or method reference.
-func staticCalleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
-// moduleMember reports whether pkg belongs to the analyzed module.
-func moduleMember(prog *Program, pkg *types.Package) bool {
-	return pkg.Path() == prog.ModulePath || strings.HasPrefix(pkg.Path(), prog.ModulePath+"/")
 }
 
 func isStringExpr(pkg *Package, e ast.Expr) bool {

@@ -81,36 +81,13 @@ func (*PanicFreeWire) Doc() string {
 	return "panic calls reachable from the wire deserialization entry points"
 }
 
-// fnNode is the per-function call-graph node.
-type fnNode struct {
-	fn      *types.Func
-	callees []*types.Func
-	panics  []token.Pos
-}
-
 // Run implements Pass.
 func (p *PanicFreeWire) Run(prog *Program) []Finding {
-	graph := map[*types.Func]*fnNode{}
+	idx := prog.index()
 	var entries []*types.Func
-	for _, pkg := range prog.Packages {
-		rel := relPkgPath(prog, pkg)
-		for _, file := range pkg.Files {
-			base := filepath.Base(prog.Fset.Position(file.Package).Filename)
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				node := buildNode(pkg, obj, fd)
-				graph[obj] = node
-				if p.isEntry(rel, base, fd.Name.Name) {
-					entries = append(entries, obj)
-				}
-			}
+	for _, fn := range idx.funcs {
+		if fn.obj != nil && p.isEntry(relPkgPath(prog, fn.pkg), filepath.Base(prog.Fset.Position(fn.decl.Pos()).Filename), fn.obj.Name()) {
+			entries = append(entries, fn.obj)
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].FullName() < entries[j].FullName() })
@@ -127,11 +104,12 @@ func (p *PanicFreeWire) Run(prog *Program) []Finding {
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
-		node := graph[fn]
-		if node == nil {
+		body := idx.decls[fn]
+		if body == nil {
 			continue
 		}
-		for _, pos := range node.panics {
+		callees, panics := callsAndPanics(body)
+		for _, pos := range panics {
 			if reported[pos] {
 				continue
 			}
@@ -143,7 +121,7 @@ func (p *PanicFreeWire) Run(prog *Program) []Finding {
 					callPath(parent, fn)),
 			})
 		}
-		for _, callee := range node.callees {
+		for _, callee := range callees {
 			if !seen[callee] {
 				seen[callee] = true
 				parent[callee] = fn
@@ -168,40 +146,26 @@ func (p *PanicFreeWire) isEntry(relPkg, file, name string) bool {
 	return false
 }
 
-// buildNode records fn's statically resolvable callees and its direct
+// callsAndPanics returns fn's distinct static callees and its direct
 // panic sites. Function literals nested in the body are attributed to
 // the enclosing declaration: the wire readers invoke their helpers
 // synchronously, so this over-approximates in the safe direction.
-func buildNode(pkg *Package, obj *types.Func, fd *ast.FuncDecl) *fnNode {
-	node := &fnNode{fn: obj}
+func callsAndPanics(fn *funcBody) (callees []*types.Func, panics []token.Pos) {
 	seen := map[*types.Func]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			switch o := pkg.Info.Uses[fun].(type) {
-			case *types.Builtin:
-				if o.Name() == "panic" {
-					node.panics = append(node.panics, call.Pos())
-				}
-			case *types.Func:
-				if !seen[o] {
-					seen[o] = true
-					node.callees = append(node.callees, o)
-				}
-			}
-		case *ast.SelectorExpr:
-			if o, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok && !seen[o] {
-				seen[o] = true
-				node.callees = append(node.callees, o)
-			}
+		if callee := staticCalleeFunc(fn.pkg, call); callee != nil && !seen[callee] {
+			seen[callee] = true
+			callees = append(callees, callee)
+		} else if builtinName(fn.pkg, call) == "panic" {
+			panics = append(panics, call.Pos())
 		}
 		return true
 	})
-	return node
+	return callees, panics
 }
 
 // callPath renders entry → … → fn using the BFS parent chain.

@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// ParSafe checks the closures handed to par.ForN, par.ForWork, and
-// par.Chunks. Those helpers run the closure concurrently from several
-// goroutines, so the fork-join determinism contract is: a closure may
-// only write state derived from its own iteration index. The pass
-// flags, inside such closures:
+// ParSafe checks the closures handed to par.ForWork and par.Chunks
+// (and par.ForN, which the recognizer still knows). Those helpers run
+// the closure concurrently from several goroutines, so the fork-join
+// determinism contract is: a closure may only write state derived from
+// its own iteration index. The pass flags, inside such closures:
 //
 //   - assignments (incl. op-assign, ++/--) to captured variables:
 //     `sum += x`, `s = append(s, v)` — classic fan-in races;
@@ -30,7 +30,7 @@ func (*ParSafe) Name() string { return "parsafe" }
 
 // Doc implements Pass.
 func (*ParSafe) Doc() string {
-	return "non-index-derived shared-state writes inside par.ForN / par.ForWork / par.Chunks closures"
+	return "non-index-derived shared-state writes inside par.ForWork / par.Chunks closures"
 }
 
 // Run implements Pass.
@@ -39,21 +39,12 @@ func (p *ParSafe) Run(prog *Program) []Finding {
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+				if call, ok := n.(*ast.CallExpr); ok {
+					switch fn, lit := parClosure(pkg, call); fn {
+					case "ForN", "ForWork", "Chunks":
+						findings = append(findings, p.checkClosure(prog, pkg, fn, lit)...)
+					}
 				}
-				fn := parCallee(pkg, call)
-				if fn == "" || len(call.Args) < 2 {
-					return true
-				}
-				// The worker closure is the last argument (ForWork
-				// takes an itemCost between n and the closure).
-				lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
-				if !ok {
-					return true
-				}
-				findings = append(findings, p.checkClosure(prog, pkg, fn, lit)...)
 				return true
 			})
 		}
@@ -61,26 +52,43 @@ func (p *ParSafe) Run(prog *Program) []Finding {
 	return findings
 }
 
-// parCallee returns "ForN", "ForWork", or "Chunks" when call targets
-// the par package's helpers, else "".
-func parCallee(pkg *Package, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
+// parClosure is the one recognizer of worker closures handed to the par
+// package, for parsafe and scratchalias: it returns the helper's name
+// and the function literal — the last argument of ForN, ForWork, Chunks
+// and ForEach (ForWork takes an itemCost between n and the closure), the
+// first of NewPool — or "" and nil. ForN is gone from the module's par
+// but still declared by the fixture's.
+func parClosure(pkg *Package, call *ast.CallExpr) (string, *ast.FuncLit) {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation par.NewPool[T]
+		fun = ast.Unparen(ix.X)
 	}
-	obj := pkg.Info.Uses[sel.Sel]
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return ""
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok || len(call.Args) == 0 {
+		return "", nil
 	}
-	path := fn.Pkg().Path()
-	if path != "par" && !strings.HasSuffix(path, "/par") {
-		return ""
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || !isParPkg(fn.Pkg()) {
+		return "", nil
 	}
-	if fn.Name() == "ForN" || fn.Name() == "ForWork" || fn.Name() == "Chunks" {
-		return fn.Name()
+	arg := call.Args[len(call.Args)-1]
+	switch fn.Name() {
+	case "ForN", "ForWork", "Chunks", "ForEach":
+	case "NewPool":
+		arg = call.Args[0]
+	default:
+		return "", nil
 	}
-	return ""
+	if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+		return fn.Name(), lit
+	}
+	return "", nil
+}
+
+// isParPkg reports whether pkg is a par package (the module's, or a
+// fixture's stand-in).
+func isParPkg(pkg *types.Package) bool {
+	return pkg != nil && (pkg.Path() == "par" || strings.HasSuffix(pkg.Path(), "/par"))
 }
 
 // checkClosure inspects one worker closure for shared-state writes.
@@ -119,11 +127,7 @@ func (p *ParSafe) checkWrite(pkg *Package, lhs ast.Expr, local func(types.Object
 		if e.Name == "_" {
 			return
 		}
-		obj := pkg.Info.Defs[e]
-		if obj == nil {
-			obj = pkg.Info.Uses[e]
-		}
-		if obj != nil && !local(obj) {
+		if obj := objOf(pkg, e); obj != nil && !local(obj) {
 			report(e, fmt.Sprintf("assigns to captured variable %q", e.Name))
 		}
 	case *ast.IndexExpr:
@@ -135,7 +139,7 @@ func (p *ParSafe) checkWrite(pkg *Package, lhs ast.Expr, local func(types.Object
 		if obj == nil || local(obj) {
 			return
 		}
-		if isMap(pkg, e.X) {
+		if isMapExpr(pkg, e.X) {
 			report(e, fmt.Sprintf("writes captured map %q", base.Name))
 			return
 		}
@@ -197,16 +201,15 @@ func (p *ParSafe) sharedFieldWrite(pkg *Package, sel *ast.SelectorExpr, local fu
 // indexMentionsLocal reports whether idx references at least one
 // closure-local variable or parameter — the index-derived test.
 func indexMentionsLocal(pkg *Package, idx ast.Expr, local func(types.Object) bool) bool {
-	for _, id := range exprIdents(idx, nil) {
-		obj := pkg.Info.Uses[id]
-		if obj == nil {
-			obj = pkg.Info.Defs[id]
+	found := false
+	ast.Inspect(idx, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !found {
+			v, isVar := objOf(pkg, id).(*types.Var)
+			found = isVar && local(v)
 		}
-		if v, ok := obj.(*types.Var); ok && local(v) {
-			return true
-		}
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // rootIdent returns the leftmost identifier of a selector/index chain.
@@ -227,14 +230,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// isMap reports whether e's type is a map.
-func isMap(pkg *Package, e ast.Expr) bool {
-	tv, ok := pkg.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isM := tv.Type.Underlying().(*types.Map)
-	return isM
 }

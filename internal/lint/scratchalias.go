@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // ScratchAlias guards the ShallowCopy concurrency contract: the mutable
@@ -52,62 +51,16 @@ func (p *ScratchAlias) Run(prog *Program) []Finding {
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn, lit := parClosure(pkg, call); fn == "ForEach" || fn == "NewPool" {
+						findings = append(findings, p.checkClosure(prog, pkg, lit, memo)...)
+					}
 				}
-				lit := workerClosure(pkg, call)
-				if lit == nil {
-					return true
-				}
-				findings = append(findings, p.checkClosure(prog, pkg, lit, memo)...)
 				return true
 			})
 		}
 	}
 	return findings
-}
-
-// workerClosure returns the function literal that call hands to
-// par.ForEach (last argument) or par.NewPool (first argument), or nil.
-func workerClosure(pkg *Package, call *ast.CallExpr) *ast.FuncLit {
-	fun := ast.Unparen(call.Fun)
-	var obj types.Object
-	switch f := fun.(type) {
-	case *ast.SelectorExpr:
-		obj = pkg.Info.Uses[f.Sel]
-	case *ast.IndexExpr: // explicit instantiation par.NewPool[T]
-		if sel, ok := ast.Unparen(f.X).(*ast.SelectorExpr); ok {
-			obj = pkg.Info.Uses[sel.Sel]
-		}
-	default:
-		return nil
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil
-	}
-	path := fn.Pkg().Path()
-	if path != "par" && !strings.HasSuffix(path, "/par") {
-		return nil
-	}
-	var arg ast.Expr
-	switch fn.Name() {
-	case "ForEach":
-		if len(call.Args) < 1 {
-			return nil
-		}
-		arg = call.Args[len(call.Args)-1]
-	case "NewPool":
-		if len(call.Args) < 1 {
-			return nil
-		}
-		arg = call.Args[0]
-	default:
-		return nil
-	}
-	lit, _ := ast.Unparen(arg).(*ast.FuncLit)
-	return lit
 }
 
 // checkClosure flags escaping uses of captured scratch values inside one
@@ -284,15 +237,11 @@ func scratchTypeUncached(prog *Program, t types.Type, memo map[types.Type]int) b
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	if path != prog.ModulePath && !strings.HasPrefix(path, prog.ModulePath+"/") {
+	if !moduleMember(prog, obj.Pkg()) {
 		return false
 	}
 	// par.Pool is the approved distributor, not scratch itself.
-	if obj.Name() == "Pool" && (path == "par" || strings.HasSuffix(path, "/par")) {
+	if obj.Name() == "Pool" && isParPkg(obj.Pkg()) {
 		return false
 	}
 	switch obj.Name() {

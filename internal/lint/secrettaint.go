@@ -92,45 +92,21 @@ func (s *taintSummary) equal(o *taintSummary) bool {
 	return true
 }
 
-// taintFn is one analyzable function body.
-type taintFn struct {
-	obj  *types.Func
-	decl *ast.FuncDecl
-	pkg  *Package
-}
-
 // Run implements Pass.
 func (p *SecretTaint) Run(prog *Program) []Finding {
-	declass, findings := collectDeclassify(prog)
-
-	// Function universe, in deterministic (package, file, decl) order.
-	var fns []*taintFn
-	byObj := map[*types.Func]*taintFn{}
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				fn := &taintFn{obj: obj, decl: fd, pkg: pkg}
-				fns = append(fns, fn)
-				byObj[obj] = fn
-			}
-		}
-	}
+	idx := prog.index()
+	findings := idx.malformed("secrettaint")
 
 	// Bottom-up summaries to a fixpoint. Masks grow monotonically, so
 	// the iteration converges; the bound is a safety net.
 	summaries := map[*types.Func]*taintSummary{}
 	for round := 0; round < 8; round++ {
 		changed := false
-		for _, fn := range fns {
-			an := &taintAnalysis{prog: prog, pkg: fn.pkg, summaries: summaries, declass: declass}
+		for _, fn := range idx.funcs {
+			if fn.obj == nil {
+				continue
+			}
+			an := &taintAnalysis{prog: prog, pkg: fn.pkg, summaries: summaries}
 			s := an.analyze(fn, nil)
 			if !s.equal(summaries[fn.obj]) {
 				summaries[fn.obj] = s
@@ -144,8 +120,11 @@ func (p *SecretTaint) Run(prog *Program) []Finding {
 
 	// Reporting round with stable summaries.
 	reported := map[token.Pos]bool{}
-	for _, fn := range fns {
-		an := &taintAnalysis{prog: prog, pkg: fn.pkg, summaries: summaries, declass: declass}
+	for _, fn := range idx.funcs {
+		if fn.obj == nil {
+			continue
+		}
+		an := &taintAnalysis{prog: prog, pkg: fn.pkg, summaries: summaries}
 		an.analyze(fn, func(pos token.Pos, msg string) {
 			if reported[pos] {
 				return
@@ -157,46 +136,11 @@ func (p *SecretTaint) Run(prog *Program) []Finding {
 	return findings
 }
 
-// collectDeclassify parses every //lint:declassify directive; the
-// returned map is filename -> set of directive lines. Directives with no
-// reason are returned as findings.
-func collectDeclassify(prog *Program) (map[string]map[int]bool, []Finding) {
-	lines := map[string]map[int]bool{}
-	var bad []Finding
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					rest, ok := strings.CutPrefix(text, "lint:declassify")
-					if !ok {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					if strings.TrimSpace(rest) == "" {
-						bad = append(bad, Finding{Pass: "secrettaint", Pos: pos,
-							Message: "lint:declassify has no reason; unexplained sanitizers are forbidden"})
-						continue
-					}
-					byLine := lines[pos.Filename]
-					if byLine == nil {
-						byLine = map[int]bool{}
-						lines[pos.Filename] = byLine
-					}
-					byLine[pos.Line] = true
-				}
-			}
-		}
-	}
-	return lines, bad
-}
-
 // taintAnalysis carries the per-function dataflow state.
 type taintAnalysis struct {
 	prog      *Program
 	pkg       *Package
 	summaries map[*types.Func]*taintSummary
-	declass   map[string]map[int]bool
 
 	masks  map[types.Object]uint64
 	params map[types.Object]int
@@ -207,7 +151,7 @@ type taintAnalysis struct {
 
 // analyze computes fn's summary; when report is non-nil it also emits
 // findings for source-tainted sink arguments.
-func (a *taintAnalysis) analyze(fn *taintFn, report func(token.Pos, string)) *taintSummary {
+func (a *taintAnalysis) analyze(fn *funcBody, report func(token.Pos, string)) *taintSummary {
 	a.report = report
 	a.masks = map[types.Object]uint64{}
 	a.params = map[types.Object]int{}
@@ -236,14 +180,14 @@ func (a *taintAnalysis) analyze(fn *taintFn, report func(token.Pos, string)) *ta
 	// use-before-def ordering (loops, closures).
 	for sweep := 0; sweep < 8; sweep++ {
 		before := a.snapshot()
-		a.walkBody(fn.decl.Body, sig)
+		a.walkBody(fn.body, sig)
 		if a.snapshot() == before {
 			break
 		}
 	}
 	// Reporting sweep runs once more with stable masks.
 	if report != nil {
-		a.walkBody(fn.decl.Body, sig)
+		a.walkBody(fn.body, sig)
 	}
 	s := a.sum
 	return &s
@@ -340,23 +284,16 @@ func (a *taintAnalysis) assignTo(lhs ast.Expr, m uint64) {
 		a.merge(e, m)
 	case *ast.IndexExpr:
 		if base := rootIdent(e.X); base != nil && m != 0 {
-			a.mergeObj(a.objOf(base), m)
+			a.mergeObj(objOf(a.pkg, base), m)
 		}
 	}
-}
-
-func (a *taintAnalysis) objOf(id *ast.Ident) types.Object {
-	if o := a.pkg.Info.Defs[id]; o != nil {
-		return o
-	}
-	return a.pkg.Info.Uses[id]
 }
 
 func (a *taintAnalysis) merge(id *ast.Ident, m uint64) {
 	if id.Name == "_" || m == 0 {
 		return
 	}
-	a.mergeObj(a.objOf(id), m)
+	a.mergeObj(objOf(a.pkg, id), m)
 }
 
 func (a *taintAnalysis) mergeObj(o types.Object, m uint64) {
@@ -369,9 +306,7 @@ func (a *taintAnalysis) mergeObj(o types.Object, m uint64) {
 // declassified reports whether pos's line (or the line above) carries a
 // declassify directive.
 func (a *taintAnalysis) declassified(pos token.Pos) bool {
-	p := a.prog.Fset.Position(pos)
-	byLine := a.declass[p.Filename]
-	return byLine != nil && (byLine[p.Line] || byLine[p.Line-1])
+	return a.prog.index().covers("declassify", "secrettaint", a.prog.Fset.Position(pos))
 }
 
 // exprMask computes the taint mask of e.
@@ -385,11 +320,11 @@ func (a *taintAnalysis) exprMask(e ast.Expr) uint64 {
 	var m uint64
 	switch x := e.(type) {
 	case *ast.Ident:
-		m = a.masks[a.objOf(x)]
+		m = a.masks[objOf(a.pkg, x)]
 	case *ast.SelectorExpr:
 		if id, ok := x.X.(*ast.Ident); ok {
 			if _, isPkg := a.pkg.Info.Uses[id].(*types.PkgName); isPkg {
-				m = a.masks[a.objOf(x.Sel)]
+				m = a.masks[objOf(a.pkg, x.Sel)]
 				break
 			}
 		}
@@ -453,39 +388,35 @@ func (a *taintAnalysis) callMasks(e ast.Expr) []uint64 {
 		return []uint64{m}
 	}
 
-	// Builtins.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := a.pkg.Info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "len", "cap", "new", "make":
-				return []uint64{0} // cardinalities and fresh memory are clean
-			case "append":
-				var m uint64
-				for _, arg := range call.Args {
-					m |= a.exprMask(arg)
+	// Builtins: cardinalities and fresh memory are clean; append
+	// carries its operands' taint, copy taints its destination.
+	switch builtinName(a.pkg, call) {
+	case "":
+	case "append":
+		var m uint64
+		for _, arg := range call.Args {
+			m |= a.exprMask(arg)
+		}
+		return []uint64{m}
+	case "copy":
+		if len(call.Args) == 2 {
+			if src := a.exprMask(call.Args[1]); src != 0 {
+				if base := rootIdent(call.Args[0]); base != nil {
+					a.mergeObj(objOf(a.pkg, base), src)
 				}
-				return []uint64{m}
-			case "copy":
-				if len(call.Args) == 2 {
-					if src := a.exprMask(call.Args[1]); src != 0 {
-						if base := rootIdent(call.Args[0]); base != nil {
-							a.mergeObj(a.objOf(base), src)
-						}
-					}
-				}
-				return []uint64{0}
-			default:
-				return []uint64{0}
 			}
 		}
+		return []uint64{0}
+	default:
+		return []uint64{0}
 	}
 
-	callee := a.staticCallee(call)
+	callee := staticCalleeFunc(a.pkg, call)
 	argExprs := a.callArgs(call, callee)
 
 	// Module-internal declassifiers: decryption yields the data owner's
 	// plaintext, encryption yields a ciphertext that hides its content.
-	if callee != nil && a.inModule(callee.Pkg()) {
+	if callee != nil && moduleMember(a.prog, callee.Pkg()) {
 		name := callee.Name()
 		if strings.HasPrefix(name, "Decrypt") || strings.HasPrefix(name, "decrypt") ||
 			strings.HasPrefix(name, "Encrypt") || strings.HasPrefix(name, "encrypt") {
@@ -500,7 +431,7 @@ func (a *taintAnalysis) callMasks(e ast.Expr) []uint64 {
 	}
 
 	// Secret source: fresh seed entropy.
-	if callee != nil && callee.Name() == "RandomSeed" && a.inModule(callee.Pkg()) {
+	if callee != nil && callee.Name() == "RandomSeed" && moduleMember(a.prog, callee.Pkg()) {
 		return []uint64{srcBit, 0}
 	}
 
@@ -579,27 +510,11 @@ func (a *taintAnalysis) callArgs(call *ast.CallExpr, callee *types.Func) []ast.E
 	return append(args, call.Args...)
 }
 
-// staticCallee resolves call's target when it is a plain function or
-// method reference.
-func (a *taintAnalysis) staticCallee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := a.pkg.Info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := a.pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
 // checkSink inspects one call: if it targets a formatting/logging/wire
 // sink, every argument's taint is recorded (parameter bits feed the
 // summary; srcBit emits a finding in the reporting round).
 func (a *taintAnalysis) checkSink(call *ast.CallExpr) {
-	callee := a.staticCallee(call)
+	callee := staticCalleeFunc(a.pkg, call)
 	if callee == nil {
 		return
 	}
@@ -660,7 +575,7 @@ func (a *taintAnalysis) sinkNameFor(callee *types.Func) string {
 	case "fmt", "log":
 		return pkg.Path() + "." + callee.Name()
 	}
-	if a.inModule(pkg) && inServePackage(a.prog, pkg.Path()) {
+	if moduleMember(a.prog, pkg) && inServePackage(a.prog, pkg.Path()) {
 		name := callee.Name()
 		for _, pre := range []string{"Encode", "encode", "Write", "write", "Append", "append", "Snapshot", "Record", "record"} {
 			if strings.HasPrefix(name, pre) {
@@ -683,11 +598,6 @@ func inServePackage(prog *Program, pkgPath string) bool {
 	return false
 }
 
-func (a *taintAnalysis) inModule(pkg *types.Package) bool {
-	return pkg != nil && (pkg.Path() == a.prog.ModulePath ||
-		strings.HasPrefix(pkg.Path(), a.prog.ModulePath+"/"))
-}
-
 // secretType reports whether t is (a pointer to, or slice of) a
 // module-declared secret-material type: a SecretKey anywhere, or the
 // PRNG state types of the ring/lwe packages.
@@ -708,7 +618,7 @@ func (a *taintAnalysis) secretType(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !a.inModule(obj.Pkg()) {
+	if !moduleMember(a.prog, obj.Pkg()) {
 		return false
 	}
 	switch obj.Name() {

@@ -169,3 +169,11 @@ func oddSteps(n int) bool {
 	}
 	return evenSteps(n - 1)
 }
+
+// misspelled's contract is misspelled: an allowlist finding, not a
+// silently dropped noalloc contract.
+//
+//lint:noaloc
+func misspelled(n int) []int {
+	return make([]int, n)
+}

@@ -11,3 +11,12 @@ var unknownPass = 2
 
 //lint:allow modguard
 var missingReason = 3
+
+// Near misses: each comment starts with a directive kind but is none, so
+// each is an allowlist finding instead of a silent no-op.
+
+//lint:declassifying this is not a sanitizer
+var nearDeclassify = 4
+
+//lint:preallocated
+var nearPrealloc = 5

@@ -164,3 +164,13 @@ func (s *server) CallsJustified() {
 	s.justifiedSend()
 	s.mu.Unlock()
 }
+
+// NearMissHoldok misspells its justification: a kind followed by more
+// letters is no directive, so the comment is an allowlist finding and
+// the sleep stays flagged.
+func (s *server) NearMissHoldok() {
+	s.mu.Lock()
+	//lint:holdokay
+	time.Sleep(time.Millisecond) // want blockhold
+	s.mu.Unlock()
+}

@@ -3,16 +3,17 @@ package par
 import "sync"
 
 // Options tunes fan-out for operator-level loops. The package-level
-// helpers (ForN, Chunks, ForWork) carry grain floors sized for ring
-// work: thousands of cheap, uniform iterations. Operator-level callers
+// helpers (Chunks, ForWork) carry grain floors sized for ring work:
+// thousands of cheap, uniform iterations. Operator-level callers
 // sit at the other extreme — a handful of very heavy items (output
 // batches of a convolution, BSGS giant steps, images of a batch) —
 // where those floors would always select the serial path. Options makes
 // the floor explicit so such callers can opt into fan-out at small n.
 type Options struct {
 	// MinGrain is the minimum number of iterations each worker must
-	// receive before fanning out. Zero applies the ForN default
-	// (forNGrain); operator-level callers with few, heavy items set 1.
+	// receive before fanning out. Zero applies the package default of
+	// 64 (defaultGrain); operator-level callers with few, heavy items
+	// set 1.
 	MinGrain int
 
 	// ItemCost, when non-zero, is the approximate per-iteration
@@ -43,7 +44,7 @@ func (o Options) Workers(n int) int {
 	}
 	grain := o.MinGrain
 	if grain <= 0 {
-		grain = forNGrain
+		grain = defaultGrain
 	}
 	if max := n / grain; workers > max {
 		workers = max

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestOptionsWorkers pins the worker-count policy: the default grain
-// matches ForN, MinGrain=1 lets operator-level callers (few, heavy
-// items) fan out, and ItemCost reimposes the ForWork work floor. All
-// caps are additionally bounded by the physical CPU count, so the
-// expected values are expressed through min(·, NumCPU).
+// TestOptionsWorkers pins the worker-count policy: the default grain is
+// 64 iterations per worker, MinGrain=1 lets operator-level callers
+// (few, heavy items) fan out, and ItemCost reimposes the ForWork work
+// floor. All caps are additionally bounded by the physical CPU count,
+// so the expected values are expressed through min(·, NumCPU).
 func TestOptionsWorkers(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
@@ -28,7 +28,7 @@ func TestOptionsWorkers(t *testing.T) {
 		want int
 	}{
 		{"default grain keeps small loops serial", 63, Options{}, 1},
-		{"default grain matches ForN", 8 * forNGrain, Options{}, capAt(8)},
+		{"default grain fans out at 64 per worker", 8 * defaultGrain, Options{}, capAt(8)},
 		{"min grain 1 fans out few heavy items", 3, Options{MinGrain: 1}, capAt(3)},
 		{"min grain 1 caps at usable CPUs", 100, Options{MinGrain: 1}, capAt(8)},
 		{"min grain 2", 5, Options{MinGrain: 2}, capAt(2)},

@@ -3,7 +3,7 @@
 // (per-coefficient CRT work, per-extraction keyswitches, per-limb NTTs)
 // run across GOMAXPROCS workers with no ordering effects on results.
 //
-// All three helpers apply a grain-size floor: goroutines are only
+// Every helper applies a grain-size floor: goroutines are only
 // spawned when every worker receives enough work to amortize the
 // scheduling overhead (roughly a microsecond per goroutine). Small
 // loops — and every loop on a single-CPU machine — run inline, so
@@ -17,12 +17,12 @@ import (
 )
 
 // Grain floors: the minimum number of iterations a worker must receive
-// before ForN / Chunks will fan out. ForN dispatches indices through an
-// atomic counter (one CAS per iteration), so it needs coarser items
-// than Chunks, which hands each worker one contiguous range.
+// before a loop fans out — defaultGrain for ForEach under a zero
+// Options.MinGrain, chunksGrain for Chunks, whose iterations are tiny
+// enough that each worker gets one contiguous range.
 const (
-	forNGrain   = 64
-	chunksGrain = 256
+	defaultGrain = 64
+	chunksGrain  = 256
 )
 
 // minWorkPerWorker is the approximate per-goroutine operation floor for
@@ -44,43 +44,10 @@ func usableWorkers() int {
 	return w
 }
 
-// ForN runs f(i) for i in [0, n), splitting across up to GOMAXPROCS
-// goroutines. f must only write to i-indexed state. The worker count is
-// capped so each worker gets at least forNGrain iterations; when that
-// leaves one worker (small n, or a single CPU) the loop runs inline.
-func ForN(n int, f func(i int)) {
-	workers := usableWorkers()
-	if max := n / forNGrain; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Chunks runs f(start, end) over contiguous ranges covering [0, n),
 // one range per worker — for loops where per-iteration work is tiny and
-// the scheduler overhead of ForN would dominate. The worker count is
-// capped so each range holds at least chunksGrain iterations.
+// per-index dispatch would dominate. The worker count is capped so each
+// range holds at least chunksGrain iterations.
 func Chunks(n int, f func(start, end int)) {
 	workers := usableWorkers()
 	if max := n / chunksGrain; workers > max {
@@ -125,18 +92,18 @@ func WorthForWork(n, itemCost int) bool {
 	return workers > 1
 }
 
-// ForWork runs f(i) for i in [0, n) like ForN, but sizes the worker
-// pool by the caller's estimate of the per-iteration cost instead of by
-// n alone. It is the entry point for loops with few but heavy
-// iterations — per-limb NTTs, per-digit keyswitch accumulation — where
-// ForN's iteration-count grain would always run inline. itemCost is an
-// approximate operation count per iteration (e.g. N·logN for one NTT
-// limb); parallelism kicks in only when n·itemCost exceeds
-// minWorkPerWorker per worker, so tiny test-scale calls (N=2^10, two or
-// three limbs) stay inline and pay no scheduling overhead.
+// ForWork runs f(i) for i in [0, n), with workers taking indices from
+// an atomic counter, and sizes the worker pool by the caller's estimate
+// of the per-iteration cost instead of by n alone. It is the entry point
+// for loops with few but heavy iterations — per-limb NTTs, per-digit
+// keyswitch accumulation — where an iteration-count grain would always
+// run inline. itemCost is an approximate operation count per iteration
+// (e.g. N·logN for one NTT limb); parallelism kicks in only when
+// n·itemCost exceeds minWorkPerWorker per worker, so tiny test-scale
+// calls (N=2^10, two or three limbs) stay inline and pay no scheduling
+// overhead; a zero itemCost defers to the CPU count alone.
 //
-// The same determinism contract as ForN applies: f must only write
-// i-indexed state.
+// f must only write i-indexed state.
 func ForWork(n, itemCost int, f func(i int)) {
 	workers := usableWorkers()
 	if workers > n {

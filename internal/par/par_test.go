@@ -6,18 +6,6 @@ import (
 	"testing"
 )
 
-func TestForNCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 1000} {
-		seen := make([]int32, n)
-		ForN(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}
-
 func TestChunksCoverExactly(t *testing.T) {
 	for _, n := range []int{0, 1, 255, 256, 1000} {
 		seen := make([]int32, n)
@@ -78,7 +66,7 @@ func TestParallelPathWithMultipleProcs(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	var sum int64
-	ForN(5000, func(i int) { atomic.AddInt64(&sum, int64(i)) })
+	ForWork(5000, 0, func(i int) { atomic.AddInt64(&sum, int64(i)) })
 	if sum != 5000*4999/2 {
 		t.Fatalf("sum %d", sum)
 	}

@@ -18,11 +18,11 @@ func mix(i int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// forNOutput runs a ForN workload whose per-index result chains several
-// wide multiplies, writing only i-indexed state.
-func forNOutput(n int) []uint64 {
+// forWorkOutput runs a ForWork workload whose per-index result chains
+// several wide multiplies, writing only i-indexed state.
+func forWorkOutput(n int) []uint64 {
 	out := make([]uint64, n)
-	par.ForN(n, func(i int) {
+	par.ForWork(n, 0, func(i int) {
 		v := mix(i)
 		for r := 0; r < 8; r++ {
 			hi, lo := bits.Mul64(v, mix(i+r))
@@ -57,7 +57,7 @@ func TestStressDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	runtime.GOMAXPROCS(1)
-	refForN := forNOutput(n)
+	refForWork := forWorkOutput(n)
 	refChunks := chunksOutput(n)
 
 	procsList := []int{1, 2, runtime.NumCPU()}
@@ -65,11 +65,11 @@ func TestStressDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			for rep := 0; rep < 4; rep++ {
-				gotF := forNOutput(n)
+				gotF := forWorkOutput(n)
 				gotC := chunksOutput(n)
 				for i := 0; i < n; i++ {
-					if gotF[i] != refForN[i] {
-						t.Fatalf("rep %d: ForN output[%d] = %#x, serial run gave %#x", rep, i, gotF[i], refForN[i])
+					if gotF[i] != refForWork[i] {
+						t.Fatalf("rep %d: ForWork output[%d] = %#x, serial run gave %#x", rep, i, gotF[i], refForWork[i])
 					}
 					if gotC[i] != refChunks[i] {
 						t.Fatalf("rep %d: Chunks output[%d] = %#x, serial run gave %#x", rep, i, gotC[i], refChunks[i])
@@ -95,7 +95,7 @@ func TestStressConcurrentReadsOfSharedInput(t *testing.T) {
 	}
 	run := func() []uint64 {
 		out := make([]uint64, n)
-		par.ForN(n, func(i int) {
+		par.ForEach(n, par.Options{}, func(_, i int) {
 			acc := shared[i]
 			acc += shared[(i+n/2)%n]
 			acc ^= shared[n-1-i]
