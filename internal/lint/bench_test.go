@@ -2,6 +2,9 @@ package lint
 
 import "testing"
 
+// lintSink keeps the benchmarked Run calls from being optimized away.
+var lintSink []Finding
+
 // BenchmarkLint times the passes over the real module, one sub-benchmark
 // per pass plus "all" for the full suite. The module is loaded once,
 // outside the timer; every iteration lints a fresh Program over the
@@ -18,13 +21,13 @@ func BenchmarkLint(b *testing.B) {
 	for _, p := range AllPasses() {
 		b.Run(p.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Run(fresh(), []Pass{p})
+				lintSink = Run(fresh(), []Pass{p})
 			}
 		})
 	}
 	b.Run("all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Run(fresh(), AllPasses())
+			lintSink = Run(fresh(), AllPasses())
 		}
 	})
 }

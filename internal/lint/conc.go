@@ -77,7 +77,7 @@ func (prog *Program) concurrency() *concIndex {
 	idx.concOnce.Do(func() {
 		c := &concIndex{byFunc: map[*types.Func]*concSummary{}, disp: map[*types.Var]string{}}
 		for _, fn := range idx.funcs {
-			sum := buildConcSummary(prog, fn.pkg, fn.body, c.disp)
+			sum := buildConcSummary(prog, fn, c.disp)
 			c.sums = append(c.sums, sum)
 			if fn.obj != nil {
 				c.byFunc[fn.obj] = sum
@@ -271,18 +271,19 @@ type concBuilder struct {
 	flaggedSel map[*ast.SelectStmt]bool     // one block site per select
 }
 
-// buildConcSummary runs the held-set dataflow over body and returns its
-// summary. disp accumulates display names for every lock identity seen.
-func buildConcSummary(prog *Program, pkg *Package, body *ast.BlockStmt, disp map[*types.Var]string) *concSummary {
-	b := &concBuilder{prog: prog, pkg: pkg, disp: disp,
+// buildConcSummary runs the held-set dataflow over fn's body and returns
+// its summary. disp accumulates display names for every lock identity
+// seen.
+func buildConcSummary(prog *Program, fn *funcBody, disp map[*types.Var]string) *concSummary {
+	b := &concBuilder{prog: prog, pkg: fn.pkg, disp: disp,
 		sum:        &concSummary{},
 		selectOf:   map[ast.Node]*ast.SelectStmt{},
 		rangeChan:  map[ast.Expr]bool{},
 		flaggedSel: map[*ast.SelectStmt]bool{},
 	}
-	b.prewalk(body)
+	b.prewalk(fn.body)
 
-	cfg := BuildCFG(body)
+	cfg := BuildCFG(fn.body)
 	entry := b.heldFixpoint(cfg)
 
 	for _, blk := range cfg.Blocks {
@@ -296,9 +297,9 @@ func buildConcSummary(prog *Program, pkg *Package, body *ast.BlockStmt, disp map
 
 // prewalk indexes the select and range-over-channel structure the flat
 // block scan cannot see: which comm statements belong to which select,
-// and which range operands are channels. Function literals are deliberately included — harmless for
-// this body (their comms never appear in its blocks) and their own
-// builder call reuses nothing.
+// and which range operands are channels. Function literals are
+// deliberately included — harmless for this body (their comms never
+// appear in its blocks) and their own builder call reuses nothing.
 func (b *concBuilder) prewalk(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {

@@ -61,10 +61,11 @@ func allowsLines(prog *Program) []string {
 }
 
 // checkGolden compares got line-for-line with testdata/golden/name. The
-// files are the output of the CLI: `athena-lint ./...` and
-// `athena-lint -allows` from the module root (for fixture.findings, with
-// panicfree-wire's entries swapped for the fixture's, as fixturePasses
-// does).
+// files read as the CLI prints: `athena-lint ./...` (for
+// fixture.findings, with panicfree-wire's entries swapped for the
+// fixture's, as fixturePasses does) and `athena-lint -allows`, from the
+// module root. On a mismatch the full output is logged, to be copied
+// into the file when the change is deliberate.
 func checkGolden(t *testing.T, name string, got []string) {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "golden", name))
@@ -81,7 +82,9 @@ func checkGolden(t *testing.T, name string, got []string) {
 			w = want[i]
 		}
 		if g != w {
-			t.Fatalf("%s: line %d differs (%d lines, want %d)\n got: %s\nwant: %s", name, i+1, len(got), len(want), g, w)
+			t.Errorf("%s: line %d differs (%d lines, want %d)\n got: %s\nwant: %s", name, i+1, len(got), len(want), g, w)
+			t.Logf("%s now reads:\n%s", name, strings.Join(got, "\n"))
+			return
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,13 +82,16 @@ type index struct {
 	funcs []*funcBody
 	decls map[*types.Func]*funcBody
 
-	directives []directive                     // every lint: comment, in source order
-	lines      map[string]map[int][]Annotation // well-formed directives by file and line
-	bad        map[string][]Finding            // malformed directives, by reporting pass
+	directives []directive                  // every lint: comment, in source order
+	lines      map[lineKey]map[int][]string // well-formed directives' passes by line
+	bad        map[string][]Finding         // malformed directives, by reporting pass
 
 	concOnce sync.Once
 	conc     *concIndex
 }
+
+// lineKey files the well-formed directives of one kind in one file.
+type lineKey struct{ kind, file string }
 
 // index returns prog's index, building it on first use.
 func (prog *Program) index() *index {
@@ -97,7 +101,7 @@ func (prog *Program) index() *index {
 
 func buildIndex(prog *Program) *index {
 	idx := &index{decls: map[*types.Func]*funcBody{},
-		lines: map[string]map[int][]Annotation{}, bad: map[string][]Finding{}}
+		lines: map[lineKey]map[int][]string{}, bad: map[string][]Finding{}}
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			at := map[*ast.Comment]int{}
@@ -187,12 +191,11 @@ func (idx *index) parse(prog *Program, c *ast.Comment) bool {
 		wellFormed = true
 	}
 	if wellFormed {
-		byLine := idx.lines[a.Pos.Filename]
-		if byLine == nil {
-			byLine = map[int][]Annotation{}
-			idx.lines[a.Pos.Filename] = byLine
+		key := lineKey{a.Kind, a.Pos.Filename}
+		if idx.lines[key] == nil {
+			idx.lines[key] = map[int][]string{}
 		}
-		byLine[a.Pos.Line] = append(byLine[a.Pos.Line], a)
+		idx.lines[key][a.Pos.Line] = append(idx.lines[key][a.Pos.Line], a.Pass)
 	}
 	idx.directives = append(idx.directives, directive{Annotation: a})
 	return true
@@ -201,15 +204,8 @@ func (idx *index) parse(prog *Program, c *ast.Comment) bool {
 // covers reports whether a well-formed directive of kind for pass sits
 // on pos's line or the line directly above it.
 func (idx *index) covers(kind, pass string, pos token.Position) bool {
-	byLine := idx.lines[pos.Filename]
-	for _, line := range [2]int{pos.Line, pos.Line - 1} {
-		for _, a := range byLine[line] {
-			if a.Kind == kind && a.Pass == pass {
-				return true
-			}
-		}
-	}
-	return false
+	byLine := idx.lines[lineKey{kind, pos.Filename}]
+	return slices.Contains(byLine[pos.Line], pass) || slices.Contains(byLine[pos.Line-1], pass)
 }
 
 // malformed returns a copy of the directive findings pass reports.

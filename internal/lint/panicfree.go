@@ -86,7 +86,11 @@ func (p *PanicFreeWire) Run(prog *Program) []Finding {
 	idx := prog.index()
 	var entries []*types.Func
 	for _, fn := range idx.funcs {
-		if fn.obj != nil && p.isEntry(relPkgPath(prog, fn.pkg), filepath.Base(prog.Fset.Position(fn.decl.Pos()).Filename), fn.obj.Name()) {
+		if fn.obj == nil {
+			continue
+		}
+		file := filepath.Base(prog.Fset.Position(fn.decl.Pos()).Filename)
+		if p.isEntry(relPkgPath(prog, fn.pkg), file, fn.obj.Name()) {
 			entries = append(entries, fn.obj)
 		}
 	}
