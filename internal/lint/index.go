@@ -24,7 +24,7 @@ import (
 // enclosing function's flow).
 type funcBody struct {
 	obj  *types.Func   // nil for a function literal
-	decl *ast.FuncDecl // the declaration, or the one enclosing the literal
+	decl *ast.FuncDecl // nil for a function literal
 	name string
 	body *ast.BlockStmt
 	pkg  *Package
@@ -136,7 +136,7 @@ func buildIndex(prog *Program) *index {
 				idx.decls[obj] = fn
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					if lit, ok := n.(*ast.FuncLit); ok {
-						idx.funcs = append(idx.funcs, &funcBody{decl: fd, name: fn.name + " (func literal)", body: lit.Body, pkg: pkg})
+						idx.funcs = append(idx.funcs, &funcBody{name: fn.name + " (func literal)", body: lit.Body, pkg: pkg})
 					}
 					return true
 				})
