@@ -101,7 +101,7 @@ func lazyTestInputs(n int, q uint64) [][]uint64 {
 }
 
 func TestLazyNTTBitIdentity(t *testing.T) {
-	for _, logN := range []int{1, 2, 3, 4, 5, 6, 7, 8, 10} {
+	for _, logN := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12} {
 		n := 1 << uint(logN)
 		for _, q := range lazyTestPrimes(t, logN) {
 			tab := NewNTTTable(q, logN)
@@ -142,7 +142,7 @@ func TestLazyNTTBitIdentity(t *testing.T) {
 // TestLazyNTTOutputCanonical checks the exported entry points never leak
 // extended-range residues, even from maximal inputs.
 func TestLazyNTTOutputCanonical(t *testing.T) {
-	for _, logN := range []int{1, 2, 3, 4, 5, 7, 10} {
+	for _, logN := range []int{1, 2, 3, 4, 5, 7, 9, 10, 11, 12} {
 		n := 1 << uint(logN)
 		for _, q := range lazyTestPrimes(t, logN) {
 			tab := NewNTTTable(q, logN)
