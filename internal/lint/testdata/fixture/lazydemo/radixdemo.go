@@ -22,7 +22,7 @@ func BadRadix8Fold(m ring.Modulus, a, b uint64) uint64 {
 	return m.Reduce2Q(t) // want moddomain
 }
 
-// GoodRadix8Twiddle is the production radix-8 layer schedule: each <4q
+// GoodRadix8Twiddle is a well-formed fused-layer schedule: each <4q
 // gather is narrowed back to <2q by the twiddle's Shoup multiply before
 // the next layer's AddLazy, so the accumulation never exceeds <4q.
 func GoodRadix8Twiddle(m ring.Modulus, a, b, c, d, w uint64) uint64 {

@@ -15,9 +15,11 @@ import "math/bits"
 // produce canonical residues and are bit-identical to a fully-reduced
 // reference transform (see the property tests).
 //
-// Forward/Inverse run radix-8 middle stages (three butterfly layers
-// fused per pass, mirroring the paper's radix-8 NTT datapath), with
-// radix-4 and radix-2 passes taking the layers left over.
+// Forward/Inverse fuse two butterfly layers per pass (radix-4) through
+// the middle of the schedule, with one radix-2 layer taking an odd layer
+// left over. The paper's hardware runs radix-8; in software a third fused
+// layer saved a few percent of one transform and nothing measurable end
+// to end (DESIGN.md), so there is one pass width.
 type NTTTable struct {
 	M    Modulus
 	N    int
@@ -87,9 +89,8 @@ func bitrev(x uint64, bitLen int) uint64 {
 // [0, 4q) to canonical [0, q).
 //
 // The length = 2 and length = 1 layers run as the dedicated final stage,
-// leaving logN-2 middle layers; radix-8 passes consume them three at a
-// time, so one radix-2 layer (count ≡ 1 mod 3) or one radix-4 pass
-// (count ≡ 2 mod 3) is peeled first to align the count.
+// leaving logN-2 middle layers; radix-4 passes consume them two at a
+// time, so when the count is odd one radix-2 layer is peeled first.
 //
 //lint:noalloc
 //lint:domain p:<q -> p:<q
@@ -101,27 +102,12 @@ func (t *NTTTable) Forward(p []uint64) {
 		return
 	}
 	length := n >> 1
-	switch (t.LogN - 2) % 3 {
-	case 1:
-		if length >= 8 {
-			// Four or more middle layers: two radix-4 passes beat a
-			// radix-8 pass plus a lone radix-2 layer.
-			t.fwdRadix4Pass(p, length)
-			length >>= 2
-			t.fwdRadix4Pass(p, length)
-			length >>= 2
-		} else if length >= 4 { // logN == 3: single middle layer
-			t.fwdRadix2Peel(p)
-			length >>= 1
-		}
-	case 2:
-		if length >= 8 {
-			t.fwdRadix4Pass(p, length)
-			length >>= 2
-		}
+	if (t.LogN-2)&1 == 1 {
+		t.fwdRadix2Peel(p)
+		length >>= 1
 	}
-	for ; length >= 16; length >>= 3 {
-		t.fwdRadix8Pass(p, length)
+	for ; length >= 8; length >>= 2 {
+		t.fwdRadix4Pass(p, length)
 	}
 	t.fwdFinalStage(p)
 }
@@ -243,148 +229,6 @@ func (t *NTTTable) fwdRadix4Pass(p []uint64, length int) {
 	}
 }
 
-// fwdRadix8Pass runs three fused forward butterfly layers (half-lengths
-// length, length/2 and length/4) over the whole vector: each group of
-// eight strided coefficients stays in registers across all three layers,
-// cutting memory traffic per butterfly to 2/3 of the radix-4 schedule.
-// Requires length ≥ 16 so every sub-block holds at least one element.
-//
-//lint:noalloc
-//lint:domain p:<4q -> p:<4q
-func (t *NTTTable) fwdRadix8Pass(p []uint64, length int) {
-	q := t.M.Q
-	twoQ := q << 1
-	n := t.N
-	psiF, psiFS := t.psiFwd, t.psiFwdShoup
-	ql := length >> 2
-	kBase := n / (length << 1)
-	for b, start := 0, 0; start < n; b, start = b+1, start+(length<<1) {
-		k1 := kBase + b
-		w1 := psiF[k1] // half-length = length
-		w1s := psiFS[k1]
-		w2 := psiF[2*k1] // half-length = length/2
-		w2s := psiFS[2*k1]
-		w3 := psiF[2*k1+1]
-		w3s := psiFS[2*k1+1]
-		w4 := psiF[4*k1] // half-length = length/4
-		w4s := psiFS[4*k1]
-		w5 := psiF[4*k1+1]
-		w5s := psiFS[4*k1+1]
-		w6 := psiF[4*k1+2]
-		w6s := psiFS[4*k1+2]
-		w7 := psiF[4*k1+3]
-		w7s := psiFS[4*k1+3]
-		p0 := p[start : start+ql]
-		p1 := p[start+ql : start+2*ql]
-		p2 := p[start+2*ql : start+3*ql]
-		p3 := p[start+3*ql : start+4*ql]
-		p4 := p[start+4*ql : start+5*ql]
-		p5 := p[start+5*ql : start+6*ql]
-		p6 := p[start+6*ql : start+7*ql]
-		p7 := p[start+7*ql : start+8*ql]
-		p1 = p1[:len(p0)] // bounds-check-elimination hints
-		p2 = p2[:len(p0)]
-		p3 = p3[:len(p0)]
-		p4 = p4[:len(p0)]
-		p5 = p5[:len(p0)]
-		p6 = p6[:len(p0)]
-		p7 = p7[:len(p0)]
-		for i := range p0 {
-			x0, x1, x2, x3 := p0[i], p1[i], p2[i], p3[i]
-			x4, x5, x6, x7 := p4[i], p5[i], p6[i], p7[i]
-			// Layer half-length = length: pairs (x_j, x_{j+4}), twiddle w1.
-			if x0 >= twoQ {
-				x0 -= twoQ
-			}
-			if x1 >= twoQ {
-				x1 -= twoQ
-			}
-			if x2 >= twoQ {
-				x2 -= twoQ
-			}
-			if x3 >= twoQ {
-				x3 -= twoQ
-			}
-			hi4, _ := bits.Mul64(x4, w1s)
-			hi5, _ := bits.Mul64(x5, w1s)
-			hi6, _ := bits.Mul64(x6, w1s)
-			hi7, _ := bits.Mul64(x7, w1s)
-			v4 := x4*w1 - hi4*q // in [0, 2q)
-			v5 := x5*w1 - hi5*q
-			v6 := x6*w1 - hi6*q
-			v7 := x7*w1 - hi7*q
-			y0 := x0 + v4 // in [0, 4q)
-			y4 := x0 + twoQ - v4
-			y1 := x1 + v5
-			y5 := x1 + twoQ - v5
-			y2 := x2 + v6
-			y6 := x2 + twoQ - v6
-			y3 := x3 + v7
-			y7 := x3 + twoQ - v7
-			// Layer half-length = length/2: pairs (y0,y2),(y1,y3) under w2
-			// and (y4,y6),(y5,y7) under w3.
-			if y0 >= twoQ {
-				y0 -= twoQ
-			}
-			if y1 >= twoQ {
-				y1 -= twoQ
-			}
-			if y4 >= twoQ {
-				y4 -= twoQ
-			}
-			if y5 >= twoQ {
-				y5 -= twoQ
-			}
-			hi2, _ := bits.Mul64(y2, w2s)
-			hi3, _ := bits.Mul64(y3, w2s)
-			hi6, _ = bits.Mul64(y6, w3s)
-			hi7, _ = bits.Mul64(y7, w3s)
-			u2 := y2*w2 - hi2*q
-			u3 := y3*w2 - hi3*q
-			u6 := y6*w3 - hi6*q
-			u7 := y7*w3 - hi7*q
-			z0 := y0 + u2
-			z2 := y0 + twoQ - u2
-			z1 := y1 + u3
-			z3 := y1 + twoQ - u3
-			z4 := y4 + u6
-			z6 := y4 + twoQ - u6
-			z5 := y5 + u7
-			z7 := y5 + twoQ - u7
-			// Layer half-length = length/4: pairs (z0,z1),(z2,z3),(z4,z5),
-			// (z6,z7) under w4..w7.
-			if z0 >= twoQ {
-				z0 -= twoQ
-			}
-			if z2 >= twoQ {
-				z2 -= twoQ
-			}
-			if z4 >= twoQ {
-				z4 -= twoQ
-			}
-			if z6 >= twoQ {
-				z6 -= twoQ
-			}
-			hi1, _ := bits.Mul64(z1, w4s)
-			hi3, _ = bits.Mul64(z3, w5s)
-			hi5, _ = bits.Mul64(z5, w6s)
-			hi7, _ = bits.Mul64(z7, w7s)
-			s1 := z1*w4 - hi1*q
-			s3 := z3*w5 - hi3*q
-			s5 := z5*w6 - hi5*q
-			s7 := z7*w7 - hi7*q
-			p0[i] = z0 + s1
-			p1[i] = z0 + twoQ - s1
-			p2[i] = z2 + s3
-			p3[i] = z2 + twoQ - s3
-			p4[i] = z4 + s5
-			p5[i] = z4 + twoQ - s5
-			p6[i] = z6 + s7
-			p7[i] = z6 + twoQ - s7
-		}
-	}
-}
-
 // fwdFinalStage runs the length = 2 and length = 1 layers over each
 // contiguous group of four coefficients, fused with the fold from the
 // lazy ranges back to canonical [0, q). Requires N ≥ 4.
@@ -502,10 +346,10 @@ func (t *NTTTable) fwdN2(p []uint64) {
 // multiply. The last layer is fused with the 1/N scaling and performs
 // the full Shoup reduction, so the output is canonical [0, q).
 //
-// Mirror of Forward: after the fused first stage (layers l = 1, 2), the
-// middle-layer remainder (radix-4 passes, or one radix-2 layer when only
-// a single middle layer exists) runs first, then radix-8 passes consume
-// the rest three at a time up to the fused final layer.
+// Mirror of Forward: after the fused first stage (layers l = 1, 2), one
+// radix-2 layer runs when the logN-3 middle layers are odd in number,
+// then radix-4 passes consume the rest two at a time up to the fused
+// final layer.
 //
 //lint:noalloc
 //lint:domain p:<q -> p:<q
@@ -516,25 +360,12 @@ func (t *NTTTable) Inverse(p []uint64) {
 	if n >= 8 {
 		t.invFirstStage(p)
 		l = 4
-		switch (t.LogN - 3) % 3 {
-		case 1:
-			if t.LogN >= 7 {
-				// Four or more middle layers: two radix-4 passes beat a
-				// radix-8 pass plus a lone radix-2 layer.
-				t.invRadix4Pass(p, l)
-				l <<= 2
-				t.invRadix4Pass(p, l)
-				l <<= 2
-			} else if l == n>>2 { // logN == 4: single middle layer
-				t.invRadix2Layer(p, l)
-				l <<= 1
-			}
-		case 2: // logN ≥ 5, so the pass always fits
-			t.invRadix4Pass(p, l)
-			l <<= 2
+		if (t.LogN-3)&1 == 1 {
+			t.invRadix2Layer(p, l)
+			l <<= 1
 		}
-		for ; l <= n>>4; l <<= 3 {
-			t.invRadix8Pass(p, l)
+		for ; l <= n>>3; l <<= 2 {
+			t.invRadix4Pass(p, l)
 		}
 	}
 	if n >= 4 && l == n>>2 { // n == 4: single butterfly layer before the final
@@ -657,148 +488,6 @@ func (t *NTTTable) invRadix4Pass(p []uint64, l int) {
 			hi3, _ := bits.Mul64(e1, wos)
 			z3 := e1*wo - hi3*q
 			p0[i], p1[i], p2[i], p3[i] = z0, z1, z2, z3
-		}
-	}
-}
-
-// invRadix8Pass runs three fused inverse layers (half-lengths l, 2l and
-// 4l) over the whole vector: each group of eight strided coefficients
-// stays in registers across all three layers. Requires l ≤ N/16 so the
-// consumed layers all lie strictly inside the middle of the schedule.
-//
-//lint:noalloc
-//lint:domain p:<2q -> p:<2q
-func (t *NTTTable) invRadix8Pass(p []uint64, l int) {
-	q := t.M.Q
-	twoQ := q << 1
-	n := t.N
-	psiI, psiIS := t.psiInv, t.psiInvShoup
-	kBase := n / (l << 3)
-	for b, start := 0, 0; start < n; b, start = b+1, start+(l<<3) {
-		k8 := kBase + b
-		wo := psiI[k8] // half-length = 4l
-		wos := psiIS[k8]
-		wm0 := psiI[2*k8] // half-length = 2l
-		wm0s := psiIS[2*k8]
-		wm1 := psiI[2*k8+1]
-		wm1s := psiIS[2*k8+1]
-		wi0 := psiI[4*k8] // half-length = l
-		wi0s := psiIS[4*k8]
-		wi1 := psiI[4*k8+1]
-		wi1s := psiIS[4*k8+1]
-		wi2 := psiI[4*k8+2]
-		wi2s := psiIS[4*k8+2]
-		wi3 := psiI[4*k8+3]
-		wi3s := psiIS[4*k8+3]
-		p0 := p[start : start+l]
-		p1 := p[start+l : start+2*l]
-		p2 := p[start+2*l : start+3*l]
-		p3 := p[start+3*l : start+4*l]
-		p4 := p[start+4*l : start+5*l]
-		p5 := p[start+5*l : start+6*l]
-		p6 := p[start+6*l : start+7*l]
-		p7 := p[start+7*l : start+8*l]
-		p1 = p1[:len(p0)] // bounds-check-elimination hints
-		p2 = p2[:len(p0)]
-		p3 = p3[:len(p0)]
-		p4 = p4[:len(p0)]
-		p5 = p5[:len(p0)]
-		p6 = p6[:len(p0)]
-		p7 = p7[:len(p0)]
-		for i := range p0 {
-			x0, x1, x2, x3 := p0[i], p1[i], p2[i], p3[i]
-			x4, x5, x6, x7 := p4[i], p5[i], p6[i], p7[i]
-			// Layer half-length = l: pairs (x0,x1),(x2,x3),(x4,x5),(x6,x7)
-			// under wi0..wi3.
-			a0 := x0 + x1 // in [0, 4q)
-			if a0 >= twoQ {
-				a0 -= twoQ
-			}
-			d0 := x0 + twoQ - x1
-			hi0, _ := bits.Mul64(d0, wi0s)
-			a1 := d0*wi0 - hi0*q // in [0, 2q)
-			a2 := x2 + x3
-			if a2 >= twoQ {
-				a2 -= twoQ
-			}
-			d2 := x2 + twoQ - x3
-			hi2, _ := bits.Mul64(d2, wi1s)
-			a3 := d2*wi1 - hi2*q
-			a4 := x4 + x5
-			if a4 >= twoQ {
-				a4 -= twoQ
-			}
-			d4 := x4 + twoQ - x5
-			hi4, _ := bits.Mul64(d4, wi2s)
-			a5 := d4*wi2 - hi4*q
-			a6 := x6 + x7
-			if a6 >= twoQ {
-				a6 -= twoQ
-			}
-			d6 := x6 + twoQ - x7
-			hi6, _ := bits.Mul64(d6, wi3s)
-			a7 := d6*wi3 - hi6*q
-			// Layer half-length = 2l: pairs (a0,a2),(a1,a3) under wm0 and
-			// (a4,a6),(a5,a7) under wm1.
-			b0 := a0 + a2
-			if b0 >= twoQ {
-				b0 -= twoQ
-			}
-			e0 := a0 + twoQ - a2
-			hi0, _ = bits.Mul64(e0, wm0s)
-			b2 := e0*wm0 - hi0*q
-			b1 := a1 + a3
-			if b1 >= twoQ {
-				b1 -= twoQ
-			}
-			e1 := a1 + twoQ - a3
-			hi2, _ = bits.Mul64(e1, wm0s)
-			b3 := e1*wm0 - hi2*q
-			b4 := a4 + a6
-			if b4 >= twoQ {
-				b4 -= twoQ
-			}
-			e4 := a4 + twoQ - a6
-			hi4, _ = bits.Mul64(e4, wm1s)
-			b6 := e4*wm1 - hi4*q
-			b5 := a5 + a7
-			if b5 >= twoQ {
-				b5 -= twoQ
-			}
-			e5 := a5 + twoQ - a7
-			hi6, _ = bits.Mul64(e5, wm1s)
-			b7 := e5*wm1 - hi6*q
-			// Layer half-length = 4l: pairs (b_j, b_{j+4}) under wo.
-			c0 := b0 + b4
-			if c0 >= twoQ {
-				c0 -= twoQ
-			}
-			f0 := b0 + twoQ - b4
-			hi0, _ = bits.Mul64(f0, wos)
-			c4 := f0*wo - hi0*q
-			c1 := b1 + b5
-			if c1 >= twoQ {
-				c1 -= twoQ
-			}
-			f1 := b1 + twoQ - b5
-			hi2, _ = bits.Mul64(f1, wos)
-			c5 := f1*wo - hi2*q
-			c2 := b2 + b6
-			if c2 >= twoQ {
-				c2 -= twoQ
-			}
-			f2 := b2 + twoQ - b6
-			hi4, _ = bits.Mul64(f2, wos)
-			c6 := f2*wo - hi4*q
-			c3 := b3 + b7
-			if c3 >= twoQ {
-				c3 -= twoQ
-			}
-			f3 := b3 + twoQ - b7
-			hi6, _ = bits.Mul64(f3, wos)
-			c7 := f3*wo - hi6*q
-			p0[i], p1[i], p2[i], p3[i] = c0, c1, c2, c3
-			p4[i], p5[i], p6[i], p7[i] = c4, c5, c6, c7
 		}
 	}
 }

@@ -147,21 +147,6 @@ func TestRootOfUnityOrders(t *testing.T) {
 	}
 }
 
-func TestSubRing(t *testing.T) {
-	r := testRing(t, 6, 3)
-	sr := r.SubRing(2)
-	if sr.Level() != 2 || sr.N != r.N {
-		t.Fatal("SubRing shape wrong")
-	}
-	p := randomPoly(sr, 5)
-	q := p.Clone()
-	sr.NTT(q)
-	sr.INTT(q)
-	if !p.Equal(q) {
-		t.Fatal("SubRing NTT broken")
-	}
-}
-
 func BenchmarkNTT(b *testing.B) {
 	for _, logN := range []int{12, 13, 15} {
 		r := testRing(b, logN, 1)
@@ -175,18 +160,19 @@ func BenchmarkNTT(b *testing.B) {
 }
 
 // BenchmarkNTTSchedule times the production schedule per single-limb
-// transform.
+// transform, at the benchmark workloads' rings (N = 2^7, 2^9, 2^11) and
+// one larger size.
 func BenchmarkNTTSchedule(b *testing.B) {
-	for _, logN := range []int{7, 11, 13} {
+	for _, logN := range []int{7, 9, 11, 13} {
 		r := testRing(b, logN, 1)
 		p := randomPoly(r, 9)
 		tab := r.Tables[0]
-		b.Run("fwd-r8/"+sizeName(logN), func(b *testing.B) {
+		b.Run("fwd/"+sizeName(logN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tab.Forward(p.Coeffs[0])
 			}
 		})
-		b.Run("inv-r8/"+sizeName(logN), func(b *testing.B) {
+		b.Run("inv/"+sizeName(logN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tab.Inverse(p.Coeffs[0])
 			}
