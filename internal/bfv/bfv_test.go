@@ -327,7 +327,7 @@ func TestRotateColumnsSwapsRows(t *testing.T) {
 		vals[i] = int64(i + 1)
 	}
 	ct := k.enc.Encrypt(k.cod.EncodeSlots(vals))
-	out, err := k.ev.RotateColumns(ct)
+	out, err := k.ev.Automorphism(ct, ring.GaloisElementConjugate(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -425,12 +425,6 @@ func (ev *Evaluator) RotateRowsInto(ct *Ciphertext, k int, out *Ciphertext) erro
 	return ev.AutomorphismInto(ct, g, out)
 }
 
-// RotateColumns swaps the two slot rows (conjugation). Requires the
-// Galois key for 2N-1.
-func (ev *Evaluator) RotateColumns(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.Automorphism(ct, ring.GaloisElementConjugate(ev.ctx.N))
-}
-
 // RotationGaloisElements returns the Galois elements needed to rotate by
 // each k in ks (deduplicated), for key generation.
 func RotationGaloisElements(ctx *Context, ks []int) []uint64 {

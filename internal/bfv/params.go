@@ -229,10 +229,6 @@ func (c *Context) SlotIndex() []int {
 	return append([]int(nil), c.slotIdx...)
 }
 
-// Slots returns the usable slot count per row (N/2); the full plaintext
-// carries two rows.
-func (c *Context) Slots() int { return c.N / 2 }
-
 // CiphertextSizeBytes returns the byte size of a fresh 2-poly ciphertext
 // at full level (the metric Table 1 reports).
 func (c *Context) CiphertextSizeBytes() int {

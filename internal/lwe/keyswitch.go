@@ -136,13 +136,3 @@ func (s *Switcher) SwitchInto(ct Ciphertext, out *Ciphertext) {
 		}
 	}
 }
-
-// SwitchAll applies Switch to a batch, sharing one Switcher.
-func (k *KeySwitchKey) SwitchAll(cts []Ciphertext) []Ciphertext {
-	s := k.NewSwitcher()
-	out := make([]Ciphertext, len(cts))
-	for i, ct := range cts {
-		out[i] = s.Switch(ct)
-	}
-	return out
-}

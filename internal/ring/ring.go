@@ -53,24 +53,6 @@ func NewRing(logN int, moduli []uint64) (*Ring, error) {
 // Level returns the number of RNS limbs.
 func (r *Ring) Level() int { return len(r.Moduli) }
 
-// ModuliValues returns the prime chain as raw uint64s.
-func (r *Ring) ModuliValues() []uint64 {
-	qs := make([]uint64, len(r.Moduli))
-	for i, m := range r.Moduli {
-		qs[i] = m.Q
-	}
-	return qs
-}
-
-// SubRing returns a ring over the first `level` limbs of r, sharing the
-// precomputed tables.
-func (r *Ring) SubRing(level int) *Ring {
-	if level < 1 || level > r.Level() {
-		panic(fmt.Sprintf("ring: invalid sub-ring level %d", level))
-	}
-	return &Ring{N: r.N, LogN: r.LogN, Moduli: r.Moduli[:level], Tables: r.Tables[:level]}
-}
-
 // Poly is an RNS polynomial: Coeffs[i][j] is the j-th coefficient modulo
 // the i-th prime of the owning ring's chain. Whether the polynomial is in
 // coefficient or NTT representation is tracked by the caller (package bfv
@@ -108,17 +90,6 @@ func (p Poly) Clone() Poly {
 		c[i] = append([]uint64(nil), p.Coeffs[i]...)
 	}
 	return Poly{Coeffs: c}
-}
-
-// Zero resets all limbs of p.
-//
-//lint:noalloc
-func (p Poly) Zero() {
-	for i := range p.Coeffs {
-		for j := range p.Coeffs[i] {
-			p.Coeffs[i][j] = 0
-		}
-	}
 }
 
 // Equal reports whether p and q hold identical residues.
@@ -291,20 +262,6 @@ func (r *Ring) MulScalar(a Poly, s uint64, out Poly) {
 	}
 }
 
-// MulScalarAndAdd sets out += a · s for a scalar s (applied per limb,
-// reduced) — the fused form innerSum-style accumulation wants, avoiding a
-// temporary product polynomial.
-//
-//lint:noalloc
-func (r *Ring) MulScalarAndAdd(a Poly, s uint64, out Poly) {
-	for i := range a.Coeffs {
-		m := r.Moduli[i]
-		sv := s % m.Q
-		sh := m.ShoupPrecomp(sv)
-		m.MulShoupAddVec(a.Coeffs[i], sv, sh, out.Coeffs[i])
-	}
-}
-
 // MulScalarRNS multiplies limb i by scalar s[i] (each already reduced mod
 // q_i). Used to apply big-integer constants given in RNS form, e.g. Δ.
 //
@@ -341,25 +298,5 @@ func (r *Ring) MulPolyNaive(a, b, out Poly) {
 			}
 		}
 		copy(out.Coeffs[i], res)
-	}
-}
-
-// SetCoeffsInt64 fills every limb of p from the signed coefficient vector
-// v (length ≤ N), zero-padding the tail. Negative values become residues.
-//
-//lint:noalloc
-func (r *Ring) SetCoeffsInt64(v []int64, p Poly) {
-	if len(v) > r.N {
-		panic("ring: coefficient vector longer than N")
-	}
-	for i := range p.Coeffs {
-		m := r.Moduli[i]
-		pi := p.Coeffs[i]
-		for j := range pi {
-			pi[j] = 0
-		}
-		for j, x := range v {
-			pi[j] = m.ReduceInt64(x)
-		}
 	}
 }

@@ -133,9 +133,6 @@ func (s *Sampler) Gaussian(sigma float64, p Poly) []int64 {
 	return v
 }
 
-// UniformInt returns a uniform value in [0, bound).
-func (s *Sampler) UniformInt(bound uint64) uint64 { return s.src.Uint64N(bound) }
-
 func (s *Sampler) setSigned(v []int64, p Poly) {
 	for i := range p.Coeffs {
 		m := s.r.Moduli[i]

@@ -27,19 +27,6 @@ func (m Modulus) AddVec(a, b, out []uint64) {
 	}
 }
 
-// AddLazyVec sets out[i] = a[i] + b[i] with no reduction. The caller owns
-// the headroom invariant (see Modulus.AddLazy).
-//
-//lint:noalloc
-//lint:domain a:<2q b:<2q -> out:<4q
-func (m Modulus) AddLazyVec(a, b, out []uint64) {
-	b = b[:len(a)]
-	out = out[:len(a)]
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-}
-
 // SubVec sets out[i] = a[i] - b[i] mod q for canonical inputs.
 //
 //lint:noalloc
@@ -68,22 +55,6 @@ func (m Modulus) NegVec(a, out []uint64) {
 		c := q - a[i]
 		if a[i] == 0 {
 			c = 0
-		}
-		out[i] = c
-	}
-}
-
-// Reduce2QVec folds values in [0, 2q) back to canonical [0, q).
-//
-//lint:noalloc
-//lint:domain a:<2q -> out:<q
-func (m Modulus) Reduce2QVec(a, out []uint64) {
-	q := m.Q
-	out = out[:len(a)]
-	for i := range a {
-		c := a[i]
-		if c >= q {
-			c -= q
 		}
 		out[i] = c
 	}
@@ -184,20 +155,6 @@ func (m Modulus) MulShoupVec(a []uint64, w, wShoup uint64, out []uint64) {
 			r -= q
 		}
 		out[i] = r
-	}
-}
-
-// MulShoupLazyVec is MulShoupVec without the final conditional
-// subtraction: outputs lie in [0, 2q).
-//
-//lint:noalloc
-//lint:domain a:any w:<q -> out:<2q
-func (m Modulus) MulShoupLazyVec(a []uint64, w, wShoup uint64, out []uint64) {
-	q := m.Q
-	out = out[:len(a)]
-	for i := range a {
-		hi, _ := bits.Mul64(a[i], wShoup)
-		out[i] = a[i]*w - hi*q
 	}
 }
 

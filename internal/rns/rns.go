@@ -257,25 +257,10 @@ func (b *Basis) ScaleAndRoundToUint(p ring.Poly, scaleNum, scaleDen *big.Int, ou
 	})
 }
 
-// DecomposeDigits performs the CRT digit decomposition used by RNS
-// keyswitching: digit i is the word-sized polynomial
-// d_i = [p · QiHatInv_i]_{q_i}, spread across all limbs of the basis so it
-// can multiply a key component. p must be in the coefficient domain; the
-// digits are returned in the coefficient domain.
-func (b *Basis) DecomposeDigits(p ring.Poly, allocate func() ring.Poly) []ring.Poly {
-	digits := make([]ring.Poly, b.Len())
-	for i := range b.Moduli {
-		d := allocate()
-		b.DecomposeDigitInto(p, i, d)
-		digits[i] = d
-	}
-	return digits
-}
-
-// DecomposeDigitInto computes digit i of the CRT decomposition of p into
-// the caller-provided polynomial d (as many limbs as the basis, each of
-// p's coefficient count) — the allocation-free core of DecomposeDigits.
-// The digit value [p_i · QiHatInv_i]_{q_i} is computed once per
+// DecomposeDigitInto computes digit i of the CRT decomposition used by
+// RNS keyswitching into the caller-provided polynomial d (as many limbs
+// as the basis, each of p's coefficient count); p and d are in the
+// coefficient domain. The digit value [p_i · QiHatInv_i]_{q_i} is computed once per
 // coefficient into d's own i-th limb, then spread to the other limbs: a
 // limb with q_l ≥ q_i takes a plain copy (the value is already reduced),
 // smaller limbs take one vectorized Barrett pass.

@@ -123,9 +123,10 @@ func TestDecomposeDigitsReconstruct(t *testing.T) {
 			p.Coeffs[i][j] = rng.Uint64N(m.Q)
 		}
 	}
-	digits := b.DecomposeDigits(p, r.NewPoly)
-	if len(digits) != b.Len() {
-		t.Fatalf("expected %d digits", b.Len())
+	digits := make([]ring.Poly, b.Len())
+	for i := range digits {
+		digits[i] = r.NewPoly()
+		b.DecomposeDigitInto(p, i, digits[i])
 	}
 	// Recombine: for each limb l, Σ_i d_i[l][j]·(QiHat_i mod q_l) == p[l][j].
 	for l, m := range b.Moduli {

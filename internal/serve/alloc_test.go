@@ -19,16 +19,6 @@ func TestFrameCodecZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("AppendFrame allocates %v times per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		dst = AppendResult(dst[:0], 42, payload)
-	}); n != 0 {
-		t.Fatalf("AppendResult allocates %v times per run, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		dst = AppendError(dst[:0], 42, CodeBusy, "queue full")
-	}); n != 0 {
-		t.Fatalf("AppendError allocates %v times per run, want 0", n)
-	}
 
 	rd := bytes.NewReader(frame)
 	var arena []byte
@@ -54,12 +44,6 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	}
 	if got := AppendFrame(nil, FrameResult, payload); !bytes.Equal(got, w.Bytes()) {
 		t.Fatalf("AppendFrame %x, WriteFrame %x", got, w.Bytes())
-	}
-	if got, want := AppendResult(nil, 7, payload), EncodeResult(7, payload); !bytes.Equal(got, want) {
-		t.Fatalf("AppendResult %x, EncodeResult %x", got, want)
-	}
-	if got, want := AppendError(nil, 7, CodeInternal, "boom"), EncodeError(7, CodeInternal, "boom"); !bytes.Equal(got, want) {
-		t.Fatalf("AppendError %x, EncodeError %x", got, want)
 	}
 
 	var arena []byte

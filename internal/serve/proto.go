@@ -282,17 +282,6 @@ func EncodeResult(reqID uint64, logits []byte) []byte {
 	return append(b, logits...)
 }
 
-// AppendResult appends a FrameResult payload to dst: the zero-alloc
-// form of EncodeResult for result writers that reuse a frame buffer.
-//
-//lint:noalloc
-func AppendResult(dst []byte, reqID uint64, logits []byte) []byte {
-	//lint:prealloc grows the caller's reusable frame buffer, amortized across results
-	dst = binary.LittleEndian.AppendUint64(dst, reqID)
-	//lint:prealloc grows the caller's reusable frame buffer, amortized across results
-	return append(dst, logits...)
-}
-
 // DecodeResult parses a FrameResult payload into (request id, logits
 // bytes).
 func DecodeResult(b []byte) (uint64, []byte, error) {
@@ -309,19 +298,6 @@ func EncodeError(reqID uint64, code ErrCode, msg string) []byte {
 	b = binary.LittleEndian.AppendUint64(b, reqID)
 	b = binary.LittleEndian.AppendUint16(b, uint16(code))
 	return appendString(b, msg)
-}
-
-// AppendError appends a FrameError payload to dst: the zero-alloc form
-// of EncodeError for error writers that reuse a frame buffer. reqID 0
-// marks a connection-level error not tied to one request.
-//
-//lint:noalloc
-func AppendError(dst []byte, reqID uint64, code ErrCode, msg string) []byte {
-	//lint:prealloc grows the caller's reusable frame buffer, amortized across replies
-	dst = binary.LittleEndian.AppendUint64(dst, reqID)
-	//lint:prealloc grows the caller's reusable frame buffer, amortized across replies
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(code))
-	return appendString(dst, msg)
 }
 
 // DecodeError parses a FrameError payload.
