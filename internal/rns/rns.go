@@ -260,10 +260,10 @@ func (b *Basis) ScaleAndRoundToUint(p ring.Poly, scaleNum, scaleDen *big.Int, ou
 // DecomposeDigitInto computes digit i of the CRT decomposition used by
 // RNS keyswitching into the caller-provided polynomial d (as many limbs
 // as the basis, each of p's coefficient count); p and d are in the
-// coefficient domain. The digit value [p_i · QiHatInv_i]_{q_i} is computed once per
-// coefficient into d's own i-th limb, then spread to the other limbs: a
-// limb with q_l ≥ q_i takes a plain copy (the value is already reduced),
-// smaller limbs take one vectorized Barrett pass.
+// coefficient domain. The digit value [p_i · QiHatInv_i]_{q_i} is
+// computed once per coefficient into d's own i-th limb, then spread to
+// the other limbs: a limb with q_l ≥ q_i takes a plain copy (the value
+// is already reduced), smaller limbs take one vectorized Barrett pass.
 func (b *Basis) DecomposeDigitInto(p ring.Poly, i int, d ring.Poly) {
 	b.DecomposeDigitScaledInto(p, i, b.QiHatInv[i], b.qiHatInvShoup[i], d)
 }
