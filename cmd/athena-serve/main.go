@@ -36,8 +36,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7700", "inference listen address")
 	admin := flag.String("admin", "", "admin HTTP listen address serving GET /metrics and POST /cluster (empty = disabled)")
 	name := flag.String("name", "", "node name on the cluster ring (empty = standalone; required for ownership-aware eviction)")
-	rate := flag.Float64("rate", 0, "per-client admission rate in requests/sec; exhausted clients get BUSY (0 = unlimited)")
-	burst := flag.Int("burst", 0, "per-client token-bucket burst (0 = 2x max-batch)")
+	rate := flag.Float64("rate", 0, "per-session admission rate in requests/sec; exhausted sessions get BUSY (0 = unlimited)")
+	burst := flag.Int("burst", 0, "per-session token-bucket burst (0 = 2x max-batch)")
 	preset := flag.String("preset", "test", "engine parameters: test (N=128,t=257) or medium (N=2048,t=65537)")
 	modelPath := flag.String("model", "", "serve a saved model (JSON from QNetwork.WriteJSON) instead of the built-in wire-demo")
 	maxBatch := flag.Int("max-batch", 16, "flush a batch at this many requests")

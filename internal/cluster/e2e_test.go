@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -45,16 +46,19 @@ type clusterNode struct {
 	admin *httptest.Server
 }
 
-func startNode(t *testing.T, name string) *clusterNode {
+// startNode starts a node whose registry holds memCap bytes of keys
+// (0 = the server default).
+func startNode(t *testing.T, name string, memCap int64) *clusterNode {
 	t.Helper()
 	demo := serve.DemoNet()
 	srv, err := serve.NewServer(serve.Config{
-		Params:   core.TestParams(),
-		Models:   map[string]*qnn.QNetwork{demo.Name: demo},
-		MaxBatch: 16,
-		MaxWait:  100 * time.Millisecond,
-		MaxQueue: 64,
-		DataDir:  t.TempDir(),
+		Params:      core.TestParams(),
+		Models:      map[string]*qnn.QNetwork{demo.Name: demo},
+		MaxBatch:    16,
+		MaxWait:     100 * time.Millisecond,
+		MaxQueue:    64,
+		DataDir:     t.TempDir(),
+		MemCapBytes: memCap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +91,7 @@ func startNode(t *testing.T, name string) *clusterNode {
 // TestClusterDrainUnderLoad is the cluster acceptance test: a 3-node
 // cluster behind one router serves 16 retrying clients bit-correctly;
 // draining the session's owner mid-traffic re-homes the session via
-// REDIRECT + NEED_KEYS re-upload with ZERO failed requests; and the
+// REDIRECT + SESSION_NOT_FOUND re-upload with ZERO failed requests; and the
 // aggregated stats document accounts for every request.
 func TestClusterDrainUnderLoad(t *testing.T) {
 	eng := e2eEngine(t)
@@ -96,7 +100,7 @@ func TestClusterDrainUnderLoad(t *testing.T) {
 	nodes := map[string]*clusterNode{}
 	members := cluster.NewMembership(0)
 	for _, name := range []string{"a", "b", "c"} {
-		n := startNode(t, name)
+		n := startNode(t, name, 0)
 		nodes[name] = n
 		adminAddr := strings.TrimPrefix(n.admin.URL, "http://")
 		if err := members.Join(name, n.addr, adminAddr); err != nil {
@@ -245,15 +249,15 @@ func TestClusterDrainUnderLoad(t *testing.T) {
 	}
 	t.Logf("router stats after drain: %+v", rs)
 
-	// Some client performed the NEED_KEYS re-upload (the new owner had
-	// no copy of the keys).
+	// Some client performed the SESSION_NOT_FOUND re-upload (the new
+	// owner had no copy of the keys).
 	var totalReuploads uint64
 	for _, rc := range clients {
 		_, _, _, reuploads := rc.Counters()
 		totalReuploads += reuploads
 	}
 	if totalReuploads == 0 {
-		t.Fatal("no client re-uploaded keys — NEED_KEYS path never ran")
+		t.Fatal("no client re-uploaded keys — SESSION_NOT_FOUND path never ran")
 	}
 
 	// The aggregated stats document, fetched through the router with the
@@ -320,5 +324,102 @@ func TestClusterSessionPlacementSpread(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("64 sessions spread over %d of 3 nodes", len(seen))
+	}
+}
+
+// TestLongLivedRouterReachesEviction: one router, kept for the whole
+// test, in front of two nodes whose registries hold about one and a half
+// key bundles each. Four sessions take turns through it, each on a fresh
+// client connection: the first round uploads, later rounds attach. The
+// router holds one connection per node whatever the number of sessions,
+// so nothing it keeps pins a session on a node: the nodes evict and
+// cold-load under it exactly as without a router.
+func TestLongLivedRouterReachesEviction(t *testing.T) {
+	model := serve.DemoNet()
+	var engines []*core.Engine
+	var blob bytes.Buffer
+	ids := map[*core.Engine]string{}
+	for seed := uint64(1); seed <= 4; seed++ {
+		p := core.TestParams()
+		p.Seed = seed
+		eng, err := core.NewEngine(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob.Reset()
+		if err := eng.WriteEvalKeys(&blob); err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, eng)
+		ids[eng] = serve.SessionID(blob.Bytes())
+	}
+	memCap := int64(blob.Len()) * 3 / 2
+
+	members := cluster.NewMembership(0)
+	var nodes []*clusterNode
+	for _, name := range []string{"a", "b"} {
+		n := startNode(t, name, memCap)
+		nodes = append(nodes, n)
+		if err := members.Join(name, n.addr, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perNode := map[string]int{}
+	for _, id := range ids {
+		owner, _ := members.Owner(id)
+		perNode[owner.Name]++
+	}
+	if perNode["a"] < 2 || perNode["b"] < 2 {
+		t.Fatalf("placement %v: want two sessions per node, so each node evicts", perNode)
+	}
+
+	router, err := cluster.NewRouter(cluster.RouterConfig{Members: members})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go router.Serve(rln)
+	t.Cleanup(router.Shutdown)
+
+	for round := 0; round < 3; round++ {
+		for i, eng := range engines {
+			c, err := client.Dial(rln.Addr().String(), eng, client.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 {
+				_, err = c.OpenSession()
+			} else {
+				err = c.Attach(ids[eng])
+			}
+			if err != nil {
+				t.Fatalf("round %d session %d: %v", round, i, err)
+			}
+			x := serve.DemoInput(uint64(2000 + round*len(engines) + i))
+			got, err := c.Infer(model, x, 0)
+			c.Close()
+			if err != nil {
+				t.Fatalf("round %d session %d: %v", round, i, err)
+			}
+			ref := model.ForwardInt(x).Data
+			for j := range got {
+				if d := got[j] - ref[j]; d < -3 || d > 3 {
+					t.Fatalf("round %d session %d logit %d: got %d, plaintext %d", round, i, j, got[j], ref[j])
+				}
+			}
+		}
+	}
+
+	if rs := router.Stats(); rs.BackendDials != 2 {
+		t.Fatalf("router dialed %d node connections for 2 nodes: %+v", rs.BackendDials, rs)
+	}
+	for _, n := range nodes {
+		s := n.srv.Metrics().Sessions
+		if s.Evictions == 0 || s.ColdLoads == 0 {
+			t.Fatalf("node %s: %d evictions, %d cold loads, want both > 0", n.name, s.Evictions, s.ColdLoads)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -20,17 +21,15 @@ type RouterConfig struct {
 	// (0 = serve.DefaultMaxFrame).
 	MaxFrame uint32
 
-	// DialTimeout bounds one backend TCP connect (0 = 10 s).
+	// DialTimeout bounds one node TCP connect and one node's stats fetch
+	// (0 = 10 s).
 	DialTimeout time.Duration
-	// CtrlTimeout bounds one backend session attach/upload round-trip —
-	// a cold attach may rebuild an engine from disk (0 = 2 min).
-	CtrlTimeout time.Duration
 	// ReadTimeout bounds the wait for the next client frame
 	// (0 = 10 min); WriteTimeout bounds one write (0 = 30 s).
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 
-	// MaxInflightPerBackend bounds requests outstanding on one backend
+	// MaxInflightPerBackend bounds requests outstanding on one node
 	// connection; beyond it new requests are answered with the typed
 	// BUSY clients already back off on (0 = 256).
 	MaxInflightPerBackend int
@@ -43,7 +42,6 @@ type RouterStats struct {
 	SessionsRouted uint64 `json:"sessions_routed"`
 	InfersRelayed  uint64 `json:"infers_relayed"`
 	Redirects      uint64 `json:"redirects"`
-	NeedKeys       uint64 `json:"need_keys"`
 	Busy           uint64 `json:"busy"`
 	BackendDials   uint64 `json:"backend_dials"`
 	BackendErrors  uint64 `json:"backend_errors"`
@@ -53,14 +51,15 @@ type RouterStats struct {
 // no session state beyond live connection plumbing — placement is a
 // pure function of membership, and every reply routes back by request
 // ID. Clients speak the exact single-node protocol; the cluster is
-// visible only through the typed REDIRECT/NEED_KEYS recovery frames.
+// visible only through the typed REDIRECT and SESSION_NOT_FOUND
+// recovery answers.
 type Router struct {
 	cfg RouterConfig
 
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
-	backends map[string]*backendConn // "node\x00session" → conn
+	backends map[string]*backendConn // node name → its one connection
 	draining bool
 
 	statsMu sync.Mutex
@@ -80,9 +79,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.CtrlTimeout == 0 {
-		cfg.CtrlTimeout = 2 * time.Minute
 	}
 	if cfg.ReadTimeout == 0 {
 		cfg.ReadTimeout = 10 * time.Minute
@@ -212,8 +208,7 @@ func (r *Router) Shutdown() {
 	r.connWG.Wait()
 }
 
-// clientConn is the per-client-connection state: which session the
-// connection attached and which node that session was routed to.
+// clientConn is the per-client-connection state.
 type clientConn struct {
 	r    *Router
 	conn net.Conn
@@ -221,15 +216,14 @@ type clientConn struct {
 	wmu  sync.Mutex
 	wbuf []byte // reusable frame staging, guarded by wmu
 
-	// session and owner are only touched from this connection's read
-	// loop (attach updates them, infer reads them).
-	session string
-	owner   string // node name the session was last routed to
+	// routed maps each session this connection uploaded or attached to
+	// the node it went through. Only the read loop touches it.
+	routed map[string]string
 }
 
 func (r *Router) handleConn(c net.Conn) {
 	defer r.connWG.Done()
-	cc := &clientConn{r: r, conn: c}
+	cc := &clientConn{r: r, conn: c, routed: map[string]string{}}
 	defer func() {
 		_ = c.Close()
 		r.mu.Lock()
@@ -252,122 +246,105 @@ func (r *Router) handleConn(c net.Conn) {
 	}
 }
 
-// dispatch handles one client frame; false closes the connection.
+// dispatch handles one client frame; false closes the connection. A
+// frame the router cannot decode is answered with the connection-level
+// error (request ID 0).
 func (r *Router) dispatch(cc *clientConn, typ serve.FrameType, payload []byte) bool {
+	var session string
+	var err error
 	switch typ {
 	case serve.FrameSessionNew:
-		return r.handleSessionNew(cc, payload)
+		var blob []byte
+		_, blob, err = serve.DecodeTagged(payload)
+		session = serve.SessionID(blob)
 	case serve.FrameSessionAttach:
-		return r.handleSessionAttach(cc, payload)
+		_, session, err = serve.DecodeSessionID(payload)
 	case serve.FrameInfer:
-		return r.handleInfer(cc, payload)
+		var req serve.InferRequestWire
+		req, err = serve.DecodeInfer(payload)
+		session = req.Session
 	case serve.FrameStats:
-		doc, err := r.aggregateStatsJSON()
-		if err != nil {
-			return cc.writeError(0, serve.CodeInternal, err.Error())
-		}
-		return cc.write(serve.FrameStatsReply, doc)
+		return r.handleStats(cc, payload)
 	default:
-		return cc.writeError(0, serve.CodeBadRequest, fmt.Sprintf("unexpected frame type %d", typ))
+		err = fmt.Errorf("unexpected frame type %d", typ)
 	}
+	if err != nil {
+		cc.writeError(0, serve.CodeBadRequest, err.Error())
+		return false
+	}
+	return r.relay(cc, typ, payload, session)
 }
 
-// handleSessionNew routes a key upload to the owner of its content
-// address. If a live backend connection for (owner, session) already
-// exists the session is known to be resident there and the upload is
-// acked without shipping the blob again — content addressing makes
-// that sound: identical bytes, identical session.
-func (r *Router) handleSessionNew(cc *clientConn, blob []byte) bool {
-	id := serve.SessionID(blob)
-	owner, ok := r.cfg.Members.Owner(id)
-	if !ok {
-		return cc.writeError(0, serve.CodeUnavailable, "no active nodes")
-	}
-	bc, err := r.backend(owner, id, blob)
+// handleStats answers with the aggregated cluster document.
+func (r *Router) handleStats(cc *clientConn, payload []byte) bool {
+	reqID, _, err := serve.DecodeTagged(payload)
 	if err != nil {
-		return cc.relayRouteError(0, err)
+		cc.writeError(0, serve.CodeBadRequest, err.Error())
+		return false
 	}
-	cc.session, cc.owner = id, bc.node
-	r.count(func(s *RouterStats) { s.SessionsRouted++ })
-	return cc.write(serve.FrameSessionOK, serve.EncodeSessionID(id))
+	rs := r.Stats()
+	doc, err := json.Marshal(GatherClusterStats(r.cfg.Members, &rs, r.cfg.DialTimeout))
+	if err != nil {
+		return cc.writeError(reqID, serve.CodeInternal, err.Error())
+	}
+	return cc.write(serve.FrameStatsReply, serve.EncodeTagged(reqID, doc))
 }
 
-// handleSessionAttach routes an attach to the session's owner. The
-// owner resolves it through both of its tiers (RAM, then its durable
-// store — the cold re-attach path); if neither holds the keys the
-// client is asked to re-upload with the typed NEED_KEYS.
-func (r *Router) handleSessionAttach(cc *clientConn, payload []byte) bool {
-	id, err := serve.DecodeSessionID(payload)
-	if err != nil {
-		return cc.writeError(0, serve.CodeBadRequest, err.Error())
-	}
-	owner, ok := r.cfg.Members.Owner(id)
+// relay forwards an upload, attach or inference to the owner of the
+// session it names: rewrite the request ID into the node connection's
+// ID space, register the return route, write. The node resolves the
+// session itself (RAM, then its durable store) and dedups uploads by
+// content address; replies come back through backendReadLoop.
+func (r *Router) relay(cc *clientConn, typ serve.FrameType, payload []byte, session string) bool {
+	clientID := binary.LittleEndian.Uint64(payload[:8])
+	owner, ok := r.cfg.Members.Owner(session)
 	if !ok {
-		return cc.writeError(0, serve.CodeUnavailable, "no active nodes")
+		return cc.writeError(clientID, serve.CodeUnavailable, "no active nodes")
 	}
-	bc, err := r.backend(owner, id, nil)
-	if err != nil {
-		return cc.relayRouteError(0, err)
-	}
-	cc.session, cc.owner = id, bc.node
-	r.count(func(s *RouterStats) { s.SessionsRouted++ })
-	return cc.write(serve.FrameSessionOK, serve.EncodeSessionID(id))
-}
-
-// handleInfer relays one inference request to the owning node,
-// rewriting the request ID into the backend connection's ID space so
-// replies demultiplex back to the right client.
-func (r *Router) handleInfer(cc *clientConn, payload []byte) bool {
-	req, err := serve.DecodeInfer(payload)
-	if err != nil {
-		return cc.writeError(0, serve.CodeBadRequest, err.Error())
-	}
-	if cc.session == "" {
-		return cc.writeError(req.ReqID, serve.CodeNoSession, "open or attach a session before inference")
-	}
-	owner, ok := r.cfg.Members.Owner(cc.session)
-	if !ok {
-		return cc.writeError(req.ReqID, serve.CodeUnavailable, "no active nodes")
-	}
-	if owner.Name != cc.owner {
+	if typ != serve.FrameInfer {
+		cc.routed[session] = owner.Name
+	} else if via, ok := cc.routed[session]; ok && via != owner.Name {
 		// Ownership moved (join/drain/leave) since this connection
 		// attached: tell the client to re-attach. The router answers
-		// immediately instead of silently re-homing an in-flight request
-		// — the new owner may need the client to re-upload keys, which
-		// only the client can do.
+		// immediately instead of silently re-homing the request — the
+		// new owner may need the client to re-upload keys, which only
+		// the client can do.
 		r.count(func(s *RouterStats) { s.Redirects++ })
-		return cc.write(serve.FrameRedirect, serve.EncodeRedirect(req.ReqID, owner.Addr, cc.session))
+		return cc.write(serve.FrameRedirect, serve.EncodeRedirect(clientID, owner.Addr, session))
 	}
-	bc, err := r.backend(owner, cc.session, nil)
+	bc, err := r.backend(owner)
 	if err != nil {
-		return cc.relayRouteError(req.ReqID, err)
+		return cc.relayError(clientID, err)
 	}
-	routerID, err := bc.register(cc, req.ReqID, r.cfg.MaxInflightPerBackend)
+	routerID, err := bc.register(cc, clientID, r.cfg.MaxInflightPerBackend)
 	if err != nil {
-		r.count(func(s *RouterStats) { s.Busy++ })
-		return cc.relayRouteError(req.ReqID, err)
+		if errors.Is(err, errBusy) {
+			r.count(func(s *RouterStats) { s.Busy++ })
+		}
+		return cc.relayError(clientID, err)
 	}
-	// The request ID is the first 8 bytes of the payload; rewrite it in
-	// place (the payload aliases this connection's read arena) and relay
-	// the frame otherwise untouched.
+	// The payload aliases this connection's read arena: rewrite the ID
+	// in place and relay the frame otherwise untouched.
 	binary.LittleEndian.PutUint64(payload[:8], routerID)
-	if err := bc.write(serve.FrameInfer, payload); err != nil {
+	if err := bc.write(typ, payload); err != nil {
 		bc.take(routerID)
 		r.failBackend(bc, err)
-		return cc.writeError(req.ReqID, serve.CodeUnavailable, "owner write failed: "+err.Error())
+		return cc.writeError(clientID, serve.CodeUnavailable, "owner write failed: "+err.Error())
 	}
-	r.count(func(s *RouterStats) { s.InfersRelayed++ })
+	r.count(func(s *RouterStats) {
+		if typ == serve.FrameInfer {
+			s.InfersRelayed++
+		} else {
+			s.SessionsRouted++
+		}
+	})
 	return true
 }
 
-// relayRouteError answers a routing failure with its typed form:
-// backend-reported codes pass through, errNeedKeys becomes NEED_KEYS,
-// anything else is UNAVAILABLE (transient, retry after backoff).
-func (cc *clientConn) relayRouteError(reqID uint64, err error) bool {
-	if errors.Is(err, errNeedKeys) {
-		cc.r.count(func(s *RouterStats) { s.NeedKeys++ })
-		return cc.writeError(reqID, serve.CodeNeedKeys, "session keys not resident on owner; re-upload")
-	}
+// relayError answers a routing failure with its typed form: typed
+// errors pass through, anything else is UNAVAILABLE (transient, retry
+// after backoff).
+func (cc *clientConn) relayError(reqID uint64, err error) bool {
 	var re *serve.RequestError
 	if errors.As(err, &re) {
 		return cc.writeError(reqID, re.Code, re.Msg)
@@ -392,34 +369,28 @@ func (cc *clientConn) writeError(reqID uint64, code serve.ErrCode, msg string) b
 	return cc.write(serve.FrameError, serve.EncodeError(reqID, code, msg))
 }
 
-// errNeedKeys marks an attach that failed because the owning node holds
-// no copy of the session's keys; the caller translates it to the typed
-// NEED_KEYS reply.
-var errNeedKeys = errors.New("cluster: owner needs key re-upload")
+var (
+	// errBusy marks a node connection at its in-flight cap.
+	errBusy     = &serve.RequestError{Code: serve.CodeBusy, Msg: "router backend at in-flight cap"}
+	errDraining = &serve.RequestError{Code: serve.CodeDraining, Msg: "router shutting down"}
+)
 
-// errBusy marks a backend connection at its in-flight cap.
-var errBusy = &serve.RequestError{Code: serve.CodeBusy, Msg: "router backend at in-flight cap"}
-
-// backendConn is one multiplexed connection to (node, session): every
-// client attached to that session through this router shares it, and
-// replies route back by the rewritten request ID — the same demux
-// pattern the Go client uses, inverted.
+// backendConn is the router's one multiplexed connection to a node:
+// every client and every session routed there shares it, and replies
+// route back by the rewritten request ID — the same demux pattern the
+// Go client uses, inverted.
 type backendConn struct {
-	key     string
-	node    string // node name
-	addr    string
-	session string
+	node string
 
-	// ready closes when init (dial + attach/upload) finishes; initErr
-	// is valid afterwards.
-	ready   chan struct{}
-	initErr error
-	conn    net.Conn
+	// ready closes when the dial finishes; err is valid afterwards.
+	ready chan struct{}
+	err   error
 
 	wmu  sync.Mutex
 	wbuf []byte
 
 	mu      sync.Mutex
+	conn    net.Conn // set once the dial succeeds
 	nextID  uint64
 	pending map[uint64]pendingRoute
 	dead    bool
@@ -430,151 +401,66 @@ type pendingRoute struct {
 	clientID uint64
 }
 
-func backendKey(node, session string) string { return node + "\x00" + session }
-
-// backend returns a ready backend connection for (owner, session),
-// creating and initializing one if needed. With blob set (a session
-// upload) a missing session is created by shipping the blob; with blob
-// nil a missing session surfaces as errNeedKeys. The first caller for
-// a key performs the init; concurrent callers wait on it.
-func (r *Router) backend(owner Node, session string, blob []byte) (*backendConn, error) {
-	for {
-		key := backendKey(owner.Name, session)
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			return nil, &serve.RequestError{Code: serve.CodeDraining, Msg: "router shutting down"}
-		}
-		bc, ok := r.backends[key]
-		if !ok {
-			bc = &backendConn{
-				key: key, node: owner.Name, addr: owner.Addr, session: session,
-				ready:   make(chan struct{}),
-				pending: map[uint64]pendingRoute{},
-			}
-			r.backends[key] = bc
-			r.mu.Unlock()
-			r.initBackend(bc, blob)
-			if bc.initErr != nil {
-				return nil, bc.initErr
-			}
-			return bc, nil
-		}
-		r.mu.Unlock()
-		<-bc.ready
-		if bc.initErr != nil {
-			// The creator already removed the failed entry; retry so this
-			// caller's own init (and its blob, if any) gets a chance.
-			continue
-		}
-		bc.mu.Lock()
-		dead := bc.dead
-		bc.mu.Unlock()
-		if dead {
-			r.removeBackend(bc)
-			continue
-		}
-		return bc, nil
-	}
-}
-
-// initBackend dials the node and establishes the session on the new
-// connection: attach first (the cheap path — the node resolves it from
-// RAM or cold-loads from its durable store); on SESSION_NOT_FOUND fall
-// back to uploading the blob when the caller has one, else report
-// errNeedKeys. On success the reply demux loop starts.
-func (r *Router) initBackend(bc *backendConn, blob []byte) {
-	defer close(bc.ready)
-	fail := func(err error) {
-		bc.initErr = err
-		if bc.conn != nil {
-			_ = bc.conn.Close()
-		}
-		r.removeBackend(bc)
-	}
-	r.count(func(s *RouterStats) { s.BackendDials++ })
-	conn, err := net.DialTimeout("tcp", bc.addr, r.cfg.DialTimeout)
-	if err != nil {
-		fail(fmt.Errorf("cluster: dialing node %s (%s): %w", bc.node, bc.addr, err))
-		return
-	}
-	bc.conn = conn
-
-	typ, reply, err := bc.ctrl(serve.FrameSessionAttach, serve.EncodeSessionID(bc.session), r.cfg)
-	if err != nil {
-		fail(err)
-		return
-	}
-	if typ == serve.FrameError {
-		_, code, msg, derr := serve.DecodeError(reply)
-		if derr != nil {
-			fail(fmt.Errorf("cluster: node %s: undecodable error reply: %w", bc.node, derr))
-			return
-		}
-		if code != serve.CodeSessionNotFound {
-			fail(&serve.RequestError{Code: code, Msg: msg})
-			return
-		}
-		if blob == nil {
-			fail(errNeedKeys)
-			return
-		}
-		// Re-upload-on-miss: ship the client's bundle to the new owner.
-		typ, reply, err = bc.ctrl(serve.FrameSessionNew, blob, r.cfg)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if typ == serve.FrameError {
-			_, code, msg, derr := serve.DecodeError(reply)
-			if derr != nil {
-				fail(fmt.Errorf("cluster: node %s: undecodable error reply: %w", bc.node, derr))
-				return
-			}
-			fail(&serve.RequestError{Code: code, Msg: msg})
-			return
-		}
-	}
-	if typ != serve.FrameSessionOK {
-		fail(fmt.Errorf("cluster: node %s: unexpected frame %d during session setup", bc.node, typ))
-		return
-	}
-	// As in Serve: join the group only under the lock that sees draining.
+// backend returns the connection to owner, dialing it if the router has
+// none. Concurrent callers wait on the first caller's dial.
+func (r *Router) backend(owner Node) (*backendConn, error) {
 	r.mu.Lock()
 	if r.draining {
 		r.mu.Unlock()
-		fail(&serve.RequestError{Code: serve.CodeDraining, Msg: "router shutting down"})
-		return
+		return nil, errDraining
 	}
-	r.connWG.Add(1)
-	r.mu.Unlock()
-	go r.backendReadLoop(bc)
+	bc, ok := r.backends[owner.Name]
+	if !ok {
+		bc = &backendConn{node: owner.Name, ready: make(chan struct{}), pending: map[uint64]pendingRoute{}}
+		r.backends[owner.Name] = bc
+		// As in Serve: join the group under the lock that sees draining.
+		r.connWG.Add(1)
+		r.mu.Unlock()
+		r.backendDial(bc, owner.Addr)
+	} else {
+		r.mu.Unlock()
+		<-bc.ready
+	}
+	if bc.err != nil {
+		return nil, bc.err
+	}
+	return bc, nil
 }
 
-// ctrl performs one synchronous round-trip during init (the demux loop
-// is not running yet, so reading inline is race-free).
-func (bc *backendConn) ctrl(typ serve.FrameType, payload []byte, cfg RouterConfig) (serve.FrameType, []byte, error) {
-	if err := bc.conn.SetDeadline(time.Now().Add(cfg.CtrlTimeout)); err != nil {
-		return 0, nil, err
-	}
-	if err := bc.write(typ, payload); err != nil {
-		return 0, nil, fmt.Errorf("cluster: node %s: %w", bc.node, err)
-	}
-	rtyp, reply, err := serve.ReadFrame(bc.conn, cfg.MaxFrame)
+// backendDial connects bc and starts its read loop. A failed dial
+// leaves the pool, so the next request dials again.
+func (r *Router) backendDial(bc *backendConn, addr string) {
+	defer close(bc.ready)
+	r.count(func(s *RouterStats) { s.BackendDials++ })
+	conn, err := net.DialTimeout("tcp", addr, r.cfg.DialTimeout)
 	if err != nil {
-		return 0, nil, fmt.Errorf("cluster: node %s: %w", bc.node, err)
+		err = fmt.Errorf("cluster: dialing node %s (%s): %w", bc.node, addr, err)
 	}
-	// Clear the control deadline: steady-state replies arrive whenever
-	// batches complete.
-	if err := bc.conn.SetDeadline(time.Time{}); err != nil {
-		return 0, nil, err
+	bc.mu.Lock()
+	switch {
+	case err == nil && bc.dead: // Shutdown closed it mid-dial
+		_ = conn.Close()
+		err = errDraining
+	case err == nil:
+		bc.conn = conn
+	default:
+		bc.dead = true
 	}
-	return rtyp, reply, nil
+	bc.mu.Unlock()
+	if err != nil {
+		bc.err = err
+		r.removeBackend(bc)
+		r.connWG.Done()
+		return
+	}
+	go r.backendReadLoop(bc)
 }
 
 // backendReadLoop demultiplexes node replies back to their client
 // connections, rewriting the router-assigned request ID to the
-// client's own.
+// client's own. A client that does not take its reply within
+// WriteTimeout holds up every session on this node connection that
+// long, so its connection is closed.
 func (r *Router) backendReadLoop(bc *backendConn) {
 	defer r.connWG.Done()
 	var arena []byte
@@ -584,28 +470,27 @@ func (r *Router) backendReadLoop(bc *backendConn) {
 			r.failBackend(bc, err)
 			return
 		}
-		switch typ {
-		case serve.FrameResult, serve.FrameError:
-			if len(payload) < 8 {
-				r.failBackend(bc, fmt.Errorf("cluster: node %s: truncated reply", bc.node))
-				return
-			}
-			id := binary.LittleEndian.Uint64(payload[:8])
-			if id == 0 && typ == serve.FrameError {
-				// Connection-level error from the node: nothing to route it
-				// to; the connection is no longer trustworthy.
-				r.failBackend(bc, fmt.Errorf("cluster: node %s reported a connection error", bc.node))
-				return
-			}
-			rt, ok := bc.take(id)
-			if !ok {
-				continue // stale reply for a request we already failed
-			}
-			binary.LittleEndian.PutUint64(payload[:8], rt.clientID)
-			rt.cc.write(typ, payload)
-		default:
-			r.failBackend(bc, fmt.Errorf("cluster: node %s: unexpected frame type %d", bc.node, typ))
+		id, _, err := serve.DecodeTagged(payload)
+		switch {
+		case err != nil:
+		case typ != serve.FrameResult && typ != serve.FrameError && typ != serve.FrameSessionOK:
+			err = fmt.Errorf("unexpected frame type %d", typ)
+		case id == 0:
+			// A connection-level error from the node: nothing to route it
+			// to, and the connection is no longer trustworthy.
+			err = errors.New("connection-level error")
+		}
+		if err != nil {
+			r.failBackend(bc, fmt.Errorf("cluster: node %s: %w", bc.node, err))
 			return
+		}
+		rt, ok := bc.take(id)
+		if !ok {
+			continue // stale reply for a request we already failed
+		}
+		binary.LittleEndian.PutUint64(payload[:8], rt.clientID)
+		if !rt.cc.write(typ, payload) {
+			_ = rt.cc.conn.Close()
 		}
 	}
 }
@@ -653,9 +538,10 @@ func (bc *backendConn) write(typ serve.FrameType, payload []byte) error {
 func (bc *backendConn) close() {
 	bc.mu.Lock()
 	bc.dead = true
+	conn := bc.conn
 	bc.mu.Unlock()
-	if bc.conn != nil {
-		_ = bc.conn.Close()
+	if conn != nil {
+		_ = conn.Close()
 	}
 }
 
@@ -682,12 +568,12 @@ func (r *Router) failBackend(bc *backendConn, cause error) {
 	}
 }
 
-// removeBackend drops bc from the pool if it is still the registered
-// entry for its key.
+// removeBackend drops bc from the pool if it is still the entry for its
+// node.
 func (r *Router) removeBackend(bc *backendConn) {
 	r.mu.Lock()
-	if cur, ok := r.backends[bc.key]; ok && cur == bc {
-		delete(r.backends, bc.key)
+	if r.backends[bc.node] == bc {
+		delete(r.backends, bc.node)
 	}
 	r.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -17,7 +18,6 @@ func startRouter(t *testing.T, m *Membership) (*Router, string) {
 		ReadTimeout:  5 * time.Second,
 		WriteTimeout: 5 * time.Second,
 		DialTimeout:  2 * time.Second,
-		CtrlTimeout:  5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestRouterNoActiveNodes(t *testing.T) {
 	_, addr := startRouter(t, NewMembership(8))
 	conn := dialRaw(t, addr)
 	if err := serve.WriteFrame(conn, serve.FrameSessionAttach,
-		serve.EncodeSessionID("00112233445566778899aabbccddeeff")); err != nil {
+		serve.EncodeSessionID(1, "00112233445566778899aabbccddeeff")); err != nil {
 		t.Fatal(err)
 	}
 	expectError(t, conn, serve.CodeUnavailable)
@@ -95,7 +95,7 @@ func TestRouterUnreachableOwner(t *testing.T) {
 	conn := dialRaw(t, addr)
 	for i := 0; i < 2; i++ { // twice: the conn must stay usable after the error
 		if err := serve.WriteFrame(conn, serve.FrameSessionAttach,
-			serve.EncodeSessionID("00112233445566778899aabbccddeeff")); err != nil {
+			serve.EncodeSessionID(uint64(i+1), "00112233445566778899aabbccddeeff")); err != nil {
 			t.Fatal(err)
 		}
 		expectError(t, conn, serve.CodeUnavailable)
@@ -113,20 +113,110 @@ func TestRouterMalformedInfer(t *testing.T) {
 	expectError(t, conn, serve.CodeBadRequest)
 }
 
-// TestRouterInferWithoutSession: a well-formed inference on a fresh
-// connection gets the typed NO_SESSION.
-func TestRouterInferWithoutSession(t *testing.T) {
-	_, addr := startRouter(t, NewMembership(8))
-	conn := dialRaw(t, addr)
-	if err := serve.WriteFrame(conn, serve.FrameInfer,
-		serve.EncodeInfer(7, 0, "m", []byte("x"))); err != nil {
+// stubNode is a listener standing in for a node: it answers every
+// request with the given error code under the request's own ID.
+func stubNode(t *testing.T, code serve.ErrCode) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	expectError(t, conn, serve.CodeNoSession)
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					_, payload, err := serve.ReadFrame(conn, serve.DefaultMaxFrame)
+					if err != nil {
+						return
+					}
+					id, _, _ := serve.DecodeTagged(payload)
+					_ = serve.WriteFrame(conn, serve.FrameError, serve.EncodeError(id, code, "stub"))
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }
 
+// TestRouterInferWithoutSession: an inference naming a session the
+// connection never attached is relayed to the session's owner as is —
+// the node, not the router, decides it does not know the session — and
+// the answer comes back under the client's own request ID.
+func TestRouterInferWithoutSession(t *testing.T) {
+	m := NewMembership(8)
+	if err := m.Join("stub", stubNode(t, serve.CodeSessionNotFound), ""); err != nil {
+		t.Fatal(err)
+	}
+	r, addr := startRouter(t, m)
+	conn := dialRaw(t, addr)
+	if err := serve.WriteFrame(conn, serve.FrameInfer,
+		serve.EncodeInfer(7, 0, "00112233445566778899aabbccddeeff", "m", []byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := serve.ReadFrame(conn, serve.DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != serve.FrameError {
+		t.Fatalf("frame type %d, want FrameError", typ)
+	}
+	id, code, _, err := serve.DecodeError(payload)
+	if err != nil || id != 7 || code != serve.CodeSessionNotFound {
+		t.Fatalf("reply (id %d, %s, %v), want (id 7, SESSION_NOT_FOUND)", id, code, err)
+	}
+	if rs := r.Stats(); rs.InfersRelayed != 1 || rs.Redirects != 0 || rs.BackendDials != 1 {
+		t.Fatalf("router stats %+v, want one relayed infer over one dial", rs)
+	}
+}
+
+// TestRouterBusyCountsOnlyTheCap: a registration refused because the
+// node connection is dead answers UNAVAILABLE and is not counted as
+// Busy; one refused at the in-flight cap answers BUSY and is.
+func TestRouterBusyCountsOnlyTheCap(t *testing.T) {
+	m := NewMembership(8)
+	if err := m.Join("n", "127.0.0.1:1", ""); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(RouterConfig{Members: m, MaxInflightPerBackend: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &clientConn{r: r, conn: nopConn{}, routed: map[string]string{}}
+	bc := &backendConn{node: "n", ready: make(chan struct{}), pending: map[uint64]pendingRoute{}, dead: true}
+	close(bc.ready)
+	r.backends["n"] = bc
+	attach := func() { r.relay(cc, serve.FrameSessionAttach, serve.EncodeSessionID(1, "s"), "s") }
+
+	if _, err := bc.register(cc, 1, 1); !errors.As(err, new(*serve.RequestError)) || err == errBusy {
+		t.Fatalf("register on a dead backend: %v, want UNAVAILABLE", err)
+	}
+	attach()
+	if rs := r.Stats(); rs.Busy != 0 {
+		t.Fatalf("dead backend counted as busy: %+v", rs)
+	}
+
+	bc.dead = false
+	bc.pending[1] = pendingRoute{cc: cc}
+	attach()
+	if rs := r.Stats(); rs.Busy != 1 || rs.SessionsRouted != 0 {
+		t.Fatalf("after a refusal at the cap: %+v, want busy 1 and nothing routed", rs)
+	}
+}
+
+// nopConn is a client connection that swallows every write.
+type nopConn struct{ net.Conn }
+
+func (nopConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (nopConn) SetWriteDeadline(time.Time) error { return nil }
+
 // TestRouterUnexpectedFrameType: server-to-client frame types arriving
-// from a client are rejected, typed, without closing the connection.
+// from a client are rejected with the connection-level error.
 func TestRouterUnexpectedFrameType(t *testing.T) {
 	_, addr := startRouter(t, NewMembership(8))
 	conn := dialRaw(t, addr)
@@ -143,7 +233,7 @@ func TestRouterOneByteTrickle(t *testing.T) {
 	_, addr := startRouter(t, NewMembership(8))
 	conn := dialRaw(t, addr)
 	frame := serve.AppendFrame(nil, serve.FrameSessionAttach,
-		serve.EncodeSessionID("00112233445566778899aabbccddeeff"))
+		serve.EncodeSessionID(1, "00112233445566778899aabbccddeeff"))
 	for _, b := range frame {
 		if _, err := conn.Write([]byte{b}); err != nil {
 			t.Fatal(err)
@@ -190,7 +280,7 @@ func TestRouterTruncatedFrame(t *testing.T) {
 	// A second client is unaffected.
 	conn2 := dialRaw(t, addr)
 	if err := serve.WriteFrame(conn2, serve.FrameSessionAttach,
-		serve.EncodeSessionID("00112233445566778899aabbccddeeff")); err != nil {
+		serve.EncodeSessionID(1, "00112233445566778899aabbccddeeff")); err != nil {
 		t.Fatal(err)
 	}
 	expectError(t, conn2, serve.CodeUnavailable)

@@ -86,7 +86,7 @@ func fetchNodeSnapshot(addr string, timeout time.Duration) (*serve.Snapshot, err
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
-	if err := serve.WriteFrame(conn, serve.FrameStats, nil); err != nil {
+	if err := serve.WriteFrame(conn, serve.FrameStats, serve.EncodeTagged(1, nil)); err != nil {
 		return nil, err
 	}
 	typ, payload, err := serve.ReadFrame(conn, serve.DefaultMaxFrame)
@@ -96,17 +96,13 @@ func fetchNodeSnapshot(addr string, timeout time.Duration) (*serve.Snapshot, err
 	if typ != serve.FrameStatsReply {
 		return nil, fmt.Errorf("cluster: unexpected frame %d to stats request", typ)
 	}
+	_, doc, err := serve.DecodeTagged(payload)
+	if err != nil {
+		return nil, err
+	}
 	var snap serve.Snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
+	if err := json.Unmarshal(doc, &snap); err != nil {
 		return nil, fmt.Errorf("cluster: undecodable stats reply: %w", err)
 	}
 	return &snap, nil
-}
-
-// aggregateStatsJSON is the router's FrameStats answer: the aggregated
-// cluster document as JSON.
-func (r *Router) aggregateStatsJSON() ([]byte, error) {
-	rs := r.Stats()
-	snap := GatherClusterStats(r.cfg.Members, &rs, r.cfg.CtrlTimeout)
-	return json.Marshal(snap)
 }

@@ -7,12 +7,17 @@
 // engine's secret key never leaves the process; OpenSession uploads
 // only the public evaluation bundle (core.WriteEvalKeys), and the
 // returned session ID can be reused by later connections via Attach.
+// Uploads, attaches, inferences and stats are all request/reply calls
+// over the same pending-request table.
 package client
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -30,10 +35,18 @@ type Options struct {
 	DialTimeout time.Duration
 }
 
-type pendingReply struct {
-	logits []byte
-	err    error
+// reply is one answer delivered to its waiting request: the frame type
+// and whole payload, or the typed error an Error or Redirect frame
+// carries.
+type reply struct {
+	typ     serve.FrameType
+	payload []byte
+	err     error
 }
+
+// ErrNoSession reports an inference on a connection that has neither
+// opened nor attached a session.
+var ErrNoSession = errors.New("client: no session: OpenSession or Attach first")
 
 // Client is one connection to an athena-serve instance.
 type Client struct {
@@ -44,15 +57,10 @@ type Client struct {
 
 	wmu    sync.Mutex     // frame writes
 	readWG sync.WaitGroup // readLoop lifetime; Close waits for it
-	opMu   sync.Mutex     // serializes session/stats round-trips
-	nextID uint64
-	idMu   sync.Mutex
 
 	mu        sync.Mutex
-	pending   map[uint64]chan pendingReply
-	sessC     chan string
-	statsC    chan []byte
-	ctrlErrC  chan error
+	nextID    uint64
+	pending   map[uint64]chan reply
 	readErr   error
 	sessionID string
 }
@@ -74,13 +82,10 @@ func Dial(addr string, eng *core.Engine, opts Options) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		conn:     conn,
-		opts:     opts,
-		eng:      eng,
-		pending:  make(map[uint64]chan pendingReply),
-		sessC:    make(chan string, 1),
-		statsC:   make(chan []byte, 1),
-		ctrlErrC: make(chan error, 1),
+		conn:    conn,
+		opts:    opts,
+		eng:     eng,
+		pending: make(map[uint64]chan reply),
 	}
 	c.readWG.Add(1)
 	go c.readLoop()
@@ -111,7 +116,8 @@ func (c *Client) SessionID() string {
 	return c.sessionID
 }
 
-// readLoop demultiplexes server frames to their waiters.
+// readLoop hands each reply to the request its ID names. A reply with
+// ID 0 is a connection-level error and poisons the connection.
 func (c *Client) readLoop() {
 	defer c.readWG.Done()
 	for {
@@ -120,78 +126,43 @@ func (c *Client) readLoop() {
 			c.fail(err)
 			return
 		}
-		switch typ {
-		case serve.FrameSessionOK:
-			if id, err := serve.DecodeSessionID(payload); err == nil {
-				select {
-				case c.sessC <- id:
-				default: // unsolicited duplicate; drop rather than wedge
-				}
-			} else {
-				c.fail(err)
-				return
-			}
-		case serve.FrameStatsReply:
-			select {
-			case c.statsC <- payload:
-			default: // unsolicited duplicate; drop rather than wedge
-			}
-		case serve.FrameResult:
-			reqID, logits, err := serve.DecodeResult(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			c.deliver(reqID, pendingReply{logits: logits})
-		case serve.FrameRedirect:
-			reqID, addr, session, err := serve.DecodeRedirect(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			rerr := &serve.RedirectError{Addr: addr, Session: session}
-			if reqID == 0 {
-				select {
-				case c.ctrlErrC <- rerr:
-				default:
-				}
-				continue
-			}
-			c.deliver(reqID, pendingReply{err: rerr})
-		case serve.FrameError:
-			reqID, code, msg, err := serve.DecodeError(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			rerr := &serve.RequestError{Code: code, Msg: msg}
-			if reqID == 0 {
-				// Connection-level error: answer whichever control
-				// round-trip is waiting.
-				select {
-				case c.ctrlErrC <- rerr:
-				default:
-				}
-				continue
-			}
-			c.deliver(reqID, pendingReply{err: rerr})
-		default:
-			c.fail(fmt.Errorf("client: unexpected frame type %d", typ))
+		id, r, err := decodeReply(typ, payload)
+		if err == nil && id == 0 {
+			err = fmt.Errorf("client: connection-level error: %v", r.err)
+			_ = c.conn.Close() // a later Close then reports the double close
+		}
+		if err != nil {
+			c.fail(err)
 			return
+		}
+		c.mu.Lock()
+		ch, ok := c.pending[id]
+		delete(c.pending, id)
+		c.mu.Unlock()
+		if ok {
+			ch <- r
 		}
 	}
 }
 
-func (c *Client) deliver(reqID uint64, r pendingReply) {
-	c.mu.Lock()
-	ch, ok := c.pending[reqID]
-	if ok {
-		delete(c.pending, reqID)
+// decodeReply reads a reply's request ID and, for Error and Redirect
+// frames, the typed error it carries.
+func decodeReply(typ serve.FrameType, payload []byte) (uint64, reply, error) {
+	r := reply{typ: typ, payload: payload}
+	switch typ {
+	case serve.FrameSessionOK, serve.FrameStatsReply, serve.FrameResult:
+		id, _, err := serve.DecodeTagged(payload)
+		return id, r, err
+	case serve.FrameRedirect:
+		id, addr, session, err := serve.DecodeRedirect(payload)
+		r.err = &serve.RedirectError{Addr: addr, Session: session}
+		return id, r, err
+	case serve.FrameError:
+		id, code, msg, err := serve.DecodeError(payload)
+		r.err = &serve.RequestError{Code: code, Msg: msg}
+		return id, r, err
 	}
-	c.mu.Unlock()
-	if ok {
-		ch <- r
-	}
+	return 0, r, fmt.Errorf("client: unexpected frame type %d", typ)
 }
 
 // fail poisons the client: every pending and future call errors.
@@ -201,57 +172,48 @@ func (c *Client) fail(err error) {
 		c.readErr = err
 	}
 	chans := c.pending
-	c.pending = make(map[uint64]chan pendingReply)
+	c.pending = make(map[uint64]chan reply)
 	c.mu.Unlock()
 	for _, ch := range chans {
-		ch <- pendingReply{err: err}
-	}
-	select {
-	case c.ctrlErrC <- err:
-	default:
+		ch <- reply{err: err}
 	}
 }
 
-func (c *Client) writeFrame(typ serve.FrameType, payload []byte) error {
+// roundTrip sends one request and waits for its reply, which must be of
+// type want. The payload is the parts in order; the first 8 bytes of the
+// first are the request ID, which roundTrip assigns.
+func (c *Client) roundTrip(typ, want serve.FrameType, payload ...[]byte) ([]byte, error) {
+	ch := make(chan reply, 1)
+	c.mu.Lock()
+	if c.readErr != nil {
+		err := c.readErr
+		c.mu.Unlock()
+		return nil, err
+	}
+	c.nextID++
+	id := c.nextID
+	c.pending[id] = ch
+	c.mu.Unlock()
+
+	binary.LittleEndian.PutUint64(payload[0], id)
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	//lint:holdok wmu exists to serialize frame writes on the shared connection; the write is the critical section
-	return serve.WriteFrame(c.conn, typ, payload)
-}
-
-// roundTripCtrl performs one control exchange (session open/attach or
-// stats) and waits for its typed reply.
-func (c *Client) roundTripCtrl(typ serve.FrameType, payload []byte) (string, []byte, error) {
-	c.opMu.Lock()
-	defer c.opMu.Unlock()
-	// Drain any stale control error from a previous exchange.
-	select {
-	case <-c.ctrlErrC:
-	default:
+	err := serve.WriteFrame(c.conn, typ, payload...)
+	c.wmu.Unlock()
+	if err != nil {
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return nil, err
 	}
-	//lint:holdok opMu serializes control round-trips end to end; Infer never takes it, so the hot path cannot queue behind this
-	if err := c.writeFrame(typ, payload); err != nil {
-		return "", nil, err
+	r := <-ch
+	if r.err != nil {
+		return nil, r.err
 	}
-	switch typ {
-	case serve.FrameSessionNew, serve.FrameSessionAttach:
-		//lint:holdok the reply wait is the round-trip opMu exists to serialize; readLoop delivers or Close fails ctrlErrC
-		select {
-		case id := <-c.sessC:
-			return id, nil, nil
-		case err := <-c.ctrlErrC:
-			return "", nil, err
-		}
-	case serve.FrameStats:
-		//lint:holdok the reply wait is the round-trip opMu exists to serialize; readLoop delivers or Close fails ctrlErrC
-		select {
-		case doc := <-c.statsC:
-			return "", doc, nil
-		case err := <-c.ctrlErrC:
-			return "", nil, err
-		}
+	if r.typ != want {
+		return nil, fmt.Errorf("client: frame type %d in reply to frame type %d", r.typ, typ)
 	}
-	return "", nil, fmt.Errorf("client: not a control frame type %d", typ)
+	return r.payload, nil
 }
 
 // OpenSession uploads the engine's evaluation keys and attaches to the
@@ -262,7 +224,25 @@ func (c *Client) OpenSession() (string, error) {
 	if err := c.eng.WriteEvalKeys(&blob); err != nil {
 		return "", err
 	}
-	id, _, err := c.roundTripCtrl(serve.FrameSessionNew, blob.Bytes())
+	return c.session(serve.FrameSessionNew, serve.EncodeTagged(0, nil), blob.Bytes())
+}
+
+// Attach joins an existing session by ID. The server resolves it from
+// RAM or from its durable store; a session in neither needs
+// OpenSession again.
+func (c *Client) Attach(id string) error {
+	_, err := c.session(serve.FrameSessionAttach, serve.EncodeSessionID(0, id))
+	return err
+}
+
+// session performs an upload or attach and makes its session the one
+// this connection's inferences name.
+func (c *Client) session(typ serve.FrameType, payload ...[]byte) (string, error) {
+	reply, err := c.roundTrip(typ, serve.FrameSessionOK, payload...)
+	if err != nil {
+		return "", err
+	}
+	_, id, err := serve.DecodeSessionID(reply)
 	if err != nil {
 		return "", err
 	}
@@ -270,19 +250,6 @@ func (c *Client) OpenSession() (string, error) {
 	c.sessionID = id
 	c.mu.Unlock()
 	return id, nil
-}
-
-// Attach joins an existing session by ID (the keys must already be
-// resident server-side; an evicted session needs OpenSession again).
-func (c *Client) Attach(id string) error {
-	got, _, err := c.roundTripCtrl(serve.FrameSessionAttach, serve.EncodeSessionID(id))
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.sessionID = got
-	c.mu.Unlock()
-	return nil
 }
 
 // Infer encrypts x, submits it under the attached session, waits for
@@ -303,57 +270,47 @@ func (c *Client) Infer(model *qnn.QNetwork, x *qnn.IntTensor, deadline time.Dura
 // InferEncrypted submits an already-encrypted input and returns the
 // encrypted logits without decrypting (the transport-only path).
 func (c *Client) InferEncrypted(model *qnn.QNetwork, in *core.EncryptedInput, deadline time.Duration) (*core.EncryptedLogits, error) {
-	c.mu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		return nil, err
+	session := c.SessionID()
+	if session == "" {
+		return nil, ErrNoSession
 	}
-	c.mu.Unlock()
-
 	var buf bytes.Buffer
 	if err := c.eng.WriteEncryptedInput(in, &buf); err != nil {
 		return nil, err
 	}
-	c.idMu.Lock()
-	c.nextID++
-	reqID := c.nextID
-	c.idMu.Unlock()
-
-	ch := make(chan pendingReply, 1)
-	c.mu.Lock()
-	c.pending[reqID] = ch
-	c.mu.Unlock()
-
-	var ms uint32
-	if deadline > 0 {
-		ms = uint32(deadline / time.Millisecond)
-		if ms == 0 {
-			ms = 1
-		}
-	}
-	if err := c.writeFrame(serve.FrameInfer, serve.EncodeInfer(reqID, ms, model.Name, buf.Bytes())); err != nil {
-		c.mu.Lock()
-		delete(c.pending, reqID)
-		c.mu.Unlock()
+	payload, err := c.roundTrip(serve.FrameInfer, serve.FrameResult,
+		serve.EncodeInfer(0, deadlineMS(deadline), session, model.Name, buf.Bytes()))
+	if err != nil {
 		return nil, err
 	}
-	r := <-ch
-	if r.err != nil {
-		return nil, r.err
+	_, logits, _ := serve.DecodeTagged(payload)
+	return c.eng.ReadEncryptedLogits(model, bytes.NewReader(logits))
+}
+
+// deadlineMS is the wire form of a request deadline: whole
+// milliseconds, at least 1 for a positive deadline, and clamped to the
+// field's range (about 49.7 days) rather than wrapped.
+func deadlineMS(d time.Duration) uint32 {
+	switch ms := d / time.Millisecond; {
+	case d <= 0:
+		return 0
+	case ms == 0:
+		return 1
+	case ms > math.MaxUint32:
+		return math.MaxUint32
+	default:
+		return uint32(ms)
 	}
-	return c.eng.ReadEncryptedLogits(model, bytes.NewReader(r.logits))
 }
 
 // Stats fetches the server's metrics snapshot.
 func (c *Client) Stats() (serve.Snapshot, error) {
 	var s serve.Snapshot
-	_, doc, err := c.roundTripCtrl(serve.FrameStats, nil)
+	payload, err := c.roundTrip(serve.FrameStats, serve.FrameStatsReply, serve.EncodeTagged(0, nil))
 	if err != nil {
 		return s, err
 	}
-	if err := json.Unmarshal(doc, &s); err != nil {
-		return s, err
-	}
-	return s, nil
+	_, doc, _ := serve.DecodeTagged(payload)
+	err = json.Unmarshal(doc, &s)
+	return s, err
 }

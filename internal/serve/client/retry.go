@@ -36,8 +36,8 @@ type ReliableOptions struct {
 // reconnects through transient dial/write failures, backs off on the
 // typed BUSY/DRAINING/UNAVAILABLE rejections, re-attaches on REDIRECT
 // (the router's session-moved signal), and re-uploads the engine's
-// evaluation keys on NEED_KEYS — so a membership change under live
-// traffic costs latency, not failures. Safe for concurrent use.
+// evaluation keys on SESSION_NOT_FOUND — so a membership change under
+// live traffic costs latency, not failures. Safe for concurrent use.
 type Reliable struct {
 	addr string
 	eng  *core.Engine
@@ -146,7 +146,7 @@ func (rc *Reliable) OpenSession() (string, error) {
 	return "", fmt.Errorf("client: open session: giving up after %d attempts: %w", rc.opts.MaxAttempts, lastErr)
 }
 
-// Attach joins an existing session by ID, with retry. A NEED_KEYS or
+// Attach joins an existing session by ID, with retry. A
 // SESSION_NOT_FOUND answer re-uploads this engine's keys — valid only
 // when id is the engine's own content address (the upload must land on
 // the same session; a mismatch is a permanent error).
@@ -252,8 +252,8 @@ func (rc *Reliable) repair(c *Client, err error) error {
 	switch {
 	case errors.As(err, &redir):
 		// Session moved: re-attach through the same connection (the
-		// router recomputes the owner) and let NEED_KEYS fall through to
-		// a key re-upload.
+		// router recomputes the owner) and let SESSION_NOT_FOUND fall
+		// through to a key re-upload.
 		rc.mu.Lock()
 		rc.reattaches++
 		session := rc.session
@@ -281,7 +281,8 @@ func (rc *Reliable) repair(c *Client, err error) error {
 	}
 }
 
-// reupload ships the engine's keys again (the NEED_KEYS recovery).
+// reupload ships the engine's keys again (the SESSION_NOT_FOUND
+// recovery).
 func (rc *Reliable) reupload(c *Client, session string) error {
 	got, err := c.OpenSession()
 	if err != nil {
@@ -388,8 +389,11 @@ func (rc *Reliable) backoff(attempt int) {
 
 // permanent reports whether err can never be repaired by retrying:
 // malformed requests, server-side evaluation failures, expired
-// deadlines, and repair-mismatch errors.
+// deadlines, an inference with no session, and repair-mismatch errors.
 func permanent(err error) bool {
+	if errors.Is(err, ErrNoSession) {
+		return true
+	}
 	var re *serve.RequestError
 	if errors.As(err, &re) {
 		switch re.Code {
@@ -411,8 +415,7 @@ func permanent(err error) bool {
 // evaluation keys.
 func needsKeys(err error) bool {
 	var re *serve.RequestError
-	return errors.As(err, &re) &&
-		(re.Code == serve.CodeNeedKeys || re.Code == serve.CodeSessionNotFound)
+	return errors.As(err, &re) && re.Code == serve.CodeSessionNotFound
 }
 
 // backsOff reports whether err is server-side pressure best answered by

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func TestErrorClassification(t *testing.T) {
 			t.Fatalf("%s: want backs-off, not permanent", c)
 		}
 	}
-	for _, c := range []serve.ErrCode{serve.CodeNeedKeys, serve.CodeSessionNotFound} {
+	for _, c := range []serve.ErrCode{serve.CodeSessionNotFound} {
 		if !needsKeys(mk(c)) || permanent(mk(c)) {
 			t.Fatalf("%s: want needs-keys, not permanent", c)
 		}
@@ -132,14 +133,14 @@ func TestReliableSurvivesReconnect(t *testing.T) {
 					if err != nil {
 						return
 					}
+					id, _, _ := serve.DecodeTagged(payload)
 					switch typ {
 					case serve.FrameSessionNew, serve.FrameSessionAttach:
-						_ = serve.WriteFrame(c, serve.FrameSessionOK, serve.EncodeSessionID("stub-session"))
+						_ = serve.WriteFrame(c, serve.FrameSessionOK, serve.EncodeSessionID(id, "stub-session"))
 					case serve.FrameStats:
-						_ = serve.WriteFrame(c, serve.FrameStatsReply, []byte(`{}`))
+						_ = serve.WriteFrame(c, serve.FrameStatsReply, serve.EncodeTagged(id, []byte(`{}`)))
 					default:
-						_ = payload
-						_ = serve.WriteFrame(c, serve.FrameError, serve.EncodeError(0, serve.CodeBadRequest, "stub"))
+						_ = serve.WriteFrame(c, serve.FrameError, serve.EncodeError(id, serve.CodeBadRequest, "stub"))
 					}
 				}
 			}(conn)
@@ -279,5 +280,69 @@ func TestClientHandlesWellFormedRedirect(t *testing.T) {
 	}
 	if redir.Addr != "10.9.8.7:7700" || redir.Session != "00112233445566778899aabbccddeeff" {
 		t.Fatalf("redirect carried (%q, %q)", redir.Addr, redir.Session)
+	}
+}
+
+// TestInferDeadlineClamped: a deadline beyond the u32 millisecond field
+// (about 49.7 days) is sent as the field's maximum, not wrapped to a
+// few milliseconds.
+func TestInferDeadlineClamped(t *testing.T) {
+	for d, want := range map[time.Duration]uint32{
+		0:                                       0,
+		time.Nanosecond:                         1,
+		1500 * time.Microsecond:                 1,
+		math.MaxUint32 * time.Millisecond:       math.MaxUint32,
+		(math.MaxUint32 + 1) * time.Millisecond: math.MaxUint32,
+		365 * 24 * time.Hour:                    math.MaxUint32,
+	} {
+		if got := deadlineMS(d); got != want {
+			t.Errorf("deadlineMS(%v) = %d, want %d", d, got, want)
+		}
+	}
+
+	// The encoded field at the boundary, as a server reads it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got := make(chan uint32, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			typ, payload, err := serve.ReadFrame(conn, serve.DefaultMaxFrame)
+			if err != nil {
+				return
+			}
+			if typ == serve.FrameSessionAttach {
+				_ = serve.WriteFrame(conn, serve.FrameSessionOK, payload)
+				continue
+			}
+			req, err := serve.DecodeInfer(payload)
+			if err != nil {
+				return
+			}
+			got <- req.DeadlineMS
+			_ = serve.WriteFrame(conn, serve.FrameError, serve.EncodeError(req.ReqID, serve.CodeBusy, "stub"))
+		}
+	}()
+	eng := testEngine(t)
+	c, err := Dial(ln.Addr().String(), eng, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Attach("00112233445566778899aabbccddeeff"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Infer(testModel(), testInput(), (math.MaxUint32+1)*time.Millisecond); err == nil {
+		t.Fatal("stub answered BUSY, but Infer succeeded")
+	}
+	if ms := <-got; ms != math.MaxUint32 {
+		t.Fatalf("encoded deadline %d ms, want %d", ms, uint32(math.MaxUint32))
 	}
 }

@@ -313,9 +313,9 @@ func TestServeTypedErrors(t *testing.T) {
 	defer c.Close()
 
 	var re *serve.RequestError
-	// Inference without a session.
-	if _, err := c.Infer(model, serve.DemoInput(600), 0); !errors.As(err, &re) || re.Code != serve.CodeNoSession {
-		t.Fatalf("no-session inference: got %v, want NO_SESSION", err)
+	// Inference without a session never leaves the client.
+	if _, err := c.Infer(model, serve.DemoInput(600), 0); !errors.Is(err, client.ErrNoSession) {
+		t.Fatalf("no-session inference: got %v, want client.ErrNoSession", err)
 	}
 	// Attach to a session that was never opened.
 	if err := c.Attach("00000000000000000000000000000000"); !errors.As(err, &re) || re.Code != serve.CodeSessionNotFound {
@@ -345,8 +345,9 @@ func TestServeTypedErrors(t *testing.T) {
 	}
 }
 
-// TestServeGarbageSession: a malformed key upload is rejected with a
-// typed error and the connection remains usable.
+// TestServeGarbageSession: a malformed key upload and an inference
+// naming an unknown session are rejected with typed errors tagged by
+// their request IDs, and the connection remains usable.
 func TestServeGarbageSession(t *testing.T) {
 	eng := itEngine(t)
 	_, addr := startServer(t, serve.Config{MaxWait: 5 * time.Millisecond})
@@ -362,36 +363,46 @@ func TestServeGarbageSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if err := serve.WriteFrame(raw, serve.FrameSessionNew, []byte("junk keys")); err != nil {
+	expectError := func(typ serve.FrameType, payload []byte, wantID uint64, want serve.ErrCode) {
+		t.Helper()
+		if err := serve.WriteFrame(raw, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, reply, err := serve.ReadFrame(raw, serve.DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rtyp != serve.FrameError {
+			t.Fatalf("frame type %d, want FrameError", rtyp)
+		}
+		id, code, _, err := serve.DecodeError(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != wantID || code != want {
+			t.Fatalf("error (id %d, %s), want (id %d, %s)", id, code, wantID, want)
+		}
+	}
+	expectError(serve.FrameSessionNew, serve.EncodeTagged(1, []byte("junk keys")), 1, serve.CodeBadRequest)
+	expectError(serve.FrameInfer, serve.EncodeInfer(2, 0, "00000000000000000000000000000000", serve.DemoNet().Name, nil),
+		2, serve.CodeSessionNotFound)
+
+	// The same connection can then open a real session.
+	var blob bytes.Buffer
+	if err := eng.WriteEvalKeys(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := serve.WriteFrame(raw, serve.FrameSessionNew, serve.EncodeTagged(3, blob.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := serve.ReadFrame(raw, serve.DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != serve.FrameError {
-		t.Fatalf("frame type %d, want FrameError", typ)
-	}
-	_, code, _, err := serve.DecodeError(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != serve.CodeBadRequest {
-		t.Fatalf("error code %s, want BAD_REQUEST", code)
-	}
-	// The same connection can then open a real session.
-	var blob bytes.Buffer
-	if err := eng.WriteEvalKeys(&blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := serve.WriteFrame(raw, serve.FrameSessionNew, blob.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, err = serve.ReadFrame(raw, serve.DefaultMaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if typ != serve.FrameSessionOK {
 		t.Fatalf("frame type %d, want FrameSessionOK after recovery", typ)
+	}
+	if id, session, err := serve.DecodeSessionID(payload); err != nil || id != 3 || session != serve.SessionID(blob.Bytes()) {
+		t.Fatalf("session reply (id %d, %q, %v), want (id 3, %q)", id, session, err, serve.SessionID(blob.Bytes()))
 	}
 }

@@ -47,7 +47,7 @@ func (m *Metrics) Completed() { m.bump(&m.completed) }
 // RejectedBusy counts one BUSY backpressure rejection.
 func (m *Metrics) RejectedBusy() { m.bump(&m.rejectedBusy) }
 
-// RateLimited counts one BUSY answered by the per-client token bucket.
+// RateLimited counts one BUSY answered by a session's token bucket.
 func (m *Metrics) RateLimited() { m.bump(&m.rateLimited) }
 
 // DeadlineExpired counts one request dropped at its deadline.

@@ -11,17 +11,21 @@
 // all little-endian. Frames are length-prefixed and bounded (MaxFrame),
 // so a reader always knows how many bytes to consume and a slow or
 // truncated peer surfaces as an io error/deadline, never a desync. The
-// payloads reuse the repository wire formats: a session-open payload is
-// the core.WriteEvalKeys bundle, an inference payload wraps
+// payloads reuse the repository wire formats: a session-open payload
+// carries the core.WriteEvalKeys bundle, an inference payload wraps
 // core.WriteEncryptedInput bytes, a result wraps
 // core.WriteEncryptedLogits bytes.
 //
-// Session lifecycle: SessionNew uploads evaluation keys; the session ID
-// is content-addressed (hex of the blob's SHA-256 prefix), so
-// re-uploading the same material lands on the same session. SessionAttach
-// joins an existing session by ID from any connection. Inference frames
-// then carry (request id, deadline, model, ciphertexts) and are answered
-// by Result or Error frames tagged with the same request id.
+// Every payload starts with a u64 request ID, and a reply carries the
+// ID of the request it answers, so one connection multiplexes any mix
+// of requests and sessions. ID 0 marks a connection-level error; a peer
+// that receives one closes the connection.
+//
+// Sessions: SessionNew uploads evaluation keys; the session ID is
+// content-addressed (hex of the blob's SHA-256 prefix), so re-uploading
+// the same material lands on the same session. SessionAttach resolves
+// a session by ID. A connection is not bound to a session: every Infer
+// frame names its own.
 package serve
 
 import (
@@ -33,7 +37,7 @@ import (
 // Frame constants.
 const (
 	ProtoMagic   uint32 = 0x41535631 // "ASV1"
-	ProtoVersion byte   = 1
+	ProtoVersion byte   = 2
 
 	// FrameHeaderLen is the fixed frame-header size in bytes.
 	FrameHeaderLen = 12
@@ -46,22 +50,20 @@ const (
 // FrameType tags one protocol message.
 type FrameType byte
 
-// Frame types.
+// Frame types, with their payloads after the request ID.
 const (
 	FrameSessionNew    FrameType = 1 // client→server: eval-keys blob
 	FrameSessionAttach FrameType = 2 // client→server: session ID
 	FrameSessionOK     FrameType = 3 // server→client: session ID
-	FrameInfer         FrameType = 4 // client→server: inference request
+	FrameInfer         FrameType = 4 // client→server: deadline | session | model | input
 	FrameResult        FrameType = 5 // server→client: encrypted logits
-	FrameError         FrameType = 6 // server→client: typed error
-	FrameStats         FrameType = 7 // client→server: metrics request
+	FrameError         FrameType = 6 // server→client: code | message
+	FrameStats         FrameType = 7 // client→server: nothing
 	FrameStatsReply    FrameType = 8 // server→client: metrics JSON
-	// FrameRedirect is sent by a cluster router when the request's
-	// session is owned by a different node than the one the connection
-	// last attached to (membership changed — a node joined, drained, or
-	// left). The payload names the new owner; the client re-attaches
-	// (through the router, which routes to the new owner) and retries.
-	FrameRedirect FrameType = 9 // router→client: session moved, re-attach
+	// FrameRedirect is a cluster router's answer to an infer whose
+	// session changed owner since the connection attached it: the client
+	// re-attaches through the router, which routes to the new owner.
+	FrameRedirect FrameType = 9 // router→client: addr | session
 )
 
 // ErrCode is a typed protocol error carried by FrameError.
@@ -71,49 +73,28 @@ type ErrCode uint16
 const (
 	CodeBusy            ErrCode = 1 // admission queue full — retry later
 	CodeDeadline        ErrCode = 2 // request deadline expired before evaluation
-	CodeSessionNotFound ErrCode = 3 // unknown or evicted session ID
+	CodeSessionNotFound ErrCode = 3 // session in neither tier of the node — re-upload the keys
 	CodeModelNotFound   ErrCode = 4 // server does not host the named model
 	CodeBadRequest      ErrCode = 5 // malformed frame or payload
 	CodeDraining        ErrCode = 6 // server is shutting down
 	CodeInternal        ErrCode = 7 // evaluation failed server-side
-	CodeNoSession       ErrCode = 8 // inference before session open/attach
-	CodeRegistryFull    ErrCode = 9 // session cap reached and nothing evictable
-	// CodeNeedKeys is the cluster's re-upload-on-miss signal: the
-	// session's owning node holds no copy of its evaluation keys (in RAM
-	// or in its durable store). The client must re-upload the bundle
-	// (public material only — the secret key never ships) with
-	// FrameSessionNew; content addressing lands it on the same session.
-	CodeNeedKeys ErrCode = 10 // owner lacks the keys — re-upload them
+	// 8 and 10 are unassigned.
+	CodeRegistryFull ErrCode = 9 // session cap reached and nothing evictable
 	// CodeUnavailable reports a transient cluster fault: the owning node
 	// is unreachable or there is no active node for the session. Safe to
 	// retry after a backoff.
 	CodeUnavailable ErrCode = 11 // owning node unreachable — retry later
 )
 
+var codeNames = [...]string{
+	CodeBusy: "BUSY", CodeDeadline: "DEADLINE", CodeSessionNotFound: "SESSION_NOT_FOUND",
+	CodeModelNotFound: "MODEL_NOT_FOUND", CodeBadRequest: "BAD_REQUEST", CodeDraining: "DRAINING",
+	CodeInternal: "INTERNAL", CodeRegistryFull: "REGISTRY_FULL", CodeUnavailable: "UNAVAILABLE",
+}
+
 func (c ErrCode) String() string {
-	switch c {
-	case CodeBusy:
-		return "BUSY"
-	case CodeDeadline:
-		return "DEADLINE"
-	case CodeSessionNotFound:
-		return "SESSION_NOT_FOUND"
-	case CodeModelNotFound:
-		return "MODEL_NOT_FOUND"
-	case CodeBadRequest:
-		return "BAD_REQUEST"
-	case CodeDraining:
-		return "DRAINING"
-	case CodeInternal:
-		return "INTERNAL"
-	case CodeNoSession:
-		return "NO_SESSION"
-	case CodeRegistryFull:
-		return "REGISTRY_FULL"
-	case CodeNeedKeys:
-		return "NEED_KEYS"
-	case CodeUnavailable:
-		return "UNAVAILABLE"
+	if int(c) < len(codeNames) && codeNames[c] != "" {
+		return codeNames[c]
 	}
 	return fmt.Sprintf("ERR_%d", uint16(c))
 }
@@ -131,18 +112,24 @@ func (e *RequestError) Error() string {
 	return fmt.Sprintf("serve: %s: %s", e.Code, e.Msg)
 }
 
-// WriteFrame writes one frame. The payload may be nil.
-func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
-	var hdr [FrameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], ProtoMagic)
-	hdr[4] = ProtoVersion
-	hdr[5] = byte(typ)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// WriteFrame writes one frame whose payload is the parts in order, each
+// written as is: a large body follows its request ID without a copy.
+func WriteFrame(w io.Writer, typ FrameType, payload ...[]byte) error {
+	n := 0
+	for _, p := range payload {
+		n += len(p)
+	}
+	hdr := AppendFrame(make([]byte, 0, FrameHeaderLen), typ, nil)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(n))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
-	return err
+	for _, p := range payload {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AppendFrame appends one encoded frame (header + payload) to dst and
@@ -241,19 +228,40 @@ func readString(b []byte) (s string, rest []byte, err error) {
 	return string(b[2 : 2+n]), b[2+n:], nil
 }
 
+// EncodeTagged builds the payload of a frame that carries only a body
+// after its request ID: SessionNew (the key blob), Result (the logits),
+// Stats (nothing) and StatsReply (the JSON document).
+func EncodeTagged(reqID uint64, body []byte) []byte {
+	b := make([]byte, 0, 8+len(body))
+	b = binary.LittleEndian.AppendUint64(b, reqID)
+	return append(b, body...)
+}
+
+// DecodeTagged splits a payload into its request ID and the body after
+// it. Every payload starts with its request ID, so this also reads the
+// ID of a frame whose body is decoded elsewhere.
+func DecodeTagged(b []byte) (uint64, []byte, error) {
+	if len(b) < 8 {
+		return 0, nil, fmt.Errorf("serve: payload of %d bytes has no request ID", len(b))
+	}
+	return binary.LittleEndian.Uint64(b[0:8]), b[8:], nil
+}
+
 // InferRequestWire is the decoded form of a FrameInfer payload.
 type InferRequestWire struct {
 	ReqID      uint64
 	DeadlineMS uint32 // 0 = no deadline; relative to server arrival
+	Session    string
 	Model      string
 	Input      []byte // core.WriteEncryptedInput bytes
 }
 
 // EncodeInfer builds a FrameInfer payload.
-func EncodeInfer(reqID uint64, deadlineMS uint32, model string, input []byte) []byte {
-	b := make([]byte, 0, 14+len(model)+len(input))
+func EncodeInfer(reqID uint64, deadlineMS uint32, session, model string, input []byte) []byte {
+	b := make([]byte, 0, 16+len(session)+len(model)+len(input))
 	b = binary.LittleEndian.AppendUint64(b, reqID)
 	b = binary.LittleEndian.AppendUint32(b, deadlineMS)
+	b = appendString(b, session)
 	b = appendString(b, model)
 	return append(b, input...)
 }
@@ -267,28 +275,14 @@ func DecodeInfer(b []byte) (InferRequestWire, error) {
 	w.ReqID = binary.LittleEndian.Uint64(b[0:8])
 	w.DeadlineMS = binary.LittleEndian.Uint32(b[8:12])
 	var err error
-	w.Model, b, err = readString(b[12:])
-	if err != nil {
+	if w.Session, b, err = readString(b[12:]); err != nil {
+		return w, err
+	}
+	if w.Model, b, err = readString(b); err != nil {
 		return w, err
 	}
 	w.Input = b
 	return w, nil
-}
-
-// EncodeResult builds a FrameResult payload.
-func EncodeResult(reqID uint64, logits []byte) []byte {
-	b := make([]byte, 0, 8+len(logits))
-	b = binary.LittleEndian.AppendUint64(b, reqID)
-	return append(b, logits...)
-}
-
-// DecodeResult parses a FrameResult payload into (request id, logits
-// bytes).
-func DecodeResult(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("serve: truncated result header")
-	}
-	return binary.LittleEndian.Uint64(b[0:8]), b[8:], nil
 }
 
 // EncodeError builds a FrameError payload. reqID 0 marks a
@@ -355,17 +349,23 @@ func DecodeRedirect(b []byte) (reqID uint64, addr, session string, err error) {
 	return reqID, addr, session, nil
 }
 
-// EncodeSessionID builds a FrameSessionOK / FrameSessionAttach payload.
-func EncodeSessionID(id string) []byte { return appendString(nil, id) }
+// EncodeSessionID builds a FrameSessionAttach / FrameSessionOK payload.
+func EncodeSessionID(reqID uint64, id string) []byte {
+	return appendString(binary.LittleEndian.AppendUint64(make([]byte, 0, 10+len(id)), reqID), id)
+}
 
 // DecodeSessionID parses a session-ID payload.
-func DecodeSessionID(b []byte) (string, error) {
+func DecodeSessionID(b []byte) (reqID uint64, id string, err error) {
+	reqID, b, err = DecodeTagged(b)
+	if err != nil {
+		return 0, "", err
+	}
 	id, rest, err := readString(b)
 	if err != nil {
-		return "", err
+		return 0, "", err
 	}
 	if len(rest) != 0 {
-		return "", fmt.Errorf("serve: %d trailing bytes after session ID", len(rest))
+		return 0, "", fmt.Errorf("serve: %d trailing bytes after session ID", len(rest))
 	}
-	return id, nil
+	return reqID, id, nil
 }

@@ -1,17 +1,21 @@
 package serve
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
-// tokenBucket is per-client admission control: each inference request
+// tokenBucket is per-session admission control: each inference request
 // spends one token; tokens refill continuously at rate per second up to
 // burst. Time comes from the injected Clock, so the refill schedule is
 // deterministic under ManualClock in tests. The zero-size struct is
 // never used — build with newTokenBucket; a nil *tokenBucket admits
 // everything (rate limiting disabled).
 //
-// The bucket is used from a single connection's read loop, so it needs
-// no lock of its own.
+// Every connection inferring under the session spends from the same
+// bucket, so it locks.
 type tokenBucket struct {
+	mu     sync.Mutex
 	clk    Clock
 	rate   float64 // tokens per second
 	burst  float64 // bucket capacity
@@ -35,6 +39,8 @@ func (tb *tokenBucket) allow() bool {
 	if tb == nil {
 		return true
 	}
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
 	now := tb.clk.Now()
 	if elapsed := now.Sub(tb.last); elapsed > 0 {
 		tb.tokens += elapsed.Seconds() * tb.rate

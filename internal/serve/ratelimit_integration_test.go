@@ -5,15 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"athena/internal/core"
 	"athena/internal/serve"
 	"athena/internal/serve/client"
 )
 
-// TestServeRateLimit: with a per-client token bucket configured, a
-// client that exhausts its burst gets the typed BUSY immediately (no
+// TestServeRateLimit: with a per-session token bucket configured, a
+// session that exhausts its burst gets the typed BUSY immediately (no
 // queueing), the rejection is counted separately from queue
 // backpressure, and advancing the clock refills admission — all on the
-// manual clock, so the test is deterministic.
+// manual clock, so the test is deterministic. The bucket belongs to the
+// session, not the connection: another connection on the same session
+// finds it dry, another session has its own.
 func TestServeRateLimit(t *testing.T) {
 	eng := itEngine(t)
 	model := serve.DemoNet()
@@ -66,8 +69,8 @@ func TestServeRateLimit(t *testing.T) {
 		t.Fatalf("completed=%d, want 3", snap.Requests.Completed)
 	}
 
-	// A second connection has its own bucket: it is admitted even though
-	// the first connection's bucket is dry.
+	// A second connection on the same session spends from the same,
+	// now dry, bucket.
 	c2, err := client.Dial(addr, eng, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +79,30 @@ func TestServeRateLimit(t *testing.T) {
 	if err := c2.Attach(c.SessionID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Infer(model, serve.DemoInput(704), 0); err != nil {
-		t.Fatalf("fresh client rate-limited by a stranger's bucket: %v", err)
+	if _, err := c2.Infer(model, serve.DemoInput(704), 0); !errors.As(err, &re) || re.Code != serve.CodeBusy {
+		t.Fatalf("second connection on a dry session: got %v, want BUSY", err)
+	}
+
+	// A second session has its own bucket: it is admitted although the
+	// first session's bucket is dry.
+	p := core.TestParams()
+	p.Seed = 7001
+	eng2, err := core.NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c3, err := client.Dial(addr, eng2, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	if _, err := c3.OpenSession(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c3.Infer(model, serve.DemoInput(705), 0); err != nil {
+		t.Fatalf("fresh session rate-limited by a stranger's bucket: %v", err)
+	}
+	if got := srv.Metrics().Requests.RateLimited; got != 2 {
+		t.Fatalf("rate_limited=%d, want 2", got)
 	}
 }

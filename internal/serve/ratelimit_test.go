@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -67,5 +69,29 @@ func TestTokenBucketNilAlwaysAllows(t *testing.T) {
 		if !tb.allow() {
 			t.Fatal("nil limiter denied a request")
 		}
+	}
+}
+
+// TestTokenBucketSharedAcrossGoroutines: every connection inferring
+// under a session spends from its one bucket, concurrently; together
+// they are admitted exactly the burst.
+func TestTokenBucketSharedAcrossGoroutines(t *testing.T) {
+	tb := newTokenBucket(NewManualClock(), 1, 20)
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if tb.allow() {
+					admitted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := admitted.Load(); n != 20 {
+		t.Fatalf("%d of 40 concurrent requests admitted, want the burst of 20", n)
 	}
 }

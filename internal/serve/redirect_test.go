@@ -1,6 +1,9 @@
 package serve
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestRedirectRoundTrip: Encode→Decode is the identity.
 func TestRedirectRoundTrip(t *testing.T) {
@@ -41,10 +44,16 @@ func TestRedirectMalformed(t *testing.T) {
 	}
 }
 
-// TestErrCodeStrings: the new cluster codes render their typed names.
+// TestErrCodeStrings: the cluster's recovery codes render their typed
+// names, and the retired numbers 8 and 10 stay unassigned.
 func TestErrCodeStrings(t *testing.T) {
-	if got := CodeNeedKeys.String(); got != "NEED_KEYS" {
-		t.Fatalf("CodeNeedKeys renders %q", got)
+	if got := CodeSessionNotFound.String(); got != "SESSION_NOT_FOUND" {
+		t.Fatalf("CodeSessionNotFound renders %q", got)
+	}
+	for _, c := range []ErrCode{8, 10} {
+		if got, want := c.String(), fmt.Sprintf("ERR_%d", c); got != want {
+			t.Fatalf("code %d renders %q, want %q", c, got, want)
+		}
 	}
 	if got := CodeUnavailable.String(); got != "UNAVAILABLE" {
 		t.Fatalf("CodeUnavailable renders %q", got)

@@ -34,6 +34,11 @@ type Session struct {
 	// lastUsed is the registry's logical LRU clock value at the last
 	// touch. Guarded by the registry mutex.
 	lastUsed uint64
+
+	// limiter is the session's token bucket (nil = no rate limit),
+	// shared by every connection inferring under it and dropped with the
+	// session on eviction.
+	limiter *tokenBucket
 }
 
 // ErrRegistryFull reports that a new session cannot fit under the
@@ -63,6 +68,9 @@ type Registry struct {
 	// LRU eviction just drops the RAM copy, the disk entry remains.
 	store *store.Store
 
+	// newLimiter builds each new session's bucket; NewServer sets it.
+	newLimiter func() *tokenBucket
+
 	// owned is the cluster's ownership hint (nil = single-node, every
 	// session owned). Idle sessions this node does not own are evicted
 	// before any owned session, regardless of recency: after a drain
@@ -83,7 +91,8 @@ func NewRegistry(p core.Params, capBytes int64) *Registry {
 	if capBytes <= 0 {
 		capBytes = 1 << 30
 	}
-	return &Registry{p: p, capBytes: capBytes, sessions: make(map[string]*Session)}
+	return &Registry{p: p, capBytes: capBytes, sessions: make(map[string]*Session),
+		newLimiter: func() *tokenBucket { return nil }}
 }
 
 // SessionID derives the content-addressed session ID of a key blob:
@@ -131,15 +140,14 @@ func (r *Registry) Open(blob []byte) (s *Session, created bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	s = &Session{ID: id, Eng: eng, Bytes: int64(len(blob))}
+	s = &Session{ID: id, Eng: eng, Bytes: int64(len(blob)), limiter: r.newLimiter()}
 
 	// Durable before acked: Put returns once the blob is a file under its
 	// content address with the file and the directory fsync'd, and only
 	// then does the session become visible, so a crash after the client
 	// sees OK can never lose it. Persisting only after the engine build
-	// means garbage is never written to disk. The blob aliases the
-	// connection's read arena; Put has written it out before returning
-	// and keeps no reference.
+	// means garbage is never written to disk. Put keeps no reference to
+	// the blob.
 	r.mu.Lock()
 	st := r.store
 	r.mu.Unlock()
@@ -164,59 +172,50 @@ func (r *Registry) Open(blob []byte) (s *Session, created bool, err error) {
 	return s, true, nil
 }
 
-// Get returns the resident session by ID, refreshing its LRU position.
-// It never touches the durable tier — attach paths use Lookup.
-func (r *Registry) Get(id string) (*Session, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.sessions[id]
-	if ok {
-		r.hotHits++
-		r.touchLocked(s)
-	}
-	return s, ok
-}
-
 // Lookup resolves a session ID through both tiers: a resident hit is
 // free; otherwise the durable tier is consulted and an evicted session
 // is rebuilt from its on-disk blob (streamed — the bundle never
 // materializes as a second copy). ErrSessionNotFound means the ID is
 // known to neither tier.
-func (r *Registry) Lookup(id string) (*Session, error) {
+func (r *Registry) Lookup(id string) (*Session, error) { return r.resolve(id, 0) }
+
+// Acquire resolves id as Lookup does and pins the session against
+// eviction for one in-flight request, in the same locked step that
+// finds or inserts it. Release drops the pin.
+func (r *Registry) Acquire(id string) (*Session, error) { return r.resolve(id, 1) }
+
+func (r *Registry) resolve(id string, pins int) (*Session, error) {
 	r.mu.Lock()
 	if s, ok := r.sessions[id]; ok {
 		r.hotHits++
+		s.refs += pins
 		r.touchLocked(s)
 		r.mu.Unlock()
 		return s, nil
 	}
 	st := r.store
 	r.mu.Unlock()
-	if st == nil {
-		r.mu.Lock()
-		r.misses++
-		r.mu.Unlock()
-		return nil, ErrSessionNotFound
-	}
 
 	// Cold load, outside the lock: hash the file against its name (the
 	// content address), then decode and rebuild the engine. A blob that
 	// fails the check is quarantined by the store and reported as not
 	// found, so the client re-uploads and the fresh copy replaces it.
-	s, err := r.loadCold(st, id)
-	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			r.mu.Lock()
-			r.misses++
-			r.mu.Unlock()
-			return nil, ErrSessionNotFound
-		}
-		return nil, err
+	var s *Session
+	err := store.ErrNotFound
+	if st != nil {
+		s, err = r.loadCold(st, id)
 	}
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if errors.Is(err, store.ErrNotFound) {
+		r.misses++
+		return nil, ErrSessionNotFound
+	}
+	if err != nil {
+		return nil, err
+	}
 	if prior, ok := r.sessions[id]; ok { // lost a concurrent load race
+		prior.refs += pins
 		r.touchLocked(prior)
 		return prior, nil
 	}
@@ -226,6 +225,7 @@ func (r *Registry) Lookup(id string) (*Session, error) {
 	r.sessions[id] = s
 	r.total += s.Bytes
 	r.coldLoads++
+	s.refs = pins
 	r.touchLocked(s)
 	return s, nil
 }
@@ -248,15 +248,7 @@ func (r *Registry) loadCold(st *store.Store, id string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: session %s: %w", id, err)
 	}
-	return &Session{ID: id, Eng: eng, Bytes: b.Size()}, nil
-}
-
-// Acquire pins the session against eviction for one in-flight request.
-func (r *Registry) Acquire(s *Session) {
-	r.mu.Lock()
-	s.refs++
-	r.touchLocked(s)
-	r.mu.Unlock()
+	return &Session{ID: id, Eng: eng, Bytes: b.Size(), limiter: r.newLimiter()}, nil
 }
 
 // Release drops one in-flight pin.

@@ -42,7 +42,7 @@ func TestRegistryColdLoadAfterEviction(t *testing.T) {
 	if _, _, err := r.Open(blobB); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Get(aID); ok {
+	if _, ok := resident(r, aID); ok {
 		t.Fatal("A still resident after eviction")
 	}
 
@@ -98,7 +98,7 @@ func TestRegistrySurvivesRestart(t *testing.T) {
 	st2 := testStore(t, dir)
 	r2 := NewRegistry(core.TestParams(), 0)
 	r2.SetStore(st2)
-	if _, ok := r2.Get(id); ok {
+	if _, ok := resident(r2, id); ok {
 		t.Fatal("fresh registry claims residency")
 	}
 	s2, err := r2.Lookup(id)

@@ -45,9 +45,18 @@ func TestRegistryContentAddressing(t *testing.T) {
 	if created || s2 != s1 {
 		t.Fatal("re-upload of identical keys did not reuse the session")
 	}
-	if got, ok := r.Get(s1.ID); !ok || got != s1 {
-		t.Fatal("Get by ID missed the resident session")
+	if got, ok := resident(r, s1.ID); !ok || got != s1 {
+		t.Fatal("the session is not resident under its ID")
 	}
+}
+
+// resident reports the session r holds in RAM under id, touching
+// nothing.
+func resident(r *Registry, id string) (*Session, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.sessions[id]
+	return s, ok
 }
 
 func TestRegistryLRUEvictionAndPinning(t *testing.T) {
@@ -62,11 +71,13 @@ func TestRegistryLRUEvictionAndPinning(t *testing.T) {
 	}
 
 	// Pinned sessions must not be evicted: opening B has to fail.
-	r.Acquire(a)
+	if _, err := r.Acquire(a.ID); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := r.Open(blobB); !errors.Is(err, ErrRegistryFull) {
 		t.Fatalf("open over a pinned session: got %v, want ErrRegistryFull", err)
 	}
-	if _, ok := r.Get(a.ID); !ok {
+	if _, ok := resident(r, a.ID); !ok {
 		t.Fatal("pinned session disappeared after failed open")
 	}
 
@@ -76,10 +87,10 @@ func TestRegistryLRUEvictionAndPinning(t *testing.T) {
 	if err != nil || !created {
 		t.Fatalf("open after release: created=%v err=%v", created, err)
 	}
-	if _, ok := r.Get(a.ID); ok {
+	if _, ok := resident(r, a.ID); ok {
 		t.Fatal("LRU session survived eviction")
 	}
-	if _, ok := r.Get(b.ID); !ok {
+	if _, ok := resident(r, b.ID); !ok {
 		t.Fatal("fresh session missing")
 	}
 	count, total, _, evictions := r.Stats()

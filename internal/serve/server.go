@@ -44,10 +44,11 @@ type Config struct {
 	// DataDir set.
 	DiskCapBytes int64
 
-	// RatePerSec enables token-bucket admission per client connection:
-	// each inference request spends one token, refilled at this rate up
-	// to Burst. Exhaustion answers the request with the typed BUSY the
-	// clients already back off on (0 = no rate limit).
+	// RatePerSec enables token-bucket admission per session: each
+	// inference request spends one token from its session's bucket,
+	// refilled at this rate up to Burst. Exhaustion answers the request
+	// with the typed BUSY the clients already back off on (0 = no rate
+	// limit).
 	RatePerSec float64
 	// Burst is the token-bucket capacity (≥1 once rate limiting is on;
 	// 0 takes a default of 2× MaxBatch so a well-behaved client can
@@ -120,6 +121,9 @@ func NewServer(cfg Config) (*Server, error) {
 		registry: NewRegistry(cfg.Params, cfg.MemCapBytes),
 		metrics:  m,
 		conns:    make(map[net.Conn]struct{}),
+	}
+	if cfg.RatePerSec > 0 {
+		s.registry.newLimiter = func() *tokenBucket { return newTokenBucket(cfg.Clock, cfg.RatePerSec, cfg.Burst) }
 	}
 	if cfg.DataDir != "" {
 		st, rec, err := store.Open(cfg.DataDir, store.Options{DiskCapBytes: cfg.DiskCapBytes})
@@ -251,28 +255,20 @@ func (s *Server) Shutdown() {
 	}
 }
 
-// conn is the per-connection state: the attached session (if any) and a
-// write mutex so executor callbacks and the read loop never interleave
-// reply frames.
+// connState is the per-connection state: a write mutex so executor
+// callbacks, session handlers and the read loop never interleave reply
+// frames. No session: every request names its own.
 type connState struct {
 	s    *Server
 	conn net.Conn
 
 	wmu  sync.Mutex
 	wbuf []byte // reusable frame staging, guarded by wmu
-	sess *Session
-
-	// limiter is the per-client token bucket (nil = unlimited). It is
-	// only touched from this connection's read loop.
-	limiter *tokenBucket
 }
 
 func (s *Server) handleConn(c net.Conn) {
 	defer s.connWG.Done()
 	st := &connState{s: s, conn: c}
-	if s.cfg.RatePerSec > 0 {
-		st.limiter = newTokenBucket(s.cfg.Clock, s.cfg.RatePerSec, s.cfg.Burst)
-	}
 	defer func() {
 		_ = c.Close()
 		s.mu.Lock()
@@ -280,9 +276,10 @@ func (s *Server) handleConn(c net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	// Every dispatch path consumes its payload before returning (session
-	// blobs and inference inputs are parsed, not retained), so one arena
-	// serves the whole connection without per-frame allocations.
+	// Inference inputs are parsed, not retained, so one arena serves the
+	// connection's frames without per-frame allocations. A key upload is
+	// the exception: its handler takes the frame buffer, and the next
+	// frame is read into a fresh arena.
 	var arena []byte
 	for {
 		if err := c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
@@ -292,95 +289,124 @@ func (s *Server) handleConn(c net.Conn) {
 		if err != nil {
 			return // io error, timeout, or clean EOF: drop the connection
 		}
+		if typ == FrameSessionNew {
+			arena = nil
+		}
 		if !s.dispatch(st, typ, payload) {
 			return
 		}
 	}
 }
 
-// dispatch handles one frame; false closes the connection.
+// dispatch handles one frame; false closes the connection. Uploads and
+// attaches may build an engine, so they run off the read loop, counted
+// by connWG (Shutdown waits on it before closing the store), and a
+// shared connection keeps reading other sessions' infers meanwhile.
 func (s *Server) dispatch(st *connState, typ FrameType, payload []byte) bool {
 	switch typ {
 	case FrameSessionNew:
-		sess, created, err := s.registry.Open(payload)
+		reqID, blob, err := DecodeTagged(payload)
 		if err != nil {
-			code := CodeBadRequest
-			if errors.Is(err, ErrRegistryFull) {
-				code = CodeRegistryFull
-			}
-			return st.writeError(0, code, err.Error())
+			return st.fail(err)
 		}
-		if created {
-			s.metrics.SessionOpened()
-		}
-		st.sess = sess
-		return st.write(FrameSessionOK, EncodeSessionID(sess.ID))
+		s.connWG.Add(1)
+		go s.handleSessionNew(st, reqID, blob)
+		return true
 
 	case FrameSessionAttach:
-		id, err := DecodeSessionID(payload)
+		reqID, id, err := DecodeSessionID(payload)
 		if err != nil {
-			return st.writeError(0, CodeBadRequest, err.Error())
+			return st.fail(err)
 		}
-		sess, lerr := s.registry.Lookup(id)
-		if lerr != nil {
-			switch {
-			case errors.Is(lerr, ErrSessionNotFound):
-				return st.writeError(0, CodeSessionNotFound, "unknown or evicted session "+id)
-			case errors.Is(lerr, ErrRegistryFull):
-				return st.writeError(0, CodeRegistryFull, lerr.Error())
-			default:
-				return st.writeError(0, CodeInternal, lerr.Error())
-			}
-		}
-		st.sess = sess
-		return st.write(FrameSessionOK, EncodeSessionID(sess.ID))
+		s.connWG.Add(1)
+		go s.handleSessionAttach(st, reqID, id)
+		return true
 
 	case FrameInfer:
 		return s.handleInfer(st, payload)
 
 	case FrameStats:
+		reqID, _, err := DecodeTagged(payload)
+		if err != nil {
+			return st.fail(err)
+		}
 		doc, err := json.Marshal(s.Metrics())
 		if err != nil {
-			return st.writeError(0, CodeInternal, err.Error())
+			return st.writeError(reqID, CodeInternal, err.Error())
 		}
-		return st.write(FrameStatsReply, doc)
+		return st.write(FrameStatsReply, EncodeTagged(reqID, doc))
 
 	default:
-		return st.writeError(0, CodeBadRequest, fmt.Sprintf("unexpected frame type %d", typ))
+		return st.fail(fmt.Errorf("unexpected frame type %d", typ))
 	}
+}
+
+func (s *Server) handleSessionNew(st *connState, reqID uint64, blob []byte) {
+	defer s.connWG.Done()
+	sess, created, err := s.registry.Open(blob)
+	if err != nil {
+		st.writeError(reqID, sessionErrCode(err, CodeBadRequest), err.Error())
+		return
+	}
+	if created {
+		s.metrics.SessionOpened()
+	}
+	st.write(FrameSessionOK, EncodeSessionID(reqID, sess.ID))
+}
+
+func (s *Server) handleSessionAttach(st *connState, reqID uint64, id string) {
+	defer s.connWG.Done()
+	if _, err := s.registry.Lookup(id); err != nil {
+		st.writeError(reqID, sessionErrCode(err, CodeInternal), "session "+id+": "+err.Error())
+		return
+	}
+	st.write(FrameSessionOK, EncodeSessionID(reqID, id))
+}
+
+// sessionErrCode types a failed session upload or resolution; other is
+// the code of any error the registry does not name.
+func sessionErrCode(err error, other ErrCode) ErrCode {
+	switch {
+	case errors.Is(err, ErrSessionNotFound):
+		return CodeSessionNotFound
+	case errors.Is(err, ErrRegistryFull):
+		return CodeRegistryFull
+	}
+	return other
 }
 
 func (s *Server) handleInfer(st *connState, payload []byte) bool {
 	req, err := DecodeInfer(payload)
 	if err != nil {
-		return st.writeError(0, CodeBadRequest, err.Error())
+		return st.fail(err)
 	}
-	if st.sess == nil {
-		return st.writeError(req.ReqID, CodeNoSession, "open or attach a session before inference")
-	}
+	reqID := req.ReqID
 	model, ok := s.cfg.Models[req.Model]
 	if !ok {
-		return st.writeError(req.ReqID, CodeModelNotFound, "model "+req.Model+" not hosted")
+		return st.writeError(reqID, CodeModelNotFound, "model "+req.Model+" not hosted")
 	}
-	// Admission control runs before the expensive input decode: a client
+	sess, err := s.registry.Acquire(req.Session)
+	if err != nil {
+		return st.writeError(reqID, sessionErrCode(err, CodeInternal), "session "+req.Session+": "+err.Error())
+	}
+	// Admission control runs before the expensive input decode: a session
 	// over its rate budget costs the server one frame read and a typed
 	// reply, nothing more.
-	if !st.limiter.allow() {
+	if !sess.limiter.allow() {
+		s.registry.Release(sess)
 		s.metrics.RateLimited()
-		return st.writeError(req.ReqID, CodeBusy, "client rate limit exceeded")
+		return st.writeError(reqID, CodeBusy, "session rate limit exceeded")
 	}
-	in, err := st.sess.Eng.ReadEncryptedInput(model, bytes.NewReader(req.Input))
+	in, err := sess.Eng.ReadEncryptedInput(model, bytes.NewReader(req.Input))
 	if err != nil {
-		return st.writeError(req.ReqID, CodeBadRequest, "input: "+err.Error())
+		s.registry.Release(sess)
+		return st.writeError(reqID, CodeBadRequest, "input: "+err.Error())
 	}
 	var deadline time.Time
 	if req.DeadlineMS > 0 {
 		deadline = s.cfg.Clock.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
 	}
 
-	sess := st.sess
-	s.registry.Acquire(sess)
-	reqID := req.ReqID
 	err = s.batcher.Submit(&Request{
 		ID:       reqID,
 		Sess:     sess,
@@ -411,7 +437,7 @@ func (s *Server) handleInfer(st *connState, payload []byte) bool {
 				return
 			}
 			s.metrics.Completed()
-			st.write(FrameResult, EncodeResult(reqID, buf.Bytes()))
+			st.write(FrameResult, EncodeTagged(reqID, buf.Bytes()))
 		},
 	})
 	if err != nil {
@@ -449,6 +475,14 @@ func (st *connState) write(typ FrameType, payload []byte) bool {
 
 func (st *connState) writeError(reqID uint64, code ErrCode, msg string) bool {
 	return st.write(FrameError, EncodeError(reqID, code, msg))
+}
+
+// fail answers a frame that cannot be tied to a request with the
+// connection-level error (request ID 0) and reports the connection
+// closed.
+func (st *connState) fail(err error) bool {
+	st.writeError(0, CodeBadRequest, err.Error())
+	return false
 }
 
 // AdminHandler returns an http.Handler exposing GET /metrics as the

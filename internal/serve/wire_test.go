@@ -117,7 +117,7 @@ func TestDecodersSurviveSlowReads(t *testing.T) {
 	})
 	t.Run("frame", func(t *testing.T) {
 		var framed bytes.Buffer
-		if err := WriteFrame(&framed, FrameInfer, EncodeInfer(7, 0, "wire-demo", inBlob)); err != nil {
+		if err := WriteFrame(&framed, FrameInfer, EncodeInfer(7, 0, "wire-session", "wire-demo", inBlob)); err != nil {
 			t.Fatal(err)
 		}
 		cl, sv := net.Pipe()
@@ -133,7 +133,7 @@ func TestDecodersSurviveSlowReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if req.ReqID != 7 || req.Model != "wire-demo" || !bytes.Equal(req.Input, inBlob) {
+		if req.ReqID != 7 || req.Session != "wire-session" || req.Model != "wire-demo" || !bytes.Equal(req.Input, inBlob) {
 			t.Fatal("framed request did not round-trip")
 		}
 	})
@@ -177,7 +177,7 @@ func TestDecodersFailOnTruncation(t *testing.T) {
 	})
 	t.Run("frame", func(t *testing.T) {
 		var framed bytes.Buffer
-		if err := WriteFrame(&framed, FrameResult, EncodeResult(1, outBlob)); err != nil {
+		if err := WriteFrame(&framed, FrameResult, EncodeTagged(1, outBlob)); err != nil {
 			t.Fatal(err)
 		}
 		check(t, "frame", func(r io.Reader) error {
@@ -229,21 +229,21 @@ func TestFrameBounds(t *testing.T) {
 		if _, err := DecodeInfer([]byte{1, 2, 3}); err == nil {
 			t.Fatal("short infer payload accepted")
 		}
-		if _, _, err := DecodeResult([]byte{1}); err == nil {
-			t.Fatal("short result payload accepted")
+		if _, _, err := DecodeTagged([]byte{1}); err == nil {
+			t.Fatal("payload without a request ID accepted")
 		}
 		if _, _, _, err := DecodeError([]byte{1, 2, 3}); err == nil {
 			t.Fatal("short error payload accepted")
 		}
-		if _, err := DecodeSessionID([]byte{9, 0, 'x'}); err == nil {
+		if _, _, err := DecodeSessionID(append(make([]byte, 8), 9, 0, 'x')); err == nil {
 			t.Fatal("overlong session-ID length accepted")
 		}
 		// String length larger than the remaining payload.
-		bad := EncodeInfer(1, 0, "model", nil)
+		bad := EncodeInfer(1, 0, "session", "model", nil)
 		bad[12] = 0xff
 		bad[13] = 0xff
 		if _, err := DecodeInfer(bad); err == nil {
-			t.Fatal("oversized model-name length accepted")
+			t.Fatal("oversized session length accepted")
 		}
 	})
 }
