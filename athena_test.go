@@ -103,3 +103,38 @@ func TestFacadeQuantizeFlow(t *testing.T) {
 		t.Fatalf("quantized train accuracy %.2f too low", acc)
 	}
 }
+
+// TestEncryptedInferenceAllocs caps the allocations of one evaluation and
+// decryption of BenchmarkEncryptedInference's conv→conv→FC net at
+// TestParams. ModDown, modulus switching and decryption once scaled
+// through math/big one coefficient at a time, and one inference made
+// 6 659 allocations; on word-sized kernels it makes 1 556. The ceiling,
+// that count plus 10 %, keeps big-integer scaling from coming back.
+func TestEncryptedInferenceAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an engine and runs encrypted inferences")
+	}
+	const ceiling = 1712
+	eng, err := NewEngine(TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := benchTinyNet()
+	in, err := eng.EncryptInput(net, benchInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	infer := func() {
+		out, err := eng.EvaluateEncrypted(net, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.DecryptLogits(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	infer() // compiles the LUTs, which is set-up
+	if n := testing.AllocsPerRun(5, infer); n > ceiling {
+		t.Fatalf("one inference allocates %.0f times, ceiling %d", n, ceiling)
+	}
+}

@@ -182,18 +182,24 @@ func BenchmarkEncryptedInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net := benchTinyNet()
-	x := NewIntTensor(1, 6, 6)
-	rng := rand.New(rand.NewPCG(7, 7))
-	for i := range x.Data {
-		x.Data[i] = int64(rng.IntN(8))
-	}
+	net, x := benchTinyNet(), benchInput()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Infer(net, x); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchInput is the 6×6 image BenchmarkEncryptedInference classifies.
+func benchInput() *IntTensor {
+	x := NewIntTensor(1, 6, 6)
+	rng := rand.New(rand.NewPCG(7, 7))
+	for i := range x.Data {
+		x.Data[i] = int64(rng.IntN(8))
+	}
+	return x
 }
 
 func benchTinyNet() *QNetwork {

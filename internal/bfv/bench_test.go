@@ -16,15 +16,6 @@ func BenchmarkEncrypt(b *testing.B) {
 	}
 }
 
-func BenchmarkDecrypt(b *testing.B) {
-	k := newTestKit(b, 11, 6, nil)
-	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(randVals(k.ctx.N, 1000, 2)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.dec.Decrypt(ct)
-	}
-}
-
 func BenchmarkPMult(b *testing.B) {
 	k := newTestKit(b, 11, 6, nil)
 	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(randVals(k.ctx.N, 1000, 3)))
@@ -49,33 +40,51 @@ var (
 	shapeT12289 = cmultShape{"n512_9of10x55_t12289", 9, 55, 10, 9, 12289}
 )
 
+// shapeKit is a shape's full chain with a key pair and an encryptor.
+type shapeKit struct {
+	full *Context
+	kg   *KeyGenerator
+	sk   *SecretKey
+	enc  *Encryptor
+	cod  *Encoder
+}
+
+func (s cmultShape) kit(b *testing.B) shapeKit {
+	primes, err := ring.GenerateNTTPrimes(s.bits, s.logN, s.limbs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := NewContext(Parameters{LogN: s.logN, Qi: primes, T: s.t})
+	if err != nil {
+		b.Fatal(err)
+	}
+	kg := NewKeyGenerator(full, 1234)
+	sk := kg.GenSecretKey()
+	return shapeKit{full: full, kg: kg, sk: sk, enc: NewEncryptor(full, kg.GenPublicKey(sk), 77), cod: NewEncoder(full)}
+}
+
+// encryptAt returns a fresh encryption of random messages below t/2 in
+// magnitude, dropped to level L.
+func (k shapeKit) encryptAt(b *testing.B, L int, seed uint64) *Ciphertext {
+	t := k.full.Params.T
+	ct, err := k.full.ModDown(k.enc.Encrypt(k.cod.EncodeCoeffs(randVals(k.full.N, int64(t/2), seed))), L)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ct
+}
+
 // run runs f as a sub-benchmark with an evaluator and two distinct
 // ciphertexts at the shape's level.
 func (s cmultShape) run(b *testing.B, f func(b *testing.B, ctx *Context, ev *Evaluator, x, y *Ciphertext)) {
 	b.Run(s.name, func(b *testing.B) {
-		primes, err := ring.GenerateNTTPrimes(s.bits, s.logN, s.limbs)
+		k := s.kit(b)
+		ctx, err := k.full.AtLevel(s.level)
 		if err != nil {
 			b.Fatal(err)
 		}
-		full, err := NewContext(Parameters{LogN: s.logN, Qi: primes, T: s.t})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx, err := full.AtLevel(s.level)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kg := NewKeyGenerator(full, 1234)
-		sk := kg.GenSecretKey()
-		enc, cod := NewEncryptor(full, kg.GenPublicKey(sk), 77), NewEncoder(full)
-		var cts [2]*Ciphertext
-		for i := range cts {
-			ct := enc.Encrypt(cod.EncodeCoeffs(randVals(full.N, int64(s.t/2), uint64(5+i))))
-			if cts[i], err = full.ModDown(ct, s.level); err != nil {
-				b.Fatal(err)
-			}
-		}
-		f(b, ctx, NewEvaluator(ctx, kg.GenKeySet(sk, nil)), cts[0], cts[1])
+		x, y := k.encryptAt(b, s.level, 5), k.encryptAt(b, s.level, 6)
+		f(b, ctx, NewEvaluator(ctx, k.kg.GenKeySet(k.sk, nil)), x, y)
 	})
 }
 
@@ -83,6 +92,73 @@ func (s cmultShape) run(b *testing.B, f func(b *testing.B, ctx *Context, ev *Eva
 func cmultShapes(b *testing.B, f func(b *testing.B, ctx *Context, ev *Evaluator, x, y *Ciphertext)) {
 	shapeT257.run(b, f)
 	shapeT12289.run(b, f)
+}
+
+// The engine's level schedule at both shapes: FBS one limb below the
+// full chain, everything after a LUT round at two limbs.
+const postLevel = 2
+
+// kitShapes runs f as a sub-benchmark at both workload shapes.
+func kitShapes(b *testing.B, f func(b *testing.B, s cmultShape, k shapeKit)) {
+	for _, s := range []cmultShape{shapeT257, shapeT12289} {
+		b.Run(s.name, func(b *testing.B) { f(b, s, s.kit(b)) })
+	}
+}
+
+// BenchmarkModDown measures the two drops an engine runs: FBS → post
+// after every LUT round and full → post on a client's input ciphertexts
+// (the first call, which builds the constants, is not timed).
+func BenchmarkModDown(b *testing.B) {
+	kitShapes(b, func(b *testing.B, s cmultShape, k shapeKit) {
+		for _, from := range []struct {
+			name string
+			L    int
+		}{{"fbs_to_post", s.limbs - 1}, {"full_to_post", s.limbs}} {
+			ct := k.encryptAt(b, from.L, 5)
+			b.Run(from.name, func(b *testing.B) {
+				if _, err := k.full.ModDown(ct, postLevel); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := k.full.ModDown(ct, postLevel); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
+}
+
+// BenchmarkSwitchModulus measures Step ② at the post level: the switch
+// to qMid = t·2^12 ahead of every extraction.
+func BenchmarkSwitchModulus(b *testing.B) {
+	kitShapes(b, func(b *testing.B, s cmultShape, k shapeKit) {
+		ct, qMid := k.encryptAt(b, postLevel, 5), s.t<<12
+		if _, _, err := k.full.SwitchModulus(ct, qMid); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := k.full.SwitchModulus(ct, qMid); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkDecrypt measures decryption at the shape's level.
+func BenchmarkDecrypt(b *testing.B) {
+	kitShapes(b, func(b *testing.B, s cmultShape, k shapeKit) {
+		ct, dec := k.encryptAt(b, s.level, 5), NewDecryptor(k.full, k.sk)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dec.Decrypt(ct)
+		}
+	})
 }
 
 // BenchmarkCMult measures MulInto: two extensions, one product, one

@@ -4,6 +4,7 @@ import (
 	"math/big"
 
 	"athena/internal/ring"
+	"athena/internal/rns"
 )
 
 // Encryptor encrypts plaintexts under a public key.
@@ -76,13 +77,21 @@ func (d *Decryptor) phase(ctx *Context, ct *Ciphertext) ring.Poly {
 }
 
 // Decrypt recovers the plaintext: m = round(t·phase/Q) mod t, where Q is
-// the (possibly reduced) chain the ciphertext currently lives under.
+// the (possibly reduced) chain the ciphertext currently lives under. The
+// scaling is exact and word-sized (rns.WordScaler).
 func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 	ctx := d.ctx.atLevelOf(ct)
-	pt := ctx.NewPlaintext()
-	ph := d.phase(ctx, ct)
-	ctx.BasisQ.ScaleAndRoundToUint(ph, ctx.TBig, ctx.QBig, ctx.Params.T, pt.Coeffs)
+	pt, _ := d.decrypt(ctx, ct)
 	return pt
+}
+
+// decrypt returns the plaintext of ct at the resolved level ctx, and the
+// phase it was rounded from.
+func (d *Decryptor) decrypt(ctx *Context, ct *Ciphertext) (*Plaintext, ring.Poly) {
+	ph := d.phase(ctx, ct)
+	pt := ctx.NewPlaintext()
+	ctx.toT.ScaleRound(ph, pt.Coeffs, rns.NewScratch(ctx.Level(), ctx.N))
+	return pt, ph
 }
 
 // NoiseBudget returns the remaining noise budget of ct in bits:
@@ -91,9 +100,7 @@ func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 // A non-positive budget means decryption is no longer guaranteed.
 func (d *Decryptor) NoiseBudget(ct *Ciphertext) float64 {
 	ctx := d.ctx.atLevelOf(ct)
-	ph := d.phase(ctx, ct)
-	pt := ctx.NewPlaintext()
-	ctx.BasisQ.ScaleAndRoundToUint(ph, ctx.TBig, ctx.QBig, ctx.Params.T, pt.Coeffs)
+	pt, ph := d.decrypt(ctx, ct)
 
 	// e = phase - Δ·m (mod Q), centered.
 	scratch := make([]uint64, ctx.BasisQ.Len())

@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"athena/internal/ring"
+	"athena/internal/rns"
 )
 
 // Per-level RNS modulus dropping. A Context fixes a prime chain Q =
@@ -93,11 +94,16 @@ func (c *Context) atLevelOf(ct *Ciphertext) *Context {
 }
 
 // ModDown rescales ct to the length-L prefix chain: the BFV-invariant
-// rescale out ≈ round(Q_L/Q_src · ct) per component, which preserves the
+// rescale out = round(Q_L/Q_src · ct) per component, which preserves the
 // Δ·m message scale (Δ shrinks proportionally with Q) while dividing the
 // accumulated noise by the dropped factor and shedding limbs from every
 // subsequent operation. Returns ct unchanged when it already sits at L;
 // raising a level is not supported.
+//
+// The rescale is round(x/P) for the product P of the dropped primes,
+// exact and word-sized (rns.Dropper): only the dropped limbs leave the
+// NTT domain, to give the centered residue [x]_P over the kept primes,
+// which returns to it, and each kept limb becomes (x − [x]_P)·P^-1.
 func (c *Context) ModDown(ct *Ciphertext, L int) (*Ciphertext, error) {
 	cur := ct.Level()
 	if L == cur {
@@ -114,12 +120,52 @@ func (c *Context) ModDown(ct *Ciphertext, L int) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
+	md, err := src.modDownTo(L)
+	if err != nil {
+		return nil, err
+	}
 	out := dst.NewCiphertext()
+	dropped := md.ringP.NewPoly()
+	sc := rns.NewScratch(cur-L, c.N)
 	for _, io := range [2]struct{ in, out ring.Poly }{{ct.C0, out.C0}, {ct.C1, out.C1}} {
-		tmp := io.in.Clone()
-		src.RingQ.INTT(tmp)
-		src.BasisQ.ScaleAndRound(tmp, dst.QBig, src.QBig, dst.BasisQ, io.out)
+		for i, limb := range dropped.Coeffs {
+			copy(limb, io.in.Coeffs[L+i])
+		}
+		md.ringP.INTT(dropped)
+		md.drop.Remainder(dropped, io.out, sc)
 		dst.RingQ.NTT(io.out)
+		md.drop.Quotient(io.in, io.out, io.out)
 	}
 	return out, nil
+}
+
+// modDown holds the constants of ModDown from a context's level to a
+// lower one: the ring of the dropped limbs and the rounded division by
+// their product.
+type modDown struct {
+	ringP *ring.Ring
+	drop  *rns.Dropper
+}
+
+// modDownTo returns the ModDown constants from c's level to L, built once.
+func (c *Context) modDownTo(L int) (*modDown, error) {
+	c.levelMu.Lock()
+	defer c.levelMu.Unlock()
+	if c.downCache == nil {
+		c.downCache = make([]*modDown, c.Level())
+	}
+	if md := c.downCache[L]; md != nil {
+		return md, nil
+	}
+	ringP, err := ring.NewRing(c.Params.LogN, c.Params.Qi[L:])
+	if err != nil {
+		return nil, fmt.Errorf("bfv: ModDown to level %d: %w", L, err)
+	}
+	drop, err := rns.NewDropper(c.BasisQ, L)
+	if err != nil {
+		return nil, fmt.Errorf("bfv: ModDown to level %d: %w", L, err)
+	}
+	md := &modDown{ringP: ringP, drop: drop}
+	c.downCache[L] = md
+	return md, nil
 }

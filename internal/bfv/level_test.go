@@ -2,7 +2,11 @@ package bfv
 
 import (
 	"bytes"
+	"math/big"
+	"sync"
 	"testing"
+
+	"athena/internal/ring"
 )
 
 // TestAtLevelIdentityAndCache pins the AtLevel contract: the full level
@@ -340,4 +344,130 @@ func TestCiphertextWireRoundTripReducedLevel(t *testing.T) {
 	if !got.C0.Equal(down.C0) || !got.C1.Equal(down.C1) {
 		t.Fatal("round-trip not bit-identical")
 	}
+}
+
+// TestRescalesMatchBigIntegers pins ModDown from every level to every
+// lower one, SwitchModulus at s = t and s = t·2^12, and Decrypt, at every
+// level of a four-limb chain, to round(s·x/Q) computed in big integers
+// from the centered coefficients.
+func TestRescalesMatchBigIntegers(t *testing.T) {
+	k := newTestKit(t, 6, 4, nil)
+	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(randVals(k.ctx.N, 1000, 61)))
+	// scaled returns round(num·x/den) for every centered coefficient x of
+	// p, coefficient domain over ctx.
+	scaled := func(ctx *Context, p ring.Poly, num, den *big.Int) []*big.Int {
+		den2 := new(big.Int).Lsh(den, 1)
+		xs := ctx.BasisQ.ReconstructPoly(p)
+		for _, x := range xs {
+			x.Mul(x, num).Lsh(x, 1).Add(x, den).Div(x, den2)
+		}
+		return xs
+	}
+	coeffs := func(ctx *Context, p ring.Poly) ring.Poly {
+		c := p.Clone()
+		ctx.RingQ.INTT(c)
+		return c
+	}
+	for from := 4; from >= 1; from-- {
+		src, err := k.ctx.AtLevel(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := k.ctx.ModDown(ct, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for L := 1; L < from; L++ {
+			dst, err := k.ctx.AtLevel(L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := k.ctx.ModDown(x, L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, in := range [2]ring.Poly{x.C0, x.C1} {
+				want := dst.RingQ.NewPoly()
+				dst.BasisQ.ReducePoly(scaled(src, coeffs(src, in), dst.QBig, src.QBig), want)
+				dst.RingQ.NTT(want)
+				if !want.Equal([2]ring.Poly{got.C0, got.C1}[i]) {
+					t.Fatalf("ModDown %d → %d: component %d differs", from, L, i)
+				}
+			}
+		}
+		for _, q2 := range []uint64{k.ctx.Params.T, k.ctx.Params.T << 12} {
+			a, b, err := k.ctx.SwitchModulus(x, q2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q2Big := new(big.Int).SetUint64(q2)
+			for _, c := range [2]struct {
+				in  ring.Poly
+				got []uint64
+			}{{x.C1, a}, {x.C0, b}} {
+				for j, v := range scaled(src, coeffs(src, c.in), q2Big, src.QBig) {
+					if want := v.Mod(v, q2Big).Uint64(); c.got[j] != want {
+						t.Fatalf("SwitchModulus level %d q2 %d: coefficient %d = %d, want %d", from, q2, j, c.got[j], want)
+					}
+				}
+			}
+		}
+		got := k.dec.Decrypt(x)
+		for j, v := range scaled(src, k.dec.phase(src, x), src.TBig, src.QBig) {
+			if want := v.Mod(v, src.TBig).Uint64(); got.Coeffs[j] != want {
+				t.Fatalf("Decrypt level %d: coefficient %d = %d, want %d", from, j, got.Coeffs[j], want)
+			}
+		}
+	}
+	// A switch target must lie below every prime of the chain.
+	for _, q2 := range []uint64{0, 1, k.ctx.Params.Qi[0], ^uint64(0)} {
+		if _, _, err := k.ctx.SwitchModulus(ct, q2); err == nil {
+			t.Errorf("SwitchModulus accepted q2 = %d", q2)
+		}
+	}
+}
+
+// TestRescaleConstantsConcurrent builds the ModDown and SwitchModulus
+// constants of a fresh context from several goroutines at once, as an
+// engine's worker lanes do, and requires the serial result from each.
+func TestRescaleConstantsConcurrent(t *testing.T) {
+	k := newTestKit(t, 6, 4, nil)
+	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(randVals(k.ctx.N, 1000, 71)))
+	q2 := k.ctx.Params.T << 12
+	wantDown, err := k.ctx.ModDown(ct, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, wantB, err := k.ctx.SwitchModulus(wantDown, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := testContext(t, 6, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			down, err := fresh.ModDown(ct, 2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !down.C0.Equal(wantDown.C0) || !down.C1.Equal(wantDown.C1) {
+				t.Error("concurrent ModDown differs from the serial one")
+			}
+			a, b, err := fresh.SwitchModulus(down, q2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range a {
+				if a[i] != wantA[i] || b[i] != wantB[i] {
+					t.Errorf("concurrent SwitchModulus differs at coefficient %d", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

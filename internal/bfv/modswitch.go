@@ -2,7 +2,9 @@ package bfv
 
 import (
 	"fmt"
-	"math/big"
+
+	"athena/internal/ring"
+	"athena/internal/rns"
 )
 
 // SwitchModulus rescales ct from modulus Q to the word-sized modulus q2,
@@ -15,21 +17,46 @@ import (
 // modulus switch to t (after sample extraction and dimension switching)
 // recovers the scale-free embedding phase = m + e_ms used by functional
 // bootstrapping.
+//
+// The scaling round(q2·x/Q) mod q2 is exact and word-sized
+// (rns.WordScaler); q2 must lie below every prime of ct's chain.
 func (c *Context) SwitchModulus(ct *Ciphertext, q2 uint64) (a, b []uint64, err error) {
 	// Dispatch on the ciphertext's level: a reduced ct rescales from its
 	// own (shorter) chain, which is both correct and cheaper.
 	c = c.atLevelOf(ct)
-	if new(big.Int).SetUint64(q2).Cmp(c.QBig) >= 0 {
-		return nil, nil, fmt.Errorf("bfv: modulus switch target %d not below Q", q2)
+	ws, err := c.switchScaler(q2)
+	if err != nil {
+		return nil, nil, err
 	}
-	c0 := ct.C0.Clone()
-	c1 := ct.C1.Clone()
-	c.RingQ.INTT(c0)
-	c.RingQ.INTT(c1)
-	a = make([]uint64, c.N)
-	b = make([]uint64, c.N)
-	q2Big := new(big.Int).SetUint64(q2)
-	c.BasisQ.ScaleAndRoundToUint(c1, q2Big, c.QBig, q2, a)
-	c.BasisQ.ScaleAndRoundToUint(c0, q2Big, c.QBig, q2, b)
+	tmp := c.RingQ.NewPoly()
+	sc := rns.NewScratch(c.Level(), c.N)
+	a, b = make([]uint64, c.N), make([]uint64, c.N)
+	for _, io := range [2]struct {
+		in  ring.Poly
+		out []uint64
+	}{{ct.C1, a}, {ct.C0, b}} {
+		io.in.CopyTo(tmp)
+		c.RingQ.INTT(tmp)
+		ws.ScaleRound(tmp, io.out, sc)
+	}
 	return a, b, nil
+}
+
+// switchScaler returns the scaling by q2/Q into Z_q2 at c's level, built
+// once per q2.
+func (c *Context) switchScaler(q2 uint64) (*rns.WordScaler, error) {
+	c.levelMu.Lock()
+	defer c.levelMu.Unlock()
+	if ws := c.switchCache[q2]; ws != nil {
+		return ws, nil
+	}
+	ws, err := rns.NewWordScaler(c.BasisQ, q2)
+	if err != nil {
+		return nil, fmt.Errorf("bfv: modulus switch target: %w", err)
+	}
+	if c.switchCache == nil {
+		c.switchCache = make(map[uint64]*rns.WordScaler)
+	}
+	c.switchCache[q2] = ws
+	return ws, nil
 }

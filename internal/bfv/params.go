@@ -5,12 +5,10 @@
 // multiplication, ciphertext-ciphertext multiplication with
 // relinearization, Galois automorphisms (slot rotations), batching, and
 // modulus switching. Every rescale is exact, so results are bit-identical
-// to the plaintext computation: ciphertext multiplication runs the
-// word-sized RNS kernels of package rns (base conversion into an
-// extension basis B, t/Q scale-and-round, conversion back), while
-// decryption, modulus switching and ModDown, which run once per
-// ciphertext rather than once per FBS ladder step, keep the big-integer
-// forms that define them.
+// to the plaintext computation, and every one runs on the word-sized RNS
+// kernels of package rns: ciphertext multiplication (base conversion into
+// an extension basis B, t/Q scale-and-round, conversion back), ModDown
+// (rns.Dropper), and decryption and modulus switching (rns.WordScaler).
 //
 // A multiplication is three steps a caller may also drive itself
 // (mul.go): ExtendInto lifts a ciphertext to the extended basis once for
@@ -72,9 +70,16 @@ type Context struct {
 	ksDigitInv      []uint64
 	ksDigitInvShoup []uint64
 
-	// Reduced-level contexts derived by AtLevel, built once on demand.
-	levelMu    sync.Mutex
-	levelCache []*Context
+	// toT scales by t/Q into Z_t: the rounding of decryption.
+	toT *rns.WordScaler
+
+	// Built once on demand: the reduced-level contexts derived by AtLevel,
+	// the ModDown constants from this level to each lower one, and the
+	// SwitchModulus scaling into each word-sized modulus asked for.
+	levelMu     sync.Mutex
+	levelCache  []*Context
+	downCache   []*modDown
+	switchCache map[uint64]*rns.WordScaler
 
 	batching bool
 	slotIdx  []int // slot i lives at plaintext coefficient slotIdx[i]
@@ -117,6 +122,9 @@ func NewContext(p Parameters) (*Context, error) {
 
 	if err := c.buildTensor(); err != nil {
 		return nil, err
+	}
+	if c.toT, err = rns.NewWordScaler(c.BasisQ, p.T); err != nil {
+		return nil, fmt.Errorf("bfv: plaintext modulus: %w", err)
 	}
 
 	// Batching requires t ≡ 1 (mod 2N) so Z_t[X]/(X^N+1) splits fully;

@@ -10,9 +10,11 @@ import (
 
 // Word-sized exact base conversion and scale-and-round (Halevi, Polyakov
 // and Shoup, "An Improved RNS Variant of the BFV Homomorphic Encryption
-// Scheme"), the two kernels a ciphertext multiplication runs seven times.
+// Scheme"): the two kernels a ciphertext multiplication runs seven times,
+// the limb drop of ModDown built on the first, and the scaling into a
+// word-sized modulus behind decryption and modulus switching.
 //
-// Both start from the CRT digits y_i = [x_i·(P/p_i)^-1]_{p_i} of a
+// All start from the CRT digits y_i = [x_i·(P/p_i)^-1]_{p_i} of a
 // coefficient over a basis P = Π p_i, for which x = Σ y_i·(P/p_i) − v·P
 // with v = round(Σ y_i/p_i) when x is the centered representative. The
 // sums of fractions are formed in 128-bit fixed point from truncated
@@ -273,8 +275,8 @@ func (s *Scaler) ScaleRound(srcQ, srcB, dst ring.Poly, sc *Scratch) {
 	}
 }
 
-// exactColumns recomputes every flagged coefficient as ScaleAndRound
-// does.
+// exactColumns recomputes every flagged coefficient the way the kernel is
+// defined: big-integer scale-and-round, then reduction.
 func (s *Scaler) exactColumns(srcQ, srcB, dst ring.Poly, top []uint64) {
 	res := make([]uint64, s.qb.Len())
 	out := make([]uint64, s.b.Len())
@@ -289,5 +291,135 @@ func (s *Scaler) exactColumns(srcQ, srcB, dst ring.Poly, top []uint64) {
 		for j := range out {
 			dst.Coeffs[j][c] = out[j]
 		}
+	}
+}
+
+// Dropper divides by the product P of a basis's trailing limbs and
+// rounds: it computes round(x/P) modulo the leading primes q_i, for x
+// centered modulo the whole basis — the limb drop of a BFV ModDown. P is
+// odd, so x/P is never a half, and round(x/P) = (x − [x]_P)/P for the
+// centered residue [x]_P of x modulo P. A Converter from the trailing
+// limbs to the leading ones gives [x]_P exactly; one pass per leading
+// prime multiplies x − [x]_P by P^-1 mod q_i.
+type Dropper struct {
+	cv              *Converter
+	kept            []ring.Modulus
+	pInv, pInvShoup []uint64 // P^-1 mod each kept prime, and its Shoup companion
+}
+
+// NewDropper precomputes the rounded division of a value over b by the
+// product of all but b's first keep limbs.
+func NewDropper(b *Basis, keep int) (*Dropper, error) {
+	if keep < 1 || keep >= b.Len() {
+		return nil, fmt.Errorf("rns: cannot keep %d of %d limbs", keep, b.Len())
+	}
+	qs := b.Values()
+	kept, dropped := NewBasis(qs[:keep]), NewBasis(qs[keep:])
+	cv, err := NewConverter(dropped, kept)
+	if err != nil {
+		return nil, err
+	}
+	d := &Dropper{cv: cv, kept: kept.Moduli, pInv: make([]uint64, keep), pInvShoup: make([]uint64, keep)}
+	kept.Reduce(dropped.Q, d.pInv)
+	for i, m := range kept.Moduli {
+		d.pInv[i] = m.Inv(d.pInv[i])
+		d.pInvShoup[i] = m.ShoupPrecomp(d.pInv[i])
+	}
+	return d, nil
+}
+
+// Remainder writes [x]_P modulo each kept prime into rem, given the
+// dropped limbs of x (coefficient domain). rem is in the coefficient
+// domain.
+//
+//lint:noalloc
+func (d *Dropper) Remainder(dropped, rem ring.Poly, sc *Scratch) {
+	d.cv.Convert(dropped, rem, sc)
+}
+
+// Quotient writes (x − rem)·P^-1 modulo each kept prime into out, given
+// the kept limbs of x: round(x/P) once rem holds [x]_P. The map is linear
+// in each limb, so x, rem and out may all be in the NTT domain instead of
+// the coefficient domain. out may alias rem.
+//
+//lint:noalloc
+func (d *Dropper) Quotient(x, rem, out ring.Poly) {
+	for i, m := range d.kept {
+		xi := x.Coeffs[i]
+		ri, oi := rem.Coeffs[i][:len(xi)], out.Coeffs[i][:len(xi)]
+		w, wShoup := d.pInv[i], d.pInvShoup[i]
+		for j, a := range xi {
+			oi[j] = m.MulShoup(a+m.Q-ri[j], w, wShoup)
+		}
+	}
+}
+
+// WordScaler computes round(s·x/Q) mod s, half up, for x centered modulo
+// the product Q of a basis and a word s below every prime of it: the
+// scaling of decryption (s = t) and of the modulus switch to a word-sized
+// modulus. Writing x = Σ y_i·(Q/q_i) − v·Q,
+//
+//	s·x/Q = Σ y_i·s/q_i − v·s,
+//
+// and v·s vanishes modulo s, so the result is the rounded sum of the
+// fractions y_i·s/q_i reduced modulo s. No sum is a half: Q is odd and
+// coprime to s, so 2·s·x = (2k+1)·Q would need Q | x, that is x = 0.
+type WordScaler struct {
+	b              *Basis
+	s              ring.Modulus
+	fracHi, fracLo []uint64 // s/q_i to 128 bits
+}
+
+// NewWordScaler precomputes the scaling by s/Q from b into Z_s. s must
+// be at least 2 and below every prime of b.
+func NewWordScaler(b *Basis, s uint64) (*WordScaler, error) {
+	k := b.Len()
+	if k > MaxLimbs {
+		return nil, fmt.Errorf("rns: %d-limb scaled basis exceeds %d", k, MaxLimbs)
+	}
+	sm, err := ring.TryNewModulus(s)
+	if err != nil {
+		return nil, fmt.Errorf("rns: word modulus: %w", err)
+	}
+	ws := &WordScaler{b: b, s: sm, fracHi: make([]uint64, k), fracLo: make([]uint64, k)}
+	for i, m := range b.Moduli {
+		if s >= m.Q {
+			return nil, fmt.Errorf("rns: word modulus %d not below prime %d", s, m.Q)
+		}
+		ws.fracHi[i], ws.fracLo[i] = fixedRecip(s, m.Q)
+	}
+	return ws, nil
+}
+
+// ScaleRound writes round(s·x/Q) mod s into out, one word per coefficient
+// of src (every limb of the basis, coefficient domain).
+//
+//lint:noalloc
+func (ws *WordScaler) ScaleRound(src ring.Poly, out []uint64, sc *Scratch) {
+	y := ws.b.digits(src, sc)
+	misses := roundSumVec(y, ws.fracHi, ws.fracLo, sc.top, sc.v)
+	top := sc.top[:len(sc.v)]
+	out = out[:len(sc.v)]
+	for c, lo := range sc.v {
+		out[c] = ws.s.ReduceWide(top[c], lo)
+	}
+	if misses != 0 {
+		ws.exactColumns(src, out, top) //lint:allow noalloc boundary fallback, about limbs·2^-63 of all coefficients
+	}
+}
+
+// exactColumns recomputes every flagged coefficient the way the kernel is
+// defined: big-integer scale-and-round, then reduction modulo s.
+func (ws *WordScaler) exactColumns(src ring.Poly, out, top []uint64) {
+	res := make([]uint64, ws.b.Len())
+	s := new(big.Int).SetUint64(ws.s.Q)
+	q2 := new(big.Int).Lsh(ws.b.Q, 1)
+	var x, r big.Int
+	for c, f := range top {
+		if f != undecided {
+			continue
+		}
+		ws.b.scaleRound(at(src, c, res), s, ws.b.Q, q2, &x, &r)
+		out[c] = r.Mod(&r, s).Uint64()
 	}
 }

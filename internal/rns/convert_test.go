@@ -1,6 +1,7 @@
 package rns
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand/v2"
 	"testing"
@@ -305,6 +306,169 @@ func TestRescaleMatchesScaleAndRound(t *testing.T) {
 	})
 }
 
+// nearHalf reports whether num/den lies within 2^-64 of a half-integer,
+// the distance below which fixed point must leave a rounding undecided;
+// every value the tests below choose is either far closer or far away.
+func nearHalf(num, den *big.Int) bool {
+	den2 := new(big.Int).Lsh(den, 1)
+	r := new(big.Int).Lsh(num, 1)
+	r.Sub(r, den).Mod(r, den2) // 2·num − den modulo 2·den
+	if far := new(big.Int).Sub(den2, r); far.Cmp(r) < 0 {
+		r = far
+	}
+	return r.Lsh(r, 63).Cmp(den) < 0
+}
+
+// checkFallback asserts that exactly the columns whose sum lies near a
+// half, num(x)/den, were left to the big-integer fallback.
+func checkFallback(t *testing.T, what string, vals []*big.Int, top []uint64, num func(x *big.Int) *big.Int, den *big.Int) {
+	t.Helper()
+	for c, x := range vals {
+		if flagged, want := top[c] == undecided, nearHalf(num(x), den); flagged != want {
+			t.Fatalf("%s: coefficient %d (x = %v) undecided = %v, want %v", what, c, x, flagged, want)
+		}
+	}
+}
+
+// dropEdgeValues are the edge values of a drop from Q to its prefix Q/P:
+// 0, ±1, ±⌊Q/2⌋ and ±(P∓1)/2, the last six sitting at the ends of the
+// centered range modulo P.
+func dropEdgeValues(q, p *big.Int) []*big.Int {
+	halfQ := new(big.Int).Rsh(q, 1)
+	halfP := new(big.Int).Rsh(p, 1)
+	one := big.NewInt(1)
+	return []*big.Int{
+		big.NewInt(0), one, big.NewInt(-1), halfQ, new(big.Int).Neg(halfQ),
+		halfP, new(big.Int).Neg(halfP),
+		new(big.Int).Add(halfP, one), new(big.Int).Neg(new(big.Int).Add(halfP, one)),
+	}
+}
+
+// TestDropperMatchesOracle runs the limb drop of ModDown from every level
+// to every lower level of both chains against round(x/P) computed in big
+// integers, on the edge values and on random x, and checks that exactly
+// the values at the ends of the range modulo P took the fallback.
+func TestDropperMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(14, 14))
+	for c, chain := range testChains {
+		primes := chainPrimes(t, c)
+		for from := 2; from <= chain.limbs; from++ {
+			b := NewBasis(primes[:from])
+			for keep := 1; keep < from; keep++ {
+				kept := NewBasis(primes[:keep])
+				p := new(big.Int).Div(b.Q, kept.Q)
+				d, err := NewDropper(b, keep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals := append(dropEdgeValues(b.Q, p), randomValues(rng, b.Q, 55)...)
+				src := polyOf(b, vals)
+				n := len(vals)
+				rem, got := newPoly(keep, n), newPoly(keep, n)
+				sc := NewScratch(from-keep, n)
+				d.Remainder(ring.Poly{Coeffs: src.Coeffs[keep:]}, rem, sc)
+				d.Quotient(src, rem, got)
+				want := newPoly(keep, n)
+				b.ScaleAndRound(src, kept.Q, b.Q, kept, want)
+				what := fmt.Sprintf("%s %d→%d", chain.name, from, keep)
+				if !got.Equal(want) {
+					t.Fatalf("%s: Dropper differs from ScaleAndRound", what)
+				}
+				checkFallback(t, what, vals, sc.top, func(x *big.Int) *big.Int { return x }, p)
+			}
+		}
+	}
+}
+
+// wordEdgeValues are the edge values of the scaling by s/Q: 0, ±1,
+// ±⌊Q/2⌋, and the two integers around (2n+1)·Q/(2s), where s·x/Q is
+// within s/Q of a half.
+func wordEdgeValues(q *big.Int, s uint64) []*big.Int {
+	halfQ := new(big.Int).Rsh(q, 1)
+	vals := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), halfQ, new(big.Int).Neg(halfQ)}
+	s2 := new(big.Int).SetUint64(2 * s)
+	for _, n := range []int64{0, 1, -1, 1000, -int64(s / 2)} {
+		x := new(big.Int).Mul(big.NewInt(2*n+1), q)
+		x.Div(x, s2)
+		vals = append(vals, x, new(big.Int).Add(x, big.NewInt(1)))
+	}
+	return vals
+}
+
+// TestWordScalerMatchesOracle runs decryption's scaling (s = t) and the
+// modulus switch's (s = t·2^12) at every level of both chains against
+// round(s·x/Q) mod s computed in big integers, and checks that exactly
+// the values beside a half took the fallback.
+func TestWordScalerMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 15))
+	for c, chain := range testChains {
+		primes := chainPrimes(t, c)
+		for L := 1; L <= chain.limbs; L++ {
+			b := NewBasis(primes[:L])
+			for _, s := range []uint64{chain.t, chain.t << 12} {
+				ws, err := NewWordScaler(b, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals := append(wordEdgeValues(b.Q, s), randomValues(rng, b.Q, 55)...)
+				src := polyOf(b, vals)
+				n := len(vals)
+				got, want := make([]uint64, n), make([]uint64, n)
+				sc := NewScratch(L, n)
+				ws.ScaleRound(src, got, sc)
+				sBig := new(big.Int).SetUint64(s)
+				b.ScaleAndRoundToUint(src, sBig, b.Q, s, want)
+				what := fmt.Sprintf("%s level %d s=%d", chain.name, L, s)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: coefficient %d (x = %v) = %d, want %d", what, i, vals[i], got[i], want[i])
+					}
+				}
+				checkFallback(t, what, vals, sc.top, func(x *big.Int) *big.Int {
+					return new(big.Int).Mul(centered(x, b.Q), sBig)
+				}, b.Q)
+			}
+		}
+	}
+}
+
+// TestDropAndWordScaleAllocateNothing holds the two kernels of ModDown,
+// decryption and modulus switching to their noalloc contract on inputs
+// that need no fallback.
+func TestDropAndWordScaleAllocateNothing(t *testing.T) {
+	b := NewBasis(chainPrimes(t, 0))
+	vals := randomValues(rand.New(rand.NewPCG(16, 16)), b.Q, 64)
+	src := polyOf(b, vals)
+	d, err := NewDropper(b, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := NewWordScaler(b, testChains[0].t<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScratch(b.Len(), len(vals))
+	rem, out := newPoly(2, len(vals)), make([]uint64, len(vals))
+	if n := testing.AllocsPerRun(20, func() {
+		d.Remainder(ring.Poly{Coeffs: src.Coeffs[2:]}, rem, sc)
+		d.Quotient(src, rem, rem)
+	}); n != 0 {
+		t.Errorf("Dropper allocates %v times per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { ws.ScaleRound(src, out, sc) }); n != 0 {
+		t.Errorf("WordScaler allocates %v times per run, want 0", n)
+	}
+}
+
+// centered returns the representative of x modulo q in [−q/2, q/2).
+func centered(x, q *big.Int) *big.Int {
+	r := new(big.Int).Mod(x, q)
+	if r.Cmp(new(big.Int).Rsh(q, 1)) > 0 {
+		r.Sub(r, q)
+	}
+	return r
+}
+
 // TestKernelsRejectLongBases pins the limb bound that keeps the lazy
 // 128-bit column sums from overflowing.
 func TestKernelsRejectLongBases(t *testing.T) {
@@ -319,13 +483,42 @@ func TestKernelsRejectLongBases(t *testing.T) {
 	if _, err := NewScaler(long, short, 257); err == nil {
 		t.Error("NewScaler accepted a basis above MaxLimbs")
 	}
+	if _, err := NewWordScaler(long, 257); err == nil {
+		t.Error("NewWordScaler accepted a basis above MaxLimbs")
+	}
+	if _, err := NewDropper(NewBasis(primes[:MaxLimbs+2]), 1); err == nil {
+		t.Error("NewDropper accepted a dropped basis above MaxLimbs")
+	}
+}
+
+// TestKernelConstantsRejectBadShapes pins the errors raised where the
+// constants are built: a word modulus not below every prime, and a
+// Dropper that keeps no limb or drops none.
+func TestKernelConstantsRejectBadShapes(t *testing.T) {
+	b := NewBasis(chainPrimes(t, 0))
+	minQ := b.Moduli[0].Q
+	for _, m := range b.Moduli {
+		minQ = min(minQ, m.Q)
+	}
+	for _, s := range []uint64{0, 1, minQ, minQ + 1, ^uint64(0)} {
+		if _, err := NewWordScaler(b, s); err == nil {
+			t.Errorf("NewWordScaler accepted s = %d", s)
+		}
+	}
+	if _, err := NewWordScaler(b, minQ-1); err != nil {
+		t.Errorf("NewWordScaler rejected s = q_min − 1: %v", err)
+	}
+	for _, keep := range []int{-1, 0, b.Len(), b.Len() + 1} {
+		if _, err := NewDropper(b, keep); err == nil {
+			t.Errorf("NewDropper accepted keep = %d of %d", keep, b.Len())
+		}
+	}
 }
 
 // fuzzValues decodes fuzz input into four values related to one integer
 // x below p, x, −x, x+1 and −x−1: the low bit of the first byte is the
-// sign of x, the rest its big-endian magnitude. The seed corpus under
-// testdata/fuzz holds edgeValues and scaleEdgeValues of fuzzKit in this
-// encoding.
+// sign of x, the rest its big-endian magnitude. The seed corpora under
+// testdata/fuzz hold each target's edge values in this encoding.
 func fuzzValues(data []byte, p *big.Int) []*big.Int {
 	x := new(big.Int)
 	if len(data) > 0 {
@@ -367,6 +560,58 @@ func FuzzScaleRound(f *testing.F) {
 		checkColumns(t, "scale", src, dst, func(res []uint64) []uint64 {
 			return oracleScale(k.qb, k.b, k.t, k.q.Q, res)
 		})
+	})
+}
+
+// FuzzDropper drops the full core.TestParams chain to its first two
+// limbs, the engine's full → post ModDown. The seed corpus holds
+// dropEdgeValues.
+func FuzzDropper(f *testing.F) {
+	b := NewBasis(chainPrimes(f, 0))
+	const keep = 2
+	kept := NewBasis(b.Values()[:keep])
+	d, err := NewDropper(b, keep)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sc := NewScratch(b.Len()-keep, 4)
+	rem, want := newPoly(keep, 4), newPoly(keep, 4)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := polyOf(b, fuzzValues(data, b.Q))
+		d.Remainder(ring.Poly{Coeffs: src.Coeffs[keep:]}, rem, sc)
+		d.Quotient(src, rem, rem)
+		b.ScaleAndRound(src, kept.Q, b.Q, kept, want)
+		if !rem.Equal(want) {
+			t.Fatal("Dropper differs from ScaleAndRound")
+		}
+	})
+}
+
+// FuzzWordScaler scales the full core.TestParams chain into Z_t and
+// Z_qMid, qMid = t·2^12. The seed corpus holds wordEdgeValues at both.
+func FuzzWordScaler(f *testing.F) {
+	b := NewBasis(chainPrimes(f, 0))
+	var scalers []*WordScaler
+	for _, s := range []uint64{testChains[0].t, testChains[0].t << 12} {
+		ws, err := NewWordScaler(b, s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		scalers = append(scalers, ws)
+	}
+	sc := NewScratch(b.Len(), 4)
+	got, want := make([]uint64, 4), make([]uint64, 4)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := polyOf(b, fuzzValues(data, b.Q))
+		for _, ws := range scalers {
+			ws.ScaleRound(src, got, sc)
+			b.ScaleAndRoundToUint(src, new(big.Int).SetUint64(ws.s.Q), b.Q, ws.s.Q, want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("s = %d: coefficient %d = %d, want %d", ws.s.Q, i, got[i], want[i])
+				}
+			}
+		}
 	})
 }
 

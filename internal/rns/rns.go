@@ -1,15 +1,16 @@
 // Package rns provides the exact cross-limb arithmetic that complements
 // the word-sized RNS representation in package ring: CRT reconstruction
 // to big integers, reduction back to residues, base conversion, the
-// scale-and-round operations at the heart of BFV multiplication and
-// decryption, and the CRT digit decomposition used by keyswitching.
+// scale-and-round operations at the heart of BFV multiplication,
+// decryption, modulus switching and ModDown, and the CRT digit
+// decomposition used by keyswitching.
 //
 // Two tiers compute the same exact functions. Basis works through
-// big.Int, one coefficient at a time; it defines the results and serves
-// the cold paths (decryption, modulus switching, ModDown). Converter and
-// Scaler (convert.go) are the word-sized, allocation-free forms a
-// ciphertext multiplication runs; they return to the Basis definition
-// only for the rare coefficient their fixed-point rounding cannot decide.
+// big.Int, one coefficient at a time: it builds the constants, defines
+// the results, and serves as the fallback. Converter, Scaler, Dropper and
+// WordScaler (convert.go) are the word-sized, allocation-free forms every
+// ciphertext operation runs; they return to the Basis definition only for
+// the rare coefficient their fixed-point rounding cannot decide.
 package rns
 
 import (
@@ -17,7 +18,6 @@ import (
 	"math/big"
 	"math/bits"
 
-	"athena/internal/par"
 	"athena/internal/ring"
 )
 
@@ -183,78 +183,17 @@ func (b *Basis) ReducePoly(v []*big.Int, p ring.Poly) {
 	}
 }
 
-// roundDiv returns round(num/den) for den > 0, rounding halves away from
-// zero for non-negative num and toward zero for negative (i.e. standard
-// floor((2·num+den)/(2·den)) rounding).
-func roundDiv(num, den *big.Int) *big.Int {
-	out := new(big.Int)
-	roundDivInto(out, num, den, new(big.Int).Lsh(den, 1))
-	return out
-}
-
-// roundDivInto is roundDiv with the output and the doubled denominator
-// supplied by the caller, so per-coefficient loops reuse their scratch
-// instead of allocating two big.Ints per division.
-func roundDivInto(out, num, den, den2 *big.Int) {
-	out.Lsh(num, 1)
-	out.Add(out, den)
-	out.Div(out, den2) // Euclidean floor division
-}
-
-// scaleRound returns round(num·x/den), half up, for the centered value x
-// of the residues: the per-coefficient definition of every scaling in
-// this package. x and r are the caller's scratch (r is returned) and den2
-// is 2·den.
+// scaleRound returns round(num·x/den) = ⌊(2·num·x + den)/(2·den)⌋, half
+// up, for the centered value x of the residues: the per-coefficient
+// definition of every scaling in this package, which the word-sized
+// kernels fall back to. x and r are the caller's scratch (r is returned)
+// and den2 is 2·den.
 func (b *Basis) scaleRound(residues []uint64, num, den, den2 *big.Int, x, r *big.Int) *big.Int {
 	b.ReconstructCentered(residues, x)
 	x.Mul(x, num)
-	roundDivInto(r, x, den, den2)
-	return r
-}
-
-// ScaleAndRound computes round(scaleNum · v / scaleDen) for each centered
-// coefficient of p (over basis b), then reduces the result into out over
-// basis target: the big-integer rescale behind ModDown. Coefficients are
-// processed in parallel.
-func (b *Basis) ScaleAndRound(p ring.Poly, scaleNum, scaleDen *big.Int, target *Basis, out ring.Poly) {
-	n := len(p.Coeffs[0])
-	den2 := new(big.Int).Lsh(scaleDen, 1) // shared, read-only across workers
-	par.Chunks(n, func(start, end int) {
-		scratch := make([]uint64, b.Len())
-		outScratch := make([]uint64, target.Len())
-		var v, r big.Int
-		for j := start; j < end; j++ {
-			target.Reduce(b.scaleRound(at(p, j, scratch), scaleNum, scaleDen, den2, &v, &r), outScratch)
-			for i := range out.Coeffs {
-				out.Coeffs[i][j] = outScratch[i]
-			}
-		}
-	})
-}
-
-// ScaleAndRoundToUint computes round(scaleNum·v/scaleDen) mod outMod for
-// each centered coefficient of p, writing word-sized results. Used for
-// decryption (scale t/Q, reduce mod t) and modulus switching to a single
-// word-sized modulus.
-func (b *Basis) ScaleAndRoundToUint(p ring.Poly, scaleNum, scaleDen *big.Int, outMod uint64, out []uint64) {
-	n := len(p.Coeffs[0])
-	om, omErr := ring.TryNewModulus(outMod)
-	useFast := wordIs64 && omErr == nil
-	omBig := new(big.Int).SetUint64(outMod)
-	den2 := new(big.Int).Lsh(scaleDen, 1) // shared, read-only across workers
-	par.Chunks(n, func(start, end int) {
-		scratch := make([]uint64, b.Len())
-		var v, r big.Int
-		for j := start; j < end; j++ {
-			b.scaleRound(at(p, j, scratch), scaleNum, scaleDen, den2, &v, &r)
-			if useFast {
-				out[j] = reduceBig(om, &r)
-			} else {
-				r.Mod(&r, omBig)
-				out[j] = r.Uint64()
-			}
-		}
-	})
+	r.Lsh(x, 1)
+	r.Add(r, den)
+	return r.Div(r, den2) // Euclidean: floor for either sign
 }
 
 // DecomposeDigitInto computes digit i of the CRT decomposition used by

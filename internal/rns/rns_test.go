@@ -56,11 +56,47 @@ func TestReconstructCentered(t *testing.T) {
 	}
 }
 
-func TestScaleAndRoundMatchesRational(t *testing.T) {
+// ScaleAndRound computes round(scaleNum·x/scaleDen) for the centered
+// value x of each coefficient of p over b, reduced into out over target:
+// the big-integer definition of a rescale, one coefficient at a time. It
+// is the oracle of a Scaler followed by a Converter, and of a Dropper.
+func (b *Basis) ScaleAndRound(p ring.Poly, scaleNum, scaleDen *big.Int, target *Basis, out ring.Poly) {
+	den2 := new(big.Int).Lsh(scaleDen, 1)
+	res, outRes := make([]uint64, b.Len()), make([]uint64, target.Len())
+	var x, r big.Int
+	for j := range p.Coeffs[0] {
+		target.Reduce(b.scaleRound(at(p, j, res), scaleNum, scaleDen, den2, &x, &r), outRes)
+		for i := range out.Coeffs {
+			out.Coeffs[i][j] = outRes[i]
+		}
+	}
+}
+
+// ScaleAndRoundToUint computes round(scaleNum·x/scaleDen) mod outMod for
+// the centered value x of each coefficient of p over b: the oracle of a
+// WordScaler.
+func (b *Basis) ScaleAndRoundToUint(p ring.Poly, scaleNum, scaleDen *big.Int, outMod uint64, out []uint64) {
+	den2 := new(big.Int).Lsh(scaleDen, 1)
+	om := new(big.Int).SetUint64(outMod)
+	res := make([]uint64, b.Len())
+	var x, r big.Int
+	for j := range p.Coeffs[0] {
+		out[j] = b.scaleRound(at(p, j, res), scaleNum, scaleDen, den2, &x, &r).Mod(&r, om).Uint64()
+	}
+}
+
+// TestWordScalerMatchesRational checks decryption's scaling, round(t·x/Q)
+// mod t, against rational arithmetic written out independently of the
+// package's own big-integer definition.
+func TestWordScalerMatchesRational(t *testing.T) {
 	b := testBasis(t, 40, 6, 3)
 	r, _ := ring.NewRing(6, b.Values())
 	tSmall := uint64(257)
 	tb := new(big.Int).SetUint64(tSmall)
+	ws, err := NewWordScaler(b, tSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rng := rand.New(rand.NewPCG(3, 3))
 	p := r.NewPoly()
@@ -71,9 +107,8 @@ func TestScaleAndRoundMatchesRational(t *testing.T) {
 		}
 	}
 	out := make([]uint64, r.N)
-	b.ScaleAndRoundToUint(p, tb, b.Q, tSmall, out)
+	ws.ScaleRound(p, out, NewScratch(b.Len(), r.N))
 
-	// Oracle with big.Rat-free exact arithmetic.
 	scratch := make([]uint64, b.Len())
 	var v big.Int
 	for j := 0; j < r.N; j++ {
@@ -93,17 +128,20 @@ func TestScaleAndRoundMatchesRational(t *testing.T) {
 	}
 }
 
-func TestScaleAndRoundSmallCases(t *testing.T) {
-	// Basis {17}: round(t·v/Q) with t=5, Q=17.
+func TestWordScalerSmallCases(t *testing.T) {
+	// Basis {12289}: round(5·v/12289) mod 5.
 	b := NewBasis([]uint64{12289})
 	r, _ := ring.NewRing(1, []uint64{12289})
 	p := r.NewPoly()
 	// v = 2458 ≈ Q/5: round(5·2458/12289) = round(1.00008) = 1.
 	p.Coeffs[0][0] = 2458
-	// v = 6144 ≈ Q/2: centered to 6144 (Q/2=6144.5) → round(5·6144/12289)=2.5.. → 2 or 3
-	p.Coeffs[0][1] = 1229 // Q/10 → 0.50002 → rounds to 1 (half away from zero at ≥ .5)
+	p.Coeffs[0][1] = 1229 // Q/10 → 0.50002 → rounds to 1 (half up)
+	ws, err := NewWordScaler(b, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make([]uint64, r.N)
-	b.ScaleAndRoundToUint(p, big.NewInt(5), b.Q, 5, out)
+	ws.ScaleRound(p, out, NewScratch(1, r.N))
 	if out[0] != 1 {
 		t.Fatalf("got %d want 1", out[0])
 	}
