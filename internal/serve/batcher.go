@@ -40,8 +40,10 @@ var (
 type BatcherConfig struct {
 	// MaxBatch flushes a group as soon as it holds this many requests.
 	MaxBatch int
-	// MaxWait flushes a non-empty group this long after its first
-	// request arrived (the straggler bound).
+	// MaxWait flushes a non-empty group at most this long after its
+	// first request arrived (the straggler bound). Once a batch of the
+	// group's model has been evaluated, the group flushes sooner: after
+	// that batch's evaluation time, when it is shorter.
 	MaxWait time.Duration
 	// MaxQueue bounds admitted-but-unfinished requests; admission
 	// beyond it returns ErrBusy.
@@ -84,6 +86,15 @@ type batchKey struct {
 	model   string
 }
 
+// flushReason records what dispatched a group.
+type flushReason uint8
+
+const (
+	flushFull  flushReason = iota // reached MaxBatch
+	flushTimer                    // its flush deadline fired
+	flushDrain                    // Drain flushed it
+)
+
 // group is one forming batch.
 type group struct {
 	key   batchKey
@@ -91,20 +102,30 @@ type group struct {
 	model *qnn.QNetwork
 	reqs  []*Request
 	timer ClockTimer
+	first time.Time // arrival of the first request
+
+	// Set at dispatch.
+	why  flushReason
+	wait time.Duration // first request to dispatch
 }
 
 // Batcher coalesces admitted requests into per-(session, model) groups
 // and evaluates them on a fixed executor pool. Flush policy: a group is
-// dispatched when it reaches MaxBatch requests or when its oldest
-// request has waited MaxWait, whichever comes first.
+// dispatched when it reaches MaxBatch requests, at drain, or when its
+// oldest request has waited min(MaxWait, evaluation time of the most
+// recent batch of its model), whichever comes first. Waiting longer
+// than one evaluation cannot pay for itself: in that time the group
+// could have been evaluated and a second batch started for late
+// arrivals.
 type Batcher struct {
 	cfg     BatcherConfig
 	metrics *Metrics
 
 	mu       sync.Mutex
 	pending  map[batchKey]*group
-	queued   int // admitted, not yet completed
-	inflight int // batches currently evaluating
+	lastEval map[string]time.Duration // model name → most recent successful evaluation time
+	queued   int                      // admitted, not yet completed
+	inflight int                      // batches currently evaluating
 	draining bool
 
 	execC chan *group
@@ -116,9 +137,10 @@ type Batcher struct {
 func NewBatcher(cfg BatcherConfig, m *Metrics) *Batcher {
 	c := cfg.withDefaults()
 	b := &Batcher{
-		cfg:     c,
-		metrics: m,
-		pending: make(map[batchKey]*group),
+		cfg:      c,
+		metrics:  m,
+		pending:  make(map[batchKey]*group),
+		lastEval: make(map[string]time.Duration),
 		// One group holds ≥1 request and at most MaxQueue requests are
 		// admitted, so MaxQueue slots guarantee dispatch never blocks.
 		execC: make(chan *group, c.MaxQueue),
@@ -150,36 +172,49 @@ func (b *Batcher) Submit(req *Request) error {
 	b.reqWG.Add(1)
 
 	key := batchKey{session: req.Sess.ID, model: req.Model.Name}
-	g, ok := b.pending[key]
-	if !ok {
-		g = &group{key: key, sess: req.Sess, model: req.Model}
-		b.pending[key] = g
-		// Arm the straggler deadline for the group's first request. The
+	g := b.pending[key]
+	if g == nil {
+		g = &group{key: key, sess: req.Sess, model: req.Model, first: b.cfg.Clock.Now()}
+	}
+	g.reqs = append(g.reqs, req)
+	switch {
+	case len(g.reqs) >= b.cfg.MaxBatch:
+		b.flushLocked(g, flushFull)
+	case g.timer == nil:
+		// A new group that stays pending: arm its flush deadline. The
 		// callback re-checks identity: the group may have flushed on
 		// MaxBatch (and a new group formed under the same key) by the
 		// time it fires.
-		g.timer = b.cfg.Clock.AfterFunc(b.cfg.MaxWait, func() {
+		b.pending[key] = g
+		g.timer = b.cfg.Clock.AfterFunc(b.waitLocked(key.model), func() {
 			b.mu.Lock()
 			if b.pending[key] == g {
-				b.flushLocked(g)
+				b.flushLocked(g, flushTimer)
 			}
 			b.mu.Unlock()
 		})
-	}
-	g.reqs = append(g.reqs, req)
-	if len(g.reqs) >= b.cfg.MaxBatch {
-		b.flushLocked(g)
 	}
 	b.mu.Unlock()
 	return nil
 }
 
+// waitLocked is the flush deadline of a new group of model: MaxWait,
+// capped by the evaluation time of the model's most recent batch.
+// Callers hold b.mu.
+func (b *Batcher) waitLocked(model string) time.Duration {
+	if d, ok := b.lastEval[model]; ok && d < b.cfg.MaxWait {
+		return d
+	}
+	return b.cfg.MaxWait
+}
+
 // flushLocked dispatches g to the executors. Callers hold b.mu.
-func (b *Batcher) flushLocked(g *group) {
+func (b *Batcher) flushLocked(g *group, why flushReason) {
 	delete(b.pending, g.key)
 	if g.timer != nil {
 		g.timer.Stop()
 	}
+	g.why, g.wait = why, b.cfg.Clock.Now().Sub(g.first)
 	b.execC <- g //lint:holdok execC capacity covers every admitted request, so the send never blocks
 }
 
@@ -213,7 +248,7 @@ func (b *Batcher) runExecutor() {
 			if g.sess.Eng != nil {
 				statsBefore = g.sess.Eng.Stats
 			}
-			t0 := time.Now()
+			t0 := b.cfg.Clock.Now()
 			var outs []*core.EncryptedLogits
 			var err error
 			if b.cfg.Eval != nil {
@@ -222,7 +257,7 @@ func (b *Batcher) runExecutor() {
 				//lint:holdok the session lock IS the evaluation critical section: one batch per session at a time, by design
 				outs, err = g.sess.Eng.EvaluateEncryptedBatch(g.model, ins)
 			}
-			dur := time.Since(t0)
+			dur := b.cfg.Clock.Now().Sub(t0)
 			statsAfter := statsBefore
 			if g.sess.Eng != nil {
 				statsAfter = g.sess.Eng.Stats
@@ -232,15 +267,19 @@ func (b *Batcher) runExecutor() {
 				err = fmt.Errorf("evaluation returned %d results for %d inputs", len(outs), len(live))
 			}
 			// Account the batch before answering it, so a client holding
-			// its reply already finds the batch in /metrics.
+			// its reply already finds the batch in /metrics and its next
+			// request already gets the shortened wait.
 			if b.metrics != nil {
-				b.metrics.recordBatch(len(live), dur, statsAfter.Sub(statsBefore))
+				b.metrics.recordBatch(len(live), dur, statsAfter.Sub(statsBefore), g.why, g.wait)
 			}
 			if err != nil {
 				for _, r := range live {
 					b.finish(r, nil, &RequestError{Code: CodeInternal, Msg: err.Error()})
 				}
 			} else {
+				b.mu.Lock()
+				b.lastEval[g.key.model] = dur
+				b.mu.Unlock()
 				for i, r := range live {
 					b.finish(r, outs[i], nil)
 				}
@@ -274,7 +313,7 @@ func (b *Batcher) Drain() {
 	}
 	b.draining = true
 	for _, g := range b.pending {
-		b.flushLocked(g)
+		b.flushLocked(g, flushDrain)
 	}
 	b.mu.Unlock()
 

@@ -258,3 +258,256 @@ func TestBatcherPerSessionGrouping(t *testing.T) {
 		t.Fatalf("batch sizes %v, want [2 2] (one batch per session)", sizes)
 	}
 }
+
+// playedEval is a batchRecorder that plays an evaluation of duration d
+// on clk, failing with err when it is set.
+type playedEval struct {
+	batchRecorder
+	clk *ManualClock
+	d   time.Duration
+	err error
+}
+
+func (p *playedEval) set(d time.Duration, err error) {
+	p.mu.Lock()
+	p.d, p.err = d, err
+	p.mu.Unlock()
+}
+
+func (p *playedEval) eval(s *Session, q *qnn.QNetwork, ins []*core.EncryptedInput) ([]*core.EncryptedLogits, error) {
+	p.mu.Lock()
+	d, err := p.d, p.err
+	p.mu.Unlock()
+	p.clk.Advance(d)
+	outs, _ := p.batchRecorder.eval(s, q, ins)
+	if err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+func newPlayedBatcher(maxBatch int, maxWait time.Duration, m *Metrics) (*Batcher, *playedEval) {
+	p := &playedEval{clk: newFakeClock()}
+	return NewBatcher(BatcherConfig{MaxBatch: maxBatch, MaxWait: maxWait, MaxQueue: 16, Clock: p.clk, Eval: p.eval}, m), p
+}
+
+func pendingGroups(b *Batcher) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending)
+}
+
+// flushesAt submits req as a lone group, checks that it is still
+// pending 1 ms before wait and dispatched at wait, and returns its
+// reply. Timers fire inside Advance, so dispatch is synchronous.
+func flushesAt(t *testing.T, b *Batcher, clk *ManualClock, req *Request, done chan error, wait time.Duration) error {
+	t.Helper()
+	if err := b.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(wait - time.Millisecond)
+	if pendingGroups(b) != 1 {
+		t.Fatalf("lone group flushed before %v", wait)
+	}
+	clk.Advance(time.Millisecond)
+	if pendingGroups(b) != 0 {
+		t.Fatalf("lone group still pending at %v", wait)
+	}
+	return collect(t, done, 1)[0]
+}
+
+// TestBatcherWaitFollowsLastEval: a fresh batcher waits MaxWait; after
+// a batch that evaluated in d < MaxWait the next lone request flushes at
+// d, not at d − 1 ms; the most recent evaluation sets the wait, shorter
+// or longer, up to MaxWait, the operator's upper bound.
+func TestBatcherWaitFollowsLastEval(t *testing.T) {
+	b, p := newPlayedBatcher(100, 50*time.Millisecond, nil)
+	defer b.Drain()
+	sess := &Session{ID: "s"}
+	done := make(chan error, 1)
+	ms := time.Millisecond
+	for i, step := range []struct{ wait, eval time.Duration }{
+		{50 * ms, 10 * ms}, // nothing measured yet: MaxWait
+		{10 * ms, 10 * ms},
+		{10 * ms, 30 * ms},
+		{30 * ms, 80 * ms}, // a longer evaluation lengthens the wait
+		{50 * ms, 10 * ms}, // but never beyond MaxWait
+	} {
+		p.set(step.eval, nil)
+		if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, step.wait); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+}
+
+// TestBatcherWaitIgnoresFailuresAndExpiries: a failed evaluation and a
+// group whose requests all expired leave the next wait unchanged.
+func TestBatcherWaitIgnoresFailuresAndExpiries(t *testing.T) {
+	b, p := newPlayedBatcher(100, 50*time.Millisecond, nil)
+	defer b.Drain()
+	sess := &Session{ID: "s"}
+	done := make(chan error, 1)
+	p.set(10*time.Millisecond, nil)
+	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 50*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	// A failed evaluation of 5 ms is not a measurement.
+	p.set(5*time.Millisecond, errors.New("injected failure"))
+	var re *RequestError
+	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 10*time.Millisecond); !errors.As(err, &re) || re.Code != CodeInternal {
+		t.Fatalf("failed evaluation: got %v, want CodeInternal", err)
+	}
+
+	// An all-expired group evaluates nothing and measures nothing.
+	p.set(10*time.Millisecond, nil)
+	expiring := testRequest(sess, done)
+	expiring.Deadline = p.clk.Now().Add(time.Millisecond)
+	if err := flushesAt(t, b, p.clk, expiring, done, 10*time.Millisecond); !errors.As(err, &re) || re.Code != CodeDeadline {
+		t.Fatalf("expired request: got %v, want CodeDeadline", err)
+	}
+
+	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.batchSizes(); len(got) != 3 {
+		t.Fatalf("batch sizes %v, want 3 evaluations (the expired group is not one)", got)
+	}
+}
+
+// TestBatcherWaitPerModel: one model's measurement does not shorten
+// another model's wait, on the same session or any other.
+func TestBatcherWaitPerModel(t *testing.T) {
+	b, p := newPlayedBatcher(100, 50*time.Millisecond, nil)
+	defer b.Drain()
+	sess := &Session{ID: "s"}
+	modelA, modelB := &qnn.QNetwork{Name: "a"}, &qnn.QNetwork{Name: "b"}
+	done := make(chan error, 1)
+	p.set(10*time.Millisecond, nil)
+	for _, step := range []struct {
+		model *qnn.QNetwork
+		wait  time.Duration
+	}{
+		{modelA, 50 * time.Millisecond},
+		{modelB, 50 * time.Millisecond},
+		{modelA, 10 * time.Millisecond},
+		{modelB, 10 * time.Millisecond},
+	} {
+		r := testRequest(sess, done)
+		r.Model = step.model
+		if err := flushesAt(t, b, p.clk, r, done, step.wait); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBatcherFullBeforeShortenedDeadline: a shortened wait does not
+// stop a group from flushing on MaxBatch first.
+func TestBatcherFullBeforeShortenedDeadline(t *testing.T) {
+	b, p := newPlayedBatcher(3, 50*time.Millisecond, nil)
+	defer b.Drain()
+	sess := &Session{ID: "s"}
+	done := make(chan error, 3)
+	p.set(10*time.Millisecond, nil)
+	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 50*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := b.Submit(testRequest(sess, done)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No clock advance: the flush must have come from batch-full.
+	if pendingGroups(b) != 0 {
+		t.Fatal("full group still pending")
+	}
+	for _, err := range collect(t, done, 3) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.batchSizes(); len(got) != 2 || got[1] != 3 {
+		t.Fatalf("batch sizes %v, want [1 3]", got)
+	}
+}
+
+// TestBatcherNoTimerOnArrivalFlush: a group that flushes on arrival
+// (MaxBatch 1) never arms a flush timer.
+func TestBatcherNoTimerOnArrivalFlush(t *testing.T) {
+	b, p := newPlayedBatcher(1, time.Hour, nil)
+	defer b.Drain()
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		if err := b.Submit(testRequest(&Session{ID: "s"}, done)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, err := range collect(t, done, 2) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.clk.mu.Lock()
+	n := len(p.clk.timers)
+	p.clk.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d timers armed for groups that flushed on arrival", n)
+	}
+}
+
+// TestBatcherFlushCounters: every batch is counted under exactly one
+// flush reason, group waits add up from first request to dispatch, and
+// evaluation time is the played duration.
+func TestBatcherFlushCounters(t *testing.T) {
+	m := NewMetrics()
+	b, p := newPlayedBatcher(2, 50*time.Millisecond, m)
+	sess := &Session{ID: "s"}
+	done := make(chan error, 2)
+	p.set(10*time.Millisecond, nil)
+
+	// Timer: a lone request waits 50 ms.
+	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 50*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// Full: two requests dispatch on arrival, having waited 0 ms.
+	for i := 0; i < 2; i++ {
+		if err := b.Submit(testRequest(sess, done)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, err := range collect(t, done, 2) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A group whose only request expired flushes on its timer but is
+	// not a batch.
+	expiring := testRequest(sess, done)
+	expiring.Deadline = p.clk.Now().Add(time.Millisecond)
+	if err := flushesAt(t, b, p.clk, expiring, done, 10*time.Millisecond); err == nil {
+		t.Fatal("expired request evaluated")
+	}
+	// Drain: a lone request 5 ms into its 10 ms wait.
+	if err := b.Submit(testRequest(sess, done)); err != nil {
+		t.Fatal(err)
+	}
+	p.clk.Advance(5 * time.Millisecond)
+	b.Drain()
+	if err := collect(t, done, 1)[0]; err != nil {
+		t.Fatal(err)
+	}
+
+	s := m.Snapshot(nil, nil)
+	if s.Batches != 3 || s.Flushes.Full != 1 || s.Flushes.Timer != 1 || s.Flushes.Drain != 1 {
+		t.Fatalf("batches %d, flushes %+v; want 3 batches, one of each reason", s.Batches, s.Flushes)
+	}
+	if s.Flushes.Full+s.Flushes.Timer+s.Flushes.Drain != s.Batches {
+		t.Fatalf("flushes %+v do not sum to %d batches", s.Flushes, s.Batches)
+	}
+	if s.GroupWaitMS != 55 {
+		t.Fatalf("group_wait_ms %v, want 55 (50 timer + 0 full + 5 drain)", s.GroupWaitMS)
+	}
+	if s.EvalTimeMS != 30 {
+		t.Fatalf("eval_time_ms %v, want 30 (three played 10 ms evaluations)", s.EvalTimeMS)
+	}
+}

@@ -163,6 +163,64 @@ func TestServeSixteenConcurrentClients(t *testing.T) {
 		snap.Batches, snap.MeanBatchSize, snap.Ops.FBSCalls)
 }
 
+// TestServeLoneRequestWaitsOneEvaluation: on the wall clock, a lone
+// request waits the full MaxWait only until the server has evaluated a
+// batch of its model; from then on its group flushes after one measured
+// evaluation time, far inside a 2 s MaxWait.
+func TestServeLoneRequestWaitsOneEvaluation(t *testing.T) {
+	eng := itEngine(t)
+	model := serve.DemoNet()
+	const maxWait = 2 * time.Second
+	srv, addr := startServer(t, serve.Config{MaxWait: maxWait})
+	c, err := client.Dial(addr, eng, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.OpenSession(); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(seed uint64) time.Duration {
+		t.Helper()
+		x := serve.DemoInput(seed)
+		in, err := eng.EncryptInput(model, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		out, err := c.InferEncrypted(model, in, 0)
+		rt := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.DecryptLogits(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := model.ForwardInt(x).Data
+		for j := range got {
+			if d := got[j] - ref[j]; d < -3 || d > 3 {
+				t.Fatalf("logit %d: got %d, plaintext %d", j, got[j], ref[j])
+			}
+		}
+		return rt
+	}
+
+	if warm := roundTrip(500); warm < maxWait {
+		t.Fatalf("warm-up round trip %v: nothing was measured yet, want ≥ MaxWait %v", warm, maxWait)
+	}
+	lone := roundTrip(501)
+	snap := srv.Metrics()
+	t.Logf("lone round trip %v; %d batches evaluated in %.1f ms, groups waited %.1f ms",
+		lone, snap.Batches, snap.EvalTimeMS, snap.GroupWaitMS)
+	if lone >= time.Second {
+		t.Fatalf("lone round trip %v after a measured batch, want well under 1 s (MaxWait %v)", lone, maxWait)
+	}
+	if snap.Batches != 2 || snap.Flushes.Timer != 2 {
+		t.Fatalf("batches %d, flushes %+v; want 2 timer flushes", snap.Batches, snap.Flushes)
+	}
+}
+
 // TestServeBusyPreservesSessions: overflowing the admission queue
 // returns BUSY to the overflow request only — the session stays
 // resident and the queued request still completes.

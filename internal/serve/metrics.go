@@ -29,6 +29,8 @@ type Metrics struct {
 	images     uint64
 	batchHist  []uint64 // len(batchHistBuckets)+1, last is overflow
 	evalTime   time.Duration
+	flushes    [3]uint64 // by flushReason
+	groupWait  time.Duration
 	opsTotal   core.OpStats
 	sessionsUp uint64
 }
@@ -68,9 +70,10 @@ func (m *Metrics) bump(c *uint64) {
 	m.mu.Unlock()
 }
 
-// recordBatch accounts one evaluated batch: its realized size, wall
-// time, and the five-step operation counts it consumed.
-func (m *Metrics) recordBatch(size int, dur time.Duration, ops core.OpStats) {
+// recordBatch accounts one evaluated batch: its realized size,
+// evaluation time, the five-step operation counts it consumed, what
+// flushed its group and how long the group waited before dispatch.
+func (m *Metrics) recordBatch(size int, dur time.Duration, ops core.OpStats, why flushReason, wait time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.batches++
@@ -84,6 +87,8 @@ func (m *Metrics) recordBatch(size int, dur time.Duration, ops core.OpStats) {
 	}
 	m.batchHist[i]++
 	m.evalTime += dur
+	m.flushes[why]++
+	m.groupWait += wait
 	m.opsTotal.Add(ops)
 }
 
@@ -114,6 +119,18 @@ type Snapshot struct {
 	MeanBatchSize float64       `json:"mean_batch_size"`
 	BatchSizeHist []BatchBucket `json:"batch_size_hist"`
 	EvalTimeMS    float64       `json:"eval_time_ms"`
+
+	// Flushes counts the batches by what dispatched their group:
+	// reaching MaxBatch, the flush deadline, or drain. The three sum to
+	// Batches (a group whose requests all expired is not a batch).
+	Flushes struct {
+		Full  uint64 `json:"full"`
+		Timer uint64 `json:"timer"`
+		Drain uint64 `json:"drain"`
+	} `json:"flushes"`
+	// GroupWaitMS sums, over the batches, the time from the group's
+	// first request to its dispatch: the latency spent forming batches.
+	GroupWaitMS float64 `json:"group_wait_ms"`
 
 	Ops core.OpStats `json:"ops"`
 
@@ -160,6 +177,10 @@ func (s *Snapshot) Add(src *Snapshot) {
 		}
 	}
 	s.EvalTimeMS += src.EvalTimeMS
+	s.Flushes.Full += src.Flushes.Full
+	s.Flushes.Timer += src.Flushes.Timer
+	s.Flushes.Drain += src.Flushes.Drain
+	s.GroupWaitMS += src.GroupWaitMS
 	s.Ops.Add(src.Ops)
 	s.Sessions.Count += src.Sessions.Count
 	s.Sessions.Bytes += src.Sessions.Bytes
@@ -215,6 +236,10 @@ func (m *Metrics) Snapshot(reg *Registry, b *Batcher) Snapshot {
 		s.BatchSizeHist = append(s.BatchSizeHist, bb)
 	}
 	s.EvalTimeMS = float64(m.evalTime) / float64(time.Millisecond)
+	s.Flushes.Full = m.flushes[flushFull]
+	s.Flushes.Timer = m.flushes[flushTimer]
+	s.Flushes.Drain = m.flushes[flushDrain]
+	s.GroupWaitMS = float64(m.groupWait) / float64(time.Millisecond)
 	s.Ops = m.opsTotal
 	s.Sessions.Opened = m.sessionsUp
 	m.mu.Unlock()

@@ -23,6 +23,8 @@ type Config struct {
 	Models map[string]*qnn.QNetwork
 
 	// Batcher tuning (zero values take the BatcherConfig defaults).
+	// A forming batch waits at most MaxWait for company, and no longer
+	// than the most recent batch of its model took to evaluate.
 	MaxBatch  int
 	MaxWait   time.Duration
 	MaxQueue  int
