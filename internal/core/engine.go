@@ -300,24 +300,35 @@ func (wk *evalWorker) toCoeffs(ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 
 // extract converts the coefficients idx of a result ciphertext into
 // dimension-n LWE ciphertexts at modulus t (Steps ②–③), in idx order.
+// After the modulus switch, extraction, keyswitch and modulus switch run
+// as one kernel (lwe.Switcher.SwitchExtract), lwe.Tile values at a time,
+// with the tiles fanned over the lanes' own Switchers; every switched
+// mask lands in one backing array.
 func (wk *evalWorker) extract(ct *bfv.Ciphertext, idx []int) ([]lwe.Ciphertext, error) {
 	e := wk.e
 	a, b, err := e.Ctx.SwitchModulus(ct, e.P.QMid())
 	if err != nil {
 		return nil, err
 	}
-	cts := lwe.SampleExtract(lwe.RLWE{A: a, B: b, Q: e.P.QMid()}, idx)
-	wk.stats.Extractions += len(cts)
-	wk.stats.KeySwitches += len(cts)
-	switched := make([]lwe.Ciphertext, len(cts))
-	// One dimension switch costs N·digits AXPYs of length n; making the
+	rc := lwe.RLWE{A: a, B: b, Q: e.P.QMid()}
+	wk.stats.Extractions += len(idx)
+	wk.stats.KeySwitches += len(idx)
+	n := e.P.LWEDim
+	out := make([]lwe.Ciphertext, len(idx))
+	masks := make([]uint64, len(idx)*n)
+	for i := range out {
+		out[i].A = masks[i*n : (i+1)*n : (i+1)*n]
+	}
+	// A tile costs lwe.Tile·N·digits products of length n+1; making the
 	// cost explicit lets tiny extractions stay inline while layer-sized
-	// ones fan out across per-lane Switchers.
-	cost := e.Ctx.N * e.ksk.Digits * e.P.LWEDim
-	wk.forEach(len(cts), par.Options{MinGrain: 1, ItemCost: cost}, func(ln *evalWorker, i int) {
-		switched[i] = lwe.ModSwitch(ln.sw.Switch(cts[i]), e.P.T)
+	// ones fan out.
+	tiles := (len(idx) + lwe.Tile - 1) / lwe.Tile
+	cost := lwe.Tile * e.Ctx.N * e.ksk.Digits * (n + 1)
+	wk.forEach(tiles, par.Options{MinGrain: 1, ItemCost: cost}, func(ln *evalWorker, i int) {
+		lo, hi := i*lwe.Tile, min((i+1)*lwe.Tile, len(idx))
+		ln.sw.SwitchExtract(rc, idx[lo:hi], e.P.T, out[lo:hi])
 	})
-	return switched, nil
+	return out, nil
 }
 
 // scaledEvaluator returns the evaluator of the composition scale·fn (fn =

@@ -105,8 +105,8 @@ func newPlan(p Params) (*plan, error) {
 	if p.LWEDim > ctx.N/2 || (ctx.N/2)%p.LWEDim != 0 {
 		return nil, fmt.Errorf("core: LWE dimension %d must divide N/2=%d", p.LWEDim, ctx.N/2)
 	}
-	if p.KSBase < 2 {
-		return nil, fmt.Errorf("core: keyswitch base %d must be at least 2", p.KSBase)
+	if err := lwe.CheckBase(p.QMid(), p.KSBase); err != nil {
+		return nil, fmt.Errorf("core: keyswitch base: %w", err)
 	}
 	pl := &plan{
 		params: p,

@@ -105,6 +105,23 @@ func TestPlanShared(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsInexactKSBase: a keyswitch base the fused extraction
+// kernel cannot run exactly — not a power of two, or so large that
+// (base−1)(qMid−1) + qMid overflows a word — fails the plan build with
+// an error, before any key is generated or decoded.
+func TestPlanRejectsInexactKSBase(t *testing.T) {
+	for _, base := range []uint64{1, 100, 1 << 45} {
+		p := TestParams()
+		p.KSBase = base
+		if _, err := planFor(p); err == nil || !strings.Contains(err.Error(), "keyswitch base") {
+			t.Errorf("KSBase %d: plan error %v", base, err)
+		}
+		if _, err := NewEngine(p); err == nil {
+			t.Errorf("KSBase %d: engine built", base)
+		}
+	}
+}
+
 // TestPlanLUTsByContent: a table is compiled once per plan, whichever
 // function value, layer or session asks for it, and a lookup that hits
 // allocates nothing.

@@ -147,12 +147,19 @@ func scaleRound(x, q1, q2 uint64) uint64 {
 		panic("lwe: modulus switch must go to a smaller modulus")
 	}
 	_, xr := bits.Div64(0, x, q1) // x mod q1
-	hi, lo := bits.Mul64(xr, q2)
+	return scaleReduced(xr, q1, q2)
+}
+
+// scaleReduced is scaleRound for x < q1 and q2 ≤ q1.
+//
+//lint:noalloc
+func scaleReduced(x, q1, q2 uint64) uint64 {
+	hi, lo := bits.Mul64(x, q2)
 	// round(v/q1) = floor((v + q1/2) / q1)
 	lo2, carry := bits.Add64(lo, q1/2, 0)
 	hi += carry
 	q, _ := bits.Div64(hi, lo2, q1)
-	// xr < q1 implies q = round(xr·q2/q1) ≤ q2: one conditional
+	// x < q1 implies q = round(x·q2/q1) ≤ q2: one conditional
 	// subtraction wraps the boundary case to 0.
 	if q >= q2 {
 		q -= q2

@@ -136,7 +136,7 @@ func TestDimensionKeySwitch(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		msg := smp.Uint64N(65537)
 		ct := Encrypt(skIn, msg*scale, q, 3.2, smp)
-		sw := ksk.Switch(ct)
+		sw := ksk.NewSwitcher().Switch(ct)
 		if len(sw.A) != 64 {
 			t.Fatalf("output dimension %d", len(sw.A))
 		}
@@ -207,7 +207,7 @@ func TestFullConversionBridge(t *testing.T) {
 			t.Fatalf("post-extract phase error %d too large at %d", d0, i)
 		}
 
-		sw := ksk.Switch(cts[i])
+		sw := ksk.NewSwitcher().Switch(cts[i])
 		final := ModSwitch(sw, tPt)
 		phase := lweSK.Decrypt(final)
 		diff := tm.Centered(tm.Sub(phase, tm.ReduceInt64(vals[i])))
@@ -280,17 +280,16 @@ func TestKeySwitchKeySerialization(t *testing.T) {
 	smp := NewStream(76)
 	msg := uint64(5000) * (q / 65537)
 	ct := Encrypt(skIn, msg, q, 3.2, smp)
-	a := skOut.Decrypt(k.Switch(ct))
-	b := skOut.Decrypt(back.Switch(ct))
+	a := skOut.Decrypt(k.NewSwitcher().Switch(ct))
+	b := skOut.Decrypt(back.NewSwitcher().Switch(ct))
 	if a != b {
 		t.Fatalf("switch results differ: %d vs %d", a, b)
 	}
 }
 
-// TestSwitcherMatchesSwitch checks the cached-modulus Switcher produces
-// bit-identical ciphertexts to the one-shot Switch path, including when
-// several Switchers over the same key run concurrently (the parallel
-// extraction shape).
+// TestSwitcherMatchesSwitch checks Switcher.Switch against the per-term
+// reference switch, including when several Switchers over the same key
+// run concurrently (the parallel extraction shape).
 func TestSwitcherMatchesSwitch(t *testing.T) {
 	skIn := NewSecretKey(64, 81)
 	skOut := NewSecretKey(16, 82)
@@ -303,7 +302,7 @@ func TestSwitcherMatchesSwitch(t *testing.T) {
 	want := make([]Ciphertext, n)
 	for i := range cts {
 		cts[i] = Encrypt(skIn, uint64(i)*(q/65537), q, 3.2, smp)
-		want[i] = k.Switch(cts[i])
+		want[i] = switchOracle(k, cts[i])
 	}
 
 	got := make([]Ciphertext, n)
@@ -321,7 +320,7 @@ func TestSwitcherMatchesSwitch(t *testing.T) {
 	wg.Wait()
 	for i := range got {
 		if got[i].B != want[i].B || !slices.Equal(got[i].A, want[i].A) {
-			t.Fatalf("ciphertext %d: Switcher result differs from Switch", i)
+			t.Fatalf("ciphertext %d: Switcher result differs from the reference", i)
 		}
 	}
 }

@@ -74,25 +74,18 @@ func readRow(wr *ring.WordReader, ct *Ciphertext) error {
 }
 
 // WriteKeySwitchKey serializes the N→n switching material (the largest
-// public object of the conversion pipeline).
+// public object of the conversion pipeline): the header, then the key
+// matrix as it lies in memory.
 func WriteKeySwitchKey(k *KeySwitchKey, w io.Writer) error {
+	if len(k.M) != k.words() {
+		return fmt.Errorf("lwe: keyswitch matrix of %d words, shape %+v needs %d", len(k.M), k.KeySwitchShape, k.words())
+	}
 	bw := bufio.NewWriter(w)
-	s := k.Shape()
-	if err := ring.WriteWords(bw, magicKSK, wireVer, k.Q, k.Base, uint64(k.Digits), uint64(s.NIn), uint64(s.NOut)); err != nil {
+	if err := ring.WriteWords(bw, magicKSK, wireVer, k.Q, k.Base, uint64(k.Digits), uint64(k.NIn), uint64(k.NOut)); err != nil {
 		return err
 	}
-	for _, row := range k.Keys {
-		if len(row) != k.Digits {
-			return fmt.Errorf("lwe: ragged keyswitch key")
-		}
-		for _, ct := range row {
-			if err := ring.WriteWords(bw, ct.A...); err != nil {
-				return err
-			}
-			if err := ring.WriteWords(bw, ct.B); err != nil {
-				return err
-			}
-		}
+	if err := ring.WriteWords(bw, k.M...); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -105,19 +98,13 @@ type KeySwitchShape struct {
 }
 
 // Shape returns k's dimensions.
-func (k *KeySwitchKey) Shape() KeySwitchShape {
-	s := KeySwitchShape{NIn: len(k.Keys), Digits: k.Digits, Q: k.Q}
-	if len(k.Keys) > 0 && len(k.Keys[0]) > 0 {
-		s.NOut = len(k.Keys[0][0].A)
-	}
-	return s
-}
+func (k *KeySwitchKey) Shape() KeySwitchShape { return k.KeySwitchShape }
 
 // ReadKeySwitchKey deserializes switching material of shape want. The
-// header must match want before anything is allocated, so a short
-// upload claiming a huge key costs the reader nothing; rows are then
-// allocated one ciphertext at a time, each just before its words are
-// read.
+// header must match want, and its base pass CheckBase, before anything
+// is allocated, so a short upload claiming a huge key costs the reader
+// nothing. The matrix is then one allocation of want's size, filled
+// row by row so the word reader stages one row at a time.
 func ReadKeySwitchKey(r io.Reader, want KeySwitchShape) (*KeySwitchKey, error) {
 	wr := ring.WordReader{R: bufio.NewReader(r)}
 	var hdr [7]uint64
@@ -138,18 +125,14 @@ func ReadKeySwitchKey(r io.Reader, want KeySwitchShape) (*KeySwitchKey, error) {
 	if _, err := ring.TryNewModulus(q); err != nil {
 		return nil, fmt.Errorf("lwe: wire modulus rejected: %w", err)
 	}
-	if base < 2 {
-		return nil, fmt.Errorf("lwe: wire decomposition base %d must be at least 2", base)
+	if err := CheckBase(q, base); err != nil {
+		return nil, fmt.Errorf("lwe: wire base rejected: %w", err)
 	}
-	k := &KeySwitchKey{Q: q, Base: base, Digits: want.Digits, Keys: make([][]Ciphertext, want.NIn)}
-	for j := range k.Keys {
-		k.Keys[j] = make([]Ciphertext, want.Digits)
-		for d := range k.Keys[j] {
-			ct := &k.Keys[j][d]
-			*ct = Ciphertext{Q: q, A: make([]uint64, want.NOut)}
-			if err := readRow(&wr, ct); err != nil {
-				return nil, fmt.Errorf("lwe: keyswitch row %d digit %d: %w", j, d, err)
-			}
+	k := &KeySwitchKey{KeySwitchShape: want, Base: base, M: make([]uint64, want.words())}
+	w := want.NOut + 1
+	for row := 0; row < want.NIn*want.Digits; row++ {
+		if err := wr.WordsBelow(k.M[row*w:(row+1)*w], q); err != nil {
+			return nil, fmt.Errorf("lwe: keyswitch row %d digit %d: %w", row/want.Digits, row%want.Digits, err)
 		}
 	}
 	return k, nil

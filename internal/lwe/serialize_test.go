@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 
 	"athena/internal/ring"
@@ -53,15 +54,11 @@ func TestKeySwitchKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Q != k.Q || back.Base != k.Base || back.Digits != k.Digits || len(back.Keys) != len(k.Keys) {
+	if back.Shape() != k.Shape() || back.Base != k.Base {
 		t.Fatal("keyswitch key header changed in round trip")
 	}
-	for j := range k.Keys {
-		for d := range k.Keys[j] {
-			if back.Keys[j][d].B != k.Keys[j][d].B {
-				t.Fatalf("component [%d][%d] changed", j, d)
-			}
-		}
+	if !slices.Equal(back.M, k.M) {
+		t.Fatal("keyswitch matrix changed in round trip")
 	}
 }
 
@@ -207,7 +204,8 @@ func TestKeySwitchKeyHeaderCheckedBeforeAllocation(t *testing.T) {
 
 // FuzzReadKeySwitchKey: arbitrary bytes against a fixed expected shape
 // must yield an error or a key of exactly that shape with every word
-// reduced — never a panic. testdata/fuzz holds the inflated header.
+// reduced — never a panic. testdata/fuzz holds the inflated header and
+// two headers of the right shape whose base CheckBase rejects.
 func FuzzReadKeySwitchKey(f *testing.F) {
 	k := NewKeySwitchKey(NewSecretKey(4, 31), NewSecretKey(2, 32), wireTestQ, 16, wireTestSigma, 33)
 	var buf bytes.Buffer
@@ -225,9 +223,15 @@ func FuzzReadKeySwitchKey(f *testing.F) {
 		if got.Shape() != want {
 			t.Fatalf("decoded shape %+v, want %+v", got.Shape(), want)
 		}
-		for _, row := range got.Keys {
-			for _, ct := range row {
-				checkInvariants(t, ct)
+		if len(got.M) != got.words() {
+			t.Fatalf("decoded matrix of %d words, shape needs %d", len(got.M), got.words())
+		}
+		if err := CheckBase(got.Q, got.Base); err != nil {
+			t.Fatalf("decoded key has a base the kernel cannot use: %v", err)
+		}
+		for i, x := range got.M {
+			if x >= got.Q {
+				t.Fatalf("decoded key word %d (%d) not reduced mod %d", i, x, got.Q)
 			}
 		}
 	})
