@@ -56,14 +56,15 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke
 
-# Every native fuzz target of the arithmetic packages, of the store
-# (FuzzOpenDir: arbitrary names and contents in a data directory) and of
-# the serving protocol (FuzzFrames: the frame reader and every payload
-# decoder), 15 s each (go fuzzes one target of one package per invocation): the checked-in
+# Every native fuzz target of the arithmetic packages, of the eval-key
+# bundle reader (FuzzReadEvalKeys in core), of the store (FuzzOpenDir:
+# arbitrary names and contents in a data directory) and of the serving
+# protocol (FuzzFrames: the frame reader and every payload decoder), 15 s
+# each (go fuzzes one target of one package per invocation): the checked-in
 # corpora always run under `go test`; this looks a little past them on
 # every push.
 fuzz-smoke:
-	@set -e; for pkg in ring rns bfv fbs lwe store serve; do \
+	@set -e; for pkg in ring rns bfv fbs lwe core store serve; do \
 		for f in $$($(GO) test -list '^Fuzz' ./internal/$$pkg | grep '^Fuzz'); do \
 			echo "fuzz ./internal/$$pkg $$f"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 15s ./internal/$$pkg; \

@@ -319,8 +319,10 @@ func (ev *Evaluator) MulScalarSums(cts []*Ciphertext, ks [][]uint64, outs []*Cip
 
 // keySwitchCoeff applies a switching key to a coefficient-domain
 // polynomial p, returning the NTT-domain pair (ks0, ks1) with
-// ks0 + ks1·s ≈ p·target. The returned polynomials are evaluator scratch:
-// callers must consume them before the next keyswitching call.
+// ks0 + ks1·s ≈ p·target. It reads the key's first ctx.Level() digits at
+// their first ctx.Level() limbs, so the key's level must be at least the
+// context's (callers check). The returned polynomials are evaluator
+// scratch: callers must consume them before the next keyswitching call.
 //
 //lint:noalloc
 func (ev *Evaluator) keySwitchCoeff(p ring.Poly, swk *SwitchingKey) (ring.Poly, ring.Poly) {
@@ -383,6 +385,9 @@ func (ev *Evaluator) AutomorphismInto(ct *Ciphertext, g uint64, out *Ciphertext)
 		return err
 	}
 	ctx := ev.ctx
+	if l := gk.Level(); l < ctx.Level() {
+		return fmt.Errorf("bfv: galois key for element %d at level %d, automorphism at level %d", g, l, ctx.Level())
+	}
 	rq := ctx.RingQ
 
 	sc := ev.sc

@@ -26,6 +26,12 @@ type PublicKey struct {
 // companions of the (immutable) key polynomials, putting the keyswitch
 // inner products on the fast elementwise multiply path; they are derived
 // from B/A (PrecomputeShoup) and never serialized.
+//
+// A key has a level ℓ: ℓ components of ℓ limbs each. QiHat_i is always
+// that of the full chain, so a level-ℓ key is the first ℓ components and
+// ℓ limbs of the full-chain key, word for word, and it serves every
+// keyswitch at a level ≤ ℓ (Context.AtLevel installs the matching digit
+// correction).
 type SwitchingKey struct {
 	B []ring.Poly // B[i] = -(A[i]·s + e_i) + QiHat_i·target
 	A []ring.Poly
@@ -45,6 +51,38 @@ func (swk *SwitchingKey) PrecomputeShoup(rq *ring.Ring) {
 		swk.BShoup[i] = rq.ShoupPoly(swk.B[i])
 		swk.AShoup[i] = rq.ShoupPoly(swk.A[i])
 	}
+}
+
+// Level returns the key's level: its component count, which is also
+// the limb count of every component.
+func (swk *SwitchingKey) Level() int { return len(swk.B) }
+
+// AtLevel returns the level-l prefix of the key: its first l components,
+// each cut to its first l limbs, with the matching Shoup companions. The
+// words are copied into fresh arrays, so the result does not pin the
+// longer key's backing; at the key's own level it is the key itself.
+// l must lie in [1, swk.Level()].
+func (swk *SwitchingKey) AtLevel(l int) SwitchingKey {
+	prefix := func(ps []ring.Poly) []ring.Poly {
+		if ps == nil || l == swk.Level() {
+			return ps
+		}
+		// One backing array and one row table hold all l·l limbs.
+		n := len(ps[0].Coeffs[0])
+		out := make([]ring.Poly, l)
+		rows := make([][]uint64, l*l)
+		backing := make([]uint64, l*l*n)
+		for i := range out {
+			out[i].Coeffs = rows[i*l : (i+1)*l : (i+1)*l]
+			for j := range out[i].Coeffs {
+				k := i*l + j
+				out[i].Coeffs[j] = backing[k*n : (k+1)*n : (k+1)*n]
+				copy(out[i].Coeffs[j], ps[i].Coeffs[j])
+			}
+		}
+		return out
+	}
+	return SwitchingKey{B: prefix(swk.B), A: prefix(swk.A), BShoup: prefix(swk.BShoup), AShoup: prefix(swk.AShoup)}
 }
 
 // RelinearizationKey switches s² -> s.
@@ -104,10 +142,11 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, target ring.Poly) Switchi
 	rq := ctx.RingQ
 	k := len(ctx.Params.Qi)
 	swk := SwitchingKey{B: make([]ring.Poly, k), A: make([]ring.Poly, k)}
+	// e and scaled are overwritten whole by every component.
+	e, scaled := rq.NewPoly(), rq.NewPoly()
 	for i := 0; i < k; i++ {
 		a := rq.NewPoly()
 		kg.smp.Uniform(a)
-		e := rq.NewPoly()
 		kg.smp.Gaussian(ctx.Params.Sigma, e)
 		rq.NTT(e)
 
@@ -118,7 +157,6 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, target ring.Poly) Switchi
 
 		// b += QiHat_i · target. QiHat_i mod q_l per limb.
 		hat := ctx.BasisQ.ScalarMod(ctx.BasisQ.QiHat[i])
-		scaled := rq.NewPoly()
 		rq.MulScalarRNS(target, hat, scaled)
 		rq.Add(b, scaled, b)
 

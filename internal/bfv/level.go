@@ -11,11 +11,12 @@ import (
 // Per-level RNS modulus dropping. A Context fixes a prime chain Q =
 // q_0·…·q_{k-1}; AtLevel(L) derives the context over the prefix chain
 // Q_L = q_0·…·q_{L-1}. Because every ring kernel iterates the limbs of
-// its (first) polynomial operand, full-chain key material — secret keys,
-// switching keys, packing keys — works unchanged against reduced-level
-// ciphertexts: the extra limbs simply go untouched. Only the keyswitch
-// digit constants need correction (the key components encrypt the
-// full-chain q̂_i), which AtLevel installs in the child.
+// its (first) polynomial operand, key material at or above a context's
+// level — secret keys, switching keys, packing keys — works unchanged
+// against that context's ciphertexts: the extra limbs simply go
+// untouched. Only the keyswitch digit constants need correction (a
+// switching key's components encrypt the full-chain q̂_i, whatever the
+// key's level), which AtLevel installs in the child.
 //
 // Dropping limbs after the noise-heavy stages is the classic RNS
 // acceleration: every NTT and multiply scales linearly in the limb count

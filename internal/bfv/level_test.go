@@ -471,3 +471,75 @@ func TestRescaleConstantsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestKeysAtLevelOfUse pins the level-ℓ key contract: a key cut to the
+// level of the keyswitch that reads it (SwitchingKey.AtLevel) is the
+// full-chain key's prefix word for word, travels through the key-set
+// codec at that level, and drives the rotation and the product at that
+// level to the same ciphertext bytes as the full-chain key. A keyswitch
+// above the key's level is an error, never an index panic.
+func TestKeysAtLevelOfUse(t *testing.T) {
+	k := newTestKit(t, 6, 4, []int{1})
+	if !k.ctx.Batching() {
+		t.Skip("batching unavailable")
+	}
+	const l = 2
+	fullKeys := k.ev.Keys()
+	g := RotationGaloisElements(k.ctx, []int{1})[0]
+	cut := &KeySet{
+		Relin:  &RelinearizationKey{SwitchingKey: fullKeys.Relin.AtLevel(l)},
+		Galois: map[uint64]*GaloisKey{g: {GaloisEl: g, SwitchingKey: fullKeys.Galois[g].AtLevel(l)}},
+	}
+	for i, p := range cut.Relin.B {
+		if p.Level() != l || !p.Equal(ring.Poly{Coeffs: fullKeys.Relin.B[i].Coeffs[:l]}) {
+			t.Fatalf("component %d is not the full-chain key's level-%d prefix", i, l)
+		}
+	}
+	var buf bytes.Buffer
+	if err := k.ctx.WriteKeySet(cut, &buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := k.ctx.ReadKeySet(&buf)
+	if err != nil {
+		t.Fatalf("level-%d key set refused: %v", l, err)
+	}
+	if back.Relin.Level() != l || back.Galois[g].Level() != l {
+		t.Fatalf("levels %d, %d after the round trip, want %d", back.Relin.Level(), back.Galois[g].Level(), l)
+	}
+
+	ctxL, err := k.ctx.AtLevel(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := k.enc.Encrypt(k.cod.EncodeSlots(randVals(k.ctx.N, 100, 32)))
+	down, err := k.ctx.ModDown(ct, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesOf := func(ev *Evaluator) []byte {
+		rot, err := ev.RotateRows(down, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prod, err := ev.Mul(rot, down)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := k.ctx.WriteCiphertext(prod, &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	if !bytes.Equal(bytesOf(NewEvaluator(ctxL, back)), bytesOf(NewEvaluator(ctxL, fullKeys))) {
+		t.Fatalf("level-%d keys and full-chain keys disagree at level %d", l, l)
+	}
+
+	above := NewEvaluator(k.ctx, back)
+	if _, err := above.RotateRows(ct, 1); err == nil {
+		t.Fatalf("rotation at level %d under a level-%d key accepted", k.ctx.Level(), l)
+	}
+	if _, err := above.Mul(ct, ct); err == nil {
+		t.Fatalf("product at level %d under a level-%d key accepted", k.ctx.Level(), l)
+	}
+}

@@ -198,6 +198,9 @@ func (ev *Evaluator) FinishInto(acc *Accumulator, out *Ciphertext) error {
 	if ev.keys == nil || ev.keys.Relin == nil {
 		return fmt.Errorf("bfv: Mul requires a relinearization key")
 	}
+	if l := ev.keys.Relin.Level(); l < ev.ctx.Level() {
+		return fmt.Errorf("bfv: relinearization key at level %d, Mul at level %d", l, ev.ctx.Level())
+	}
 	if acc.terms == 0 {
 		return fmt.Errorf("bfv: finishing an empty accumulator")
 	}

@@ -2,6 +2,7 @@ package bfv
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -63,8 +64,8 @@ func (r *wireReader) u64() uint64 {
 	return v
 }
 
-// poly reads a full-level polynomial: key material always travels over
-// the complete modulus chain.
+// poly reads a full-level polynomial: secret and public keys always
+// travel over the complete modulus chain.
 func (r *wireReader) poly(rq *ring.Ring) ring.Poly {
 	got := r.u64()
 	if r.err != nil {
@@ -97,8 +98,7 @@ func (r *wireReader) ctPoly(rq *ring.Ring) ring.Poly {
 // Barrett/Shoup preconditions downstream and silently corrupt NTT limbs;
 // WordsBelow rejects them here, at the trust boundary.
 func (r *wireReader) polyBody(rq *ring.Ring, limbs int) ring.Poly {
-	p := ring.Poly{Coeffs: make([][]uint64, limbs)}
-	backing := make([]uint64, limbs*rq.N)
+	p := rq.NewPolyAt(limbs)
 	for i := range p.Coeffs {
 		n := r.u64()
 		if r.err != nil {
@@ -108,7 +108,6 @@ func (r *wireReader) polyBody(rq *ring.Ring, limbs int) ring.Poly {
 			r.err = fmt.Errorf("bfv: wire limb has %d coeffs, want %d", n, rq.N)
 			return ring.Poly{}
 		}
-		p.Coeffs[i] = backing[i*rq.N : (i+1)*rq.N]
 		if err := r.WordsBelow(p.Coeffs[i], rq.Moduli[i].Q); err != nil {
 			r.err = fmt.Errorf("bfv: wire limb %d: %w", i, err)
 			return ring.Poly{}
@@ -274,7 +273,15 @@ func (c *Context) WriteKeySet(ks *KeySet, w io.Writer) error {
 	return ww.w.Flush()
 }
 
-// ReadKeySet deserializes evaluation keys.
+// ErrKeyShape reports switching-key wire data whose level is outside the
+// context's chain or whose polynomials disagree with the key's level.
+var ErrKeyShape = errors.New("bfv: malformed switching key")
+
+// ReadKeySet deserializes evaluation keys. Each switching key may travel
+// at any level ℓ in [1, L] — ℓ components of exactly ℓ limbs each (see
+// SwitchingKey) — so a full-chain key set is the ℓ = L case of the same
+// format. Whether a key's level covers the level it is used at is the
+// caller's to check.
 func (c *Context) ReadKeySet(r io.Reader) (*KeySet, error) {
 	rr := newWireReader(r)
 	if err := c.readHeader(rr, magicKeySet); err != nil {
@@ -285,13 +292,22 @@ func (c *Context) ReadKeySet(r io.Reader) (*KeySet, error) {
 		if rr.err != nil {
 			return SwitchingKey{}, rr.err
 		}
-		if n != uint64(len(c.Params.Qi)) {
-			return SwitchingKey{}, fmt.Errorf("bfv: switching key with %d components, want %d", n, len(c.Params.Qi))
+		if n < 1 || n > uint64(c.Level()) {
+			return SwitchingKey{}, fmt.Errorf("%w: %d components, chain holds %d limbs", ErrKeyShape, n, c.Level())
+		}
+		component := func() ring.Poly {
+			if got := rr.u64(); rr.err == nil && got != n {
+				rr.err = fmt.Errorf("%w: a %d-limb polynomial in a level-%d key", ErrKeyShape, got, n)
+			}
+			if rr.err != nil {
+				return ring.Poly{}
+			}
+			return rr.polyBody(c.RingQ, int(n))
 		}
 		s := SwitchingKey{B: make([]ring.Poly, n), A: make([]ring.Poly, n)}
 		for i := range s.B {
-			s.B[i] = rr.poly(c.RingQ)
-			s.A[i] = rr.poly(c.RingQ)
+			s.B[i] = component()
+			s.A[i] = component()
 		}
 		if rr.err == nil {
 			// The companions are derived, not wire data: recompute them so

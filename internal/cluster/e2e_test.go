@@ -333,13 +333,17 @@ func TestClusterSessionPlacementSpread(t *testing.T) {
 // client connection: the first round uploads, later rounds attach. The
 // router holds one connection per node whatever the number of sessions,
 // so nothing it keeps pins a session on a node: the nodes evict and
-// cold-load under it exactly as without a router.
+// cold-load under it exactly as without a router. The sessions are the
+// first four key seeds whose session IDs give each node two, so the
+// fixture depends on neither the bundle's bytes nor the ring's hash;
+// they take turns alternating between the nodes. (A node drops a
+// request's pin on its session only after writing the reply, so a
+// client that attaches at once to another session of the same node can
+// find the cap held by a finished one.)
 func TestLongLivedRouterReachesEviction(t *testing.T) {
 	model := serve.DemoNet()
-	var engines []*core.Engine
 	var blob bytes.Buffer
-	ids := map[*core.Engine]string{}
-	for seed := uint64(1); seed <= 4; seed++ {
+	keys := func(seed uint64) (*core.Engine, string) {
 		p := core.TestParams()
 		p.Seed = seed
 		eng, err := core.NewEngine(p)
@@ -350,9 +354,9 @@ func TestLongLivedRouterReachesEviction(t *testing.T) {
 		if err := eng.WriteEvalKeys(&blob); err != nil {
 			t.Fatal(err)
 		}
-		engines = append(engines, eng)
-		ids[eng] = serve.SessionID(blob.Bytes())
+		return eng, serve.SessionID(blob.Bytes())
 	}
+	first, firstID := keys(1)
 	memCap := int64(blob.Len()) * 3 / 2
 
 	members := cluster.NewMembership(0)
@@ -364,14 +368,25 @@ func TestLongLivedRouterReachesEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	perNode := map[string]int{}
-	for _, id := range ids {
+	ids := map[*core.Engine]string{}
+	perNode := map[string][]*core.Engine{}
+	for seed := uint64(1); len(ids) < 4; seed++ {
+		if seed > 64 {
+			t.Fatalf("%d and %d sessions on nodes a and b after 64 seeds: want two per node, so each node evicts", len(perNode["a"]), len(perNode["b"]))
+		}
+		eng, id := first, firstID
+		if seed > 1 {
+			eng, id = keys(seed)
+		}
 		owner, _ := members.Owner(id)
-		perNode[owner.Name]++
+		if len(perNode[owner.Name]) == 2 {
+			continue
+		}
+		perNode[owner.Name] = append(perNode[owner.Name], eng)
+		ids[eng] = id
 	}
-	if perNode["a"] < 2 || perNode["b"] < 2 {
-		t.Fatalf("placement %v: want two sessions per node, so each node evicts", perNode)
-	}
+	a, b := perNode["a"], perNode["b"]
+	engines := []*core.Engine{a[0], b[0], a[1], b[1]}
 
 	router, err := cluster.NewRouter(cluster.RouterConfig{Members: members})
 	if err != nil {

@@ -34,13 +34,7 @@ type Engine struct {
 
 	lweSK  *lwe.SecretKey    // dimension n secret (client side)
 	ksk    *lwe.KeySwitchKey // ring-degree -> n at qMid
-	packer *pack.Packer      // working packer at ctxF (ModDown'd babies)
-
-	// Full-level packing keys as generated/received: the wire format
-	// (EvalKeys) always carries full-chain babies, the working packer is
-	// rebuilt at ctxF from them.
-	packN      int
-	packBabies []*bfv.Ciphertext
+	packer *pack.Packer      // packer at ctxF over the FBS-level babies
 
 	// w0 is the top-level evaluation worker (wrapping e.ev); lanes holds
 	// the ShallowCopy'd workers the operator-level fan-outs run on.
@@ -93,11 +87,31 @@ func (s OpStats) Sub(o OpStats) OpStats {
 	return s
 }
 
-// NewEngine generates all key material for params.
+// NewEngine generates all key material for params. The evaluation keys
+// are generated over the full chain and kept at the level that reads
+// them (keysAtUse), which is also the level WriteEvalKeys ships them at.
 func NewEngine(p Params) (*Engine, error) {
-	e, err := newEngine(p)
+	e, full, err := newClientEngine(p)
 	if err != nil {
 		return nil, err
+	}
+	ek, err := e.keysAtUse(full)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.install(ek); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// newClientEngine generates a client's secret and encryption keys, and
+// returns its evaluation keys as generated — every switching key and the
+// packing babies over the full chain — without installing them.
+func newClientEngine(p Params) (*Engine, *EvalKeys, error) {
+	e, err := newEngine(p)
+	if err != nil {
+		return nil, nil, err
 	}
 	ctx := e.Ctx
 	kg := bfv.NewKeyGenerator(ctx, p.Seed)
@@ -110,24 +124,19 @@ func NewEngine(p Params) (*Engine, error) {
 	// extraction-side key; a fresh dimension-n key receives it.
 	e.lweSK = lwe.NewSecretKey(p.LWEDim, p.Seed^0x17e)
 	ringSK := &lwe.SecretKey{S: e.sk.Signed}
-	e.ksk = lwe.NewKeySwitchKey(ringSK, e.lweSK, p.QMid(), p.KSBase, p.Sigma, p.Seed^0x55)
+	ksk := lwe.NewKeySwitchKey(ringSK, e.lweSK, p.QMid(), p.KSBase, p.Sigma, p.Seed^0x55)
 
-	// Packing keys are generated (and exported) at the full chain; the
-	// working packer runs at the FBS level, so rebuild it from ModDown'd
-	// babies.
 	pkFull, err := pack.NewPacker(ctx, e.enc, e.lweSK)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	e.packN, e.packBabies = pkFull.Keys()
-	if err := e.buildPacker(); err != nil {
-		return nil, err
+	n, babies := pkFull.Keys()
+	els := make([]uint64, len(e.galois))
+	for i, u := range e.galois {
+		els[i] = u.g
 	}
-
-	els := pack.DedupGalois(e.packer.GaloisElements(), e.s2c.GaloisElements())
 	keys := kg.GenKeySet(e.sk, els)
-	e.finish(keys)
-	return e, nil
+	return e, &EvalKeys{KeySet: keys, PackDim: n, PackKeys: babies, KSK: ksk}, nil
 }
 
 // newEngine is the keyless frame both constructors start from: the
@@ -140,36 +149,21 @@ func newEngine(p Params) (*Engine, error) {
 	return &Engine{P: p, plan: pl, cod: bfv.NewEncoder(pl.Ctx), codP: bfv.NewEncoder(pl.ctxP)}, nil
 }
 
-// buildPacker constructs the working packer at the FBS level from the
-// full-chain packing keys in packN/packBabies. At the full level the
-// babies are used as-is; otherwise each is rescaled once at setup — the
-// one-time cost that makes every subsequent Pack run on fewer limbs.
-func (e *Engine) buildPacker() error {
-	babies := e.packBabies
-	if e.ctxF != e.Ctx {
-		down := make([]*bfv.Ciphertext, len(babies))
-		for i, b := range babies {
-			var err error
-			if down[i], err = e.Ctx.ModDown(b, e.ctxF.Level()); err != nil {
-				return err
-			}
-		}
-		babies = down
-	}
+// install makes ek, which holds every key at its level of use
+// (keysAtUse), the engine's evaluation keys: the keyswitch key, the
+// packer at ctxF, and the worker group over both schedule levels.
+func (e *Engine) install(ek *EvalKeys) error {
 	var err error
-	e.packer, err = pack.NewPackerFromKeys(e.ctxF, e.packN, babies)
-	return err
-}
-
-// finish installs the evaluation keys and builds the worker group; the
-// packer, keyswitch key, and S2C transform must already be in place.
-func (e *Engine) finish(keys *bfv.KeySet) {
-	// Two evaluators per worker, one per schedule level; both read the
-	// same full-chain key set (the ring kernels only touch the prefix
-	// limbs of key polynomials, and reduced contexts carry the corrected
-	// keyswitch digit constants).
-	e.ev = bfv.NewEvaluator(e.ctxF, keys)
-	e.evP = bfv.NewEvaluator(e.ctxP, keys)
+	if e.packer, err = pack.NewPackerFromKeys(e.ctxF, ek.PackDim, ek.PackKeys); err != nil {
+		return err
+	}
+	e.ksk = ek.KSK
+	// Two evaluators per worker, one per schedule level, over one key
+	// set: a keyswitch reads the prefix digits and limbs of its level (the
+	// ring kernels only touch the prefix limbs of key polynomials, and
+	// reduced contexts carry the corrected keyswitch digit constants).
+	e.ev = bfv.NewEvaluator(e.ctxF, ek.KeySet)
+	e.evP = bfv.NewEvaluator(e.ctxP, ek.KeySet)
 	e.w0 = e.newWorker(e.ev, e.evP, e.codP, true)
 	e.lanes = par.NewPool(func() *evalWorker {
 		// newWorker only wraps the freshly forked evaluators and a brand-new
@@ -178,6 +172,7 @@ func (e *Engine) finish(keys *bfv.KeySet) {
 		//lint:allow scratchalias newWorker allocates per-lane state from a fresh ShallowCopy; no shared scratch is touched
 		return e.newWorker(e.ev.ShallowCopy(), e.evP.ShallowCopy(), bfv.NewEncoder(e.ctxP), false)
 	})
+	return nil
 }
 
 // vkey identifies one activation value in (channel, y, x) coordinates.

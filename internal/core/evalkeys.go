@@ -19,6 +19,13 @@ import (
 // public material by construction: BFV evaluation keys, the baby-step
 // packing keys (encryptions of the LWE secret), and the N→n LWE
 // keyswitching key.
+//
+// Every key travels at the level that reads it (keysAtUse): the
+// relinearization key, the packer's Galois keys and the babies at the
+// FBS level, Galois keys only S2C reads at the post level. The reader
+// takes any level from 1 to the full chain and rejects only a key below
+// its level of use, so a bundle of full-chain keys — the layout written
+// before keys were cut to their level — still loads.
 
 const (
 	evalKeysMagic   = 0x4145564b // "AEVK"
@@ -33,15 +40,32 @@ type EvalKeys struct {
 	KSK      *lwe.KeySwitchKey
 }
 
-// EvalKeys exports the engine's public evaluation material. The engine
-// must hold full key material (i.e. come from NewEngine).
+// KeyLevelError reports an evaluation key that is absent, or held at
+// fewer limbs than the level the evaluation reads it at: a bundle that
+// cannot be evaluated, refused when the session opens rather than
+// panicking mid-inference.
+type KeyLevelError struct {
+	Key   string // "relinearization key", "galois key 5", "packing key 0"
+	Level int    // the key's level in the bundle; 0 when it is absent
+	Need  int    // the level the evaluation reads it at
+}
+
+func (e *KeyLevelError) Error() string {
+	if e.Level == 0 {
+		return fmt.Sprintf("core: eval keys missing %s (read at level %d)", e.Key, e.Need)
+	}
+	return fmt.Sprintf("core: eval keys hold %s at level %d, evaluation reads it at level %d", e.Key, e.Level, e.Need)
+}
+
+// EvalKeys exports the engine's public evaluation material, each key at
+// its level of use. The engine must hold evaluation keys (NewEngine or
+// NewEvaluationEngine).
 func (e *Engine) EvalKeys() (*EvalKeys, error) {
-	if e.ev == nil || e.packBabies == nil || e.ksk == nil {
+	if e.ev == nil || e.packer == nil || e.ksk == nil {
 		return nil, fmt.Errorf("core: engine holds no evaluation keys")
 	}
-	// packBabies holds the full-level keys; the working packer may run at
-	// the reduced FBS level, but the wire always carries the full chain.
-	return &EvalKeys{KeySet: e.ev.Keys(), PackDim: e.packN, PackKeys: e.packBabies, KSK: e.ksk}, nil
+	n, babies := e.packer.Keys()
+	return &EvalKeys{KeySet: e.ev.Keys(), PackDim: n, PackKeys: babies, KSK: e.ksk}, nil
 }
 
 // WriteEvalKeys serializes the engine's evaluation material: a header
@@ -54,19 +78,24 @@ func (e *Engine) WriteEvalKeys(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	return e.writeEvalKeys(ek, w)
+}
+
+// writeEvalKeys serializes ek at whatever levels its keys hold.
+func (pl *plan) writeEvalKeys(ek *EvalKeys, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if err := ring.WriteWords(bw, evalKeysMagic, evalKeysVersion,
-		uint64(e.P.LogN), uint64(len(e.Ctx.Params.Qi)), e.P.T, uint64(ek.PackDim)); err != nil {
+		uint64(pl.params.LogN), uint64(len(pl.Ctx.Params.Qi)), pl.params.T, uint64(ek.PackDim)); err != nil {
 		return err
 	}
-	if err := e.Ctx.WriteKeySet(ek.KeySet, bw); err != nil {
+	if err := pl.Ctx.WriteKeySet(ek.KeySet, bw); err != nil {
 		return err
 	}
 	if err := ring.WriteWords(bw, uint64(len(ek.PackKeys))); err != nil {
 		return err
 	}
 	for _, ct := range ek.PackKeys {
-		if err := e.Ctx.WriteCiphertext(ct, bw); err != nil {
+		if err := pl.Ctx.WriteCiphertext(ct, bw); err != nil {
 			return err
 		}
 	}
@@ -74,6 +103,34 @@ func (e *Engine) WriteEvalKeys(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// keysAtUse returns ek with every key cut to the level that reads it
+// (plan.galois): the relinearization key and the packer's Galois keys to
+// ctxF's level, keys only S2C reads to ctxP's, the babies ModDown'd to
+// ctxF's. A key already at its level is kept as it is; a Galois key the
+// evaluation does not read is dropped. ek must pass validateEvalKeys.
+func (pl *plan) keysAtUse(ek *EvalKeys) (*EvalKeys, error) {
+	fbsL := pl.ctxF.Level()
+	ks := &bfv.KeySet{
+		Relin:  &bfv.RelinearizationKey{SwitchingKey: ek.KeySet.Relin.AtLevel(fbsL)},
+		Galois: make(map[uint64]*bfv.GaloisKey, len(pl.galois)),
+	}
+	for _, u := range pl.galois {
+		gk := ek.KeySet.Galois[u.g]
+		if gk.Level() > u.level {
+			gk = &bfv.GaloisKey{GaloisEl: u.g, SwitchingKey: gk.AtLevel(u.level)}
+		}
+		ks.Galois[u.g] = gk
+	}
+	babies := make([]*bfv.Ciphertext, len(ek.PackKeys))
+	for i, b := range ek.PackKeys {
+		var err error
+		if babies[i], err = pl.Ctx.ModDown(b, fbsL); err != nil {
+			return nil, err
+		}
+	}
+	return &EvalKeys{KeySet: ks, PackDim: ek.PackDim, PackKeys: babies, KSK: ek.KSK}, nil
 }
 
 // evalKeyChunk bounds one section read of a random-access bundle: a
@@ -170,13 +227,43 @@ func (pl *plan) readEvalKeys(r io.Reader) (*EvalKeys, error) {
 
 // validateEvalKeys checks the bundle's cross-component consistency
 // against the plan, so a bad upload fails at session open rather than
-// mid-inference.
+// mid-inference: every key the evaluation reads is present at or above
+// the level it is read at.
 func (pl *plan) validateEvalKeys(ek *EvalKeys) error {
-	if ek.KeySet == nil || ek.KeySet.Relin == nil {
-		return fmt.Errorf("core: eval keys missing relinearization key")
-	}
 	if ek.KSK == nil || ek.KSK.Shape() != pl.ksk {
 		return fmt.Errorf("core: keyswitch key does not have the shape %+v the parameters fix", pl.ksk)
+	}
+	if ek.PackDim != pl.params.LWEDim {
+		return fmt.Errorf("core: packing keys for dimension %d, params say %d", ek.PackDim, pl.params.LWEDim)
+	}
+	fbsL := pl.ctxF.Level()
+	if ek.KeySet == nil {
+		return &KeyLevelError{Key: "relinearization key", Need: fbsL}
+	}
+	relin := 0
+	if ek.KeySet.Relin != nil {
+		relin = ek.KeySet.Relin.Level()
+	}
+	if relin < fbsL {
+		return &KeyLevelError{Key: "relinearization key", Level: relin, Need: fbsL}
+	}
+	for _, u := range pl.galois {
+		l := 0
+		if gk := ek.KeySet.Galois[u.g]; gk != nil {
+			l = gk.Level()
+		}
+		if l < u.level {
+			return &KeyLevelError{Key: fmt.Sprintf("galois key %d", u.g), Level: l, Need: u.level}
+		}
+	}
+	for i, b := range ek.PackKeys {
+		l := 0
+		if b != nil {
+			l = b.Level()
+		}
+		if l < fbsL {
+			return &KeyLevelError{Key: fmt.Sprintf("packing key %d", i), Level: l, Need: fbsL}
+		}
 	}
 	return nil
 }
@@ -184,7 +271,9 @@ func (pl *plan) validateEvalKeys(ek *EvalKeys) error {
 // NewEvaluationEngine builds a server-side engine from uploaded
 // evaluation material: it can run EvaluateEncrypted and
 // EvaluateEncryptedBatch but holds no secret or encryption keys —
-// EncryptInput and DecryptLogits return ErrNoSecretKey.
+// EncryptInput and DecryptLogits return ErrNoSecretKey. A key below its
+// level of use is a *KeyLevelError; a key above it is cut to it, so the
+// engine holds only what the evaluation reads.
 func NewEvaluationEngine(p Params, ek *EvalKeys) (*Engine, error) {
 	e, err := newEngine(p)
 	if err != nil {
@@ -193,22 +282,13 @@ func NewEvaluationEngine(p Params, ek *EvalKeys) (*Engine, error) {
 	if err := e.validateEvalKeys(ek); err != nil {
 		return nil, err
 	}
-	if ek.PackDim != p.LWEDim {
-		return nil, fmt.Errorf("core: packing keys for dimension %d, params say %d", ek.PackDim, p.LWEDim)
-	}
-	e.packN, e.packBabies = ek.PackDim, ek.PackKeys
-	if err := e.buildPacker(); err != nil {
+	use, err := e.keysAtUse(ek)
+	if err != nil {
 		return nil, err
 	}
-	// The packing and S2C rotations are the engine's only automorphism
-	// consumers; verify the uploaded set covers them up front.
-	for _, g := range pack.DedupGalois(e.packer.GaloisElements(), e.s2c.GaloisElements()) {
-		if _, ok := ek.KeySet.Galois[g]; !ok {
-			return nil, fmt.Errorf("core: eval keys missing galois element %d", g)
-		}
+	if err := e.install(use); err != nil {
+		return nil, err
 	}
-	e.ksk = ek.KSK
-	e.finish(ek.KeySet)
 	return e, nil
 }
 

@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"maps"
 	"math/rand/v2"
 	"runtime"
 	"testing"
 
+	"athena/internal/bfv"
 	"athena/internal/coeffenc"
 	"athena/internal/qnn"
 )
@@ -353,5 +357,112 @@ func TestReadEvalKeysAt(t *testing.T) {
 	// Truncated size must fail cleanly, not hang retrying.
 	if _, err := ReadEvalKeysAt(p, &flakyReaderAt{data: good[:len(good)/2]}, int64(len(good)/2)); err == nil {
 		t.Fatal("truncated chunked bundle accepted")
+	}
+}
+
+// TestEvalKeysRefuseUnevaluable: a bundle with a key below the level the
+// evaluation reads it at, or without a key it reads, is refused with a
+// *KeyLevelError by ReadEvalKeys and, handed over in memory, by
+// NewEvaluationEngine; a switching key whose level is malformed on the
+// wire is refused with bfv.ErrKeyShape.
+func TestEvalKeysRefuseUnevaluable(t *testing.T) {
+	p := TestParams()
+	e := testEngine(t)
+	good, err := e.EvalKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fbsL, postL, full := e.ctxF.Level(), e.ctxP.Level(), e.Ctx.Level()
+	var packG, s2cG uint64 // a Galois key the packer reads, one only S2C reads
+	for _, u := range e.galois {
+		if u.level == fbsL && packG == 0 {
+			packG = u.g
+		}
+		if u.level == postL && s2cG == 0 {
+			s2cG = u.g
+		}
+	}
+	if packG == 0 || s2cG == 0 || fbsL == postL {
+		t.Fatalf("TestParams schedule (%d, %d) reads no key at each level", fbsL, postL)
+	}
+	// edit returns good with a copy of its key set and babies changed by f.
+	edit := func(f func(ks *bfv.KeySet, babies []*bfv.Ciphertext)) *EvalKeys {
+		ek := *good
+		ek.KeySet = &bfv.KeySet{Relin: good.KeySet.Relin, Galois: maps.Clone(good.KeySet.Galois)}
+		ek.PackKeys = append([]*bfv.Ciphertext(nil), good.PackKeys...)
+		f(ek.KeySet, ek.PackKeys)
+		return &ek
+	}
+	for _, c := range []struct {
+		name string
+		ek   *EvalKeys
+		want KeyLevelError
+	}{
+		{"relinearization key at FBS-1", edit(func(ks *bfv.KeySet, _ []*bfv.Ciphertext) {
+			ks.Relin = &bfv.RelinearizationKey{SwitchingKey: ks.Relin.AtLevel(fbsL - 1)}
+		}), KeyLevelError{Key: "relinearization key", Level: fbsL - 1, Need: fbsL}},
+		{"packing galois key at post level", edit(func(ks *bfv.KeySet, _ []*bfv.Ciphertext) {
+			ks.Galois[packG] = &bfv.GaloisKey{GaloisEl: packG, SwitchingKey: ks.Galois[packG].AtLevel(postL)}
+		}), KeyLevelError{Key: fmt.Sprintf("galois key %d", packG), Level: postL, Need: fbsL}},
+		{"missing S2C key", edit(func(ks *bfv.KeySet, _ []*bfv.Ciphertext) {
+			delete(ks.Galois, s2cG)
+		}), KeyLevelError{Key: fmt.Sprintf("galois key %d", s2cG), Need: postL}},
+		{"packing baby at post level", edit(func(_ *bfv.KeySet, babies []*bfv.Ciphertext) {
+			var err error
+			if babies[1], err = e.Ctx.ModDown(babies[1], postL); err != nil {
+				t.Fatal(err)
+			}
+		}), KeyLevelError{Key: "packing key 1", Level: postL, Need: fbsL}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			check := func(stage string, err error) {
+				t.Helper()
+				var kl *KeyLevelError
+				if !errors.As(err, &kl) || *kl != c.want {
+					t.Fatalf("%s: got %v, want %v", stage, err, &c.want)
+				}
+			}
+			_, err := NewEvaluationEngine(p, c.ek)
+			check("NewEvaluationEngine", err)
+			var buf bytes.Buffer
+			if err := e.writeEvalKeys(c.ek, &buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReadEvalKeys(p, &buf)
+			check("ReadEvalKeys", err)
+		})
+	}
+
+	// After the bundle header (6 words), the key-set header (5 words) and
+	// the relinearization flag, word 12 is the relinearization key's level
+	// and word 13 the limb count of its first polynomial.
+	var buf bytes.Buffer
+	if err := e.WriteEvalKeys(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	const levelWord, limbWord = 12, 13
+	for _, w := range []int{levelWord, limbWord} {
+		if got := binary.LittleEndian.Uint64(blob[8*w:]); got != uint64(fbsL) {
+			t.Fatalf("word %d of the bundle is %d, want the relinearization key's level %d", w, got, fbsL)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		word int
+		v    uint64
+	}{
+		{"level 0", levelWord, 0},
+		{"level above the chain", levelWord, uint64(full + 1)},
+		{"polynomial below the key's level", limbWord, uint64(fbsL - 1)},
+		{"polynomial above the key's level", limbWord, uint64(fbsL + 1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint64(bad[8*c.word:], c.v)
+			if _, err := ReadEvalKeys(p, bytes.NewReader(bad)); !errors.Is(err, bfv.ErrKeyShape) {
+				t.Fatalf("got %v, want bfv.ErrKeyShape", err)
+			}
+		})
 	}
 }

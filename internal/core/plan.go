@@ -39,6 +39,13 @@ type plan struct {
 
 	s2c *pack.Transform // compiled at ctxP
 
+	// galois lists every Galois element the evaluation reads, in key
+	// generation order (the packer's giant steps, then S2C's), each with
+	// the level it is read at: ctxF's when the packer reads it, ctxP's
+	// when only S2C does. The relinearization key and the packing babies
+	// are read at ctxF's level.
+	galois []keyUse
+
 	// ksk is the shape every uploaded N→n keyswitch key must have.
 	ksk lwe.KeySwitchShape
 
@@ -126,7 +133,24 @@ func newPlan(p Params) (*plan, error) {
 	if pl.s2c, err = pack.CompileTransform(pl.ctxP, pack.S2CMatrix(pl.ctxP)); err != nil {
 		return nil, err
 	}
+	// The merged list opens with the packer's own, deduplicated: the
+	// first len(packEls) elements are the ones read at ctxF.
+	packEls := pack.DedupGalois(pack.GaloisElements(pl.ctxF, p.LWEDim))
+	for i, g := range pack.DedupGalois(packEls, pl.s2c.GaloisElements()) {
+		u := keyUse{g: g, level: postL}
+		if i < len(packEls) {
+			u.level = fbsL
+		}
+		pl.galois = append(pl.galois, u)
+	}
 	return pl, nil
+}
+
+// keyUse is one Galois key the evaluation reads and the level it reads
+// it at.
+type keyUse struct {
+	g     uint64
+	level int
 }
 
 // ReadEvalKeys decodes an evaluation-key bundle for parameters p. All

@@ -192,13 +192,19 @@ func (p *Packer) Keys() (n int, babies []*bfv.Ciphertext) { return p.n, p.babies
 
 // GaloisElements returns the rotation elements the evaluator needs:
 // multiples of the baby-step count.
-func (p *Packer) GaloisElements() []uint64 {
-	gs := p.n / p.bs
+func (p *Packer) GaloisElements() []uint64 { return GaloisElements(p.ctx, p.n) }
+
+// GaloisElements returns the rotation elements a packer of LWE dimension
+// n over ctx reads (its giant steps), without building one: key
+// generation and key validation need them before any packer exists.
+func GaloisElements(ctx *bfv.Context, n int) []uint64 {
+	bs := BabySteps(n)
+	gs := n / bs
 	rots := make([]int, 0, gs-1)
 	for a := 1; a < gs; a++ {
-		rots = append(rots, a*p.bs)
+		rots = append(rots, a*bs)
 	}
-	return bfv.RotationGaloisElements(p.ctx, rots)
+	return bfv.RotationGaloisElements(ctx, rots)
 }
 
 // Pack homomorphically decrypts cts into slots 0..len(cts)-1 of one BFV

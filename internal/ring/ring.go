@@ -62,9 +62,13 @@ type Poly struct {
 }
 
 // NewPoly allocates a zero polynomial with the ring's limb count.
-func (r *Ring) NewPoly() Poly {
-	c := make([][]uint64, r.Level())
-	backing := make([]uint64, r.Level()*r.N)
+func (r *Ring) NewPoly() Poly { return r.NewPolyAt(r.Level()) }
+
+// NewPolyAt allocates a zero polynomial over the first limbs moduli of
+// the ring's chain.
+func (r *Ring) NewPolyAt(limbs int) Poly {
+	c := make([][]uint64, limbs)
+	backing := make([]uint64, limbs*r.N)
 	for i := range c {
 		c[i] = backing[i*r.N : (i+1)*r.N : (i+1)*r.N]
 	}
@@ -221,9 +225,10 @@ func (r *Ring) ShoupPolyInto(p, out Poly) {
 	}
 }
 
-// ShoupPoly returns a freshly allocated companion polynomial for p.
+// ShoupPoly returns a freshly allocated companion polynomial for p, at
+// p's limb count.
 func (r *Ring) ShoupPoly(p Poly) Poly {
-	out := r.NewPoly()
+	out := r.NewPolyAt(p.Level())
 	r.ShoupPolyInto(p, out)
 	return out
 }
