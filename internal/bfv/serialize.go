@@ -116,8 +116,20 @@ func (r *wireReader) polyBody(rq *ring.Ring, limbs int) ring.Poly {
 	return p
 }
 
+// headerWords is the length of writeHeader's output in words.
+const headerWords = 5
+
 func (c *Context) writeHeader(w *wireWriter, magic uint64) {
 	w.u64(magic, wireVersion, uint64(c.Params.LogN), uint64(len(c.Params.Qi)), c.Params.T)
+}
+
+// polyWords is the length of wireWriter.poly's output for p in words.
+func polyWords(p ring.Poly) int64 {
+	n := int64(1)
+	for _, limb := range p.Coeffs {
+		n += 1 + int64(len(limb))
+	}
+	return n
 }
 
 func (c *Context) readHeader(r *wireReader, magic uint64) error {
@@ -149,6 +161,12 @@ func (c *Context) WriteCiphertext(ct *Ciphertext, w io.Writer) error {
 		return ww.err
 	}
 	return ww.w.Flush()
+}
+
+// CiphertextWireSize returns the length in bytes of WriteCiphertext's
+// encoding of ct, counted from its shape.
+func CiphertextWireSize(ct *Ciphertext) int64 {
+	return 8 * (headerWords + polyWords(ct.C0) + polyWords(ct.C1))
 }
 
 // ReadCiphertext deserializes a ciphertext produced under the same
@@ -271,6 +289,26 @@ func (c *Context) WriteKeySet(ks *KeySet, w io.Writer) error {
 		return ww.err
 	}
 	return ww.w.Flush()
+}
+
+// KeySetWireSize returns the length in bytes of WriteKeySet's encoding
+// of ks, counted from its keys' shapes.
+func KeySetWireSize(ks *KeySet) int64 {
+	swk := func(s *SwitchingKey) int64 {
+		n := int64(1)
+		for i := range s.B {
+			n += polyWords(s.B[i]) + polyWords(s.A[i])
+		}
+		return n
+	}
+	words := int64(headerWords) + 2 // the relinearization flag and the Galois count
+	if ks.Relin != nil {
+		words += swk(&ks.Relin.SwitchingKey)
+	}
+	for _, gk := range ks.Galois {
+		words += 1 + swk(&gk.SwitchingKey)
+	}
+	return 8 * words
 }
 
 // ErrKeyShape reports switching-key wire data whose level is outside the

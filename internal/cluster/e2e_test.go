@@ -334,12 +334,9 @@ func TestClusterSessionPlacementSpread(t *testing.T) {
 // router holds one connection per node whatever the number of sessions,
 // so nothing it keeps pins a session on a node: the nodes evict and
 // cold-load under it exactly as without a router. The sessions are the
-// first four key seeds whose session IDs give each node two, so the
-// fixture depends on neither the bundle's bytes nor the ring's hash;
-// they take turns alternating between the nodes. (A node drops a
-// request's pin on its session only after writing the reply, so a
-// client that attaches at once to another session of the same node can
-// find the cap held by a finished one.)
+// first four key seeds whose session IDs give each node two, taken in
+// seed order, so the fixture depends on neither the bundle's bytes nor
+// the ring's hash.
 func TestLongLivedRouterReachesEviction(t *testing.T) {
 	model := serve.DemoNet()
 	var blob bytes.Buffer
@@ -368,25 +365,25 @@ func TestLongLivedRouterReachesEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var engines []*core.Engine
 	ids := map[*core.Engine]string{}
-	perNode := map[string][]*core.Engine{}
-	for seed := uint64(1); len(ids) < 4; seed++ {
+	perNode := map[string]int{}
+	for seed := uint64(1); len(engines) < 4; seed++ {
 		if seed > 64 {
-			t.Fatalf("%d and %d sessions on nodes a and b after 64 seeds: want two per node, so each node evicts", len(perNode["a"]), len(perNode["b"]))
+			t.Fatalf("placement %v after 64 seeds: want two sessions per node, so each node evicts", perNode)
 		}
 		eng, id := first, firstID
 		if seed > 1 {
 			eng, id = keys(seed)
 		}
 		owner, _ := members.Owner(id)
-		if len(perNode[owner.Name]) == 2 {
+		if perNode[owner.Name] == 2 {
 			continue
 		}
-		perNode[owner.Name] = append(perNode[owner.Name], eng)
+		perNode[owner.Name]++
+		engines = append(engines, eng)
 		ids[eng] = id
 	}
-	a, b := perNode["a"], perNode["b"]
-	engines := []*core.Engine{a[0], b[0], a[1], b[1]}
 
 	router, err := cluster.NewRouter(cluster.RouterConfig{Members: members})
 	if err != nil {

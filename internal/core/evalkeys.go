@@ -30,6 +30,9 @@ import (
 const (
 	evalKeysMagic   = 0x4145564b // "AEVK"
 	evalKeysVersion = 1
+
+	// evalKeysHeaderWords is the length of writeEvalKeys' header.
+	evalKeysHeaderWords = 6
 )
 
 // EvalKeys bundles the public evaluation material of one key owner.
@@ -79,6 +82,23 @@ func (e *Engine) WriteEvalKeys(w io.Writer) error {
 		return err
 	}
 	return e.writeEvalKeys(ek, w)
+}
+
+// EvalKeysSize returns the length of the bundle WriteEvalKeys writes,
+// counted from the keys' shapes: the key material the engine holds,
+// each key at its level of use, whatever level its keys arrived at. A
+// server charges a session this much memory, so a full-chain bundle
+// costs what its cut keys hold.
+func (e *Engine) EvalKeysSize() (int64, error) {
+	ek, err := e.EvalKeys()
+	if err != nil {
+		return 0, err
+	}
+	n := 8*int64(evalKeysHeaderWords+1) + bfv.KeySetWireSize(ek.KeySet) + ek.KSK.WireSize()
+	for _, ct := range ek.PackKeys {
+		n += bfv.CiphertextWireSize(ct)
+	}
+	return n, nil
 }
 
 // writeEvalKeys serializes ek at whatever levels its keys hold.

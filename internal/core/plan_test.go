@@ -83,6 +83,11 @@ func TestFullChainBundleStillLoads(t *testing.T) {
 	if !bytes.Equal(re.Bytes(), cur.Bytes()) {
 		t.Fatal("the full-chain bundle's engine re-exports bytes other than today's bundle")
 	}
+	// A server charges a session the engine's bundle size, so the old
+	// layout costs what its cut keys hold, not the bytes uploaded.
+	if n, err := legacy.EvalKeysSize(); err != nil || n != int64(cur.Len()) {
+		t.Fatalf("full-chain engine sized at %d bytes (%v), want today's %d", n, err, cur.Len())
+	}
 
 	net := evalKeysTestNet()
 	x := qnn.NewIntTensor(1, 4, 4)
@@ -145,6 +150,12 @@ func TestEvalKeysSize(t *testing.T) {
 	fbsL, postL := e.ctxF.Level(), e.ctxP.Level()
 	t.Logf("eval-keys bytes: total %d | relinearization (level %d) %d | %d galois at FBS level %d: %d | %d galois at post level %d: %d | %d packing babies (level %d) %d | LWE keyswitch key %d",
 		total, fbsL, relin, count[fbsL], fbsL, galois[fbsL], count[postL], postL, galois[postL], len(ek.PackKeys), fbsL, babies, ksk)
+	if n, err := e.EvalKeysSize(); err != nil || n != int64(total) {
+		t.Errorf("EvalKeysSize %d (%v), bundle written is %d bytes", n, err, total)
+	}
+	if n := bfv.KeySetWireSize(ek.KeySet); n != int64(keySet(ek.KeySet)) {
+		t.Errorf("KeySetWireSize %d, key set written is %d bytes", n, keySet(ek.KeySet))
+	}
 	if total > 720_000 {
 		t.Errorf("TestParams bundle is %d bytes, want ≤ 720 000", total)
 	}

@@ -90,6 +90,10 @@ func WriteKeySwitchKey(k *KeySwitchKey, w io.Writer) error {
 	return bw.Flush()
 }
 
+// WireSize returns the length in bytes of WriteKeySwitchKey's encoding
+// of k: seven header words and the matrix.
+func (k *KeySwitchKey) WireSize() int64 { return 8 * int64(7+len(k.M)) }
+
 // KeySwitchShape is what a reader expects of a keyswitch key: the input
 // and output dimensions, the modulus and the digit count.
 type KeySwitchShape struct {

@@ -290,6 +290,120 @@ func TestServeBusyPreservesSessions(t *testing.T) {
 	}
 }
 
+// TestServeAttachRightAfterReply: a node whose registry holds one
+// session answers a request on session A, and another client attaches to
+// session B the moment that reply is handed to the socket, before A's
+// client has read it. B's cold load must find A unpinned and evict it:
+// a finished request holds no pin once its reply is on the way.
+func TestServeAttachRightAfterReply(t *testing.T) {
+	engA := itEngine(t)
+	p := core.TestParams()
+	p.Seed = 77
+	engB, err := core.NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := serve.DemoNet()
+	var blob bytes.Buffer
+	if err := engA.WriteEvalKeys(&blob); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.NewServer(serve.Config{
+		Params:      core.TestParams(),
+		Models:      map[string]*qnn.QNetwork{model.Name: model},
+		MaxWait:     5 * time.Millisecond,
+		DataDir:     t.TempDir(),
+		MemCapBytes: int64(blob.Len()) * 3 / 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	next := make(chan string, 1)
+	attached := make(chan error, 1)
+	hl := &resultHookListener{Listener: ln, onResult: func() {
+		c, err := client.Dial(addr, engB, client.Options{})
+		if err == nil {
+			err = c.Attach(<-next)
+			c.Close()
+		}
+		attached <- err
+	}}
+	go srv.Serve(hl)
+	t.Cleanup(srv.Shutdown)
+
+	dial := func(eng *core.Engine) *client.Client {
+		c, err := client.Dial(addr, eng, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	cB := dial(engB)
+	idB, err := cB.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cA := dial(engA)
+	if _, err := cA.OpenSession(); err != nil { // evicts B
+		t.Fatal(err)
+	}
+	next <- idB
+	x := serve.DemoInput(500)
+	got, err := cA.Infer(model, x, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-attached; err != nil {
+		t.Fatalf("attach to B as A's reply is written: %v", err)
+	}
+	ref := model.ForwardInt(x).Data
+	for j := range got {
+		if d := got[j] - ref[j]; d < -3 || d > 3 {
+			t.Fatalf("logit %d: got %d, plaintext %d", j, got[j], ref[j])
+		}
+	}
+	if _, err := cB.Infer(model, x, 0); err != nil {
+		t.Fatalf("B after its cold load: %v", err)
+	}
+	if s := srv.Metrics().Sessions; s.Evictions != 2 || s.ColdLoads != 1 {
+		t.Fatalf("%d evictions, %d cold loads: want 2 (B by A's upload, A by B's attach) and 1", s.Evictions, s.ColdLoads)
+	}
+}
+
+// resultHookListener hands out connections that call onResult, once per
+// listener, just before the first result frame reaches a socket.
+type resultHookListener struct {
+	net.Listener
+	onResult func()
+	once     sync.Once
+}
+
+func (l *resultHookListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &resultHookConn{Conn: c, l: l}, nil
+}
+
+type resultHookConn struct {
+	net.Conn
+	l *resultHookListener
+}
+
+func (c *resultHookConn) Write(p []byte) (int, error) {
+	if hdr := serve.AppendFrame(nil, serve.FrameResult, nil); bytes.HasPrefix(p, hdr[:6]) {
+		c.l.once.Do(c.l.onResult)
+	}
+	return c.Conn.Write(p)
+}
+
 // TestServeDrainCompletesInflight: Shutdown answers every admitted
 // request before closing connections, and the listener stops accepting.
 func TestServeDrainCompletesInflight(t *testing.T) {

@@ -22,9 +22,12 @@ type Session struct {
 	Eng *core.Engine
 	Mu  sync.Mutex
 
-	// Bytes is the session's memory charge against the registry cap
-	// (the size of the uploaded key blob, which tracks the dominant
-	// in-memory material: switching keys and packing keys).
+	// Bytes is the session's memory charge against the registry cap:
+	// the size of the bundle its engine would re-export
+	// (core.Engine.EvalKeysSize), which tracks the dominant in-memory
+	// material, switching keys and packing keys, at the levels the
+	// engine holds them. A bundle uploaded with keys above their level
+	// of use is charged what the engine keeps, not the bytes uploaded.
 	Bytes int64
 
 	// refs counts in-flight work (admitted, not yet replied requests);
@@ -136,11 +139,10 @@ func (r *Registry) Open(blob []byte) (s *Session, created bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	eng, err := core.NewEvaluationEngine(r.p, ek)
+	s, err = r.newSession(id, ek)
 	if err != nil {
 		return nil, false, err
 	}
-	s = &Session{ID: id, Eng: eng, Bytes: int64(len(blob)), limiter: r.newLimiter()}
 
 	// Durable before acked: Put returns once the blob is a file under its
 	// content address with the file and the directory fsync'd, and only
@@ -244,11 +246,25 @@ func (r *Registry) loadCold(st *store.Store, id string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: session %s: %w", id, err)
 	}
-	eng, err := core.NewEvaluationEngine(r.p, ek)
+	s, err := r.newSession(id, ek)
 	if err != nil {
 		return nil, fmt.Errorf("serve: session %s: %w", id, err)
 	}
-	return &Session{ID: id, Eng: eng, Bytes: b.Size(), limiter: r.newLimiter()}, nil
+	return s, nil
+}
+
+// newSession builds the evaluation engine of decoded keys and charges
+// the session what the engine holds.
+func (r *Registry) newSession(id string, ek *core.EvalKeys) (*Session, error) {
+	eng, err := core.NewEvaluationEngine(r.p, ek)
+	if err != nil {
+		return nil, err
+	}
+	size, err := eng.EvalKeysSize()
+	if err != nil {
+		return nil, err
+	}
+	return &Session{ID: id, Eng: eng, Bytes: size, limiter: r.newLimiter()}, nil
 }
 
 // Release drops one in-flight pin.

@@ -37,6 +37,10 @@ func TestRegistryContentAddressing(t *testing.T) {
 	if s1.ID != SessionID(blob) {
 		t.Fatalf("session ID %s, want content hash %s", s1.ID, SessionID(blob))
 	}
+	// A bundle at its levels of use is charged its own length.
+	if s1.Bytes != int64(len(blob)) {
+		t.Fatalf("session charged %d bytes, bundle is %d", s1.Bytes, len(blob))
+	}
 	// Same material again: same resident session, no rebuild.
 	s2, created, err := r.Open(blob)
 	if err != nil {

@@ -416,8 +416,12 @@ func (s *Server) handleInfer(st *connState, payload []byte) bool {
 		In:       in,
 		Deadline: deadline,
 		Done: func(out *core.EncryptedLogits, rerr error) {
-			defer s.registry.Release(sess)
+			// The reply is encoded first and the pin dropped before it is
+			// written: a client that has the reply may attach at once to
+			// another session of this node, and must not find the cap
+			// still held by this finished request.
 			if rerr != nil {
+				s.registry.Release(sess)
 				var re *RequestError
 				if errors.As(rerr, &re) {
 					if re.Code == CodeDeadline {
@@ -433,7 +437,9 @@ func (s *Server) handleInfer(st *connState, payload []byte) bool {
 				return
 			}
 			var buf bytes.Buffer
-			if werr := sess.Eng.WriteEncryptedLogits(out, &buf); werr != nil {
+			werr := sess.Eng.WriteEncryptedLogits(out, &buf)
+			s.registry.Release(sess)
+			if werr != nil {
 				s.metrics.Failed()
 				st.writeError(reqID, CodeInternal, werr.Error())
 				return
