@@ -323,14 +323,7 @@ func (r *Router) relay(cc *clientConn, typ serve.FrameType, payload []byte, sess
 		}
 		return cc.relayError(clientID, err)
 	}
-	// The payload aliases this connection's read arena: rewrite the ID
-	// in place and relay the frame otherwise untouched.
-	binary.LittleEndian.PutUint64(payload[:8], routerID)
-	if err := bc.write(typ, payload); err != nil {
-		bc.take(routerID)
-		r.failBackend(bc, err)
-		return cc.writeError(clientID, serve.CodeUnavailable, "owner write failed: "+err.Error())
-	}
+	// Counted before the write, so the owner's reply never overtakes it.
 	r.count(func(s *RouterStats) {
 		if typ == serve.FrameInfer {
 			s.InfersRelayed++
@@ -338,6 +331,13 @@ func (r *Router) relay(cc *clientConn, typ serve.FrameType, payload []byte, sess
 			s.SessionsRouted++
 		}
 	})
+	// The payload aliases the read arena: rewrite the ID in place, relay the rest.
+	binary.LittleEndian.PutUint64(payload[:8], routerID)
+	if err := bc.write(typ, payload); err != nil {
+		bc.take(routerID)
+		r.failBackend(bc, err)
+		return cc.writeError(clientID, serve.CodeUnavailable, "owner write failed: "+err.Error())
+	}
 	return true
 }
 

@@ -9,7 +9,7 @@ import "fmt"
 // selects without a default clause, and range-over-channel) are
 // combined with the per-function may-held dataflow; a site with a
 // non-empty held set is a finding, and so is a held call into a module
-// function that transitively blocks — the index's reachability query
+// function that transitively blocks — the index's first-witness query
 // over the shared concurrency summaries, with a witness chain.
 //
 // A select with a default clause is non-blocking by construction and
@@ -38,7 +38,7 @@ func (*BlockHold) Doc() string {
 func (p *BlockHold) Run(prog *Program) []Finding {
 	idx, conc := prog.index(), prog.concurrency()
 	findings := idx.malformed("blockhold")
-	blocks := newReachability(prog, conc.summaryOf)
+	blocks := idx.reaches(prog, conc.summaryOf)
 	for i, fn := range idx.funcs {
 		sum := conc.sums[i]
 		for _, s := range sum.sites {
@@ -53,7 +53,7 @@ func (p *BlockHold) Run(prog *Program) []Finding {
 			if len(c.held) == 0 || idx.covers("holdok", "blockhold", prog.Fset.Position(c.pos)) {
 				continue
 			}
-			if w, ok := blocks.reaches(c.callee); ok {
+			if w := blocks(c.callee); w != "" {
 				findings = append(findings, Finding{Pass: "blockhold", Pos: prog.Fset.Position(c.pos),
 					Message: fmt.Sprintf("%s: call blocks while holding %s: %s (justify with //lint:holdok <reason>)",
 						fn.name, displayHeld(conc.disp, c.held), w)})

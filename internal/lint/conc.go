@@ -13,7 +13,7 @@ import (
 // channel identity resolution against go/types objects, a forward
 // may-held dataflow over the CFG of cfg.go, and per-function summaries
 // built once per Program over the index's bodies and shared by both
-// passes (blockhold chases them with the index's reachability query).
+// passes (blockhold chases them with the index's first-witness query).
 //
 // Identity is the *types.Var behind the lock or channel expression: a
 // struct field (`b.mu` → field mu of Batcher — every instance of the
@@ -52,7 +52,7 @@ type concAcquire struct {
 }
 
 // concSummary is the per-function concurrency summary: direct
-// acquisitions, plus the reachability summary — blocking sites and
+// acquisitions, plus the witness summary — blocking sites and
 // module call edges, each with the held set at it. Sites carrying a
 // //lint:holdok or //lint:allow blockhold are dropped while the summary
 // is built, so a justified hold never poisons callers.
@@ -88,13 +88,8 @@ func (prog *Program) concurrency() *concIndex {
 	return idx.conc
 }
 
-// summaryOf is the reachability view of fn's summary.
-func (c *concIndex) summaryOf(fn *types.Func) *summary {
-	if sum := c.byFunc[fn]; sum != nil {
-		return &sum.summary
-	}
-	return nil
-}
+// summaryOf is the witness-query view of declared fn's summary.
+func (c *concIndex) summaryOf(fn *types.Func) *summary { return &c.byFunc[fn].summary }
 
 // lockIdent resolves a mutex or channel expression to its identity
 // variable and a stable display name ("(Batcher).mu", "serve.global",

@@ -1,23 +1,23 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"unicode"
 )
 
 // This file is the program index every pass reads instead of walking
-// the module again: the analyzable function bodies, the table of lint:
-// directives, and (conc.go) the concurrency summaries, each built once
-// per Program on first use. It also holds the one reachability query
-// the interprocedural passes share.
+// the module again: the analyzable function bodies, the static module
+// call graph over them, the table of lint: directives, and (conc.go)
+// the concurrency summaries, each built once per Program on first use.
+// It also holds the one summary solver the interprocedural passes share.
 
 // funcBody is one analyzable body: a declared function, or a function
 // literal nested in one (obj nil — a literal is an atom to its
@@ -28,6 +28,12 @@ type funcBody struct {
 	name string
 	body *ast.BlockStmt
 	pkg  *Package
+	at   int // position in index.funcs
+
+	// callees are the distinct declared module functions the body calls
+	// statically, in source order; a nested literal's calls belong to
+	// the declaration enclosing it. nil for a function literal.
+	callees []*types.Func
 }
 
 // directiveKinds maps each directive kind to the pass that consumes it
@@ -131,17 +137,30 @@ func buildIndex(prog *Program) *index {
 				if fd.Body == nil {
 					continue
 				}
-				fn := &funcBody{obj: obj, decl: fd, name: shortName(obj), body: fd.Body, pkg: pkg}
+				fn := &funcBody{obj: obj, decl: fd, name: shortName(obj), body: fd.Body, pkg: pkg, at: len(idx.funcs)}
 				idx.funcs = append(idx.funcs, fn)
 				idx.decls[obj] = fn
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					if lit, ok := n.(*ast.FuncLit); ok {
-						idx.funcs = append(idx.funcs, &funcBody{name: fn.name + " (func literal)", body: lit.Body, pkg: pkg})
+						idx.funcs = append(idx.funcs, &funcBody{name: fn.name + " (func literal)", body: lit.Body, pkg: pkg, at: len(idx.funcs)})
 					}
 					return true
 				})
 			}
 		}
+	}
+	for _, fn := range idx.funcs {
+		if fn.obj == nil {
+			continue
+		}
+		ast.Inspect(fn.body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if callee := staticCalleeFunc(fn.pkg, call); idx.decls[callee] != nil && !slices.Contains(fn.callees, callee) {
+					fn.callees = append(fn.callees, callee)
+				}
+			}
+			return true
+		})
 	}
 	return idx
 }
@@ -221,20 +240,13 @@ func CollectAnnotations(prog *Program) []Annotation {
 	for _, d := range prog.index().directives {
 		out = append(out, d.Annotation)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Kind < b.Kind
+	slices.SortFunc(out, func(a, b Annotation) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Kind, b.Kind))
 	})
 	return out
 }
 
-// site is one local operation a reachability query looks for — an
+// site is one local operation a witness query looks for — an
 // allocation (noalloc), a blocking operation (blockhold) — with the
 // may-held set at it where conc.go tracks one.
 type site struct {
@@ -250,53 +262,115 @@ type edge struct {
 	held   []*types.Var
 }
 
-// summary is what the reachability query reads of one function: its
+// summary is what the witness query reads of one function: its
 // unsuppressed local sites and its module call edges.
 type summary struct {
 	sites []site
 	calls []edge
 }
 
-// reachability memoizes "does fn reach a local site through static
-// module calls", with a witness chain `a → b: what at file:line` down
-// to the first site found. A function still in progress answers clean:
-// a recursive cycle that is otherwise clean stays clean, and a cycle
-// holding a real site is caught when the site's owner finishes.
-type reachability struct {
-	prog *Program
-	sum  func(*types.Func) *summary // nil: no analyzable body, nothing to prove
-	memo map[*types.Func]string     // witness; "" clean or in progress
+// solver computes one summary S per declared function bottom-up over
+// the call graph. A query runs a lazy Tarjan walk from the queried
+// function; when a strongly connected component completes, step runs
+// over its members in index order until none of their summaries grows,
+// reading callee summaries through get: final below the component, the
+// current value (at first the zero S) inside it. Every summary lattice
+// is finite and step is monotone in it, so the sweep ends without a
+// cap, and the result never depends on which function was queried
+// first. An acyclic function takes one step.
+type solver[S any] struct {
+	idx   *index
+	step  func(fn *funcBody, sum *S) bool // grows *sum; reports whether it changed
+	nodes map[*types.Func]*solverNode[S]
+	stack []*funcBody
 }
 
-func newReachability(prog *Program, sum func(*types.Func) *summary) *reachability {
-	return &reachability{prog: prog, sum: sum, memo: map[*types.Func]string{}}
+type solverNode[S any] struct {
+	sum      S
+	num, low int
+	onStack  bool
 }
 
-func (r *reachability) reaches(fn *types.Func) (string, bool) {
-	if w, seen := r.memo[fn]; seen {
-		return w, w != ""
-	}
-	r.memo[fn] = ""
-	w := r.witness(fn)
-	r.memo[fn] = w
-	return w, w != ""
+func newSolver[S any](idx *index, step func(fn *funcBody, sum *S) bool) *solver[S] {
+	return &solver[S]{idx: idx, step: step, nodes: map[*types.Func]*solverNode[S]{}}
 }
 
-func (r *reachability) witness(fn *types.Func) string {
-	sum := r.sum(fn)
-	if sum == nil {
-		return ""
+// get returns fn's summary, solving its component first; the zero S
+// when fn has no analyzable body. Steps may only get the callees the
+// call graph lists for them.
+func (s *solver[S]) get(fn *types.Func) S {
+	n := s.nodes[fn]
+	if n == nil {
+		body := s.idx.decls[fn]
+		if body == nil {
+			var zero S
+			return zero
+		}
+		n = s.visit(body)
 	}
-	if len(sum.sites) > 0 {
-		s := sum.sites[0]
-		return fmt.Sprintf("%s: %s at %s", shortName(fn), s.what, shortPos(r.prog, s.pos))
-	}
-	for _, c := range sum.calls {
-		if w, ok := r.reaches(c.callee); ok {
-			return shortName(fn) + " → " + w
+	return n.sum
+}
+
+func (s *solver[S]) visit(fn *funcBody) *solverNode[S] {
+	n := &solverNode[S]{num: len(s.nodes), onStack: true}
+	n.low = n.num
+	s.nodes[fn.obj] = n
+	s.stack = append(s.stack, fn)
+	for _, c := range fn.callees {
+		if m := s.nodes[c]; m == nil {
+			n.low = min(n.low, s.visit(s.idx.decls[c]).low)
+		} else if m.onStack {
+			n.low = min(n.low, m.num)
 		}
 	}
-	return ""
+	if n.low != n.num {
+		return n
+	}
+	i := slices.Index(s.stack, fn)
+	scc := slices.Clone(s.stack[i:])
+	s.stack = s.stack[:i]
+	for _, m := range scc {
+		s.nodes[m.obj].onStack = false
+	}
+	slices.SortFunc(scc, func(a, b *funcBody) int { return a.at - b.at })
+	acyclic := len(scc) == 1 && !slices.Contains(fn.callees, fn.obj)
+	for {
+		changed := false
+		for _, m := range scc {
+			changed = s.step(m, &s.nodes[m.obj].sum) || changed
+		}
+		if !changed || acyclic {
+			return n
+		}
+	}
+}
+
+// reaches is the first-witness query: the chain `a → b: what at
+// file:line` by which fn reaches one of sum's local sites through
+// static module calls, or "". A function's witness is its first site,
+// or else its first call whose callee has a witness; once set it is
+// frozen, so every chain is finite and names callees that had their
+// witness first.
+func (idx *index) reaches(prog *Program, sum func(*types.Func) *summary) func(*types.Func) string {
+	var sv *solver[string]
+	sv = newSolver(idx, func(fn *funcBody, w *string) bool {
+		if *w != "" {
+			return false
+		}
+		s := sum(fn.obj)
+		if len(s.sites) > 0 {
+			*w = fmt.Sprintf("%s: %s at %s", shortName(fn.obj), s.sites[0].what, shortPos(prog, s.sites[0].pos))
+			return true
+		}
+		for _, c := range s.calls {
+			if cw := sv.get(c.callee); cw != "" {
+				*w = shortName(fn.obj) + " → " + cw
+				return true
+			}
+		}
+		return false
+	})
+	return sv.get
 }
 
 // shortPos renders pos as file:line with the file's base name.

@@ -52,11 +52,12 @@
 //     protocol, or a loop-exiting cancellation select).
 //
 // The passes share one index of the program (index.go), built once per
-// Program: every function body, every lint: directive parsed once, the
-// concurrency summaries, and one memoized reachability query ("does fn
-// reach a local site through static module calls", with a witness
-// chain) under noalloc and blockhold. A pass contributes only what a
-// body adds to its summary and how a finding is worded.
+// Program: every function body, the static module call graph, every
+// directive parsed once, the concurrency summaries, and one bottom-up
+// summary solver over the call graph's strongly connected components
+// under noalloc, blockhold, lockorder and secrettaint. A pass
+// contributes only what a body adds to its summary and how a finding
+// is worded.
 //
 // Everything is built on the standard library only (go/ast, go/parser,
 // go/types); go.mod stays bare. Findings can be suppressed in source
@@ -73,12 +74,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -143,19 +144,9 @@ func Run(prog *Program, passes []Pass) []Finding {
 			}
 		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		switch {
-		case a.Pos.Filename != b.Pos.Filename:
-			return a.Pos.Filename < b.Pos.Filename
-		case a.Pos.Line != b.Pos.Line:
-			return a.Pos.Line < b.Pos.Line
-		case a.Pass != b.Pass:
-			return a.Pass < b.Pass
-		case a.Pos.Column != b.Pos.Column:
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Message < b.Message
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pass, b.Pass), cmp.Compare(a.Pos.Column, b.Pos.Column), cmp.Compare(a.Message, b.Message))
 	})
 	return findings
 }

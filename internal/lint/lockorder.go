@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -65,18 +65,18 @@ type lockOrderState struct {
 	edgeIdx map[[2]*types.Var]*lockEdge
 	adj     map[*types.Var][]*lockEdge
 
-	transMemo map[*types.Func][]transAcq
+	acquired *solver[[]transAcq]
 }
 
 // Run implements Pass.
 func (p *LockOrder) Run(prog *Program) []Finding {
 	st := &lockOrderState{
-		prog:      prog,
-		conc:      prog.concurrency(),
-		edgeIdx:   map[[2]*types.Var]*lockEdge{},
-		adj:       map[*types.Var][]*lockEdge{},
-		transMemo: map[*types.Func][]transAcq{},
+		prog:    prog,
+		conc:    prog.concurrency(),
+		edgeIdx: map[[2]*types.Var]*lockEdge{},
+		adj:     map[*types.Var][]*lockEdge{},
 	}
+	st.acquired = newSolver(prog.index(), st.acquires)
 	disp := st.conc.disp
 	var findings []Finding
 	for i, fn := range prog.index().funcs {
@@ -96,7 +96,7 @@ func (p *LockOrder) Run(prog *Program) []Finding {
 			if len(c.held) == 0 {
 				continue
 			}
-			for _, t := range st.transAcquires(c.callee) {
+			for _, t := range st.acquired.get(c.callee) {
 				site := fmt.Sprintf("%s calls %s at %s → %s", fn.name, shortName(c.callee), shortPos(prog, c.pos), t.chain)
 				for _, h := range c.held {
 					if h == t.mu {
@@ -126,44 +126,27 @@ func (st *lockOrderState) addEdge(from, to *types.Var, pos token.Pos, witness st
 	st.adj[from] = append(st.adj[from], e)
 }
 
-// transAcquires returns every mutex fn transitively acquires through
-// static module calls, each with a witness chain. In-progress cycle
-// members answer empty (a recursive cycle adds nothing new); results
-// are memoized. This is a set-valued walk (every mutex, not the first
-// site), so it stays beside the index's first-witness reachability
-// query rather than forcing a mode onto it.
-func (st *lockOrderState) transAcquires(fn *types.Func) []transAcq {
-	if got, ok := st.transMemo[fn]; ok {
-		return got
-	}
-	sum := st.conc.byFunc[fn]
-	if sum == nil {
-		st.transMemo[fn] = nil
-		return nil
-	}
-	st.transMemo[fn] = []transAcq{} // in-progress marker: recursion sees empty
-	var out []transAcq
-	seen := map[*types.Var]bool{}
-	for _, a := range sum.acquires {
-		if seen[a.mu] {
-			continue
+// acquires is the solver step of the set of mutexes fn transitively
+// acquires through static module calls: its own Lock sites, then each
+// callee's set in call order, every mutex keeping the first chain that
+// reached it.
+func (st *lockOrderState) acquires(fn *funcBody, out *[]transAcq) bool {
+	n := len(*out)
+	add := func(mu *types.Var, chain string) {
+		if !slices.ContainsFunc(*out, func(t transAcq) bool { return t.mu == mu }) {
+			*out = append(*out, transAcq{mu: mu, chain: chain})
 		}
-		seen[a.mu] = true
-		out = append(out, transAcq{mu: a.mu,
-			chain: fmt.Sprintf("%s acquires %s at %s", shortName(fn), st.conc.disp[a.mu], shortPos(st.prog, a.pos))})
+	}
+	sum := st.conc.byFunc[fn.obj]
+	for _, a := range sum.acquires {
+		add(a.mu, fmt.Sprintf("%s acquires %s at %s", shortName(fn.obj), st.conc.disp[a.mu], shortPos(st.prog, a.pos)))
 	}
 	for _, c := range sum.calls {
-		for _, t := range st.transAcquires(c.callee) {
-			if seen[t.mu] {
-				continue
-			}
-			seen[t.mu] = true
-			out = append(out, transAcq{mu: t.mu,
-				chain: fmt.Sprintf("%s calls %s at %s → %s", shortName(fn), shortName(c.callee), shortPos(st.prog, c.pos), t.chain)})
+		for _, t := range st.acquired.get(c.callee) {
+			add(t.mu, fmt.Sprintf("%s calls %s at %s → %s", shortName(fn.obj), shortName(c.callee), shortPos(st.prog, c.pos), t.chain))
 		}
 	}
-	st.transMemo[fn] = out
-	return out
+	return len(*out) > n
 }
 
 // cycleFindings detects cycles in the edge graph and emits one finding
@@ -235,7 +218,5 @@ func (st *lockOrderState) findPath(from, to *types.Var) []*lockEdge {
 
 // canonicalCycle keys a cycle independent of its starting point.
 func canonicalCycle(names []string) string {
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	return strings.Join(sorted, "|")
+	return strings.Join(slices.Sorted(slices.Values(names)), "|")
 }

@@ -16,7 +16,7 @@ import (
 //
 // is proven free of heap-allocating constructs, and so is everything it
 // transitively calls through static module calls — per-function
-// summaries chased by the index's reachability query (index.go), so one
+// summaries chased by the index's first-witness query (index.go), so one
 // annotation on a kernel entry point covers its whole call tree.
 //
 // Allocating constructs: make/new, slice and map composite literals,
@@ -71,7 +71,7 @@ func (*NoAlloc) Doc() string {
 func (p *NoAlloc) Run(prog *Program) []Finding {
 	// Allows are folded into summaries so a justified site does not
 	// poison callers. Summaries are built on demand: only functions on
-	// some annotated function's call tree are ever scanned.
+	// some annotated function's static call tree are ever scanned.
 	idx := prog.index()
 	findings := idx.malformed("noalloc")
 	annotated := map[*types.Func]bool{}
@@ -82,14 +82,12 @@ func (p *NoAlloc) Run(prog *Program) []Finding {
 	}
 	sums := map[*types.Func]*summary{}
 	summaryOf := func(obj *types.Func) *summary {
-		sum, done := sums[obj]
-		if fn := idx.decls[obj]; !done && fn != nil {
-			sum = buildAllocSummary(prog, fn)
-			sums[obj] = sum
+		if sums[obj] == nil {
+			sums[obj] = buildAllocSummary(prog, idx.decls[obj])
 		}
-		return sum
+		return sums[obj]
 	}
-	allocates := newReachability(prog, summaryOf)
+	allocates := idx.reaches(prog, summaryOf)
 	for _, fn := range idx.funcs {
 		if !annotated[fn.obj] {
 			continue
@@ -105,7 +103,7 @@ func (p *NoAlloc) Run(prog *Program) []Finding {
 				// violations are reported at its own sites, once.
 				continue
 			}
-			if w, ok := allocates.reaches(c.callee); ok {
+			if w := allocates(c.callee); w != "" {
 				findings = append(findings, Finding{Pass: "noalloc", Pos: prog.Fset.Position(c.pos),
 					Message: fmt.Sprintf("call allocates on the //lint:noalloc path of %s: %s", fn.name, w)})
 			}

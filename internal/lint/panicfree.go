@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -112,8 +113,7 @@ func (p *PanicFreeWire) Run(prog *Program) []Finding {
 		if body == nil {
 			continue
 		}
-		callees, panics := callsAndPanics(body)
-		for _, pos := range panics {
+		for _, pos := range panicSites(body) {
 			if reported[pos] {
 				continue
 			}
@@ -125,7 +125,7 @@ func (p *PanicFreeWire) Run(prog *Program) []Finding {
 					callPath(parent, fn)),
 			})
 		}
-		for _, callee := range callees {
+		for _, callee := range body.callees {
 			if !seen[callee] {
 				seen[callee] = true
 				parent[callee] = fn
@@ -150,26 +150,18 @@ func (p *PanicFreeWire) isEntry(relPkg, file, name string) bool {
 	return false
 }
 
-// callsAndPanics returns fn's distinct static callees and its direct
-// panic sites. Function literals nested in the body are attributed to
-// the enclosing declaration: the wire readers invoke their helpers
+// panicSites returns fn's direct panic calls. Function literals nested
+// in the body are attributed to the enclosing declaration, as the call
+// graph attributes their calls: the wire readers invoke their helpers
 // synchronously, so this over-approximates in the safe direction.
-func callsAndPanics(fn *funcBody) (callees []*types.Func, panics []token.Pos) {
-	seen := map[*types.Func]bool{}
+func panicSites(fn *funcBody) (panics []token.Pos) {
 	ast.Inspect(fn.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if callee := staticCalleeFunc(fn.pkg, call); callee != nil && !seen[callee] {
-			seen[callee] = true
-			callees = append(callees, callee)
-		} else if builtinName(fn.pkg, call) == "panic" {
+		if call, ok := n.(*ast.CallExpr); ok && builtinName(fn.pkg, call) == "panic" {
 			panics = append(panics, call.Pos())
 		}
 		return true
 	})
-	return callees, panics
+	return panics
 }
 
 // callPath renders entry → … → fn using the BFS parent chain.
@@ -177,13 +169,8 @@ func callPath(parent map[*types.Func]*types.Func, fn *types.Func) string {
 	var chain []string
 	for f := fn; f != nil; f = parent[f] {
 		chain = append(chain, shortName(f))
-		if _, ok := parent[f]; !ok {
-			break
-		}
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	slices.Reverse(chain)
 	return strings.Join(chain, " → ")
 }
 

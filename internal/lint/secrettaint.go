@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -77,85 +78,68 @@ type taintSummary struct {
 	sinkName string
 }
 
-func (s *taintSummary) equal(o *taintSummary) bool {
-	if s == nil || o == nil {
-		return s == o
-	}
-	if s.sinkParams != o.sinkParams || len(s.retMask) != len(o.retMask) {
-		return false
-	}
-	for i := range s.retMask {
-		if s.retMask[i] != o.retMask[i] {
-			return false
-		}
-	}
-	return true
+// taintResult is one function's solved summary with the findings of
+// the analysis that produced it.
+type taintResult struct {
+	taintSummary
+	findings []Finding
 }
 
 // Run implements Pass.
 func (p *SecretTaint) Run(prog *Program) []Finding {
 	idx := prog.index()
 	findings := idx.malformed("secrettaint")
-
-	// Bottom-up summaries to a fixpoint. Masks grow monotonically, so
-	// the iteration converges; the bound is a safety net.
-	summaries := map[*types.Func]*taintSummary{}
-	for round := 0; round < 8; round++ {
-		changed := false
-		for _, fn := range idx.funcs {
-			if fn.obj == nil {
-				continue
-			}
-			an := &taintAnalysis{prog: prog, pkg: fn.pkg, summaries: summaries}
-			s := an.analyze(fn, nil)
-			if !s.equal(summaries[fn.obj]) {
-				summaries[fn.obj] = s
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
-	// Reporting round with stable summaries.
-	reported := map[token.Pos]bool{}
+	taint := taintSolver(prog)
 	for _, fn := range idx.funcs {
-		if fn.obj == nil {
-			continue
+		if fn.obj != nil {
+			findings = append(findings, taint.get(fn.obj).findings...)
 		}
-		an := &taintAnalysis{prog: prog, pkg: fn.pkg, summaries: summaries}
-		an.analyze(fn, func(pos token.Pos, msg string) {
-			if reported[pos] {
-				return
-			}
-			reported[pos] = true
-			findings = append(findings, Finding{Pass: "secrettaint", Pos: prog.Fset.Position(pos), Message: msg})
-		})
 	}
 	return findings
+}
+
+// taintSolver solves the summaries bottom-up over the call graph's
+// components. A function's last step runs on final callee summaries,
+// so the findings it leaves are final too.
+func taintSolver(prog *Program) *solver[taintResult] {
+	var taint *solver[taintResult]
+	summaryOf := func(fn *types.Func) *taintSummary {
+		if prog.index().decls[fn] == nil {
+			return nil
+		}
+		r := taint.get(fn)
+		return &r.taintSummary
+	}
+	taint = newSolver(prog.index(), func(fn *funcBody, r *taintResult) bool {
+		an := &taintAnalysis{prog: prog, pkg: fn.pkg, summaryOf: summaryOf}
+		s := an.analyze(fn)
+		r.findings = an.found
+		if s.sinkParams == r.sinkParams && slices.Equal(s.retMask, r.retMask) {
+			return false
+		}
+		r.taintSummary = s
+		return true
+	})
+	return taint
 }
 
 // taintAnalysis carries the per-function dataflow state.
 type taintAnalysis struct {
 	prog      *Program
 	pkg       *Package
-	summaries map[*types.Func]*taintSummary
+	summaryOf func(*types.Func) *taintSummary // nil: no analyzable body
 
-	masks  map[types.Object]uint64
-	params map[types.Object]int
-	report func(pos token.Pos, msg string)
+	masks   map[types.Object]uint64
+	changed bool      // a join grew a mask during the current sweep
+	found   []Finding // source-tainted sink arguments of the current sweep
 
 	sum taintSummary
 }
 
-// analyze computes fn's summary; when report is non-nil it also emits
-// findings for source-tainted sink arguments.
-func (a *taintAnalysis) analyze(fn *funcBody, report func(token.Pos, string)) *taintSummary {
-	a.report = report
+// analyze computes fn's summary and leaves in found the source-tainted
+// sink arguments of its last sweep, the one that ran on stable masks.
+func (a *taintAnalysis) analyze(fn *funcBody) taintSummary {
 	a.masks = map[types.Object]uint64{}
-	a.params = map[types.Object]int{}
-	a.sum = taintSummary{}
 
 	sig := fn.obj.Type().(*types.Signature)
 	idx := 0
@@ -163,7 +147,6 @@ func (a *taintAnalysis) analyze(fn *funcBody, report func(token.Pos, string)) *t
 		if v == nil || idx >= maxTrackedParams {
 			return
 		}
-		a.params[v] = idx
 		a.masks[v] = 1 << uint(idx)
 		if a.secretType(v.Type()) {
 			a.masks[v] |= srcBit
@@ -176,35 +159,25 @@ func (a *taintAnalysis) analyze(fn *funcBody, report func(token.Pos, string)) *t
 	}
 	a.sum.retMask = make([]uint64, sig.Results().Len())
 
-	// Inner fixpoint: masks only grow, so a few sweeps settle even with
-	// use-before-def ordering (loops, closures).
-	for sweep := 0; sweep < 8; sweep++ {
-		before := a.snapshot()
-		a.walkBody(fn.body, sig)
-		if a.snapshot() == before {
-			break
-		}
+	// Inner fixpoint: masks only grow, and the first sweep that grows
+	// none is the last, so use-before-def ordering (loops, closures)
+	// settles however long its chain.
+	for a.changed = true; a.changed; {
+		a.changed, a.found = false, nil
+		a.walkBody(fn.body)
 	}
-	// Reporting sweep runs once more with stable masks.
-	if report != nil {
-		a.walkBody(fn.body, sig)
-	}
-	s := a.sum
-	return &s
+	return a.sum
 }
 
-func (a *taintAnalysis) snapshot() uint64 {
-	var h uint64
-	for o, m := range a.masks {
-		h ^= m * uint64(o.Pos()+1)
+// join ors m into *dst, noting whether it grew.
+func (a *taintAnalysis) join(dst *uint64, m uint64) {
+	if *dst|m != *dst {
+		*dst |= m
+		a.changed = true
 	}
-	for i, m := range a.sum.retMask {
-		h ^= m << uint(i%8)
-	}
-	return h ^ a.sum.sinkParams
 }
 
-func (a *taintAnalysis) walkBody(body *ast.BlockStmt, sig *types.Signature) {
+func (a *taintAnalysis) walkBody(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
@@ -230,14 +203,14 @@ func (a *taintAnalysis) walkBody(body *ast.BlockStmt, sig *types.Signature) {
 		case *ast.ReturnStmt:
 			for i, e := range st.Results {
 				if i < len(a.sum.retMask) {
-					a.sum.retMask[i] |= a.exprMask(e)
+					a.join(&a.sum.retMask[i], a.exprMask(e))
 				}
 			}
 			if len(st.Results) == 1 && len(a.sum.retMask) > 1 {
 				ms := a.callMasks(st.Results[0])
 				for i := range a.sum.retMask {
 					if i < len(ms) {
-						a.sum.retMask[i] |= ms[i]
+						a.join(&a.sum.retMask[i], ms[i])
 					}
 				}
 			}
@@ -300,7 +273,10 @@ func (a *taintAnalysis) mergeObj(o types.Object, m uint64) {
 	if o == nil || m == 0 {
 		return
 	}
-	a.masks[o] |= m
+	if old := a.masks[o]; old|m != old {
+		a.masks[o] = old | m
+		a.changed = true
+	}
 }
 
 // declassified reports whether pos's line (or the line above) carries a
@@ -422,11 +398,7 @@ func (a *taintAnalysis) callMasks(e ast.Expr) []uint64 {
 			strings.HasPrefix(name, "Encrypt") || strings.HasPrefix(name, "encrypt") {
 			// Arguments were already checked against sinks inside the
 			// callee; the results are clean by construction.
-			nres := 1
-			if sig, ok := callee.Type().(*types.Signature); ok {
-				nres = sig.Results().Len()
-			}
-			return make([]uint64, nres)
+			return make([]uint64, callee.Signature().Results().Len())
 		}
 	}
 
@@ -436,7 +408,7 @@ func (a *taintAnalysis) callMasks(e ast.Expr) []uint64 {
 	}
 
 	if callee != nil {
-		if sum, ok := a.summaries[callee]; ok {
+		if sum := a.summaryOf(callee); sum != nil {
 			// Known module function: map argument taint through the
 			// callee's summary.
 			argMask := func(i int) uint64 {
@@ -478,9 +450,7 @@ func (a *taintAnalysis) callMasks(e ast.Expr) []uint64 {
 	}
 	nres := 1
 	if callee != nil {
-		if sig, ok := callee.Type().(*types.Signature); ok {
-			nres = sig.Results().Len()
-		}
+		nres = callee.Signature().Results().Len()
 	} else if tv, ok := a.pkg.Info.Types[call]; ok {
 		if tup, ok := tv.Type.(*types.Tuple); ok {
 			nres = tup.Len()
@@ -500,11 +470,9 @@ func (a *taintAnalysis) callMasks(e ast.Expr) []uint64 {
 // parameter indexing: receiver first for method calls, then arguments.
 func (a *taintAnalysis) callArgs(call *ast.CallExpr, callee *types.Func) []ast.Expr {
 	var args []ast.Expr
-	if callee != nil {
-		if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				args = append(args, sel.X)
-			}
+	if callee != nil && callee.Signature().Recv() != nil {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			args = append(args, sel.X)
 		}
 	}
 	return append(args, call.Args...)
@@ -512,7 +480,7 @@ func (a *taintAnalysis) callArgs(call *ast.CallExpr, callee *types.Func) []ast.E
 
 // checkSink inspects one call: if it targets a formatting/logging/wire
 // sink, every argument's taint is recorded (parameter bits feed the
-// summary; srcBit emits a finding in the reporting round).
+// summary; srcBit is a finding).
 func (a *taintAnalysis) checkSink(call *ast.CallExpr) {
 	callee := staticCalleeFunc(a.pkg, call)
 	if callee == nil {
@@ -527,8 +495,8 @@ func (a *taintAnalysis) checkSink(call *ast.CallExpr) {
 	}
 }
 
-// recordSink folds one sink-reaching mask into the summary and, in the
-// reporting round, emits a finding for source taint.
+// recordSink folds one sink-reaching mask into the summary and notes a
+// finding, once per argument, for source taint.
 func (a *taintAnalysis) recordSink(arg ast.Expr, m uint64, sink string) {
 	if m == 0 || a.declassified(arg.Pos()) {
 		return
@@ -541,15 +509,16 @@ func (a *taintAnalysis) recordSink(arg ast.Expr, m uint64, sink string) {
 	// otherwise drag whole receivers into the sink set. In-function scalar
 	// leaks are still reported through the srcBit check below.
 	if pm := m &^ srcBit; pm != 0 && !scalarExpr(a.pkg, arg) {
-		a.sum.sinkParams |= pm
+		a.join(&a.sum.sinkParams, pm)
 		if a.sum.sinkName == "" {
 			a.sum.sinkName = sink
 		}
 	}
-	if m&srcBit != 0 && a.report != nil {
-		a.report(arg.Pos(), fmt.Sprintf(
+	pos := a.prog.Fset.Position(arg.Pos())
+	if m&srcBit != 0 && !slices.ContainsFunc(a.found, func(f Finding) bool { return f.Pos == pos }) {
+		a.found = append(a.found, Finding{Pass: "secrettaint", Pos: pos, Message: fmt.Sprintf(
 			"secret-key material reaches %s: secrets must never be formatted, logged, or wire-encoded (declassify explicitly with //lint:declassify <reason> if provably public)",
-			sink))
+			sink)})
 	}
 }
 
