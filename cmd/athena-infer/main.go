@@ -77,7 +77,7 @@ func runRemote(addr string, eng *athena.Engine, seed uint64, n int) {
 		fmt.Printf("request %d: encrypted logits %v  (plaintext %v)\n", i, got, net.ForwardInt(x).Data)
 	}
 	if snap, err := c.Stats(); err == nil {
-		fmt.Printf("server: %d batches, mean batch size %.2f\n", snap.Batches, snap.MeanBatchSize)
+		fmt.Printf("server: %d batches, mean batch size %.2f, %d dispatched alone\n", snap.Batches, snap.MeanBatchSize, snap.Flushes.Alone)
 	}
 }
 

@@ -41,7 +41,7 @@ func main() {
 	preset := flag.String("preset", "test", "engine parameters: test (N=128,t=257) or medium (N=2048,t=65537)")
 	modelPath := flag.String("model", "", "serve a saved model (JSON from QNetwork.WriteJSON) instead of the built-in wire-demo")
 	maxBatch := flag.Int("max-batch", 16, "flush a batch at this many requests")
-	maxWait := flag.Duration("max-wait", 25*time.Millisecond, "flush a non-full batch at most this long after its first request (sooner once a batch of its model has been timed: after that evaluation time)")
+	maxWait := flag.Duration("max-wait", 25*time.Millisecond, "flush a non-full batch at most this long after its first request (sooner once a batch of its model has been timed: after that evaluation time); a request whose session has shown no company is dispatched at once")
 	queue := flag.Int("queue", 64, "admission queue bound; beyond it requests get BUSY")
 	executors := flag.Int("executors", 2, "concurrent batch evaluators")
 	memCap := flag.Int64("mem-cap", 0, "session key-material cap in bytes (0 = 1 GiB)")

@@ -5,7 +5,9 @@
 // never leaves the client), and streams several encrypted inference
 // requests concurrently. The server's dynamic batcher coalesces them
 // into shared functional-bootstrapping rounds — watch the mean batch
-// size in the final stats line. The bytes on the wire are the
+// size in the final stats line. The session is new, so the burst's
+// first request is evaluated on arrival, alone; the rest arrive while
+// it is unanswered and share the next round. The bytes on the wire are the
 // repository's real formats: core.WriteEvalKeys for the session open,
 // core.WriteEncryptedInput / WriteEncryptedLogits inside each frame.
 //
@@ -33,7 +35,7 @@ func main() {
 	srv, err := serve.NewServer(serve.Config{
 		Params:  params,
 		Models:  map[string]*qnn.QNetwork{model.Name: model},
-		MaxWait: 200 * time.Millisecond, // generous: let the burst coalesce
+		MaxWait: 200 * time.Millisecond, // generous: let the rest of the burst coalesce
 	})
 	if err != nil {
 		log.Fatal(err)

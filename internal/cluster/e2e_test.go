@@ -428,10 +428,18 @@ func TestLongLivedRouterReachesEviction(t *testing.T) {
 	if rs := router.Stats(); rs.BackendDials != 2 {
 		t.Fatalf("router dialed %d node connections for 2 nodes: %+v", rs.BackendDials, rs)
 	}
+	var all serve.Snapshot
 	for _, n := range nodes {
-		s := n.srv.Metrics().Sessions
+		snap := n.srv.Metrics()
+		s := snap.Sessions
 		if s.Evictions == 0 || s.ColdLoads == 0 {
 			t.Fatalf("node %s: %d evictions, %d cold loads, want both > 0", n.name, s.Evictions, s.ColdLoads)
 		}
+		all.Add(&snap)
+	}
+	// One request at a time per session: nobody can join a batch, so
+	// none waits for company.
+	if all.Batches != 12 || all.Flushes.Alone != all.Batches {
+		t.Fatalf("%d batches, flushes %+v: want all 12 dispatched alone", all.Batches, all.Flushes)
 	}
 }

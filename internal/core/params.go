@@ -37,7 +37,7 @@ type Params struct {
 	// Level schedule for per-stage RNS modulus dropping. Packing and the
 	// FBS polynomial evaluation run at FBSLevel limbs; everything after
 	// the LUT — masking, S2C, the next layer's accumulation, extraction —
-	// runs at PostLevel limbs. Zero selects the defaults (QiNum−2 clamped
+	// runs at PostLevel limbs. Zero selects the defaults (QiNum−1 clamped
 	// to [2, QiNum] for FBS, 2 clamped to [1, FBSLevel] for post); set
 	// FBSLevel = QiNum to disable dropping entirely.
 	FBSLevel  int

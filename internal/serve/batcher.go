@@ -43,7 +43,10 @@ type BatcherConfig struct {
 	// MaxWait flushes a non-empty group at most this long after its
 	// first request arrived (the straggler bound). Once a batch of the
 	// group's model has been evaluated, the group flushes sooner: after
-	// that batch's evaluation time, when it is shorter.
+	// that batch's evaluation time, when it is shorter. A group whose
+	// session has shown no company waits not at all: when the session
+	// has no other request unanswered and its last group held at most
+	// one request, the new group is dispatched on arrival.
 	MaxWait time.Duration
 	// MaxQueue bounds admitted-but-unfinished requests; admission
 	// beyond it returns ErrBusy.
@@ -93,6 +96,7 @@ const (
 	flushFull  flushReason = iota // reached MaxBatch
 	flushTimer                    // its flush deadline fired
 	flushDrain                    // Drain flushed it
+	flushAlone                    // its session showed no company: dispatched on arrival
 )
 
 // group is one forming batch.
@@ -117,6 +121,13 @@ type group struct {
 // than one evaluation cannot pay for itself: in that time the group
 // could have been evaluated and a second batch started for late
 // arrivals.
+//
+// Only requests of one session can share a batch, so a group waits only
+// when its session has shown that company comes: another of its
+// requests is unanswered, or its last group held more than one request.
+// Otherwise the new group is dispatched on arrival (flushAlone). A
+// session whose waiting group flushes on its timer holding one request
+// drops back to dispatch on arrival.
 type Batcher struct {
 	cfg     BatcherConfig
 	metrics *Metrics
@@ -154,7 +165,8 @@ func NewBatcher(cfg BatcherConfig, m *Metrics) *Batcher {
 
 // Submit admits one request. On a nil error the batcher owns req and
 // will call req.Done exactly once; ErrBusy and ErrDraining reject it
-// without side effects (the caller replies).
+// without side effects (the caller replies). Submit may be called from
+// inside a Done: the finished request's admission slot is already free.
 func (b *Batcher) Submit(req *Request) error {
 	if req.Sess == nil || req.Model == nil || req.In == nil || req.Done == nil {
 		return fmt.Errorf("serve: incomplete request")
@@ -173,13 +185,17 @@ func (b *Batcher) Submit(req *Request) error {
 
 	key := batchKey{session: req.Sess.ID, model: req.Model.Name}
 	g := b.pending[key]
+	alone := g == nil && req.Sess.unanswered == 0 && req.Sess.lastGroup <= 1
 	if g == nil {
 		g = &group{key: key, sess: req.Sess, model: req.Model, first: b.cfg.Clock.Now()}
 	}
+	req.Sess.unanswered++
 	g.reqs = append(g.reqs, req)
 	switch {
 	case len(g.reqs) >= b.cfg.MaxBatch:
 		b.flushLocked(g, flushFull)
+	case alone:
+		b.flushLocked(g, flushAlone)
 	case g.timer == nil:
 		// A new group that stays pending: arm its flush deadline. The
 		// callback re-checks identity: the group may have flushed on
@@ -214,6 +230,7 @@ func (b *Batcher) flushLocked(g *group, why flushReason) {
 	if g.timer != nil {
 		g.timer.Stop()
 	}
+	g.sess.lastGroup = len(g.reqs)
 	g.why, g.wait = why, b.cfg.Clock.Now().Sub(g.first)
 	b.execC <- g //lint:holdok execC capacity covers every admitted request, so the send never blocks
 }
@@ -292,12 +309,15 @@ func (b *Batcher) runExecutor() {
 	}
 }
 
-// finish replies to one request and returns its admission slot.
+// finish returns one request's admission slot and then replies to it,
+// so a client that resubmits the moment it reads the reply finds the
+// slot free. Drain still waits for the reply itself.
 func (b *Batcher) finish(r *Request, out *core.EncryptedLogits, err error) {
-	r.Done(out, err)
 	b.mu.Lock()
 	b.queued--
+	r.Sess.unanswered--
 	b.mu.Unlock()
+	r.Done(out, err)
 	b.reqWG.Done()
 }
 

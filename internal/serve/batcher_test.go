@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -39,6 +40,10 @@ func (r *batchRecorder) batchSizes() []int {
 
 var batcherTestModel = &qnn.QNetwork{Name: "m"}
 
+// companySession is a session whose last group held two requests: its
+// next group waits for company instead of being dispatched on arrival.
+func companySession(id string) *Session { return &Session{ID: id, lastGroup: 2} }
+
 func testRequest(sess *Session, done chan error) *Request {
 	return &Request{
 		Sess:  sess,
@@ -69,7 +74,7 @@ func TestBatcherFlushOnFull(t *testing.T) {
 	rec := &batchRecorder{}
 	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxWait: time.Hour, MaxQueue: 16, Clock: clk, Eval: rec.eval}, nil)
 	defer b.Drain()
-	sess := &Session{ID: "s"}
+	sess := companySession("s")
 	done := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		if err := b.Submit(testRequest(sess, done)); err != nil {
@@ -94,7 +99,7 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 	rec := &batchRecorder{}
 	b := NewBatcher(BatcherConfig{MaxBatch: 100, MaxWait: 50 * time.Millisecond, MaxQueue: 16, Clock: clk, Eval: rec.eval}, nil)
 	defer b.Drain()
-	sess := &Session{ID: "s"}
+	sess := companySession("s")
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		if err := b.Submit(testRequest(sess, done)); err != nil {
@@ -124,10 +129,14 @@ func TestBatcherStraggler(t *testing.T) {
 	b := NewBatcher(BatcherConfig{MaxBatch: 100, MaxWait: 20 * time.Millisecond, MaxQueue: 16, Clock: clk, Eval: rec.eval}, nil)
 	defer b.Drain()
 	done := make(chan error, 1)
-	if err := b.Submit(testRequest(&Session{ID: "s"}, done)); err != nil {
+	if err := b.Submit(testRequest(companySession("s"), done)); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(20 * time.Millisecond)
+	clk.Advance(19 * time.Millisecond)
+	if got := rec.batchSizes(); len(got) != 0 {
+		t.Fatalf("flushed before MaxWait: %v", got)
+	}
+	clk.Advance(time.Millisecond)
 	if err := collect(t, done, 1)[0]; err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +152,7 @@ func TestBatcherQueueFullBusy(t *testing.T) {
 	rec := &batchRecorder{}
 	b := NewBatcher(BatcherConfig{MaxBatch: 100, MaxWait: time.Minute, MaxQueue: 2, Clock: clk, Eval: rec.eval}, nil)
 	defer b.Drain()
-	sess := &Session{ID: "s"}
+	sess := companySession("s")
 	done := make(chan error, 3)
 	for i := 0; i < 2; i++ {
 		if err := b.Submit(testRequest(sess, done)); err != nil {
@@ -175,7 +184,7 @@ func TestBatcherRequestDeadline(t *testing.T) {
 	rec := &batchRecorder{}
 	b := NewBatcher(BatcherConfig{MaxBatch: 100, MaxWait: 100 * time.Millisecond, MaxQueue: 16, Clock: clk, Eval: rec.eval}, nil)
 	defer b.Drain()
-	sess := &Session{ID: "s"}
+	sess := companySession("s")
 	expired := make(chan error, 1)
 	alive := make(chan error, 1)
 	r1 := testRequest(sess, expired)
@@ -208,7 +217,7 @@ func TestBatcherDrain(t *testing.T) {
 	clk := newFakeClock()
 	rec := &batchRecorder{}
 	b := NewBatcher(BatcherConfig{MaxBatch: 100, MaxWait: time.Hour, MaxQueue: 16, Clock: clk, Eval: rec.eval}, nil)
-	sess := &Session{ID: "s"}
+	sess := companySession("s")
 	done := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		if err := b.Submit(testRequest(sess, done)); err != nil {
@@ -237,7 +246,7 @@ func TestBatcherPerSessionGrouping(t *testing.T) {
 	b := NewBatcher(BatcherConfig{MaxBatch: 100, MaxWait: 10 * time.Millisecond, MaxQueue: 16, Clock: clk, Eval: rec.eval}, nil)
 	defer b.Drain()
 	done := make(chan error, 4)
-	a, c := &Session{ID: "a"}, &Session{ID: "c"}
+	a, c := companySession("a"), companySession("c")
 	for i := 0; i < 2; i++ {
 		if err := b.Submit(testRequest(a, done)); err != nil {
 			t.Fatal(err)
@@ -260,7 +269,8 @@ func TestBatcherPerSessionGrouping(t *testing.T) {
 }
 
 // playedEval is a batchRecorder that plays an evaluation of duration d
-// on clk, failing with err when it is set.
+// on clk, failing with err when it is set. A gate holds the batch before
+// its clock time passes.
 type playedEval struct {
 	batchRecorder
 	clk *ManualClock
@@ -275,11 +285,11 @@ func (p *playedEval) set(d time.Duration, err error) {
 }
 
 func (p *playedEval) eval(s *Session, q *qnn.QNetwork, ins []*core.EncryptedInput) ([]*core.EncryptedLogits, error) {
+	outs, _ := p.batchRecorder.eval(s, q, ins)
 	p.mu.Lock()
 	d, err := p.d, p.err
 	p.mu.Unlock()
 	p.clk.Advance(d)
-	outs, _ := p.batchRecorder.eval(s, q, ins)
 	if err != nil {
 		return nil, err
 	}
@@ -297,34 +307,57 @@ func pendingGroups(b *Batcher) int {
 	return len(b.pending)
 }
 
-// flushesAt submits req as a lone group, checks that it is still
-// pending 1 ms before wait and dispatched at wait, and returns its
-// reply. Timers fire inside Advance, so dispatch is synchronous.
-func flushesAt(t *testing.T, b *Batcher, clk *ManualClock, req *Request, done chan error, wait time.Duration) error {
+func armedTimers(clk *ManualClock) int {
+	clk.mu.Lock()
+	defer clk.mu.Unlock()
+	return len(clk.timers)
+}
+
+// flushesAt submits reqs as one new group, checks that it is still
+// pending 1 ms before wait and dispatched at wait, and returns the
+// replies. Timers fire inside Advance, so dispatch is synchronous.
+func flushesAt(t *testing.T, b *Batcher, clk *ManualClock, done chan error, wait time.Duration, reqs ...*Request) []error {
 	t.Helper()
-	if err := b.Submit(req); err != nil {
-		t.Fatal(err)
+	for _, req := range reqs {
+		if err := b.Submit(req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	clk.Advance(wait - time.Millisecond)
 	if pendingGroups(b) != 1 {
-		t.Fatalf("lone group flushed before %v", wait)
+		t.Fatalf("group flushed before %v", wait)
 	}
 	clk.Advance(time.Millisecond)
 	if pendingGroups(b) != 0 {
-		t.Fatalf("lone group still pending at %v", wait)
+		t.Fatalf("group still pending at %v", wait)
 	}
-	return collect(t, done, 1)[0]
+	return collect(t, done, len(reqs))
+}
+
+// pair is two requests of sess: a group holding both keeps its session
+// showing company, so the session's next group waits too.
+func pair(sess *Session, done chan error) []*Request {
+	return []*Request{testRequest(sess, done), testRequest(sess, done)}
+}
+
+func noErrors(t *testing.T, errs []error) {
+	t.Helper()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestBatcherWaitFollowsLastEval: a fresh batcher waits MaxWait; after
-// a batch that evaluated in d < MaxWait the next lone request flushes at
-// d, not at d − 1 ms; the most recent evaluation sets the wait, shorter
-// or longer, up to MaxWait, the operator's upper bound.
+// a batch that evaluated in d < MaxWait the next group flushes at d,
+// not at d − 1 ms; the most recent evaluation sets the wait, shorter or
+// longer, up to MaxWait, the operator's upper bound.
 func TestBatcherWaitFollowsLastEval(t *testing.T) {
 	b, p := newPlayedBatcher(100, 50*time.Millisecond, nil)
 	defer b.Drain()
-	sess := &Session{ID: "s"}
-	done := make(chan error, 1)
+	sess := companySession("s")
+	done := make(chan error, 2)
 	ms := time.Millisecond
 	for i, step := range []struct{ wait, eval time.Duration }{
 		{50 * ms, 10 * ms}, // nothing measured yet: MaxWait
@@ -334,8 +367,10 @@ func TestBatcherWaitFollowsLastEval(t *testing.T) {
 		{50 * ms, 10 * ms}, // but never beyond MaxWait
 	} {
 		p.set(step.eval, nil)
-		if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, step.wait); err != nil {
-			t.Fatalf("step %d: %v", i, err)
+		for _, err := range flushesAt(t, b, p.clk, done, step.wait, pair(sess, done)...) {
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
 		}
 	}
 }
@@ -345,31 +380,33 @@ func TestBatcherWaitFollowsLastEval(t *testing.T) {
 func TestBatcherWaitIgnoresFailuresAndExpiries(t *testing.T) {
 	b, p := newPlayedBatcher(100, 50*time.Millisecond, nil)
 	defer b.Drain()
-	sess := &Session{ID: "s"}
-	done := make(chan error, 1)
+	sess := companySession("s")
+	done := make(chan error, 2)
 	p.set(10*time.Millisecond, nil)
-	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	noErrors(t, flushesAt(t, b, p.clk, done, 50*time.Millisecond, pair(sess, done)...))
 
 	// A failed evaluation of 5 ms is not a measurement.
 	p.set(5*time.Millisecond, errors.New("injected failure"))
 	var re *RequestError
-	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 10*time.Millisecond); !errors.As(err, &re) || re.Code != CodeInternal {
-		t.Fatalf("failed evaluation: got %v, want CodeInternal", err)
+	for _, err := range flushesAt(t, b, p.clk, done, 10*time.Millisecond, pair(sess, done)...) {
+		if !errors.As(err, &re) || re.Code != CodeInternal {
+			t.Fatalf("failed evaluation: got %v, want CodeInternal", err)
+		}
 	}
 
 	// An all-expired group evaluates nothing and measures nothing.
 	p.set(10*time.Millisecond, nil)
-	expiring := testRequest(sess, done)
-	expiring.Deadline = p.clk.Now().Add(time.Millisecond)
-	if err := flushesAt(t, b, p.clk, expiring, done, 10*time.Millisecond); !errors.As(err, &re) || re.Code != CodeDeadline {
-		t.Fatalf("expired request: got %v, want CodeDeadline", err)
+	expiring := pair(sess, done)
+	for _, r := range expiring {
+		r.Deadline = p.clk.Now().Add(time.Millisecond)
+	}
+	for _, err := range flushesAt(t, b, p.clk, done, 10*time.Millisecond, expiring...) {
+		if !errors.As(err, &re) || re.Code != CodeDeadline {
+			t.Fatalf("expired request: got %v, want CodeDeadline", err)
+		}
 	}
 
-	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 10*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	noErrors(t, flushesAt(t, b, p.clk, done, 10*time.Millisecond, pair(sess, done)...))
 	if got := p.batchSizes(); len(got) != 3 {
 		t.Fatalf("batch sizes %v, want 3 evaluations (the expired group is not one)", got)
 	}
@@ -380,9 +417,9 @@ func TestBatcherWaitIgnoresFailuresAndExpiries(t *testing.T) {
 func TestBatcherWaitPerModel(t *testing.T) {
 	b, p := newPlayedBatcher(100, 50*time.Millisecond, nil)
 	defer b.Drain()
-	sess := &Session{ID: "s"}
+	sess := companySession("s")
 	modelA, modelB := &qnn.QNetwork{Name: "a"}, &qnn.QNetwork{Name: "b"}
-	done := make(chan error, 1)
+	done := make(chan error, 2)
 	p.set(10*time.Millisecond, nil)
 	for _, step := range []struct {
 		model *qnn.QNetwork
@@ -393,11 +430,11 @@ func TestBatcherWaitPerModel(t *testing.T) {
 		{modelA, 10 * time.Millisecond},
 		{modelB, 10 * time.Millisecond},
 	} {
-		r := testRequest(sess, done)
-		r.Model = step.model
-		if err := flushesAt(t, b, p.clk, r, done, step.wait); err != nil {
-			t.Fatal(err)
+		reqs := pair(sess, done)
+		for _, r := range reqs {
+			r.Model = step.model
 		}
+		noErrors(t, flushesAt(t, b, p.clk, done, step.wait, reqs...))
 	}
 }
 
@@ -406,12 +443,10 @@ func TestBatcherWaitPerModel(t *testing.T) {
 func TestBatcherFullBeforeShortenedDeadline(t *testing.T) {
 	b, p := newPlayedBatcher(3, 50*time.Millisecond, nil)
 	defer b.Drain()
-	sess := &Session{ID: "s"}
+	sess := companySession("s")
 	done := make(chan error, 3)
 	p.set(10*time.Millisecond, nil)
-	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	noErrors(t, flushesAt(t, b, p.clk, done, 50*time.Millisecond, pair(sess, done)...))
 	for i := 0; i < 3; i++ {
 		if err := b.Submit(testRequest(sess, done)); err != nil {
 			t.Fatal(err)
@@ -421,13 +456,9 @@ func TestBatcherFullBeforeShortenedDeadline(t *testing.T) {
 	if pendingGroups(b) != 0 {
 		t.Fatal("full group still pending")
 	}
-	for _, err := range collect(t, done, 3) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	noErrors(t, collect(t, done, 3))
 	if got := p.batchSizes(); len(got) != 2 || got[1] != 3 {
-		t.Fatalf("batch sizes %v, want [1 3]", got)
+		t.Fatalf("batch sizes %v, want [2 3]", got)
 	}
 }
 
@@ -442,17 +473,160 @@ func TestBatcherNoTimerOnArrivalFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, err := range collect(t, done, 2) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.clk.mu.Lock()
-	n := len(p.clk.timers)
-	p.clk.mu.Unlock()
-	if n != 0 {
+	noErrors(t, collect(t, done, 2))
+	if n := armedTimers(p.clk); n != 0 {
 		t.Fatalf("%d timers armed for groups that flushed on arrival", n)
 	}
+}
+
+// TestBatcherCompanyRule: a new group waits for company only when its
+// session has shown that company comes, by another request unanswered
+// or a last group of more than one. Each case plays a history on one
+// session, then probes with a lone request: dispatched on arrival (wait
+// 0, no timer armed) or flushed by its timer at wait. One executor runs
+// the batches in dispatch order; the gate holds the first batch, so the
+// history's later requests arrive while it is unanswered.
+func TestBatcherCompanyRule(t *testing.T) {
+	const (
+		maxBatch = 4
+		maxWait  = 50 * time.Millisecond
+		evalTime = 10 * time.Millisecond
+	)
+	type harness struct {
+		b         *Batcher
+		p         *playedEval
+		sess      *Session
+		done      chan error
+		collected int
+		released  bool
+	}
+	submit := func(t *testing.T, h *harness, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := h.b.Submit(testRequest(h.sess, h.done)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replies := func(t *testing.T, h *harness, n int) {
+		t.Helper()
+		noErrors(t, collect(t, h.done, n))
+		h.collected += n
+	}
+	release := func(h *harness) {
+		if !h.released {
+			close(h.p.gate)
+			h.released = true
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		history func(t *testing.T, h *harness)
+		wait    time.Duration // the probe's; 0 = dispatched on arrival
+		sizes   []int         // every batch, in dispatch order
+		alone   uint64        // batches dispatched on arrival
+		waitMS  float64       // group wait summed over the batches
+	}{
+		{"fresh idle session", nil, 0, []int{1}, 1, 0},
+		{"another request unanswered", func(t *testing.T, h *harness) {
+			submit(t, h, 1) // held at the gate until the probe has flushed
+		}, maxWait, []int{1, 1}, 1, 50},
+		{"after a multi-request batch", func(t *testing.T, h *harness) {
+			submit(t, h, 1+maxBatch) // one alone, then a full group behind it
+			release(h)
+			replies(t, h, 1+maxBatch)
+		}, evalTime, []int{1, maxBatch, 1}, 1, 10},
+		{"after a lone group timed out", func(t *testing.T, h *harness) {
+			submit(t, h, 2)
+			release(h)
+			replies(t, h, 1)
+			h.p.clk.Advance(maxWait) // 10 ms already played: the second waited 60 ms
+			replies(t, h, 1)
+		}, 0, []int{1, 1, 1}, 2, 60},
+		{"fresh burst of MaxBatch", func(t *testing.T, h *harness) {
+			submit(t, h, maxBatch)
+			release(h)
+			replies(t, h, 1)
+			h.p.clk.Advance(maxWait)
+			replies(t, h, maxBatch-1)
+		}, evalTime, []int{1, maxBatch - 1, 1}, 1, 70},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMetrics()
+			p := &playedEval{clk: newFakeClock(), d: evalTime}
+			p.gate = make(chan struct{})
+			b := NewBatcher(BatcherConfig{MaxBatch: maxBatch, MaxWait: maxWait, MaxQueue: 16, Executors: 1, Clock: p.clk, Eval: p.eval}, m)
+			defer b.Drain()
+			h := &harness{b: b, p: p, sess: &Session{ID: "s"}, done: make(chan error, 16)}
+			defer release(h)
+			if tc.history != nil {
+				tc.history(t, h)
+			}
+
+			timers := armedTimers(p.clk)
+			submit(t, h, 1)
+			if tc.wait == 0 {
+				if pendingGroups(b) != 0 || armedTimers(p.clk) != timers {
+					t.Fatal("probe not dispatched on arrival")
+				}
+			} else {
+				p.clk.Advance(tc.wait - time.Millisecond)
+				if pendingGroups(b) != 1 {
+					t.Fatalf("probe flushed before %v", tc.wait)
+				}
+				p.clk.Advance(time.Millisecond)
+				if pendingGroups(b) != 0 {
+					t.Fatalf("probe still pending at %v", tc.wait)
+				}
+			}
+			release(h)
+			total := 0
+			for _, n := range tc.sizes {
+				total += n
+			}
+			replies(t, h, total-h.collected)
+
+			if got := p.batchSizes(); !slices.Equal(got, tc.sizes) {
+				t.Fatalf("batch sizes %v, want %v", got, tc.sizes)
+			}
+			s := m.Snapshot(nil, nil)
+			f := s.Flushes
+			if f.Alone != tc.alone || f.Full+f.Timer+f.Drain+f.Alone != s.Batches {
+				t.Fatalf("flushes %+v over %d batches, want %d alone and the four summing to batches", f, s.Batches, tc.alone)
+			}
+			if s.GroupWaitMS != tc.waitMS {
+				t.Fatalf("group_wait_ms %v, want %v", s.GroupWaitMS, tc.waitMS)
+			}
+		})
+	}
+}
+
+// TestBatcherSubmitFromReply: a client that resubmits the moment it
+// reads its reply finds its admission slot free, even with a queue of
+// one.
+func TestBatcherSubmitFromReply(t *testing.T) {
+	clk := newFakeClock()
+	rec := &batchRecorder{}
+	b := NewBatcher(BatcherConfig{MaxBatch: 100, MaxWait: time.Hour, MaxQueue: 1, Clock: clk, Eval: rec.eval}, nil)
+	defer b.Drain()
+	sess := &Session{ID: "s"}
+	done := make(chan error, 2)
+	resubmitted := make(chan error, 1)
+	first := testRequest(sess, done)
+	first.Done = func(_ *core.EncryptedLogits, err error) {
+		done <- err
+		resubmitted <- b.Submit(testRequest(sess, done))
+	}
+	if err := b.Submit(first); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Hour)
+	noErrors(t, collect(t, done, 1))
+	if err := <-resubmitted; err != nil {
+		t.Fatalf("submit from inside a reply: %v", err)
+	}
+	clk.Advance(time.Hour)
+	noErrors(t, collect(t, done, 1))
 }
 
 // TestBatcherFlushCounters: every batch is counted under exactly one
@@ -460,54 +634,58 @@ func TestBatcherNoTimerOnArrivalFlush(t *testing.T) {
 // evaluation time is the played duration.
 func TestBatcherFlushCounters(t *testing.T) {
 	m := NewMetrics()
-	b, p := newPlayedBatcher(2, 50*time.Millisecond, m)
-	sess := &Session{ID: "s"}
-	done := make(chan error, 2)
+	b, p := newPlayedBatcher(3, 50*time.Millisecond, m)
+	sess := companySession("s")
+	done := make(chan error, 3)
 	p.set(10*time.Millisecond, nil)
 
-	// Timer: a lone request waits 50 ms.
-	if err := flushesAt(t, b, p.clk, testRequest(sess, done), done, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	// Full: two requests dispatch on arrival, having waited 0 ms.
-	for i := 0; i < 2; i++ {
+	// Timer: a pair waits 50 ms.
+	noErrors(t, flushesAt(t, b, p.clk, done, 50*time.Millisecond, pair(sess, done)...))
+	// Full: three requests dispatch on arrival, having waited 0 ms.
+	for i := 0; i < 3; i++ {
 		if err := b.Submit(testRequest(sess, done)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, err := range collect(t, done, 2) {
-		if err != nil {
+	noErrors(t, collect(t, done, 3))
+	// A group whose requests expired flushes on its timer but is not a
+	// batch.
+	expiring := pair(sess, done)
+	for _, r := range expiring {
+		r.Deadline = p.clk.Now().Add(time.Millisecond)
+	}
+	for _, err := range flushesAt(t, b, p.clk, done, 10*time.Millisecond, expiring...) {
+		if err == nil {
+			t.Fatal("expired request evaluated")
+		}
+	}
+	// Alone: a fresh session's lone request dispatches on arrival.
+	if err := b.Submit(testRequest(&Session{ID: "u"}, done)); err != nil {
+		t.Fatal(err)
+	}
+	noErrors(t, collect(t, done, 1))
+	// Drain: a pair 5 ms into its 10 ms wait.
+	for _, r := range pair(sess, done) {
+		if err := b.Submit(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A group whose only request expired flushes on its timer but is
-	// not a batch.
-	expiring := testRequest(sess, done)
-	expiring.Deadline = p.clk.Now().Add(time.Millisecond)
-	if err := flushesAt(t, b, p.clk, expiring, done, 10*time.Millisecond); err == nil {
-		t.Fatal("expired request evaluated")
-	}
-	// Drain: a lone request 5 ms into its 10 ms wait.
-	if err := b.Submit(testRequest(sess, done)); err != nil {
-		t.Fatal(err)
-	}
 	p.clk.Advance(5 * time.Millisecond)
 	b.Drain()
-	if err := collect(t, done, 1)[0]; err != nil {
-		t.Fatal(err)
-	}
+	noErrors(t, collect(t, done, 2))
 
 	s := m.Snapshot(nil, nil)
-	if s.Batches != 3 || s.Flushes.Full != 1 || s.Flushes.Timer != 1 || s.Flushes.Drain != 1 {
-		t.Fatalf("batches %d, flushes %+v; want 3 batches, one of each reason", s.Batches, s.Flushes)
+	f := s.Flushes
+	if s.Batches != 4 || f.Full != 1 || f.Timer != 1 || f.Drain != 1 || f.Alone != 1 {
+		t.Fatalf("batches %d, flushes %+v; want 4 batches, one of each reason", s.Batches, f)
 	}
-	if s.Flushes.Full+s.Flushes.Timer+s.Flushes.Drain != s.Batches {
-		t.Fatalf("flushes %+v do not sum to %d batches", s.Flushes, s.Batches)
+	if f.Full+f.Timer+f.Drain+f.Alone != s.Batches {
+		t.Fatalf("flushes %+v do not sum to %d batches", f, s.Batches)
 	}
 	if s.GroupWaitMS != 55 {
-		t.Fatalf("group_wait_ms %v, want 55 (50 timer + 0 full + 5 drain)", s.GroupWaitMS)
+		t.Fatalf("group_wait_ms %v, want 55 (50 timer + 0 full + 0 alone + 5 drain)", s.GroupWaitMS)
 	}
-	if s.EvalTimeMS != 30 {
-		t.Fatalf("eval_time_ms %v, want 30 (three played 10 ms evaluations)", s.EvalTimeMS)
+	if s.EvalTimeMS != 40 {
+		t.Fatalf("eval_time_ms %v, want 40 (four played 10 ms evaluations)", s.EvalTimeMS)
 	}
 }

@@ -163,61 +163,126 @@ func TestServeSixteenConcurrentClients(t *testing.T) {
 		snap.Batches, snap.MeanBatchSize, snap.Ops.FBSCalls)
 }
 
-// TestServeLoneRequestWaitsOneEvaluation: on the wall clock, a lone
-// request waits the full MaxWait only until the server has evaluated a
-// batch of its model; from then on its group flushes after one measured
-// evaluation time, far inside a 2 s MaxWait.
-func TestServeLoneRequestWaitsOneEvaluation(t *testing.T) {
+// TestServeLoneRequestWaitsOnlyForCompany: on the wall clock, a
+// sequential client's requests are dispatched on arrival, far inside a
+// 2 s MaxWait; once a concurrent pair of its session has shared a
+// batch, its next lone request waits for company about one evaluation.
+func TestServeLoneRequestWaitsOnlyForCompany(t *testing.T) {
 	eng := itEngine(t)
 	model := serve.DemoNet()
 	const maxWait = 2 * time.Second
-	srv, addr := startServer(t, serve.Config{MaxWait: maxWait})
-	c, err := client.Dial(addr, eng, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.OpenSession(); err != nil {
-		t.Fatal(err)
-	}
-	roundTrip := func(seed uint64) time.Duration {
+	// connect starts a server and n clients on one session.
+	connect := func(n int) (*serve.Server, []*client.Client) {
 		t.Helper()
-		x := serve.DemoInput(seed)
-		in, err := eng.EncryptInput(model, x)
+		srv, addr := startServer(t, serve.Config{MaxWait: maxWait, MaxBatch: 2})
+		clients := make([]*client.Client, n)
+		for i := range clients {
+			c, err := client.Dial(addr, eng, client.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			clients[i] = c
+		}
+		id, err := clients[0].OpenSession()
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, c := range clients[1:] {
+			if err := c.Attach(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return srv, clients
+	}
+	encrypt := func(seed uint64) *core.EncryptedInput {
+		t.Helper()
+		in, err := eng.EncryptInput(model, serve.DemoInput(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	// check decrypts serially on the client engine.
+	check := func(seed uint64, out *core.EncryptedLogits) {
+		t.Helper()
+		got, err := eng.DecryptLogits(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := model.ForwardInt(serve.DemoInput(seed)).Data
+		for j := range got {
+			if d := got[j] - ref[j]; d < -3 || d > 3 {
+				t.Fatalf("seed %d logit %d: got %d, plaintext %d", seed, j, got[j], ref[j])
+			}
+		}
+	}
+	roundTrip := func(c *client.Client, seed uint64) time.Duration {
+		t.Helper()
+		in := encrypt(seed)
 		t0 := time.Now()
 		out, err := c.InferEncrypted(model, in, 0)
 		rt := time.Since(t0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.DecryptLogits(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := model.ForwardInt(x).Data
-		for j := range got {
-			if d := got[j] - ref[j]; d < -3 || d > 3 {
-				t.Fatalf("logit %d: got %d, plaintext %d", j, got[j], ref[j])
-			}
-		}
+		check(seed, out)
 		return rt
 	}
 
-	if warm := roundTrip(500); warm < maxWait {
-		t.Fatalf("warm-up round trip %v: nothing was measured yet, want ≥ MaxWait %v", warm, maxWait)
+	srv, clients := connect(1)
+	for seed := uint64(500); seed < 502; seed++ {
+		if rt := roundTrip(clients[0], seed); rt >= time.Second {
+			t.Fatalf("sequential round trip %v, want far under MaxWait %v", rt, maxWait)
+		}
 	}
-	lone := roundTrip(501)
-	snap := srv.Metrics()
-	t.Logf("lone round trip %v; %d batches evaluated in %.1f ms, groups waited %.1f ms",
-		lone, snap.Batches, snap.EvalTimeMS, snap.GroupWaitMS)
-	if lone >= time.Second {
-		t.Fatalf("lone round trip %v after a measured batch, want well under 1 s (MaxWait %v)", lone, maxWait)
+	seq := srv.Metrics()
+	if seq.Batches != 2 || seq.Flushes.Alone != 2 {
+		t.Fatalf("batches %d, flushes %+v; want 2 dispatched alone", seq.Batches, seq.Flushes)
 	}
-	if snap.Batches != 2 || snap.Flushes.Timer != 2 {
-		t.Fatalf("batches %d, flushes %+v; want 2 timer flushes", snap.Batches, snap.Flushes)
+	evalMS := seq.EvalTimeMS / 2
+
+	// On a server that has timed no batch yet, the first request is held
+	// in evaluation, so the pair arrives while its session has a request
+	// unanswered: it waits for company and shares a batch, full at
+	// MaxBatch 2.
+	srv, clients = connect(3)
+	release := serve.HoldEvaluations(srv)
+	defer release()
+	ins := []*core.EncryptedInput{encrypt(510), encrypt(511), encrypt(512)}
+	outs := make([]*core.EncryptedLogits, len(ins))
+	errs := make(chan error, len(ins))
+	send := func(i int) {
+		var err error
+		outs[i], err = clients[i].InferEncrypted(model, ins[i], 0)
+		errs <- err
+	}
+	go send(0)
+	waitFor(t, "first request in evaluation", func() bool { return srv.Metrics().InflightBatches == 1 })
+	go send(1)
+	go send(2)
+	waitFor(t, "pair dispatched", func() bool { return srv.Metrics().InflightBatches == 2 })
+	release()
+	for range ins {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, out := range outs {
+		check(uint64(510+i), out)
+	}
+	pair := srv.Metrics()
+	if pair.Batches != 2 || pair.Flushes.Alone != 1 || pair.Flushes.Full != 1 {
+		t.Fatalf("batches %d, flushes %+v; want one alone, then the pair full", pair.Batches, pair.Flushes)
+	}
+
+	rt := roundTrip(clients[0], 520)
+	lone := srv.Metrics()
+	wait := lone.GroupWaitMS - pair.GroupWaitMS
+	t.Logf("lone round trip %v after the pair: waited %.1f ms; a sequential evaluation took %.1f ms", rt, wait, evalMS)
+	if lone.Flushes.Timer != 1 || wait < evalMS/4 || wait > 4*evalMS || rt >= time.Second {
+		t.Fatalf("lone request after the pair: flushes %+v, waited %.1f ms, round trip %v; want a timer flush after about one evaluation (%.1f ms)",
+			lone.Flushes, wait, rt, evalMS)
 	}
 }
 
@@ -227,13 +292,12 @@ func TestServeLoneRequestWaitsOneEvaluation(t *testing.T) {
 func TestServeBusyPreservesSessions(t *testing.T) {
 	eng := itEngine(t)
 	model := serve.DemoNet()
-	clk := serve.NewManualClock()
 	srv, addr := startServer(t, serve.Config{
 		MaxBatch: 100,
-		MaxWait:  time.Minute, // fake-clock minutes: holds the queue full
 		MaxQueue: 1,
-		Clock:    clk,
 	})
+	release := serve.HoldEvaluations(srv) // holds the queue full
+	defer release()
 
 	c, err := client.Dial(addr, eng, client.Options{})
 	if err != nil {
@@ -245,8 +309,8 @@ func TestServeBusyPreservesSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First request occupies the whole queue (the fake clock never
-	// fires MaxWait on its own).
+	// First request occupies the whole queue: it is dispatched on
+	// arrival and held in evaluation.
 	firstDone := make(chan error, 1)
 	go func() {
 		_, err := c.Infer(model, serve.DemoInput(400), 0)
@@ -275,7 +339,7 @@ func TestServeBusyPreservesSessions(t *testing.T) {
 	}
 
 	// Release the queued request and confirm it completes normally.
-	clk.Advance(time.Minute)
+	release()
 	select {
 	case err := <-firstDone:
 		if err != nil {
@@ -416,6 +480,8 @@ func TestServeDrainCompletesInflight(t *testing.T) {
 		MaxQueue: 8,
 		Clock:    clk,
 	})
+	release := serve.HoldEvaluations(srv)
+	defer release()
 
 	c, err := client.Dial(addr, eng, client.Options{})
 	if err != nil {
@@ -425,6 +491,17 @@ func TestServeDrainCompletesInflight(t *testing.T) {
 	if _, err := c.OpenSession(); err != nil {
 		t.Fatal(err)
 	}
+	// A first request is dispatched on arrival and held in evaluation,
+	// so the second arrives while its session has a request unanswered
+	// and waits for company in a forming batch.
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Infer(model, serve.DemoInput(499), 0)
+		first <- err
+	}()
+	waitFor(t, "first request in evaluation", func() bool {
+		return srv.Metrics().InflightBatches == 1
+	})
 	x := serve.DemoInput(500)
 	done := make(chan []int64, 1)
 	fail := make(chan error, 1)
@@ -436,13 +513,20 @@ func TestServeDrainCompletesInflight(t *testing.T) {
 		}
 		done <- logits
 	}()
-	waitFor(t, "request admitted", func() bool {
-		return srv.Metrics().QueueDepth >= 1
+	waitFor(t, "second request admitted", func() bool {
+		return srv.Metrics().QueueDepth == 2
 	})
+	release()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
 
 	// Drain with the request still pending in a forming batch: Shutdown
 	// must flush it, answer, then close.
 	srv.Shutdown()
+	if f := srv.Metrics().Flushes; f.Alone != 1 || f.Drain != 1 {
+		t.Fatalf("flushes %+v, want the first alone and the second at drain", f)
+	}
 	select {
 	case logits := <-done:
 		ref := model.ForwardInt(x).Data

@@ -29,7 +29,7 @@ type Metrics struct {
 	images     uint64
 	batchHist  []uint64 // len(batchHistBuckets)+1, last is overflow
 	evalTime   time.Duration
-	flushes    [3]uint64 // by flushReason
+	flushes    [4]uint64 // by flushReason
 	groupWait  time.Duration
 	opsTotal   core.OpStats
 	sessionsUp uint64
@@ -121,12 +121,14 @@ type Snapshot struct {
 	EvalTimeMS    float64       `json:"eval_time_ms"`
 
 	// Flushes counts the batches by what dispatched their group:
-	// reaching MaxBatch, the flush deadline, or drain. The three sum to
-	// Batches (a group whose requests all expired is not a batch).
+	// reaching MaxBatch, the flush deadline, drain, or arrival on a
+	// session that showed no company (alone). The four sum to Batches
+	// (a group whose requests all expired is not a batch).
 	Flushes struct {
 		Full  uint64 `json:"full"`
 		Timer uint64 `json:"timer"`
 		Drain uint64 `json:"drain"`
+		Alone uint64 `json:"alone"`
 	} `json:"flushes"`
 	// GroupWaitMS sums, over the batches, the time from the group's
 	// first request to its dispatch: the latency spent forming batches.
@@ -180,6 +182,7 @@ func (s *Snapshot) Add(src *Snapshot) {
 	s.Flushes.Full += src.Flushes.Full
 	s.Flushes.Timer += src.Flushes.Timer
 	s.Flushes.Drain += src.Flushes.Drain
+	s.Flushes.Alone += src.Flushes.Alone
 	s.GroupWaitMS += src.GroupWaitMS
 	s.Ops.Add(src.Ops)
 	s.Sessions.Count += src.Sessions.Count
@@ -239,6 +242,7 @@ func (m *Metrics) Snapshot(reg *Registry, b *Batcher) Snapshot {
 	s.Flushes.Full = m.flushes[flushFull]
 	s.Flushes.Timer = m.flushes[flushTimer]
 	s.Flushes.Drain = m.flushes[flushDrain]
+	s.Flushes.Alone = m.flushes[flushAlone]
 	s.GroupWaitMS = float64(m.groupWait) / float64(time.Millisecond)
 	s.Ops = m.opsTotal
 	s.Sessions.Opened = m.sessionsUp

@@ -38,6 +38,13 @@ type Session struct {
 	// touch. Guarded by the registry mutex.
 	lastUsed uint64
 
+	// unanswered counts the session's admitted requests not yet
+	// answered, and lastGroup the size of its last dispatched batch
+	// group: what the batcher knows of whether company comes. Guarded by
+	// the batcher mutex.
+	unanswered int
+	lastGroup  int
+
 	// limiter is the session's token bucket (nil = no rate limit),
 	// shared by every connection inferring under it and dropped with the
 	// session on eviction.

@@ -24,7 +24,10 @@ type Config struct {
 
 	// Batcher tuning (zero values take the BatcherConfig defaults).
 	// A forming batch waits at most MaxWait for company, and no longer
-	// than the most recent batch of its model took to evaluate.
+	// than the most recent batch of its model took to evaluate; it waits
+	// only when its session has another request unanswered or its last
+	// batch held more than one request, and is dispatched at once
+	// otherwise.
 	MaxBatch  int
 	MaxWait   time.Duration
 	MaxQueue  int
