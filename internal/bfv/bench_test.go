@@ -20,9 +20,10 @@ func BenchmarkPMult(b *testing.B) {
 	k := newTestKit(b, 11, 6, nil)
 	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(randVals(k.ctx.N, 1000, 3)))
 	pm := k.cod.LiftToMul(k.cod.EncodeCoeffs(randVals(k.ctx.N, 100, 4)))
+	out := k.ctx.NewCiphertext()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.ev.MulPlain(ct, pm)
+		k.ev.MulPlainInto(ct, pm, out)
 	}
 }
 
@@ -161,15 +162,24 @@ func BenchmarkDecrypt(b *testing.B) {
 	})
 }
 
-// BenchmarkCMult measures MulInto: two extensions, one product, one
-// finish.
+// BenchmarkCMult measures one product: two extensions, one tensor
+// product, one finish.
 func BenchmarkCMult(b *testing.B) {
 	cmultShapes(b, func(b *testing.B, ctx *Context, ev *Evaluator, x, y *Ciphertext) {
-		out := ctx.NewCiphertext()
+		opX, opY, acc, out := ctx.NewOperand(), ctx.NewOperand(), ctx.NewAccumulator(), ctx.NewCiphertext()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := ev.MulInto(x, y, out); err != nil {
+			if err := ev.ExtendInto(x, opX); err != nil {
+				b.Fatal(err)
+			}
+			if err := ev.ExtendInto(y, opY); err != nil {
+				b.Fatal(err)
+			}
+			if err := ev.Accumulate(opX, opY, acc); err != nil {
+				b.Fatal(err)
+			}
+			if err := ev.FinishInto(acc, out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -248,9 +258,10 @@ func BenchmarkMulScalarSums(b *testing.B) {
 func BenchmarkRotation(b *testing.B) {
 	k := newTestKit(b, 11, 6, []int{1})
 	ct := k.enc.Encrypt(k.cod.EncodeSlots(randVals(k.ctx.N, 100, 6)))
+	g, out := ring.GaloisElementForRotation(k.ctx.N, 1), k.ctx.NewCiphertext()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.ev.RotateRows(ct, 1); err != nil {
+		if err := k.ev.AutomorphismInto(ct, g, out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,6 +53,20 @@ func newTestKit(t testing.TB, logN, limbs int, rotations []int) *testKit {
 	}
 }
 
+// rotateRows rotates both slot rows of ct left by k into a fresh
+// ciphertext. Requires the Galois key for 5^k.
+func rotateRows(ev *Evaluator, ct *Ciphertext, k int) (*Ciphertext, error) {
+	out := ev.ctx.NewCiphertext()
+	return out, ev.AutomorphismInto(ct, ring.GaloisElementForRotation(ev.ctx.N, k), out)
+}
+
+// mulPlain is MulPlainInto into a fresh ciphertext.
+func mulPlain(ev *Evaluator, ct *Ciphertext, pm *PlaintextMul) *Ciphertext {
+	out := ev.ctx.NewCiphertext()
+	ev.MulPlainInto(ct, pm, out)
+	return out
+}
+
 func randVals(n int, bound int64, seed uint64) []int64 {
 	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
 	v := make([]int64, n)
@@ -85,18 +99,17 @@ func TestHomomorphicAddSub(t *testing.T) {
 	cta := k.enc.Encrypt(k.cod.EncodeCoeffs(a))
 	ctb := k.enc.Encrypt(k.cod.EncodeCoeffs(b))
 
-	sum := k.cod.DecodeCoeffs(k.dec.Decrypt(k.ev.Add(cta, ctb)))
-	diff := k.cod.DecodeCoeffs(k.dec.Decrypt(k.ev.Sub(cta, ctb)))
-	neg := k.cod.DecodeCoeffs(k.dec.Decrypt(k.ev.Neg(cta)))
+	k.ev.AddInPlace(cta, ctb)
+	sum := k.cod.DecodeCoeffs(k.dec.Decrypt(cta))
+	// The operands may alias: a + a doubles.
+	k.ev.AddInPlace(ctb, ctb)
+	twice := k.cod.DecodeCoeffs(k.dec.Decrypt(ctb))
 	for i := range a {
 		if sum[i] != a[i]+b[i] {
 			t.Fatalf("add coeff %d: %d want %d", i, sum[i], a[i]+b[i])
 		}
-		if diff[i] != a[i]-b[i] {
-			t.Fatalf("sub coeff %d: %d want %d", i, diff[i], a[i]-b[i])
-		}
-		if neg[i] != -a[i] {
-			t.Fatalf("neg coeff %d: %d want %d", i, neg[i], -a[i])
+		if twice[i] != 2*b[i] {
+			t.Fatalf("doubled coeff %d: %d want %d", i, twice[i], 2*b[i])
 		}
 	}
 }
@@ -106,8 +119,8 @@ func TestAddPlain(t *testing.T) {
 	a := randVals(k.ctx.N, 100, 4)
 	b := randVals(k.ctx.N, 100, 5)
 	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(a))
-	out := k.ev.AddPlain(ct, k.cod.EncodeCoeffs(b))
-	got := k.cod.DecodeCoeffs(k.dec.Decrypt(out))
+	k.ev.AddPlainInPlace(ct, k.cod.EncodeCoeffs(b))
+	got := k.cod.DecodeCoeffs(k.dec.Decrypt(ct))
 	for i := range a {
 		if got[i] != a[i]+b[i] {
 			t.Fatalf("coeff %d: %d want %d", i, got[i], a[i]+b[i])
@@ -149,7 +162,7 @@ func TestMulPlainIsNegacyclicConvolution(t *testing.T) {
 	b := randVals(k.ctx.N, 120, 7)
 	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(a))
 	pm := k.cod.LiftToMul(k.cod.EncodeCoeffs(b))
-	out := k.ev.MulPlain(ct, pm)
+	out := mulPlain(k.ev, ct, pm)
 	got := k.cod.DecodeCoeffs(k.dec.Decrypt(out))
 	want := negacyclicConvolve(a, b, k.ctx.TMod)
 	for i := range want {
@@ -190,7 +203,7 @@ func TestMulScalar(t *testing.T) {
 	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(a))
 	tm := k.ctx.TMod
 	for _, scalar := range []uint64{0, 1, 2, 100, 65536 /* ≡ -1 */} {
-		out := k.ev.MulScalar(ct, scalar)
+		out := mulScalar(k.ev, ct, scalar)
 		got := k.cod.DecodeCoeffs(k.dec.Decrypt(out))
 		for i := range a {
 			want := tm.Centered(tm.Mul(tm.ReduceInt64(a[i]), tm.Reduce(scalar)))
@@ -283,7 +296,9 @@ func TestBatchedPlainMulIsSlotwise(t *testing.T) {
 	b := randVals(k.ctx.N, 250, 18)
 	ct := k.enc.Encrypt(k.cod.EncodeSlots(a))
 	pm := k.cod.LiftToMul(k.cod.EncodeSlots(b))
-	got := k.cod.DecodeSlots(k.dec.Decrypt(k.ev.MulPlain(ct, pm)))
+	// out may alias ct: the product is elementwise.
+	k.ev.MulPlainInto(ct, pm, ct)
+	got := k.cod.DecodeSlots(k.dec.Decrypt(ct))
 	tm := k.ctx.TMod
 	for i := range a {
 		want := tm.Centered(tm.Mul(tm.ReduceInt64(a[i]), tm.ReduceInt64(b[i])))
@@ -303,9 +318,17 @@ func TestRotateRows(t *testing.T) {
 	}
 	ct := k.enc.Encrypt(k.cod.EncodeSlots(vals))
 	for _, rot := range []int{1, 2, -1, 5} {
-		out, err := k.ev.RotateRows(ct, rot)
+		out, err := rotateRows(k.ev, ct, rot)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// out may alias ct: the operand is staged into scratch first.
+		alias := ct.Clone()
+		if err := k.ev.AutomorphismInto(alias, ring.GaloisElementForRotation(n, rot), alias); err != nil {
+			t.Fatal(err)
+		}
+		if !alias.C0.Equal(out.C0) || !alias.C1.Equal(out.C1) {
+			t.Fatalf("rot %d: AutomorphismInto with out == ct differs", rot)
 		}
 		got := k.cod.DecodeSlots(k.dec.Decrypt(out))
 		for i := 0; i < n; i++ {
@@ -327,8 +350,8 @@ func TestRotateColumnsSwapsRows(t *testing.T) {
 		vals[i] = int64(i + 1)
 	}
 	ct := k.enc.Encrypt(k.cod.EncodeSlots(vals))
-	out, err := k.ev.Automorphism(ct, ring.GaloisElementConjugate(n))
-	if err != nil {
+	out := k.ctx.NewCiphertext()
+	if err := k.ev.AutomorphismInto(ct, ring.GaloisElementConjugate(n), out); err != nil {
 		t.Fatal(err)
 	}
 	got := k.cod.DecodeSlots(k.dec.Decrypt(out))
@@ -351,11 +374,11 @@ func TestMissingKeysErrors(t *testing.T) {
 	if _, err := ev.Mul(ct, ct); err == nil {
 		t.Fatal("Mul without relin key should error")
 	}
-	if _, err := ev.RotateRows(ct, 1); err == nil {
+	if _, err := rotateRows(ev, ct, 1); err == nil {
 		t.Fatal("rotation without galois keys should error")
 	}
 	ev2 := NewEvaluator(ctx, &KeySet{Relin: kg.GenRelinearizationKey(sk), Galois: map[uint64]*GaloisKey{}})
-	if _, err := ev2.RotateRows(ct, 3); err == nil {
+	if _, err := rotateRows(ev2, ct, 3); err == nil {
 		t.Fatal("rotation with missing element should error")
 	}
 }

@@ -53,7 +53,7 @@ func (c *Context) NewPlaintext() *Plaintext {
 // domain (with centered-mod-t representatives), ready for fast repeated
 // PMult. Shoup optionally holds the per-coefficient companion of Value
 // (Encoder.PrecomputeShoup): compiled multipliers that are reused across
-// many products attach it so MulPlain runs the elementwise Shoup kernel
+// many products attach it so MulPlainInto runs the elementwise Shoup kernel
 // instead of Barrett.
 type PlaintextMul struct {
 	Value ring.Poly // NTT domain, ring Q

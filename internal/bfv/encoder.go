@@ -103,7 +103,7 @@ func (e *Encoder) DecodeSlots(pt *Plaintext) []int64 {
 }
 
 // LiftToMul pre-lifts a plaintext into the ciphertext ring NTT domain
-// using centered representatives, for use with MulPlain.
+// using centered representatives, for use with MulPlainInto.
 func (e *Encoder) LiftToMul(pt *Plaintext) *PlaintextMul {
 	pm := &PlaintextMul{Value: e.ctx.RingQ.NewPoly()}
 	e.LiftToMulInto(pt, pm)
@@ -128,7 +128,7 @@ func (e *Encoder) LiftToMulInto(pt *Plaintext, pm *PlaintextMul) {
 }
 
 // PrecomputeShoup attaches the per-coefficient Shoup companion to pm,
-// switching every later MulPlain against it from Barrett to the
+// switching every later MulPlainInto against it from Barrett to the
 // elementwise Shoup kernel. Worth it only for multipliers reused across
 // many products (compiled linear-transform terms); one-shot plaintexts
 // should skip it, since building the companion costs a division per

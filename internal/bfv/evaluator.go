@@ -7,12 +7,16 @@ import (
 	"athena/internal/rns"
 )
 
-// Evaluator performs homomorphic operations. It owns a scratch arena of
-// reusable polynomial temporaries (lazily allocated, retained across
-// calls), so steady-state operations allocate only their results. That
-// makes an Evaluator single-goroutine state: to fan out across
-// goroutines, give each its own ShallowCopy, which shares the immutable
-// context and keys but not the scratch.
+// Evaluator performs homomorphic operations. Every operation writes its
+// result into a ciphertext the caller owns (an out or acc argument, or
+// the first operand of an InPlace form), and whether that ciphertext may
+// alias an input is stated per method. Temporaries live in the
+// evaluator's scratch arena (lazily allocated, retained across calls),
+// so steady-state operations do not allocate. That makes an Evaluator
+// single-goroutine state: to fan out across goroutines, give each its
+// own ShallowCopy, which shares the immutable context and keys but not
+// the scratch. Mul and Automorphism, which return a fresh ciphertext,
+// serve the bench/ probes and softmax.
 type Evaluator struct {
 	ctx  *Context
 	keys *KeySet
@@ -31,7 +35,7 @@ type evalScratch struct {
 	sb  ring.Poly
 	d2  ring.Poly
 	rns *rns.Scratch
-	// MulInto: its two operands and its one-term accumulator.
+	// Mul: its two operands and its one-term accumulator.
 	opA, opB *Operand
 	acc      *Accumulator
 	// keyswitch: the current digit and the two accumulators.
@@ -98,43 +102,12 @@ func (ev *Evaluator) autoIndex(g uint64) *autoTable {
 	return t
 }
 
-// Add returns a + b.
-func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
-	out := ev.ctx.NewCiphertext()
-	ev.ctx.RingQ.Add(a.C0, b.C0, out.C0)
-	ev.ctx.RingQ.Add(a.C1, b.C1, out.C1)
-	return out
-}
-
 // AddInPlace sets a += b.
 //
 //lint:noalloc
 func (ev *Evaluator) AddInPlace(a, b *Ciphertext) {
 	ev.ctx.RingQ.Add(a.C0, b.C0, a.C0)
 	ev.ctx.RingQ.Add(a.C1, b.C1, a.C1)
-}
-
-// Sub returns a - b.
-func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
-	out := ev.ctx.NewCiphertext()
-	ev.ctx.RingQ.Sub(a.C0, b.C0, out.C0)
-	ev.ctx.RingQ.Sub(a.C1, b.C1, out.C1)
-	return out
-}
-
-// Neg returns -a.
-func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
-	out := ev.ctx.NewCiphertext()
-	ev.ctx.RingQ.Neg(a.C0, out.C0)
-	ev.ctx.RingQ.Neg(a.C1, out.C1)
-	return out
-}
-
-// AddPlain returns ct + pt (the plaintext is embedded as Δ·m).
-func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	out := ct.Clone()
-	ev.AddPlainInPlace(out, pt)
-	return out
 }
 
 // AddPlainInPlace sets ct += pt (the plaintext is embedded as Δ·m)
@@ -151,18 +124,11 @@ func (ev *Evaluator) AddPlainInPlace(ct *Ciphertext, pt *Plaintext) {
 	ev.ctx.RingQ.Add(ct.C0, sc.dm, ct.C0)
 }
 
-// MulPlain returns ct ⊗ pm, the plaintext-ciphertext product (PMult in
-// the paper's notation). The plaintext must have been lifted with
-// Encoder.LiftToMul. When pm carries its Shoup companion (compiled,
+// MulPlainInto sets out = ct ⊗ pm (PMult in the paper's notation)
+// without allocating. The plaintext must have been lifted with
+// Encoder.LiftToMul; when pm carries its Shoup companion (compiled,
 // reused multipliers), the product runs the elementwise Shoup kernel.
-func (ev *Evaluator) MulPlain(ct *Ciphertext, pm *PlaintextMul) *Ciphertext {
-	out := ev.ctx.NewCiphertext()
-	ev.MulPlainInto(ct, pm, out)
-	return out
-}
-
-// MulPlainInto sets out = ct ⊗ pm without allocating. out must not
-// alias ct (it may alias pm only through distinct polynomials).
+// out may alias ct: the product is elementwise.
 //
 //lint:noalloc
 func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pm *PlaintextMul, out *Ciphertext) {
@@ -190,7 +156,7 @@ func (ev *Evaluator) MulPlainAndAdd(ct *Ciphertext, pm *PlaintextMul, acc *Ciphe
 
 // MulPlainFixedInto sets out = ct ⊗ pm for a fixed ciphertext with
 // precomputed companions cs (Context.NewCiphertextShoup): the roles are
-// swapped versus MulPlain's fast path, covering products where the
+// swapped versus MulPlainInto's fast path, covering products where the
 // ciphertext is the immutable operand and the plaintext multiplier
 // changes per call (the packer's diagonal products against its
 // baby-step keys). out must not alias ct.
@@ -208,22 +174,6 @@ func (ev *Evaluator) MulPlainFixedInto(ct *Ciphertext, cs *CiphertextShoup, pm *
 func (ev *Evaluator) MulPlainFixedAndAdd(ct *Ciphertext, cs *CiphertextShoup, pm *PlaintextMul, acc *Ciphertext) {
 	ev.ctx.RingQ.MulCoeffsShoupAndAdd(pm.Value, ct.C0, cs.C0S, acc.C0)
 	ev.ctx.RingQ.MulCoeffsShoupAndAdd(pm.Value, ct.C1, cs.C1S, acc.C1)
-}
-
-// MulScalar returns ct · k for the scalar k ∈ Z_t, using the centered
-// representative of k to minimize noise growth (SMult).
-func (ev *Evaluator) MulScalar(ct *Ciphertext, k uint64) *Ciphertext {
-	c := ev.ctx.TMod.Centered(ev.ctx.TMod.Reduce(k))
-	out := ev.ctx.NewCiphertext()
-	rq := ev.ctx.RingQ
-	for i := range rq.Moduli {
-		m := rq.Moduli[i]
-		kv := m.ReduceInt64(c)
-		sh := m.ShoupPrecomp(kv)
-		m.MulShoupVec(ct.C0.Coeffs[i], kv, sh, out.C0.Coeffs[i])
-		m.MulShoupVec(ct.C1.Coeffs[i], kv, sh, out.C1.Coeffs[i])
-	}
-	return out
 }
 
 // sumTileWords caps the packed tile of MulScalarSums at 512 KB, to stay
@@ -262,15 +212,17 @@ func (ev *Evaluator) sumScratch(g, k, cols int) *evalScratch {
 }
 
 // MulScalarSums sets outs[g] = Σ_k ks[g][k]·cts[k] for scalars ks[g][k] ∈
-// Z_t (centered, as in MulScalar; every ks[g] has len(cts) entries): the
+// Z_t (each taken at its centered representative, to keep noise growth
+// small; every ks[g] has len(cts) entries): the
 // product of the scalar matrix ks with the matrix whose rows are the
 // ciphertexts, the way the paper's FRU array streams the FBS baby-step
 // inner sums (Fig. 7). Per limb the weights are reduced once; per tile of
 // columns the rows are packed once (ring.PackTile) and every output is
 // one ring.MulSumTile column sum, so a coefficient of cts is read once
 // for all of outs and each output coefficient is reduced and stored
-// once. Sums modulo q are exact: the result is limb for limb what
-// MulScalar and Add give. No outs entry may alias a cts entry.
+// once. Sums modulo q are exact: the result is limb for limb what a
+// scalar product per term and an addition per term give. No outs entry
+// may alias a cts entry.
 //
 //lint:noalloc
 func (ev *Evaluator) MulScalarSums(cts []*Ciphertext, ks [][]uint64, outs []*Ciphertext) error {
@@ -356,20 +308,19 @@ func (ev *Evaluator) keySwitchCoeff(p ring.Poly, swk *SwitchingKey) (ring.Poly, 
 	return ks0, ks1
 }
 
-// Automorphism applies X -> X^g to the ciphertext and keyswitches back to
-// the original secret. Requires the Galois key for g.
+// Automorphism is AutomorphismInto into a fresh ciphertext. It exists
+// for bench/'s keyswitch probe and goes when that probe moves.
 func (ev *Evaluator) Automorphism(ct *Ciphertext, g uint64) (*Ciphertext, error) {
 	out := ev.ctx.NewCiphertext()
-	if err := ev.AutomorphismInto(ct, g, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, ev.AutomorphismInto(ct, g, out)
 }
 
-// AutomorphismInto is Automorphism writing into a caller-provided
-// ciphertext; out may alias ct (ct is consumed into scratch before out
-// is written). The permutation table for g is cached after first use,
-// so steady-state calls do not allocate.
+// AutomorphismInto sets out = φ_g(ct), applying X -> X^g and keyswitching
+// back to the original secret; g = 5^k rotates both slot rows left by k
+// (ring.GaloisElementForRotation). Requires the Galois key for g. out may
+// alias ct (ct is consumed into scratch before out is written). The
+// permutation table for g is cached after first use, so steady-state
+// calls do not allocate.
 //
 //lint:noalloc
 func (ev *Evaluator) AutomorphismInto(ct *Ciphertext, g uint64, out *Ciphertext) error {
@@ -411,23 +362,6 @@ func (ev *Evaluator) AutomorphismInto(ct *Ciphertext, g uint64, out *Ciphertext)
 	rq.Add(p0, ks0, out.C0)
 	ks1.CopyTo(out.C1)
 	return nil
-}
-
-// RotateRows rotates both slot rows left by k (slot i receives the value
-// previously at slot i+k within each row of N/2). Requires the Galois key
-// for 5^k.
-func (ev *Evaluator) RotateRows(ct *Ciphertext, k int) (*Ciphertext, error) {
-	g := ring.GaloisElementForRotation(ev.ctx.N, k)
-	return ev.Automorphism(ct, g)
-}
-
-// RotateRowsInto is RotateRows writing into a caller-provided
-// ciphertext; out may alias ct. Requires the Galois key for 5^k.
-//
-//lint:noalloc
-func (ev *Evaluator) RotateRowsInto(ct *Ciphertext, k int, out *Ciphertext) error {
-	g := ring.GaloisElementForRotation(ev.ctx.N, k)
-	return ev.AutomorphismInto(ct, g, out)
 }
 
 // RotationGaloisElements returns the Galois elements needed to rotate by

@@ -145,8 +145,8 @@ func TestReducedLevelArithmetic(t *testing.T) {
 	// constant polynomial 3 and add cb.
 	three := make([]int64, k.ctx.N)
 	three[0] = 3
-	lin := ev2.MulPlain(ca, cod2.LiftToMul(cod2.EncodeCoeffs(three)))
-	lin = ev2.Add(lin, cb)
+	lin := mulPlain(ev2, ca, cod2.LiftToMul(cod2.EncodeCoeffs(three)))
+	ev2.AddInPlace(lin, cb)
 	gotLin := k.cod.DecodeCoeffs(k.dec.Decrypt(lin))
 	for i := range va {
 		if want := 3*va[i] + vb[i]; gotLin[i] != want {
@@ -208,7 +208,7 @@ func TestReducedLevelAutomorphism(t *testing.T) {
 	vals := randVals(k.ctx.N, 100, 31)
 	ct := k.enc.Encrypt(k.cod.EncodeSlots(vals))
 
-	wantCT, err := k.ev.RotateRows(ct, 1)
+	wantCT, err := rotateRows(k.ev, ct, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestReducedLevelAutomorphism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCT, err := ev2.RotateRows(down, 1)
+	gotCT, err := rotateRows(ev2, down, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestKeysAtLevelOfUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytesOf := func(ev *Evaluator) []byte {
-		rot, err := ev.RotateRows(down, 1)
+		rot, err := rotateRows(ev, down, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,7 +536,7 @@ func TestKeysAtLevelOfUse(t *testing.T) {
 	}
 
 	above := NewEvaluator(k.ctx, back)
-	if _, err := above.RotateRows(ct, 1); err == nil {
+	if _, err := rotateRows(above, ct, 1); err == nil {
 		t.Fatalf("rotation at level %d under a level-%d key accepted", k.ctx.Level(), l)
 	}
 	if _, err := above.Mul(ct, ct); err == nil {

@@ -20,7 +20,7 @@ import (
 //   - FinishInto rescales the accumulated sum by t/Q back to Q and
 //     relinearizes it: one rounding and one keyswitch for the whole sum.
 //
-// MulInto is the one-term case of that path.
+// Mul is the one-term case of that path.
 
 // Operand is a ciphertext over the extended basis Q ∪ B: the ciphertext
 // holds the Q limbs, b0 and b1 the B limbs (NTT domain) of C0 and C1 read
@@ -226,40 +226,33 @@ func (ev *Evaluator) FinishInto(acc *Accumulator, out *Ciphertext) error {
 	return nil
 }
 
-// Mul returns the relinearized product a·b (CMult). Requires a
-// relinearization key.
+// Mul returns the relinearized product a·b (CMult) in a fresh ciphertext;
+// a squaring extends its operand once. Requires a relinearization key. It
+// exists for bench/'s CMult probe and softmax's one product, and goes
+// when the probe moves.
 func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
-	out := ev.ctx.NewCiphertext()
-	if err := ev.MulInto(a, b, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MulInto is Mul writing into a caller-provided ciphertext; out may alias
-// a or b (both are consumed into the accumulator before out is written).
-// A squaring extends its operand once.
-//
-//lint:noalloc
-func (ev *Evaluator) MulInto(a, b, out *Ciphertext) error {
 	sc := ev.sc
 	if sc.acc == nil {
-		sc.opA, sc.opB = ev.ctx.NewOperand(), ev.ctx.NewOperand() //lint:allow noalloc one-time lazy arena fill, reused across calls
-		sc.acc = ev.ctx.NewAccumulator()                          //lint:allow noalloc one-time lazy arena fill, reused across calls
+		sc.opA, sc.opB = ev.ctx.NewOperand(), ev.ctx.NewOperand()
+		sc.acc = ev.ctx.NewAccumulator()
 	}
 	if err := ev.ExtendInto(a, sc.opA); err != nil {
-		return err
+		return nil, err
 	}
 	opB := sc.opA
 	if b != a {
 		if err := ev.ExtendInto(b, sc.opB); err != nil {
-			return err
+			return nil, err
 		}
 		opB = sc.opB
 	}
 	sc.acc.Reset()
 	if err := ev.Accumulate(sc.opA, opB, sc.acc); err != nil {
-		return err
+		return nil, err
 	}
-	return ev.FinishInto(sc.acc, out)
+	out := ev.ctx.NewCiphertext()
+	if err := ev.FinishInto(sc.acc, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

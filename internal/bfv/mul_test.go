@@ -156,7 +156,7 @@ func edgeCiphertext(ctx *Context, rng *rand.Rand, shape uint8) *Ciphertext {
 	return ct
 }
 
-// TestMulIsOneTermSum: MulInto is the one-term case of extend →
+// TestMulIsOneTermSum: Mul is the one-term case of extend →
 // accumulate → finish, byte for byte, and a squaring's single extension
 // gives what two extensions of the same ciphertext give.
 func TestMulIsOneTermSum(t *testing.T) {
@@ -370,8 +370,15 @@ func TestMulRejectsOperandAtAnotherLevel(t *testing.T) {
 		if err := ev.ExtendInto(bad, mid.NewOperand()); err == nil {
 			t.Errorf("%s: ExtendInto accepted it", name)
 		}
-		if err := ev.MulInto(ok, ok, bad); err == nil {
-			t.Errorf("%s: MulInto wrote into it", name)
+		op, acc := mid.NewOperand(), mid.NewAccumulator()
+		if err := ev.ExtendInto(ok, op); err != nil {
+			t.Fatal(err)
+		}
+		if err := ev.Accumulate(op, op, acc); err != nil {
+			t.Fatal(err)
+		}
+		if err := ev.FinishInto(acc, bad); err == nil {
+			t.Errorf("%s: FinishInto wrote into it", name)
 		}
 	}
 }

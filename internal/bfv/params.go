@@ -14,7 +14,7 @@
 // (mul.go): ExtendInto lifts a ciphertext to the extended basis once for
 // every product it enters, Accumulate adds a product to an unreduced sum
 // of up to Context.SumCapacity terms, and FinishInto rescales and
-// relinearizes the whole sum once. Mul and MulInto are the one-term case.
+// relinearizes the whole sum once. Mul is the one-term case.
 package bfv
 
 import (

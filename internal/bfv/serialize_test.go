@@ -117,7 +117,7 @@ func TestKeySetRoundTrip(t *testing.T) {
 		}
 	}
 	cts := k.enc.Encrypt(k.cod.EncodeSlots(a))
-	if _, err := ev.RotateRows(cts, 1); err != nil {
+	if _, err := rotateRows(ev, cts, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -234,22 +234,24 @@ func roundDiv(a, b int64) int64 {
 // packFBS packs an ordered list of LWE values, of which valid are real
 // (the rest structural zeros: padding, unused slots), applies the pending
 // LUT (when non-nil), and returns the slot-encoded BFV ciphertext at the
-// post level.
+// post level, which the caller owns.
 func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, valid int, pending *fbs.Evaluator) (*bfv.Ciphertext, error) {
 	e := wk.e
 	if len(ordered) > e.Ctx.N {
 		return nil, fmt.Errorf("core: %d values exceed %d slots", len(ordered), e.Ctx.N)
 	}
-	ct, err := e.packer.PackWith(wk.ev, wk.packSc, ordered)
-	if err != nil {
+	if wk.round == nil {
+		wk.round = e.ctxF.NewCiphertext()
+	}
+	ct := wk.round
+	if err := e.packer.PackInto(wk.ev, wk.packSc, ordered, ct); err != nil {
 		return nil, err
 	}
 	wk.stats.Packs++
 	if pending != nil {
 		// The compiled LUT is shared by every worker and image; what an
 		// evaluation writes lives in the worker's own scratch.
-		ct, err = pending.EvaluateWith(wk.ev, wk.fbsSc, ct)
-		if err != nil {
+		if err := pending.EvaluateInto(wk.ev, wk.fbsSc, ct, ct); err != nil {
 			return nil, err
 		}
 		wk.stats.FBSCalls++
@@ -260,18 +262,23 @@ func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, valid int, pending *fbs.
 	}
 	// Drop to the post level: the LUT's multiplicative depth is spent, so
 	// the mask product, S2C, the next layer's accumulation, and the final
-	// rescale all run on PostLevel limbs instead of FBSLevel.
+	// rescale all run on PostLevel limbs instead of FBSLevel. The result
+	// outlives the call, and ct is the worker's round buffer, which ModDown
+	// hands back when no limb drops.
+	if ct.Level() == e.ctxP.Level() {
+		return ct.Clone(), nil
+	}
 	return e.Ctx.ModDown(ct, e.ctxP.Level())
 }
 
-// maskSlots multiplies ct by a 0/1 slot vector: 1 at the slots to keep,
-// 0 at structural zeros and at slots that belong to someone else. It
-// follows every LUT because tables with LUT(0) ≠ 0 (sigmoid, GELU, biased
-// remaps) turn structural zeros into non-zero activations.
-func (wk *evalWorker) maskSlots(ct *bfv.Ciphertext, mask []int64) *bfv.Ciphertext {
+// maskSlots sets out to ct times a 0/1 slot vector: 1 at the slots to
+// keep, 0 at structural zeros and at slots that belong to someone else.
+// It follows every LUT because tables with LUT(0) ≠ 0 (sigmoid, GELU,
+// biased remaps) turn structural zeros into non-zero activations.
+func (wk *evalWorker) maskSlots(ct *bfv.Ciphertext, mask []int64, out *bfv.Ciphertext) {
 	pm := wk.codP.LiftToMul(wk.codP.EncodeSlots(mask))
 	wk.stats.PMult++
-	return wk.evP.MulPlain(ct, pm)
+	wk.evP.MulPlainInto(ct, pm, out)
 }
 
 // prefixMask is the slot mask keeping the first n slots.
@@ -283,14 +290,14 @@ func (e *Engine) prefixMask(n int) []int64 {
 	return m
 }
 
-// toCoeffs applies S2C: slot i -> coefficient i.
-func (wk *evalWorker) toCoeffs(ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	out, err := wk.e.s2c.Apply(wk.evP, ct)
-	if err != nil {
-		return nil, err
+// toCoeffs sets out to S2C of ct: slot i -> coefficient i. out may alias
+// ct.
+func (wk *evalWorker) toCoeffs(ct, out *bfv.Ciphertext) error {
+	if err := wk.e.s2c.ApplyInto(wk.evP, &wk.s2cSc, ct, out); err != nil {
+		return err
 	}
 	wk.stats.S2CCalls++
-	return out, nil
+	return nil
 }
 
 // extract converts the coefficients idx of a result ciphertext into
@@ -523,23 +530,32 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.
 	}
 	errs = make([]error, windows)
 	wk.forEach(windows, par.Options{MinGrain: 1}, func(ln *evalWorker, w int) {
-		r := w / g
-		ct := slots[r]
+		r, o := w/g, w%g*per
+		// The window's input outlives the fan-out; what it passes through
+		// is the lane's.
+		ct, in := slots[r], e.ctxP.NewCiphertext()
+		if ln.window == nil {
+			ln.window = e.ctxP.NewCiphertext()
+		}
 		// An identity-packed window alone in its round needs no mask:
 		// nothing was bootstrapped and there is no neighbour to cut away.
 		if pending != nil || min((r+1)*g, windows)-r*g > 1 {
-			ct = ln.maskSlots(ct, masks[w])
+			ln.maskSlots(ct, masks[w], ln.window)
+			ct = ln.window
 		}
-		ct, err := ln.toCoeffs(ct)
-		if err != nil {
-			errs[w] = err
+		// S2C lands in the input itself unless a shift follows.
+		dst := in
+		if o > 0 {
+			dst = ln.window
+		}
+		if errs[w] = ln.toCoeffs(ct, dst); errs[w] != nil {
 			return
 		}
-		if o := w % g * per; o > 0 {
-			ct = ln.evP.MulPlain(ct, e.shiftFor(o))
+		if o > 0 {
+			ln.evP.MulPlainInto(dst, e.shiftFor(o), in)
 			ln.stats.PMult++
 		}
-		inputs[w/plan.InBatches][w%plan.InBatches] = ct
+		inputs[w/plan.InBatches][w%plan.InBatches] = in
 	})
 	if err := par.FirstErr(errs); err != nil {
 		return nil, err
@@ -559,12 +575,12 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 	// word multiplies each at the post level) plus the kernel encodes.
 	cost := plan.InBatches * 2 * e.ctxP.Level() * e.Ctx.N
 	wk.forEach(plan.OutBatches, par.Options{MinGrain: 1, ItemCost: cost}, func(ln *evalWorker, ob int) {
-		var acc *bfv.Ciphertext
+		acc := e.ctxP.NewCiphertext()
 		for ib := 0; ib < plan.InBatches; ib++ {
 			kv := plan.EncodeKernel(k3d, ib, ob)
 			pm := ln.codP.LiftToMul(ln.codP.EncodeCoeffs(kv))
-			if acc == nil {
-				acc = ln.evP.MulPlain(inputs[ib], pm)
+			if ib == 0 {
+				ln.evP.MulPlainInto(inputs[ib], pm, acc)
 			} else {
 				ln.evP.MulPlainAndAdd(inputs[ib], pm, acc)
 				ln.stats.HAdd++
@@ -576,7 +592,7 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 		for _, en := range plan.ValidCoeffs(ob) {
 			biasVec[en.Coeff] = q.Bias[en.Cout]
 		}
-		acc = ln.evP.AddPlain(acc, ln.codP.EncodeCoeffs(biasVec))
+		ln.evP.AddPlainInPlace(acc, ln.codP.EncodeCoeffs(biasVec))
 		accs[ob] = acc
 	})
 	return accs

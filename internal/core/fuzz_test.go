@@ -44,7 +44,7 @@ func FuzzReadEvalKeys(f *testing.F) {
 		if err != nil {
 			t.Fatalf("packing and LUT under accepted keys: %v", err)
 		}
-		if _, err := eng.w0.toCoeffs(ct); err != nil {
+		if err := eng.w0.toCoeffs(ct, ct); err != nil {
 			t.Fatalf("S2C under accepted keys: %v", err)
 		}
 		var out, again bytes.Buffer

@@ -301,8 +301,9 @@ func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, lut *fbs.Evaluator) ([]lwe
 			errs[ci] = err
 			return
 		}
-		ct, err = ln.toCoeffs(ln.maskSlots(ct, e.prefixMask(end-start)))
-		if err != nil {
+		// ct is packFBS's own result: mask and S2C run in place.
+		ln.maskSlots(ct, e.prefixMask(end-start), ct)
+		if err := ln.toCoeffs(ct, ct); err != nil {
 			errs[ci] = err
 			return
 		}

@@ -1,11 +1,36 @@
 package core
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"athena/internal/coeffenc"
 	"athena/internal/qnn"
 )
+
+var (
+	fullOnce sync.Once
+	fullEng  *Engine
+	fullErr  error
+)
+
+// fullLevelEngine builds one shared engine with dropping disabled: the
+// FBS and post levels both sit at the full chain, so no ModDown runs
+// between a LUT round and what reads its result.
+func fullLevelEngine(t *testing.T) *Engine {
+	t.Helper()
+	fullOnce.Do(func() {
+		p := TestParams()
+		p.FBSLevel, p.PostLevel = p.QiNum, p.QiNum
+		fullEng, fullErr = NewEngine(p)
+	})
+	if fullErr != nil {
+		t.Fatal(fullErr)
+	}
+	fullEng.Stats = OpStats{}
+	return fullEng
+}
 
 // TestLevelsScheduleProperties sweeps explicit (FBSLevel, PostLevel)
 // settings — including zero, negative, and beyond-chain values — and
@@ -55,13 +80,7 @@ func TestLevelScheduleInferenceEquivalence(t *testing.T) {
 	x := randInput(1, 6, 6, 7, 23)
 	want := net.ForwardInt(x).Data
 
-	pFull := TestParams()
-	pFull.FBSLevel, pFull.PostLevel = pFull.QiNum, pFull.QiNum
-	full, err := NewEngine(pFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotFull, err := full.Infer(net, x)
+	gotFull, err := fullLevelEngine(t).Infer(net, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,4 +92,50 @@ func TestLevelScheduleInferenceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareLogits(t, gotDropped, want, 2)
+}
+
+// TestEqualLevelsOwnResults pins that a packed LUT round belongs to its
+// caller when FBSLevel = PostLevel, where no limb drops after the LUT. At
+// GOMAXPROCS 1 every round of a layer runs on one worker, so a round that
+// handed back the worker's own buffer would be overwritten by the next:
+// the three rounds of a four-image batch would all read the last one, and
+// softmax's exp and inverse rounds would be one ciphertext.
+func TestEqualLevelsOwnResults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := fullLevelEngine(t)
+	net := &qnn.QNetwork{
+		Name: "equal-levels", InC: 1, InH: 6, InW: 6, WBits: 2, ABits: 4, InScale: 1,
+		Blocks: []qnn.QBlock{qnn.QSeq{
+			tinyConv(coeffenc.ConvShape{H: 6, W: 6, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16, 81),
+			tinyConv(coeffenc.FCShape(2*6*6, 4), qnn.ActNone, 1.0/2, 82),
+		}},
+	}
+	xs := make([]*qnn.IntTensor, 4)
+	for i := range xs {
+		xs[i] = randInput(1, 6, 6, 7, uint64(91+i))
+	}
+	got, err := e.InferBatch(net, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dense layer's 12 windows, four to a round, pack 3 rounds.
+	if e.Stats.Packs < 3 {
+		t.Fatalf("%d packs, want at least the dense layer's 3 rounds", e.Stats.Packs)
+	}
+	for i := range got {
+		compareLogits(t, got[i], net.ForwardInt(xs[i]).Data, 2)
+	}
+
+	cfg := e.DefaultSoftmaxConfig(4)
+	logits := []int64{6, 2, -1, -5}
+	probs, err := e.SoftmaxEncrypted(logits, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SoftmaxPlain(logits, cfg)
+	for i := range probs {
+		if d := probs[i] - want[i]; d < -0.25 || d > 0.25 {
+			t.Fatalf("class %d: encrypted %.3f vs plaintext %.3f\ngot:  %v\nwant: %v", i, probs[i], want[i], probs, want)
+		}
+	}
 }

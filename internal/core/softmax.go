@@ -123,7 +123,7 @@ func (e *Engine) SoftmaxEncrypted(logits []int64, cfg SoftmaxConfig) ([]float64,
 	if err != nil {
 		return nil, err
 	}
-	invCT = w0.maskSlots(invCT, e.prefixMask(cfg.Classes))
+	w0.maskSlots(invCT, e.prefixMask(cfg.Classes), invCT)
 	expCT, err := w0.packFBS(exps, cfg.Classes, nil)
 	if err != nil {
 		return nil, err

@@ -10,8 +10,9 @@ import (
 
 // evalWorker bundles the single-goroutine state one evaluation thread
 // needs to run any stage of the five-step pipeline: an evaluator (its
-// scratch arena makes it single-caller), an encoder, packer and FBS
-// staging, a dimension-switch handle, and local operation counters. The
+// scratch arena makes it single-caller), an encoder, packer, FBS and S2C
+// staging, the ciphertexts a round and a window pass through, a
+// dimension-switch handle, and local operation counters. The
 // engine owns one top-level worker (w0, wrapping the engine's own
 // evaluator) plus a pool of ShallowCopy'd lanes that the operator-level
 // fan-outs run on.
@@ -22,8 +23,13 @@ type evalWorker struct {
 	codP   *bfv.Encoder   // post-level encoder (kernel/mask lifts)
 	packSc *pack.Scratch
 	fbsSc  *fbs.Scratch
-	sw     *lwe.Switcher
-	table  []byte // a LUT's words, hashed into its key (lut)
+	s2cSc  pack.TransformScratch
+	// round stages a packed round at the FBS level through the LUT,
+	// window a masked window at the post level through S2C; both are
+	// built on first use.
+	round, window *bfv.Ciphertext
+	sw            *lwe.Switcher
+	table         []byte // a LUT's words, hashed into its key (lut)
 
 	// stats accumulates this worker's operation counts; flushStats folds
 	// them into Engine.Stats at the end of every public entry point.

@@ -22,21 +22,21 @@ func BenchmarkInterpolateT12289(b *testing.B) {
 	}
 }
 
-// benchEvaluate measures a warm EvaluateWith of lut: the scratch has run
+// benchEvaluate measures a warm EvaluateInto of lut: the scratch has run
 // once, so what is left is what every later call of a worker pays.
 func benchEvaluate(b *testing.B, ctx *bfv.Context, ev *bfv.Evaluator, ct *bfv.Ciphertext, lut *LUT) {
 	fe, err := NewEvaluator(ctx, lut)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := NewScratch()
-	if _, err := fe.EvaluateWith(ev, sc, ct); err != nil {
+	sc, out := NewScratch(), ctx.NewCiphertext()
+	if err := fe.EvaluateInto(ev, sc, ct, out); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fe.EvaluateWith(ev, sc, ct); err != nil {
+		if err := fe.EvaluateInto(ev, sc, ct, out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,9 +10,8 @@ import (
 // Evaluator is the compiled plan of one LUT: its interpolated polynomial,
 // a three-digit Baby-Step Giant-Step split, and the operation counts of
 // one evaluation. It is immutable after NewEvaluator and safe for
-// concurrent use through EvaluateWith, each caller with its own Scratch;
-// Evaluate runs on a default scratch and is single-caller, like
-// pack.Packer.Pack.
+// concurrent use through EvaluateInto, each caller with its own Scratch;
+// the bench-only Evaluate is single-caller.
 //
 // A coefficient index is b + bs·(a₁ + g₁·a₂). With y = x^bs and z = y^g₁
 // the polynomial is Σ_{a₂} mid_{a₂}·z^{a₂}, where the middle sum mid_{a₂}
@@ -58,7 +57,7 @@ type Evaluator struct {
 	// finishes and extensions count its FinishInto and ExtendInto calls.
 	finishes, extensions int
 
-	sc *Scratch // Evaluate's default scratch, built on first use
+	sc *Scratch // Evaluate's scratch, built on first use
 }
 
 // plan is the part of an Evaluator the fan-out workers read: the
@@ -212,7 +211,7 @@ type Scratch struct {
 	step func(w, i int)
 
 	// Fan-out lanes of the ladder levels and the middle sums, keyed to the
-	// evaluator passed to EvaluateWith and reused while it stays the same.
+	// evaluator passed to EvaluateInto and reused while it stays the same.
 	base  *bfv.Evaluator
 	lanes *par.Pool[*lane]
 }
@@ -296,22 +295,27 @@ func newLadder(ctx *bfv.Context, ct *bfv.Ciphertext, op *bfv.Operand, top int) (
 	return cts, ops
 }
 
-// Evaluate applies the LUT to every slot of ct: each slot value v becomes
-// LUT(v). This single call realizes the non-linear activation, the
-// requantization, and the noise refresh semantics of Athena's functional
-// bootstrapping (the noise was already refreshed by packing; FBS keeps
-// the result exact mod t). It uses the evaluator's default scratch;
-// concurrent callers use EvaluateWith with a Scratch each.
+// Evaluate is EvaluateInto into a fresh ciphertext on the evaluator's own
+// scratch, built on the first call and warm after it, so it is
+// single-caller. It exists for bench/'s FBS probe and goes when that
+// probe moves.
 func (e *Evaluator) Evaluate(ev *bfv.Evaluator, ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
 	if e.sc == nil {
 		e.sc = NewScratch()
 	}
-	return e.EvaluateWith(ev, e.sc, ct)
+	out := e.ctx.NewCiphertext()
+	return out, e.EvaluateInto(ev, e.sc, ct, out)
 }
 
-// EvaluateWith is Evaluate with caller-owned state. ev must be an
-// evaluator of the plan's context holding a relinearization key.
-func (e *Evaluator) EvaluateWith(ev *bfv.Evaluator, sc *Scratch, ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
+// EvaluateInto applies the LUT to every slot of ct and writes the result
+// into out: each slot value v becomes LUT(v). This single call realizes
+// the non-linear activation, the requantization, and the noise refresh
+// semantics of Athena's functional bootstrapping (the noise was already
+// refreshed by packing; FBS keeps the result exact mod t). ev must be an
+// evaluator of the plan's context holding a relinearization key; the
+// power ladders and the fan-out lanes are sc's. out may alias ct: the
+// input is read for the last time before out is written.
+func (e *Evaluator) EvaluateInto(ev *bfv.Evaluator, sc *Scratch, ct, out *bfv.Ciphertext) error {
 	sc.fit(e, ev)
 	// A call that failed midway may have left products behind.
 	sc.lanes.Each(func(ln *lane) { ln.acc.Reset(); ln.final.Reset() })
@@ -320,16 +324,16 @@ func (e *Evaluator) EvaluateWith(ev *bfv.Evaluator, sc *Scratch, ct *bfv.Ciphert
 	// z^(g₂−1) with z = y^g₁, each the product of its two balanced halves.
 	sc.powers[1] = ct
 	if err := ev.ExtendInto(ct, sc.powerOps[1]); err != nil {
-		return nil, err
+		return err
 	}
 	if err := sc.ladder(sc.powers, sc.powerOps, e.bs); err != nil {
-		return nil, err
+		return err
 	}
 	if err := sc.ladder(sc.ys, sc.yOps, e.yTop()); err != nil {
-		return nil, err
+		return err
 	}
 	if err := sc.ladder(sc.zs, sc.zOps, e.g2-1); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Σ_{a₂} mid_{a₂}·z^{a₂}, a lane a middle sum at a time: the products
@@ -352,23 +356,27 @@ func (e *Evaluator) EvaluateWith(ev *bfv.Evaluator, sc *Scratch, ct *bfv.Ciphert
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := e.ctx.NewCiphertext()
-	if ln.final.Terms() > 0 {
-		if err := ev.FinishInto(ln.final, res); err != nil {
-			return nil, err
-		}
-	}
-	// inner_{0,0}, which no product reads: one more scalar sum.
-	if e.head {
+	// inner_{0,0}, which no product reads: one more scalar sum — the whole
+	// result, zero when its row is, if there is no final sum.
+	if e.head || ln.final.Terms() == 0 {
 		ln.ks[0] = e.coeffs[:e.bs]
 		if err := ln.ev.MulScalarSums(powers, ln.ks[:1], ln.sums[:1]); err != nil {
-			return nil, err
+			return err
 		}
-		ev.AddInPlace(res, ln.sums[0])
 	}
-	return res, nil
+	if ln.final.Terms() == 0 {
+		ln.sums[0].CopyTo(out)
+		return nil
+	}
+	if err := ev.FinishInto(ln.final, out); err != nil {
+		return err
+	}
+	if e.head {
+		ev.AddInPlace(out, ln.sums[0])
+	}
+	return nil
 }
 
 // ladder fills rungs 2 … top of a power ladder whose rung 1 is in place.

@@ -565,8 +565,8 @@ func TestEvaluateRejectsInputAtAnotherLevel(t *testing.T) {
 }
 
 // TestWarmEvaluateWithAllocations: with its scratch warm an evaluation
-// allocates the ciphertext it returns (five objects) and the closure of
-// the fan-out over the middle sums — nothing per product, per middle sum
+// into a caller's ciphertext allocates the closure of the fan-out over
+// the middle sums and nothing else — nothing per product, per middle sum
 // or per baby-step group (tile, weights, inner sums and accumulators live
 // in the lanes) and nothing per ladder level: the nine levels of the
 // three ladders at t = 257 all run the one worker function the scratch
@@ -580,17 +580,17 @@ func TestWarmEvaluateWithAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := enc.Encrypt(cod.EncodeSlots(make([]int64, ctx.N)))
-	sc := NewScratch()
+	sc, out := NewScratch(), ctx.NewCiphertext()
 	run := func() {
-		if _, err := fe.EvaluateWith(ev, sc, ct); err != nil {
+		if err := fe.EvaluateInto(ev, sc, ct, out); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run()
 	n := testing.AllocsPerRun(10, run)
-	t.Logf("warm EvaluateWith: %v allocations", n)
-	if n > 6 {
-		t.Fatalf("warm EvaluateWith allocates %v times per run, want ≤ 6", n)
+	t.Logf("warm EvaluateInto: %v allocations", n)
+	if n > 1 {
+		t.Fatalf("warm EvaluateInto allocates %v times per run, want ≤ 1", n)
 	}
 }
 
@@ -618,20 +618,18 @@ func checkFailureThenRecovery(t *testing.T, slot func(sc *Scratch) **bfv.Ciphert
 		vals[i] = int64(i*5%257) - 128
 	}
 	ct := enc.Encrypt(cod.EncodeSlots(vals))
-	sc := NewScratch()
-	want, err := fe.EvaluateWith(ev, sc, ct)
-	if err != nil {
+	sc, want, got := NewScratch(), full.NewCiphertext(), full.NewCiphertext()
+	if err := fe.EvaluateInto(ev, sc, ct, want); err != nil {
 		t.Fatal(err)
 	}
 	p := slot(sc)
 	good := *p
 	*p = low.NewCiphertext()
-	if _, err := fe.EvaluateWith(ev, sc, ct); err == nil || !strings.Contains(err.Error(), "operand at level 3") {
-		t.Fatalf("a ciphertext at another level: EvaluateWith returned %v", err)
+	if err := fe.EvaluateInto(ev, sc, ct, got); err == nil || !strings.Contains(err.Error(), "operand at level 3") {
+		t.Fatalf("a ciphertext at another level: EvaluateInto returned %v", err)
 	}
 	*p = good
-	got, err := fe.EvaluateWith(ev, sc, ct)
-	if err != nil {
+	if err := fe.EvaluateInto(ev, sc, ct, got); err != nil {
 		t.Fatalf("after the failed evaluation: %v", err)
 	}
 	if !bytes.Equal(serializeCT(t, got), serializeCT(t, want)) {

@@ -13,7 +13,7 @@
 // compiles in O(t log t + m·t) instead of O(t²).
 //
 // An Evaluator is the compiled, immutable plan of one table; what an
-// evaluation writes lives in a Scratch the caller owns (EvaluateWith), so
+// evaluation writes lives in a Scratch the caller owns (EvaluateInto), so
 // one plan serves any number of goroutines. The evaluation runs in bfv's
 // extended basis on a split chosen by cost (split.go): every power is
 // extended once, and every sum of products — a middle sum, the final sum

@@ -115,7 +115,8 @@ func TestEvaluateBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 // TestConcurrentEvaluateWithOwnScratch checks that one compiled
 // Evaluator serves several goroutines at once, each with its own Scratch
 // and bfv evaluator, and that every result equals the single-goroutine
-// one. Run under -race: the plan must be read-only during evaluation.
+// one, also when the output is the input itself. Run under -race: the
+// plan must be read-only during evaluation.
 func TestConcurrentEvaluateWithOwnScratch(t *testing.T) {
 	ctx, enc, _, ev, cod := fbsKit(t, 5, 4, 257)
 	fe, err := NewEvaluator(ctx, ReLULUT(257))
@@ -146,8 +147,8 @@ func TestConcurrentEvaluateWithOwnScratch(t *testing.T) {
 			defer wg.Done()
 			lev, sc := ev.ShallowCopy(), NewScratch()
 			for i := w * perWorker; i < (w+1)*perWorker; i++ {
-				out, err := fe.EvaluateWith(lev, sc, cts[i])
-				if err != nil {
+				out := cts[i].Clone()
+				if err := fe.EvaluateInto(lev, sc, out, out); err != nil {
 					errs[i] = err
 					return
 				}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"sort"
 	"testing"
 )
@@ -79,9 +80,8 @@ func Declass(x uint64) uint64 {
 }
 
 // TestAnnotationInventoryCoversRealModule sanity-checks the audit over
-// the production tree: the two long-standing scratchalias allows (the
-// packer's giant-step fan-out and the engine's lane constructor) must be
-// present and justified.
+// the production tree: the long-standing scratchalias allow (the
+// engine's lane constructor) must be present and justified.
 func TestAnnotationInventoryCoversRealModule(t *testing.T) {
 	annots := CollectAnnotations(repo(t))
 	scratch := 0
@@ -93,7 +93,42 @@ func TestAnnotationInventoryCoversRealModule(t *testing.T) {
 			}
 		}
 	}
-	if scratch != 2 {
-		t.Errorf("want the 2 audited scratchalias allows, got %d", scratch)
+	if scratch != 1 {
+		t.Errorf("want the 1 audited scratchalias allow, got %d", scratch)
+	}
+}
+
+// TestScratchTypesOfRealModule: every per-worker staging type of the
+// production tree is scratch to scratchalias, and the read-only plans
+// that workers share are not. fbs.Evaluator is scratch while it holds the
+// warm Scratch of its bench-only Evaluate wrapper.
+func TestScratchTypesOfRealModule(t *testing.T) {
+	prog := repo(t)
+	memo := map[types.Type]int{}
+	for _, c := range []struct {
+		pkg, name string
+		scratch   bool
+	}{
+		{"athena/internal/bfv", "Evaluator", true},
+		{"athena/internal/bfv", "Encoder", true},
+		{"athena/internal/pack", "Scratch", true},
+		{"athena/internal/pack", "TransformScratch", true},
+		{"athena/internal/fbs", "Scratch", true},
+		{"athena/internal/lwe", "Switcher", true},
+		{"athena/internal/pack", "Packer", false},
+		{"athena/internal/pack", "Transform", false},
+		{"athena/internal/fbs", "Evaluator", true},
+	} {
+		pkg := prog.ByPath[c.pkg]
+		if pkg == nil {
+			t.Fatalf("package %s not loaded", c.pkg)
+		}
+		obj := pkg.Types.Scope().Lookup(c.name)
+		if obj == nil {
+			t.Fatalf("%s.%s not found", c.pkg, c.name)
+		}
+		if got := isScratchType(prog, obj.Type(), memo); got != c.scratch {
+			t.Errorf("%s.%s: scratch = %v, want %v", c.pkg, c.name, got, c.scratch)
+		}
 	}
 }

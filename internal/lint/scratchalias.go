@@ -5,22 +5,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // ScratchAlias guards the ShallowCopy concurrency contract: the mutable
 // per-worker scratch state (bfv.Evaluator arenas, Encoders, pack.Scratch,
-// lwe.Switcher — anything with a ShallowCopy method or holding such a
-// value) must not be shared across the closures that par.ForEach and
-// par.NewPool run from several goroutines. parsafe already catches raw
-// captured *writes*; this pass catches the subtler aliasing bugs where a
-// captured scratch pointer is handed onward — a method call, a call
-// argument, a struct literal, a fresh alias — and two workers end up
-// stomping the same staging buffers.
+// pack.TransformScratch, lwe.Switcher — anything with a ShallowCopy
+// method or holding such a value) must not be shared across the closures
+// that par.ForEach and par.NewPool run from several goroutines. parsafe
+// already catches raw captured *writes*; this pass catches the subtler
+// aliasing bugs where a captured scratch pointer is handed onward — a
+// method call, a call argument, a struct literal, a fresh alias — and two
+// workers end up stomping the same staging buffers.
 //
 // A "scratch type" is a module-declared named type that has a
-// ShallowCopy method, is named Encoder/Scratch/Switcher, or is a struct
-// holding such a type (transitively). par.Pool itself is exempt: it is
-// the approved mutex-guarded distributor of per-worker scratch.
+// ShallowCopy method, is named Encoder or Switcher, has a name ending in
+// Scratch, or is a struct holding such a type (transitively). par.Pool
+// itself is exempt: it is the approved mutex-guarded distributor of
+// per-worker scratch.
 //
 // Inside a worker closure, a captured scratch value may be used as:
 //
@@ -244,8 +246,7 @@ func scratchTypeUncached(prog *Program, t types.Type, memo map[types.Type]int) b
 	if obj.Name() == "Pool" && isParPkg(obj.Pkg()) {
 		return false
 	}
-	switch obj.Name() {
-	case "Encoder", "Scratch", "Switcher":
+	if name := obj.Name(); name == "Encoder" || name == "Switcher" || strings.HasSuffix(name, "Scratch") {
 		return true
 	}
 	for i := 0; i < named.NumMethods(); i++ {

@@ -1,9 +1,11 @@
 package pack
 
 import (
+	"runtime"
 	"testing"
 
 	"athena/internal/lwe"
+	"athena/internal/par"
 )
 
 // TestPackIntoZeroAllocs enforces the noalloc contract on the serial
@@ -37,37 +39,68 @@ func TestPackIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPackIntoMatchesPack pins PackInto to the allocating Pack path
-// bit for bit (PackWith is deterministic at any worker count, so the
-// two must agree exactly).
-func TestPackIntoMatchesPack(t *testing.T) {
+// mallocs reports the heap allocations f makes, the fewest of five
+// runs: runtime.MemStats counts every goroutine's, so a fan-out's spawn
+// is seen where testing.AllocsPerRun, which holds GOMAXPROCS at 1, never
+// fans out.
+func mallocs(f func()) uint64 {
+	var least uint64
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; i == 0 || n < least {
+			least = n
+		}
+	}
+	return least
+}
+
+// TestPackIntoFannedOutAllocs: at two workers the giant steps fan out
+// over the scratch's lanes, and a warm PackInto allocates no more than an
+// empty par.ForEach over the same giant steps — nothing per giant step.
+func TestPackIntoFannedOutAllocs(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("the fan-out needs two CPUs")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	k := newKit(t, 6, 4)
 	tq := k.ctx.Params.T
-	lweSK := lwe.NewSecretKey(16, 63)
+	lweSK := lwe.NewSecretKey(16, 65)
 	p, err := NewPacker(k.ctx, k.enc, lweSK)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gs := p.n / p.bs
+	if gs < 4 {
+		t.Fatalf("%d giant steps, want at least 4", gs)
+	}
 	ev := k.evaluator(p.GaloisElements())
-	smp := lwe.NewStream(64)
-	cts := make([]lwe.Ciphertext, 48)
+	smp := lwe.NewStream(66)
+	cts := make([]lwe.Ciphertext, k.ctx.N)
 	for i := range cts {
-		cts[i] = lwe.Encrypt(lweSK, smp.Uint64N(tq), tq, 3.2, smp)
+		cts[i] = lwe.Encrypt(lweSK, smp.Uint64N(tq), tq, 0, smp)
 	}
 
-	want, err := p.Pack(ev, cts)
-	if err != nil {
-		t.Fatal(err)
+	sc, out := p.NewScratch(), k.ctx.NewCiphertext()
+	pack := func() {
+		if err := p.PackInto(ev, sc, cts, out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got := k.ctx.NewCiphertext()
-	if err := p.PackInto(ev, p.NewScratch(), cts, got); err != nil {
-		t.Fatal(err)
+	pack()
+	lanes := 0
+	if sc.lanes != nil {
+		sc.lanes.Each(func(*packLane) { lanes++ })
 	}
-	if !got.C0.Equal(want.C0) || !got.C1.Equal(want.C1) {
-		t.Fatal("PackInto disagrees with Pack")
+	if lanes < 2 {
+		t.Fatalf("PackInto ran on %d lanes at GOMAXPROCS=2, want 2", lanes)
 	}
-
-	if err := p.PackInto(ev, p.NewScratch(), nil, got); err == nil {
-		t.Fatal("PackInto accepted an empty batch")
+	spawn := mallocs(func() { par.ForEach(gs, par.Options{MinGrain: 1}, func(int, int) {}) })
+	n := mallocs(pack)
+	t.Logf("warm PackInto: %d allocations; empty par.ForEach: %d", n, spawn)
+	if n > spawn {
+		t.Fatalf("fanned-out PackInto allocates %d times, an empty par.ForEach over %d giant steps %d", n, gs, spawn)
 	}
 }

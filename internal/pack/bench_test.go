@@ -19,9 +19,10 @@ func BenchmarkPack64(b *testing.B) {
 	for i := range cts {
 		cts[i] = lwe.Encrypt(sk, smp.Uint64N(k.ctx.Params.T), k.ctx.Params.T, 3.2, smp)
 	}
+	sc, out := p.NewScratch(), k.ctx.NewCiphertext()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Pack(ev, cts); err != nil {
+		if err := p.PackInto(ev, sc, cts, out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,9 +36,11 @@ func BenchmarkS2CApply(b *testing.B) {
 	}
 	ev := k.evaluator(tr.GaloisElements())
 	ct := k.enc.Encrypt(k.cod.EncodeSlots(make([]int64, k.ctx.N)))
+	var sc TransformScratch
+	out := k.ctx.NewCiphertext()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Apply(ev, ct); err != nil {
+		if err := tr.ApplyInto(ev, &sc, ct, out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,22 +15,40 @@ import (
 // points (the decomposition in compile() is exact, not approximate).
 type Transform struct {
 	ctx *bfv.Context
-	cod *bfv.Encoder
-
-	babyCount  int
-	giantCount int
 
 	// terms[a][idx] is the plaintext multiplier for giant step a and baby
-	// index idx (idx < 2·babyCount: even = +5^b, odd = -5^b); nil when
+	// index idx (idx < len(babyEls): even = +5^b, odd = -5^b); nil when
 	// the multiplier polynomial is identically zero.
 	terms [][]*bfv.PlaintextMul
 
 	babyEls  []uint64 // galois elements 5^b and (2N-1)·5^b
 	giantEls []uint64 // galois elements 5^(a·B)
+}
 
-	// usedBaby[idx] reports whether any giant step references baby index
-	// idx, hoisted out of Apply so the per-call scan over terms disappears.
-	usedBaby []bool
+// TransformScratch is the staging of one ApplyInto caller: the baby-step
+// automorphisms of the input (nil where no giant step reads one) and one
+// giant step's inner sum. The zero value is ready: the staging is sized
+// on first use by the transform it runs and reused while that stays the
+// same. A single TransformScratch may not be used concurrently.
+type TransformScratch struct {
+	tr     *Transform
+	babies []*bfv.Ciphertext
+	inner  *bfv.Ciphertext
+}
+
+// fit sizes the staging for tr.
+func (sc *TransformScratch) fit(tr *Transform) {
+	if sc.tr == tr {
+		return
+	}
+	*sc = TransformScratch{tr: tr, babies: make([]*bfv.Ciphertext, len(tr.babyEls)), inner: tr.ctx.NewCiphertext()}
+	for _, terms := range tr.terms {
+		for idx, pm := range terms {
+			if pm != nil && sc.babies[idx] == nil {
+				sc.babies[idx] = tr.ctx.NewCiphertext()
+			}
+		}
+	}
 }
 
 // DedupGalois merges Galois element lists into one, dropping duplicates
@@ -163,11 +181,7 @@ func CompileTransform(ctx *bfv.Context, m [][]uint64) (*Transform, error) {
 	half := n / 2
 	bc := BabySteps(half)
 	gc := half / bc
-	tr := &Transform{
-		ctx: ctx, cod: cod,
-		babyCount: bc, giantCount: gc,
-		terms: make([][]*bfv.PlaintextMul, gc),
-	}
+	tr := &Transform{ctx: ctx, terms: make([][]*bfv.PlaintextMul, gc)}
 	conj := ring.GaloisElementConjugate(n)
 	for b := 0; b < bc; b++ {
 		g := ring.GaloisElementForRotation(n, b)
@@ -180,7 +194,6 @@ func CompileTransform(ctx *bfv.Context, m [][]uint64) (*Transform, error) {
 	dg := rt.NewPoly()
 	pPrime := rt.NewPoly()
 	pt := ctx.NewPlaintext()
-	tr.usedBaby = make([]bool, 2*bc)
 	for a := 0; a < gc; a++ {
 		tr.terms[a] = make([]*bfv.PlaintextMul, 2*bc)
 		gGiantInv := ring.GaloisElementForRotation(n, -a*bc)
@@ -211,72 +224,87 @@ func CompileTransform(ctx *bfv.Context, m [][]uint64) (*Transform, error) {
 				}
 				copy(pt.Coeffs, pPrime.Coeffs[0])
 				pm := cod.LiftToMul(pt)
-				// Compiled terms are multiplied on every Apply; the one-time
+				// Compiled terms are multiplied on every ApplyInto; the one-time
 				// companion pays for itself after the first call.
 				cod.PrecomputeShoup(pm)
 				tr.terms[a][2*b+e] = pm
-				tr.usedBaby[2*b+e] = true
 			}
 		}
 	}
 	return tr, nil
 }
 
-// GaloisElements returns every Galois element Apply will use, for key
-// generation (deduplicated, identity excluded).
+// GaloisElements returns every Galois element ApplyInto will use, for
+// key generation (deduplicated, identity excluded).
 func (tr *Transform) GaloisElements() []uint64 {
 	return DedupGalois(tr.babyEls, tr.giantEls)
 }
 
-// Apply evaluates the transform on ct.
+// Apply is ApplyInto into a fresh ciphertext on fresh staging. It exists
+// for bench/'s S2C probe and goes when that probe moves.
 func (tr *Transform) Apply(ev *bfv.Evaluator, ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
-	// Baby ciphertexts: σ_{±5^b}(ct).
-	babies := make([]*bfv.Ciphertext, 2*tr.babyCount)
-	for idx := range babies {
-		// Skip baby automorphisms never referenced by any giant step.
-		if !tr.usedBaby[idx] {
+	out := tr.ctx.NewCiphertext()
+	return out, tr.ApplyInto(ev, new(TransformScratch), ct, out)
+}
+
+// ApplyInto sets out to the transform of ct, staging the baby-step
+// automorphisms and the giant steps' inner sums in sc. out may alias ct:
+// ct is read only while the babies are built. Once sc is sized, a call
+// allocates nothing.
+//
+//lint:noalloc
+func (tr *Transform) ApplyInto(ev *bfv.Evaluator, sc *TransformScratch, ct, out *bfv.Ciphertext) error {
+	sc.fit(tr) //lint:allow noalloc staging sized on first use of a transform, reused after
+	for idx, baby := range sc.babies {
+		if baby == nil {
 			continue
 		}
-		c, err := ev.Automorphism(ct, tr.babyEls[idx])
-		if err != nil {
-			return nil, err
+		if err := ev.AutomorphismInto(ct, tr.babyEls[idx], baby); err != nil {
+			return err
 		}
-		babies[idx] = c
 	}
-	var acc *bfv.Ciphertext
-	for a := 0; a < tr.giantCount; a++ {
-		var inner *bfv.Ciphertext
-		for idx, pm := range tr.terms[a] {
+	// The first giant step with a term is summed in out, every later one
+	// in sc.inner and then added.
+	empty := true
+	for a, terms := range tr.terms {
+		dst := sc.inner
+		if empty {
+			dst = out
+		}
+		n := 0
+		for idx, pm := range terms {
 			if pm == nil {
 				continue
 			}
-			if inner == nil {
-				inner = ev.MulPlain(babies[idx], pm)
+			if n == 0 {
+				ev.MulPlainInto(sc.babies[idx], pm, dst)
 			} else {
-				ev.MulPlainAndAdd(babies[idx], pm, inner)
+				ev.MulPlainAndAdd(sc.babies[idx], pm, dst)
 			}
+			n++
 		}
-		if inner == nil {
+		if n == 0 {
 			continue
 		}
 		if a > 0 {
-			var err error
-			inner, err = ev.Automorphism(inner, tr.giantEls[a])
-			if err != nil {
-				return nil, err
+			if err := ev.AutomorphismInto(dst, tr.giantEls[a], dst); err != nil {
+				return err
 			}
 		}
-		if acc == nil {
-			acc = inner
-		} else {
-			ev.AddInPlace(acc, inner)
+		if !empty {
+			ev.AddInPlace(out, dst)
+		}
+		empty = false
+	}
+	if empty {
+		// The zero map.
+		for _, p := range [2]ring.Poly{out.C0, out.C1} {
+			for _, limb := range p.Coeffs {
+				clear(limb)
+			}
 		}
 	}
-	if acc == nil {
-		// The zero map.
-		return tr.ctx.NewCiphertext(), nil
-	}
-	return acc, nil
+	return nil
 }
 
 // S2CMatrix returns the slot-to-coefficient map: out_coeff[i] = slot_i(in)

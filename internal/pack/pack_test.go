@@ -45,6 +45,18 @@ func (k *kit) evaluator(els []uint64) *bfv.Evaluator {
 	return bfv.NewEvaluator(k.ctx, k.kg.GenKeySet(k.sk, els))
 }
 
+// pack is PackInto into a fresh ciphertext on fresh staging.
+func pack(p *Packer, ev *bfv.Evaluator, cts []lwe.Ciphertext) (*bfv.Ciphertext, error) {
+	out := p.ctx.NewCiphertext()
+	return out, p.PackInto(ev, p.NewScratch(), cts, out)
+}
+
+// apply is ApplyInto into a fresh ciphertext on fresh staging.
+func apply(tr *Transform, ev *bfv.Evaluator, ct *bfv.Ciphertext) (*bfv.Ciphertext, error) {
+	out := tr.ctx.NewCiphertext()
+	return out, tr.ApplyInto(ev, new(TransformScratch), ct, out)
+}
+
 // plainMatVec computes M·x mod t, centered.
 func plainMatVec(m [][]uint64, x []int64, tm ring.Modulus) []int64 {
 	out := make([]int64, len(m))
@@ -84,7 +96,7 @@ func TestTransformMatchesPlainMatrix(t *testing.T) {
 		x[i] = int64(rng.Uint64N(2000)) - 1000
 	}
 	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(x))
-	out, err := tr.Apply(ev, ct)
+	out, err := apply(tr, ev, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +130,11 @@ func TestTransformIdentityAndZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := k.evaluator(trI.GaloisElements())
-	out, err := trI.Apply(ev, ct)
-	if err != nil {
+	// One staging serves both transforms, refitted for the second, and
+	// the zero map overwrites what the identity left in out.
+	var sc TransformScratch
+	out := k.ctx.NewCiphertext()
+	if err := trI.ApplyInto(ev, &sc, ct, out); err != nil {
 		t.Fatal(err)
 	}
 	got := k.cod.DecodeCoeffs(k.dec.Decrypt(out))
@@ -133,8 +148,7 @@ func TestTransformIdentityAndZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = trZ.Apply(ev, ct)
-	if err != nil {
+	if err := trZ.ApplyInto(ev, &sc, ct, out); err != nil {
 		t.Fatal(err)
 	}
 	got = k.cod.DecodeCoeffs(k.dec.Decrypt(out))
@@ -165,11 +179,11 @@ func TestS2CMovesSlotsToCoefficients(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := k.evaluator(tr.GaloisElements())
-	out, err := tr.Apply(ev, ct)
-	if err != nil {
+	// out may alias ct: the input is read only while the babies are built.
+	if err := tr.ApplyInto(ev, new(TransformScratch), ct, ct); err != nil {
 		t.Fatal(err)
 	}
-	got := k.cod.DecodeCoeffs(k.dec.Decrypt(out))
+	got := k.cod.DecodeCoeffs(k.dec.Decrypt(ct))
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("coeff %d: got %d want slot value %d", i, got[i], vals[i])
@@ -188,7 +202,7 @@ func TestC2SMovesCoefficientsToSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := k.evaluator(tr.GaloisElements())
-	out, err := tr.Apply(ev, ct)
+	out, err := apply(tr, ev, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +257,7 @@ func TestPackerRecoversLWEPhases(t *testing.T) {
 		msgs[i] = smp.Uint64N(tq)
 		cts[i] = lwe.Encrypt(lweSK, msgs[i], tq, 0, smp)
 	}
-	out, err := p.Pack(ev, cts)
+	out, err := pack(p, ev, cts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +279,46 @@ func TestPackerRecoversLWEPhases(t *testing.T) {
 	}
 }
 
+// TestScratchPacksWithItsCaller passes one Scratch between two packers of
+// different dimension and split: each call must pack with its receiver's
+// keys and giant steps, whichever packer made the scratch.
+func TestScratchPacksWithItsCaller(t *testing.T) {
+	k := newKit(t, 6, 4)
+	tq := k.ctx.Params.T
+	var packers []*Packer
+	var sks []*lwe.SecretKey
+	var els []uint64
+	for i, n := range []int{16, 32} {
+		sk := lwe.NewSecretKey(n, uint64(61+i))
+		p, err := NewPacker(k.ctx, k.enc, sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packers, sks, els = append(packers, p), append(sks, sk), append(els, p.GaloisElements()...)
+	}
+	ev := k.evaluator(els)
+	sc := packers[0].NewScratch()
+	smp := lwe.NewStream(63)
+	out := k.ctx.NewCiphertext()
+	for _, i := range []int{1, 0, 1} {
+		msgs := make([]uint64, 40)
+		cts := make([]lwe.Ciphertext, len(msgs))
+		for j := range cts {
+			msgs[j] = smp.Uint64N(tq)
+			cts[j] = lwe.Encrypt(sks[i], msgs[j], tq, 0, smp)
+		}
+		if err := packers[i].PackInto(ev, sc, cts, out); err != nil {
+			t.Fatal(err)
+		}
+		got := k.cod.DecodeSlots(k.dec.Decrypt(out))
+		for j := range msgs {
+			if want := k.ctx.TMod.Centered(msgs[j]); got[j] != want {
+				t.Fatalf("packer %d, slot %d: got %d want %d", i, j, got[j], want)
+			}
+		}
+	}
+}
+
 func TestPackerNoisyPhases(t *testing.T) {
 	// With real LWE noise the packed slots carry m + e: check |e| small.
 	k := newKit(t, 6, 4)
@@ -283,7 +337,7 @@ func TestPackerNoisyPhases(t *testing.T) {
 		msgs[i] = smp.Uint64N(1 << 15)
 		cts[i] = lwe.Encrypt(lweSK, msgs[i], tq, 3.2, smp)
 	}
-	out, err := p.Pack(ev, cts)
+	out, err := pack(p, ev, cts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,15 +359,15 @@ func TestPackerRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := k.evaluator(p.GaloisElements())
-	if _, err := p.Pack(ev, nil); err == nil {
+	if _, err := pack(p, ev, nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 	bad := []lwe.Ciphertext{{A: make([]uint64, 4), Q: k.ctx.Params.T}}
-	if _, err := p.Pack(ev, bad); err == nil {
+	if _, err := pack(p, ev, bad); err == nil {
 		t.Fatal("wrong dimension accepted")
 	}
 	bad = []lwe.Ciphertext{{A: make([]uint64, 8), Q: 123}}
-	if _, err := p.Pack(ev, bad); err == nil {
+	if _, err := pack(p, ev, bad); err == nil {
 		t.Fatal("wrong modulus accepted")
 	}
 	if _, err := NewPacker(k.ctx, k.enc, lwe.NewSecretKey(12, 56)); err == nil {

@@ -21,12 +21,13 @@ import (
 	"athena/internal/bfv"
 	"athena/internal/lwe"
 	"athena/internal/par"
+	"athena/internal/ring"
 )
 
 // Packer packs LWE ciphertexts (dimension n, modulus t) into BFV slots.
 // The key material (babies, rotIdx) is immutable after construction;
-// per-call staging lives in a Scratch, so concurrent Pack calls are safe
-// as long as each caller holds its own Scratch (see PackWith).
+// per-call staging lives in a Scratch, so concurrent PackInto calls are
+// safe as long as each caller holds its own Scratch.
 type Packer struct {
 	ctx *bfv.Context
 	n   int
@@ -45,77 +46,90 @@ type Packer struct {
 	babyS []*bfv.CiphertextShoup
 
 	// rotIdx[a][i] is the slot feeding slot i after the giant-step
-	// pre-rotation by -a·bs, computed once at construction so each Pack
-	// call builds its diagonals with a single gather instead of re-deriving
+	// pre-rotation by -a·bs, computed once at construction so each call
+	// builds its diagonals with a single gather instead of re-deriving
 	// the row/column permutation per element.
 	rotIdx [][]int
 
-	// sc is the default Scratch behind the single-caller Pack API.
-	sc *Scratch
+	// giantEls[a] is the Galois element of giant step a's rotation of
+	// both slot rows by a·bs (giantEls[0] = 1 is never applied).
+	giantEls []uint64
 }
 
-// Scratch holds the per-call staging of one Pack caller: the diagonal
-// value vector with its encoded/lifted forms, an encoder (whose staging
-// buffer makes it single-goroutine state), and the lazily-built worker
-// lanes for the giant-step fan-out. Distinct Scratches over one Packer
-// may run concurrently; a single Scratch may not.
+// Scratch holds the per-call staging of one PackInto caller: the call
+// being fanned out, the worker function over it, and the worker lanes of
+// the giant-step fan-out. Distinct Scratches over one Packer may run
+// concurrently; a single Scratch may not.
 type Scratch struct {
-	p   *Packer
-	cod *bfv.Encoder
-	d   []int64
-	pt  *bfv.Plaintext
-	pm  *bfv.PlaintextMul
-
-	// inner stages one giant step's baby-step inner sum on the
-	// allocation-free PackInto path. Eager: PackInto promises zero
-	// steady-state allocations, so nothing in it may lazily init.
-	inner *bfv.Ciphertext
+	// The call being fanned out: its packer, inputs, output (lane 0's
+	// sum) and an error slot per giant step. step reads them through the
+	// scratch and is built once, so a fanned-out call costs no closure.
+	p    *Packer
+	cts  []lwe.Ciphertext
+	out  *bfv.Ciphertext
+	errs []error
+	step func(w, a int)
 
 	// Giant-step fan-out lanes, keyed to the evaluator passed to
-	// PackWith and reused while it stays the same.
+	// PackInto and reused while it stays the same.
 	base  *bfv.Evaluator
 	lanes *par.Pool[*packLane]
 }
 
 // packLane is one worker of the giant-step fan-out: a ShallowCopy'd
-// evaluator plus its own diagonal staging buffers.
+// evaluator, its own diagonal staging, the giant step it is computing,
+// and the sum of the giant steps it has computed this call (lane 0 sums
+// into the output instead). After the fan-out lane 0 stages the b terms.
 type packLane struct {
-	ev  *bfv.Evaluator
-	cod *bfv.Encoder
-	d   []int64
-	pt  *bfv.Plaintext
-	pm  *bfv.PlaintextMul
+	ev         *bfv.Evaluator
+	cod        *bfv.Encoder
+	d          []int64
+	pt         *bfv.Plaintext
+	pm         *bfv.PlaintextMul
+	inner, sum *bfv.Ciphertext
+	steps      int
 }
 
-// NewScratch returns staging state for one concurrent Pack caller.
+// NewScratch returns staging state for one concurrent PackInto caller.
+// Its lanes are built by the first call. A Scratch is not tied to p: each
+// call packs with the packer it is made on.
 func (p *Packer) NewScratch() *Scratch {
-	return &Scratch{
-		p:     p,
-		cod:   bfv.NewEncoder(p.ctx),
-		d:     make([]int64, p.ctx.N),
-		pt:    p.ctx.NewPlaintext(),
-		pm:    &bfv.PlaintextMul{Value: p.ctx.RingQ.NewPoly()},
-		inner: p.ctx.NewCiphertext(),
+	sc := &Scratch{errs: make([]error, p.n/p.bs)}
+	sc.step = func(w, a int) {
+		// Writes errs[a] and the lane it is handed, and lane 0 the output;
+		// the call's packer and inputs are only read.
+		ln := sc.lanes.Get(w)
+		sum := ln.sum
+		if w == 0 {
+			sum = sc.out
+		}
+		dst := sum
+		if ln.steps > 0 {
+			dst = ln.inner
+		}
+		sc.errs[a] = sc.p.giantStep(ln, sc.cts, a, dst)
+		if ln.steps > 0 {
+			ln.ev.AddInPlace(sum, ln.inner)
+		}
+		ln.steps++
 	}
+	return sc
 }
 
-// lanePool returns the fan-out lanes for ev, rebuilding them when the
-// base evaluator changes.
-func (sc *Scratch) lanePool(ev *bfv.Evaluator) *par.Pool[*packLane] {
-	if sc.lanes == nil || sc.base != ev {
-		sc.base = ev
-		p := sc.p
-		sc.lanes = par.NewPool(func() *packLane {
-			return &packLane{
-				ev:  ev.ShallowCopy(),
-				cod: bfv.NewEncoder(p.ctx),
-				d:   make([]int64, p.ctx.N),
-				pt:  p.ctx.NewPlaintext(),
-				pm:  &bfv.PlaintextMul{Value: p.ctx.RingQ.NewPoly()},
-			}
-		})
-	}
-	return sc.lanes
+// bind builds the fan-out lanes over ev, an evaluator of ctx.
+func (sc *Scratch) bind(ctx *bfv.Context, ev *bfv.Evaluator) {
+	sc.base = ev
+	sc.lanes = par.NewPool(func() *packLane {
+		return &packLane{
+			ev:    ev.ShallowCopy(),
+			cod:   bfv.NewEncoder(ctx),
+			d:     make([]int64, ctx.N),
+			pt:    ctx.NewPlaintext(),
+			pm:    &bfv.PlaintextMul{Value: ctx.RingQ.NewPoly()},
+			inner: ctx.NewCiphertext(),
+			sum:   ctx.NewCiphertext(),
+		}
+	})
 }
 
 // BabySteps picks the BSGS split for dimension n: the largest power of
@@ -172,7 +186,7 @@ func NewPackerFromKeys(ctx *bfv.Context, n int, babies []*bfv.Ciphertext) (*Pack
 		p.babyS[b] = ctx.NewCiphertextShoup(babies[b])
 	}
 	gs := n / bs
-	p.rotIdx = make([][]int, gs)
+	p.rotIdx, p.giantEls = make([][]int, gs), make([]uint64, gs)
 	for a := 0; a < gs; a++ {
 		idx := make([]int, ctx.N)
 		for i := range idx {
@@ -180,8 +194,8 @@ func NewPackerFromKeys(ctx *bfv.Context, n int, babies []*bfv.Ciphertext) (*Pack
 			idx[i] = r*row + ((c-a*bs)%row+row)%row
 		}
 		p.rotIdx[a] = idx
+		p.giantEls[a] = ring.GaloisElementForRotation(ctx.N, a*bs)
 	}
-	p.sc = p.NewScratch()
 	return p, nil
 }
 
@@ -207,96 +221,24 @@ func GaloisElements(ctx *bfv.Context, n int) []uint64 {
 	return bfv.RotationGaloisElements(ctx, rots)
 }
 
-// Pack homomorphically decrypts cts into slots 0..len(cts)-1 of one BFV
-// ciphertext. All inputs must have dimension n and modulus t. At most N
-// ciphertexts fit. Pack uses the packer's default scratch and is
-// therefore single-caller state; concurrent callers use PackWith with a
-// Scratch each.
-func (p *Packer) Pack(ev *bfv.Evaluator, cts []lwe.Ciphertext) (*bfv.Ciphertext, error) {
-	return p.PackWith(ev, p.sc, cts)
-}
-
-// PackWith is Pack with caller-owned staging: distinct Scratches over
-// one Packer may run concurrently (the key material is read-only). The
-// BSGS giant steps fan out across worker lanes — each a ShallowCopy of
-// ev with its own diagonal staging — and the partial products are
-// combined in giant-step order, so the output is bit-identical at any
-// GOMAXPROCS.
+// PackWith is PackInto into a fresh ciphertext. It exists for bench/'s
+// pack probe and goes when that probe moves.
 func (p *Packer) PackWith(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext) (*bfv.Ciphertext, error) {
-	ctx := p.ctx
-	if len(cts) == 0 || len(cts) > ctx.N {
-		return nil, fmt.Errorf("pack: %d ciphertexts for %d slots", len(cts), ctx.N)
-	}
-	for i := range cts {
-		if len(cts[i].A) != p.n {
-			return nil, fmt.Errorf("pack: ciphertext %d has dimension %d, want %d", i, len(cts[i].A), p.n)
-		}
-		if cts[i].Q != ctx.Params.T {
-			return nil, fmt.Errorf("pack: ciphertext %d has modulus %d, want t=%d", i, cts[i].Q, ctx.Params.T)
-		}
-	}
-	gs := p.n / p.bs
-
-	// One giant step costs bs diagonal gathers + encodes + plaintext
-	// products plus one rotation — always worth a worker; MinGrain 1 lets
-	// the fan-out engage even at gs of a few.
-	opts := par.Options{MinGrain: 1}
-	var acc *bfv.Ciphertext
-	if opts.Workers(gs) <= 1 {
-		// Serial path: the allocation-free kernel, plus the one output
-		// ciphertext this API promises to return fresh.
-		out := ctx.NewCiphertext()
-		if err := p.PackInto(ev, sc, cts, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	} else {
-		inners := make([]*bfv.Ciphertext, gs)
-		errs := make([]error, gs)
-		pool := sc.lanePool(ev)
-		par.ForEach(gs, opts, func(w, a int) {
-			ln := pool.Get(w)
-			// giantStep stages everything in the lane's ev/cod/diagonal
-			// buffers; the Packer fields it reads (BSGS plan, rotation keys)
-			// are immutable after NewPacker.
-			//lint:allow scratchalias giantStep writes only the lane's scratch; p's plan/key fields are read-only here
-			inners[a], errs[a] = p.giantStep(ln.ev, ln.cod, ln.d, ln.pt, ln.pm, cts, a)
-		})
-		for a := 0; a < gs; a++ {
-			if errs[a] != nil {
-				return nil, errs[a]
-			}
-			if acc == nil {
-				acc = inners[a]
-			} else {
-				ev.AddInPlace(acc, inners[a])
-			}
-		}
-	}
-
-	// Add the b terms as a plaintext, reusing the diagonal scratch.
-	d := sc.d
-	for i := range d {
-		d[i] = 0
-	}
-	for i := range cts {
-		d[i] = int64(cts[i].B)
-	}
-	sc.cod.EncodeSlotsInto(d, sc.pt)
-	out := ev.AddPlain(acc, sc.pt)
-	return out, nil
+	out := p.ctx.NewCiphertext()
+	return out, p.PackInto(ev, sc, cts, out)
 }
 
-// PackInto is the allocation-free serial Pack: it writes the packed
-// ciphertext into out, staging every giant step in sc. One inference
-// batch issues a Pack per FBS layer, so the steady state must not
-// churn the heap; the BSGS fan-out of PackWith is traded away for the
-// zero-allocation contract (AllocsPerRun holds GOMAXPROCS at 1 anyway,
-// so this is also exactly the path the allocation accountant measures).
-// out must not alias sc.inner; it may be any ciphertext of the packer's
-// context, including one previously returned by Pack.
-//
-//lint:noalloc
+// PackInto homomorphically decrypts cts into slots 0..len(cts)-1 of out,
+// a ciphertext of the packer's context. All inputs must have dimension n
+// and modulus t; at most N fit. The BSGS giant steps fan out over sc's
+// lanes, each a ShallowCopy of ev summing its giant steps into a
+// ciphertext it owns — lane 0 into out — and the lane sums are added
+// into out. The additions are exact modulo q, so out is bit-identical at
+// any GOMAXPROCS. out must not alias a ciphertext of sc. Once sc's lanes
+// are built, a call allocates nothing beyond par.ForEach's own spawn
+// (TestPackIntoZeroAllocs, TestPackIntoFannedOutAllocs); the spawn and
+// the lanes' closures keep it off the static noalloc contract, which
+// giantStep carries.
 func (p *Packer) PackInto(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext, out *bfv.Ciphertext) error {
 	ctx := p.ctx
 	if len(cts) == 0 || len(cts) > ctx.N {
@@ -310,58 +252,55 @@ func (p *Packer) PackInto(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext, 
 			return fmt.Errorf("pack: ciphertext %d has modulus %d, want t=%d", i, cts[i].Q, ctx.Params.T)
 		}
 	}
-	gs := p.n / p.bs
-	for a := 0; a < gs; a++ {
-		// Giant step 0 lands directly in out; later steps stage in
-		// sc.inner and accumulate.
-		dst := out
-		if a > 0 {
-			dst = sc.inner
-		}
-		if err := p.giantStepInto(ev, sc.cod, sc.d, sc.pt, sc.pm, cts, a, dst); err != nil {
-			return err
-		}
-		if a > 0 {
-			ev.AddInPlace(out, sc.inner)
-		}
+	if sc.lanes == nil || sc.base != ev {
+		sc.bind(ctx, ev)
 	}
+	if gs := p.n / p.bs; len(sc.errs) != gs {
+		sc.errs = make([]error, gs) // a scratch made by a packer of another split
+	}
+	sc.lanes.Each(func(ln *packLane) { ln.steps = 0 })
+	// One giant step costs bs diagonal gathers + encodes + plaintext
+	// products plus one rotation — always worth a worker; MinGrain 1 lets
+	// the fan-out engage even at gs of a few.
+	sc.p, sc.cts, sc.out = p, cts, out
+	par.ForEach(len(sc.errs), par.Options{MinGrain: 1}, sc.step)
+	sc.p, sc.cts, sc.out = nil, nil, nil
+	if err := par.FirstErr(sc.errs); err != nil {
+		return err
+	}
+	ln := sc.lanes.Get(0)
+	sc.lanes.Each(func(part *packLane) {
+		if part != ln && part.steps > 0 {
+			ev.AddInPlace(out, part.sum)
+		}
+	})
 
-	// Add the b terms as a plaintext, reusing the diagonal scratch.
-	d := sc.d
+	// Add the b terms as a plaintext, staged in lane 0.
+	d := ln.d
 	for i := range d {
 		d[i] = 0
 	}
 	for i := range cts {
 		d[i] = int64(cts[i].B)
 	}
-	sc.cod.EncodeSlotsInto(d, sc.pt)
-	ev.AddPlainInPlace(out, sc.pt)
+	ln.cod.EncodeSlotsInto(d, ln.pt)
+	ev.AddPlainInPlace(out, ln.pt)
 	return nil
 }
 
-// giantStep computes giant step a of the BSGS product: the baby-step
-// inner sum Σ_b babies[b]·diag(a·bs+b), pre-rotated by a·bs. The
-// plaintext multiplier for giant step a, baby step b is the matrix
-// diagonal diag(a·bs+b)[i] = A[i][(col(i)+a·bs+b) mod n] pre-rotated by
-// -a·bs; composing both permutations through the cached rotIdx table
-// reduces it to one gather per slot.
-func (p *Packer) giantStep(ev *bfv.Evaluator, cod *bfv.Encoder, d []int64, pt *bfv.Plaintext, pm *bfv.PlaintextMul, cts []lwe.Ciphertext, a int) (*bfv.Ciphertext, error) {
-	inner := p.ctx.NewCiphertext()
-	if err := p.giantStepInto(ev, cod, d, pt, pm, cts, a, inner); err != nil {
-		return nil, err
-	}
-	return inner, nil
-}
-
-// giantStepInto is giantStep writing into a caller-provided ciphertext
-// (the baby-step sum accumulates in dst, and the final giant-step
-// rotation runs dst -> dst in the evaluator scratch), so the serial
-// Pack path allocates nothing.
+// giantStep sets dst to giant step a of the BSGS product: the baby-step
+// inner sum Σ_b babies[b]·diag(a·bs+b), rotated by a·bs, staged in the
+// lane. The plaintext multiplier for giant step a, baby step b is the
+// matrix diagonal diag(a·bs+b)[i] = A[i][(col(i)+a·bs+b) mod n]
+// pre-rotated by -a·bs; composing both permutations through the cached
+// rotIdx table reduces it to one gather per slot. The rotation runs dst
+// -> dst in the evaluator's scratch.
 //
 //lint:noalloc
-func (p *Packer) giantStepInto(ev *bfv.Evaluator, cod *bfv.Encoder, d []int64, pt *bfv.Plaintext, pm *bfv.PlaintextMul, cts []lwe.Ciphertext, a int, dst *bfv.Ciphertext) error {
+func (p *Packer) giantStep(ln *packLane, cts []lwe.Ciphertext, a int, dst *bfv.Ciphertext) error {
 	row := p.ctx.N / 2
 	src := p.rotIdx[a]
+	d := ln.d
 	for b := 0; b < p.bs; b++ {
 		j := a*p.bs + b
 		for i := range d {
@@ -372,16 +311,16 @@ func (p *Packer) giantStepInto(ev *bfv.Evaluator, cod *bfv.Encoder, d []int64, p
 				d[i] = 0
 			}
 		}
-		cod.EncodeSlotsInto(d, pt)
-		cod.LiftToMulInto(pt, pm)
+		ln.cod.EncodeSlotsInto(d, ln.pt)
+		ln.cod.LiftToMulInto(ln.pt, ln.pm)
 		if b == 0 {
-			ev.MulPlainFixedInto(p.babies[b], p.babyS[b], pm, dst)
+			ln.ev.MulPlainFixedInto(p.babies[b], p.babyS[b], ln.pm, dst)
 		} else {
-			ev.MulPlainFixedAndAdd(p.babies[b], p.babyS[b], pm, dst)
+			ln.ev.MulPlainFixedAndAdd(p.babies[b], p.babyS[b], ln.pm, dst)
 		}
 	}
 	if a > 0 {
-		return ev.RotateRowsInto(dst, a*p.bs, dst)
+		return ln.ev.AutomorphismInto(dst, p.giantEls[a], dst)
 	}
 	return nil
 }

@@ -34,7 +34,7 @@ func samePackCT(a, b *bfv.Ciphertext) bool {
 }
 
 // TestPackBitIdenticalAcrossGOMAXPROCS pins the determinism contract of
-// the parallel giant-step path: Pack output is bit-identical whether the
+// the giant-step fan-out: PackInto output is bit-identical whether the
 // BSGS loop runs inline or fans out.
 func TestPackBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	k := newKit(t, 6, 3)
@@ -55,7 +55,7 @@ func TestPackBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	var want *bfv.Ciphertext
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		got, err := p.PackWith(ev, p.NewScratch(), cts)
+		got, err := pack(p, ev, cts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestPackConcurrentScratches(t *testing.T) {
 		for i := range batches[j] {
 			batches[j][i] = lwe.Encrypt(sk, uint64(j*37+i)%k.ctx.Params.T, k.ctx.Params.T, 3.2, smp)
 		}
-		want[j], err = p.Pack(ev, batches[j])
+		want[j], err = pack(p, ev, batches[j])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestPackConcurrentScratches(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			got[j], errs[j] = p.PackWith(ev.ShallowCopy(), p.NewScratch(), batches[j])
+			got[j], errs[j] = pack(p, ev.ShallowCopy(), batches[j])
 		}(j)
 	}
 	wg.Wait()

@@ -3,7 +3,7 @@ package par
 import "sync"
 
 // Options tunes fan-out for operator-level loops. The package-level
-// helpers (Chunks, ForWork) carry grain floors sized for ring work:
+// helper ForWork carries a grain floor sized for ring work:
 // thousands of cheap, uniform iterations. Operator-level callers
 // sit at the other extreme — a handful of very heavy items (output
 // batches of a convolution, BSGS giant steps, images of a batch) —

@@ -16,14 +16,9 @@ import (
 	"sync/atomic"
 )
 
-// Grain floors: the minimum number of iterations a worker must receive
-// before a loop fans out — defaultGrain for ForEach under a zero
-// Options.MinGrain, chunksGrain for Chunks, whose iterations are tiny
-// enough that each worker gets one contiguous range.
-const (
-	defaultGrain = 64
-	chunksGrain  = 256
-)
+// defaultGrain is the minimum number of iterations a worker must receive
+// before ForEach fans out under a zero Options.MinGrain.
+const defaultGrain = 64
 
 // minWorkPerWorker is the approximate per-goroutine operation floor for
 // ForWork: with fewer total "cost units" than this per worker, the
@@ -42,35 +37,6 @@ func usableWorkers() int {
 		w = n
 	}
 	return w
-}
-
-// Chunks runs f(start, end) over contiguous ranges covering [0, n),
-// one range per worker — for loops where per-iteration work is tiny and
-// per-index dispatch would dominate. The worker count is capped so each
-// range holds at least chunksGrain iterations.
-func Chunks(n int, f func(start, end int)) {
-	workers := usableWorkers()
-	if max := n / chunksGrain; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		f(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	size := (n + workers - 1) / workers
-	for start := 0; start < n; start += size {
-		end := start + size
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			f(s, e)
-		}(start, end)
-	}
-	wg.Wait()
 }
 
 // WorthForWork reports whether ForWork would fan out across more than

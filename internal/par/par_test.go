@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-func TestChunksCoverExactly(t *testing.T) {
-	for _, n := range []int{0, 1, 255, 256, 1000} {
-		seen := make([]int32, n)
-		Chunks(n, func(s, e int) {
-			for i := s; i < e; i++ {
-				atomic.AddInt32(&seen[i], 1)
-			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}
-
 func TestForWorkCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 64, 1000} {
 		for _, itemCost := range []int{0, 1, 1 << 12, 1 << 20} {
@@ -69,16 +53,5 @@ func TestParallelPathWithMultipleProcs(t *testing.T) {
 	ForWork(5000, 0, func(i int) { atomic.AddInt64(&sum, int64(i)) })
 	if sum != 5000*4999/2 {
 		t.Fatalf("sum %d", sum)
-	}
-	var sum2 int64
-	Chunks(5000, func(s, e int) {
-		var local int64
-		for i := s; i < e; i++ {
-			local += int64(i)
-		}
-		atomic.AddInt64(&sum2, local)
-	})
-	if sum2 != sum {
-		t.Fatalf("chunks sum %d", sum2)
 	}
 }

@@ -33,18 +33,6 @@ func forWorkOutput(n int) []uint64 {
 	return out
 }
 
-// chunksOutput runs a Chunks workload; results must not depend on how
-// the range is split.
-func chunksOutput(n int) []uint64 {
-	out := make([]uint64, n)
-	par.Chunks(n, func(start, end int) {
-		for i := start; i < end; i++ {
-			out[i] = mix(i) + mix(i+1)
-		}
-	})
-	return out
-}
-
 // TestStressDeterministicAcrossGOMAXPROCS verifies the fork-join
 // contract end to end: the same workload run serially (GOMAXPROCS=1),
 // with minimal parallelism (2), and with full parallelism (NumCPU)
@@ -58,7 +46,6 @@ func TestStressDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 	runtime.GOMAXPROCS(1)
 	refForWork := forWorkOutput(n)
-	refChunks := chunksOutput(n)
 
 	procsList := []int{1, 2, runtime.NumCPU()}
 	for _, procs := range procsList {
@@ -66,13 +53,9 @@ func TestStressDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			for rep := 0; rep < 4; rep++ {
 				gotF := forWorkOutput(n)
-				gotC := chunksOutput(n)
 				for i := 0; i < n; i++ {
 					if gotF[i] != refForWork[i] {
 						t.Fatalf("rep %d: ForWork output[%d] = %#x, serial run gave %#x", rep, i, gotF[i], refForWork[i])
-					}
-					if gotC[i] != refChunks[i] {
-						t.Fatalf("rep %d: Chunks output[%d] = %#x, serial run gave %#x", rep, i, gotC[i], refChunks[i])
 					}
 				}
 			}
