@@ -117,13 +117,14 @@ func BenchmarkModDown(b *testing.B) {
 		}{{"fbs_to_post", s.limbs - 1}, {"full_to_post", s.limbs}} {
 			ct := k.encryptAt(b, from.L, 5)
 			b.Run(from.name, func(b *testing.B) {
-				if _, err := k.full.ModDown(ct, postLevel); err != nil {
+				var sc RescaleScratch
+				if _, err := k.full.ModDownWith(ct, postLevel, &sc); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := k.full.ModDown(ct, postLevel); err != nil {
+					if _, err := k.full.ModDownWith(ct, postLevel, &sc); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -133,17 +134,20 @@ func BenchmarkModDown(b *testing.B) {
 }
 
 // BenchmarkSwitchModulus measures Step ② at the post level: the switch
-// to qMid = t·2^12 ahead of every extraction.
+// to qMid = t·2^12 ahead of every extraction, staged in the caller as
+// the engine's workers stage it.
 func BenchmarkSwitchModulus(b *testing.B) {
 	kitShapes(b, func(b *testing.B, s cmultShape, k shapeKit) {
 		ct, qMid := k.encryptAt(b, postLevel, 5), s.t<<12
-		if _, _, err := k.full.SwitchModulus(ct, qMid); err != nil {
+		a, c := make([]uint64, k.full.N), make([]uint64, k.full.N)
+		var sc RescaleScratch
+		if err := k.full.SwitchModulusInto(ct, qMid, a, c, &sc); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := k.full.SwitchModulus(ct, qMid); err != nil {
+			if err := k.full.SwitchModulusInto(ct, qMid, a, c, &sc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -106,6 +106,12 @@ func (c *Context) atLevelOf(ct *Ciphertext) *Context {
 // NTT domain, to give the centered residue [x]_P over the kept primes,
 // which returns to it, and each kept limb becomes (x − [x]_P)·P^-1.
 func (c *Context) ModDown(ct *Ciphertext, L int) (*Ciphertext, error) {
+	return c.ModDownWith(ct, L, nil)
+}
+
+// ModDownWith is ModDown staged in sc (a fresh staging when nil). The
+// result is a new ciphertext the caller owns, unless ct already sits at L.
+func (c *Context) ModDownWith(ct *Ciphertext, L int, sc *RescaleScratch) (*Ciphertext, error) {
 	cur := ct.Level()
 	if L == cur {
 		return ct, nil
@@ -126,14 +132,14 @@ func (c *Context) ModDown(ct *Ciphertext, L int) (*Ciphertext, error) {
 		return nil, err
 	}
 	out := dst.NewCiphertext()
-	dropped := md.ringP.NewPoly()
-	sc := rns.NewScratch(cur-L, c.N)
+	dropped, rs := sc.stage(src)
+	dropped.Coeffs = dropped.Coeffs[:cur-L]
 	for _, io := range [2]struct{ in, out ring.Poly }{{ct.C0, out.C0}, {ct.C1, out.C1}} {
 		for i, limb := range dropped.Coeffs {
 			copy(limb, io.in.Coeffs[L+i])
 		}
 		md.ringP.INTT(dropped)
-		md.drop.Remainder(dropped, io.out, sc)
+		md.drop.Remainder(dropped, io.out, rs)
 		dst.RingQ.NTT(io.out)
 		md.drop.Quotient(io.in, io.out, io.out)
 	}

@@ -543,3 +543,57 @@ func TestKeysAtLevelOfUse(t *testing.T) {
 		t.Fatalf("product at level %d under a level-%d key accepted", k.ctx.Level(), l)
 	}
 }
+
+// TestRescalesStageInCaller: ModDownWith and SwitchModulusInto give the
+// bytes of ModDown and SwitchModulus, and once the caller's
+// RescaleScratch has grown, SwitchModulusInto allocates nothing and
+// ModDownWith only its result, however the calls alternate.
+func TestRescalesStageInCaller(t *testing.T) {
+	k := newTestKit(t, 6, 4, nil)
+	ct := k.enc.Encrypt(k.cod.EncodeCoeffs(randVals(k.ctx.N, 1000, 9)))
+	var sc RescaleScratch
+	want, err := k.ctx.ModDown(ct, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.ctx.ModDownWith(ct, 2, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.C0.Equal(want.C0) || !got.C1.Equal(want.C1) {
+		t.Fatal("ModDownWith differs from ModDown")
+	}
+	const q2 = 65537 << 12
+	wa, wb, err := k.ctx.SwitchModulus(got, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := make([]uint64, k.ctx.N), make([]uint64, k.ctx.N)
+	if err := k.ctx.SwitchModulusInto(got, q2, a, b, &sc); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if a[i] != wa[i] || b[i] != wb[i] {
+			t.Fatalf("SwitchModulusInto differs from SwitchModulus at %d", i)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := k.ctx.SwitchModulusInto(got, q2, a, b, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("SwitchModulusInto allocates %v times per run, want 0", n)
+	}
+	dst, err := k.ctx.AtLevel(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := testing.AllocsPerRun(20, func() { dst.NewCiphertext() })
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := k.ctx.ModDownWith(ct, 2, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != result {
+		t.Fatalf("ModDownWith allocates %v times per run, its result %v", n, result)
+	}
+}

@@ -246,7 +246,7 @@ type ValidEntry struct {
 // (channel, y, x) order.
 func (p *Plan) ValidCoeffs(ob int) []ValidEntry {
 	s := p.Shape
-	var out []ValidEntry
+	out := make([]ValidEntry, 0, max(0, min(p.OB, s.Cout-ob*p.OB))*s.OutH()*s.OutW())
 	for ol := 0; ol < p.OB; ol++ {
 		co := ob*p.OB + ol
 		if co >= s.Cout {

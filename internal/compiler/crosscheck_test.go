@@ -13,8 +13,9 @@ import (
 
 // TestTraceTracksEngine cross-validates the compiler against the real
 // software pipeline: for a small network executed under encryption at
-// test parameters, the trace's pack and S2C counts must equal the
-// engine's counters. The FBS CMult counts are two algorithms and are
+// test parameters, the trace's pack and S2C counts, and its Step ③
+// counts — one ring keyswitch per result ciphertext, one extraction per
+// value — must equal the engine's counters. The FBS CMult counts are two algorithms and are
 // checked each against its own arithmetic: the trace models the paper's
 // flat Alg. 2 on the layer's range-sized LUT (what internal/arch
 // simulates), the engine evaluates the full-t table on the split
@@ -68,12 +69,18 @@ func TestTraceTracksEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var packs, s2c int
+	var keySwitches, extractions int64
 	for _, s := range tr.Steps {
 		switch s.Kind {
 		case KPack:
 			packs++
 		case KS2C:
 			s2c++
+		case KSE:
+			if s.Cat != CatSoftmax {
+				keySwitches += s.Counts.KeySwitch
+				extractions += s.Counts.SE
+			}
 		case KFBS:
 			// Alg. 2 on the step's LUT: bs − 1 baby powers, gs − 2 giant
 			// powers, gs − 1 block products.
@@ -94,6 +101,10 @@ func TestTraceTracksEngine(t *testing.T) {
 	}
 	if s2c != e.Stats.S2CCalls {
 		t.Fatalf("S2C count: trace %d vs engine %d", s2c, e.Stats.S2CCalls)
+	}
+	if keySwitches != int64(e.Stats.KeySwitches) || extractions != int64(e.Stats.Extractions) {
+		t.Fatalf("Step ③: trace %d keyswitches and %d extractions, engine %d and %d",
+			keySwitches, extractions, e.Stats.KeySwitches, e.Stats.Extractions)
 	}
 	// The engine: every FBS call runs the plan of its layer's table; the
 	// tables here are dense, so every plan issues the same products.

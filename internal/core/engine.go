@@ -33,7 +33,7 @@ type Engine struct {
 	codP *bfv.Encoder   // post-level encoder (lifts for post-level products)
 
 	lweSK  *lwe.SecretKey    // dimension n secret (client side)
-	ksk    *lwe.KeySwitchKey // ring-degree -> n at qMid
+	ksk    *lwe.KeySwitchKey // ring secret -> embedding of lweSK at qMid
 	packer *pack.Packer      // packer at ctxF over the FBS-level babies
 
 	// w0 is the top-level evaluation worker (wrapping e.ev); lanes holds
@@ -58,7 +58,7 @@ type OpStats struct {
 	FBSInputs   int `json:"fbs_inputs"` // valid slots fed to LUT rounds: fill = FBSInputs / (FBSCalls·N)
 	S2CCalls    int `json:"s2c_calls"`
 	Extractions int `json:"extractions"`
-	KeySwitches int `json:"key_switches"`
+	KeySwitches int `json:"key_switches"` // Step ③'s ring switches: one per extracted ciphertext
 	LWEAdds     int `json:"lwe_adds"`
 }
 
@@ -120,11 +120,10 @@ func newClientEngine(p Params) (*Engine, *EvalKeys, error) {
 	e.enc = bfv.NewEncryptor(ctx, pk, p.Seed^0xeac7)
 	e.dec = bfv.NewDecryptor(ctx, e.sk)
 
-	// LWE material: the ring secret's coefficient vector is the
-	// extraction-side key; a fresh dimension-n key receives it.
+	// LWE material: a fresh dimension-n key, and the switch from the ring
+	// secret to its embedding in the ring.
 	e.lweSK = lwe.NewSecretKey(p.LWEDim, p.Seed^0x17e)
-	ringSK := &lwe.SecretKey{S: e.sk.Signed}
-	ksk := lwe.NewKeySwitchKey(ringSK, e.lweSK, p.QMid(), p.KSBase, p.Sigma, p.Seed^0x55)
+	ksk := e.ks.NewKey(&lwe.SecretKey{S: e.sk.Signed}, e.lweSK, p.Sigma, p.Seed^0x55)
 
 	pkFull, err := pack.NewPacker(ctx, e.enc, e.lweSK)
 	if err != nil {
@@ -268,7 +267,7 @@ func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, valid int, pending *fbs.
 	if ct.Level() == e.ctxP.Level() {
 		return ct.Clone(), nil
 	}
-	return e.Ctx.ModDown(ct, e.ctxP.Level())
+	return e.Ctx.ModDownWith(ct, e.ctxP.Level(), &wk.rescale)
 }
 
 // maskSlots sets out to ct times a 0/1 slot vector: 1 at the slots to
@@ -301,35 +300,29 @@ func (wk *evalWorker) toCoeffs(ct, out *bfv.Ciphertext) error {
 }
 
 // extract converts the coefficients idx of a result ciphertext into
-// dimension-n LWE ciphertexts at modulus t (Steps ②–③), in idx order.
-// After the modulus switch, extraction, keyswitch and modulus switch run
-// as one kernel (lwe.Switcher.SwitchExtract), lwe.Tile values at a time,
-// with the tiles fanned over the lanes' own Switchers; every switched
-// mask lands in one backing array.
+// dimension-n LWE ciphertexts at modulus t (Steps ②–③), in idx order:
+// the modulus switch to qMid, one ring switch to the LWE secret's
+// embedding and the switch to t (lwe.Switcher.SwitchExtract), then a
+// strided gather per value. Both steps stage in the worker; every
+// gathered mask lands in one backing array.
 func (wk *evalWorker) extract(ct *bfv.Ciphertext, idx []int) ([]lwe.Ciphertext, error) {
 	e := wk.e
-	a, b, err := e.Ctx.SwitchModulus(ct, e.P.QMid())
-	if err != nil {
+	if wk.sw == nil {
+		wk.sw = e.ksk.NewSwitcher()
+	}
+	mid := wk.sw.In
+	if err := e.Ctx.SwitchModulusInto(ct, e.P.QMid(), mid.A, mid.B, &wk.rescale); err != nil {
 		return nil, err
 	}
-	rc := lwe.RLWE{A: a, B: b, Q: e.P.QMid()}
 	wk.stats.Extractions += len(idx)
-	wk.stats.KeySwitches += len(idx)
+	wk.stats.KeySwitches++
 	n := e.P.LWEDim
 	out := make([]lwe.Ciphertext, len(idx))
 	masks := make([]uint64, len(idx)*n)
 	for i := range out {
 		out[i].A = masks[i*n : (i+1)*n : (i+1)*n]
 	}
-	// A tile costs lwe.Tile·N·digits products of length n+1; making the
-	// cost explicit lets tiny extractions stay inline while layer-sized
-	// ones fan out.
-	tiles := (len(idx) + lwe.Tile - 1) / lwe.Tile
-	cost := lwe.Tile * e.Ctx.N * e.ksk.Digits * (n + 1)
-	wk.forEach(tiles, par.Options{MinGrain: 1, ItemCost: cost}, func(ln *evalWorker, i int) {
-		lo, hi := i*lwe.Tile, min((i+1)*lwe.Tile, len(idx))
-		ln.sw.SwitchExtract(rc, idx[lo:hi], e.P.T, out[lo:hi])
-	})
+	wk.sw.SwitchExtract(mid, idx, e.P.T, out)
 	return out, nil
 }
 
@@ -564,13 +557,16 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.
 }
 
 // convAccumulate runs Step ① on prepared coefficient-encoded inputs and
-// returns the accumulator ciphertexts (one per output batch). Output
-// batches are independent (each reads the shared inputs and writes its
-// own accumulator), so they fan out across worker lanes.
-func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs []*bfv.Ciphertext) []*bfv.Ciphertext {
+// returns the accumulator ciphertexts (one per output batch) and each
+// output batch's valid coefficients, which the bias is added at and the
+// caller extracts. Output batches are independent (each reads the shared
+// inputs and writes its own accumulator), so they fan out across worker
+// lanes.
+func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs []*bfv.Ciphertext) ([]*bfv.Ciphertext, [][]coeffenc.ValidEntry) {
 	e := wk.e
 	k3d := q.Weights
 	accs := make([]*bfv.Ciphertext, plan.OutBatches)
+	valid := make([][]coeffenc.ValidEntry, plan.OutBatches)
 	// One output batch costs InBatches plaintext products (2·limbs·N
 	// word multiplies each at the post level) plus the kernel encodes.
 	cost := plan.InBatches * 2 * e.ctxP.Level() * e.Ctx.N
@@ -589,13 +585,14 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 		}
 		// Bias: added at every valid output coefficient.
 		biasVec := make([]int64, e.Ctx.N)
-		for _, en := range plan.ValidCoeffs(ob) {
+		valid[ob] = plan.ValidCoeffs(ob)
+		for _, en := range valid[ob] {
 			biasVec[en.Coeff] = q.Bias[en.Cout]
 		}
 		ln.evP.AddPlainInPlace(acc, ln.codP.EncodeCoeffs(biasVec))
 		accs[ob] = acc
 	})
-	return accs
+	return accs, valid
 }
 
 // convLayer runs the loop for one quantized linear layer. Its inputs are
@@ -615,7 +612,7 @@ func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inf
 		// every later layer. The barrier's are there already.
 		inputs = make([]*bfv.Ciphertext, len(st.inputs))
 		for i, ct := range st.inputs {
-			if inputs[i], err = e.Ctx.ModDown(ct, e.ctxP.Level()); err != nil {
+			if inputs[i], err = e.Ctx.ModDownWith(ct, e.ctxP.Level(), &wk.rescale); err != nil {
 				return nil, err
 			}
 		}
@@ -629,13 +626,13 @@ func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inf
 		}
 		inputs = prepared[0]
 	}
-	accs := wk.convAccumulate(q, plan, inputs)
+	accs, valid := wk.convAccumulate(q, plan, inputs)
 	if lastOp {
 		return &inferState{vs: &valSet{}, final: &finalResult{conv: q, plan: plan, accs: accs}}, nil
 	}
 	out := &valSet{C: q.Shape.Cout, H: q.Shape.OutH(), W: q.Shape.OutW(), vals: make(map[vkey]lwe.Ciphertext)}
 	for ob, acc := range accs {
-		entries := plan.ValidCoeffs(ob)
+		entries := valid[ob]
 		idx := make([]int, len(entries))
 		for i, en := range entries {
 			idx[i] = en.Coeff

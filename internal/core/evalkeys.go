@@ -17,8 +17,8 @@ import (
 // this bundle once (WriteEvalKeys), and the server reconstructs an
 // evaluation-only engine from it (NewEvaluationEngine). The bundle is
 // public material by construction: BFV evaluation keys, the baby-step
-// packing keys (encryptions of the LWE secret), and the N→n LWE
-// keyswitching key.
+// packing keys (encryptions of the LWE secret), and Step ③'s ring-level
+// N→n keyswitching key.
 //
 // Every key travels at the level that reads it (keysAtUse): the
 // relinearization key, the packer's Galois keys and the babies at the
@@ -26,10 +26,14 @@ import (
 // takes any level from 1 to the full chain and rejects only a key below
 // its level of use, so a bundle of full-chain keys — the layout written
 // before keys were cut to their level — still loads.
+//
+// Version 2 carries the ring-level keyswitch key. A version-1 bundle
+// carries the per-value matrix key, which nothing reads any more: it is
+// refused with a *BundleVersionError, and its session re-uploads.
 
 const (
 	evalKeysMagic   = 0x4145564b // "AEVK"
-	evalKeysVersion = 1
+	evalKeysVersion = 2
 
 	// evalKeysHeaderWords is the length of writeEvalKeys' header.
 	evalKeysHeaderWords = 6
@@ -58,6 +62,20 @@ func (e *KeyLevelError) Error() string {
 		return fmt.Sprintf("core: eval keys missing %s (read at level %d)", e.Key, e.Need)
 	}
 	return fmt.Sprintf("core: eval keys hold %s at level %d, evaluation reads it at level %d", e.Key, e.Level, e.Need)
+}
+
+// BundleVersionError reports a bundle of another layout version than
+// this build writes. Version 1 holds the per-value LWE keyswitch matrix
+// of the switch after extraction: its keys must be uploaded again.
+type BundleVersionError struct {
+	Version uint64
+}
+
+func (e *BundleVersionError) Error() string {
+	if e.Version == 1 {
+		return "core: eval-keys bundle of version 1 holds the per-value keyswitch matrix; upload the keys again"
+	}
+	return fmt.Sprintf("core: unsupported eval-keys version %d (this build reads %d)", e.Version, evalKeysVersion)
 }
 
 // EvalKeys exports the engine's public evaluation material, each key at
@@ -119,7 +137,7 @@ func (pl *plan) writeEvalKeys(ek *EvalKeys, w io.Writer) error {
 			return err
 		}
 	}
-	if err := lwe.WriteKeySwitchKey(ek.KSK, bw); err != nil {
+	if err := lwe.WriteKey(ek.KSK, bw); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -207,7 +225,7 @@ func (pl *plan) readEvalKeys(r io.Reader) (*EvalKeys, error) {
 		return nil, fmt.Errorf("core: bad eval-keys magic %#x", hdr[0])
 	}
 	if hdr[1] != evalKeysVersion {
-		return nil, fmt.Errorf("core: unsupported eval-keys version %d", hdr[1])
+		return nil, &BundleVersionError{Version: hdr[1]}
 	}
 	if int(hdr[2]) != p.LogN || int(hdr[3]) != len(pl.Ctx.Params.Qi) ||
 		hdr[4] != p.T || int(hdr[5]) != p.LWEDim {
@@ -234,7 +252,7 @@ func (pl *plan) readEvalKeys(r io.Reader) (*EvalKeys, error) {
 		}
 		babies[i] = ct
 	}
-	ksk, err := lwe.ReadKeySwitchKey(br, pl.ksk)
+	ksk, err := pl.ks.ReadKey(br)
 	if err != nil {
 		return nil, fmt.Errorf("core: eval keys: %w", err)
 	}
@@ -250,8 +268,8 @@ func (pl *plan) readEvalKeys(r io.Reader) (*EvalKeys, error) {
 // mid-inference: every key the evaluation reads is present at or above
 // the level it is read at.
 func (pl *plan) validateEvalKeys(ek *EvalKeys) error {
-	if ek.KSK == nil || ek.KSK.Shape() != pl.ksk {
-		return fmt.Errorf("core: keyswitch key does not have the shape %+v the parameters fix", pl.ksk)
+	if ek.KSK == nil || ek.KSK.SwitchPlan != pl.ks {
+		return fmt.Errorf("core: keyswitch key is not of the switch plan the parameters fix (%d → %d at %d)", pl.ks.N, pl.ks.Dim, pl.ks.Q)
 	}
 	if ek.PackDim != pl.params.LWEDim {
 		return fmt.Errorf("core: packing keys for dimension %d, params say %d", ek.PackDim, pl.params.LWEDim)

@@ -224,6 +224,16 @@ func TestEvalKeysMalformed(t *testing.T) {
 			t.Fatal("corrupted magic accepted")
 		}
 	})
+	t.Run("matrix-key-version", func(t *testing.T) {
+		// A bundle of version 1 carries the per-value keyswitch matrix:
+		// refused at the header with a typed error, before any key.
+		bad := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(bad[8:], 1)
+		var bv *BundleVersionError
+		if _, err := ReadEvalKeys(p, bytes.NewReader(bad)); !errors.As(err, &bv) || bv.Version != 1 {
+			t.Fatalf("version-1 bundle: %v, want a *BundleVersionError of version 1", err)
+		}
+	})
 	t.Run("wrong-params", func(t *testing.T) {
 		p2 := p
 		p2.LWEDim = 64
@@ -233,17 +243,17 @@ func TestEvalKeysMalformed(t *testing.T) {
 	})
 	t.Run("inflated-ksk-header", func(t *testing.T) {
 		// The bundle up to its keyswitch key, then a bare key header
-		// claiming 2^20 → 2^20: rejected against the parameters' shape
-		// before the reader allocates a row, so the attempt costs no more
-		// than decoding the honest bundle.
+		// claiming a ring of degree 2^20 and 2^20 outputs: rejected against
+		// the parameters' switch plan before the reader allocates the key,
+		// so the attempt costs no more than decoding the honest bundle.
 		pl, err := planFor(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := pl.ksk
-		kskLen := 56 + 8*s.NIn*s.Digits*(s.NOut+1)
+		s := pl.ks
+		kskLen := 56 + 8*2*s.Digits*s.N
 		bad := append([]byte(nil), good[:len(good)-kskLen]...)
-		for _, v := range []uint64{0x414b4b31, 1, s.Q, p.KSBase, uint64(s.Digits), 1 << 20, 1 << 20} {
+		for _, v := range []uint64{0x414b4b31, 2, s.Q, p.KSBase, uint64(s.Digits), 1 << 20, 1 << 20} {
 			bad = binary.LittleEndian.AppendUint64(bad, v)
 		}
 		allocated := func(blob []byte) (uint64, error) {

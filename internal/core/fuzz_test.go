@@ -10,7 +10,7 @@ import (
 // fuzzParams is the smallest ring the plan accepts (N = 4) with four
 // limbs, so that the FBS level (3) and the post level (2) differ, and an
 // LWE dimension of 2, so that the packer reads a Galois key of its own.
-// A bundle is 2 680 bytes.
+// A bundle is 2 584 bytes.
 func fuzzParams() Params {
 	p := TestParams()
 	p.LogN, p.QiNum, p.LWEDim = 2, 4, 2
@@ -21,10 +21,11 @@ func fuzzParams() Params {
 // check a server makes before it evaluates under uploaded keys. The
 // reader must never panic, and a bundle it accepts must stand up an
 // evaluation engine that runs every key-reading step — pack, the LUT
-// ladder, S2C — and whose re-export reads back to the same engine. The
-// checked-in corpus (testdata/fuzz/FuzzReadEvalKeys) holds today's
-// bundle, the full-chain layout, and bundles refused for their key
-// levels, all at fuzzParams.
+// ladder, S2C, Step ③'s switch and extraction — and whose re-export
+// reads back to the same engine. The checked-in corpus
+// (testdata/fuzz/FuzzReadEvalKeys) holds today's bundle, the full-chain
+// layout, bundles refused for their key levels, and a version-1 bundle
+// (the per-value matrix key), all at fuzzParams.
 func FuzzReadEvalKeys(f *testing.F) {
 	p := fuzzParams()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -46,6 +47,9 @@ func FuzzReadEvalKeys(f *testing.F) {
 		}
 		if err := eng.w0.toCoeffs(ct, ct); err != nil {
 			t.Fatalf("S2C under accepted keys: %v", err)
+		}
+		if _, err := eng.w0.extract(ct, []int{0, eng.Ctx.N - 1}); err != nil {
+			t.Fatalf("extraction under accepted keys: %v", err)
 		}
 		var out, again bytes.Buffer
 		if err := eng.WriteEvalKeys(&out); err != nil {

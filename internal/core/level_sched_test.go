@@ -100,19 +100,29 @@ func TestLevelScheduleInferenceEquivalence(t *testing.T) {
 // handed back the worker's own buffer would be overwritten by the next:
 // the three rounds of a four-image batch would all read the last one, and
 // softmax's exp and inverse rounds would be one ciphertext.
+//
+// The net tells that bug from noise by construction: image i is bright
+// in quadrant i only, the conv passes pixels through, and logit j sums
+// quadrant j of the first channel, so an image's logits are 63 at its
+// own index and its bias elsewhere — 126 apart in L1 from any other
+// image's, against a noise of a few units per logit. Each image must
+// land nearest its own plaintext logits. An image whose rounds read
+// another round's windows sums the wrong quadrants: with the last round
+// in every buffer, image 2's logits land nearest image 1's.
 func TestEqualLevelsOwnResults(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := fullLevelEngine(t)
-	net := &qnn.QNetwork{
-		Name: "equal-levels", InC: 1, InH: 6, InW: 6, WBits: 2, ABits: 4, InScale: 1,
-		Blocks: []qnn.QBlock{qnn.QSeq{
-			tinyConv(coeffenc.ConvShape{H: 6, W: 6, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16, 81),
-			tinyConv(coeffenc.FCShape(2*6*6, 4), qnn.ActNone, 1.0/2, 82),
-		}},
-	}
+	net := quadrantNet()
 	xs := make([]*qnn.IntTensor, 4)
+	plain := make([][]int64, len(xs))
 	for i := range xs {
-		xs[i] = randInput(1, 6, 6, 7, uint64(91+i))
+		xs[i] = qnn.NewIntTensor(1, 6, 6)
+		for y := range 3 {
+			for x := range 3 {
+				xs[i].Data[(i/2*3+y)*6+i%2*3+x] = 7
+			}
+		}
+		plain[i] = net.ForwardInt(xs[i]).Data
 	}
 	got, err := e.InferBatch(net, xs)
 	if err != nil {
@@ -122,8 +132,22 @@ func TestEqualLevelsOwnResults(t *testing.T) {
 	if e.Stats.Packs < 3 {
 		t.Fatalf("%d packs, want at least the dense layer's 3 rounds", e.Stats.Packs)
 	}
+	l1 := func(a, b []int64) (d int64) {
+		for i := range a {
+			d += max(a[i]-b[i], b[i]-a[i])
+		}
+		return d
+	}
 	for i := range got {
-		compareLogits(t, got[i], net.ForwardInt(xs[i]).Data, 2)
+		nearest := 0
+		for j := range plain {
+			if l1(got[i], plain[j]) < l1(got[i], plain[nearest]) {
+				nearest = j
+			}
+		}
+		if nearest != i {
+			t.Fatalf("image %d: encrypted logits %v lie nearest image %d's %v, not its own %v", i, got[i], nearest, plain[nearest], plain[i])
+		}
 	}
 
 	cfg := e.DefaultSoftmaxConfig(4)
@@ -137,5 +161,35 @@ func TestEqualLevelsOwnResults(t *testing.T) {
 		if d := probs[i] - want[i]; d < -0.25 || d > 0.25 {
 			t.Fatalf("class %d: encrypted %.3f vs plaintext %.3f\ngot:  %v\nwant: %v", i, probs[i], want[i], probs, want)
 		}
+	}
+}
+
+// quadrantNet is a 6×6 conv of two channels that passes each pixel
+// through (a centre tap of 1), then a dense layer whose logit j sums
+// quadrant j of the first channel, with logits of 8 bits.
+func quadrantNet() *qnn.QNetwork {
+	conv := tinyConv(coeffenc.ConvShape{H: 6, W: 6, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1, 81)
+	for co := range conv.Weights {
+		for _, row := range conv.Weights[co][0] {
+			clear(row)
+		}
+		conv.Weights[co][0][1][1] = 1
+		conv.Bias[co] = 0
+	}
+	fc := tinyConv(coeffenc.FCShape(2*6*6, 4), qnn.ActNone, 1, 82)
+	fc.ActBits = 8
+	for j := range fc.Weights {
+		for c := range fc.Weights[j] {
+			y, x := c/6, c%6
+			if c < 36 && y/3*2+x/3 == j {
+				fc.Weights[j][c][0][0] = 1
+			} else {
+				fc.Weights[j][c][0][0] = 0
+			}
+		}
+	}
+	return &qnn.QNetwork{
+		Name: "equal-levels", InC: 1, InH: 6, InW: 6, WBits: 2, ABits: 4, InScale: 1,
+		Blocks: []qnn.QBlock{qnn.QSeq{conv, fc}},
 	}
 }

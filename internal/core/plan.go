@@ -46,8 +46,9 @@ type plan struct {
 	// are read at ctxF's level.
 	galois []keyUse
 
-	// ksk is the shape every uploaded N→n keyswitch key must have.
-	ksk lwe.KeySwitchShape
+	// ks is Step ③'s switch plan: the shape every N→n keyswitch key has,
+	// and the NTT at the prime its products are exact at.
+	ks *lwe.SwitchPlan
 
 	tMod ring.Modulus // cached Barrett constants for the LWE arithmetic
 
@@ -112,13 +113,14 @@ func newPlan(p Params) (*plan, error) {
 	if p.LWEDim > ctx.N/2 || (ctx.N/2)%p.LWEDim != 0 {
 		return nil, fmt.Errorf("core: LWE dimension %d must divide N/2=%d", p.LWEDim, ctx.N/2)
 	}
-	if err := lwe.CheckBase(p.QMid(), p.KSBase); err != nil {
+	ks, err := lwe.NewSwitchPlan(p.LogN, p.LWEDim, p.QMid(), p.KSBase)
+	if err != nil {
 		return nil, fmt.Errorf("core: keyswitch base: %w", err)
 	}
 	pl := &plan{
 		params: p,
 		Ctx:    ctx,
-		ksk:    lwe.KeySwitchShape{NIn: ctx.N, NOut: p.LWEDim, Q: p.QMid(), Digits: lwe.Digits(p.QMid(), p.KSBase)},
+		ks:     ks,
 		tMod:   ring.NewModulus(p.T),
 		luts:   map[[sha256.Size]byte]*fbs.Evaluator{},
 	}

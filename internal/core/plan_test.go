@@ -19,10 +19,12 @@ import (
 // TestEvalKeysBytesPinned: the bundle a TestParams client uploads hashes
 // to the checked-in digest. Session IDs are the SHA-256 of these bytes
 // and stored objects are named by them, so the digest is a strict pin,
-// moved only with a reason. It last moved when every key was cut to the
-// level that reads it; the full-chain bundles written before still
-// decode and evaluate identically (TestFullChainBundleStillLoads), so no
-// acked session is stranded.
+// moved only with a reason. It last moved when Step ③'s keyswitch key
+// became the ring-level key (bundle version 2, 610 848 bytes): a bundle
+// of version 1 holds the per-value matrix key, is refused with a
+// *BundleVersionError, and its session uploads its keys again. Within a
+// version, the full-chain layout still decodes and evaluates identically
+// (TestFullChainBundleStillLoads).
 func TestEvalKeysBytesPinned(t *testing.T) {
 	e := testEngine(t)
 	var buf bytes.Buffer
@@ -41,8 +43,9 @@ func TestEvalKeysBytesPinned(t *testing.T) {
 
 // fullChainDigest is the SHA-256 of the TestParams bundle in the layout
 // written before keys were cut to their level of use: every switching
-// key and packing baby over the full chain, 2 086 112 bytes.
-const fullChainDigest = "660dc443f2e19f1f70ea12704beff48105bb7411924c0d72a4659ce37c663722"
+// key and packing baby over the full chain, 1 990 880 bytes at version 2
+// (2 086 112 at version 1, with the per-value matrix key).
+const fullChainDigest = "6744cf8ba428e02a448937b218a95fff4f497e051a1d39b72bbd7d27ee6f3f7f"
 
 // TestFullChainBundleStillLoads writes the full-chain layout from the
 // keys as generated, proves it is the old bytes by their digest, and
@@ -114,8 +117,9 @@ func TestFullChainBundleStillLoads(t *testing.T) {
 }
 
 // TestEvalKeysSize bounds the TestParams bundle (2 086 112 bytes when
-// every key travelled over the full chain) and logs its bytes per
-// component.
+// every key travelled over the full chain, 706 080 with the per-value
+// keyswitch matrix, 610 848 with the ring-level key) and logs its bytes
+// per component.
 func TestEvalKeysSize(t *testing.T) {
 	e := testEngine(t)
 	ek, err := e.EvalKeys()
@@ -145,7 +149,7 @@ func TestEvalKeysSize(t *testing.T) {
 	for _, ct := range ek.PackKeys {
 		babies += size(func(w io.Writer) error { return e.Ctx.WriteCiphertext(ct, w) })
 	}
-	ksk := size(func(w io.Writer) error { return lwe.WriteKeySwitchKey(ek.KSK, w) })
+	ksk := size(func(w io.Writer) error { return lwe.WriteKey(ek.KSK, w) })
 	total := size(e.WriteEvalKeys)
 	fbsL, postL := e.ctxF.Level(), e.ctxP.Level()
 	t.Logf("eval-keys bytes: total %d | relinearization (level %d) %d | %d galois at FBS level %d: %d | %d galois at post level %d: %d | %d packing babies (level %d) %d | LWE keyswitch key %d",
@@ -156,8 +160,8 @@ func TestEvalKeysSize(t *testing.T) {
 	if n := bfv.KeySetWireSize(ek.KeySet); n != int64(keySet(ek.KeySet)) {
 		t.Errorf("KeySetWireSize %d, key set written is %d bytes", n, keySet(ek.KeySet))
 	}
-	if total > 720_000 {
-		t.Errorf("TestParams bundle is %d bytes, want ≤ 720 000", total)
+	if total > 620_000 {
+		t.Errorf("TestParams bundle is %d bytes, want ≤ 620 000", total)
 	}
 }
 

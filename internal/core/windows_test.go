@@ -241,7 +241,8 @@ func benchTinyNet() *qnn.QNetwork {
 // bootstraps 72 of 128 slots twice (two windows of 64, then three of 32;
 // one call per input batch made that 5 calls at 14.4 of 128 on average),
 // and DigitNet14's dense layer 196 of 512 in one call (its four windows
-// of 51 slots took 4 calls at 49 of 512).
+// of 51 slots took 4 calls at 49 of 512). Its conv's 196 values are
+// extracted from 2 result ciphertexts, one ring switch each.
 func TestSlotFill(t *testing.T) {
 	e := testEngine(t)
 	if _, err := e.Infer(benchTinyNet(), randInput(1, 6, 6, 7, 404)); err != nil {
@@ -276,8 +277,8 @@ func TestSlotFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareLogits(t, got, net.ForwardInt(x).Data, 1)
-	if st := e.Stats; st.FBSCalls != 1 || st.FBSInputs != 196 || st.Packs != 1 || st.S2CCalls != 4 || st.KeySwitches != 196 {
-		t.Fatalf("DigitNet14 shape: %d LUT inputs in %d calls (%d packs, %d S2C, %d keyswitches), want 196 of %d in one and 4 S2C",
-			st.FBSInputs, st.FBSCalls, st.Packs, st.S2CCalls, st.KeySwitches, e.Ctx.N)
+	if st := e.Stats; st.FBSCalls != 1 || st.FBSInputs != 196 || st.Packs != 1 || st.S2CCalls != 4 || st.Extractions != 196 || st.KeySwitches != 2 {
+		t.Fatalf("DigitNet14 shape: %d LUT inputs in %d calls (%d packs, %d S2C, %d values from %d keyswitches), want 196 of %d in one, 4 S2C and 196 values from 2",
+			st.FBSInputs, st.FBSCalls, st.Packs, st.S2CCalls, st.Extractions, st.KeySwitches, e.Ctx.N)
 	}
 }

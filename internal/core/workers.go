@@ -11,8 +11,8 @@ import (
 // evalWorker bundles the single-goroutine state one evaluation thread
 // needs to run any stage of the five-step pipeline: an evaluator (its
 // scratch arena makes it single-caller), an encoder, packer, FBS and S2C
-// staging, the ciphertexts a round and a window pass through, a
-// dimension-switch handle, and local operation counters. The
+// staging, the ciphertexts a round and a window pass through, the
+// staging of Steps ② and ③, and local operation counters. The
 // engine owns one top-level worker (w0, wrapping the engine's own
 // evaluator) plus a pool of ShallowCopy'd lanes that the operator-level
 // fan-outs run on.
@@ -28,8 +28,12 @@ type evalWorker struct {
 	// window a masked window at the post level through S2C; both are
 	// built on first use.
 	round, window *bfv.Ciphertext
-	sw            *lwe.Switcher
-	table         []byte // a LUT's words, hashed into its key (lut)
+	// rescale stages ModDown and Step ②'s modulus switch; sw holds the
+	// qMid pair Step ② writes and Step ③'s ring switch, built on the
+	// worker's first extract.
+	rescale bfv.RescaleScratch
+	sw      *lwe.Switcher
+	table   []byte // a LUT's words, hashed into its key (lut)
 
 	// stats accumulates this worker's operation counts; flushStats folds
 	// them into Engine.Stats at the end of every public entry point.
@@ -49,7 +53,6 @@ func (e *Engine) newWorker(ev, evP *bfv.Evaluator, codP *bfv.Encoder, canFork bo
 		codP:    codP,
 		packSc:  e.packer.NewScratch(),
 		fbsSc:   fbs.NewScratch(),
-		sw:      e.ksk.NewSwitcher(),
 		canFork: canFork,
 	}
 }

@@ -7,52 +7,66 @@ import (
 	"athena/internal/ring"
 )
 
-// KeySwitchKey switches LWE ciphertexts from the secret skIn (dimension
-// NIn, the ring degree after sample extraction) to skOut (dimension
-// NOut). This realizes the paper's N -> n degree switch (Section 3.2.2,
-// using keyswitching) on extracted samples.
-//
-// M is one row-major matrix of NIn·Digits rows of NOut+1 words: row
-// (j, d) holds the mask A and then the body B of an encryption of
-// skIn[j]·Base^d under skOut. That is also the wire order.
-type KeySwitchKey struct {
-	KeySwitchShape
-	Base uint64
-	M    []uint64
+// Step ③ runs in the paper's order: one ring-level N → n switch per
+// ciphertext, then a strided gather per value (Chen, Dai, Kim and Song,
+// "Efficient homomorphic conversion between (ring) LWE ciphertexts",
+// eprint 2020/015, as used by Pegasus). The LWE secret z is embedded in
+// the ring as s′(X) = z(X^{N/n}); coefficient i of a ring ciphertext
+// under s′ is then an n-dimensional LWE ciphertext under z, whose mask
+// word k is the mask's coefficient (i − k·N/n) mod N, negated where the
+// index wraps.
+
+// prime is the NTT prime P the digit × key products are taken at: they
+// are exact over the integers while 2·N·Digits·(Base − 1)·(Q − 1) < P,
+// so the centred lift mod P is the integer sum, reduced mod Q
+// afterwards. P = 1 048 570·2^40 + 1 is the largest 60-bit prime
+// ≡ 1 (mod 2^40): it serves every ring degree, and P − 1 factors at
+// once, so its NTT's root of unity costs no search.
+const prime = 0xffffa0000000001
+
+// SwitchPlan is the key-independent half of the switch: the ring degree
+// N, the LWE dimension, the modulus Q and its base-Base decomposition,
+// and the negacyclic NTT at P. It is built once per parameter set and
+// only read afterwards, so any number of keys and Switchers may share it.
+type SwitchPlan struct {
+	N, Dim, Digits int
+	Q, Base        uint64
+
+	qm  ring.Modulus
+	ntt *ring.NTTTable // at P
 }
 
-// NewKeySwitchKey generates the switching material at modulus q with the
-// given decomposition base, which CheckBase must accept.
-func NewKeySwitchKey(skIn, skOut *SecretKey, q, base uint64, sigma float64, seed uint64) *KeySwitchKey {
-	if err := CheckBase(q, base); err != nil {
-		panic(err.Error())
+// NewSwitchPlan checks that the switch from degree 2^logN to dimension
+// dim at modulus q is exact for the decomposition base — a power of two
+// with 2·N·digits·(base − 1)·(q − 1) < P — and builds its NTT.
+func NewSwitchPlan(logN, dim int, q, base uint64) (*SwitchPlan, error) {
+	if base < 2 || base&(base-1) != 0 {
+		return nil, fmt.Errorf("lwe: keyswitch base %d is not a power of two at least 2", base)
 	}
-	digits := Digits(q, base)
-	m := ring.NewModulus(q)
-	smp := newStream(seed)
-	k := &KeySwitchKey{
-		KeySwitchShape: KeySwitchShape{NIn: len(skIn.S), NOut: len(skOut.S), Digits: digits, Q: q},
-		Base:           base,
+	qm, err := ring.TryNewModulus(q)
+	if err != nil {
+		return nil, fmt.Errorf("lwe: keyswitch modulus: %w", err)
 	}
-	k.M = make([]uint64, 0, k.words())
-	for _, sj := range skIn.S {
-		pw := uint64(1)
-		for d := 0; d < digits; d++ {
-			msg := m.Mul(m.ReduceInt64(sj), pw)
-			ct := Encrypt(skOut, msg, q, sigma, smp)
-			k.M = append(append(k.M, ct.A...), ct.B)
-			pw = m.Mul(pw, base)
-		}
+	if logN < 1 || logN > 17 {
+		return nil, fmt.Errorf("lwe: ring degree 2^%d out of range [2, 2^17]", logN)
 	}
-	return k
+	n := 1 << logN
+	if dim < 1 || n%dim != 0 {
+		return nil, fmt.Errorf("lwe: LWE dimension %d does not divide the ring degree %d", dim, n)
+	}
+	sp := &SwitchPlan{N: n, Dim: dim, Digits: digitCount(q, base), Q: q, Base: base, qm: qm}
+	over, span := bits.Mul64(uint64(2*n*sp.Digits), base-1)
+	hi, lo := bits.Mul64(span, q-1)
+	if over != 0 || hi != 0 || lo >= prime {
+		return nil, fmt.Errorf("lwe: keyswitch base %d at modulus %d: 2·N·digits·(base−1)·(q−1) is not below the prime %d", base, q, uint64(prime))
+	}
+	sp.ntt = ring.NewNTTTable(prime, logN)
+	return sp, nil
 }
 
-// words is the length of the key matrix of shape s.
-func (s KeySwitchShape) words() int { return s.NIn * s.Digits * (s.NOut + 1) }
-
-// Digits returns the digit count of a base-base decomposition of residues
-// mod q (base ≥ 2): the number of components per input coefficient.
-func Digits(q, base uint64) int {
+// digitCount returns the digit count of a base-base decomposition of
+// residues mod q (base ≥ 2): the number of key pairs.
+func digitCount(q, base uint64) int {
 	digits := 0
 	for pw := uint64(1); pw < q; {
 		digits++
@@ -65,119 +79,153 @@ func Digits(q, base uint64) int {
 	return digits
 }
 
-// CheckBase reports whether the switching kernel is exact for the
-// decomposition base at modulus q. Digits are taken by shift and mask,
-// so base must be a power of two; and a reduced accumulator plus one
-// digit × key-word product must fit a word, so (base−1)(q−1) + q ≤ 2^64.
-func CheckBase(q, base uint64) error {
-	if base < 2 || base&(base-1) != 0 {
-		return fmt.Errorf("lwe: decomposition base %d is not a power of two at least 2", base)
-	}
-	if q < 2 {
-		return fmt.Errorf("lwe: keyswitch modulus %d too small", q)
-	}
-	hi, lo := bits.Mul64(base-1, q-1)
-	if _, carry := bits.Add64(lo, q-1, 0); hi != 0 || carry != 0 {
-		return fmt.Errorf("lwe: decomposition base %d at modulus %d overflows a 64-bit accumulator", base, q)
-	}
-	return nil
+// KeySwitchKey switches a ring ciphertext at Q from the ring secret s to
+// s′. Digit d is the pair (B_d, A_d) with B_d + A_d·s′ = Base^d·s + e_d
+// (mod Q). One allocation holds the pairs as they travel (mod Q, B_d
+// then A_d by digit: the wire order), then their NTT images at P, then
+// those images' Shoup companions.
+type KeySwitchKey struct {
+	*SwitchPlan
+	w []uint64
 }
 
-// Tile is the number of values SwitchExtract switches in one pass over
-// the key matrix: each key row comes from memory once per tile, and the
-// tile's values reuse it from cache.
-const Tile = 4
+// words is the length of one of the key's three forms.
+func (sp *SwitchPlan) words() int { return 2 * sp.Digits * sp.N }
 
-// Switcher applies a KeySwitchKey. It caches the Barrett constants and
-// the fold interval of the key's modulus and owns the kernel's
-// accumulators, so it is single-goroutine state: each worker of a
-// parallel extraction holds its own. The key itself is only read, so any
-// number of Switchers over one key may run concurrently.
-type Switcher struct {
-	k *KeySwitchKey
-	m ring.Modulus
-
-	// fold is how many key rows the accumulators take between two
-	// reductions: ⌊(2^64 − q) / ((base − 1)(q − 1))⌋, at least 1 by
-	// CheckBase.
-	fold uint64
-
-	acc []uint64 // Tile·(NOut+1) unreduced accumulators
-	rev []uint64 // SwitchInto's input mask, reduced and reversed
+func (sp *SwitchPlan) newKey() *KeySwitchKey {
+	return &KeySwitchKey{SwitchPlan: sp, w: make([]uint64, 3*sp.words())}
 }
 
-// NewSwitcher returns a reusable dimension-switch worker over k.
-func (k *KeySwitchKey) NewSwitcher() *Switcher {
-	_, step := bits.Mul64(k.Base-1, k.Q-1)
-	fold, _ := bits.Div64(0, -k.Q, step)
-	return &Switcher{
-		k:    k,
-		m:    ring.NewModulus(k.Q),
-		fold: fold,
-		acc:  make([]uint64, Tile*(k.NOut+1)),
+// NewKey generates the key from s (the ring secret's coefficients) to the
+// embedding of z, with Gaussian errors of width sigma.
+func (sp *SwitchPlan) NewKey(s, z *SecretKey, sigma float64, seed uint64) *KeySwitchKey {
+	if len(s.S) != sp.N || len(z.S) != sp.Dim {
+		panic(fmt.Sprintf("lwe: keyswitch secrets of dimensions %d and %d, plan switches %d → %d", len(s.S), len(z.S), sp.N, sp.Dim))
+	}
+	k := sp.newKey()
+	smp := newStream(seed)
+	sz := make([]uint64, sp.N) // s′ in the NTT domain at P
+	for i, v := range z.S {
+		sz[i*(sp.N/sp.Dim)] = sp.ntt.M.ReduceInt64(v)
+	}
+	sp.ntt.Forward(sz)
+	pw := uint64(1)
+	for d := 0; d < sp.Digits; d++ {
+		sp.encryptPair(k.w[2*d*sp.N:(2*d+2)*sp.N], s.S, pw, sz, sigma, smp)
+		pw = sp.qm.Mul(pw, sp.Base)
+	}
+	k.precompute()
+	return k
+}
+
+// encryptPair writes (B, A) into pair: A uniform mod Q and B = pw·s + e
+// − A·s′. A·s′ is exact at P (its coefficients are below Dim·Q < P/2),
+// so it costs two NTTs rather than an N·n loop.
+func (sp *SwitchPlan) encryptPair(pair []uint64, s []int64, pw uint64, sz []uint64, sigma float64, smp *Stream) {
+	b, a := pair[:sp.N], pair[sp.N:]
+	for i := range a {
+		a[i] = smp.Uint64N(sp.Q)
+	}
+	copy(b, a)
+	sp.ntt.Forward(b)
+	sp.ntt.M.MulVec(b, sz, b)
+	sp.ntt.Inverse(b)
+	m := sp.qm
+	for i, as := range b {
+		msg := m.Add(m.Mul(pw, m.ReduceInt64(s[i])), m.ReduceInt64(smp.Gaussian(sigma)))
+		b[i] = m.Sub(msg, sp.lift(as))
 	}
 }
 
-// Switch converts ct (under skIn, at the key's modulus) to a ciphertext
-// under skOut at the same modulus. It is SwitchInto with a fresh output,
-// and so the one-value call of the SwitchExtract kernel: the benchmark's
-// lwe.keyswitch_us probe prices the kernel through it.
-func (s *Switcher) Switch(ct Ciphertext) Ciphertext {
-	var out Ciphertext
-	s.SwitchInto(ct, &out)
-	return out
+// precompute derives the NTT images and their Shoup companions from the
+// wire form.
+func (k *KeySwitchKey) precompute() {
+	m := k.words()
+	copy(k.w[m:2*m], k.w[:m])
+	for i := m; i < 2*m; i += k.N {
+		k.ntt.Forward(k.w[i : i+k.N])
+	}
+	k.ntt.M.ShoupPrecompVec(k.w[m:2*m], k.w[2*m:])
 }
 
-// SwitchInto is Switch writing into a caller-provided ciphertext: out.A
-// is grown only when its capacity is below the output dimension, so a
-// ciphertext reused across calls is allocation-free after the first. An
-// LWE mask is the extraction of coefficient N−1 of the RLWE mask that
-// lists it backwards, so the kernel runs on ct.A reduced and reversed.
+// lift maps x mod P to its centred representative, reduced mod Q.
 //
 //lint:noalloc
-func (s *Switcher) SwitchInto(ct Ciphertext, out *Ciphertext) {
-	k := s.k
-	if ct.Q != k.Q {
-		panic(fmt.Sprintf("lwe: keyswitch modulus mismatch %d vs %d", ct.Q, k.Q))
+func (sp *SwitchPlan) lift(x uint64) uint64 {
+	if p := sp.ntt.M.Q; x > p/2 {
+		return sp.qm.Neg(sp.qm.Reduce(p - x))
 	}
-	if len(ct.A) != k.NIn {
-		panic(fmt.Sprintf("lwe: keyswitch dimension mismatch %d vs %d", len(ct.A), k.NIn))
-	}
-	if cap(s.rev) < k.NIn {
-		//lint:prealloc sized once to the input dimension, then reused by every call
-		s.rev = make([]uint64, k.NIn)
-	}
-	rev := s.rev[:k.NIn]
-	for j, a := range ct.A {
-		rev[k.NIn-1-j] = s.m.Reduce(a)
-	}
-	idx := [1]int{k.NIn - 1}
-	body := [Tile]uint64{s.m.Reduce(ct.B)}
-	one := [1]Ciphertext{*out}
-	s.tile(rev, idx[:], &body, k.Q, one[:])
-	*out = one[0]
+	return sp.qm.Reduce(x)
 }
 
-// SwitchExtract fuses Step ③ of the five-step loop for the coefficients
-// idx of rc, an RLWE ciphertext at the key's modulus whose mask words are
-// reduced, as SwitchModulus leaves them: out[i] becomes the
-// sample extraction of coefficient idx[i] (Algorithm 1), switched to
-// dimension NOut and then modulus-switched to q2 — bit for bit what
-// SampleExtract, Switch and ModSwitch give in turn. Each value reads its
-// negacyclic rotation of rc.A in place, takes its digits by shift and
-// mask, and accumulates digit × key-row products unreduced in words:
-// one Barrett reduction per output, plus one fold of every accumulator
-// each s.fold rows. Values go Tile at a time, sharing every key-row read.
-// out[i].A is grown only when its capacity is below NOut.
+// NewKeySwitchKey generates a key from skIn (dimension N, a power of two)
+// to skOut under a plan of its own. It serves the bench/ probe kit, until
+// its lwe.keyswitch_us probe moves; the engine generates through the
+// plan it builds once per parameter set.
+func NewKeySwitchKey(skIn, skOut *SecretKey, q, base uint64, sigma float64, seed uint64) *KeySwitchKey {
+	sp, err := NewSwitchPlan(bits.Len(uint(len(skIn.S)))-1, len(skOut.S), q, base)
+	if err != nil {
+		panic(err.Error())
+	}
+	return sp.NewKey(skIn, skOut, sigma, seed)
+}
+
+// Switcher is one worker's staging of Step ③: In, the ring ciphertext at
+// Q that Step ② writes, then one digit polynomial and the two
+// accumulators at P, all in one allocation. It is single-goroutine
+// state: each worker holds its own, over a key that is only read.
+type Switcher struct {
+	k               *KeySwitchKey
+	In              RLWE
+	dig, accA, accB []uint64
+}
+
+// NewSwitcher returns a switcher over k.
+func (k *KeySwitchKey) NewSwitcher() *Switcher {
+	n := k.N
+	w := make([]uint64, 5*n)
+	return &Switcher{
+		k:    k,
+		In:   RLWE{A: w[:n:n], B: w[n : 2*n : 2*n], Q: k.Q},
+		dig:  w[2*n : 3*n : 3*n],
+		accA: w[3*n : 4*n : 4*n],
+		accB: w[4*n:],
+	}
+}
+
+// Switch switches one LWE ciphertext of dimension N under s at the key's
+// modulus to dimension n under z at the same modulus. ct is the
+// extraction of coefficient N − 1 of the ring ciphertext whose mask lists
+// ct.A backwards, so this is one ring switch and one gather. It allocates
+// its result and serves only the bench/ probe kit's lwe.keyswitch_us.
+func (s *Switcher) Switch(ct Ciphertext) Ciphertext {
+	k := s.k
+	if ct.Q != k.Q || len(ct.A) != k.N {
+		panic(fmt.Sprintf("lwe: keyswitch of a dimension-%d ciphertext mod %d, key is %d mod %d", len(ct.A), ct.Q, k.N, k.Q))
+	}
+	clear(s.In.B)
+	for j, a := range ct.A {
+		s.In.A[k.N-1-j] = k.qm.Reduce(a)
+	}
+	s.In.B[k.N-1] = k.qm.Reduce(ct.B)
+	out := make([]Ciphertext, 1)
+	s.SwitchExtract(s.In, []int{k.N - 1}, k.Q, out)
+	return out[0]
+}
+
+// SwitchExtract is Step ③ on rc, a ring ciphertext under s at the key's
+// modulus with reduced words, as SwitchModulus leaves them: one switch to
+// s′ (Digits forward NTTs of rc.A's digit polynomials, 2·Digits Shoup
+// products and two inverse NTTs at P), one modulus switch of each
+// coefficient to q2 ≤ Q, then out[v] is coefficient idx[v] as an LWE
+// ciphertext under z, gathered by copy and negation. out[v].A is grown
+// only when its capacity is below n.
 //
 //lint:noalloc
 func (s *Switcher) SwitchExtract(rc RLWE, idx []int, q2 uint64, out []Ciphertext) {
 	k := s.k
-	if rc.Q != k.Q {
-		panic(fmt.Sprintf("lwe: keyswitch modulus mismatch %d vs %d", rc.Q, k.Q))
-	}
-	if len(rc.A) != k.NIn || len(rc.B) != k.NIn {
-		panic(fmt.Sprintf("lwe: keyswitch dimension mismatch %d vs %d", len(rc.A), k.NIn))
+	if rc.Q != k.Q || len(rc.A) != k.N || len(rc.B) != k.N {
+		panic(fmt.Sprintf("lwe: keyswitch of a degree-%d ciphertext mod %d, key is %d mod %d", len(rc.A), rc.Q, k.N, k.Q))
 	}
 	if len(out) != len(idx) {
 		panic(fmt.Sprintf("lwe: %d outputs for %d indices", len(out), len(idx)))
@@ -185,127 +233,67 @@ func (s *Switcher) SwitchExtract(rc RLWE, idx []int, q2 uint64, out []Ciphertext
 	if q2 > k.Q {
 		panic("lwe: modulus switch must go to a smaller modulus")
 	}
-	for lo := 0; lo < len(idx); lo += Tile {
-		hi := min(lo+Tile, len(idx))
-		var body [Tile]uint64
-		for v, i := range idx[lo:hi] {
-			if i < 0 || i >= k.NIn {
-				panic(fmt.Sprintf("lwe: extract index %d out of range", i))
-			}
-			body[v] = s.m.Reduce(rc.B[i])
-		}
-		s.tile(rc.A, idx[lo:hi], &body, q2, out[lo:hi])
-	}
-}
-
-// tile switches the len(idx) ≤ Tile values whose masks are the
-// negacyclic rotations of a (reduced, length NIn) at idx and whose
-// bodies are body, writing each at modulus q2 into out.
-//
-//lint:noalloc
-func (s *Switcher) tile(a []uint64, idx []int, body *[Tile]uint64, q2 uint64, out []Ciphertext) {
-	k := s.k
-	w := k.NOut + 1
-	acc := s.acc[:len(idx)*w]
-	for v := range idx {
-		clear(acc[v*w : v*w+k.NOut])
-		acc[v*w+k.NOut] = body[v]
-	}
-	shift := uint(bits.TrailingZeros64(k.Base))
-	mask := k.Base - 1
-	left := s.fold
-	var av [Tile]uint64
-	for j := 0; j < k.NIn; j++ {
-		// Coefficient j of the extraction at i is a[i−j] for j ≤ i and
-		// −a[N+i−j] past it (Algorithm 1).
-		for v, i := range idx {
-			if p := i - j; p >= 0 {
-				av[v] = a[p]
-			} else {
-				av[v] = s.m.Neg(a[p+k.NIn])
-			}
-		}
-		// Rows (j, 0..Digits−1) are contiguous and are taken two at a
-		// time, so each accumulator word is loaded and stored once per
-		// two products.
-		rows := k.M[j*k.Digits*w : (j+1)*k.Digits*w]
-		for d := 0; d < k.Digits; d++ {
-			if left == 0 {
-				for i, x := range acc {
-					acc[i] = s.m.Reduce(x)
-				}
-				left = s.fold
-			}
-			left--
-			row := rows[d*w : d*w+w]
-			sh := uint(d) * shift
-			if d+1 < k.Digits && left > 0 {
-				left--
-				d++
-				next := rows[d*w : d*w+w]
-				for v := range idx {
-					mulAdd2(acc[v*w:v*w+w], row, next, av[v]>>sh&mask, av[v]>>(sh+shift)&mask)
-				}
-				continue
-			}
-			for v := range idx {
-				mulAdd(acc[v*w:v*w+w], row, av[v]>>sh&mask)
-			}
+	for _, i := range idx {
+		if i < 0 || i >= k.N {
+			panic(fmt.Sprintf("lwe: extract index %d out of range", i))
 		}
 	}
-	for v := range idx {
+	s.switchRing(rc, q2)
+	step := k.N / k.Dim
+	for v, i := range idx {
 		o := &out[v]
-		if cap(o.A) < k.NOut {
+		if cap(o.A) < k.Dim {
 			//lint:prealloc sized once to the output dimension when the caller passes no buffer
-			o.A = make([]uint64, k.NOut)
+			o.A = make([]uint64, k.Dim)
 		}
-		o.A = o.A[:k.NOut]
-		src := acc[v*w : v*w+w]
-		for i, x := range src[:k.NOut] {
-			o.A[i] = s.finish(x, q2)
+		o.A = o.A[:k.Dim]
+		for j := range o.A {
+			if p := i - j*step; p >= 0 {
+				o.A[j] = s.accA[p]
+			} else if x := s.accA[p+k.N]; x != 0 {
+				o.A[j] = q2 - x
+			} else {
+				o.A[j] = 0
+			}
 		}
-		o.B = s.finish(src[k.NOut], q2)
-		o.Q = q2
+		o.B, o.Q = s.accB[i], q2
 	}
 }
 
-// finish reduces an accumulator and rescales it from the key's modulus
-// to q2 ≤ Q.
+// switchRing leaves the switch of rc in accA (mask) and accB (body),
+// each coefficient at q2.
 //
 //lint:noalloc
-func (s *Switcher) finish(x, q2 uint64) uint64 {
-	x = s.m.Reduce(x)
-	if q2 == s.k.Q {
+func (s *Switcher) switchRing(rc RLWE, q2 uint64) {
+	k := s.k
+	n, m := k.N, k.words()
+	pm := k.ntt.M
+	shift := uint(bits.TrailingZeros64(k.Base))
+	clear(s.accA)
+	clear(s.accB)
+	for d := 0; d < k.Digits; d++ {
+		for i, a := range rc.A {
+			s.dig[i] = a >> (uint(d) * shift) & (k.Base - 1)
+		}
+		k.ntt.Forward(s.dig)
+		b, a := m+2*d*n, m+(2*d+1)*n
+		pm.MulShoupElemAddVec(s.dig, k.w[b:b+n], k.w[m+b:m+b+n], s.accB)
+		pm.MulShoupElemAddVec(s.dig, k.w[a:a+n], k.w[m+a:m+a+n], s.accA)
+	}
+	k.ntt.Inverse(s.accA)
+	k.ntt.Inverse(s.accB)
+	for i := range s.accA {
+		s.accA[i] = k.rescale(k.lift(s.accA[i]), q2)
+		s.accB[i] = k.rescale(k.qm.Add(k.qm.Reduce(rc.B[i]), k.lift(s.accB[i])), q2)
+	}
+}
+
+// rescale switches x mod Q to q2 ≤ Q.
+//
+//lint:noalloc
+func (sp *SwitchPlan) rescale(x, q2 uint64) uint64 {
+	if q2 == sp.Q {
 		return x
 	}
-	return scaleReduced(x, s.k.Q, q2)
-}
-
-// mulAdd adds d·row to acc word by word, unreduced.
-//
-//lint:noalloc
-func mulAdd(acc, row []uint64, d uint64) {
-	acc = acc[:len(row)]
-	for i, x := range row {
-		acc[i] = mac(acc[i], d, x)
-	}
-}
-
-// mulAdd2 adds d·r0 + e·r1 to acc word by word, unreduced.
-//
-//lint:noalloc
-func mulAdd2(acc, r0, r1 []uint64, d, e uint64) {
-	acc, r1 = acc[:len(r0)], r1[:len(r0)]
-	for i, x := range r0 {
-		acc[i] = mac(mac(acc[i], d, x), e, r1[i])
-	}
-}
-
-// mac returns acc + d·x without reduction, for a digit d < base and a
-// key word x < q: CheckBase bounds the product, and the kernel folds its
-// accumulators before a sum of products can wrap.
-//
-//lint:noalloc
-func mac(acc, d, x uint64) uint64 {
-	return acc + d*x //lint:allow modguard a digit times a key word is bounded by CheckBase, and the kernel folds before the sum wraps
+	return scaleReduced(x, sp.Q, q2)
 }

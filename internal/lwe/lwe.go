@@ -1,9 +1,9 @@
 // Package lwe implements the LWE side of the Athena framework's
-// ciphertext conversion (Steps ②-③ of the five-step loop): modulus
-// switching of RLWE ciphertexts down to a small modulus, sample
-// extraction of individual coefficients into LWE ciphertexts (Alg. 1 of
-// the paper), dimension switching from the ring degree N down to the LWE
-// dimension n, and LWE modulus switching.
+// ciphertext conversion (Steps ②-③ of the five-step loop): the switch
+// from the ring degree N down to the LWE dimension n, made once per RLWE
+// ciphertext before extraction, sample extraction of individual
+// coefficients into LWE ciphertexts (Alg. 1 of the paper), and LWE
+// modulus switching.
 //
 // All LWE ciphertexts here live under a single word-sized modulus; the
 // phase convention is b + <a, s> = m + e (mod q).

@@ -187,30 +187,31 @@ func TestFullConversionBridge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Step ③: sample extract at qMid. LWE secret = RLWE secret coeffs.
+	// Step ③: one switch to the embedding of a dimension-64 key, the
+	// modulus switch to t, and extraction of a spread of indices. The
+	// phase right after Step ② is checked on the plain extraction under
+	// the ring secret (scale 2^12).
 	rlweSK := &SecretKey{S: sk.Signed}
-	cts := SampleExtract(RLWE{A: a, B: b, Q: qMid}, nil)
-
-	// Dimension switch N=512 -> n=64, then modulus switch to t.
+	rc := RLWE{A: a, B: b, Q: qMid}
 	lweSK := NewSecretKey(64, 14)
 	ksk := NewKeySwitchKey(rlweSK, lweSK, qMid, 1<<7, 3.2, 15)
+	var idx []int
+	for i := 0; i < ctx.N; i += 7 {
+		idx = append(idx, i)
+	}
+	plain := SampleExtract(rc, idx)
+	cts := make([]Ciphertext, len(idx))
+	ksk.NewSwitcher().SwitchExtract(rc, idx, tPt, cts)
 
 	tm := ring.NewModulus(tPt)
+	mm := ring.NewModulus(qMid)
 	maxErr := int64(0)
-	for i := 0; i < ctx.N; i += 7 { // sample a spread of indices
-		// Check the phase right after extraction (scale 2^12).
-		ph := rlweSK.Decrypt(cts[i])
-		mm := ring.NewModulus(qMid)
+	for v, i := range idx {
 		want := mm.ReduceInt64(vals[i] * (1 << 12))
-		d0 := mm.Centered(mm.Sub(ph, want))
-		if d0 > 1<<10 || d0 < -(1<<10) {
+		if d0 := mm.Centered(mm.Sub(rlweSK.Decrypt(plain[v]), want)); d0 > 1<<10 || d0 < -(1<<10) {
 			t.Fatalf("post-extract phase error %d too large at %d", d0, i)
 		}
-
-		sw := ksk.NewSwitcher().Switch(cts[i])
-		final := ModSwitch(sw, tPt)
-		phase := lweSK.Decrypt(final)
-		diff := tm.Centered(tm.Sub(phase, tm.ReduceInt64(vals[i])))
+		diff := tm.Centered(tm.Sub(lweSK.Decrypt(cts[v]), tm.ReduceInt64(vals[i])))
 		if diff < 0 {
 			diff = -diff
 		}
@@ -266,15 +267,18 @@ func TestKeySwitchKeySerialization(t *testing.T) {
 	k := NewKeySwitchKey(skIn, skOut, q, 1<<6, 3.2, 75)
 
 	var buf bytes.Buffer
-	if err := WriteKeySwitchKey(k, &buf); err != nil {
+	if err := WriteKey(k, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadKeySwitchKey(&buf, k.Shape())
+	if int64(buf.Len()) != k.WireSize() {
+		t.Fatalf("key wrote %d bytes, WireSize says %d", buf.Len(), k.WireSize())
+	}
+	back, err := k.ReadKey(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Q != k.Q || back.Base != k.Base || back.Digits != k.Digits {
-		t.Fatal("keyswitch header changed")
+	if !slices.Equal(back.w, k.w) {
+		t.Fatal("the decoded key's wire, NTT or Shoup form differs")
 	}
 	// The deserialized key must switch correctly.
 	smp := NewStream(76)
@@ -287,9 +291,9 @@ func TestKeySwitchKeySerialization(t *testing.T) {
 	}
 }
 
-// TestSwitcherMatchesSwitch checks Switcher.Switch against the per-term
-// reference switch, including when several Switchers over the same key
-// run concurrently (the parallel extraction shape).
+// TestSwitcherMatchesSwitch checks Switcher.Switch against the reference
+// switch by schoolbook products, with several Switchers over one key
+// running concurrently (the shape of the engine's lanes).
 func TestSwitcherMatchesSwitch(t *testing.T) {
 	skIn := NewSecretKey(64, 81)
 	skOut := NewSecretKey(16, 82)
@@ -302,7 +306,14 @@ func TestSwitcherMatchesSwitch(t *testing.T) {
 	want := make([]Ciphertext, n)
 	for i := range cts {
 		cts[i] = Encrypt(skIn, uint64(i)*(q/65537), q, 3.2, smp)
-		want[i] = switchOracle(k, cts[i])
+		// ct is the extraction of coefficient N − 1 of the ring
+		// ciphertext whose mask lists ct.A backwards.
+		rc := RLWE{A: make([]uint64, k.N), B: make([]uint64, k.N), Q: q}
+		for j, a := range cts[i].A {
+			rc.A[k.N-1-j] = a
+		}
+		rc.B[k.N-1] = cts[i].B
+		want[i] = extractOracle(k, rc, []int{k.N - 1}, q)[0]
 	}
 
 	got := make([]Ciphertext, n)

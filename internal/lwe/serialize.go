@@ -12,6 +12,10 @@ const (
 	magicLWE = 0x414c5731 // "ALW1"
 	magicKSK = 0x414b4b31 // "AKK1"
 	wireVer  = 1
+
+	// keyWireVer is the keyswitch key's version: 2 since the key is the
+	// ring key's pairs (1 was the per-value matrix).
+	keyWireVer = 2
 )
 
 // WriteCiphertext serializes one LWE ciphertext.
@@ -73,43 +77,28 @@ func readRow(wr *ring.WordReader, ct *Ciphertext) error {
 	return nil
 }
 
-// WriteKeySwitchKey serializes the N→n switching material (the largest
-// public object of the conversion pipeline): the header, then the key
-// matrix as it lies in memory.
-func WriteKeySwitchKey(k *KeySwitchKey, w io.Writer) error {
-	if len(k.M) != k.words() {
-		return fmt.Errorf("lwe: keyswitch matrix of %d words, shape %+v needs %d", len(k.M), k.KeySwitchShape, k.words())
-	}
+// WriteKey serializes k: a header of seven words (magic, version, Q,
+// base, digits, N, n), then the pairs in their wire order.
+func WriteKey(k *KeySwitchKey, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if err := ring.WriteWords(bw, magicKSK, wireVer, k.Q, k.Base, uint64(k.Digits), uint64(k.NIn), uint64(k.NOut)); err != nil {
+	if err := ring.WriteWords(bw, magicKSK, keyWireVer, k.Q, k.Base, uint64(k.Digits), uint64(k.N), uint64(k.Dim)); err != nil {
 		return err
 	}
-	if err := ring.WriteWords(bw, k.M...); err != nil {
+	if err := ring.WriteWords(bw, k.w[:k.words()]...); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// WireSize returns the length in bytes of WriteKeySwitchKey's encoding
-// of k: seven header words and the matrix.
-func (k *KeySwitchKey) WireSize() int64 { return 8 * int64(7+len(k.M)) }
+// WireSize returns the length in bytes of WriteKey's encoding of k.
+func (k *KeySwitchKey) WireSize() int64 { return 8 * int64(7+k.words()) }
 
-// KeySwitchShape is what a reader expects of a keyswitch key: the input
-// and output dimensions, the modulus and the digit count.
-type KeySwitchShape struct {
-	NIn, NOut, Digits int
-	Q                 uint64
-}
-
-// Shape returns k's dimensions.
-func (k *KeySwitchKey) Shape() KeySwitchShape { return k.KeySwitchShape }
-
-// ReadKeySwitchKey deserializes switching material of shape want. The
-// header must match want, and its base pass CheckBase, before anything
-// is allocated, so a short upload claiming a huge key costs the reader
-// nothing. The matrix is then one allocation of want's size, filled
-// row by row so the word reader stages one row at a time.
-func ReadKeySwitchKey(r io.Reader, want KeySwitchShape) (*KeySwitchKey, error) {
+// ReadKey deserializes a key for the plan. The header must be the plan's
+// before anything is allocated, so a short upload claiming a huge key
+// costs the reader nothing; version 1, the per-value matrix key written
+// before the switch moved to the ring, is refused. The key is then one
+// allocation, filled a polynomial at a time.
+func (sp *SwitchPlan) ReadKey(r io.Reader) (*KeySwitchKey, error) {
 	wr := ring.WordReader{R: bufio.NewReader(r)}
 	var hdr [7]uint64
 	if err := wr.Words(hdr[:]); err != nil {
@@ -118,26 +107,19 @@ func ReadKeySwitchKey(r io.Reader, want KeySwitchShape) (*KeySwitchKey, error) {
 	if hdr[0] != magicKSK {
 		return nil, fmt.Errorf("lwe: bad magic %#x", hdr[0])
 	}
-	if hdr[1] != wireVer {
-		return nil, fmt.Errorf("lwe: unsupported version %d", hdr[1])
+	if hdr[1] != keyWireVer {
+		return nil, fmt.Errorf("lwe: unsupported keyswitch key version %d", hdr[1])
 	}
-	q, base, digits, nIn, nOut := hdr[2], hdr[3], hdr[4], hdr[5], hdr[6]
-	if q != want.Q || digits != uint64(want.Digits) || nIn != uint64(want.NIn) || nOut != uint64(want.NOut) {
-		return nil, fmt.Errorf("lwe: keyswitch key q=%d digits=%d %d→%d, want q=%d digits=%d %d→%d",
-			q, digits, nIn, nOut, want.Q, want.Digits, want.NIn, want.NOut)
+	if want := [5]uint64{sp.Q, sp.Base, uint64(sp.Digits), uint64(sp.N), uint64(sp.Dim)}; [5]uint64(hdr[2:]) != want {
+		return nil, fmt.Errorf("lwe: keyswitch key q=%d base=%d digits=%d %d→%d, want q=%d base=%d digits=%d %d→%d",
+			hdr[2], hdr[3], hdr[4], hdr[5], hdr[6], sp.Q, sp.Base, sp.Digits, sp.N, sp.Dim)
 	}
-	if _, err := ring.TryNewModulus(q); err != nil {
-		return nil, fmt.Errorf("lwe: wire modulus rejected: %w", err)
-	}
-	if err := CheckBase(q, base); err != nil {
-		return nil, fmt.Errorf("lwe: wire base rejected: %w", err)
-	}
-	k := &KeySwitchKey{KeySwitchShape: want, Base: base, M: make([]uint64, want.words())}
-	w := want.NOut + 1
-	for row := 0; row < want.NIn*want.Digits; row++ {
-		if err := wr.WordsBelow(k.M[row*w:(row+1)*w], q); err != nil {
-			return nil, fmt.Errorf("lwe: keyswitch row %d digit %d: %w", row/want.Digits, row%want.Digits, err)
+	k := sp.newKey()
+	for i := 0; i < k.words(); i += sp.N {
+		if err := wr.WordsBelow(k.w[i:i+sp.N], sp.Q); err != nil {
+			return nil, fmt.Errorf("lwe: keyswitch key digit %d: %w", i/(2*sp.N), err)
 		}
 	}
+	k.precompute()
 	return k, nil
 }

@@ -43,23 +43,23 @@ func TestLWECiphertextRoundTrip(t *testing.T) {
 }
 
 func TestKeySwitchKeyRoundTrip(t *testing.T) {
-	skIn := NewSecretKey(8, 21)
-	skOut := NewSecretKey(4, 22)
-	k := NewKeySwitchKey(skIn, skOut, wireTestQ, 256, wireTestSigma, 23)
+	k := wireTestKey()
 	var buf bytes.Buffer
-	if err := WriteKeySwitchKey(k, &buf); err != nil {
+	if err := WriteKey(k, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadKeySwitchKey(&buf, k.Shape())
+	back, err := k.ReadKey(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Shape() != k.Shape() || back.Base != k.Base {
-		t.Fatal("keyswitch key header changed in round trip")
+	if back.SwitchPlan != k.SwitchPlan || !slices.Equal(back.w, k.w) {
+		t.Fatal("keyswitch key changed in round trip")
 	}
-	if !slices.Equal(back.M, k.M) {
-		t.Fatal("keyswitch matrix changed in round trip")
-	}
+}
+
+// wireTestKey is a key of the smallest ring, N = 4 → n = 2, at wireTestQ.
+func wireTestKey() *KeySwitchKey {
+	return NewKeySwitchKey(NewSecretKey(4, 31), NewSecretKey(2, 32), wireTestQ, 16, wireTestSigma, 33)
 }
 
 // checkInvariants asserts the decode-time guarantees: a successfully
@@ -131,11 +131,9 @@ func TestLWEWireRejectsOutOfRange(t *testing.T) {
 }
 
 func TestKeySwitchKeyWireRejectsBadHeader(t *testing.T) {
-	skIn := NewSecretKey(4, 31)
-	skOut := NewSecretKey(2, 32)
-	k := NewKeySwitchKey(skIn, skOut, wireTestQ, 16, wireTestSigma, 33)
+	k := wireTestKey()
 	var buf bytes.Buffer
-	if err := WriteKeySwitchKey(k, &buf); err != nil {
+	if err := WriteKey(k, &buf); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
@@ -144,54 +142,60 @@ func TestKeySwitchKeyWireRejectsBadHeader(t *testing.T) {
 		binary.LittleEndian.PutUint64(mut[off:], v)
 		return mut
 	}
-	// Offsets: magic 0, version 8, q 16, base 24, digits 32, nIn 40, nOut 48.
+	// Offsets: magic 0, version 8, q 16, base 24, digits 32, N 40, n 48.
 	cases := map[string][]byte{
-		"zero modulus":    patch(16, 0),
-		"base below two":  patch(24, 1),
-		"zero digits":     patch(32, 0),
-		"huge digits":     patch(32, 65),
-		"huge dimensions": patch(40, 1<<21),
-		"other modulus":   patch(16, wireTestQ+2),
-		"other input dim": patch(40, 8),
-		"other output":    patch(48, 3),
-		"inflated header": inflatedKSKHeader(k),
+		"matrix key version": patch(8, 1),
+		"zero modulus":       patch(16, 0),
+		"base below two":     patch(24, 1),
+		"zero digits":        patch(32, 0),
+		"huge digits":        patch(32, 65),
+		"huge dimensions":    patch(40, 1<<21),
+		"other modulus":      patch(16, wireTestQ+2),
+		"other ring degree":  patch(40, 8),
+		"other output":       patch(48, 1),
+		"coefficient ≥ q":    patch(56, wireTestQ),
+		"inflated header":    inflatedKSKHeader(k),
 	}
 	for name, mut := range cases {
-		if _, err := ReadKeySwitchKey(bytes.NewReader(mut), k.Shape()); err == nil {
+		if _, err := k.ReadKey(bytes.NewReader(mut)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
 }
 
 // inflatedKSKHeader is a bare 56-byte header that keeps k's modulus,
-// base and digits but claims 2^20 inputs and 2^20 outputs: a reader that
-// trusted it would allocate the row table and a first 8 MiB row before
+// base and digits but claims a ring of degree 2^20 and 2^20 outputs: a
+// reader that trusted it would allocate a 2^20-coefficient key before
 // meeting EOF.
 func inflatedKSKHeader(k *KeySwitchKey) []byte {
+	return keyHeader(k.Q, k.Base, uint64(k.Digits), 1<<20, 1<<20)
+}
+
+func keyHeader(q, base, digits, n, dim uint64) []byte {
 	var b []byte
-	for _, v := range []uint64{magicKSK, wireVer, k.Q, k.Base, uint64(k.Digits), 1 << 20, 1 << 20} {
+	for _, v := range []uint64{magicKSK, keyWireVer, q, base, digits, n, dim} {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	return b
 }
 
 // TestKeySwitchKeyHeaderCheckedBeforeAllocation: the reader compares the
-// header with the expected shape before it allocates, so the inflated
-// header costs the heap next to nothing, and a header of the right shape
-// with no payload costs one row.
+// header with the plan before it allocates, so the inflated header costs
+// the heap next to nothing, and a header of the right shape with no
+// payload costs one key.
 func TestKeySwitchKeyHeaderCheckedBeforeAllocation(t *testing.T) {
-	k := NewKeySwitchKey(NewSecretKey(4, 31), NewSecretKey(2, 32), wireTestQ, 16, wireTestSigma, 33)
+	k := wireTestKey()
 	var buf bytes.Buffer
-	if err := WriteKeySwitchKey(k, &buf); err != nil {
+	if err := WriteKey(k, &buf); err != nil {
 		t.Fatal(err)
 	}
 	for name, blob := range map[string][]byte{
-		"inflated header":     inflatedKSKHeader(k),
-		"header without rows": buf.Bytes()[:56],
+		"inflated header":       inflatedKSKHeader(k),
+		"header without a pair": buf.Bytes()[:56],
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ReadKeySwitchKey(bytes.NewReader(blob), k.Shape())
+		_, err := k.ReadKey(bytes.NewReader(blob))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("%s accepted", name)
@@ -202,37 +206,38 @@ func TestKeySwitchKeyHeaderCheckedBeforeAllocation(t *testing.T) {
 	}
 }
 
-// FuzzReadKeySwitchKey: arbitrary bytes against a fixed expected shape
-// must yield an error or a key of exactly that shape with every word
-// reduced — never a panic. testdata/fuzz holds the inflated header and
-// two headers of the right shape whose base CheckBase rejects.
+// FuzzReadKeySwitchKey: arbitrary bytes against a plan must yield an
+// error or a key of that plan with every word reduced and the wire form
+// re-encoding to the bytes read — never a panic. testdata/fuzz holds the
+// inflated header and two headers of the right shape whose base is not
+// the plan's: one not a power of two, one past the exactness bound.
 func FuzzReadKeySwitchKey(f *testing.F) {
-	k := NewKeySwitchKey(NewSecretKey(4, 31), NewSecretKey(2, 32), wireTestQ, 16, wireTestSigma, 33)
+	k := wireTestKey()
 	var buf bytes.Buffer
-	if err := WriteKeySwitchKey(k, &buf); err != nil {
+	if err := WriteKey(k, &buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:56])
-	want := k.Shape()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadKeySwitchKey(bytes.NewReader(data), want)
+		got, err := k.ReadKey(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if got.Shape() != want {
-			t.Fatalf("decoded shape %+v, want %+v", got.Shape(), want)
+		if got.SwitchPlan != k.SwitchPlan || len(got.w) != 3*k.words() {
+			t.Fatalf("decoded key of plan %+v and %d words", got.SwitchPlan, len(got.w))
 		}
-		if len(got.M) != got.words() {
-			t.Fatalf("decoded matrix of %d words, shape needs %d", len(got.M), got.words())
-		}
-		if err := CheckBase(got.Q, got.Base); err != nil {
-			t.Fatalf("decoded key has a base the kernel cannot use: %v", err)
-		}
-		for i, x := range got.M {
+		for i, x := range got.w[:k.words()] {
 			if x >= got.Q {
 				t.Fatalf("decoded key word %d (%d) not reduced mod %d", i, x, got.Q)
 			}
+		}
+		var again bytes.Buffer
+		if err := WriteKey(got, &again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, again.Bytes()) {
+			t.Fatal("the decoded key re-encodes to other bytes")
 		}
 	})
 }

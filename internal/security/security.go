@@ -116,12 +116,15 @@ func Check(instances []Instance) ([]Report, bool) {
 }
 
 // AthenaInstances returns the lattice assumptions behind the paper's
-// full-scale parameters: the BFV ring at (2^15, 720 bits) and the
+// full-scale parameters: the BFV ring at (2^15, 720 bits), the
 // post-extraction LWE at (2048, q = t·2^12 ≈ 2^28 — the widest modulus
-// any LWE sample is exposed under during conversion).
+// any LWE sample is exposed under during conversion), and Step ③'s ring
+// switching key: under s′(X) = z(X^{N/n}) its d·N/n samples are RLWE
+// samples of degree n under z at that same modulus qMid.
 func AthenaInstances() []Instance {
 	return []Instance{
 		{Name: "RLWE (BFV ring)", N: 1 << 15, LogQ: 720},
 		{Name: "LWE (post-extraction)", N: 2048, LogQ: 28},
+		{Name: "RLWE_n (ring switching key)", N: 2048, LogQ: 28},
 	}
 }

@@ -208,7 +208,9 @@ func (r *Registry) resolve(id string, pins int) (*Session, error) {
 	// Cold load, outside the lock: hash the file against its name (the
 	// content address), then decode and rebuild the engine. A blob that
 	// fails the check is quarantined by the store and reported as not
-	// found, so the client re-uploads and the fresh copy replaces it.
+	// found, so the client re-uploads and the fresh copy replaces it. A
+	// bundle of a layout version this build no longer reads is reported
+	// as not found too (its file stays), so its client re-uploads.
 	var s *Session
 	err := store.ErrNotFound
 	if st != nil {
@@ -216,7 +218,8 @@ func (r *Registry) resolve(id string, pins int) (*Session, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if errors.Is(err, store.ErrNotFound) {
+	var stale *core.BundleVersionError
+	if errors.Is(err, store.ErrNotFound) || errors.As(err, &stale) {
 		r.misses++
 		return nil, ErrSessionNotFound
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -74,6 +75,28 @@ func TestRegistryColdLoadAfterEviction(t *testing.T) {
 	}
 	if _, _, m := r.TierStats(); m != 1 {
 		t.Fatalf("misses=%d want 1", m)
+	}
+}
+
+// A stored session whose bundle has a layout version this build no
+// longer reads — version 1 holds the per-value keyswitch matrix — is
+// answered as not found, so its client uploads its keys again.
+func TestRegistryStaleBundleVersionIsNotFound(t *testing.T) {
+	blob := evalKeysBlob(t, 303)
+	binary.LittleEndian.PutUint64(blob[8:], 1)
+	st := testStore(t, t.TempDir())
+	id, err := st.Put(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(core.TestParams(), 1<<30)
+	r.SetStore(st)
+	if _, err := r.Lookup(id); !errors.Is(err, ErrSessionNotFound) {
+		t.Fatalf("cold load of a version-1 bundle: %v, want ErrSessionNotFound", err)
+	}
+	var stale *core.BundleVersionError
+	if _, _, err := r.Open(blob); !errors.As(err, &stale) || stale.Version != 1 {
+		t.Fatalf("upload of a version-1 bundle: %v, want a *core.BundleVersionError", err)
 	}
 }
 
