@@ -52,9 +52,11 @@ func main() {
 	fmt.Printf("ciphertext size: %s\n", human(int64(ctx.CiphertextSizeBytes())))
 
 	if *dryRun {
+		// A full-chain key travels as its B rows and the 32-byte seed its A
+		// rows expand from; held in memory it is both halves.
 		limbs := int64(len(bp.Qi))
-		swk := limbs * 2 * int64(ctx.N) * limbs * 8
-		fmt.Printf("switching key size (each): %s\n", human(swk))
+		swk := limbs*int64(ctx.N)*limbs*8 + 32
+		fmt.Printf("switching key size (each, on the wire): %s\n", human(swk))
 		fmt.Printf("typical key set (relin + ~48 rotations): %s\n", human(swk*49))
 		return
 	}

@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"slices"
 	"testing"
 
 	"athena/internal/ring"
@@ -32,6 +33,20 @@ func TestEvaluatorSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { k.ev.AddPlainInPlace(acc, pt) }); n != 0 {
 		t.Fatalf("AddPlainInPlace allocates %v times per run, want 0", n)
+	}
+	// A one-shot multiplier encoded and lifted into caller-owned staging,
+	// as the engine's workers stage masks, kernels and biases.
+	if n := testing.AllocsPerRun(100, func() {
+		k.cod.EncodeCoeffsInto(vals[:k.ctx.N/2], pt)
+		k.cod.EncodeSlotsInto(vals, pt)
+		k.cod.LiftToMulInto(pt, pm)
+	}); n != 0 {
+		t.Fatalf("EncodeCoeffsInto, EncodeSlotsInto and LiftToMulInto allocate %v times per run, want 0", n)
+	}
+	// EncodeCoeffsInto clears what a longer encoding left behind.
+	k.cod.EncodeCoeffsInto([]int64{1, -1}, pt)
+	if want := k.cod.EncodeCoeffs([]int64{1, -1}); !slices.Equal(pt.Coeffs, want.Coeffs) {
+		t.Fatal("EncodeCoeffsInto differs from EncodeCoeffs over a used plaintext")
 	}
 	// Warm the automorphism scratch and permutation cache, then demand
 	// the steady state stays clean for both cached Galois elements.

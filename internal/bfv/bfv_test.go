@@ -377,7 +377,7 @@ func TestMissingKeysErrors(t *testing.T) {
 	if _, err := rotateRows(ev, ct, 1); err == nil {
 		t.Fatal("rotation without galois keys should error")
 	}
-	ev2 := NewEvaluator(ctx, &KeySet{Relin: kg.GenRelinearizationKey(sk), Galois: map[uint64]*GaloisKey{}})
+	ev2 := NewEvaluator(ctx, &KeySet{Relin: kg.GenRelinearizationKey(sk, ctx.Level()), Galois: map[uint64]*GaloisKey{}})
 	if _, err := rotateRows(ev2, ct, 3); err == nil {
 		t.Fatal("rotation with missing element should error")
 	}

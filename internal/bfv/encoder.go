@@ -32,14 +32,23 @@ func (e *Encoder) reduceT(v int64) uint64 { return e.ctx.TMod.ReduceInt64(v) }
 // EncodeCoeffs places vals (signed, interpreted mod t) into plaintext
 // coefficients 0..len(vals)-1. len(vals) must not exceed N.
 func (e *Encoder) EncodeCoeffs(vals []int64) *Plaintext {
+	pt := e.ctx.NewPlaintext()
+	e.EncodeCoeffsInto(vals, pt)
+	return pt
+}
+
+// EncodeCoeffsInto is EncodeCoeffs writing into a caller-provided
+// plaintext, whose coefficients past len(vals) it clears.
+//
+//lint:noalloc
+func (e *Encoder) EncodeCoeffsInto(vals []int64, pt *Plaintext) {
 	if len(vals) > e.ctx.N {
 		panic(fmt.Sprintf("bfv: %d values exceed N=%d", len(vals), e.ctx.N))
 	}
-	pt := e.ctx.NewPlaintext()
 	for i, v := range vals {
 		pt.Coeffs[i] = e.reduceT(v)
 	}
-	return pt
+	clear(pt.Coeffs[len(vals):])
 }
 
 // DecodeCoeffs returns the centered coefficients of pt.

@@ -32,9 +32,14 @@ type PublicKey struct {
 // ℓ limbs of the full-chain key, word for word, and it serves every
 // keyswitch at a level ≤ ℓ (Context.AtLevel installs the matching digit
 // correction).
+//
+// The uniform half is public randomness: limb j of A[i] is row (i, j) of
+// the key's Seed (ring.RowStream), so a key travels as its seed and its
+// B rows, and any level-ℓ prefix of A is expanded without the rest.
 type SwitchingKey struct {
-	B []ring.Poly // B[i] = -(A[i]·s + e_i) + QiHat_i·target
-	A []ring.Poly
+	Seed [32]byte
+	B    []ring.Poly // B[i] = -(A[i]·s + e_i) + QiHat_i·target
+	A    []ring.Poly
 
 	BShoup []ring.Poly
 	AShoup []ring.Poly
@@ -67,22 +72,41 @@ func (swk *SwitchingKey) AtLevel(l int) SwitchingKey {
 		if ps == nil || l == swk.Level() {
 			return ps
 		}
-		// One backing array and one row table hold all l·l limbs.
-		n := len(ps[0].Coeffs[0])
-		out := make([]ring.Poly, l)
-		rows := make([][]uint64, l*l)
-		backing := make([]uint64, l*l*n)
+		out := newKeyPolys(l, len(ps[0].Coeffs[0]))
 		for i := range out {
-			out[i].Coeffs = rows[i*l : (i+1)*l : (i+1)*l]
 			for j := range out[i].Coeffs {
-				k := i*l + j
-				out[i].Coeffs[j] = backing[k*n : (k+1)*n : (k+1)*n]
 				copy(out[i].Coeffs[j], ps[i].Coeffs[j])
 			}
 		}
 		return out
 	}
-	return SwitchingKey{B: prefix(swk.B), A: prefix(swk.A), BShoup: prefix(swk.BShoup), AShoup: prefix(swk.AShoup)}
+	return SwitchingKey{Seed: swk.Seed, B: prefix(swk.B), A: prefix(swk.A), BShoup: prefix(swk.BShoup), AShoup: prefix(swk.AShoup)}
+}
+
+// newKeyPolys returns l polynomials of l limbs of n words: the shape of
+// one half of a level-l key, in one backing array and one row table.
+func newKeyPolys(l, n int) []ring.Poly {
+	out := make([]ring.Poly, l)
+	rows := make([][]uint64, l*l)
+	backing := make([]uint64, l*l*n)
+	for i := range out {
+		out[i].Coeffs = rows[i*l : (i+1)*l : (i+1)*l]
+		for j := range out[i].Coeffs {
+			k := i*l + j
+			out[i].Coeffs[j] = backing[k*n : (k+1)*n : (k+1)*n]
+		}
+	}
+	return out
+}
+
+// expandA fills A, ℓ polynomials of ℓ limbs, with the rows of seed.
+func expandA(rq *ring.Ring, rows *ring.RowStream, seed *[32]byte, a []ring.Poly) {
+	for i := range a {
+		for j, limb := range a[i].Coeffs {
+			rows.Row(seed, i, j)
+			rows.UniformRow(limb, rq.Moduli[j].Q)
+		}
+	}
 }
 
 // RelinearizationKey switches s² -> s.
@@ -100,15 +124,34 @@ type KeySet struct {
 	Galois map[uint64]*GaloisKey
 }
 
-// KeyGenerator derives keys deterministically from a seed.
+// KeyGenerator derives keys deterministically from a seed. Its secret
+// stream draws the secret, the public key's randomness and each
+// switching key's error seed; a second stream of its own draws the
+// switching keys' public mask seeds. A switching key's rows are then
+// drawn from indexed streams (ring.RowStream): the error of digit i
+// from row (i, 0) of the key's error seed, the mask limb (i, j) from row
+// (i, j) of its mask seed. A key generated at level ℓ is therefore, word
+// for word, the level-ℓ prefix of the full-chain key its generator would
+// have drawn in its place, and costs ℓ² rows rather than L².
 type KeyGenerator struct {
-	ctx *Context
-	smp *ring.Sampler
+	ctx   *Context
+	smp   *ring.Sampler
+	masks *ring.Keystream
+	rows  *ring.RowStream
 }
+
+// maskTweak separates the stream of public mask seeds from the secret
+// stream keyed by the same generator seed.
+const maskTweak = 0x6a09e667f3bcc909
 
 // NewKeyGenerator creates a generator over ctx seeded by seed.
 func NewKeyGenerator(ctx *Context, seed uint64) *KeyGenerator {
-	return &KeyGenerator{ctx: ctx, smp: ring.NewSampler(ctx.RingQ, seed)}
+	return &KeyGenerator{
+		ctx:   ctx,
+		smp:   ring.NewSampler(ctx.RingQ, seed),
+		masks: ring.NewKeystreamTweaked(seed, maskTweak),
+		rows:  ring.NewRowStream(ctx.RingQ),
+	}
 }
 
 // GenSecretKey samples a fresh ternary secret.
@@ -135,67 +178,68 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return pk
 }
 
-// genSwitchingKey builds a keyswitching key from `target` (NTT domain)
-// to sk.
-func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, target ring.Poly) SwitchingKey {
+// genSwitchingKey builds the level-l keyswitching key from `target`
+// (NTT domain, at least l limbs) to sk.
+func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, target ring.Poly, l int) SwitchingKey {
+	if l < 1 || l > kg.ctx.Level() {
+		panic(fmt.Sprintf("bfv: switching key level %d outside [1, %d]", l, kg.ctx.Level()))
+	}
 	ctx := kg.ctx
 	rq := ctx.RingQ
-	k := len(ctx.Params.Qi)
-	swk := SwitchingKey{B: make([]ring.Poly, k), A: make([]ring.Poly, k)}
+	errSeed := kg.smp.Seed32()
+	swk := SwitchingKey{Seed: kg.masks.Seed32(), B: newKeyPolys(l, ctx.N), A: newKeyPolys(l, ctx.N)}
+	expandA(rq, kg.rows, &swk.Seed, swk.A)
 	// e and scaled are overwritten whole by every component.
-	e, scaled := rq.NewPoly(), rq.NewPoly()
-	for i := 0; i < k; i++ {
-		a := rq.NewPoly()
-		kg.smp.Uniform(a)
-		kg.smp.Gaussian(ctx.Params.Sigma, e)
+	e, scaled := rq.NewPolyAt(l), rq.NewPolyAt(l)
+	target = ring.Poly{Coeffs: target.Coeffs[:l]}
+	for i, b := range swk.B {
+		kg.rows.Row(&errSeed, i, 0)
+		kg.rows.Gaussian(ctx.Params.Sigma, e)
 		rq.NTT(e)
 
-		b := rq.NewPoly()
-		rq.MulCoeffs(a, sk.Value, b)
+		rq.MulCoeffs(swk.A[i], sk.Value, b)
 		rq.Add(b, e, b)
 		rq.Neg(b, b) // b = -(a·s + e)
 
 		// b += QiHat_i · target. QiHat_i mod q_l per limb.
 		hat := ctx.BasisQ.ScalarMod(ctx.BasisQ.QiHat[i])
-		rq.MulScalarRNS(target, hat, scaled)
+		rq.MulScalarRNS(target, hat[:l], scaled)
 		rq.Add(b, scaled, b)
-
-		swk.A[i] = a
-		swk.B[i] = b
 	}
 	swk.PrecomputeShoup(rq)
 	return swk
 }
 
-// GenRelinearizationKey builds the s² -> s key.
-func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey {
+// GenRelinearizationKey builds the level-l s² -> s key.
+func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey, l int) *RelinearizationKey {
 	rq := kg.ctx.RingQ
 	s2 := rq.NewPoly()
 	rq.MulCoeffs(sk.Value, sk.Value, s2)
-	return &RelinearizationKey{kg.genSwitchingKey(sk, s2)}
+	return &RelinearizationKey{kg.genSwitchingKey(sk, s2, l)}
 }
 
-// GenGaloisKey builds the σ_g(s) -> s key for Galois element g.
-func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g uint64) *GaloisKey {
+// GenGaloisKey builds the level-l σ_g(s) -> s key for Galois element g.
+func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g uint64, l int) *GaloisKey {
 	rq := kg.ctx.RingQ
 	sCoeff := sk.Value.Clone()
 	rq.INTT(sCoeff)
 	sPerm := rq.NewPoly()
 	rq.Automorphism(sCoeff, g, sPerm)
 	rq.NTT(sPerm)
-	return &GaloisKey{GaloisEl: g, SwitchingKey: kg.genSwitchingKey(sk, sPerm)}
+	return &GaloisKey{GaloisEl: g, SwitchingKey: kg.genSwitchingKey(sk, sPerm, l)}
 }
 
 // GenKeySet builds a relinearization key plus Galois keys for the listed
-// elements.
+// elements, all at the generator's level.
 func (kg *KeyGenerator) GenKeySet(sk *SecretKey, galoisEls []uint64) *KeySet {
+	l := kg.ctx.Level()
 	ks := &KeySet{
-		Relin:  kg.GenRelinearizationKey(sk),
+		Relin:  kg.GenRelinearizationKey(sk, l),
 		Galois: make(map[uint64]*GaloisKey, len(galoisEls)),
 	}
 	for _, g := range galoisEls {
 		if _, ok := ks.Galois[g]; !ok {
-			ks.Galois[g] = kg.GenGaloisKey(sk, g)
+			ks.Galois[g] = kg.GenGaloisKey(sk, g, l)
 		}
 	}
 	return ks

@@ -472,6 +472,72 @@ func TestRescaleConstantsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestKeysBornAtLevel: a switching key generated at level ℓ is, word
+// for word, the level-ℓ prefix (AtLevel) of the full-chain key that a
+// generator of the same seed draws in its place — seed, B and A, and
+// their Shoup companions — for the relinearization key and a Galois key
+// at every ℓ in [1, L]; and a key set read back from the wire expands
+// the same A from its seed.
+func TestKeysBornAtLevel(t *testing.T) {
+	ctx := testContext(t, 5, 4)
+	g := RotationGaloisElements(ctx, []int{1})[0]
+	gen := func(l int) (*SecretKey, *KeySet) {
+		kg := NewKeyGenerator(ctx, 5)
+		sk := kg.GenSecretKey()
+		kg.GenPublicKey(sk)
+		return sk, &KeySet{
+			Relin:  kg.GenRelinearizationKey(sk, l),
+			Galois: map[uint64]*GaloisKey{g: kg.GenGaloisKey(sk, g, l)},
+		}
+	}
+	L := ctx.Level()
+	_, full := gen(L)
+	equal := func(a, b []ring.Poly) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if !a[i].Equal(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	same := func(a, b *SwitchingKey) bool {
+		return a.Seed == b.Seed && equal(a.B, b.B) && equal(a.A, b.A) && equal(a.BShoup, b.BShoup) && equal(a.AShoup, b.AShoup)
+	}
+	for l := 1; l <= L; l++ {
+		_, born := gen(l)
+		for _, c := range []struct {
+			name       string
+			born, full *SwitchingKey
+		}{
+			{"relinearization key", &born.Relin.SwitchingKey, &full.Relin.SwitchingKey},
+			{"galois key", &born.Galois[g].SwitchingKey, &full.Galois[g].SwitchingKey},
+		} {
+			cut := c.full.AtLevel(l)
+			if c.born.Level() != l || !same(c.born, &cut) {
+				t.Fatalf("%s born at level %d is not the full-chain key's level-%d prefix", c.name, l, l)
+			}
+		}
+		var buf bytes.Buffer
+		if err := ctx.WriteKeySet(born, &buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ctx.ReadKeySet(&buf, ring.NewRowStream(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(&back.Relin.SwitchingKey, &born.Relin.SwitchingKey) || !same(&back.Galois[g].SwitchingKey, &born.Galois[g].SwitchingKey) {
+			t.Fatalf("level %d: the key set read back differs from the one written", l)
+		}
+	}
+	// The mask seeds are the keys' own: no two keys share one.
+	if full.Relin.Seed == full.Galois[g].Seed {
+		t.Fatal("two switching keys drew the same mask seed")
+	}
+}
+
 // TestKeysAtLevelOfUse pins the level-ℓ key contract: a key cut to the
 // level of the keyswitch that reads it (SwitchingKey.AtLevel) is the
 // full-chain key's prefix word for word, travels through the key-set
@@ -499,7 +565,7 @@ func TestKeysAtLevelOfUse(t *testing.T) {
 	if err := k.ctx.WriteKeySet(cut, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := k.ctx.ReadKeySet(&buf)
+	back, err := k.ctx.ReadKeySet(&buf, ring.NewRowStream(nil))
 	if err != nil {
 		t.Fatalf("level-%d key set refused: %v", l, err)
 	}

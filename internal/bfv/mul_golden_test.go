@@ -9,20 +9,22 @@ import (
 	"athena/internal/ring"
 )
 
-// mulGolden holds the sha256 of the serialized products below, generated
-// at the last commit whose tensor product ran every coefficient through
-// big.Int CRT reconstruction. The word-sized tensor must reproduce them
-// bit for bit: a rounding that differs in one coefficient changes the
-// hash.
+// mulGolden holds the sha256 of the serialized products below. They
+// were first generated at the last commit whose tensor product ran every
+// coefficient through big.Int CRT reconstruction, and the word-sized
+// tensor reproduced them bit for bit: a rounding that differs in one
+// coefficient changes the hash. They moved once since, with the
+// relinearization key's words, when switching keys came to be drawn from
+// indexed row streams (KeyGenerator).
 var mulGolden = map[string]string{
-	"n128_t257/full/ab":   "8cd9234624e45a24a981c3a33804d265f08a8dd34aa31338f0d46ba53d731a53",
-	"n128_t257/full/aa":   "1e1dd1ff26e312a8b5e1d0f487a582ed15e74d25688718e52371dcfbf2d5924d",
-	"n128_t257/fbs/ab":    "01f19a58a701c248587898dcd789c2642a88148b990790b0494b5f133d1c138c",
-	"n128_t257/fbs/aa":    "63fb72d761c51a981cb7d678b171d15d515d25f6446fbdc8d6095c78ddda7fa4",
-	"n512_t12289/full/ab": "cf93d2a7a9604b1d07da1a8e57e08515c421280e74cda8f3904dd356437758af",
-	"n512_t12289/full/aa": "4ad4eaefe24819a8dfc1f79afde60a102a025c27a0c28096954f1d796e67b4a4",
-	"n512_t12289/fbs/ab":  "4428983e071b751cb46620aae915de171e6fd45577932397155ea1d60613df27",
-	"n512_t12289/fbs/aa":  "13510ecb550e468bde4572b4fa754d378c5a30bb0412420c1c5db00b9d0b1def",
+	"n128_t257/full/ab":   "085e2c9eef6aa8860cd43b7fd2916e7d8977d3850a8138a8bf1cd5c10d2c1905",
+	"n128_t257/full/aa":   "e513387a99512ce67d5bf391594e9edf7494bc344ed37c9693db4132d6672821",
+	"n128_t257/fbs/ab":    "0640f66ad53f1451dfeb1ab2b0420416398af6e994ae3e94ebcb7ba609c5bf22",
+	"n128_t257/fbs/aa":    "66195c54e902efa84913814ab29fffe162467b49cb8b7948bb4da0e2af9ab79f",
+	"n512_t12289/full/ab": "9503b23b040d850ec6a59f2b47cb00551d2ecbe6a6d4e126c705401892849323",
+	"n512_t12289/full/aa": "1986b162fc5b10294498d676d2f1524c6fb2fb0a431c52494d6bf79fdedae426",
+	"n512_t12289/fbs/ab":  "660b594ef80b3fb7cff15c3b98a1987f56e15ee7b630b8d9516b901ec6e87413",
+	"n512_t12289/fbs/aa":  "379bc2ef821a71a14e7fbee3aa3c9c20481262004307e086bf28b7efdf8befef",
 }
 
 // TestMulMatchesGoldenFingerprint pins Evaluator.Mul to the checked-in

@@ -2,6 +2,7 @@ package bfv
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -21,6 +22,10 @@ const (
 	magicPublicKey  = 0x41504b31 // "APK1"
 	magicKeySet     = 0x414b5331 // "AKS1"
 	wireVersion     = 1
+
+	// keySetVersion is the key set's version: 2 since each switching key
+	// travels as its mask seed and its B rows (1 carried the A rows).
+	keySetVersion = 2
 )
 
 // wireWriter and wireReader carry a sticky error so a decoder reads as
@@ -44,6 +49,12 @@ func (w *wireWriter) poly(p ring.Poly) {
 		w.u64(uint64(len(limb)))
 		w.u64(limb...)
 	}
+}
+
+// seed writes a mask seed as four little-endian words.
+func (w *wireWriter) seed(s *[32]byte) {
+	le := binary.LittleEndian
+	w.u64(le.Uint64(s[0:]), le.Uint64(s[8:]), le.Uint64(s[16:]), le.Uint64(s[24:]))
 }
 
 type wireReader struct {
@@ -119,8 +130,8 @@ func (r *wireReader) polyBody(rq *ring.Ring, limbs int) ring.Poly {
 // headerWords is the length of writeHeader's output in words.
 const headerWords = 5
 
-func (c *Context) writeHeader(w *wireWriter, magic uint64) {
-	w.u64(magic, wireVersion, uint64(c.Params.LogN), uint64(len(c.Params.Qi)), c.Params.T)
+func (c *Context) writeHeader(w *wireWriter, magic, version uint64) {
+	w.u64(magic, version, uint64(c.Params.LogN), uint64(len(c.Params.Qi)), c.Params.T)
 }
 
 // polyWords is the length of wireWriter.poly's output for p in words.
@@ -132,11 +143,11 @@ func polyWords(p ring.Poly) int64 {
 	return n
 }
 
-func (c *Context) readHeader(r *wireReader, magic uint64) error {
+func (c *Context) readHeader(r *wireReader, magic, version uint64) error {
 	if got := r.u64(); r.err == nil && got != magic {
 		return fmt.Errorf("bfv: bad magic %#x", got)
 	}
-	if v := r.u64(); r.err == nil && v != wireVersion {
+	if v := r.u64(); r.err == nil && v != version {
 		return fmt.Errorf("bfv: unsupported wire version %d", v)
 	}
 	logN := r.u64()
@@ -154,7 +165,7 @@ func (c *Context) readHeader(r *wireReader, magic uint64) error {
 // WriteCiphertext serializes ct.
 func (c *Context) WriteCiphertext(ct *Ciphertext, w io.Writer) error {
 	ww := &wireWriter{w: bufio.NewWriter(w)}
-	c.writeHeader(ww, magicCiphertext)
+	c.writeHeader(ww, magicCiphertext, wireVersion)
 	ww.poly(ct.C0)
 	ww.poly(ct.C1)
 	if ww.err != nil {
@@ -173,7 +184,7 @@ func CiphertextWireSize(ct *Ciphertext) int64 {
 // parameters.
 func (c *Context) ReadCiphertext(r io.Reader) (*Ciphertext, error) {
 	rr := newWireReader(r)
-	if err := c.readHeader(rr, magicCiphertext); err != nil {
+	if err := c.readHeader(rr, magicCiphertext, wireVersion); err != nil {
 		return nil, err
 	}
 	ct := &Ciphertext{C0: rr.ctPoly(c.RingQ), C1: rr.ctPoly(c.RingQ)}
@@ -190,7 +201,7 @@ func (c *Context) ReadCiphertext(r io.Reader) (*Ciphertext, error) {
 // needed for the LWE bridge).
 func (c *Context) WriteSecretKey(sk *SecretKey, w io.Writer) error {
 	ww := &wireWriter{w: bufio.NewWriter(w)}
-	c.writeHeader(ww, magicSecretKey)
+	c.writeHeader(ww, magicSecretKey, wireVersion)
 	ww.poly(sk.Value)
 	ww.u64(uint64(len(sk.Signed)))
 	for _, s := range sk.Signed {
@@ -205,7 +216,7 @@ func (c *Context) WriteSecretKey(sk *SecretKey, w io.Writer) error {
 // ReadSecretKey deserializes a secret key.
 func (c *Context) ReadSecretKey(r io.Reader) (*SecretKey, error) {
 	rr := newWireReader(r)
-	if err := c.readHeader(rr, magicSecretKey); err != nil {
+	if err := c.readHeader(rr, magicSecretKey, wireVersion); err != nil {
 		return nil, err
 	}
 	sk := &SecretKey{Value: rr.poly(c.RingQ)}
@@ -233,7 +244,7 @@ func (c *Context) ReadSecretKey(r io.Reader) (*SecretKey, error) {
 // WritePublicKey serializes pk.
 func (c *Context) WritePublicKey(pk *PublicKey, w io.Writer) error {
 	ww := &wireWriter{w: bufio.NewWriter(w)}
-	c.writeHeader(ww, magicPublicKey)
+	c.writeHeader(ww, magicPublicKey, wireVersion)
 	ww.poly(pk.P0)
 	ww.poly(pk.P1)
 	if ww.err != nil {
@@ -245,7 +256,7 @@ func (c *Context) WritePublicKey(pk *PublicKey, w io.Writer) error {
 // ReadPublicKey deserializes a public key.
 func (c *Context) ReadPublicKey(r io.Reader) (*PublicKey, error) {
 	rr := newWireReader(r)
-	if err := c.readHeader(rr, magicPublicKey); err != nil {
+	if err := c.readHeader(rr, magicPublicKey, wireVersion); err != nil {
 		return nil, err
 	}
 	pk := &PublicKey{P0: rr.poly(c.RingQ), P1: rr.poly(c.RingQ)}
@@ -255,15 +266,17 @@ func (c *Context) ReadPublicKey(r io.Reader) (*PublicKey, error) {
 	return pk, nil
 }
 
-// WriteKeySet serializes the evaluation keys (relinearization + galois).
+// WriteKeySet serializes the evaluation keys (relinearization +
+// galois). Each switching key travels as its level, its mask seed and
+// its B polynomials; the reader expands A from the seed.
 func (c *Context) WriteKeySet(ks *KeySet, w io.Writer) error {
 	ww := &wireWriter{w: bufio.NewWriter(w)}
-	c.writeHeader(ww, magicKeySet)
+	c.writeHeader(ww, magicKeySet, keySetVersion)
 	writeSwk := func(s *SwitchingKey) {
 		ww.u64(uint64(len(s.B)))
-		for i := range s.B {
-			ww.poly(s.B[i])
-			ww.poly(s.A[i])
+		ww.seed(&s.Seed)
+		for _, b := range s.B {
+			ww.poly(b)
 		}
 	}
 	if ks.Relin != nil {
@@ -291,11 +304,13 @@ func (c *Context) WriteKeySet(ks *KeySet, w io.Writer) error {
 	return ww.w.Flush()
 }
 
-// KeySetWireSize returns the length in bytes of WriteKeySet's encoding
-// of ks, counted from its keys' shapes.
-func KeySetWireSize(ks *KeySet) int64 {
+// KeySetResidentSize returns the bytes ks's keys hold once expanded:
+// the B and A polynomials of each key at its level, framed as the key
+// set's wire framing frames them — the length of the version-1 layout,
+// which carried both halves — counted from the keys' shapes.
+func KeySetResidentSize(ks *KeySet) int64 {
 	swk := func(s *SwitchingKey) int64 {
-		n := int64(1)
+		n := int64(1) // the level
 		for i := range s.B {
 			n += polyWords(s.B[i]) + polyWords(s.A[i])
 		}
@@ -306,7 +321,7 @@ func KeySetWireSize(ks *KeySet) int64 {
 		words += swk(&ks.Relin.SwitchingKey)
 	}
 	for _, gk := range ks.Galois {
-		words += 1 + swk(&gk.SwitchingKey)
+		words += 1 + swk(&gk.SwitchingKey) // the element
 	}
 	return 8 * words
 }
@@ -316,13 +331,14 @@ func KeySetWireSize(ks *KeySet) int64 {
 var ErrKeyShape = errors.New("bfv: malformed switching key")
 
 // ReadKeySet deserializes evaluation keys. Each switching key may travel
-// at any level ℓ in [1, L] — ℓ components of exactly ℓ limbs each (see
-// SwitchingKey) — so a full-chain key set is the ℓ = L case of the same
-// format. Whether a key's level covers the level it is used at is the
-// caller's to check.
-func (c *Context) ReadKeySet(r io.Reader) (*KeySet, error) {
+// at any level ℓ in [1, L] — its seed and ℓ B components of exactly ℓ
+// limbs each (see SwitchingKey) — so a full-chain key set is the ℓ = L
+// case of the same format. A is expanded from the seed through rows,
+// which is re-keyed in place for every row. Whether a key's level
+// covers the level it is used at is the caller's to check.
+func (c *Context) ReadKeySet(r io.Reader, rows *ring.RowStream) (*KeySet, error) {
 	rr := newWireReader(r)
-	if err := c.readHeader(rr, magicKeySet); err != nil {
+	if err := c.readHeader(rr, magicKeySet, keySetVersion); err != nil {
 		return nil, err
 	}
 	readSwk := func() (SwitchingKey, error) {
@@ -333,26 +349,33 @@ func (c *Context) ReadKeySet(r io.Reader) (*KeySet, error) {
 		if n < 1 || n > uint64(c.Level()) {
 			return SwitchingKey{}, fmt.Errorf("%w: %d components, chain holds %d limbs", ErrKeyShape, n, c.Level())
 		}
-		component := func() ring.Poly {
+		var s SwitchingKey
+		var seed [4]uint64
+		if rr.err = rr.Words(seed[:]); rr.err != nil {
+			return SwitchingKey{}, fmt.Errorf("bfv: switching key seed: %w", rr.err)
+		}
+		for i, w := range seed {
+			binary.LittleEndian.PutUint64(s.Seed[8*i:], w)
+		}
+		s.B = make([]ring.Poly, n)
+		for i := range s.B {
 			if got := rr.u64(); rr.err == nil && got != n {
 				rr.err = fmt.Errorf("%w: a %d-limb polynomial in a level-%d key", ErrKeyShape, got, n)
 			}
 			if rr.err != nil {
-				return ring.Poly{}
+				return SwitchingKey{}, rr.err
 			}
-			return rr.polyBody(c.RingQ, int(n))
+			s.B[i] = rr.polyBody(c.RingQ, int(n))
 		}
-		s := SwitchingKey{B: make([]ring.Poly, n), A: make([]ring.Poly, n)}
-		for i := range s.B {
-			s.B[i] = component()
-			s.A[i] = component()
+		if rr.err != nil {
+			return SwitchingKey{}, rr.err
 		}
-		if rr.err == nil {
-			// The companions are derived, not wire data: recompute them so
-			// deserialized keys run the same fast path as generated ones.
-			s.PrecomputeShoup(c.RingQ)
-		}
-		return s, rr.err
+		s.A = newKeyPolys(int(n), c.N)
+		expandA(c.RingQ, rows, &s.Seed, s.A)
+		// The companions are derived, not wire data: recompute them so
+		// deserialized keys run the same fast path as generated ones.
+		s.PrecomputeShoup(c.RingQ)
+		return s, nil
 	}
 	ks := &KeySet{Galois: map[uint64]*GaloisKey{}}
 	hasRelin := rr.u64()

@@ -92,7 +92,7 @@ func TestKeySetRoundTrip(t *testing.T) {
 	if err := k.ctx.WriteKeySet(ks, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := k.ctx.ReadKeySet(&buf)
+	back, err := k.ctx.ReadKeySet(&buf, ring.NewRowStream(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

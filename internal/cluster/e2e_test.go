@@ -354,7 +354,13 @@ func TestLongLivedRouterReachesEviction(t *testing.T) {
 		return eng, serve.SessionID(blob.Bytes())
 	}
 	first, firstID := keys(1)
-	memCap := int64(blob.Len()) * 3 / 2
+	// Room for one session's charge (its keys expanded, more than the
+	// seeded bundle) and a half: each node holds one session at a time.
+	charge, err := first.EvalKeysSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	memCap := charge * 3 / 2
 
 	members := cluster.NewMembership(0)
 	var nodes []*clusterNode

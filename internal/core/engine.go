@@ -87,15 +87,16 @@ func (s OpStats) Sub(o OpStats) OpStats {
 	return s
 }
 
-// NewEngine generates all key material for params. The evaluation keys
-// are generated over the full chain and kept at the level that reads
-// them (keysAtUse), which is also the level WriteEvalKeys ships them at.
+// NewEngine generates all key material for params. Every switching key
+// is generated at the level that reads it, which is also the level
+// WriteEvalKeys ships it at; the packing babies are encrypted over the
+// full chain and ModDown'd to theirs (keysAtUse).
 func NewEngine(p Params) (*Engine, error) {
-	e, full, err := newClientEngine(p)
+	e, gen, err := newClientEngine(p, false)
 	if err != nil {
 		return nil, err
 	}
-	ek, err := e.keysAtUse(full)
+	ek, err := e.keysAtUse(gen)
 	if err != nil {
 		return nil, err
 	}
@@ -106,9 +107,12 @@ func NewEngine(p Params) (*Engine, error) {
 }
 
 // newClientEngine generates a client's secret and encryption keys, and
-// returns its evaluation keys as generated — every switching key and the
-// packing babies over the full chain — without installing them.
-func newClientEngine(p Params) (*Engine, *EvalKeys, error) {
+// returns its evaluation keys as generated, without installing them:
+// each switching key at its level of use (plan.galois, ctxF's for the
+// relinearization key), or over the full chain when fullChain is set —
+// the same seeds either way, so the cut full-chain keys are the keys at
+// use — and the packing babies over the full chain.
+func newClientEngine(p Params, fullChain bool) (*Engine, *EvalKeys, error) {
 	e, err := newEngine(p)
 	if err != nil {
 		return nil, nil, err
@@ -130,11 +134,19 @@ func newClientEngine(p Params) (*Engine, *EvalKeys, error) {
 		return nil, nil, err
 	}
 	n, babies := pkFull.Keys()
-	els := make([]uint64, len(e.galois))
-	for i, u := range e.galois {
-		els[i] = u.g
+	level := func(use int) int {
+		if fullChain {
+			return ctx.Level()
+		}
+		return use
 	}
-	keys := kg.GenKeySet(e.sk, els)
+	keys := &bfv.KeySet{
+		Relin:  kg.GenRelinearizationKey(e.sk, level(e.ctxF.Level())),
+		Galois: make(map[uint64]*bfv.GaloisKey, len(e.galois)),
+	}
+	for _, u := range e.galois {
+		keys.Galois[u.g] = kg.GenGaloisKey(e.sk, u.g, level(u.level))
+	}
 	return e, &EvalKeys{KeySet: keys, PackDim: n, PackKeys: babies, KSK: ksk}, nil
 }
 
@@ -275,7 +287,9 @@ func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, valid int, pending *fbs.
 // It follows every LUT because tables with LUT(0) ≠ 0 (sigmoid, GELU,
 // biased remaps) turn structural zeros into non-zero activations.
 func (wk *evalWorker) maskSlots(ct *bfv.Ciphertext, mask []int64, out *bfv.Ciphertext) {
-	pm := wk.codP.LiftToMul(wk.codP.EncodeSlots(mask))
+	pt, pm := wk.plain()
+	wk.codP.EncodeSlotsInto(mask, pt)
+	wk.codP.LiftToMulInto(pt, pm)
 	wk.stats.PMult++
 	wk.evP.MulPlainInto(ct, pm, out)
 }
@@ -457,7 +471,8 @@ func (vs *valSet) feeds(s coeffenc.ConvShape) bool {
 // to: the windows of all (set, input batch) pairs are laid G to a round,
 // and a round is packed, bootstrapped and rescaled once. Then each window
 // is cut out by the 0/1 mask of its valid slots (which also clears the
-// LUT's image of structural zeros), moved to coefficients by the one
+// LUT's image of structural zeros; a window alone in its round under a
+// LUT that keeps zeros needs no cut), moved to coefficients by the one
 // compiled S2C, and shifted from coefficients [o, o+per) to [0, per) by
 // the monomial −X^(N−o). Rounds, then windows, fan out across worker
 // lanes; the value maps are only read.
@@ -481,6 +496,7 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.
 	}
 	g := n / per
 	windows := len(sets) * plan.InBatches
+	keepsZero := pending == nil || (sets[0].fn != nil && sets[0].fn(0) == 0)
 	rounds := (windows + g - 1) / g
 
 	// Window w = (set w/InBatches, input batch w%InBatches) sits in round
@@ -530,9 +546,13 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.
 		if ln.window == nil {
 			ln.window = e.ctxP.NewCiphertext()
 		}
-		// An identity-packed window alone in its round needs no mask:
-		// nothing was bootstrapped and there is no neighbour to cut away.
-		if pending != nil || min((r+1)*g, windows)-r*g > 1 {
+		// A window alone in its round needs no mask when the LUT keeps
+		// zeros: there is no neighbour to cut away, and its structural
+		// zeros pack to exact zeros, which an identity leaves as they are
+		// and an exact LUT with f(0) = 0 maps to 0. Skipping the product
+		// also spares its noise, about log2(√N·t) bits — at N = 2^11 and
+		// t = 65537 more than S2C leaves at the post level.
+		if !keepsZero || min((r+1)*g, windows)-r*g > 1 {
 			ln.maskSlots(ct, masks[w], ln.window)
 			ct = ln.window
 		}
@@ -573,8 +593,9 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 	wk.forEach(plan.OutBatches, par.Options{MinGrain: 1, ItemCost: cost}, func(ln *evalWorker, ob int) {
 		acc := e.ctxP.NewCiphertext()
 		for ib := 0; ib < plan.InBatches; ib++ {
-			kv := plan.EncodeKernel(k3d, ib, ob)
-			pm := ln.codP.LiftToMul(ln.codP.EncodeCoeffs(kv))
+			pt, pm := ln.plain()
+			ln.codP.EncodeCoeffsInto(plan.EncodeKernel(k3d, ib, ob), pt)
+			ln.codP.LiftToMulInto(pt, pm)
 			if ib == 0 {
 				ln.evP.MulPlainInto(inputs[ib], pm, acc)
 			} else {
@@ -589,7 +610,9 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 		for _, en := range valid[ob] {
 			biasVec[en.Coeff] = q.Bias[en.Cout]
 		}
-		ln.evP.AddPlainInPlace(acc, ln.codP.EncodeCoeffs(biasVec))
+		pt, _ := ln.plain()
+		ln.codP.EncodeCoeffsInto(biasVec, pt)
+		ln.evP.AddPlainInPlace(acc, pt)
 		accs[ob] = acc
 	})
 	return accs, valid

@@ -24,16 +24,18 @@ import (
 // relinearization key, the packer's Galois keys and the babies at the
 // FBS level, Galois keys only S2C reads at the post level. The reader
 // takes any level from 1 to the full chain and rejects only a key below
-// its level of use, so a bundle of full-chain keys — the layout written
-// before keys were cut to their level — still loads.
+// its level of use, so a bundle of full-chain keys still loads.
 //
-// Version 2 carries the ring-level keyswitch key. A version-1 bundle
-// carries the per-value matrix key, which nothing reads any more: it is
-// refused with a *BundleVersionError, and its session re-uploads.
+// Version 3 ships every switching key, and Step ③'s keyswitch key, as
+// its public mask seed and its B rows: the uniform half is expanded at
+// decode time (bfv.SwitchingKey, lwe.KeySwitchKey), through one row
+// stream per bundle. Versions 1 (the per-value matrix key) and 2 (the
+// A rows on the wire) are refused with a *BundleVersionError, and their
+// sessions re-upload.
 
 const (
 	evalKeysMagic   = 0x4145564b // "AEVK"
-	evalKeysVersion = 2
+	evalKeysVersion = 3
 
 	// evalKeysHeaderWords is the length of writeEvalKeys' header.
 	evalKeysHeaderWords = 6
@@ -66,14 +68,18 @@ func (e *KeyLevelError) Error() string {
 
 // BundleVersionError reports a bundle of another layout version than
 // this build writes. Version 1 holds the per-value LWE keyswitch matrix
-// of the switch after extraction: its keys must be uploaded again.
+// of the switch after extraction, version 2 the keys' A rows in place
+// of their seeds: their keys must be uploaded again.
 type BundleVersionError struct {
 	Version uint64
 }
 
 func (e *BundleVersionError) Error() string {
-	if e.Version == 1 {
+	switch e.Version {
+	case 1:
 		return "core: eval-keys bundle of version 1 holds the per-value keyswitch matrix; upload the keys again"
+	case 2:
+		return "core: eval-keys bundle of version 2 carries the keys' A rows, not their seeds; upload the keys again"
 	}
 	return fmt.Sprintf("core: unsupported eval-keys version %d (this build reads %d)", e.Version, evalKeysVersion)
 }
@@ -102,17 +108,19 @@ func (e *Engine) WriteEvalKeys(w io.Writer) error {
 	return e.writeEvalKeys(ek, w)
 }
 
-// EvalKeysSize returns the length of the bundle WriteEvalKeys writes,
-// counted from the keys' shapes: the key material the engine holds,
-// each key at its level of use, whatever level its keys arrived at. A
-// server charges a session this much memory, so a full-chain bundle
-// costs what its cut keys hold.
+// EvalKeysSize returns the key material the engine holds, counted from
+// the keys' shapes: the B and A rows of each key at its level of use,
+// whatever level its keys arrived at, framed as the bundle frames them
+// — what a bundle would weigh with every seed expanded. A server charges
+// a session this much memory, so a full-chain bundle costs what its cut
+// keys hold, and a seeded bundle what its keys hold once expanded. The
+// Shoup companions derived at decode time are not counted.
 func (e *Engine) EvalKeysSize() (int64, error) {
 	ek, err := e.EvalKeys()
 	if err != nil {
 		return 0, err
 	}
-	n := 8*int64(evalKeysHeaderWords+1) + bfv.KeySetWireSize(ek.KeySet) + ek.KSK.WireSize()
+	n := 8*int64(evalKeysHeaderWords+1) + bfv.KeySetResidentSize(ek.KeySet) + ek.KSK.ResidentSize()
 	for _, ct := range ek.PackKeys {
 		n += bfv.CiphertextWireSize(ct)
 	}
@@ -232,7 +240,10 @@ func (pl *plan) readEvalKeys(r io.Reader) (*EvalKeys, error) {
 		return nil, fmt.Errorf("core: eval keys for logN=%d limbs=%d t=%d n=%d, engine expects logN=%d limbs=%d t=%d n=%d",
 			hdr[2], hdr[3], hdr[4], hdr[5], p.LogN, len(pl.Ctx.Params.Qi), p.T, p.LWEDim)
 	}
-	ks, err := pl.Ctx.ReadKeySet(br)
+	// One row stream, re-keyed in place for every row, expands the
+	// uniform half of every key in the bundle.
+	rows := ring.NewRowStream(nil)
+	ks, err := pl.Ctx.ReadKeySet(br, rows)
 	if err != nil {
 		return nil, fmt.Errorf("core: eval keys: %w", err)
 	}
@@ -252,7 +263,7 @@ func (pl *plan) readEvalKeys(r io.Reader) (*EvalKeys, error) {
 		}
 		babies[i] = ct
 	}
-	ksk, err := pl.ks.ReadKey(br)
+	ksk, err := pl.ks.ReadKey(br, rows)
 	if err != nil {
 		return nil, fmt.Errorf("core: eval keys: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand/v2"
 	"runtime"
@@ -225,13 +226,16 @@ func TestEvalKeysMalformed(t *testing.T) {
 		}
 	})
 	t.Run("matrix-key-version", func(t *testing.T) {
-		// A bundle of version 1 carries the per-value keyswitch matrix:
-		// refused at the header with a typed error, before any key.
-		bad := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint64(bad[8:], 1)
-		var bv *BundleVersionError
-		if _, err := ReadEvalKeys(p, bytes.NewReader(bad)); !errors.As(err, &bv) || bv.Version != 1 {
-			t.Fatalf("version-1 bundle: %v, want a *BundleVersionError of version 1", err)
+		// A bundle of version 1 carries the per-value keyswitch matrix, one
+		// of version 2 the keys' A rows: refused at the header with a typed
+		// error, before any key.
+		for _, v := range []uint64{1, 2} {
+			bad := append([]byte(nil), good...)
+			binary.LittleEndian.PutUint64(bad[8:], v)
+			var bv *BundleVersionError
+			if _, err := ReadEvalKeys(p, bytes.NewReader(bad)); !errors.As(err, &bv) || bv.Version != v {
+				t.Fatalf("version-%d bundle: %v, want a *BundleVersionError of version %d", v, err, v)
+			}
 		}
 	})
 	t.Run("wrong-params", func(t *testing.T) {
@@ -444,14 +448,15 @@ func TestEvalKeysRefuseUnevaluable(t *testing.T) {
 	}
 
 	// After the bundle header (6 words), the key-set header (5 words) and
-	// the relinearization flag, word 12 is the relinearization key's level
-	// and word 13 the limb count of its first polynomial.
+	// the relinearization flag, word 12 is the relinearization key's
+	// level, words 13 to 16 its seed, and word 17 the limb count of its
+	// first polynomial.
 	var buf bytes.Buffer
 	if err := e.WriteEvalKeys(&buf); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
-	const levelWord, limbWord = 12, 13
+	const levelWord, limbWord = 12, 17
 	for _, w := range []int{levelWord, limbWord} {
 		if got := binary.LittleEndian.Uint64(blob[8*w:]); got != uint64(fbsL) {
 			t.Fatalf("word %d of the bundle is %d, want the relinearization key's level %d", w, got, fbsL)
@@ -474,5 +479,9 @@ func TestEvalKeysRefuseUnevaluable(t *testing.T) {
 				t.Fatalf("got %v, want bfv.ErrKeyShape", err)
 			}
 		})
+	}
+	// A bundle cut inside a key's seed is refused as truncated.
+	if _, err := ReadEvalKeys(p, bytes.NewReader(blob[:8*(levelWord+1)+12])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("bundle cut inside a seed: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // fuzzParams is the smallest ring the plan accepts (N = 4) with four
 // limbs, so that the FBS level (3) and the post level (2) differ, and an
 // LWE dimension of 2, so that the packer reads a Galois key of its own.
-// A bundle is 2 584 bytes.
+// A bundle is 1 672 bytes.
 func fuzzParams() Params {
 	p := TestParams()
 	p.LogN, p.QiNum, p.LWEDim = 2, 4, 2
@@ -23,9 +23,12 @@ func fuzzParams() Params {
 // evaluation engine that runs every key-reading step — pack, the LUT
 // ladder, S2C, Step ③'s switch and extraction — and whose re-export
 // reads back to the same engine. The checked-in corpus
-// (testdata/fuzz/FuzzReadEvalKeys) holds today's bundle, the full-chain
-// layout, bundles refused for their key levels, and a version-1 bundle
-// (the per-value matrix key), all at fuzzParams.
+// (testdata/fuzz/FuzzReadEvalKeys) holds today's bundle (version 3, the
+// keys as seeds and B rows), the full-chain layout, bundles refused for
+// their key levels — a key below its level of use, of level 0, above the
+// chain, or with a polynomial of fewer limbs than its level — one cut
+// inside a key's seed, and bundles of versions 1 (the per-value matrix
+// key) and 2 (the A rows on the wire), all at fuzzParams.
 func FuzzReadEvalKeys(f *testing.F) {
 	p := fuzzParams()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,12 +19,13 @@ import (
 // TestEvalKeysBytesPinned: the bundle a TestParams client uploads hashes
 // to the checked-in digest. Session IDs are the SHA-256 of these bytes
 // and stored objects are named by them, so the digest is a strict pin,
-// moved only with a reason. It last moved when Step ③'s keyswitch key
-// became the ring-level key (bundle version 2, 610 848 bytes): a bundle
-// of version 1 holds the per-value matrix key, is refused with a
-// *BundleVersionError, and its session uploads its keys again. Within a
-// version, the full-chain layout still decodes and evaluates identically
-// (TestFullChainBundleStillLoads).
+// moved only with a reason. It last moved when every key came to travel
+// as its mask seed and its B rows (bundle version 3, 327 328 bytes; 610
+// 848 at version 2, with the ring-level keyswitch key, and 706 080 at
+// version 1, with the per-value matrix key): a bundle of an earlier
+// version is refused with a *BundleVersionError, and its session uploads
+// its keys again. Within a version, the full-chain layout still decodes
+// and evaluates identically (TestFullChainBundleStillLoads).
 func TestEvalKeysBytesPinned(t *testing.T) {
 	e := testEngine(t)
 	var buf bytes.Buffer
@@ -43,17 +44,19 @@ func TestEvalKeysBytesPinned(t *testing.T) {
 
 // fullChainDigest is the SHA-256 of the TestParams bundle in the layout
 // written before keys were cut to their level of use: every switching
-// key and packing baby over the full chain, 1 990 880 bytes at version 2
-// (2 086 112 at version 1, with the per-value matrix key).
-const fullChainDigest = "6744cf8ba428e02a448937b218a95fff4f497e051a1d39b72bbd7d27ee6f3f7f"
+// key and packing baby over the full chain, 1 021 472 bytes at version 3
+// (1 990 880 at version 2, 2 086 112 at version 1).
+const fullChainDigest = "f46b3e1ad79e9e18925ec683340072897bb7fa639d74af55756c97a41f236cb9"
 
-// TestFullChainBundleStillLoads writes the full-chain layout from the
-// keys as generated, proves it is the old bytes by their digest, and
-// requires the evaluation engine built from it to return encrypted
-// logits byte-equal to those of the engine built from today's bundle.
+// TestFullChainBundleStillLoads generates the full-chain layout from the
+// client's seeds, proves it is the pinned bytes by their digest, and
+// requires the evaluation engine built from it to re-export today's
+// bundle byte for byte — the keys born at their level are the full-chain
+// keys' prefixes — and to return encrypted logits byte-equal to those of
+// the engine built from today's bundle.
 func TestFullChainBundleStillLoads(t *testing.T) {
 	p := TestParams()
-	client, full, err := newClientEngine(p)
+	client, full, err := newClientEngine(p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +89,15 @@ func TestFullChainBundleStillLoads(t *testing.T) {
 	if !bytes.Equal(re.Bytes(), cur.Bytes()) {
 		t.Fatal("the full-chain bundle's engine re-exports bytes other than today's bundle")
 	}
-	// A server charges a session the engine's bundle size, so the old
-	// layout costs what its cut keys hold, not the bytes uploaded.
-	if n, err := legacy.EvalKeysSize(); err != nil || n != int64(cur.Len()) {
-		t.Fatalf("full-chain engine sized at %d bytes (%v), want today's %d", n, err, cur.Len())
+	// A server charges a session what its keys hold at their levels of
+	// use, so the old layout costs what its cut keys hold, not the bytes
+	// uploaded.
+	want, err := trimmed.EvalKeysSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := legacy.EvalKeysSize(); err != nil || n != want {
+		t.Fatalf("full-chain engine sized at %d bytes (%v), want today's %d", n, err, want)
 	}
 
 	net := evalKeysTestNet()
@@ -118,8 +126,10 @@ func TestFullChainBundleStillLoads(t *testing.T) {
 
 // TestEvalKeysSize bounds the TestParams bundle (2 086 112 bytes when
 // every key travelled over the full chain, 706 080 with the per-value
-// keyswitch matrix, 610 848 with the ring-level key) and logs its bytes
-// per component.
+// keyswitch matrix, 610 848 with the ring-level key, 327 328 with every
+// key shipped as its seed and its B rows), logs its bytes per component,
+// and checks that the memory a session is charged, EvalKeysSize, is the
+// bundle with every seed expanded into its A rows: 610 848 bytes.
 func TestEvalKeysSize(t *testing.T) {
 	e := testEngine(t)
 	ek, err := e.EvalKeys()
@@ -154,22 +164,38 @@ func TestEvalKeysSize(t *testing.T) {
 	fbsL, postL := e.ctxF.Level(), e.ctxP.Level()
 	t.Logf("eval-keys bytes: total %d | relinearization (level %d) %d | %d galois at FBS level %d: %d | %d galois at post level %d: %d | %d packing babies (level %d) %d | LWE keyswitch key %d",
 		total, fbsL, relin, count[fbsL], fbsL, galois[fbsL], count[postL], postL, galois[postL], len(ek.PackKeys), fbsL, babies, ksk)
-	if n, err := e.EvalKeysSize(); err != nil || n != int64(total) {
-		t.Errorf("EvalKeysSize %d (%v), bundle written is %d bytes", n, err, total)
+	if total > 335_000 {
+		t.Errorf("TestParams bundle is %d bytes, want ≤ 335 000", total)
 	}
-	if n := bfv.KeySetWireSize(ek.KeySet); n != int64(keySet(ek.KeySet)) {
-		t.Errorf("KeySetWireSize %d, key set written is %d bytes", n, keySet(ek.KeySet))
+
+	// Expanding a key swaps its four seed words for its A polynomials,
+	// each framed as a limb count and, per limb, a length and N words.
+	expanded := int64(-4) // the keyswitch key's seed; its A_d are N words each
+	for range ek.KSK.Digits {
+		expanded += int64(e.Ctx.N)
 	}
-	if total > 620_000 {
-		t.Errorf("TestParams bundle is %d bytes, want ≤ 620 000", total)
+	swk := func(s *bfv.SwitchingKey) {
+		expanded -= 4
+		for _, a := range s.A {
+			expanded += 1 + int64(a.Level())*(1+int64(e.Ctx.N))
+		}
+	}
+	swk(&ek.KeySet.Relin.SwitchingKey)
+	for _, gk := range ek.KeySet.Galois {
+		swk(&gk.SwitchingKey)
+	}
+	resident := int64(total) + 8*expanded
+	if n, err := e.EvalKeysSize(); err != nil || n != resident || n != 610_848 {
+		t.Errorf("EvalKeysSize %d (%v), want the expanded keys' %d bytes and 610 848", n, err, resident)
 	}
 }
 
 // TestWireCodecAllocs bounds the codec's allocations by what it builds,
-// not by the words it moves: a TestParams bundle of 88 k words decodes
-// in allocations proportional to its polynomials and keyswitch rows
-// (786 measured, bounded at that + 10 %), and writing a bundle or
-// reading one ciphertext costs a small constant.
+// not by the words it moves: a TestParams bundle decodes in allocations
+// proportional to its polynomials and keyswitch rows (786 measured when
+// the A rows travelled, bounded at that + 10 %; 690 since each key's A
+// is expanded from its seed into one backing array), and writing a
+// bundle or reading one ciphertext costs a small constant.
 func TestWireCodecAllocs(t *testing.T) {
 	e := testEngine(t)
 	var buf bytes.Buffer

@@ -28,6 +28,10 @@ type evalWorker struct {
 	// window a masked window at the post level through S2C; both are
 	// built on first use.
 	round, window *bfv.Ciphertext
+	// pt and pm stage a one-shot post-level plaintext — a mask, a kernel,
+	// a bias — from its encoding through its lift; built on first use.
+	pt *bfv.Plaintext
+	pm *bfv.PlaintextMul
 	// rescale stages ModDown and Step ②'s modulus switch; sw holds the
 	// qMid pair Step ② writes and Step ③'s ring switch, built on the
 	// worker's first extract.
@@ -85,4 +89,15 @@ func (e *Engine) flushStats() {
 	}
 	flush(e.w0)
 	e.lanes.Each(flush)
+}
+
+// plain returns the worker's post-level plaintext staging, valid until
+// its next use.
+func (wk *evalWorker) plain() (*bfv.Plaintext, *bfv.PlaintextMul) {
+	if wk.pt == nil {
+		ctxP := wk.e.ctxP
+		wk.pt = ctxP.NewPlaintext()
+		wk.pm = &bfv.PlaintextMul{Value: ctxP.RingQ.NewPoly()}
+	}
+	return wk.pt, wk.pm
 }

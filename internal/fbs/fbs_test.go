@@ -458,12 +458,15 @@ func TestEvaluateInGroups(t *testing.T) {
 	checkAllInputs(t, "relu/4", ctx, enc, dec, ev, cod, lut, fe)
 }
 
-// checkNoiseAgainstFlat evaluates lut on ct under the chosen split and
-// under the flat one: the two outputs decrypt alike, and the chosen split
-// leaves a noise budget within 2 bits of the flat split's. The chosen
-// split is no deeper, but its sums are nested one level more, and the
-// noise is measured, not read off the depth.
-func checkNoiseAgainstFlat(t *testing.T, ctx *bfv.Context, dec *bfv.Decryptor, ev *bfv.Evaluator, ct *bfv.Ciphertext, lut *LUT) {
+// checkNoiseAgainstFlat evaluates lut on every ciphertext of cts under
+// the chosen split and under the flat one: the two outputs decrypt
+// alike, and the chosen split leaves a mean noise budget within 2 bits
+// of the flat split's. The chosen split is no deeper, but its sums are
+// nested one level more, and the noise is measured, not read off the
+// depth. It is measured over several encryptions because one output's
+// budget is the maximum over its coefficients: under one key, encryptions
+// of the same values leave budgets 3 to 5 bits apart under either split.
+func checkNoiseAgainstFlat(t *testing.T, ctx *bfv.Context, dec *bfv.Decryptor, ev *bfv.Evaluator, cts []*bfv.Ciphertext, lut *LUT) {
 	t.Helper()
 	fe, err := NewEvaluator(ctx, lut)
 	if err != nil {
@@ -476,39 +479,52 @@ func checkNoiseAgainstFlat(t *testing.T, ctx *bfv.Context, dec *bfv.Decryptor, e
 	if fe.split == s {
 		t.Fatalf("the chosen split %+v is the flat one", s)
 	}
-	out, err := fe.Evaluate(ev, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := newEvaluator(ctx, lut, s).Evaluate(ev, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := dec.Decrypt(out).Coeffs, dec.Decrypt(flat).Coeffs
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("coefficient %d: split %+v decrypts to %d, the flat split to %d", i, fe.split, got[i], want[i])
+	var b, bFlat float64
+	for _, ct := range cts {
+		out, err := fe.Evaluate(ev, ct)
+		if err != nil {
+			t.Fatal(err)
 		}
+		flat, err := newEvaluator(ctx, lut, s).Evaluate(ev, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := dec.Decrypt(out).Coeffs, dec.Decrypt(flat).Coeffs
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("coefficient %d: split %+v decrypts to %d, the flat split to %d", i, fe.split, got[i], want[i])
+			}
+		}
+		bo, bf := dec.NoiseBudget(out), dec.NoiseBudget(flat)
+		if bo <= 0 {
+			t.Errorf("split %+v leaves no noise budget", fe.split)
+		}
+		b += bo / float64(len(cts))
+		bFlat += bf / float64(len(cts))
 	}
-	b, bFlat := dec.NoiseBudget(out), dec.NoiseBudget(flat)
-	t.Logf("t=%d noise budget left of %.1f bits: split %+v %.1f bits, flat %+v %.1f bits", lut.T, dec.NoiseBudget(ct), fe.split, b, s, bFlat)
-	if b < bFlat-2 || b <= 0 {
+	t.Logf("t=%d noise budget left of %.1f bits, mean of %d: split %+v %.1f bits, flat %+v %.1f bits", lut.T, dec.NoiseBudget(cts[0]), len(cts), fe.split, b, s, bFlat)
+	if b < bFlat-2 {
 		t.Errorf("split %+v leaves %.1f bits of noise budget, the flat split %.1f", fe.split, b, bFlat)
 	}
 }
 
 // TestSplitNoiseWithinTwoBitsOfFlat measures the FBS output noise under
-// the chosen and the flat split at t = 257 (N = 64, six 50-bit limbs) and
-// at the DigitNet shape (t = 12289, N = 512, nine 55-bit limbs).
+// the chosen and the flat split at t = 257 (N = 64, six 50-bit limbs),
+// over six encryptions, and at the DigitNet shape (t = 12289, N = 512,
+// nine 55-bit limbs), whose evaluations take seconds, over one.
 func TestSplitNoiseWithinTwoBitsOfFlat(t *testing.T) {
 	t.Run("t257", func(t *testing.T) {
 		ctx, enc, dec, ev, cod := fbsKit(t, 6, 6, 257)
-		vals := make([]int64, ctx.N)
-		rng := rand.New(rand.NewPCG(51, 52))
-		for i := range vals {
-			vals[i] = int64(rng.Uint64N(257)) - 128
+		cts := make([]*bfv.Ciphertext, 6)
+		for k := range cts {
+			vals := make([]int64, ctx.N)
+			rng := rand.New(rand.NewPCG(51, 52+uint64(k)))
+			for i := range vals {
+				vals[i] = int64(rng.Uint64N(257)) - 128
+			}
+			cts[k] = enc.Encrypt(cod.EncodeSlots(vals))
 		}
-		checkNoiseAgainstFlat(t, ctx, dec, ev, enc.Encrypt(cod.EncodeSlots(vals)), NewLUT(257, func(x int64) int64 { return max(x, 0) / 4 }))
+		checkNoiseAgainstFlat(t, ctx, dec, ev, cts, NewLUT(257, func(x int64) int64 { return max(x, 0) / 4 }))
 	})
 	t.Run("t12289", func(t *testing.T) {
 		if testing.Short() {
@@ -528,7 +544,7 @@ func TestSplitNoiseWithinTwoBitsOfFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkNoiseAgainstFlat(t, ctx, dec, bfv.NewEvaluator(ctx, fullEv.Keys()), ct, NewLUT(12289, func(x int64) int64 { return max(x, 0) / 8 }))
+		checkNoiseAgainstFlat(t, ctx, dec, bfv.NewEvaluator(ctx, fullEv.Keys()), []*bfv.Ciphertext{ct}, NewLUT(12289, func(x int64) int64 { return max(x, 0) / 8 }))
 	})
 }
 

@@ -81,12 +81,14 @@ func digitCount(q, base uint64) int {
 
 // KeySwitchKey switches a ring ciphertext at Q from the ring secret s to
 // s′. Digit d is the pair (B_d, A_d) with B_d + A_d·s′ = Base^d·s + e_d
-// (mod Q). One allocation holds the pairs as they travel (mod Q, B_d
-// then A_d by digit: the wire order), then their NTT images at P, then
-// those images' Shoup companions.
+// (mod Q), where A_d is row (d, 0) of the key's public Seed
+// (ring.RowStream): the key travels as its seed and its B_d. One
+// allocation holds the pairs (mod Q, B_d then A_d by digit), then their
+// NTT images at P, then those images' Shoup companions.
 type KeySwitchKey struct {
 	*SwitchPlan
-	w []uint64
+	Seed [32]byte
+	w    []uint64
 }
 
 // words is the length of one of the key's three forms.
@@ -96,6 +98,10 @@ func (sp *SwitchPlan) newKey() *KeySwitchKey {
 	return &KeySwitchKey{SwitchPlan: sp, w: make([]uint64, 3*sp.words())}
 }
 
+// maskTweak keys the stream the key's public mask seed is drawn from,
+// apart from the secret stream of its errors.
+const maskTweak = 0xbb67ae8584caa73b
+
 // NewKey generates the key from s (the ring secret's coefficients) to the
 // embedding of z, with Gaussian errors of width sigma.
 func (sp *SwitchPlan) NewKey(s, z *SecretKey, sigma float64, seed uint64) *KeySwitchKey {
@@ -104,6 +110,8 @@ func (sp *SwitchPlan) NewKey(s, z *SecretKey, sigma float64, seed uint64) *KeySw
 	}
 	k := sp.newKey()
 	smp := newStream(seed)
+	k.Seed = ring.NewKeystreamTweaked(seed, maskTweak).Seed32()
+	k.expand(ring.NewRowStream(nil))
 	sz := make([]uint64, sp.N) // s′ in the NTT domain at P
 	for i, v := range z.S {
 		sz[i*(sp.N/sp.Dim)] = sp.ntt.M.ReduceInt64(v)
@@ -118,14 +126,11 @@ func (sp *SwitchPlan) NewKey(s, z *SecretKey, sigma float64, seed uint64) *KeySw
 	return k
 }
 
-// encryptPair writes (B, A) into pair: A uniform mod Q and B = pw·s + e
-// − A·s′. A·s′ is exact at P (its coefficients are below Dim·Q < P/2),
+// encryptPair writes B = pw·s + e − A·s′ into pair, whose A is already
+// expanded. A·s′ is exact at P (its coefficients are below Dim·Q < P/2),
 // so it costs two NTTs rather than an N·n loop.
 func (sp *SwitchPlan) encryptPair(pair []uint64, s []int64, pw uint64, sz []uint64, sigma float64, smp *Stream) {
 	b, a := pair[:sp.N], pair[sp.N:]
-	for i := range a {
-		a[i] = smp.Uint64N(sp.Q)
-	}
 	copy(b, a)
 	sp.ntt.Forward(b)
 	sp.ntt.M.MulVec(b, sz, b)
@@ -134,6 +139,14 @@ func (sp *SwitchPlan) encryptPair(pair []uint64, s []int64, pw uint64, sz []uint
 	for i, as := range b {
 		msg := m.Add(m.Mul(pw, m.ReduceInt64(s[i])), m.ReduceInt64(smp.Gaussian(sigma)))
 		b[i] = m.Sub(msg, sp.lift(as))
+	}
+}
+
+// expand fills every A_d with row (d, 0) of the key's seed.
+func (k *KeySwitchKey) expand(rows *ring.RowStream) {
+	for d := 0; d < k.Digits; d++ {
+		rows.Row(&k.Seed, d, 0)
+		rows.UniformRow(k.w[(2*d+1)*k.N:(2*d+2)*k.N], k.Q)
 	}
 }
 

@@ -2,6 +2,7 @@ package lwe
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -13,9 +14,10 @@ const (
 	magicKSK = 0x414b4b31 // "AKK1"
 	wireVer  = 1
 
-	// keyWireVer is the keyswitch key's version: 2 since the key is the
-	// ring key's pairs (1 was the per-value matrix).
-	keyWireVer = 2
+	// keyWireVer is the keyswitch key's version: 3 since the key travels
+	// as its mask seed and its B_d (2 carried the A_d too, 1 was the
+	// per-value matrix).
+	keyWireVer = 3
 )
 
 // WriteCiphertext serializes one LWE ciphertext.
@@ -78,27 +80,32 @@ func readRow(wr *ring.WordReader, ct *Ciphertext) error {
 }
 
 // WriteKey serializes k: a header of seven words (magic, version, Q,
-// base, digits, N, n), then the pairs in their wire order.
+// base, digits, N, n), the mask seed in four words, then B_d by digit.
 func WriteKey(k *KeySwitchKey, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if err := ring.WriteWords(bw, magicKSK, keyWireVer, k.Q, k.Base, uint64(k.Digits), uint64(k.N), uint64(k.Dim)); err != nil {
+	le := binary.LittleEndian
+	if err := ring.WriteWords(bw, magicKSK, keyWireVer, k.Q, k.Base, uint64(k.Digits), uint64(k.N), uint64(k.Dim),
+		le.Uint64(k.Seed[0:]), le.Uint64(k.Seed[8:]), le.Uint64(k.Seed[16:]), le.Uint64(k.Seed[24:])); err != nil {
 		return err
 	}
-	if err := ring.WriteWords(bw, k.w[:k.words()]...); err != nil {
-		return err
+	for d := 0; d < k.Digits; d++ {
+		if err := ring.WriteWords(bw, k.w[2*d*k.N:(2*d+1)*k.N]...); err != nil {
+			return err
+		}
 	}
 	return bw.Flush()
 }
 
-// WireSize returns the length in bytes of WriteKey's encoding of k.
-func (k *KeySwitchKey) WireSize() int64 { return 8 * int64(7+k.words()) }
+// ResidentSize returns the bytes k's pairs hold once expanded, with the
+// header: the length of the version-2 layout, which carried both halves.
+func (k *KeySwitchKey) ResidentSize() int64 { return 8 * int64(7+k.words()) }
 
-// ReadKey deserializes a key for the plan. The header must be the plan's
-// before anything is allocated, so a short upload claiming a huge key
-// costs the reader nothing; version 1, the per-value matrix key written
-// before the switch moved to the ring, is refused. The key is then one
-// allocation, filled a polynomial at a time.
-func (sp *SwitchPlan) ReadKey(r io.Reader) (*KeySwitchKey, error) {
+// ReadKey deserializes a key for the plan, expanding its A_d through
+// rows. The header must be the plan's before anything is allocated, so
+// a short upload claiming a huge key costs the reader nothing; versions
+// 1 (the per-value matrix) and 2 (the pairs with A_d) are refused. The
+// key is then one allocation, filled a row at a time.
+func (sp *SwitchPlan) ReadKey(r io.Reader, rows *ring.RowStream) (*KeySwitchKey, error) {
 	wr := ring.WordReader{R: bufio.NewReader(r)}
 	var hdr [7]uint64
 	if err := wr.Words(hdr[:]); err != nil {
@@ -114,12 +121,20 @@ func (sp *SwitchPlan) ReadKey(r io.Reader) (*KeySwitchKey, error) {
 		return nil, fmt.Errorf("lwe: keyswitch key q=%d base=%d digits=%d %d→%d, want q=%d base=%d digits=%d %d→%d",
 			hdr[2], hdr[3], hdr[4], hdr[5], hdr[6], sp.Q, sp.Base, sp.Digits, sp.N, sp.Dim)
 	}
+	var seed [4]uint64
+	if err := wr.Words(seed[:]); err != nil {
+		return nil, fmt.Errorf("lwe: keyswitch key seed: %w", err)
+	}
 	k := sp.newKey()
-	for i := 0; i < k.words(); i += sp.N {
-		if err := wr.WordsBelow(k.w[i:i+sp.N], sp.Q); err != nil {
-			return nil, fmt.Errorf("lwe: keyswitch key digit %d: %w", i/(2*sp.N), err)
+	for i, w := range seed {
+		binary.LittleEndian.PutUint64(k.Seed[8*i:], w)
+	}
+	for d := 0; d < sp.Digits; d++ {
+		if err := wr.WordsBelow(k.w[2*d*sp.N:(2*d+1)*sp.N], sp.Q); err != nil {
+			return nil, fmt.Errorf("lwe: keyswitch key digit %d: %w", d, err)
 		}
 	}
+	k.expand(rows)
 	k.precompute()
 	return k, nil
 }

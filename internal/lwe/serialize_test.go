@@ -48,7 +48,7 @@ func TestKeySwitchKeyRoundTrip(t *testing.T) {
 	if err := WriteKey(k, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := k.ReadKey(&buf)
+	back, err := k.ReadKey(&buf, ring.NewRowStream(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +142,12 @@ func TestKeySwitchKeyWireRejectsBadHeader(t *testing.T) {
 		binary.LittleEndian.PutUint64(mut[off:], v)
 		return mut
 	}
-	// Offsets: magic 0, version 8, q 16, base 24, digits 32, N 40, n 48.
+	// Offsets: magic 0, version 8, q 16, base 24, digits 32, N 40, n 48,
+	// the seed 56 to 88, then B_0.
 	cases := map[string][]byte{
 		"matrix key version": patch(8, 1),
+		"unseeded version":   patch(8, 2),
+		"truncated seed":     blob[:72],
 		"zero modulus":       patch(16, 0),
 		"base below two":     patch(24, 1),
 		"zero digits":        patch(32, 0),
@@ -153,11 +156,11 @@ func TestKeySwitchKeyWireRejectsBadHeader(t *testing.T) {
 		"other modulus":      patch(16, wireTestQ+2),
 		"other ring degree":  patch(40, 8),
 		"other output":       patch(48, 1),
-		"coefficient ≥ q":    patch(56, wireTestQ),
+		"coefficient ≥ q":    patch(88, wireTestQ),
 		"inflated header":    inflatedKSKHeader(k),
 	}
 	for name, mut := range cases {
-		if _, err := k.ReadKey(bytes.NewReader(mut)); err == nil {
+		if _, err := k.ReadKey(bytes.NewReader(mut), ring.NewRowStream(nil)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -195,7 +198,7 @@ func TestKeySwitchKeyHeaderCheckedBeforeAllocation(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := k.ReadKey(bytes.NewReader(blob))
+		_, err := k.ReadKey(bytes.NewReader(blob), ring.NewRowStream(nil))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("%s accepted", name)
@@ -207,10 +210,12 @@ func TestKeySwitchKeyHeaderCheckedBeforeAllocation(t *testing.T) {
 }
 
 // FuzzReadKeySwitchKey: arbitrary bytes against a plan must yield an
-// error or a key of that plan with every word reduced and the wire form
-// re-encoding to the bytes read — never a panic. testdata/fuzz holds the
-// inflated header and two headers of the right shape whose base is not
-// the plan's: one not a power of two, one past the exactness bound.
+// error or a key of that plan with every word reduced, its A_d the rows
+// of its seed, and the wire form re-encoding to the bytes read — never a
+// panic. testdata/fuzz holds a whole seeded key, one cut inside its
+// seed, the inflated header, and two headers of the right shape whose
+// base is not the plan's: one not a power of two, one past the
+// exactness bound.
 func FuzzReadKeySwitchKey(f *testing.F) {
 	k := wireTestKey()
 	var buf bytes.Buffer
@@ -220,7 +225,7 @@ func FuzzReadKeySwitchKey(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:56])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := k.ReadKey(bytes.NewReader(data))
+		got, err := k.ReadKey(bytes.NewReader(data), ring.NewRowStream(nil))
 		if err != nil {
 			return
 		}
@@ -230,6 +235,14 @@ func FuzzReadKeySwitchKey(f *testing.F) {
 		for i, x := range got.w[:k.words()] {
 			if x >= got.Q {
 				t.Fatalf("decoded key word %d (%d) not reduced mod %d", i, x, got.Q)
+			}
+		}
+		want := &KeySwitchKey{SwitchPlan: got.SwitchPlan, Seed: got.Seed, w: make([]uint64, len(got.w))}
+		want.expand(ring.NewRowStream(nil))
+		for d := 0; d < got.Digits; d++ {
+			a := (2*d + 1) * got.N
+			if !slices.Equal(got.w[a:a+got.N], want.w[a:a+got.N]) {
+				t.Fatalf("digit %d: A is not the rows of the key's seed", d)
 			}
 		}
 		var again bytes.Buffer

@@ -282,7 +282,7 @@ func TestKeySwitchRejectsInexactBase(t *testing.T) {
 			}
 			blob := buf.Bytes()
 			binary.LittleEndian.PutUint64(blob[24:], 2*c.base)
-			if _, err := sp.ReadKey(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), "base") {
+			if _, err := sp.ReadKey(bytes.NewReader(blob), ring.NewRowStream(nil)); err == nil || !strings.Contains(err.Error(), "base") {
 				t.Fatalf("ReadKey of a header with base %d: %v", 2*c.base, err)
 			}
 		})

@@ -3,6 +3,8 @@ package ring
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
+	"slices"
 )
 
 // IsPrime reports whether q is prime. It delegates to math/big's
@@ -44,8 +46,8 @@ func GenerateNTTPrimes(bitSize, logN, count int) ([]uint64, error) {
 }
 
 // PrimitiveRoot returns a generator of the multiplicative group Z_q^*,
-// given the prime q. It factors q-1 by trial division (fine for the
-// word-sized moduli used here) and tests candidates.
+// given the prime q: the least g ≥ 2 with g^((q−1)/f) ≠ 1 for every
+// prime factor f of q − 1.
 func PrimitiveRoot(q uint64) uint64 {
 	m := NewModulus(q)
 	factors := distinctPrimeFactors(q - 1)
@@ -85,9 +87,14 @@ func RootOfUnity(q, n uint64) uint64 {
 	return psi
 }
 
+// distinctPrimeFactors returns the distinct prime factors of n ≥ 1 in
+// increasing order. Factors below 64 are divided out by trial; what is
+// left splits by Pollard's rho, so a 60-bit n − 1 with a large prime
+// cofactor costs microseconds, not the ~2^30 divisions trial division
+// up to its square root would.
 func distinctPrimeFactors(n uint64) []uint64 {
 	var fs []uint64
-	for p := uint64(2); p*p <= n; p++ {
+	for p := uint64(2); p < 64 && p*p <= n; p++ {
 		if n%p == 0 {
 			fs = append(fs, p)
 			for n%p == 0 {
@@ -95,8 +102,81 @@ func distinctPrimeFactors(n uint64) []uint64 {
 			}
 		}
 	}
-	if n > 1 {
-		fs = append(fs, n)
+	fs = appendPrimeFactors(fs, n)
+	slices.Sort(fs)
+	return slices.Compact(fs)
+}
+
+// appendPrimeFactors appends the prime factors of n, which has none
+// below 64, with repeats.
+func appendPrimeFactors(fs []uint64, n uint64) []uint64 {
+	if n == 1 {
+		return fs
 	}
-	return fs
+	if IsPrime(n) {
+		return append(fs, n)
+	}
+	d := pollardRho(n)
+	return appendPrimeFactors(appendPrimeFactors(fs, d), n/d)
+}
+
+// pollardRho returns a non-trivial factor of the odd composite n: Brent's
+// cycle search on x ↦ x² + c mod n, with the differences multiplied
+// together and one gcd per batch of them.
+func pollardRho(n uint64) uint64 {
+	mul := func(a, b uint64) uint64 {
+		hi, lo := bits.Mul64(a, b)
+		_, r := bits.Div64(hi, lo, n) // a, b < n, so hi < n
+		return r
+	}
+	const batch = 64
+	for c := uint64(1); ; c++ {
+		f := func(x uint64) uint64 {
+			x = mul(x, x) + c
+			if x >= n || x < c { // c < n, so one subtraction reduces
+				x -= n
+			}
+			return x
+		}
+		y, x, ys := uint64(2), uint64(2), uint64(2)
+		g, acc := uint64(1), uint64(1)
+		for r := 1; g == 1; r *= 2 {
+			x = y
+			for i := 0; i < r; i++ {
+				y = f(y)
+			}
+			for k := 0; k < r && g == 1; k += batch {
+				ys = y
+				for i := 0; i < min(batch, r-k); i++ {
+					y = f(y)
+					acc = mul(acc, absDiff(x, y))
+				}
+				g = gcd(acc, n)
+			}
+		}
+		if g == n {
+			// The batch overshot: step back through it one gcd at a time.
+			for g = 1; g == 1; {
+				ys = f(ys)
+				g = gcd(absDiff(x, ys), n)
+			}
+		}
+		if g != n {
+			return g
+		}
+	}
+}
+
+func absDiff(a, b uint64) uint64 {
+	if a > b {
+		return a - b
+	}
+	return b - a
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }

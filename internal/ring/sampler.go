@@ -2,6 +2,7 @@ package ring
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"math"
 
@@ -27,7 +28,13 @@ const keystreamTweak = 0x9e3779b97f4a7c15
 // (seed, tweak) it replays the same stream, which keeps tests and
 // experiments reproducible while remaining cryptographically strong.
 type Keystream struct {
+	cc  *mrand.ChaCha8
 	src *mrand.Rand
+}
+
+func newKeystream(key [32]byte) *Keystream {
+	cc := mrand.NewChaCha8(key)
+	return &Keystream{cc: cc, src: mrand.New(cc)}
 }
 
 // NewKeystream creates a stream keyed by seed with the ring tweak.
@@ -42,7 +49,7 @@ func NewKeystreamTweaked(seed, tweak uint64) *Keystream {
 	var key [32]byte
 	binary.LittleEndian.PutUint64(key[:8], seed)
 	binary.LittleEndian.PutUint64(key[8:16], seed^tweak)
-	return &Keystream{src: mrand.New(mrand.NewChaCha8(key))}
+	return newKeystream(key)
 }
 
 // Uint64N returns a uniform value in [0, n).
@@ -50,6 +57,15 @@ func (k *Keystream) Uint64N(n uint64) uint64 { return k.src.Uint64N(n) }
 
 // IntN returns a uniform int in [0, n).
 func (k *Keystream) IntN(n int) int { return k.src.IntN(n) }
+
+// Seed32 draws a 32-byte seed, the key of a RowStream's rows.
+func (k *Keystream) Seed32() [32]byte {
+	var s [32]byte
+	for i := 0; i < len(s); i += 8 {
+		binary.LittleEndian.PutUint64(s[i:], k.src.Uint64())
+	}
+	return s
+}
 
 // NormFloat64 returns a standard normal draw.
 func (k *Keystream) NormFloat64() float64 { return k.src.NormFloat64() }
@@ -140,5 +156,37 @@ func (s *Sampler) setSigned(v []int64, p Poly) {
 		for j, x := range v {
 			pi[j] = m.ReduceInt64(x)
 		}
+	}
+}
+
+// RowStream is a Sampler whose stream is re-keyed in place for each row
+// it draws: row (i, j) of a 32-byte seed is the ChaCha8 stream keyed by
+// SHA-256(seed ‖ i ‖ j). Any row is drawn without drawing the rows
+// before it, so the rows of a key's level-ℓ prefix are the same words
+// whatever the key's full length, and re-keying allocates nothing.
+type RowStream struct {
+	Sampler
+}
+
+// NewRowStream returns a row stream over ring r, which Sampler's
+// polynomial draws reduce into; r may be nil when only UniformRow is
+// used.
+func NewRowStream(r *Ring) *RowStream {
+	return &RowStream{Sampler{r: r, Keystream: newKeystream([32]byte{})}}
+}
+
+// Row re-keys the stream to row (i, j) of seed.
+func (s *RowStream) Row(seed *[32]byte, i, j int) {
+	var in [48]byte
+	copy(in[:32], seed[:])
+	binary.LittleEndian.PutUint64(in[32:], uint64(i))
+	binary.LittleEndian.PutUint64(in[40:], uint64(j))
+	s.cc.Seed(sha256.Sum256(in[:]))
+}
+
+// UniformRow fills row with independent uniform residues mod q.
+func (s *RowStream) UniformRow(row []uint64, q uint64) {
+	for j := range row {
+		row[j] = s.src.Uint64N(q)
 	}
 }

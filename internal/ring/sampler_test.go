@@ -2,6 +2,7 @@ package ring
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -90,5 +91,43 @@ func TestUniformIsWellSpread(t *testing.T) {
 	mean := sum / float64(r.N)
 	if mean < 0.45*q || mean > 0.55*q {
 		t.Fatalf("uniform mean %.3g not near q/2=%.3g", mean, q/2)
+	}
+}
+
+// TestRowStreamRows: a row depends on its seed and its (i, j) alone — not
+// on the rows drawn before it — rows of distinct indices differ, and
+// re-keying and drawing allocate nothing.
+func TestRowStreamRows(t *testing.T) {
+	const q = uint64(1)<<50 - 27
+	seed := [32]byte{1, 2, 3}
+	draw := func(s *RowStream, i, j int) []uint64 {
+		row := make([]uint64, 64)
+		s.Row(&seed, i, j)
+		s.UniformRow(row, q)
+		return row
+	}
+	a := NewRowStream(nil)
+	first := draw(a, 3, 1)
+	draw(a, 0, 0)
+	b := NewRowStream(nil)
+	if !slices.Equal(draw(b, 3, 1), first) {
+		t.Fatal("row (3, 1) depends on the rows drawn before it")
+	}
+	for _, ij := range [][2]int{{1, 3}, {3, 0}, {0, 1}} {
+		if slices.Equal(draw(b, ij[0], ij[1]), first) {
+			t.Fatalf("row %v equals row (3, 1)", ij)
+		}
+	}
+	for _, v := range first {
+		if v >= q {
+			t.Fatalf("residue %d not below %d", v, q)
+		}
+	}
+	row := make([]uint64, 64)
+	if n := testing.AllocsPerRun(50, func() {
+		a.Row(&seed, 2, 2)
+		a.UniformRow(row, q)
+	}); n != 0 {
+		t.Fatalf("re-keying and drawing a row allocate %v times", n)
 	}
 }

@@ -368,8 +368,8 @@ func TestServeAttachRightAfterReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := serve.DemoNet()
-	var blob bytes.Buffer
-	if err := engA.WriteEvalKeys(&blob); err != nil {
+	charge, err := engA.EvalKeysSize()
+	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := serve.NewServer(serve.Config{
@@ -377,7 +377,7 @@ func TestServeAttachRightAfterReply(t *testing.T) {
 		Models:      map[string]*qnn.QNetwork{model.Name: model},
 		MaxWait:     5 * time.Millisecond,
 		DataDir:     t.TempDir(),
-		MemCapBytes: int64(blob.Len()) * 3 / 2,
+		MemCapBytes: charge * 3 / 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,11 +23,11 @@ type Session struct {
 	Mu  sync.Mutex
 
 	// Bytes is the session's memory charge against the registry cap:
-	// the size of the bundle its engine would re-export
-	// (core.Engine.EvalKeysSize), which tracks the dominant in-memory
-	// material, switching keys and packing keys, at the levels the
-	// engine holds them. A bundle uploaded with keys above their level
-	// of use is charged what the engine keeps, not the bytes uploaded.
+	// the key material its engine holds (core.Engine.EvalKeysSize) —
+	// switching keys with their seeds expanded, and packing keys — at
+	// the levels the engine holds them. It is not the bytes uploaded: a
+	// seeded bundle is charged about twice its length, and a bundle with
+	// keys above their level of use what the engine keeps.
 	Bytes int64
 
 	// refs counts in-flight work (admitted, not yet replied requests);

@@ -29,7 +29,8 @@ func TestRegistryColdLoadAfterEviction(t *testing.T) {
 	dir := t.TempDir()
 	st := testStore(t, dir)
 
-	r := NewRegistry(core.TestParams(), int64(len(blobA))+1) // fits one session
+	charge := evalKeysCharge(t)
+	r := NewRegistry(core.TestParams(), charge+1) // fits one session
 	r.SetStore(st)
 
 	a, _, err := r.Open(blobA)
@@ -52,8 +53,8 @@ func TestRegistryColdLoadAfterEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold lookup: %v", err)
 	}
-	if a2.ID != aID || a2.Bytes != int64(len(blobA)) {
-		t.Fatalf("cold-loaded session ID=%s bytes=%d, want %s/%d", a2.ID, a2.Bytes, aID, len(blobA))
+	if a2.ID != aID || a2.Bytes != charge {
+		t.Fatalf("cold-loaded session ID=%s bytes=%d, want %s/%d", a2.ID, a2.Bytes, aID, charge)
 	}
 	if a2 == a {
 		t.Fatal("cold load returned the evicted pointer")
@@ -79,24 +80,27 @@ func TestRegistryColdLoadAfterEviction(t *testing.T) {
 }
 
 // A stored session whose bundle has a layout version this build no
-// longer reads — version 1 holds the per-value keyswitch matrix — is
-// answered as not found, so its client uploads its keys again.
+// longer reads — version 1 holds the per-value keyswitch matrix, version
+// 2 the keys' A rows — is answered as not found, so its client uploads
+// its keys again.
 func TestRegistryStaleBundleVersionIsNotFound(t *testing.T) {
-	blob := evalKeysBlob(t, 303)
-	binary.LittleEndian.PutUint64(blob[8:], 1)
-	st := testStore(t, t.TempDir())
-	id, err := st.Put(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRegistry(core.TestParams(), 1<<30)
-	r.SetStore(st)
-	if _, err := r.Lookup(id); !errors.Is(err, ErrSessionNotFound) {
-		t.Fatalf("cold load of a version-1 bundle: %v, want ErrSessionNotFound", err)
-	}
-	var stale *core.BundleVersionError
-	if _, _, err := r.Open(blob); !errors.As(err, &stale) || stale.Version != 1 {
-		t.Fatalf("upload of a version-1 bundle: %v, want a *core.BundleVersionError", err)
+	for _, v := range []uint64{1, 2} {
+		blob := evalKeysBlob(t, 303)
+		binary.LittleEndian.PutUint64(blob[8:], v)
+		st := testStore(t, t.TempDir())
+		id, err := st.Put(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRegistry(core.TestParams(), 1<<30)
+		r.SetStore(st)
+		if _, err := r.Lookup(id); !errors.Is(err, ErrSessionNotFound) {
+			t.Fatalf("cold load of a version-%d bundle: %v, want ErrSessionNotFound", v, err)
+		}
+		var stale *core.BundleVersionError
+		if _, _, err := r.Open(blob); !errors.As(err, &stale) || stale.Version != v {
+			t.Fatalf("upload of a version-%d bundle: %v, want a *core.BundleVersionError", v, err)
+		}
 	}
 }
 

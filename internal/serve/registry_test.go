@@ -24,6 +24,23 @@ func evalKeysBlob(t testing.TB, seed uint64) []byte {
 	return b.Bytes()
 }
 
+// evalKeysCharge is what the registry charges a TestParams session:
+// what its keys hold once their seeds are expanded
+// (core.Engine.EvalKeysSize), the same for every key seed and more than
+// the seeded bundle uploaded.
+func evalKeysCharge(t testing.TB) int64 {
+	t.Helper()
+	eng, err := core.NewEngine(core.TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := eng.EvalKeysSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestRegistryContentAddressing(t *testing.T) {
 	blob := evalKeysBlob(t, 101)
 	r := NewRegistry(core.TestParams(), 0)
@@ -37,9 +54,10 @@ func TestRegistryContentAddressing(t *testing.T) {
 	if s1.ID != SessionID(blob) {
 		t.Fatalf("session ID %s, want content hash %s", s1.ID, SessionID(blob))
 	}
-	// A bundle at its levels of use is charged its own length.
-	if s1.Bytes != int64(len(blob)) {
-		t.Fatalf("session charged %d bytes, bundle is %d", s1.Bytes, len(blob))
+	// A bundle at its levels of use is charged what its keys hold once
+	// expanded, more than the seeds and B rows it travels as.
+	if want := evalKeysCharge(t); s1.Bytes != want || want <= int64(len(blob)) {
+		t.Fatalf("session charged %d bytes, want the expanded keys' %d (bundle is %d)", s1.Bytes, want, len(blob))
 	}
 	// Same material again: same resident session, no rebuild.
 	s2, created, err := r.Open(blob)
@@ -67,7 +85,7 @@ func TestRegistryLRUEvictionAndPinning(t *testing.T) {
 	blobA := evalKeysBlob(t, 201)
 	blobB := evalKeysBlob(t, 202)
 	// Cap fits one session only.
-	r := NewRegistry(core.TestParams(), int64(len(blobA))+1)
+	r := NewRegistry(core.TestParams(), evalKeysCharge(t)+1)
 
 	a, _, err := r.Open(blobA)
 	if err != nil {
