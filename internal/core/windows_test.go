@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"athena/internal/bfv"
 	"athena/internal/coeffenc"
 	"athena/internal/fbs"
 	"athena/internal/lwe"
@@ -100,37 +101,7 @@ func TestConvInputWindows(t *testing.T) {
 			sawRagged = sawRagged || plan.InBatches%g != 0 && g > 1
 			sawIdentityShared = sawIdentityShared || !c.lut && windows > 1 && g > 1
 
-			// Value sets of trivial LWE encryptions (zero mask, the value as
-			// body: what softmax feeds the packer too), each missing about a
-			// fifth of its values, and the activations the layer should see.
-			sets := make([]*valSet, c.batch)
-			acts := make([][][][]int64, c.batch)
-			for b := range sets {
-				vs := &valSet{C: c.srcC, H: c.srcH, W: c.srcH, vals: make(map[vkey]lwe.Ciphertext)}
-				if c.lut {
-					vs.pending, vs.fn = lut, lutFn
-				}
-				act := qnn.NewIntTensor(c.shape.Cin, c.shape.H, c.shape.W)
-				for ch := 0; ch < c.srcC; ch++ {
-					for y := 0; y < c.srcH; y++ {
-						for x := 0; x < c.srcH; x++ {
-							if rng.IntN(5) == 0 {
-								continue
-							}
-							v := int64(rng.IntN(17)) - 8
-							ct := e.zeroLWE()
-							ct.B = e.Ctx.TMod.ReduceInt64(v)
-							vs.vals[vkey{ch, y, x}] = ct
-							if c.lut {
-								v = lutFn(v)
-							}
-							// Row-major (c, y, x) is also the flatten order.
-							act.Data[(ch*c.srcH+y)*c.srcH+x] = v
-						}
-					}
-				}
-				sets[b], acts[b] = vs, act.To3D()
-			}
+			sets, acts := windowSets(e, c, lut, lutFn, rng)
 
 			e.Stats = OpStats{}
 			inputs, err := e.w0.convInputs(plan, sets)
@@ -140,26 +111,7 @@ func TestConvInputWindows(t *testing.T) {
 			e.flushStats()
 			st := e.Stats
 
-			if len(inputs) != c.batch {
-				t.Fatalf("N=%d %v: inputs for %d sets", n, c, len(inputs))
-			}
-			for b, ins := range inputs {
-				if len(ins) != plan.InBatches {
-					t.Fatalf("N=%d %v: set %d has %d inputs, want %d", n, c, b, len(ins), plan.InBatches)
-				}
-				for ib, ct := range ins {
-					if ct.Level() != e.ctxP.Level() {
-						t.Fatalf("N=%d %v: input (%d, %d) at level %d, want the post level", n, c, b, ib, ct.Level())
-					}
-					got := e.dec.Decrypt(ct).Coeffs
-					for i, want := range plan.EncodeInput(acts[b], ib) {
-						if v := e.Ctx.TMod.Centered(got[i]); v != want {
-							t.Fatalf("N=%d %v (per=%d, G=%d): set %d input batch %d coefficient %d is %d, want %d",
-								n, c, per, g, b, ib, i, v, want)
-						}
-					}
-				}
-			}
+			checkConvInputs(t, e, plan, c, inputs, acts)
 
 			// One pack and one LUT call per round, one S2C per window; a mask
 			// per window unless it is an identity window alone in its round,
@@ -194,6 +146,124 @@ func TestConvInputWindows(t *testing.T) {
 	if !sawG1 || !sawFull || !sawRagged || !sawIdentityShared {
 		t.Fatalf("sweep missed a class: G=1 %v, windows·per=N %v, InBatches∤G %v, shared identity rounds %v",
 			sawG1, sawFull, sawRagged, sawIdentityShared)
+	}
+}
+
+// windowSets draws c.batch value sets of c's source geometry — trivial
+// LWE encryptions (zero mask, the value as body: what softmax feeds the
+// packer too), each missing about a fifth of its values — with lut
+// pending, whose plaintext shadow is fn, when c.lut is set, and the
+// activations the layer should see.
+func windowSets(e *Engine, c windowCase, lut *fbs.Evaluator, fn func(int64) int64, rng *rand.Rand) ([]*valSet, [][][][]int64) {
+	sets := make([]*valSet, c.batch)
+	acts := make([][][][]int64, c.batch)
+	for b := range sets {
+		vs := &valSet{C: c.srcC, H: c.srcH, W: c.srcH, vals: make(map[vkey]lwe.Ciphertext)}
+		if c.lut {
+			vs.pending, vs.fn = lut, fn
+		}
+		act := qnn.NewIntTensor(c.shape.Cin, c.shape.H, c.shape.W)
+		for ch := 0; ch < c.srcC; ch++ {
+			for y := 0; y < c.srcH; y++ {
+				for x := 0; x < c.srcH; x++ {
+					if rng.IntN(5) == 0 {
+						continue
+					}
+					v := int64(rng.IntN(17)) - 8
+					ct := e.zeroLWE()
+					ct.B = e.Ctx.TMod.ReduceInt64(v)
+					vs.vals[vkey{ch, y, x}] = ct
+					if c.lut {
+						v = fn(v)
+					}
+					// Row-major (c, y, x) is also the flatten order.
+					act.Data[(ch*c.srcH+y)*c.srcH+x] = v
+				}
+			}
+		}
+		sets[b], acts[b] = vs, act.To3D()
+	}
+	return sets, acts
+}
+
+// checkConvInputs asserts that convInputs returned an input per set and
+// input batch, each at the post level and decrypting, coefficient for
+// coefficient over all N of them, to plan.EncodeInput of the set's
+// activations.
+func checkConvInputs(t *testing.T, e *Engine, plan *coeffenc.Plan, c windowCase, inputs [][]*bfv.Ciphertext, acts [][][][]int64) {
+	t.Helper()
+	n, per, g := e.Ctx.N, plan.InputLen(), e.Ctx.N/plan.InputLen()
+	if len(inputs) != c.batch {
+		t.Fatalf("N=%d %v: inputs for %d sets", n, c, len(inputs))
+	}
+	for b, ins := range inputs {
+		if len(ins) != plan.InBatches {
+			t.Fatalf("N=%d %v: set %d has %d inputs, want %d", n, c, b, len(ins), plan.InBatches)
+		}
+		for ib, ct := range ins {
+			if ct.Level() != e.ctxP.Level() {
+				t.Fatalf("N=%d %v: input (%d, %d) at level %d, want the post level", n, c, b, ib, ct.Level())
+			}
+			got := e.dec.Decrypt(ct).Coeffs
+			for i, want := range plan.EncodeInput(acts[b], ib) {
+				if v := e.Ctx.TMod.Centered(got[i]); v != want {
+					t.Fatalf("N=%d %v (per=%d, G=%d): set %d input batch %d coefficient %d is %d, want %d",
+						n, c, per, g, b, ib, i, v, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLoneWindowMask: a window alone in its round is cut out by its mask
+// only when its LUT moves 0. Its structural zeros — the padding ring and
+// the values its set misses — are the exact zero LWE, and the slots past
+// the window (N = 128, per = 64) are left at 0 by the pack, so a LUT with
+// f(0) = 0 keeps every one of them at 0: the input decrypts to
+// plan.EncodeInput over all N coefficients, which S2C maps one to one
+// from the N slots, with no mask product. Under f(0) = 3 the same window
+// is masked, one plaintext product, and decrypts alike.
+func TestLoneWindowMask(t *testing.T) {
+	c := windowCase{shape: coeffenc.ConvShape{H: 6, W: 6, Cin: 1, Cout: 1, K: 3, Stride: 1, Pad: 1}, srcC: 1, srcH: 6, batch: 1, lut: true}
+	luts := []struct {
+		name  string
+		fn    func(int64) int64
+		masks int
+	}{
+		{"f(0)=0", func(x int64) int64 { return max(x, 0) / 2 }, 0},
+		{"f(0)=3", func(x int64) int64 { return 3 - x/2 }, 1},
+	}
+	for _, logN := range []int{6, 7} {
+		p := TestParams()
+		p.LogN = logN
+		e, err := NewEngine(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := coeffenc.NewPlan(c.shape, e.Ctx.N, coeffenc.AthenaOrder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.InBatches != 1 || plan.InputLen() != 64 {
+			t.Fatalf("N=%d: %d input batches of %d slots, want one of 64", e.Ctx.N, plan.InBatches, plan.InputLen())
+		}
+		for _, l := range luts {
+			lut, err := fbs.NewEvaluator(e.ctxF, fbs.NewLUT(e.P.T, l.fn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets, acts := windowSets(e, c, lut, l.fn, rand.New(rand.NewPCG(uint64(logN), 0x17)))
+			e.Stats = OpStats{}
+			inputs, err := e.w0.convInputs(plan, sets)
+			if err != nil {
+				t.Fatalf("N=%d %s: %v", e.Ctx.N, l.name, err)
+			}
+			e.flushStats()
+			checkConvInputs(t, e, plan, c, inputs, acts)
+			if e.Stats.PMult != l.masks || e.Stats.FBSCalls != 1 {
+				t.Fatalf("N=%d %s: %d plaintext products in %d LUT calls, want %d in 1", e.Ctx.N, l.name, e.Stats.PMult, e.Stats.FBSCalls, l.masks)
+			}
+		}
 	}
 }
 

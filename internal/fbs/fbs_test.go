@@ -3,6 +3,7 @@ package fbs
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -460,12 +461,19 @@ func TestEvaluateInGroups(t *testing.T) {
 
 // checkNoiseAgainstFlat evaluates lut on every ciphertext of cts under
 // the chosen split and under the flat one: the two outputs decrypt
-// alike, and the chosen split leaves a mean noise budget within 2 bits
-// of the flat split's. The chosen split is no deeper, but its sums are
-// nested one level more, and the noise is measured, not read off the
-// depth. It is measured over several encryptions because one output's
-// budget is the maximum over its coefficients: under one key, encryptions
-// of the same values leave budgets 3 to 5 bits apart under either split.
+// alike, every output keeps some noise budget, and the chosen split's
+// budgets are held to the flat split's on two statistics of the
+// encryptions, each within 2 bits — the mean, and the worst input: no
+// output of the chosen split reads more than 2 bits below the flat
+// split's lowest. The chosen split is no deeper, but its sums are nested
+// one level more, and the noise is measured, not read off the depth.
+//
+// A bound on one encryption compares two draws, not two splits: an
+// output's budget is the maximum over its coefficients of a noise
+// compounded through ten levels of products, and at t = 257 over key
+// seeds 60–89 × six encryptions the chosen split's budget minus the flat
+// split's, on the same ciphertext, had mean +0.3 bits and σ 2.4, and read
+// below −2 on 24 of the 180.
 func checkNoiseAgainstFlat(t *testing.T, ctx *bfv.Context, dec *bfv.Decryptor, ev *bfv.Evaluator, cts []*bfv.Ciphertext, lut *LUT) {
 	t.Helper()
 	fe, err := NewEvaluator(ctx, lut)
@@ -480,7 +488,8 @@ func checkNoiseAgainstFlat(t *testing.T, ctx *bfv.Context, dec *bfv.Decryptor, e
 		t.Fatalf("the chosen split %+v is the flat one", s)
 	}
 	var b, bFlat float64
-	for _, ct := range cts {
+	low, lowFlat := math.Inf(1), math.Inf(1)
+	for k, ct := range cts {
 		out, err := fe.Evaluate(ev, ct)
 		if err != nil {
 			t.Fatal(err)
@@ -496,15 +505,21 @@ func checkNoiseAgainstFlat(t *testing.T, ctx *bfv.Context, dec *bfv.Decryptor, e
 			}
 		}
 		bo, bf := dec.NoiseBudget(out), dec.NoiseBudget(flat)
-		if bo <= 0 {
-			t.Errorf("split %+v leaves no noise budget", fe.split)
+		t.Logf("t=%d encryption %d: split %.1f bits, flat %.1f bits", lut.T, k, bo, bf)
+		if bo <= 0 || bf <= 0 {
+			t.Errorf("encryption %d: split %+v leaves %.1f bits of noise budget, the flat split %.1f", k, fe.split, bo, bf)
 		}
 		b += bo / float64(len(cts))
 		bFlat += bf / float64(len(cts))
+		low, lowFlat = min(low, bo), min(lowFlat, bf)
 	}
-	t.Logf("t=%d noise budget left of %.1f bits, mean of %d: split %+v %.1f bits, flat %+v %.1f bits", lut.T, dec.NoiseBudget(cts[0]), len(cts), fe.split, b, s, bFlat)
+	t.Logf("t=%d noise budget left of %.1f bits over %d encryptions: split %+v mean %.1f, lowest %.1f; flat %+v mean %.1f, lowest %.1f",
+		lut.T, dec.NoiseBudget(cts[0]), len(cts), fe.split, b, low, s, bFlat, lowFlat)
 	if b < bFlat-2 {
-		t.Errorf("split %+v leaves %.1f bits of noise budget, the flat split %.1f", fe.split, b, bFlat)
+		t.Errorf("split %+v leaves a mean of %.1f bits of noise budget, the flat split %.1f", fe.split, b, bFlat)
+	}
+	if low < lowFlat-2 {
+		t.Errorf("split %+v leaves %.1f bits of noise budget on its worst input, the flat split %.1f on its", fe.split, low, lowFlat)
 	}
 }
 
