@@ -34,6 +34,16 @@ func TestEvaluatorSteadyStateZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { k.ev.AddPlainInPlace(acc, pt) }); n != 0 {
 		t.Fatalf("AddPlainInPlace allocates %v times per run, want 0", n)
 	}
+	// The lazy plaintext sums, once their row headers and lift rows are
+	// sized.
+	cts, pms, pts := []*Ciphertext{a, b, acc}, []*PlaintextMul{pm, pm, pm}, []*Plaintext{pt, pt, pt}
+	k.ev.MulPlainSumLiftInto(cts, pts, out)
+	if n := testing.AllocsPerRun(100, func() {
+		k.ev.MulPlainSumInto(cts, pms, out)
+		k.ev.MulPlainSumLiftInto(cts, pts, out)
+	}); n != 0 {
+		t.Fatalf("MulPlainSumInto and MulPlainSumLiftInto allocate %v times per run, want 0", n)
+	}
 	// A one-shot multiplier encoded and lifted into caller-owned staging,
 	// as the engine's workers stage masks, kernels and biases.
 	if n := testing.AllocsPerRun(100, func() {

@@ -197,6 +197,42 @@ func TestMulPlainAndAddAccumulates(t *testing.T) {
 	}
 }
 
+// TestMulPlainSumIsPerTermChain: the lazy plaintext sums, over lifted
+// multipliers and over plaintexts lifted limb by limb, are bit for bit
+// MulPlainInto then MulPlainAndAdd per term, at every term count from
+// none to five and over stale words in the output.
+func TestMulPlainSumIsPerTermChain(t *testing.T) {
+	k := newTestKit(t, 5, 3, nil)
+	var cts []*Ciphertext
+	var pts []*Plaintext
+	var pms []*PlaintextMul
+	for i := range 5 {
+		cts = append(cts, k.enc.Encrypt(k.cod.EncodeCoeffs(randVals(k.ctx.N, 50, uint64(20+i)))))
+		pts = append(pts, k.cod.EncodeCoeffs(randVals(k.ctx.N, 50, uint64(30+i))))
+		pms = append(pms, k.cod.LiftToMul(pts[i]))
+	}
+	for n := 0; n <= len(cts); n++ {
+		want := k.ctx.NewCiphertext()
+		for i := range n {
+			if i == 0 {
+				k.ev.MulPlainInto(cts[i], pms[i], want)
+			} else {
+				k.ev.MulPlainAndAdd(cts[i], pms[i], want)
+			}
+		}
+		for _, sum := range []func(out *Ciphertext){
+			func(out *Ciphertext) { k.ev.MulPlainSumInto(cts[:n], pms[:n], out) },
+			func(out *Ciphertext) { k.ev.MulPlainSumLiftInto(cts[:n], pts[:n], out) },
+		} {
+			got := cts[len(cts)-1].Clone()
+			sum(got)
+			if !got.C0.Equal(want.C0) || !got.C1.Equal(want.C1) {
+				t.Fatalf("%d terms: the lazy sum differs from the per-term chain", n)
+			}
+		}
+	}
+}
+
 func TestMulScalar(t *testing.T) {
 	k := newTestKit(t, 5, 3, nil)
 	a := randVals(k.ctx.N, 100, 11)

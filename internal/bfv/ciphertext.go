@@ -51,27 +51,7 @@ func (c *Context) NewPlaintext() *Plaintext {
 
 // PlaintextMul is a plaintext pre-lifted into the ciphertext ring's NTT
 // domain (with centered-mod-t representatives), ready for fast repeated
-// PMult. Shoup optionally holds the per-coefficient companion of Value
-// (Encoder.PrecomputeShoup): compiled multipliers that are reused across
-// many products attach it so MulPlainInto runs the elementwise Shoup kernel
-// instead of Barrett.
+// PMult.
 type PlaintextMul struct {
 	Value ring.Poly // NTT domain, ring Q
-	Shoup ring.Poly // companion of Value; zero when not precomputed
-}
-
-// CiphertextShoup carries the per-coefficient Shoup companions of a
-// fixed ciphertext (packing keys, other immutable operands), putting
-// plaintext products against it on the fast elementwise multiply path
-// even when the plaintext multiplier changes every call.
-type CiphertextShoup struct {
-	C0S, C1S ring.Poly
-}
-
-// NewCiphertextShoup precomputes the companions of ct.
-func (c *Context) NewCiphertextShoup(ct *Ciphertext) *CiphertextShoup {
-	return &CiphertextShoup{
-		C0S: c.RingQ.ShoupPoly(ct.C0),
-		C1S: c.RingQ.ShoupPoly(ct.C1),
-	}
 }

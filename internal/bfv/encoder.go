@@ -136,19 +136,6 @@ func (e *Encoder) LiftToMulInto(pt *Plaintext, pm *PlaintextMul) {
 	ctx.RingQ.NTT(p)
 }
 
-// PrecomputeShoup attaches the per-coefficient Shoup companion to pm,
-// switching every later MulPlainInto against it from Barrett to the
-// elementwise Shoup kernel. Worth it only for multipliers reused across
-// many products (compiled linear-transform terms); one-shot plaintexts
-// should skip it, since building the companion costs a division per
-// coefficient.
-func (e *Encoder) PrecomputeShoup(pm *PlaintextMul) {
-	if pm.Shoup.Level() == 0 {
-		pm.Shoup = e.ctx.RingQ.NewPoly()
-	}
-	e.ctx.RingQ.ShoupPolyInto(pm.Value, pm.Shoup)
-}
-
 // LiftToDelta lifts a plaintext to Δ·m in the ciphertext ring NTT domain
 // (the additive embedding used at encryption and for plain addition).
 func (e *Encoder) LiftToDelta(pt *Plaintext) ring.Poly {

@@ -38,9 +38,16 @@ type evalScratch struct {
 	// Mul: its two operands and its one-term accumulator.
 	opA, opB *Operand
 	acc      *Accumulator
-	// keyswitch: the current digit and the two accumulators.
-	digit    ring.Poly
-	ks0, ks1 ring.Poly
+	// keyswitch: every digit's value at its own limb, every digit at the
+	// current limb, and the two outputs.
+	digit, ksRows ring.Poly
+	ks0, ks1      ring.Poly
+	// MulSumPairVec's row headers: the shared factor's rows and the two
+	// other factors' rows of the current limb.
+	pairA, pairB0, pairB1 [][]uint64
+	// MulPlainSumLiftInto: the plaintexts lifted to the current limb.
+	lift     []uint64
+	liftRows [][]uint64
 	// automorphism: coefficient-domain inputs and permuted outputs.
 	aq [4]ring.Poly
 	// plain addition: the Δ·m lift.
@@ -80,9 +87,10 @@ func (ev *Evaluator) ShallowCopy() *Evaluator {
 func (ev *Evaluator) ksScratch() *evalScratch {
 	sc := ev.sc
 	if sc.digit.Level() == 0 {
-		sc.digit = ev.ctx.RingQ.NewPoly() //lint:allow noalloc one-time lazy arena fill, reused across calls
-		sc.ks0 = ev.ctx.RingQ.NewPoly()   //lint:allow noalloc one-time lazy arena fill, reused across calls
-		sc.ks1 = ev.ctx.RingQ.NewPoly()   //lint:allow noalloc one-time lazy arena fill, reused across calls
+		sc.digit = ev.ctx.RingQ.NewPoly()  //lint:allow noalloc one-time lazy arena fill, reused across calls
+		sc.ksRows = ev.ctx.RingQ.NewPoly() //lint:allow noalloc one-time lazy arena fill, reused across calls
+		sc.ks0 = ev.ctx.RingQ.NewPoly()    //lint:allow noalloc one-time lazy arena fill, reused across calls
+		sc.ks1 = ev.ctx.RingQ.NewPoly()    //lint:allow noalloc one-time lazy arena fill, reused across calls
 	}
 	return sc
 }
@@ -126,17 +134,10 @@ func (ev *Evaluator) AddPlainInPlace(ct *Ciphertext, pt *Plaintext) {
 
 // MulPlainInto sets out = ct ⊗ pm (PMult in the paper's notation)
 // without allocating. The plaintext must have been lifted with
-// Encoder.LiftToMul; when pm carries its Shoup companion (compiled,
-// reused multipliers), the product runs the elementwise Shoup kernel.
-// out may alias ct: the product is elementwise.
+// Encoder.LiftToMul. out may alias ct: the product is elementwise.
 //
 //lint:noalloc
 func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pm *PlaintextMul, out *Ciphertext) {
-	if pm.Shoup.Level() != 0 {
-		ev.ctx.RingQ.MulCoeffsShoup(ct.C0, pm.Value, pm.Shoup, out.C0)
-		ev.ctx.RingQ.MulCoeffsShoup(ct.C1, pm.Value, pm.Shoup, out.C1)
-		return
-	}
 	ev.ctx.RingQ.MulCoeffs(ct.C0, pm.Value, out.C0)
 	ev.ctx.RingQ.MulCoeffs(ct.C1, pm.Value, out.C1)
 }
@@ -145,35 +146,72 @@ func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pm *PlaintextMul, out *Ciphert
 //
 //lint:noalloc
 func (ev *Evaluator) MulPlainAndAdd(ct *Ciphertext, pm *PlaintextMul, acc *Ciphertext) {
-	if pm.Shoup.Level() != 0 {
-		ev.ctx.RingQ.MulCoeffsShoupAndAdd(ct.C0, pm.Value, pm.Shoup, acc.C0)
-		ev.ctx.RingQ.MulCoeffsShoupAndAdd(ct.C1, pm.Value, pm.Shoup, acc.C1)
-		return
-	}
 	ev.ctx.RingQ.MulCoeffsAndAdd(ct.C0, pm.Value, acc.C0)
 	ev.ctx.RingQ.MulCoeffsAndAdd(ct.C1, pm.Value, acc.C1)
 }
 
-// MulPlainFixedInto sets out = ct ⊗ pm for a fixed ciphertext with
-// precomputed companions cs (Context.NewCiphertextShoup): the roles are
-// swapped versus MulPlainInto's fast path, covering products where the
-// ciphertext is the immutable operand and the plaintext multiplier
-// changes per call (the packer's diagonal products against its
-// baby-step keys). out must not alias ct.
+// pairScratch returns the row headers of a k-term MulSumPairVec, grown
+// to the largest k seen and reused.
 //
 //lint:noalloc
-func (ev *Evaluator) MulPlainFixedInto(ct *Ciphertext, cs *CiphertextShoup, pm *PlaintextMul, out *Ciphertext) {
-	ev.ctx.RingQ.MulCoeffsShoup(pm.Value, ct.C0, cs.C0S, out.C0)
-	ev.ctx.RingQ.MulCoeffsShoup(pm.Value, ct.C1, cs.C1S, out.C1)
+func (ev *Evaluator) pairScratch(k int) (a, b0, b1 [][]uint64) {
+	sc := ev.sc
+	if cap(sc.pairA) < k {
+		//lint:prealloc sized once to the largest term count, then reused across calls
+		sc.pairA, sc.pairB0, sc.pairB1 = make([][]uint64, k), make([][]uint64, k), make([][]uint64, k)
+	}
+	return sc.pairA[:k], sc.pairB0[:k], sc.pairB1[:k]
 }
 
-// MulPlainFixedAndAdd sets acc += ct ⊗ pm for a fixed ciphertext with
-// precomputed companions cs.
+// MulPlainSumInto sets out = Σ_k cts[k] ⊗ pms[k] (len(pms) = len(cts),
+// every ciphertext at the context's level): per limb, both halves are one
+// lazy sum of products (ring.Modulus.MulSumPairVec) with one reduction
+// per coefficient, limb for limb what MulPlainInto and then MulPlainAndAdd
+// per term give. No term sets out to zero. out must not alias a cts
+// entry.
 //
 //lint:noalloc
-func (ev *Evaluator) MulPlainFixedAndAdd(ct *Ciphertext, cs *CiphertextShoup, pm *PlaintextMul, acc *Ciphertext) {
-	ev.ctx.RingQ.MulCoeffsShoupAndAdd(pm.Value, ct.C0, cs.C0S, acc.C0)
-	ev.ctx.RingQ.MulCoeffsShoupAndAdd(pm.Value, ct.C1, cs.C1S, acc.C1)
+func (ev *Evaluator) MulPlainSumInto(cts []*Ciphertext, pms []*PlaintextMul, out *Ciphertext) {
+	pa, pb0, pb1 := ev.pairScratch(len(cts))
+	for j, m := range ev.ctx.RingQ.Moduli {
+		for k, ct := range cts {
+			pa[k], pb0[k], pb1[k] = pms[k].Value.Coeffs[j], ct.C0.Coeffs[j], ct.C1.Coeffs[j]
+		}
+		m.MulSumPairVec(pa, pb0, pb1, out.C0.Coeffs[j], out.C1.Coeffs[j])
+	}
+}
+
+// MulPlainSumLiftInto is MulPlainSumInto for plaintexts not yet lifted
+// (len(pts) = len(cts)): each is lifted the way Encoder.LiftToMul lifts
+// it, one limb at a time into the evaluator's scratch, so the sum holds
+// len(pts) rows of N words rather than len(pts) lifted polynomials.
+//
+//lint:noalloc
+func (ev *Evaluator) MulPlainSumLiftInto(cts []*Ciphertext, pts []*Plaintext, out *Ciphertext) {
+	ctx := ev.ctx
+	rq, tm := ctx.RingQ, ctx.TMod
+	k, n := len(pts), ctx.N
+	sc := ev.sc
+	if cap(sc.lift) < k*n {
+		//lint:prealloc sized once to the largest term count, then reused across calls
+		sc.lift, sc.liftRows = make([]uint64, k*n), make([][]uint64, k)
+	}
+	rows := sc.liftRows[:k]
+	for i := range rows {
+		rows[i] = sc.lift[i*n : (i+1)*n : (i+1)*n]
+	}
+	_, pb0, pb1 := ev.pairScratch(k)
+	for j, m := range rq.Moduli {
+		for i, pt := range pts {
+			row := rows[i]
+			for x, v := range pt.Coeffs {
+				row[x] = m.ReduceInt64(tm.Centered(v))
+			}
+			pb0[i], pb1[i] = cts[i].C0.Coeffs[j], cts[i].C1.Coeffs[j]
+		}
+		rq.NTTRows(j, rows)
+		m.MulSumPairVec(rows, pb0, pb1, out.C0.Coeffs[j], out.C1.Coeffs[j])
+	}
 }
 
 // sumTileWords caps the packed tile of MulScalarSums at 512 KB, to stay
@@ -273,7 +311,11 @@ func (ev *Evaluator) MulScalarSums(cts []*Ciphertext, ks [][]uint64, outs []*Cip
 // polynomial p, returning the NTT-domain pair (ks0, ks1) with
 // ks0 + ks1·s ≈ p·target. It reads the key's first ctx.Level() digits at
 // their first ctx.Level() limbs, so the key's level must be at least the
-// context's (callers check). The returned polynomials are evaluator
+// context's (callers check). The gadget product runs limb by limb: every
+// digit is spread to limb j and transformed there, and (ks0, ks1) at
+// limb j is one lazy inner product of those rows with the key's (B, A)
+// rows (ring.Modulus.MulSumPairVec), so the scratch holds ℓ rows of one
+// limb, not ℓ digits of ℓ limbs. The returned polynomials are evaluator
 // scratch: callers must consume them before the next keyswitching call.
 //
 //lint:noalloc
@@ -281,31 +323,29 @@ func (ev *Evaluator) keySwitchCoeff(p ring.Poly, swk *SwitchingKey) (ring.Poly, 
 	ctx := ev.ctx
 	rq := ctx.RingQ
 	sc := ev.ksScratch()
-	d, ks0, ks1 := sc.digit, sc.ks0, sc.ks1
-	// Generated and deserialized keys carry Shoup companions; keys built
-	// by hand without them fall back to the Barrett product.
-	useShoup := swk.BShoup != nil
-	for i := 0; i < ctx.BasisQ.Len(); i++ {
-		// ksDigitInv is QiHatInv at the chain's own level; reduced-level
-		// contexts carry the correction for full-chain key components.
-		ctx.BasisQ.DecomposeDigitScaledInto(p, i, ctx.ksDigitInv[i], ctx.ksDigitInvShoup[i], d)
-		rq.NTT(d)
-		switch {
-		case useShoup && i == 0:
-			rq.MulCoeffsShoup(d, swk.B[i], swk.BShoup[i], ks0)
-			rq.MulCoeffsShoup(d, swk.A[i], swk.AShoup[i], ks1)
-		case useShoup:
-			rq.MulCoeffsShoupAndAdd(d, swk.B[i], swk.BShoup[i], ks0)
-			rq.MulCoeffsShoupAndAdd(d, swk.A[i], swk.AShoup[i], ks1)
-		case i == 0:
-			rq.MulCoeffs(d, swk.B[i], ks0)
-			rq.MulCoeffs(d, swk.A[i], ks1)
-		default:
-			rq.MulCoeffsAndAdd(d, swk.B[i], ks0)
-			rq.MulCoeffsAndAdd(d, swk.A[i], ks1)
-		}
+	digits, rows := sc.digit, sc.ksRows
+	// Digit i's value [p_i·ksDigitInv_i]_{q_i}, once per digit.
+	// ksDigitInv is QiHatInv at the chain's own level; reduced-level
+	// contexts carry the correction for full-chain key components.
+	for i, m := range rq.Moduli {
+		m.MulShoupVec(p.Coeffs[i], ctx.ksDigitInv[i], ctx.ksDigitInvShoup[i], digits.Coeffs[i])
 	}
-	return ks0, ks1
+	_, kb, ka := ev.pairScratch(len(rq.Moduli))
+	for j, mj := range rq.Moduli {
+		// A digit value is below its own q_i: a limb with q_j ≥ q_i takes
+		// it as it is, a smaller one reduces it.
+		for i, mi := range rq.Moduli {
+			if mj.Q >= mi.Q {
+				copy(rows.Coeffs[i], digits.Coeffs[i])
+			} else {
+				mj.ReduceVec(digits.Coeffs[i], rows.Coeffs[i])
+			}
+			kb[i], ka[i] = swk.B[i].Coeffs[j], swk.A[i].Coeffs[j]
+		}
+		rq.NTTRows(j, rows.Coeffs)
+		mj.MulSumPairVec(rows.Coeffs, kb, ka, sc.ks0.Coeffs[j], sc.ks1.Coeffs[j])
+	}
+	return sc.ks0, sc.ks1
 }
 
 // Automorphism is AutomorphismInto into a fresh ciphertext. It exists

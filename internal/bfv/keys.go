@@ -22,10 +22,9 @@ type PublicKey struct {
 
 // SwitchingKey holds one RNS-decomposed keyswitching key: component i is
 // an encryption of QiHat_i · target under the output secret, both polys
-// in the NTT domain. BShoup/AShoup carry the per-coefficient Shoup
-// companions of the (immutable) key polynomials, putting the keyswitch
-// inner products on the fast elementwise multiply path; they are derived
-// from B/A (PrecomputeShoup) and never serialized.
+// in the NTT domain. The keyswitch reads B and A as they are, in one lazy
+// inner product (ring.Modulus.MulSumPairVec), so a key holds its rows
+// and nothing derived from them.
 //
 // A key has a level ℓ: ℓ components of ℓ limbs each. QiHat_i is always
 // that of the full chain, so a level-ℓ key is the first ℓ components and
@@ -40,22 +39,6 @@ type SwitchingKey struct {
 	Seed [32]byte
 	B    []ring.Poly // B[i] = -(A[i]·s + e_i) + QiHat_i·target
 	A    []ring.Poly
-
-	BShoup []ring.Poly
-	AShoup []ring.Poly
-}
-
-// PrecomputeShoup (re)derives the companion polynomials of the key
-// material. Key generation and deserialization call it; keys assembled
-// by hand may skip it, in which case the evaluator falls back to the
-// Barrett path.
-func (swk *SwitchingKey) PrecomputeShoup(rq *ring.Ring) {
-	swk.BShoup = make([]ring.Poly, len(swk.B))
-	swk.AShoup = make([]ring.Poly, len(swk.A))
-	for i := range swk.B {
-		swk.BShoup[i] = rq.ShoupPoly(swk.B[i])
-		swk.AShoup[i] = rq.ShoupPoly(swk.A[i])
-	}
 }
 
 // Level returns the key's level: its component count, which is also
@@ -63,13 +46,13 @@ func (swk *SwitchingKey) PrecomputeShoup(rq *ring.Ring) {
 func (swk *SwitchingKey) Level() int { return len(swk.B) }
 
 // AtLevel returns the level-l prefix of the key: its first l components,
-// each cut to its first l limbs, with the matching Shoup companions. The
-// words are copied into fresh arrays, so the result does not pin the
-// longer key's backing; at the key's own level it is the key itself.
+// each cut to its first l limbs. The words are copied into fresh arrays,
+// so the result does not pin the longer key's backing; at the key's own
+// level it is the key itself.
 // l must lie in [1, swk.Level()].
 func (swk *SwitchingKey) AtLevel(l int) SwitchingKey {
 	prefix := func(ps []ring.Poly) []ring.Poly {
-		if ps == nil || l == swk.Level() {
+		if l == swk.Level() {
 			return ps
 		}
 		out := newKeyPolys(l, len(ps[0].Coeffs[0]))
@@ -80,7 +63,7 @@ func (swk *SwitchingKey) AtLevel(l int) SwitchingKey {
 		}
 		return out
 	}
-	return SwitchingKey{Seed: swk.Seed, B: prefix(swk.B), A: prefix(swk.A), BShoup: prefix(swk.BShoup), AShoup: prefix(swk.AShoup)}
+	return SwitchingKey{Seed: swk.Seed, B: prefix(swk.B), A: prefix(swk.A)}
 }
 
 // newKeyPolys returns l polynomials of l limbs of n words: the shape of
@@ -206,7 +189,6 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, target ring.Poly, l int) 
 		rq.MulScalarRNS(target, hat[:l], scaled)
 		rq.Add(b, scaled, b)
 	}
-	swk.PrecomputeShoup(rq)
 	return swk
 }
 

@@ -474,8 +474,8 @@ func TestRescaleConstantsConcurrent(t *testing.T) {
 
 // TestKeysBornAtLevel: a switching key generated at level ℓ is, word
 // for word, the level-ℓ prefix (AtLevel) of the full-chain key that a
-// generator of the same seed draws in its place — seed, B and A, and
-// their Shoup companions — for the relinearization key and a Galois key
+// generator of the same seed draws in its place — seed, B and A — for
+// the relinearization key and a Galois key
 // at every ℓ in [1, L]; and a key set read back from the wire expands
 // the same A from its seed.
 func TestKeysBornAtLevel(t *testing.T) {
@@ -504,7 +504,7 @@ func TestKeysBornAtLevel(t *testing.T) {
 		return true
 	}
 	same := func(a, b *SwitchingKey) bool {
-		return a.Seed == b.Seed && equal(a.B, b.B) && equal(a.A, b.A) && equal(a.BShoup, b.BShoup) && equal(a.AShoup, b.AShoup)
+		return a.Seed == b.Seed && equal(a.B, b.B) && equal(a.A, b.A)
 	}
 	for l := 1; l <= L; l++ {
 		_, born := gen(l)

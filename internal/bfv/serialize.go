@@ -372,9 +372,6 @@ func (c *Context) ReadKeySet(r io.Reader, rows *ring.RowStream) (*KeySet, error)
 		}
 		s.A = newKeyPolys(int(n), c.N)
 		expandA(c.RingQ, rows, &s.Seed, s.A)
-		// The companions are derived, not wire data: recompute them so
-		// deserialized keys run the same fast path as generated ones.
-		s.PrecomputeShoup(c.RingQ)
 		return s, nil
 	}
 	ks := &KeySet{Galois: map[uint64]*GaloisKey{}}

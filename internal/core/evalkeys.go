@@ -113,8 +113,8 @@ func (e *Engine) WriteEvalKeys(w io.Writer) error {
 // whatever level its keys arrived at, framed as the bundle frames them
 // — what a bundle would weigh with every seed expanded. A server charges
 // a session this much memory, so a full-chain bundle costs what its cut
-// keys hold, and a seeded bundle what its keys hold once expanded. The
-// Shoup companions derived at decode time are not counted.
+// keys hold, and a seeded bundle what its keys hold once expanded. Nothing
+// is derived from the rows at decode, so this is what a session holds.
 func (e *Engine) EvalKeysSize() (int64, error) {
 	ek, err := e.EvalKeys()
 	if err != nil {

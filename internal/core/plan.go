@@ -226,8 +226,6 @@ func (pl *plan) shiftFor(o int) *bfv.PlaintextMul {
 	cod := bfv.NewEncoder(pl.ctxP)
 	pt := pl.ctxP.NewPlaintext()
 	pt.Coeffs[pl.Ctx.N-o] = pl.params.T - 1
-	pm := cod.LiftToMul(pt)
-	cod.PrecomputeShoup(pm)
-	kept, _ := pl.shifts.LoadOrStore(o, pm)
+	kept, _ := pl.shifts.LoadOrStore(o, cod.LiftToMul(pt))
 	return kept.(*bfv.PlaintextMul)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -193,9 +194,10 @@ func TestEvalKeysSize(t *testing.T) {
 // TestWireCodecAllocs bounds the codec's allocations by what it builds,
 // not by the words it moves: a TestParams bundle decodes in allocations
 // proportional to its polynomials and keyswitch rows (786 measured when
-// the A rows travelled, bounded at that + 10 %; 690 since each key's A
-// is expanded from its seed into one backing array), and writing a
-// bundle or reading one ciphertext costs a small constant.
+// the A rows travelled; 690 once each key's A was expanded from its seed
+// into one backing array; 337 since no companion array is derived per
+// key row, bounded at that + 10 %), and writing a bundle or reading one
+// ciphertext costs a small constant.
 func TestWireCodecAllocs(t *testing.T) {
 	e := testEngine(t)
 	var buf bytes.Buffer
@@ -214,8 +216,8 @@ func TestWireCodecAllocs(t *testing.T) {
 		if _, err := ReadEvalKeys(TestParams(), rd); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 865 {
-		t.Errorf("ReadEvalKeys allocates %v times, want ≤ 865", n)
+	}); n > 371 {
+		t.Errorf("ReadEvalKeys allocates %v times, want ≤ 371", n)
 	}
 
 	ct := e.enc.Encrypt(e.cod.EncodeCoeffs([]int64{1, 2, 3}))
@@ -231,6 +233,40 @@ func TestWireCodecAllocs(t *testing.T) {
 		}
 	}); n > 10 {
 		t.Errorf("ReadCiphertext allocates %v times, want ≤ 10", n)
+	}
+}
+
+// TestReadEvalKeysResidentBytes: a decoded session allocates little more
+// than EvalKeysSize, the bytes the serve registry charges it — at most
+// 1.2× at TestParams. Decoding derives nothing per coefficient from the
+// key rows beyond the LWE key's NTT images; a companion array per row
+// would double the count.
+func TestReadEvalKeysResidentBytes(t *testing.T) {
+	e := testEngine(t)
+	var buf bytes.Buffer
+	if err := e.WriteEvalKeys(&buf); err != nil {
+		t.Fatal(err)
+	}
+	size, err := e.EvalKeysSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := ReadEvalKeys(TestParams(), bytes.NewReader(blob)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("ReadEvalKeys: %d bytes in %d allocations for a %d-byte charge (%.2f×)", got, allocs, size, float64(got)/float64(size))
+	if float64(got) > 1.2*float64(size) {
+		t.Errorf("ReadEvalKeys allocates %d bytes, over 1.2 × EvalKeysSize = %d", got, size)
 	}
 }
 

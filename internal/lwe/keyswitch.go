@@ -84,18 +84,19 @@ func digitCount(q, base uint64) int {
 // (mod Q), where A_d is row (d, 0) of the key's public Seed
 // (ring.RowStream): the key travels as its seed and its B_d. One
 // allocation holds the pairs (mod Q, B_d then A_d by digit), then their
-// NTT images at P, then those images' Shoup companions.
+// NTT images at P, which nttB and nttA list by digit.
 type KeySwitchKey struct {
 	*SwitchPlan
-	Seed [32]byte
-	w    []uint64
+	Seed       [32]byte
+	w          []uint64
+	nttB, nttA [][]uint64
 }
 
-// words is the length of one of the key's three forms.
+// words is the length of one of the key's two forms.
 func (sp *SwitchPlan) words() int { return 2 * sp.Digits * sp.N }
 
 func (sp *SwitchPlan) newKey() *KeySwitchKey {
-	return &KeySwitchKey{SwitchPlan: sp, w: make([]uint64, 3*sp.words())}
+	return &KeySwitchKey{SwitchPlan: sp, w: make([]uint64, 2*sp.words())}
 }
 
 // maskTweak keys the stream the key's public mask seed is drawn from,
@@ -150,15 +151,17 @@ func (k *KeySwitchKey) expand(rows *ring.RowStream) {
 	}
 }
 
-// precompute derives the NTT images and their Shoup companions from the
-// wire form.
+// precompute derives the NTT images from the wire form.
 func (k *KeySwitchKey) precompute() {
-	m := k.words()
-	copy(k.w[m:2*m], k.w[:m])
-	for i := m; i < 2*m; i += k.N {
-		k.ntt.Forward(k.w[i : i+k.N])
+	m, n := k.words(), k.N
+	copy(k.w[m:], k.w[:m])
+	k.nttB, k.nttA = make([][]uint64, k.Digits), make([][]uint64, k.Digits)
+	for d := range k.nttB {
+		b, a := m+2*d*n, m+(2*d+1)*n
+		k.nttB[d], k.nttA[d] = k.w[b:b+n:b+n], k.w[a:a+n:a+n]
+		k.ntt.Forward(k.nttB[d])
+		k.ntt.Forward(k.nttA[d])
 	}
-	k.ntt.M.ShoupPrecompVec(k.w[m:2*m], k.w[2*m:])
 }
 
 // lift maps x mod P to its centred representative, reduced mod Q.
@@ -184,26 +187,31 @@ func NewKeySwitchKey(skIn, skOut *SecretKey, q, base uint64, sigma float64, seed
 }
 
 // Switcher is one worker's staging of Step ③: In, the ring ciphertext at
-// Q that Step ② writes, then one digit polynomial and the two
-// accumulators at P, all in one allocation. It is single-goroutine
-// state: each worker holds its own, over a key that is only read.
+// Q that Step ② writes, then the two outputs and every digit polynomial
+// at P, all in one allocation. It is single-goroutine state: each worker
+// holds its own, over a key that is only read.
 type Switcher struct {
-	k               *KeySwitchKey
-	In              RLWE
-	dig, accA, accB []uint64
+	k          *KeySwitchKey
+	In         RLWE
+	accA, accB []uint64
+	dig        [][]uint64
 }
 
 // NewSwitcher returns a switcher over k.
 func (k *KeySwitchKey) NewSwitcher() *Switcher {
 	n := k.N
-	w := make([]uint64, 5*n)
-	return &Switcher{
+	w := make([]uint64, (4+k.Digits)*n)
+	s := &Switcher{
 		k:    k,
 		In:   RLWE{A: w[:n:n], B: w[n : 2*n : 2*n], Q: k.Q},
-		dig:  w[2*n : 3*n : 3*n],
-		accA: w[3*n : 4*n : 4*n],
-		accB: w[4*n:],
+		accA: w[2*n : 3*n : 3*n],
+		accB: w[3*n : 4*n : 4*n],
+		dig:  make([][]uint64, k.Digits),
 	}
+	for d := range s.dig {
+		s.dig[d] = w[(4+d)*n : (5+d)*n : (5+d)*n]
+	}
+	return s
 }
 
 // Switch switches one LWE ciphertext of dimension N under s at the key's
@@ -228,11 +236,11 @@ func (s *Switcher) Switch(ct Ciphertext) Ciphertext {
 
 // SwitchExtract is Step ③ on rc, a ring ciphertext under s at the key's
 // modulus with reduced words, as SwitchModulus leaves them: one switch to
-// s′ (Digits forward NTTs of rc.A's digit polynomials, 2·Digits Shoup
-// products and two inverse NTTs at P), one modulus switch of each
-// coefficient to q2 ≤ Q, then out[v] is coefficient idx[v] as an LWE
-// ciphertext under z, gathered by copy and negation. out[v].A is grown
-// only when its capacity is below n.
+// s′ (Digits forward NTTs of rc.A's digit polynomials, one lazy inner
+// product of the digits with the key's pairs and two inverse NTTs at P),
+// one modulus switch of each coefficient to q2 ≤ Q, then out[v] is
+// coefficient idx[v] as an LWE ciphertext under z, gathered by copy and
+// negation. out[v].A is grown only when its capacity is below n.
 //
 //lint:noalloc
 func (s *Switcher) SwitchExtract(rc RLWE, idx []int, q2 uint64, out []Ciphertext) {
@@ -279,20 +287,14 @@ func (s *Switcher) SwitchExtract(rc RLWE, idx []int, q2 uint64, out []Ciphertext
 //lint:noalloc
 func (s *Switcher) switchRing(rc RLWE, q2 uint64) {
 	k := s.k
-	n, m := k.N, k.words()
-	pm := k.ntt.M
 	shift := uint(bits.TrailingZeros64(k.Base))
-	clear(s.accA)
-	clear(s.accB)
-	for d := 0; d < k.Digits; d++ {
+	for d, dig := range s.dig {
 		for i, a := range rc.A {
-			s.dig[i] = a >> (uint(d) * shift) & (k.Base - 1)
+			dig[i] = a >> (uint(d) * shift) & (k.Base - 1)
 		}
-		k.ntt.Forward(s.dig)
-		b, a := m+2*d*n, m+(2*d+1)*n
-		pm.MulShoupElemAddVec(s.dig, k.w[b:b+n], k.w[m+b:m+b+n], s.accB)
-		pm.MulShoupElemAddVec(s.dig, k.w[a:a+n], k.w[m+a:m+a+n], s.accA)
+		k.ntt.Forward(dig)
 	}
+	k.ntt.M.MulSumPairVec(s.dig, k.nttB, k.nttA, s.accB, s.accA)
 	k.ntt.Inverse(s.accA)
 	k.ntt.Inverse(s.accB)
 	for i := range s.accA {

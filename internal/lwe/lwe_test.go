@@ -275,7 +275,7 @@ func TestKeySwitchKeySerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !slices.Equal(back.w, k.w) {
-		t.Fatal("the decoded key's wire, NTT or Shoup form differs")
+		t.Fatal("the decoded key's wire or NTT form differs")
 	}
 	// The deserialized key must switch correctly.
 	smp := NewStream(76)

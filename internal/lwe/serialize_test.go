@@ -229,7 +229,7 @@ func FuzzReadKeySwitchKey(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got.SwitchPlan != k.SwitchPlan || len(got.w) != 3*k.words() {
+		if got.SwitchPlan != k.SwitchPlan || len(got.w) != 2*k.words() {
 			t.Fatalf("decoded key of plan %+v and %d words", got.SwitchPlan, len(got.w))
 		}
 		for i, x := range got.w[:k.words()] {

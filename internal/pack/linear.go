@@ -26,13 +26,16 @@ type Transform struct {
 }
 
 // TransformScratch is the staging of one ApplyInto caller: the baby-step
-// automorphisms of the input (nil where no giant step reads one) and one
-// giant step's inner sum. The zero value is ready: the staging is sized
-// on first use by the transform it runs and reused while that stays the
-// same. A single TransformScratch may not be used concurrently.
+// automorphisms of the input (nil where no giant step reads one), one
+// giant step's terms and the babies they multiply, and one giant step's
+// inner sum. The zero value is ready: the staging is sized on first use
+// by the transform it runs and reused while that stays the same. A
+// single TransformScratch may not be used concurrently.
 type TransformScratch struct {
 	tr     *Transform
 	babies []*bfv.Ciphertext
+	cts    []*bfv.Ciphertext
+	pms    []*bfv.PlaintextMul
 	inner  *bfv.Ciphertext
 }
 
@@ -41,7 +44,8 @@ func (sc *TransformScratch) fit(tr *Transform) {
 	if sc.tr == tr {
 		return
 	}
-	*sc = TransformScratch{tr: tr, babies: make([]*bfv.Ciphertext, len(tr.babyEls)), inner: tr.ctx.NewCiphertext()}
+	n := len(tr.babyEls)
+	*sc = TransformScratch{tr: tr, babies: make([]*bfv.Ciphertext, n), cts: make([]*bfv.Ciphertext, n), pms: make([]*bfv.PlaintextMul, n), inner: tr.ctx.NewCiphertext()}
 	for _, terms := range tr.terms {
 		for idx, pm := range terms {
 			if pm != nil && sc.babies[idx] == nil {
@@ -223,11 +227,7 @@ func CompileTransform(ctx *bfv.Context, m [][]uint64) (*Transform, error) {
 					rt.Automorphism(dg, gGiantInv, pPrime)
 				}
 				copy(pt.Coeffs, pPrime.Coeffs[0])
-				pm := cod.LiftToMul(pt)
-				// Compiled terms are multiplied on every ApplyInto; the one-time
-				// companion pays for itself after the first call.
-				cod.PrecomputeShoup(pm)
-				tr.terms[a][2*b+e] = pm
+				tr.terms[a][2*b+e] = cod.LiftToMul(pt)
 			}
 		}
 	}
@@ -273,19 +273,15 @@ func (tr *Transform) ApplyInto(ev *bfv.Evaluator, sc *TransformScratch, ct, out 
 		}
 		n := 0
 		for idx, pm := range terms {
-			if pm == nil {
-				continue
+			if pm != nil {
+				sc.cts[n], sc.pms[n] = sc.babies[idx], pm
+				n++
 			}
-			if n == 0 {
-				ev.MulPlainInto(sc.babies[idx], pm, dst)
-			} else {
-				ev.MulPlainAndAdd(sc.babies[idx], pm, dst)
-			}
-			n++
 		}
 		if n == 0 {
 			continue
 		}
+		ev.MulPlainSumInto(sc.cts[:n], sc.pms[:n], dst)
 		if a > 0 {
 			if err := ev.AutomorphismInto(dst, tr.giantEls[a], dst); err != nil {
 				return err

@@ -39,12 +39,6 @@ type Packer struct {
 	// run time.
 	babies []*bfv.Ciphertext
 
-	// babyS[b] holds the Shoup companions of babies[b]. The packing keys
-	// are fixed for the life of the packer while the diagonal plaintext
-	// changes every call, so the companion lives on the ciphertext side
-	// and the baby-step products run MulPlainFixed* instead of Barrett.
-	babyS []*bfv.CiphertextShoup
-
 	// rotIdx[a][i] is the slot feeding slot i after the giant-step
 	// pre-rotation by -a·bs, computed once at construction so each call
 	// builds its diagonals with a single gather instead of re-deriving
@@ -71,21 +65,23 @@ type Scratch struct {
 	step func(w, a int)
 
 	// Giant-step fan-out lanes, keyed to the evaluator passed to
-	// PackInto and reused while it stays the same.
+	// PackInto and the baby-step count, and reused while both stay the
+	// same.
 	base  *bfv.Evaluator
+	bs    int
 	lanes *par.Pool[*packLane]
 }
 
 // packLane is one worker of the giant-step fan-out: a ShallowCopy'd
-// evaluator, its own diagonal staging, the giant step it is computing,
-// and the sum of the giant steps it has computed this call (lane 0 sums
-// into the output instead). After the fan-out lane 0 stages the b terms.
+// evaluator, its own diagonal staging (one plaintext per baby step), the
+// giant step it is computing, and the sum of the giant steps it has
+// computed this call (lane 0 sums into the output instead). After the
+// fan-out lane 0 stages the b terms.
 type packLane struct {
 	ev         *bfv.Evaluator
 	cod        *bfv.Encoder
 	d          []int64
-	pt         *bfv.Plaintext
-	pm         *bfv.PlaintextMul
+	pts        []*bfv.Plaintext
 	inner, sum *bfv.Ciphertext
 	steps      int
 }
@@ -116,19 +112,23 @@ func (p *Packer) NewScratch() *Scratch {
 	return sc
 }
 
-// bind builds the fan-out lanes over ev, an evaluator of ctx.
-func (sc *Scratch) bind(ctx *bfv.Context, ev *bfv.Evaluator) {
-	sc.base = ev
+// bind builds the fan-out lanes over ev, an evaluator of ctx, for bs
+// baby steps.
+func (sc *Scratch) bind(ctx *bfv.Context, ev *bfv.Evaluator, bs int) {
+	sc.base, sc.bs = ev, bs
 	sc.lanes = par.NewPool(func() *packLane {
-		return &packLane{
+		ln := &packLane{
 			ev:    ev.ShallowCopy(),
 			cod:   bfv.NewEncoder(ctx),
 			d:     make([]int64, ctx.N),
-			pt:    ctx.NewPlaintext(),
-			pm:    &bfv.PlaintextMul{Value: ctx.RingQ.NewPoly()},
+			pts:   make([]*bfv.Plaintext, bs),
 			inner: ctx.NewCiphertext(),
 			sum:   ctx.NewCiphertext(),
 		}
+		for b := range ln.pts {
+			ln.pts[b] = ctx.NewPlaintext()
+		}
+		return ln
 	})
 }
 
@@ -181,10 +181,6 @@ func NewPackerFromKeys(ctx *bfv.Context, n int, babies []*bfv.Ciphertext) (*Pack
 		return nil, fmt.Errorf("pack: %d packing keys, dimension %d needs %d", len(babies), n, bs)
 	}
 	p := &Packer{ctx: ctx, n: n, bs: bs, babies: babies}
-	p.babyS = make([]*bfv.CiphertextShoup, bs)
-	for b := range babies {
-		p.babyS[b] = ctx.NewCiphertextShoup(babies[b])
-	}
 	gs := n / bs
 	p.rotIdx, p.giantEls = make([][]int, gs), make([]uint64, gs)
 	for a := 0; a < gs; a++ {
@@ -252,8 +248,8 @@ func (p *Packer) PackInto(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext, 
 			return fmt.Errorf("pack: ciphertext %d has modulus %d, want t=%d", i, cts[i].Q, ctx.Params.T)
 		}
 	}
-	if sc.lanes == nil || sc.base != ev {
-		sc.bind(ctx, ev)
+	if sc.lanes == nil || sc.base != ev || sc.bs != p.bs {
+		sc.bind(ctx, ev, p.bs)
 	}
 	if gs := p.n / p.bs; len(sc.errs) != gs {
 		sc.errs = make([]error, gs) // a scratch made by a packer of another split
@@ -283,8 +279,8 @@ func (p *Packer) PackInto(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext, 
 	for i := range cts {
 		d[i] = int64(cts[i].B)
 	}
-	ln.cod.EncodeSlotsInto(d, ln.pt)
-	ev.AddPlainInPlace(out, ln.pt)
+	ln.cod.EncodeSlotsInto(d, ln.pts[0])
+	ev.AddPlainInPlace(out, ln.pts[0])
 	return nil
 }
 
@@ -293,15 +289,17 @@ func (p *Packer) PackInto(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext, 
 // lane. The plaintext multiplier for giant step a, baby step b is the
 // matrix diagonal diag(a·bs+b)[i] = A[i][(col(i)+a·bs+b) mod n]
 // pre-rotated by -a·bs; composing both permutations through the cached
-// rotIdx table reduces it to one gather per slot. The rotation runs dst
-// -> dst in the evaluator's scratch.
+// rotIdx table reduces it to one gather per slot. The bs diagonals are
+// encoded into the lane's plaintexts and summed against the babies in
+// one lazy sum per limb (bfv.Evaluator.MulPlainSumLiftInto). The
+// rotation runs dst -> dst in the evaluator's scratch.
 //
 //lint:noalloc
 func (p *Packer) giantStep(ln *packLane, cts []lwe.Ciphertext, a int, dst *bfv.Ciphertext) error {
 	row := p.ctx.N / 2
 	src := p.rotIdx[a]
 	d := ln.d
-	for b := 0; b < p.bs; b++ {
+	for b, pt := range ln.pts {
 		j := a*p.bs + b
 		for i := range d {
 			s := src[i]
@@ -311,14 +309,9 @@ func (p *Packer) giantStep(ln *packLane, cts []lwe.Ciphertext, a int, dst *bfv.C
 				d[i] = 0
 			}
 		}
-		ln.cod.EncodeSlotsInto(d, ln.pt)
-		ln.cod.LiftToMulInto(ln.pt, ln.pm)
-		if b == 0 {
-			ln.ev.MulPlainFixedInto(p.babies[b], p.babyS[b], ln.pm, dst)
-		} else {
-			ln.ev.MulPlainFixedAndAdd(p.babies[b], p.babyS[b], ln.pm, dst)
-		}
+		ln.cod.EncodeSlotsInto(d, pt)
 	}
+	ln.ev.MulPlainSumLiftInto(p.babies, ln.pts, dst)
 	if a > 0 {
 		return ln.ev.AutomorphismInto(dst, p.giantEls[a], dst)
 	}

@@ -33,3 +33,14 @@ func TestMulSumTileZeroAllocs(t *testing.T) {
 		t.Fatalf("PackTile + MulSumTile allocate %v times per run, want 0", n)
 	}
 }
+
+// The pair sum runs once per limb of every keyswitch, plaintext sum and
+// LWE switch, on buffers its caller owns.
+func TestMulSumPairVecZeroAllocs(t *testing.T) {
+	m := NewModulus(557057)
+	rows := [][]uint64{make([]uint64, 100), make([]uint64, 100), make([]uint64, 100)}
+	out0, out1 := make([]uint64, 100), make([]uint64, 100)
+	if n := testing.AllocsPerRun(100, func() { m.MulSumPairVec(rows, rows, rows, out0, out1) }); n != 0 {
+		t.Fatalf("MulSumPairVec allocates %v times per run, want 0", n)
+	}
+}

@@ -215,23 +215,11 @@ func TestVecKernelsMatchScalar(t *testing.T) {
 		m.MulShoupVec(raw, w, ws, out)
 		check("MulShoupVec", func(i int) uint64 { return m.MulShoup(raw[i], w, ws) })
 
-		copy(out, b)
-		m.MulShoupAddVec(a, w, ws, out)
-		check("MulShoupAddVec", func(i int) uint64 { return m.Add(b[i], m.MulShoup(a[i], w, ws)) })
-
-		bs := make([]uint64, n)
-		m.ShoupPrecompVec(b, bs)
-		for i := range bs {
-			if bs[i] != m.ShoupPrecomp(b[i]) {
-				t.Fatalf("ShoupPrecompVec q=%d: index %d = %d, want %d", q, i, bs[i], m.ShoupPrecomp(b[i]))
-			}
-		}
-		m.MulShoupElemVec(raw, b, bs, out)
-		check("MulShoupElemVec", func(i int) uint64 { return m.MulShoup(raw[i], b[i], bs[i]) })
-
-		copy(out, a)
-		m.MulShoupElemAddVec(raw, b, bs, out)
-		check("MulShoupElemAddVec", func(i int) uint64 { return m.Add(a[i], m.MulShoup(raw[i], b[i], bs[i])) })
+		// The pair sums over three rows, one of them arbitrary words reduced
+		// first, at an output length the column block does not divide.
+		rb := make([]uint64, n)
+		m.ReduceVec(raw, rb)
+		checkPair(t, m, [][]uint64{a, b, rb}, [][]uint64{b, rb, a}, [][]uint64{a, a, b}, n-3)
 
 		rows := [][]uint64{a, b, a}
 		wsum := []uint64{a[2], b[3], q - 1} // extremes included

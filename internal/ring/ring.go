@@ -152,6 +152,26 @@ func (r *Ring) INTT(p Poly) {
 	})
 }
 
+// NTTRows transforms every row of rows in place into the NTT domain
+// modulo the limb-th prime of the chain: the limb-th limbs of several
+// polynomials, taken together. Rows fan out across CPUs as NTT's limbs
+// do.
+//
+//lint:noalloc
+func (r *Ring) NTTRows(limb int, rows [][]uint64) {
+	t := r.Tables[limb]
+	if !par.WorthForWork(len(rows), r.N*r.LogN) {
+		for _, row := range rows {
+			t.Forward(row)
+		}
+		return
+	}
+	//lint:allow noalloc fork-join fan-out allocates its closure once per large transform; the serial branch is the steady noalloc path
+	par.ForWork(len(rows), r.N*r.LogN, func(i int) {
+		t.Forward(rows[i])
+	})
+}
+
 // Add sets out = a + b.
 //
 //lint:noalloc
@@ -212,59 +232,6 @@ func (r *Ring) MulCoeffsAndAdd(a, b, out Poly) {
 	par.ForWork(len(a.Coeffs), r.N, func(i int) {
 		moduli[i].MulAddVec(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	})
-}
-
-// ShoupPolyInto fills out with the per-limb Shoup companions of the
-// canonical polynomial p, for use with MulCoeffsShoup. Precomputation
-// path: run once per fixed operand (key material, compiled multipliers).
-//
-//lint:noalloc
-func (r *Ring) ShoupPolyInto(p, out Poly) {
-	for i := range p.Coeffs {
-		r.Moduli[i].ShoupPrecompVec(p.Coeffs[i], out.Coeffs[i])
-	}
-}
-
-// ShoupPoly returns a freshly allocated companion polynomial for p, at
-// p's limb count.
-func (r *Ring) ShoupPoly(p Poly) Poly {
-	out := r.NewPolyAt(p.Level())
-	r.ShoupPolyInto(p, out)
-	return out
-}
-
-// MulCoeffsShoup sets out = a ⊙ b for a fixed canonical b with companion
-// polynomial bShoup (ShoupPoly): the fast pointwise product for products
-// against immutable operands. Iterates over a's limbs, so a reduced-level
-// a against full-level key material multiplies the shared prefix.
-//
-//lint:noalloc
-func (r *Ring) MulCoeffsShoup(a, b, bShoup, out Poly) {
-	for i := range a.Coeffs {
-		r.Moduli[i].MulShoupElemVec(a.Coeffs[i], b.Coeffs[i], bShoup.Coeffs[i], out.Coeffs[i])
-	}
-}
-
-// MulCoeffsShoupAndAdd sets out += a ⊙ b for a fixed canonical b with
-// companion polynomial bShoup.
-//
-//lint:noalloc
-func (r *Ring) MulCoeffsShoupAndAdd(a, b, bShoup, out Poly) {
-	for i := range a.Coeffs {
-		r.Moduli[i].MulShoupElemAddVec(a.Coeffs[i], b.Coeffs[i], bShoup.Coeffs[i], out.Coeffs[i])
-	}
-}
-
-// MulScalar sets out = a · s for a scalar s (applied per limb, reduced).
-//
-//lint:noalloc
-func (r *Ring) MulScalar(a Poly, s uint64, out Poly) {
-	for i := range a.Coeffs {
-		m := r.Moduli[i]
-		sv := s % m.Q
-		sh := m.ShoupPrecomp(sv)
-		m.MulShoupVec(a.Coeffs[i], sv, sh, out.Coeffs[i])
-	}
 }
 
 // MulScalarRNS multiplies limb i by scalar s[i] (each already reduced mod

@@ -2,7 +2,9 @@ package ring
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/big"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -121,6 +123,68 @@ func TestMulSumTileTermBound(t *testing.T) {
 	}
 }
 
+// checkPair runs MulSumPairVec over n columns and compares both outputs
+// with the sum of per-term MulVec products added with AddVec.
+func checkPair(t testing.TB, m Modulus, a, b0, b1 [][]uint64, n int) {
+	t.Helper()
+	out0, out1 := make([]uint64, n), make([]uint64, n)
+	// Stale words in the outputs must not leak into the sums.
+	for j := range out0 {
+		out0[j], out1[j] = m.Q-1, m.Q-1
+	}
+	m.MulSumPairVec(a, b0, b1, out0, out1)
+	ref0, ref1, prod := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	for k := range a {
+		m.MulVec(a[k][:n], b0[k][:n], prod)
+		m.AddVec(ref0, prod, ref0)
+		m.MulVec(a[k][:n], b1[k][:n], prod)
+		m.AddVec(ref1, prod, ref1)
+	}
+	for j := range ref0 {
+		if out0[j] != ref0[j] || out1[j] != ref1[j] {
+			t.Fatalf("q=%d K=%d column %d: got (%d, %d), want (%d, %d)", m.Q, len(a), j, out0[j], out1[j], ref0[j], ref1[j])
+		}
+	}
+}
+
+// pairRows returns k rows of n words, each from fill.
+func pairRows(k, n int, fill func() uint64) [][]uint64 {
+	rows := make([][]uint64, k)
+	for i := range rows {
+		rows[i] = make([]uint64, n)
+		for j := range rows[i] {
+			rows[i][j] = fill()
+		}
+	}
+	return rows
+}
+
+// TestMulSumPairVecTermBound pins the lazy pair sum to the per-term
+// reduced reference where its 128-bit accumulator is tight: every input
+// at q − 1 at term counts around SumTerms() (64 at a 61-bit prime, so
+// the fold runs) and at counts from none to past the bound, at 50-, 55-,
+// 60- and 61-bit primes, random and extreme. 150 columns cover two full
+// column blocks and a partial one.
+func TestMulSumPairVecTermBound(t *testing.T) {
+	const n = 150
+	for _, q := range tilePrimes(t) {
+		m := NewModulus(q)
+		st := m.SumTerms()
+		counts := []int{0, 1, 2, 3, 10, 63, 64, 65, 129}
+		if st <= 256 {
+			counts = append(counts, st-1, st, st+1, 2*st+1)
+		}
+		top := func() uint64 { return q - 1 }
+		rng := rand.New(rand.NewPCG(q, 41))
+		random := func() uint64 { return rng.Uint64N(q) }
+		for _, kn := range counts {
+			checkPair(t, m, pairRows(kn, n, top), pairRows(kn, n, top), pairRows(kn, n, top), n)
+			checkPair(t, m, pairRows(kn, n, random), pairRows(kn, n, random), pairRows(kn, n, top), n)
+			checkPair(t, m, pairRows(kn, n, random), pairRows(kn, n, random), pairRows(kn, n, random), n)
+		}
+	}
+}
+
 // tileCase derives a MulSumTile instance from bytes: a prime, K ≤ 299
 // rows, 1–9 columns, 1–5 outputs, then rows and weights as q − 1 − (x mod
 // q) from consecutive 8-byte words, so missing bytes read as the extreme
@@ -167,4 +231,24 @@ func FuzzMulSumTile(f *testing.F) {
 		checkTile(t, q, rows, w, n, n)
 		checkTile(t, q, rows, w, n, 3)
 	})
+}
+
+// BenchmarkMulSumPairVec times the lazy pair sum at the shapes that run
+// it: a keyswitch's digits at 2 and 9 limbs of N = 2⁹ and at 4 limbs of
+// N = 2¹², and the 16 babies of a packer giant step, in ns per product.
+func BenchmarkMulSumPairVec(b *testing.B) {
+	q := tilePrimes(b)[2]
+	m := NewModulus(q)
+	rng := rand.New(rand.NewPCG(q, 5))
+	random := func() uint64 { return rng.Uint64N(q) }
+	for _, sh := range []struct{ k, n int }{{2, 512}, {9, 512}, {16, 512}, {4, 4096}} {
+		a, b0, b1 := pairRows(sh.k, sh.n, random), pairRows(sh.k, sh.n, random), pairRows(sh.k, sh.n, random)
+		out0, out1 := make([]uint64, sh.n), make([]uint64, sh.n)
+		b.Run(fmt.Sprintf("K=%d/N=%d", sh.k, sh.n), func(b *testing.B) {
+			for b.Loop() {
+				m.MulSumPairVec(a, b0, b1, out0, out1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*sh.k*sh.n), "ns/product")
+		})
+	}
 }

@@ -158,88 +158,6 @@ func (m Modulus) MulShoupVec(a []uint64, w, wShoup uint64, out []uint64) {
 	}
 }
 
-// MulShoupAddVec sets out[i] = out[i] + a[i]·w mod q for canonical out and
-// w < q: the fused kernel behind scalar multiply-accumulate.
-//
-//lint:noalloc
-//lint:domain a:any w:<q out:<q -> out:<q
-func (m Modulus) MulShoupAddVec(a []uint64, w, wShoup uint64, out []uint64) {
-	q := m.Q
-	out = out[:len(a)]
-	for i := range a {
-		hi, _ := bits.Mul64(a[i], wShoup)
-		r := a[i]*w - hi*q
-		if r >= q {
-			r -= q
-		}
-		c := out[i] + r
-		if c >= q {
-			c -= q
-		}
-		out[i] = c
-	}
-}
-
-// ShoupPrecompVec fills out[i] with ShoupPrecomp(a[i]) for canonical a:
-// the companion vector of a fixed elementwise operand (key material,
-// compiled plaintext multipliers). Precomputation path, not hot.
-//
-//lint:noalloc
-func (m Modulus) ShoupPrecompVec(a, out []uint64) {
-	out = out[:len(a)]
-	for i := range a {
-		s, _ := bits.Div64(a[i], 0, m.Q)
-		out[i] = s
-	}
-}
-
-// MulShoupElemVec sets out[i] = a[i]·b[i] mod q where b is a fixed
-// canonical operand with its precomputed companion vector bShoup
-// (ShoupPrecompVec); a may hold any uint64 values. This replaces the
-// Barrett MulVec on hot paths whose second operand never changes
-// (switching keys, compiled diagonal multipliers).
-//
-//lint:noalloc
-//lint:domain a:any b:<q -> out:<q
-func (m Modulus) MulShoupElemVec(a, b, bShoup, out []uint64) {
-	q := m.Q
-	b = b[:len(a)]
-	bShoup = bShoup[:len(a)]
-	out = out[:len(a)]
-	for i := range a {
-		hi, _ := bits.Mul64(a[i], bShoup[i])
-		r := a[i]*b[i] - hi*q
-		if r >= q {
-			r -= q
-		}
-		out[i] = r
-	}
-}
-
-// MulShoupElemAddVec sets out[i] = out[i] + a[i]·b[i] mod q for a fixed
-// canonical b with companion vector bShoup and canonical out.
-//
-//lint:noalloc
-//lint:domain a:any b:<q out:<q -> out:<q
-func (m Modulus) MulShoupElemAddVec(a, b, bShoup, out []uint64) {
-	q := m.Q
-	b = b[:len(a)]
-	bShoup = bShoup[:len(a)]
-	out = out[:len(a)]
-	for i := range a {
-		hi, _ := bits.Mul64(a[i], bShoup[i])
-		r := a[i]*b[i] - hi*q
-		if r >= q {
-			r -= q
-		}
-		c := out[i] + r
-		if c >= q {
-			c -= q
-		}
-		out[i] = c
-	}
-}
-
 // PackTile copies columns [j0, j0+cols) of rows into tile, column by
 // column: tile[j·K+k] = rows[k][j0+j] with K = len(rows). The rows of a
 // limb are separate 8·N-byte arrays, usually page-aligned, so the K
@@ -408,5 +326,138 @@ func (m Modulus) MulSumVec(rows [][]uint64, w []uint64, out []uint64) {
 			r -= q
 		}
 		out[j] = r
+	}
+}
+
+// sumPairCols is the column block of MulSumPairVec: its 128-bit sums,
+// four words a column, stay on the stack (2 KB) and in L1 while every
+// row of the block is added in.
+const sumPairCols = 64
+
+// MulSumPairVec sets out0[j] = Σ_k a[k][j]·b0[k][j] mod q and
+// out1[j] = Σ_k a[k][j]·b1[k][j] mod q: the two elementwise sums of
+// products over a fixed operand that share their other factor — a
+// gadget product's digits against a key's (B, A) rows, a plaintext's
+// diagonals against a ciphertext's two halves. It is MulSumTile's
+// arithmetic with elementwise weights: a block of columns at a time,
+// two rows to a pass, every product is added unreduced into a 128-bit
+// accumulator, and each sum takes one Barrett reduction at the store.
+// A sum of more than SumTerms() terms is folded — reduced to its residue
+// mid-sum — every SumTerms() rows, so the result is exact for any term
+// count; it is limb for limb the sum of MulVec products added with
+// AddVec. b0 and b1 hold len(a) rows, every row at least len(out0)
+// words and every word below q; no term leaves out0 and out1 zero.
+//
+//lint:noalloc
+//lint:domain a:<q b0:<q b1:<q -> out0:<q out1:<q
+func (m Modulus) MulSumPairVec(a, b0, b1 [][]uint64, out0, out1 []uint64) {
+	kn, n := len(a), len(out0)
+	out1 = out1[:n]
+	if kn == 0 {
+		clear(out0)
+		clear(out1)
+		return
+	}
+	b0, b1 = b0[:kn], b1[:kn]
+	fold := min(m.SumTerms(), kn)
+	var accs [4 * sumPairCols]uint64
+	for j0 := 0; j0 < n; j0 += sumPairCols {
+		j1 := min(j0+sumPairCols, n)
+		acc := accs[:4*(j1-j0)]
+		for k0 := 0; k0 < kn; k0 += fold {
+			k, k1 := k0, min(k0+fold, kn)
+			switch {
+			case k0 > 0:
+				for c := 0; c < len(acc); c += 2 {
+					acc[c], acc[c+1] = 0, m.ReduceWide(acc[c], acc[c+1])
+				}
+			case k1 >= 2:
+				sumPairSet2(a[0][j0:j1], a[1][j0:j1], b0[0][j0:j1], b0[1][j0:j1], b1[0][j0:j1], b1[1][j0:j1], acc)
+				k += 2
+			default:
+				clear(acc)
+			}
+			for ; k+2 <= k1; k += 2 {
+				sumPairAdd2(a[k][j0:j1], a[k+1][j0:j1], b0[k][j0:j1], b0[k+1][j0:j1], b1[k][j0:j1], b1[k+1][j0:j1], acc)
+			}
+			if k < k1 {
+				sumPairAdd1(a[k][j0:j1], b0[k][j0:j1], b1[k][j0:j1], acc)
+			}
+		}
+		o0, o1 := out0[j0:j1], out1[j0:j1]
+		for j := range o0 {
+			o0[j], o1[j] = m.ReduceWide(acc[4*j], acc[4*j+1]), m.ReduceWide(acc[4*j+2], acc[4*j+3])
+		}
+	}
+}
+
+// sumPairSet2 sets the accumulators of MulSumPairVec's columns to the
+// products of their first two rows: acc[4j:4j+2] = x0·y0 + x1·y1 and
+// acc[4j+2:4j+4] = x0·z0 + x1·z1 at column j, high word first.
+//
+//lint:noalloc
+func sumPairSet2(x0, x1, y0, y1, z0, z1, acc []uint64) {
+	x1, y0, y1, z0, z1 = x1[:len(x0)], y0[:len(x0)], y1[:len(x0)], z0[:len(x0)], z1[:len(x0)]
+	acc = acc[:4*len(x0)]
+	for j, u := range x0 {
+		v, c := x1[j], acc[4*j:4*j+4:4*j+4]
+		var cy uint64
+		h, l := bits.Mul64(u, y0[j])
+		ph, pl := bits.Mul64(v, y1[j])
+		l, cy = bits.Add64(l, pl, 0)
+		c[0], _ = bits.Add64(h, ph, cy)
+		c[1] = l
+		h, l = bits.Mul64(u, z0[j])
+		ph, pl = bits.Mul64(v, z1[j])
+		l, cy = bits.Add64(l, pl, 0)
+		c[2], _ = bits.Add64(h, ph, cy)
+		c[3] = l
+	}
+}
+
+// sumPairAdd2 adds the products of two more rows to the accumulators.
+//
+//lint:noalloc
+func sumPairAdd2(x0, x1, y0, y1, z0, z1, acc []uint64) {
+	x1, y0, y1, z0, z1 = x1[:len(x0)], y0[:len(x0)], y1[:len(x0)], z0[:len(x0)], z1[:len(x0)]
+	acc = acc[:4*len(x0)]
+	for j, u := range x0 {
+		v, c := x1[j], acc[4*j:4*j+4:4*j+4]
+		var cy uint64
+		h, l := c[0], c[1]
+		ph, pl := bits.Mul64(u, y0[j])
+		l, cy = bits.Add64(l, pl, 0)
+		h, _ = bits.Add64(h, ph, cy)
+		ph, pl = bits.Mul64(v, y1[j])
+		l, cy = bits.Add64(l, pl, 0)
+		c[0], _ = bits.Add64(h, ph, cy)
+		c[1] = l
+		h, l = c[2], c[3]
+		ph, pl = bits.Mul64(u, z0[j])
+		l, cy = bits.Add64(l, pl, 0)
+		h, _ = bits.Add64(h, ph, cy)
+		ph, pl = bits.Mul64(v, z1[j])
+		l, cy = bits.Add64(l, pl, 0)
+		c[2], _ = bits.Add64(h, ph, cy)
+		c[3] = l
+	}
+}
+
+// sumPairAdd1 adds the products of one more row: the last of an odd
+// number.
+//
+//lint:noalloc
+func sumPairAdd1(x, y, z, acc []uint64) {
+	y, z = y[:len(x)], z[:len(x)]
+	acc = acc[:4*len(x)]
+	for j, u := range x {
+		c := acc[4*j : 4*j+4 : 4*j+4]
+		var cy uint64
+		ph, pl := bits.Mul64(u, y[j])
+		c[1], cy = bits.Add64(c[1], pl, 0)
+		c[0], _ = bits.Add64(c[0], ph, cy)
+		ph, pl = bits.Mul64(u, z[j])
+		c[3], cy = bits.Add64(c[3], pl, 0)
+		c[2], _ = bits.Add64(c[2], ph, cy)
 	}
 }

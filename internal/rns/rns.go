@@ -204,20 +204,9 @@ func (b *Basis) scaleRound(residues []uint64, num, den, den2 *big.Int, x, r *big
 // the other limbs: a limb with q_l ≥ q_i takes a plain copy (the value
 // is already reduced), smaller limbs take one vectorized Barrett pass.
 func (b *Basis) DecomposeDigitInto(p ring.Poly, i int, d ring.Poly) {
-	b.DecomposeDigitScaledInto(p, i, b.QiHatInv[i], b.qiHatInvShoup[i], d)
-}
-
-// DecomposeDigitScaledInto computes digit i of the CRT decomposition of p
-// with a caller-supplied inverse constant in place of the basis's own
-// QiHatInv_i: d = spread([p_i · inv]_{q_i}). Keyswitching against
-// full-chain key material at a reduced level needs the corrected constant
-// inv = [(Q_L/q_i)^{-1} · (Q/Q_L)^{-1}]_{q_i}, which makes the digits sum
-// against the full-chain q̂_i back to p modulo the reduced Q_L.
-// invShoup must be ShoupPrecomp(inv) for the i-th modulus.
-func (b *Basis) DecomposeDigitScaledInto(p ring.Poly, i int, inv, invShoup uint64, d ring.Poly) {
 	mi := b.Moduli[i]
 	small := d.Coeffs[i] // digit mod q_i is the digit value itself
-	mi.MulShoupVec(p.Coeffs[i], inv, invShoup, small)
+	mi.MulShoupVec(p.Coeffs[i], b.QiHatInv[i], b.qiHatInvShoup[i], small)
 	for l := range d.Coeffs {
 		if l == i {
 			continue
