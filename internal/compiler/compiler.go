@@ -4,10 +4,10 @@
 // HAdd/HRot, sample extractions, keyswitches, packing and S2C calls, and
 // the per-layer LUT sizes that determine FBS cost.
 //
-// The trace follows the paper's hardware-side ordering (ring degree
-// switch before sample extraction, three-level S2C), which the software
-// engine intentionally deviates from in favour of per-value exactness;
-// DESIGN.md discusses the equivalence.
+// The trace follows the paper's hardware-side ordering: one ring degree
+// switch per ciphertext before sample extraction, as the engine runs it,
+// and the three-level S2C of Table 3, where the engine runs a generic
+// BSGS transform; DESIGN.md discusses the equivalence.
 package compiler
 
 import (
@@ -288,7 +288,6 @@ func CompileWithOptions(q *qnn.QNetwork, p core.Params, opts Options) (*Trace, e
 		return nil, fmt.Errorf("compiler: network has no linear layers")
 	}
 	geomC, geomH, geomW := q.InC, q.InH, q.InW
-	_ = geomC
 	var actBits = q.ABits
 
 	emitConv := func(c *qnn.QConv, last bool) error {

@@ -118,10 +118,10 @@ func (e *Engine) EvaluateEncryptedBatch(q *qnn.QNetwork, ins []*EncryptedInput) 
 
 // eachImage advances every image's state by step, fanned out across the
 // worker group; every image is a heavy item (at least one linear layer
-// or LUT round), so no cost floor applies.
+// or LUT round).
 func (e *Engine) eachImage(states []*inferState, step func(*evalWorker, *inferState) (*inferState, error)) error {
 	errs := make([]error, len(states))
-	e.w0.forEach(len(states), par.Options{MinGrain: 1}, func(ln *evalWorker, i int) {
+	e.w0.forEach(len(states), func(ln *evalWorker, i int) {
 		st, err := step(ln, states[i])
 		if err != nil {
 			errs[i] = err

@@ -30,3 +30,31 @@ func BenchmarkNewEngine(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkInferRealisticT times one warm inference of realisticT's
+// network — EncryptInput and EvaluateEncrypted — on an engine built
+// outside the timer. allocs/op counts every fork-join below the lanes:
+// a per-limb fan-out inside the ring kernels would add tens of
+// thousands (run with -benchtime 1x; about 5 s per op on 2 CPUs).
+func BenchmarkInferRealisticT(b *testing.B) {
+	p, net, x := realisticT()
+	e, err := NewEngine(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	infer := func() {
+		in, err := e.EncryptInput(net, x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.EvaluateEncrypted(net, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	infer() // warm: compiled LUTs, worker lanes and scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		infer()
+	}
+}

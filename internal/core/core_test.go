@@ -404,22 +404,15 @@ func TestEncryptedSigmoidNetwork(t *testing.T) {
 	}
 }
 
-// TestEncryptedInferenceAtRealisticT runs the pipeline at the paper's
-// plaintext modulus t = 65537 (full 2^16-entry LUT, 17-bit accumulator
-// headroom, w7a7-style scales) on a reduced ring. This is the slowest
-// single test in the repository — the FBS evaluates a degree-65536
-// polynomial homomorphically.
-func TestEncryptedInferenceAtRealisticT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-t engine run is slow; run without -short")
-	}
+// realisticT is the engine parameters, network and input of
+// TestEncryptedInferenceAtRealisticT and BenchmarkInferRealisticT: the
+// paper's plaintext modulus t = 65537 (full 2^16-entry LUT, 17-bit
+// accumulator headroom, w7a7-style scales) on a MediumParams-class ring,
+// N = 2^11 over 12 limbs.
+func realisticT() (Params, *qnn.QNetwork, *qnn.IntTensor) {
 	p := Params{
 		LogN: 11, QiBits: 55, QiNum: 12, T: 65537,
 		LWEDim: 128, MidExp: 12, KSBase: 1 << 7, Seed: 2,
-	}
-	e, err := NewEngine(p)
-	if err != nil {
-		t.Fatal(err)
 	}
 	// conv(1->2, 3x3, pad 1, ReLU, w7a7 scales) -> dense(128 -> 4).
 	rng := rand.New(rand.NewPCG(41, 42))
@@ -462,7 +455,21 @@ func TestEncryptedInferenceAtRealisticT(t *testing.T) {
 		Name: "full-t", InC: 1, InH: 8, InW: 8, WBits: 7, ABits: 7, InScale: 1,
 		Blocks: []qnn.QBlock{qnn.QSeq{conv, dense}},
 	}
-	x := randInput(1, 8, 8, 63, 44)
+	return p, net, randInput(1, 8, 8, 63, 44)
+}
+
+// TestEncryptedInferenceAtRealisticT runs the pipeline of realisticT.
+// This is the slowest single test in the repository — the FBS evaluates
+// a degree-65536 polynomial homomorphically.
+func TestEncryptedInferenceAtRealisticT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-t engine run is slow; run without -short")
+	}
+	p, net, x := realisticT()
+	e, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := net.ForwardInt(x).Data
 	got, err := e.Infer(net, x)
 	if err != nil {

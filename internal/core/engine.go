@@ -504,7 +504,7 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.
 	slots := make([]*bfv.Ciphertext, rounds)
 	masks := make([][]int64, windows)
 	errs := make([]error, rounds)
-	wk.forEach(rounds, par.Options{MinGrain: 1}, func(ln *evalWorker, r int) {
+	wk.forEach(rounds, func(ln *evalWorker, r int) {
 		lo, hi := r*g, min((r+1)*g, windows)
 		ordered := make([]lwe.Ciphertext, (hi-lo)*per)
 		for i := range ordered {
@@ -538,7 +538,7 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.
 		inputs[i] = make([]*bfv.Ciphertext, plan.InBatches)
 	}
 	errs = make([]error, windows)
-	wk.forEach(windows, par.Options{MinGrain: 1}, func(ln *evalWorker, w int) {
+	wk.forEach(windows, func(ln *evalWorker, w int) {
 		r, o := w/g, w%g*per
 		// The window's input outlives the fan-out; what it passes through
 		// is the lane's.
@@ -579,30 +579,27 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.
 // convAccumulate runs Step ① on prepared coefficient-encoded inputs and
 // returns the accumulator ciphertexts (one per output batch) and each
 // output batch's valid coefficients, which the bias is added at and the
-// caller extracts. Output batches are independent (each reads the shared
-// inputs and writes its own accumulator), so they fan out across worker
-// lanes.
+// caller extracts. Output batches run serially on wk: a layer has one or
+// two at the benchmark shapes, each a few plaintext products, which a
+// fork-join (12–61 µs) would not repay.
 func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs []*bfv.Ciphertext) ([]*bfv.Ciphertext, [][]coeffenc.ValidEntry) {
 	e := wk.e
 	k3d := q.Weights
 	accs := make([]*bfv.Ciphertext, plan.OutBatches)
 	valid := make([][]coeffenc.ValidEntry, plan.OutBatches)
-	// One output batch costs InBatches plaintext products (2·limbs·N
-	// word multiplies each at the post level) plus the kernel encodes.
-	cost := plan.InBatches * 2 * e.ctxP.Level() * e.Ctx.N
-	wk.forEach(plan.OutBatches, par.Options{MinGrain: 1, ItemCost: cost}, func(ln *evalWorker, ob int) {
+	for ob := 0; ob < plan.OutBatches; ob++ {
 		acc := e.ctxP.NewCiphertext()
 		for ib := 0; ib < plan.InBatches; ib++ {
-			pt, pm := ln.plain()
-			ln.codP.EncodeCoeffsInto(plan.EncodeKernel(k3d, ib, ob), pt)
-			ln.codP.LiftToMulInto(pt, pm)
+			pt, pm := wk.plain()
+			wk.codP.EncodeCoeffsInto(plan.EncodeKernel(k3d, ib, ob), pt)
+			wk.codP.LiftToMulInto(pt, pm)
 			if ib == 0 {
-				ln.evP.MulPlainInto(inputs[ib], pm, acc)
+				wk.evP.MulPlainInto(inputs[ib], pm, acc)
 			} else {
-				ln.evP.MulPlainAndAdd(inputs[ib], pm, acc)
-				ln.stats.HAdd++
+				wk.evP.MulPlainAndAdd(inputs[ib], pm, acc)
+				wk.stats.HAdd++
 			}
-			ln.stats.PMult++
+			wk.stats.PMult++
 		}
 		// Bias: added at every valid output coefficient.
 		biasVec := make([]int64, e.Ctx.N)
@@ -610,11 +607,11 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 		for _, en := range valid[ob] {
 			biasVec[en.Coeff] = q.Bias[en.Cout]
 		}
-		pt, _ := ln.plain()
-		ln.codP.EncodeCoeffsInto(biasVec, pt)
-		ln.evP.AddPlainInPlace(acc, pt)
+		pt, _ := wk.plain()
+		wk.codP.EncodeCoeffsInto(biasVec, pt)
+		wk.evP.AddPlainInPlace(acc, pt)
 		accs[ob] = acc
-	})
+	}
 	return accs, valid
 }
 

@@ -286,7 +286,7 @@ func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, lut *fbs.Evaluator) ([]lwe
 	out := make([]lwe.Ciphertext, len(vals))
 	chunks := (len(vals) + n - 1) / n
 	errs := make([]error, chunks)
-	wk.forEach(chunks, par.Options{MinGrain: 1}, func(ln *evalWorker, ci int) {
+	wk.forEach(chunks, func(ln *evalWorker, ci int) {
 		start := ci * n
 		end := start + n
 		if end > len(vals) {

@@ -62,20 +62,20 @@ func (e *Engine) newWorker(ev, evP *bfv.Evaluator, codP *bfv.Encoder, canFork bo
 }
 
 // forEach runs f over [0, n), fanning across the engine's worker lanes
-// when wk is the top-level worker and o judges the fan-out worthwhile.
-// On a pooled lane — or when o selects one worker — it degrades to the
-// serial loop on wk itself. Work is split into the fixed par.Partition
+// when wk is the top-level worker and more than one lane is usable. On a
+// pooled lane — or with one usable lane — it degrades to the serial loop
+// on wk itself. Work is split into the fixed par.Partition
 // blocks and f must only write i-indexed state, so results are
 // bit-identical at any GOMAXPROCS.
-func (wk *evalWorker) forEach(n int, o par.Options, f func(ln *evalWorker, i int)) {
-	if !wk.canFork || o.Workers(n) <= 1 {
+func (wk *evalWorker) forEach(n int, f func(ln *evalWorker, i int)) {
+	if !wk.canFork || par.Workers(n) <= 1 {
 		for i := 0; i < n; i++ {
 			f(wk, i)
 		}
 		return
 	}
 	lanes := wk.e.lanes
-	par.ForEach(n, o, func(w, i int) { f(lanes.Get(w), i) })
+	par.ForEach(n, func(w, i int) { f(lanes.Get(w), i) })
 }
 
 // flushStats folds the per-worker operation counters into e.Stats. The

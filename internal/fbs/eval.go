@@ -343,7 +343,7 @@ func (e *Evaluator) EvaluateInto(ev *bfv.Evaluator, sc *Scratch, ct, out *bfv.Ci
 	// chooser held to the capacity).
 	plan, errs, lanes := &e.plan, sc.errs[:e.g2], sc.lanes
 	powers, yOps, zOps := sc.powers[:e.bs], sc.yOps, sc.zOps
-	par.ForEach(e.g2, par.Options{MinGrain: 1}, func(w, i int) {
+	par.ForEach(e.g2, func(w, i int) {
 		// Writes only the lane it is handed; the plan and the power ladders
 		// it reads are not written during the fan-out.
 		errs[i] = plan.midProduct(lanes.Get(w), powers, yOps, zOps, i)
@@ -388,7 +388,7 @@ func (sc *Scratch) ladder(cts []*bfv.Ciphertext, ops []*bfv.Operand, top int) er
 	for m := 1; m < top; m *= 2 {
 		n := min(m, top-m)
 		sc.level.lo = m + 1
-		par.ForEach(n, par.Options{MinGrain: 1}, sc.step)
+		par.ForEach(n, sc.step)
 		if err := par.FirstErr(sc.errs[:n]); err != nil {
 			return err
 		}

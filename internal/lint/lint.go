@@ -7,9 +7,9 @@
 //   - cryptorand: secret/noise sampling in crypto packages must never
 //     touch math/rand; the seeded ChaCha8 core in internal/ring is the
 //     single approved keystream.
-//   - parsafe: closures handed to par.ForWork / par.Chunks may only
-//     write index-derived state; anything else is a data race the
-//     scheduler hides most days.
+//   - parsafe: closures handed to par.ForEach may only write state
+//     derived from their index or worker slot; anything else is a data
+//     race the scheduler hides most days.
 //   - panicfree-wire: no panic may be reachable from the wire
 //     deserialization entry points — a malicious ciphertext must yield
 //     an error, not a crash.

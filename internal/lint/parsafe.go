@@ -7,11 +7,12 @@ import (
 	"strings"
 )
 
-// ParSafe checks the closures handed to par.ForWork and par.Chunks
-// (and par.ForN, which the recognizer still knows). Those helpers run
-// the closure concurrently from several goroutines, so the fork-join
-// determinism contract is: a closure may only write state derived from
-// its own iteration index. The pass flags, inside such closures:
+// ParSafe checks the closures handed to par.ForEach, the one fork-join
+// helper. It runs the closure concurrently from several goroutines, so
+// the determinism contract is: a closure may only write state derived
+// from its own iteration index i or its worker slot w (per-worker
+// accumulators, merged after the join). The pass flags, inside such
+// closures:
 //
 //   - assignments (incl. op-assign, ++/--) to captured variables:
 //     `sum += x`, `s = append(s, v)` — classic fan-in races;
@@ -19,7 +20,7 @@ import (
 //     concurrent write, indexed or not;
 //   - writes to elements of captured slices whose index involves
 //     neither a closure parameter nor a closure-local variable:
-//     `out[0] = v` races, `out[i] = v` does not.
+//     `out[0] = v` races, `out[i] = v` and `part[w] += v` do not.
 //
 // Reads of captured state are fine, as are writes to variables declared
 // inside the closure.
@@ -30,7 +31,7 @@ func (*ParSafe) Name() string { return "parsafe" }
 
 // Doc implements Pass.
 func (*ParSafe) Doc() string {
-	return "non-index-derived shared-state writes inside par.ForWork / par.Chunks closures"
+	return "non-index-derived shared-state writes inside par.ForEach closures"
 }
 
 // Run implements Pass.
@@ -40,8 +41,7 @@ func (p *ParSafe) Run(prog *Program) []Finding {
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					switch fn, lit := parClosure(pkg, call); fn {
-					case "ForN", "ForWork", "Chunks":
+					if fn, lit := parClosure(pkg, call); fn == "ForEach" {
 						findings = append(findings, p.checkClosure(prog, pkg, fn, lit)...)
 					}
 				}
@@ -54,10 +54,8 @@ func (p *ParSafe) Run(prog *Program) []Finding {
 
 // parClosure is the one recognizer of worker closures handed to the par
 // package, for parsafe and scratchalias: it returns the helper's name
-// and the function literal — the last argument of ForN, ForWork, Chunks
-// and ForEach (ForWork takes an itemCost between n and the closure), the
-// first of NewPool — or "" and nil. ForN is gone from the module's par
-// but still declared by the fixture's.
+// and the function literal — the last argument of ForEach, the first of
+// NewPool — or "" and nil.
 func parClosure(pkg *Package, call *ast.CallExpr) (string, *ast.FuncLit) {
 	fun := ast.Unparen(call.Fun)
 	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation par.NewPool[T]
@@ -73,7 +71,7 @@ func parClosure(pkg *Package, call *ast.CallExpr) (string, *ast.FuncLit) {
 	}
 	arg := call.Args[len(call.Args)-1]
 	switch fn.Name() {
-	case "ForN", "ForWork", "Chunks", "ForEach":
+	case "ForEach":
 	case "NewPool":
 		arg = call.Args[0]
 	default:

@@ -54,7 +54,7 @@ func (p *ScratchAlias) Run(prog *Program) []Finding {
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if fn, lit := parClosure(pkg, call); fn == "ForEach" || fn == "NewPool" {
+					if _, lit := parClosure(pkg, call); lit != nil {
 						findings = append(findings, p.checkClosure(prog, pkg, lit, memo)...)
 					}
 				}

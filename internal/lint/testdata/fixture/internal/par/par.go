@@ -1,40 +1,11 @@
 // Package par is a sequential stub of the production fork-join helpers,
-// signature-compatible so the parsafe fixtures type-check.
+// signature-compatible so the parsafe and scratchalias fixtures
+// type-check.
 package par
 
-// ForN runs f(i) for every i in [0, n) — concurrently, in production.
-func ForN(n int, f func(i int)) {
-	for i := 0; i < n; i++ {
-		f(i)
-	}
-}
-
-// ForWork runs f(i) for every i in [0, n), sized by a per-item cost
-// estimate — concurrently, in production.
-func ForWork(n, itemCost int, f func(i int)) {
-	_ = itemCost
-	for i := 0; i < n; i++ {
-		f(i)
-	}
-}
-
-// Chunks splits [0, n) into ranges and runs f on each — concurrently, in
-// production.
-func Chunks(n int, f func(start, end int)) {
-	f(0, n)
-}
-
-// Options mirrors the production partition-sizing knobs.
-type Options struct {
-	MinGrain   int
-	ItemCost   int
-	MaxWorkers int
-}
-
 // ForEach runs f(w, i) for every i in [0, n), handing each invocation a
-// worker index w — concurrently, in production.
-func ForEach(n int, o Options, f func(w, i int)) {
-	_ = o
+// worker slot w — concurrently, in production.
+func ForEach(n int, f func(w, i int)) {
 	for i := 0; i < n; i++ {
 		f(0, i)
 	}

@@ -9,7 +9,7 @@ import "fixture/internal/par"
 
 func badScalar(n int, xs []uint64) uint64 {
 	var sum uint64
-	par.ForN(n, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		sum += xs[i] // want parsafe
 	})
 	return sum
@@ -17,29 +17,31 @@ func badScalar(n int, xs []uint64) uint64 {
 
 func badMap(n int) map[int]bool {
 	seen := map[int]bool{}
-	par.ForN(n, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		seen[i] = true // want parsafe
 	})
 	return seen
 }
 
 func badSharedSlot(n int, out []uint64) {
-	par.ForN(n, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		out[0] = uint64(i) // want parsafe
 	})
 }
 
-func badChunks(n int, xs []uint64) uint64 {
+func badFirst(n int, xs []uint64) uint64 {
 	first := uint64(0)
-	par.Chunks(n, func(start, end int) {
-		first = xs[start] // want parsafe
+	par.ForEach(n, func(w, i int) {
+		if first == 0 {
+			first = xs[i] // want parsafe
+		}
 	})
 	return first
 }
 
-func badForWork(n int, xs []uint64) uint64 {
+func badMax(n int, xs []uint64) uint64 {
 	var hi uint64
-	par.ForWork(n, 1<<12, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		if xs[i] > hi {
 			hi = xs[i] // want parsafe
 		}
@@ -47,29 +49,23 @@ func badForWork(n int, xs []uint64) uint64 {
 	return hi
 }
 
-func goodForWork(n int, xs, out []uint64) {
-	par.ForWork(n, 1<<12, func(i int) {
-		out[i] = xs[i] * 3
-	})
-}
-
 type acc struct{ total uint64 }
 
 func badField(n int, xs []uint64, a *acc) {
-	par.ForN(n, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		a.total += xs[i] // want parsafe
 	})
 }
 
 func badPointer(n int, p *uint64) {
-	par.ForN(n, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		*p = uint64(i) // want parsafe
 	})
 }
 
 func badIncDec(n int) int {
 	count := 0
-	par.ForN(n, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		count++ // want parsafe
 	})
 	return count
@@ -79,20 +75,16 @@ func badIncDec(n int) int {
 // accumulation merged after the join.
 
 func goodIndexed(n int, xs, out []uint64) {
-	par.ForN(n, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		tmp := xs[i]
 		tmp++
-		out[i] = tmp
+		out[i] = tmp * 3
 	})
 }
 
-func goodChunks(n int, xs, partial []uint64) uint64 {
-	par.Chunks(n, func(start, end int) {
-		var s uint64
-		for i := start; i < end; i++ {
-			s += xs[i]
-		}
-		partial[start] = s
+func goodPerWorker(n int, xs, partial []uint64) uint64 {
+	par.ForEach(n, func(w, i int) {
+		partial[w] += xs[i]
 	})
 	var total uint64
 	for _, s := range partial {
@@ -102,7 +94,7 @@ func goodChunks(n int, xs, partial []uint64) uint64 {
 }
 
 func goodFieldOfIndexed(n int, rows []acc) {
-	par.ForN(n, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		rows[i].total = uint64(i)
 	})
 }
@@ -110,7 +102,7 @@ func goodFieldOfIndexed(n int, rows []acc) {
 // An explained allow suppresses the finding on its line.
 func allowedLatch(n int) bool {
 	hit := false
-	par.ForN(n, func(i int) {
+	par.ForEach(n, func(w, i int) {
 		hit = true //lint:allow parsafe fixture demonstrates an explained suppression
 	})
 	return hit

@@ -3,6 +3,7 @@ package lwe
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"athena/internal/ring"
 )
@@ -82,9 +83,10 @@ func digitCount(q, base uint64) int {
 // KeySwitchKey switches a ring ciphertext at Q from the ring secret s to
 // s′. Digit d is the pair (B_d, A_d) with B_d + A_d·s′ = Base^d·s + e_d
 // (mod Q), where A_d is row (d, 0) of the key's public Seed
-// (ring.RowStream): the key travels as its seed and its B_d. One
-// allocation holds the pairs (mod Q, B_d then A_d by digit), then their
-// NTT images at P, which nttB and nttA list by digit.
+// (ring.RowStream): the key travels as its seed and its B_d. It holds
+// only the pairs' NTT images at P, in one allocation that nttB and nttA
+// list by digit; a pair's words are below Q < P, so its inverse NTT is
+// exact.
 type KeySwitchKey struct {
 	*SwitchPlan
 	Seed       [32]byte
@@ -92,11 +94,13 @@ type KeySwitchKey struct {
 	nttB, nttA [][]uint64
 }
 
-// words is the length of one of the key's two forms.
-func (sp *SwitchPlan) words() int { return 2 * sp.Digits * sp.N }
-
 func (sp *SwitchPlan) newKey() *KeySwitchKey {
-	return &KeySwitchKey{SwitchPlan: sp, w: make([]uint64, 2*sp.words())}
+	k := &KeySwitchKey{SwitchPlan: sp, w: make([]uint64, 2*sp.Digits*sp.N),
+		nttB: make([][]uint64, 0, sp.Digits), nttA: make([][]uint64, 0, sp.Digits)}
+	for pair := range slices.Chunk(k.w, 2*sp.N) {
+		k.nttB, k.nttA = append(k.nttB, pair[:sp.N:sp.N]), append(k.nttA, pair[sp.N:])
+	}
+	return k
 }
 
 // maskTweak keys the stream the key's public mask seed is drawn from,
@@ -110,7 +114,7 @@ func (sp *SwitchPlan) NewKey(s, z *SecretKey, sigma float64, seed uint64) *KeySw
 		panic(fmt.Sprintf("lwe: keyswitch secrets of dimensions %d and %d, plan switches %d → %d", len(s.S), len(z.S), sp.N, sp.Dim))
 	}
 	k := sp.newKey()
-	smp := newStream(seed)
+	smp := NewStream(seed)
 	k.Seed = ring.NewKeystreamTweaked(seed, maskTweak).Seed32()
 	k.expand(ring.NewRowStream(nil))
 	sz := make([]uint64, sp.N) // s′ in the NTT domain at P
@@ -120,18 +124,17 @@ func (sp *SwitchPlan) NewKey(s, z *SecretKey, sigma float64, seed uint64) *KeySw
 	sp.ntt.Forward(sz)
 	pw := uint64(1)
 	for d := 0; d < sp.Digits; d++ {
-		sp.encryptPair(k.w[2*d*sp.N:(2*d+2)*sp.N], s.S, pw, sz, sigma, smp)
+		sp.encryptPair(k.nttB[d], k.nttA[d], s.S, pw, sz, sigma, smp)
 		pw = sp.qm.Mul(pw, sp.Base)
 	}
-	k.precompute()
+	k.forward()
 	return k
 }
 
-// encryptPair writes B = pw·s + e − A·s′ into pair, whose A is already
-// expanded. A·s′ is exact at P (its coefficients are below Dim·Q < P/2),
+// encryptPair writes B = pw·s + e − A·s′ into b, for A already expanded
+// into a. A·s′ is exact at P (its coefficients are below Dim·Q < P/2),
 // so it costs two NTTs rather than an N·n loop.
-func (sp *SwitchPlan) encryptPair(pair []uint64, s []int64, pw uint64, sz []uint64, sigma float64, smp *Stream) {
-	b, a := pair[:sp.N], pair[sp.N:]
+func (sp *SwitchPlan) encryptPair(b, a []uint64, s []int64, pw uint64, sz []uint64, sigma float64, smp *Stream) {
 	copy(b, a)
 	sp.ntt.Forward(b)
 	sp.ntt.M.MulVec(b, sz, b)
@@ -143,24 +146,18 @@ func (sp *SwitchPlan) encryptPair(pair []uint64, s []int64, pw uint64, sz []uint
 	}
 }
 
-// expand fills every A_d with row (d, 0) of the key's seed.
+// expand fills every A_d, mod Q, with row (d, 0) of the key's seed.
 func (k *KeySwitchKey) expand(rows *ring.RowStream) {
-	for d := 0; d < k.Digits; d++ {
+	for d, a := range k.nttA {
 		rows.Row(&k.Seed, d, 0)
-		rows.UniformRow(k.w[(2*d+1)*k.N:(2*d+2)*k.N], k.Q)
+		rows.UniformRow(a, k.Q)
 	}
 }
 
-// precompute derives the NTT images from the wire form.
-func (k *KeySwitchKey) precompute() {
-	m, n := k.words(), k.N
-	copy(k.w[m:], k.w[:m])
-	k.nttB, k.nttA = make([][]uint64, k.Digits), make([][]uint64, k.Digits)
-	for d := range k.nttB {
-		b, a := m+2*d*n, m+(2*d+1)*n
-		k.nttB[d], k.nttA[d] = k.w[b:b+n:b+n], k.w[a:a+n:a+n]
-		k.ntt.Forward(k.nttB[d])
-		k.ntt.Forward(k.nttA[d])
+// forward takes every pair, filled mod Q, to its NTT image at P in place.
+func (k *KeySwitchKey) forward() {
+	for row := range slices.Chunk(k.w, k.N) {
+		k.ntt.Forward(row)
 	}
 }
 

@@ -31,7 +31,7 @@ type SecretKey struct {
 // NewSecretKey samples a ternary LWE secret of dimension n.
 func NewSecretKey(n int, seed uint64) *SecretKey {
 	s := make([]int64, n)
-	smp := newStream(seed)
+	smp := NewStream(seed)
 	for i := range s {
 		s[i] = int64(smp.IntN(3)) - 1
 	}

@@ -80,7 +80,8 @@ func readRow(wr *ring.WordReader, ct *Ciphertext) error {
 }
 
 // WriteKey serializes k: a header of seven words (magic, version, Q,
-// base, digits, N, n), the mask seed in four words, then B_d by digit.
+// base, digits, N, n), the mask seed in four words, then B_d by digit,
+// each taken back from its NTT image into one row.
 func WriteKey(k *KeySwitchKey, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	le := binary.LittleEndian
@@ -88,17 +89,20 @@ func WriteKey(k *KeySwitchKey, w io.Writer) error {
 		le.Uint64(k.Seed[0:]), le.Uint64(k.Seed[8:]), le.Uint64(k.Seed[16:]), le.Uint64(k.Seed[24:])); err != nil {
 		return err
 	}
-	for d := 0; d < k.Digits; d++ {
-		if err := ring.WriteWords(bw, k.w[2*d*k.N:(2*d+1)*k.N]...); err != nil {
+	row := make([]uint64, k.N)
+	for _, b := range k.nttB {
+		copy(row, b)
+		k.ntt.Inverse(row)
+		if err := ring.WriteWords(bw, row...); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ResidentSize returns the bytes k's pairs hold once expanded, with the
-// header: the length of the version-2 layout, which carried both halves.
-func (k *KeySwitchKey) ResidentSize() int64 { return 8 * int64(7+k.words()) }
+// ResidentSize returns the bytes k holds, its pairs' images and header:
+// the length of the version-2 layout, which carried both halves.
+func (k *KeySwitchKey) ResidentSize() int64 { return 8 * int64(7+len(k.w)) }
 
 // ReadKey deserializes a key for the plan, expanding its A_d through
 // rows. The header must be the plan's before anything is allocated, so
@@ -129,12 +133,12 @@ func (sp *SwitchPlan) ReadKey(r io.Reader, rows *ring.RowStream) (*KeySwitchKey,
 	for i, w := range seed {
 		binary.LittleEndian.PutUint64(k.Seed[8*i:], w)
 	}
-	for d := 0; d < sp.Digits; d++ {
-		if err := wr.WordsBelow(k.w[2*d*sp.N:(2*d+1)*sp.N], sp.Q); err != nil {
+	for d, b := range k.nttB {
+		if err := wr.WordsBelow(b, sp.Q); err != nil {
 			return nil, fmt.Errorf("lwe: keyswitch key digit %d: %w", d, err)
 		}
 	}
 	k.expand(rows)
-	k.precompute()
+	k.forward()
 	return k, nil
 }

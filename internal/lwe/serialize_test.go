@@ -229,19 +229,20 @@ func FuzzReadKeySwitchKey(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got.SwitchPlan != k.SwitchPlan || len(got.w) != 2*k.words() {
+		if got.SwitchPlan != k.SwitchPlan || len(got.w) != len(k.w) {
 			t.Fatalf("decoded key of plan %+v and %d words", got.SwitchPlan, len(got.w))
 		}
-		for i, x := range got.w[:k.words()] {
-			if x >= got.Q {
-				t.Fatalf("decoded key word %d (%d) not reduced mod %d", i, x, got.Q)
-			}
-		}
-		want := &KeySwitchKey{SwitchPlan: got.SwitchPlan, Seed: got.Seed, w: make([]uint64, len(got.w))}
+		want := got.newKey()
+		want.Seed = got.Seed
 		want.expand(ring.NewRowStream(nil))
 		for d := 0; d < got.Digits; d++ {
-			a := (2*d + 1) * got.N
-			if !slices.Equal(got.w[a:a+got.N], want.w[a:a+got.N]) {
+			b, a := got.pair(d)
+			for i, x := range b {
+				if x >= got.Q {
+					t.Fatalf("digit %d: decoded key word %d (%d) not reduced mod %d", d, i, x, got.Q)
+				}
+			}
+			if !slices.Equal(a, want.nttA[d]) {
 				t.Fatalf("digit %d: A is not the rows of the key's seed", d)
 			}
 		}

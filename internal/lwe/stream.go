@@ -14,9 +14,7 @@ type Stream struct {
 	*ring.Keystream
 }
 
-func newStream(seed uint64) *Stream {
+// NewStream creates a seeded stream.
+func NewStream(seed uint64) *Stream {
 	return &Stream{Keystream: ring.NewKeystreamTweaked(seed, streamTweak)}
 }
-
-// NewStream creates a seeded stream.
-func NewStream(seed uint64) *Stream { return newStream(seed) }

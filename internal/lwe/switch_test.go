@@ -42,9 +42,13 @@ func digit(k *KeySwitchKey, a []uint64, d int) []uint64 {
 	return out
 }
 
-// pair returns the key's d-th pair (B_d, A_d) mod Q.
+// pair returns a copy of the key's d-th pair (B_d, A_d) mod Q, taken
+// back from its NTT images.
 func (k *KeySwitchKey) pair(d int) (b, a []uint64) {
-	return k.w[2*d*k.N : (2*d+1)*k.N], k.w[(2*d+1)*k.N : (2*d+2)*k.N]
+	b, a = slices.Clone(k.nttB[d]), slices.Clone(k.nttA[d])
+	k.ntt.Inverse(b)
+	k.ntt.Inverse(a)
+	return b, a
 }
 
 // extractOracle is Step ③ by definition, without the kernel's NTT at P:

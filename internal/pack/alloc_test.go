@@ -97,7 +97,7 @@ func TestPackIntoFannedOutAllocs(t *testing.T) {
 	if lanes < 2 {
 		t.Fatalf("PackInto ran on %d lanes at GOMAXPROCS=2, want 2", lanes)
 	}
-	spawn := mallocs(func() { par.ForEach(gs, par.Options{MinGrain: 1}, func(int, int) {}) })
+	spawn := mallocs(func() { par.ForEach(gs, func(int, int) {}) })
 	n := mallocs(pack)
 	t.Logf("warm PackInto: %d allocations; empty par.ForEach: %d", n, spawn)
 	if n > spawn {

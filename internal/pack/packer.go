@@ -256,10 +256,10 @@ func (p *Packer) PackInto(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext, 
 	}
 	sc.lanes.Each(func(ln *packLane) { ln.steps = 0 })
 	// One giant step costs bs diagonal gathers + encodes + plaintext
-	// products plus one rotation — always worth a worker; MinGrain 1 lets
-	// the fan-out engage even at gs of a few.
+	// products plus one rotation — always worth a worker, even at gs of
+	// a few.
 	sc.p, sc.cts, sc.out = p, cts, out
-	par.ForEach(len(sc.errs), par.Options{MinGrain: 1}, sc.step)
+	par.ForEach(len(sc.errs), sc.step)
 	sc.p, sc.cts, sc.out = nil, nil, nil
 	if err := par.FirstErr(sc.errs); err != nil {
 		return err

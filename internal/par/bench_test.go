@@ -24,7 +24,7 @@ func BenchmarkForEachOverhead(b *testing.B) {
 		d := time.Duration(us) * time.Microsecond
 		b.Run(fmt.Sprintf("item=%dus", us), func(b *testing.B) {
 			for b.Loop() {
-				ForEach(items, Options{MinGrain: 1}, func(_, _ int) { spin(d) })
+				ForEach(items, func(_, _ int) { spin(d) })
 			}
 			per := float64(b.Elapsed().Microseconds()) / float64(b.N)
 			b.ReportMetric(per, "us/call")

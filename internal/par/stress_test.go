@@ -18,11 +18,11 @@ func mix(i int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// forWorkOutput runs a ForWork workload whose per-index result chains
+// forEachOutput runs a ForEach workload whose per-index result chains
 // several wide multiplies, writing only i-indexed state.
-func forWorkOutput(n int) []uint64 {
+func forEachOutput(n int) []uint64 {
 	out := make([]uint64, n)
-	par.ForWork(n, 0, func(i int) {
+	par.ForEach(n, func(_, i int) {
 		v := mix(i)
 		for r := 0; r < 8; r++ {
 			hi, lo := bits.Mul64(v, mix(i+r))
@@ -45,17 +45,17 @@ func TestStressDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	runtime.GOMAXPROCS(1)
-	refForWork := forWorkOutput(n)
+	ref := forEachOutput(n)
 
 	procsList := []int{1, 2, runtime.NumCPU()}
 	for _, procs := range procsList {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			for rep := 0; rep < 4; rep++ {
-				gotF := forWorkOutput(n)
+				got := forEachOutput(n)
 				for i := 0; i < n; i++ {
-					if gotF[i] != refForWork[i] {
-						t.Fatalf("rep %d: ForWork output[%d] = %#x, serial run gave %#x", rep, i, gotF[i], refForWork[i])
+					if got[i] != ref[i] {
+						t.Fatalf("rep %d: ForEach output[%d] = %#x, serial run gave %#x", rep, i, got[i], ref[i])
 					}
 				}
 			}
@@ -78,7 +78,7 @@ func TestStressConcurrentReadsOfSharedInput(t *testing.T) {
 	}
 	run := func() []uint64 {
 		out := make([]uint64, n)
-		par.ForEach(n, par.Options{}, func(_, i int) {
+		par.ForEach(n, func(_, i int) {
 			acc := shared[i]
 			acc += shared[(i+n/2)%n]
 			acc ^= shared[n-1-i]

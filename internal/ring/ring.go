@@ -1,10 +1,6 @@
 package ring
 
-import (
-	"fmt"
-
-	"athena/internal/par"
-)
+import "fmt"
 
 // Ring is the RNS polynomial ring Z_Q[X]/(X^N+1) with Q the product of a
 // chain of word-sized NTT-friendly primes. All per-limb tables are
@@ -114,62 +110,35 @@ func (p Poly) Equal(q Poly) bool {
 	return true
 }
 
-// NTT transforms p in place, limb by limb, into the NTT domain. Limbs are
-// independent, so they fan out across CPUs when the total transform work
-// is large enough to amortize the fork-join (see par.ForWork).
+// NTT transforms p in place, limb by limb, into the NTT domain. Limbs
+// run serially: callers fork at the level of lanes, not inside kernels.
 //
 //lint:noalloc
 func (r *Ring) NTT(p Poly) {
-	tables := r.Tables
-	coeffs := p.Coeffs
-	if !par.WorthForWork(len(coeffs), r.N*r.LogN) {
-		for i := range coeffs {
-			tables[i].Forward(coeffs[i])
-		}
-		return
+	for i, c := range p.Coeffs {
+		r.Tables[i].Forward(c)
 	}
-	//lint:allow noalloc fork-join fan-out allocates its closure once per large transform; the serial branch is the steady noalloc path
-	par.ForWork(len(coeffs), r.N*r.LogN, func(i int) {
-		tables[i].Forward(coeffs[i])
-	})
 }
 
 // INTT transforms p in place back to coefficient representation.
 //
 //lint:noalloc
 func (r *Ring) INTT(p Poly) {
-	tables := r.Tables
-	coeffs := p.Coeffs
-	if !par.WorthForWork(len(coeffs), r.N*r.LogN) {
-		for i := range coeffs {
-			tables[i].Inverse(coeffs[i])
-		}
-		return
+	for i, c := range p.Coeffs {
+		r.Tables[i].Inverse(c)
 	}
-	//lint:allow noalloc fork-join fan-out allocates its closure once per large transform; the serial branch is the steady noalloc path
-	par.ForWork(len(coeffs), r.N*r.LogN, func(i int) {
-		tables[i].Inverse(coeffs[i])
-	})
 }
 
 // NTTRows transforms every row of rows in place into the NTT domain
 // modulo the limb-th prime of the chain: the limb-th limbs of several
-// polynomials, taken together. Rows fan out across CPUs as NTT's limbs
-// do.
+// polynomials, taken together.
 //
 //lint:noalloc
 func (r *Ring) NTTRows(limb int, rows [][]uint64) {
 	t := r.Tables[limb]
-	if !par.WorthForWork(len(rows), r.N*r.LogN) {
-		for _, row := range rows {
-			t.Forward(row)
-		}
-		return
+	for _, row := range rows {
+		t.Forward(row)
 	}
-	//lint:allow noalloc fork-join fan-out allocates its closure once per large transform; the serial branch is the steady noalloc path
-	par.ForWork(len(rows), r.N*r.LogN, func(i int) {
-		t.Forward(rows[i])
-	})
 }
 
 // Add sets out = a + b.
@@ -204,34 +173,18 @@ func (r *Ring) Neg(a, out Poly) {
 //
 //lint:noalloc
 func (r *Ring) MulCoeffs(a, b, out Poly) {
-	moduli := r.Moduli
-	if !par.WorthForWork(len(a.Coeffs), r.N) {
-		for i := range a.Coeffs {
-			moduli[i].MulVec(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-		}
-		return
+	for i := range a.Coeffs {
+		r.Moduli[i].MulVec(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
-	//lint:allow noalloc fork-join fan-out allocates its closure once per large transform; the serial branch is the steady noalloc path
-	par.ForWork(len(a.Coeffs), r.N, func(i int) {
-		moduli[i].MulVec(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-	})
 }
 
 // MulCoeffsAndAdd sets out += a ⊙ b (pointwise multiply-accumulate).
 //
 //lint:noalloc
 func (r *Ring) MulCoeffsAndAdd(a, b, out Poly) {
-	moduli := r.Moduli
-	if !par.WorthForWork(len(a.Coeffs), r.N) {
-		for i := range a.Coeffs {
-			moduli[i].MulAddVec(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-		}
-		return
+	for i := range a.Coeffs {
+		r.Moduli[i].MulAddVec(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
-	//lint:allow noalloc fork-join fan-out allocates its closure once per large transform; the serial branch is the steady noalloc path
-	par.ForWork(len(a.Coeffs), r.N, func(i int) {
-		moduli[i].MulAddVec(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-	})
 }
 
 // MulScalarRNS multiplies limb i by scalar s[i] (each already reduced mod
