@@ -57,6 +57,9 @@ type (
 	EncryptedLogits = core.EncryptedLogits
 	// SoftmaxConfig scales the encrypted softmax decomposition.
 	SoftmaxConfig = core.SoftmaxConfig
+	// InputRangeError is EncryptInput's refusal of a value outside the
+	// network's input domain ±(2^(ABits−1) − 1).
+	InputRangeError = core.InputRangeError
 )
 
 // NewEngine generates all key material (BFV keys, LWE keyswitching key,

@@ -18,8 +18,8 @@ import (
 // value — must equal the engine's counters. The FBS CMult counts are two algorithms and are
 // checked each against its own arithmetic: the trace models the paper's
 // flat Alg. 2 on the layer's range-sized LUT (what internal/arch
-// simulates), the engine evaluates the full-t table on the split
-// internal/fbs chooses.
+// simulates), the engine evaluates the table on the layer's proven
+// interval on the split internal/fbs chooses for it.
 func TestTraceTracksEngine(t *testing.T) {
 	p := core.TestParams()
 	e, err := core.NewEngine(p)
@@ -106,26 +106,32 @@ func TestTraceTracksEngine(t *testing.T) {
 		t.Fatalf("Step ③: trace %d keyswitches and %d extractions, engine %d and %d",
 			keySwitches, extractions, e.Stats.KeySwitches, e.Stats.Extractions)
 	}
-	// The engine: every FBS call runs the plan of its layer's table; the
-	// tables here are dense, so every plan issues the same products.
+	// The engine: every FBS call runs the plan of its layer's table, the
+	// one on the layer's proven interval widened by the margin E; the
+	// next layer reads that table's image there.
 	fbsL, _ := p.Levels()
 	ctxF, err := e.Ctx.AtLevel(fbsL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perCall := 0
+	perCall, in := 0, qnn.Interval{Lo: -7, Hi: 7}
 	for _, op := range net.Blocks[0].(qnn.QSeq)[:2] {
-		plan, err := fbs.NewEvaluator(ctxF, fbs.NewLUT(p.T, op.(*qnn.QConv).Remap))
+		q := op.(*qnn.QConv)
+		acc := q.AccInterval(in)
+		lo, hi := fbs.Span(p.T, acc.Lo-e.EmsMargin(), acc.Hi+e.EmsMargin())
+		lut, err := fbs.NewRangeLUT(p.T, lo, hi, q.Remap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if perCall != 0 && plan.CMults != perCall {
-			t.Fatalf("the layers' plans issue %d and %d CMult per call", perCall, plan.CMults)
+		plan, err := fbs.NewEvaluator(ctxF, lut)
+		if err != nil {
+			t.Fatal(err)
 		}
-		perCall = plan.CMults
+		perCall += plan.CMults
+		in = qnn.Image(q.Remap, qnn.Interval{Lo: lo, Hi: hi})
 	}
-	if e.Stats.FBSCalls == 0 || e.Stats.CMult != e.Stats.FBSCalls*perCall {
-		t.Fatalf("FBS CMult count: engine %d, %d calls × %d per call = %d", e.Stats.CMult, e.Stats.FBSCalls, perCall, e.Stats.FBSCalls*perCall)
+	if e.Stats.FBSCalls != 2 || e.Stats.CMult != perCall {
+		t.Fatalf("FBS CMult count: engine %d in %d calls, the layers' two plans %d", e.Stats.CMult, e.Stats.FBSCalls, perCall)
 	}
-	t.Logf("engine: %d FBS calls × %d CMult", e.Stats.FBSCalls, perCall)
+	t.Logf("engine: %d FBS calls, %d CMult", e.Stats.FBSCalls, perCall)
 }

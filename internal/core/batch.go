@@ -58,6 +58,7 @@ func (e *Engine) EvaluateEncryptedBatch(q *qnn.QNetwork, ins []*EncryptedInput) 
 	if len(q.Blocks) == 0 {
 		return nil, errEmptyNetwork
 	}
+	aMax := activationLimit(q)
 	states := make([]*inferState, len(ins))
 	for i, in := range ins {
 		if in == nil {
@@ -66,14 +67,10 @@ func (e *Engine) EvaluateEncryptedBatch(q *qnn.QNetwork, ins []*EncryptedInput) 
 		if in.model != q.Name {
 			return nil, fmt.Errorf("core: input %d encrypted for model %q, evaluating %q", i, in.model, q.Name)
 		}
-		states[i] = &inferState{inputs: in.inputs, plan: in.plan}
+		// EncryptInput refused any value outside ±aMax.
+		states[i] = &inferState{inputs: in.inputs, plan: in.plan, span: qnn.Interval{Lo: -aMax, Hi: aMax}}
 	}
 	defer e.flushStats()
-	aBits := q.ABits
-	if aBits < 2 {
-		aBits = 8
-	}
-	aMax := int64(1)<<(aBits-1) - 1
 
 	for bi, b := range q.Blocks {
 		switch blk := b.(type) {
@@ -116,6 +113,17 @@ func (e *Engine) EvaluateEncryptedBatch(q *qnn.QNetwork, ins []*EncryptedInput) 
 	return out, nil
 }
 
+// activationLimit is the network's largest activation, 2^(ABits−1) − 1
+// (ABits 8 when unset): the bound of its input domain, which sizes the
+// pooling domains too.
+func activationLimit(q *qnn.QNetwork) int64 {
+	aBits := q.ABits
+	if aBits < 2 {
+		aBits = 8
+	}
+	return int64(1)<<(aBits-1) - 1
+}
+
 // eachImage advances every image's state by step, fanned out across the
 // worker group; every image is a heavy item (at least one linear layer
 // or LUT round).
@@ -151,7 +159,7 @@ func (e *Engine) shareConvInputs(next *qnn.QConv, states []*inferState) error {
 		return err
 	}
 	for i := range states {
-		states[i] = &inferState{inputs: inputs[i], plan: plan}
+		states[i] = &inferState{inputs: inputs[i], plan: plan, span: sets[i].span}
 	}
 	return nil
 }

@@ -197,28 +197,37 @@ type valSet struct {
 	vals    map[vkey]lwe.Ciphertext
 	pending *fbs.Evaluator    // nil = values are already materialized
 	fn      func(int64) int64 // plaintext shadow of pending (nil = identity)
+	// span is the proven interval of the values once pending is applied:
+	// what the next layer's interval pass reads.
+	span qnn.Interval
 }
 
-// lut returns the plan's compiled evaluator of the table of f. The key
-// is the SHA-256 of the table's words, staged in the worker's own
-// buffer, so a lookup allocates nothing once the buffer has grown.
-func (wk *evalWorker) lut(f func(int64) int64) (*fbs.Evaluator, error) {
-	wk.table = fbs.AppendTable(wk.table[:0], wk.e.P.T, f)
-	return wk.e.compiled(sha256.Sum256(wk.table), f)
+// lut returns the plan's compiled evaluator of the table of f on span
+// (fbs.NewRangeLUT). The key is the SHA-256 of the span and the table's
+// words there, staged in the worker's own buffer, so a lookup allocates
+// nothing once the buffer has grown.
+func (wk *evalWorker) lut(span qnn.Interval, f func(int64) int64) (*fbs.Evaluator, error) {
+	wk.table = fbs.AppendTable(wk.table[:0], wk.e.P.T, span.Lo, span.Hi, f)
+	return wk.e.compiled(sha256.Sum256(wk.table), span, f)
 }
 
-// lutFor returns the FBS evaluator of a conv's fused remap.
-func (wk *evalWorker) lutFor(q *qnn.QConv) (*fbs.Evaluator, error) {
+// lutFor returns the FBS evaluator of a conv's fused remap for
+// accumulators proven to lie in acc: the table on acc widened by the
+// margin E, the lowest-degree one that is exact for every accumulator
+// plus its e_ms, and the interval of the values it writes there.
+func (wk *evalWorker) lutFor(q *qnn.QConv, acc qnn.Interval) (*fbs.Evaluator, qnn.Interval, error) {
 	if t := wk.e.P.T; q.MaxAcc >= int64(t/2) {
-		return nil, fmt.Errorf("core: %s accumulator bound %d exceeds t/2 = %d", q.OpName(), q.MaxAcc, t/2)
+		return nil, qnn.Interval{}, fmt.Errorf("core: %s accumulator bound %d exceeds t/2 = %d", q.OpName(), q.MaxAcc, t/2)
 	}
-	return wk.lut(q.Remap)
+	span := wk.e.domain(acc, wk.e.margin)
+	ev, err := wk.lut(span, q.Remap)
+	return ev, qnn.Image(q.Remap, span), err
 }
 
 // reluClampFor returns the post-add ReLU clamped to actBits.
 func (wk *evalWorker) reluClampFor(actBits int) (*fbs.Evaluator, error) {
 	lim := int64(1)<<(actBits-1) - 1
-	return wk.lut(func(x int64) int64 {
+	return wk.lut(wk.e.whole, func(x int64) int64 {
 		if x < 0 {
 			return 0
 		}
@@ -232,7 +241,7 @@ func (wk *evalWorker) reluClampFor(actBits int) (*fbs.Evaluator, error) {
 // divideFor returns the rounded divide by kk (avg-pool's k², or a pooling
 // domain scale).
 func (wk *evalWorker) divideFor(kk int) (*fbs.Evaluator, error) {
-	return wk.lut(func(x int64) int64 { return roundDiv(x, int64(kk)) })
+	return wk.lut(wk.e.whole, func(x int64) int64 { return roundDiv(x, int64(kk)) })
 }
 
 func roundDiv(a, b int64) int64 {
@@ -346,7 +355,7 @@ func (wk *evalWorker) extract(ct *bfv.Ciphertext, idx []int) ([]lwe.Ciphertext, 
 // crushed by the divide folded into the consumer's LUT — the same
 // remap-compression argument as Section 3.3.
 func (wk *evalWorker) scaledEvaluator(fn func(int64) int64, scale int64) (*fbs.Evaluator, error) {
-	return wk.lut(func(x int64) int64 {
+	return wk.lut(wk.e.whole, func(x int64) int64 {
 		if fn != nil {
 			x = fn(x)
 		}
@@ -416,7 +425,7 @@ func (wk *evalWorker) materializeSets(sets []*valSet) ([]*valSet, error) {
 			vals[k] = flat[j]
 		}
 		flat = flat[len(keys[i]):]
-		out[i] = &valSet{C: vs.C, H: vs.H, W: vs.W, vals: vals}
+		out[i] = &valSet{C: vs.C, H: vs.H, W: vs.W, vals: vals, span: vs.span}
 	}
 	return out, nil
 }
@@ -619,12 +628,12 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 // either already prepared — the client's coefficient encodings before the
 // first layer, or the batch barrier's — or are packed here from the
 // labeled LWE values of st.vs, fusing the pending LUT. Both then share
-// one tail: accumulate, extract, and leave the layer's own LUT pending —
-// except that the network's last op stops at its accumulators, which are
-// the encrypted logits.
+// one tail: accumulate, extract, and leave the layer's own LUT pending,
+// sized to the accumulators' proven interval — except that the network's
+// last op stops at its accumulators, which are the encrypted logits.
 func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inferState, error) {
 	e := wk.e
-	plan, inputs := st.plan, st.inputs
+	plan, inputs, in := st.plan, st.inputs, st.span
 	var err error
 	if inputs != nil {
 		// Client ciphertexts arrive at the full chain — drop them to the
@@ -644,7 +653,7 @@ func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inf
 		if err != nil {
 			return nil, err
 		}
-		inputs = prepared[0]
+		inputs, in = prepared[0], st.vs.span
 	}
 	accs, valid := wk.convAccumulate(q, plan, inputs)
 	if lastOp {
@@ -665,7 +674,7 @@ func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inf
 			out.vals[vkey{en.Cout, en.Y, en.X}] = cts[i]
 		}
 	}
-	if out.pending, err = wk.lutFor(q); err != nil {
+	if out.pending, out.span, err = wk.lutFor(q, q.AccInterval(in)); err != nil {
 		return nil, err
 	}
 	out.fn = q.Remap

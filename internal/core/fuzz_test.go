@@ -40,7 +40,7 @@ func FuzzReadEvalKeys(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ReadEvalKeys accepted a bundle NewEvaluationEngine refuses: %v", err)
 		}
-		lut, err := eng.w0.lut(func(x int64) int64 { return max(x, 0) })
+		lut, err := eng.w0.lut(eng.whole, func(x int64) int64 { return max(x, 0) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,9 +35,11 @@ type inferState struct {
 	// inputs holds the coefficient-encoded input ciphertexts of the next
 	// linear layer, laid out by plan and consumed once: the client's
 	// encryptions before the first layer, or what the batch barrier
-	// prepared for this image in rounds shared across the batch.
+	// prepared for this image in rounds shared across the batch. span is
+	// the proven interval of the values they encode.
 	inputs []*bfv.Ciphertext
 	plan   *coeffenc.Plan
+	span   qnn.Interval
 
 	// final carries the terminal layer's accumulators once the last op
 	// has run. Keeping it in the per-inference state (rather than on the
@@ -117,7 +119,10 @@ func (wk *evalWorker) residualBlock(r *qnn.QResidual, st *inferState) (*inferSta
 	if body.C != short.C || body.H != short.H || body.W != short.W {
 		return nil, fmt.Errorf("core: residual branch shapes differ")
 	}
-	out := &valSet{C: body.C, H: body.H, W: body.W, vals: make(map[vkey]lwe.Ciphertext, len(body.vals))}
+	// The sum of two extracted values carries two e_ms into the join
+	// table, which stays full: its image bounds the block's output.
+	sum := e.domain(body.span.Add(short.span), 2*e.margin)
+	out := &valSet{C: body.C, H: body.H, W: body.W, vals: make(map[vkey]lwe.Ciphertext, len(body.vals)), span: qnn.Image(r.JoinRemap, sum)}
 	for k, b := range body.vals {
 		s, ok := short.vals[k]
 		if !ok {
@@ -126,11 +131,9 @@ func (wk *evalWorker) residualBlock(r *qnn.QResidual, st *inferState) (*inferSta
 		out.vals[k] = e.addLWE(b, s)
 		wk.stats.LWEAdds++
 	}
-	joinLUT, err := fbs.NewEvaluator(e.ctxF, fbs.NewLUT(e.P.T, r.JoinRemap))
-	if err != nil {
+	if out.pending, err = wk.lut(e.whole, r.JoinRemap); err != nil {
 		return nil, err
 	}
-	out.pending = joinLUT
 	out.fn = r.JoinRemap
 	return &inferState{vs: out}, nil
 }
@@ -164,7 +167,8 @@ func (wk *evalWorker) avgPool(p *qnn.QAvgPool, vs *valSet, aMax int64) (*valSet,
 		return nil, err
 	}
 	oh, ow := in.H/p.K, in.W/p.K
-	out := &valSet{C: in.C, H: oh, W: ow, vals: make(map[vkey]lwe.Ciphertext)}
+	// A window's rounded mean lies between its least and its greatest.
+	out := &valSet{C: in.C, H: oh, W: ow, vals: make(map[vkey]lwe.Ciphertext), span: vs.span}
 	for c := 0; c < in.C; c++ {
 		for y := 0; y < oh; y++ {
 			for x := 0; x < ow; x++ {
@@ -249,7 +253,8 @@ func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet, aMax int64) (*valSet,
 			windows[pd.k] = append([]lwe.Ciphertext{m}, pd.rest...)
 		}
 	}
-	out := &valSet{C: in.C, H: oh, W: ow, vals: make(map[vkey]lwe.Ciphertext)}
+	// A window's maximum is one of its values.
+	out := &valSet{C: in.C, H: oh, W: ow, vals: make(map[vkey]lwe.Ciphertext), span: vs.span}
 	for k, cands := range windows {
 		out.vals[k] = cands[0]
 	}

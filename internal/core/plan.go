@@ -4,12 +4,16 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sync"
 
 	"athena/internal/bfv"
 	"athena/internal/fbs"
 	"athena/internal/lwe"
+	"athena/internal/noise"
 	"athena/internal/pack"
+	"athena/internal/qnn"
 	"athena/internal/ring"
 )
 
@@ -57,9 +61,15 @@ type plan struct {
 	// code that accumulates into a zero takes its own from zeroLWE.
 	zero lwe.Ciphertext
 
+	// margin is E, the bound on |e_ms| a range-sized table is widened by
+	// on each side (emsMargin); whole is the centered Z_t, the span of a
+	// full table.
+	margin int64
+	whole  qnn.Interval
+
 	// luts holds the compiled FBS evaluator of every table asked for,
-	// keyed by the SHA-256 of the table's words (fbs.AppendTable):
-	// content keys pin no model.
+	// keyed by the SHA-256 of its span and its words there
+	// (fbs.AppendTable): content keys pin no model.
 	lutMu sync.Mutex
 	luts  map[[sha256.Size]byte]*fbs.Evaluator
 
@@ -122,8 +132,10 @@ func newPlan(p Params) (*plan, error) {
 		Ctx:    ctx,
 		ks:     ks,
 		tMod:   ring.NewModulus(p.T),
+		margin: emsMargin(p, ks.Digits),
 		luts:   map[[sha256.Size]byte]*fbs.Evaluator{},
 	}
+	pl.whole = pl.domain(qnn.Interval{Lo: -int64(p.T), Hi: int64(p.T)}, 0)
 	pl.zero = pl.zeroLWE()
 	fbsL, postL := p.Levels()
 	if pl.ctxF, err = ctx.AtLevel(fbsL); err != nil {
@@ -189,19 +201,52 @@ func (pl *plan) zeroLWE() lwe.Ciphertext {
 	return lwe.Ciphertext{A: make([]uint64, pl.params.LWEDim), B: 0, Q: pl.params.T}
 }
 
+// emsFailLog2 is log₂ of the probability with which one extracted value
+// may carry an e_ms beyond the margin E: 2⁻⁴⁰.
+const emsFailLog2 = -40
+
+// emsMargin returns E = ⌈z·σ⌉, the bound on |e_ms| — the error an
+// extracted value carries into the table that reads it — that a value
+// exceeds with probability at most 2^emsFailLog2, for σ the width of
+// e_ms at p: noise.EmsSigma's terms (the key's error and the rounding of
+// the switch from qMid to t against the dimension-n secret) and the ring
+// switch's digit term at qMid (noise.SwitchDigitSigma), which the switch
+// to t divides by 2^MidExp.
+func emsMargin(p Params, digits int) int64 {
+	logT := bits.Len64(p.T)
+	ms := noise.EmsSigma(p.LWEDim, p.Sigma, logT+int(p.MidExp), logT)
+	ks := noise.SwitchDigitSigma(1<<p.LogN, digits, p.KSBase, p.Sigma) / math.Exp2(float64(p.MidExp))
+	return int64(math.Ceil(noise.TailZ(math.Exp2(emsFailLog2)) * math.Hypot(ms, ks)))
+}
+
+// EmsMargin returns the margin E every range-sized table of the engine
+// is widened by on each side of its proven interval (emsMargin).
+func (e *Engine) EmsMargin() int64 { return e.margin }
+
+// domain returns the span (fbs.Span) of iv widened by e on each side: the
+// inputs a table reading values of iv, each carrying at most e of noise,
+// is evaluated on.
+func (pl *plan) domain(iv qnn.Interval, e int64) qnn.Interval {
+	lo, hi := fbs.Span(pl.params.T, iv.Lo-e, iv.Hi+e)
+	return qnn.Interval{Lo: lo, Hi: hi}
+}
+
 // compiled returns the evaluator stored under key, the SHA-256 of the
-// table of f (evalWorker.lut), compiling that table on the first request.
-// Lanes racing on a miss compile the same table; the first stored is
-// kept.
-func (pl *plan) compiled(key [sha256.Size]byte, f func(int64) int64) (*fbs.Evaluator, error) {
+// table of f on span (evalWorker.lut), compiling that table on the first
+// request. Lanes racing on a miss compile the same table; the first
+// stored is kept.
+func (pl *plan) compiled(key [sha256.Size]byte, span qnn.Interval, f func(int64) int64) (*fbs.Evaluator, error) {
 	pl.lutMu.Lock()
 	ev := pl.luts[key]
 	pl.lutMu.Unlock()
 	if ev != nil {
 		return ev, nil
 	}
-	ev, err := fbs.NewEvaluator(pl.ctxF, fbs.NewLUT(pl.params.T, f))
+	lut, err := fbs.NewRangeLUT(pl.params.T, span.Lo, span.Hi, f)
 	if err != nil {
+		return nil, err
+	}
+	if ev, err = fbs.NewEvaluator(pl.ctxF, lut); err != nil {
 		return nil, err
 	}
 	pl.lutMu.Lock()

@@ -335,7 +335,7 @@ func TestPlanLUTsByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := other.w0.lut(half)
+	b, err := other.w0.lut(other.whole, half)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,22 @@ type EncryptedLogits struct {
 	final *finalResult
 }
 
+// InputRangeError reports a quantized input value outside the network's
+// domain ±(2^(ABits−1) − 1), which QuantizeInput never leaves and which
+// every range-sized table's interval proof assumes.
+type InputRangeError struct {
+	Index        int // position in the tensor's data
+	Value, Limit int64
+}
+
+func (err *InputRangeError) Error() string {
+	return fmt.Sprintf("core: input value %d at %d outside ±%d", err.Value, err.Index, err.Limit)
+}
+
 // EncryptInput encodes and encrypts the quantized input for the
-// network's first linear layer (the client-side prologue).
+// network's first linear layer (the client-side prologue). A value
+// outside the network's input domain is refused with an
+// *InputRangeError.
 func (e *Engine) EncryptInput(q *qnn.QNetwork, x *qnn.IntTensor) (*EncryptedInput, error) {
 	if e.enc == nil {
 		return nil, ErrNoSecretKey
@@ -48,6 +62,12 @@ func (e *Engine) EncryptInput(q *qnn.QNetwork, x *qnn.IntTensor) (*EncryptedInpu
 	if x.C != first.Shape.Cin || x.H != first.Shape.H || x.W != first.Shape.W {
 		return nil, fmt.Errorf("core: input %dx%dx%d does not match first layer %dx%dx%d",
 			x.C, x.H, x.W, first.Shape.Cin, first.Shape.H, first.Shape.W)
+	}
+	lim := activationLimit(q)
+	for i, v := range x.Data {
+		if v < -lim || v > lim {
+			return nil, &InputRangeError{Index: i, Value: v, Limit: lim}
+		}
 	}
 	plan, err := coeffenc.NewPlan(first.Shape, e.Ctx.N, coeffenc.AthenaOrder)
 	if err != nil {

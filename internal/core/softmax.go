@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"athena/internal/fbs"
 	"athena/internal/lwe"
 )
 
@@ -95,7 +94,7 @@ func (e *Engine) SoftmaxEncrypted(logits []int64, cfg SoftmaxConfig) ([]float64,
 	defer e.flushStats()
 
 	// Step ①: exp LUT over the packed logits, then back to LWE.
-	expLUT, err := fbs.NewEvaluator(e.ctxF, fbs.NewLUT(e.P.T, expFn))
+	expLUT, err := w0.lut(e.whole, expFn)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +114,7 @@ func (e *Engine) SoftmaxEncrypted(logits []int64, cfg SoftmaxConfig) ([]float64,
 	for i := range sums {
 		sums[i] = sum
 	}
-	invLUT, err := fbs.NewEvaluator(e.ctxF, fbs.NewLUT(e.P.T, invFn))
+	invLUT, err := w0.lut(e.whole, invFn)
 	if err != nil {
 		return nil, err
 	}

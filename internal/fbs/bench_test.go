@@ -22,6 +22,39 @@ func BenchmarkInterpolateT12289(b *testing.B) {
 	}
 }
 
+// digitNetSpan is the span DigitNet14's conv table is evaluated on at
+// the single_t12289 parameters: its proven accumulator interval
+// [−1 991, 1 690] widened by that shape's e_ms margin E = 14, 3 710
+// points.
+const digitNetLo, digitNetHi = -1991 - 14, 1690 + 14
+
+// BenchmarkInterpolateRange compiles a range table's polynomial: the
+// completion off its span (NewRangeLUT) and the DFT of the completed
+// table, on DigitNet14's span at t = 12289 and on t/2 points at
+// t = 65537. Beside BenchmarkInterpolateT12289 and
+// BenchmarkInterpolateFermat it is the cost a range table adds.
+func BenchmarkInterpolateRange(b *testing.B) {
+	f := func(x int64) int64 { return max(x, 0) / 8 }
+	for _, c := range []struct {
+		name   string
+		t      uint64
+		lo, hi int64
+	}{
+		{"T12289", 12289, digitNetLo, digitNetHi},
+		{"T65537", 65537, -65537 / 4, 65537/4 - 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				l, err := NewRangeLUT(c.t, c.lo, c.hi, f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				l.Interpolate()
+			}
+		})
+	}
+}
+
 // benchEvaluate measures a warm EvaluateInto of lut: the scratch has run
 // once, so what is left is what every later call of a worker pays.
 func benchEvaluate(b *testing.B, ctx *bfv.Context, ev *bfv.Evaluator, ct *bfv.Ciphertext, lut *LUT) {
@@ -76,4 +109,15 @@ func BenchmarkFBSEvaluateT12289(b *testing.B) { benchEvaluateT12289(b, ReLULUT(1
 // every coefficient but c_0 is nonzero, 12 288 scalar terms.
 func BenchmarkFBSEvaluateT12289Dense(b *testing.B) {
 	benchEvaluateT12289(b, NewLUT(12289, func(x int64) int64 { return max(x, 0) / 8 }))
+}
+
+// BenchmarkFBSEvaluateT12289Range runs the Dense benchmark's table on
+// DigitNet14's span only, as single_t12289 evaluates it: 3 710
+// coefficients on a split chosen for them.
+func BenchmarkFBSEvaluateT12289Range(b *testing.B) {
+	l, err := NewRangeLUT(12289, digitNetLo, digitNetHi, func(x int64) int64 { return max(x, 0) / 8 })
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEvaluateT12289(b, l)
 }

@@ -88,23 +88,34 @@ type plan struct {
 const groupSize = 4
 
 // NewEvaluator interpolates lut and prepares the evaluation plan on the
-// split chooseSplit picks for the context. The LUT modulus must equal the
-// context's plaintext modulus.
+// split chooseSplit picks for the context and the table's coefficient
+// count: t for a full table, d for one NewRangeLUT built on d points,
+// whose coefficients from d on it checks are zero. The LUT modulus must
+// equal the context's plaintext modulus.
 func NewEvaluator(ctx *bfv.Context, lut *LUT) (*Evaluator, error) {
 	if lut.T != ctx.Params.T {
 		return nil, fmt.Errorf("fbs: LUT modulus %d != plaintext modulus %d", lut.T, ctx.Params.T)
 	}
-	s, err := chooseSplit(int(lut.T), ctx.SumCapacity())
+	c, d := lut.Interpolate(), lut.coeffCount()
+	for i, v := range c[d:] {
+		if v != 0 {
+			return nil, fmt.Errorf("fbs: coefficient %d of a table on %d points is %d, not 0", d+i, d, v)
+		}
+	}
+	// Below three coefficients there is no split; the zeros above d fill
+	// the smallest one.
+	s, err := chooseSplit(max(d, 3), ctx.SumCapacity())
 	if err != nil {
 		return nil, err
 	}
-	return newEvaluator(ctx, lut, s), nil
+	return newEvaluator(ctx, c, s), nil
 }
 
-// newEvaluator compiles lut on the split s.
-func newEvaluator(ctx *bfv.Context, lut *LUT, s split) *Evaluator {
+// newEvaluator compiles the polynomial with coefficients c on the split
+// s; the coefficients past the split's gs × bs are zero.
+func newEvaluator(ctx *bfv.Context, c []uint64, s split) *Evaluator {
 	e := &Evaluator{ctx: ctx, plan: plan{coeffs: make([]uint64, s.gs*s.bs), split: s, mids: make([][]int, s.g2)}}
-	copy(e.coeffs, lut.Interpolate())
+	copy(e.coeffs, c)
 	// The ladders are built whole, each rung one product finished once.
 	e.CMults, e.extensions = s.ladders()
 	e.finishes = e.CMults
@@ -181,27 +192,23 @@ func (e *Evaluator) Steps() (int, int) { return e.bs, e.gs }
 
 // Scratch is the per-caller state of an evaluation: the power ladders as
 // ciphertexts and operands and the fan-out lanes with their partial sums
-// and inner sums. It is sized on first use by the plan it runs (B limbs
-// only for the powers that become operands) and reused while the context
-// and split stay the same. Distinct Scratches over one
-// Evaluator may run concurrently; a single Scratch may not.
+// and inner sums. It is sized on first use by the plans it runs (B limbs
+// only for the powers that become operands): one set of ladders per
+// split, kept while the context stays the same, so a caller that
+// alternates tables of different degree reuses both sets. Distinct
+// Scratches over one Evaluator may run concurrently; a single Scratch may
+// not.
 type Scratch struct {
 	ctx *bfv.Context
-	split
-
-	// powers[k] = x^k for k ≤ bs (powers[0] is the constant 1, the noiseless
-	// ciphertext (Δ, 0); powers[1] the caller's input), ys[k] = y^k for k ≤
-	// yTop (ys[1] is powers[bs]), zs[k] = z^k for k < g₂ (zs[1] is ys[g₁]);
-	// the Op slices hold the extensions, nil where no product reads the
-	// power.
-	powers, ys, zs       []*bfv.Ciphertext
-	powerOps, yOps, zOps []*bfv.Operand
+	// ladders are the current plan's, held in sets under its split.
+	*ladders
+	sets map[split]*ladders
 
 	errs []error
 
 	// The ladder level being fanned out — rung k of cts/ops for k in
 	// [lo, lo+n) — and the worker function over it. step is built once per
-	// fit and reads the level through the scratch, so a level costs no
+	// context and reads the level through the scratch, so a level costs no
 	// closure.
 	level struct {
 		cts []*bfv.Ciphertext
@@ -214,6 +221,16 @@ type Scratch struct {
 	// evaluator passed to EvaluateInto and reused while it stays the same.
 	base  *bfv.Evaluator
 	lanes *par.Pool[*lane]
+}
+
+// ladders are the power ladders of one split: powers[k] = x^k for k ≤ bs
+// (powers[0] is the constant 1, the noiseless ciphertext (Δ, 0);
+// powers[1] the caller's input), ys[k] = y^k for k ≤ yTop (ys[1] is
+// powers[bs]), zs[k] = z^k for k < g₂ (zs[1] is ys[g₁]); the Op slices
+// hold the extensions, nil where no product reads the power.
+type ladders struct {
+	powers, ys, zs       []*bfv.Ciphertext
+	powerOps, yOps, zOps []*bfv.Operand
 }
 
 // lane is one worker of the fan-outs: a ShallowCopy'd evaluator (own
@@ -241,35 +258,21 @@ func NewScratch() *Scratch { return &Scratch{} }
 // fit sizes the scratch for e's context and split and binds its lanes to
 // ev.
 func (sc *Scratch) fit(e *Evaluator, ev *bfv.Evaluator) {
-	if sc.ctx != e.ctx || sc.split != e.split {
-		ctx, s := e.ctx, e.split
-		*sc = Scratch{ctx: ctx, split: s}
-		sc.powers, sc.powerOps = make([]*bfv.Ciphertext, s.bs+1), make([]*bfv.Operand, s.bs+1)
-		sc.powers[0] = ctx.NewCiphertext()
-		for i, limb := range sc.powers[0].C0.Coeffs {
-			// Δ·1 is a constant polynomial: Δ in every NTT slot.
-			for j := range limb {
-				limb[j] = ctx.DeltaQi[i]
-			}
-		}
-		for k := 2; k <= s.bs; k++ {
-			sc.powers[k] = ctx.NewCiphertext()
-		}
-		for k := 1; k <= (s.bs+1)/2; k++ {
-			sc.powerOps[k] = ctx.NewOperand()
-		}
-		sc.powerOps[s.bs] = ctx.NewOperand()
-		sc.ys, sc.yOps = newLadder(ctx, sc.powers[s.bs], sc.powerOps[s.bs], s.yTop())
-		if s.g2 > 1 {
-			sc.zs, sc.zOps = newLadder(ctx, sc.ys[s.g1], sc.yOps[s.g1], s.g2-1)
-		}
-		sc.errs = make([]error, max(s.bs, s.g1, s.g2))
+	if sc.ctx != e.ctx {
+		*sc = Scratch{ctx: e.ctx, sets: map[split]*ladders{}}
 		sc.step = func(w, i int) {
 			// Writes rung lo+i, errs[i] and the lane it is handed; the rungs
 			// it reads belong to earlier levels.
 			ln, lv := sc.lanes.Get(w), &sc.level
 			sc.errs[i] = ladderStep(ln.ev, ln.acc, lv.cts, lv.ops, lv.lo+i)
 		}
+	}
+	if sc.ladders = sc.sets[e.split]; sc.ladders == nil {
+		sc.ladders = newLadders(sc.ctx, e.split)
+		sc.sets[e.split] = sc.ladders
+	}
+	if n := max(e.bs, e.g1, e.g2); len(sc.errs) < n {
+		sc.errs = make([]error, n)
 	}
 	if sc.lanes == nil || sc.base != ev {
 		sc.base = ev
@@ -282,6 +285,30 @@ func (sc *Scratch) fit(e *Evaluator, ev *bfv.Evaluator) {
 			return ln
 		})
 	}
+}
+
+// newLadders allocates the ladders of the split s.
+func newLadders(ctx *bfv.Context, s split) *ladders {
+	l := &ladders{powers: make([]*bfv.Ciphertext, s.bs+1), powerOps: make([]*bfv.Operand, s.bs+1)}
+	l.powers[0] = ctx.NewCiphertext()
+	for i, limb := range l.powers[0].C0.Coeffs {
+		// Δ·1 is a constant polynomial: Δ in every NTT slot.
+		for j := range limb {
+			limb[j] = ctx.DeltaQi[i]
+		}
+	}
+	for k := 2; k <= s.bs; k++ {
+		l.powers[k] = ctx.NewCiphertext()
+	}
+	for k := 1; k <= (s.bs+1)/2; k++ {
+		l.powerOps[k] = ctx.NewOperand()
+	}
+	l.powerOps[s.bs] = ctx.NewOperand()
+	l.ys, l.yOps = newLadder(ctx, l.powers[s.bs], l.powerOps[s.bs], s.yTop())
+	if s.g2 > 1 {
+		l.zs, l.zOps = newLadder(ctx, l.ys[s.g1], l.yOps[s.g1], s.g2-1)
+	}
+	return l
 }
 
 // newLadder allocates rungs 2 … top of a power ladder above the given

@@ -289,7 +289,7 @@ func TestForcedSplits(t *testing.T) {
 			if s.terms() > ctx.SumCapacity() {
 				t.Fatalf("t=%d split %+v sums %d products, capacity %d", c.tq, s, s.terms(), ctx.SumCapacity())
 			}
-			fe := newEvaluator(ctx, lut, s)
+			fe := newEvaluator(ctx, lut.Interpolate(), s)
 			checkAllInputs(t, "forced", ctx, enc, dec, ev, cod, lut, fe)
 			if f, e, p := s.counts(); fe.finishes != f || fe.extensions != e || fe.CMults != p {
 				t.Errorf("t=%d split %+v: plan has %d finishes, %d extensions, %d products; the chooser counts %d, %d, %d", c.tq, s, fe.finishes, fe.extensions, fe.CMults, f, e, p)
@@ -494,7 +494,7 @@ func checkNoiseAgainstFlat(t *testing.T, ctx *bfv.Context, dec *bfv.Decryptor, e
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := newEvaluator(ctx, lut, s).Evaluate(ev, ct)
+		flat, err := newEvaluator(ctx, lut.Interpolate(), s).Evaluate(ev, ct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -816,17 +816,34 @@ func TestHomomorphicFBSFullAthenaT(t *testing.T) {
 	t.Logf("full-t FBS: %d CMult, %d SMult, %d HAdd", fe.CMults, fe.SMults, fe.HAdds)
 }
 
-// TestAppendTableIsTable: AppendTable lays down exactly the words of the
-// table NewLUT builds, after whatever dst already holds.
+// TestAppendTableIsTable: AppendTable lays down the span's ends and then
+// exactly the words f takes on it, after whatever dst already holds; a
+// span that covers Z_t is the centered Z_t, whose words are NewLUT's
+// table in centered order.
 func TestAppendTableIsTable(t *testing.T) {
 	f := func(x int64) int64 { return 3*x*x - x + 7 }
-	for _, tm := range []uint64{5, 257, 12289} {
-		want := []byte("prefix")
-		for _, v := range NewLUT(tm, f).Table {
-			want = binary.LittleEndian.AppendUint64(want, v)
+	words := func(lo, hi int64, vals ...uint64) []byte {
+		b := binary.LittleEndian.AppendUint64([]byte("prefix"), uint64(lo))
+		b = binary.LittleEndian.AppendUint64(b, uint64(hi))
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, v)
 		}
-		if got := AppendTable([]byte("prefix"), tm, f); !bytes.Equal(got, want) {
-			t.Fatalf("t=%d: AppendTable differs from NewLUT's table", tm)
+		return b
+	}
+	for _, tm := range []uint64{5, 257, 12289} {
+		m := ring.NewModulus(tm)
+		half := int64(tm / 2)
+		var full []uint64
+		table := NewLUT(tm, f).Table
+		for x := -half; x <= half; x++ {
+			full = append(full, table[m.ReduceInt64(x)])
+		}
+		if got := AppendTable([]byte("prefix"), tm, -3*int64(tm), 1, f); !bytes.Equal(got, words(-half, half, full...)) {
+			t.Fatalf("t=%d: the full span's words differ from NewLUT's table", tm)
+		}
+		// [2, 3] is widened to hold 0.
+		if got := AppendTable([]byte("prefix"), tm, 2, 3, f); !bytes.Equal(got, words(0, 3, m.Reduce(7), m.Reduce(9), m.Reduce(17), m.Reduce(31))) {
+			t.Fatalf("t=%d: the span [0, 3] has the words %v", tm, got)
 		}
 	}
 }

@@ -12,6 +12,12 @@
 // into m power-of-two transforms (m = 3 at t = 12289), so a table
 // compiles in O(t log t + m·t) instead of O(t²).
 //
+// A table need only be right where its input can be: on an interval of
+// d < t consecutive points it is the polynomial of degree < d through
+// them (NewRangeLUT), which the same DFT finds once the table is
+// completed off the interval, and which a split for d coefficients
+// evaluates in place of one for t.
+//
 // An Evaluator is the compiled, immutable plan of one table; what an
 // evaluation writes lives in a Scratch the caller owns (EvaluateInto), so
 // one plan serves any number of goroutines. The evaluation runs in bfv's
@@ -24,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"athena/internal/ring"
 )
@@ -34,6 +41,10 @@ import (
 type LUT struct {
 	T     uint64
 	Table []uint64
+	// d bounds the coefficient count of the table's polynomial: the size
+	// of the interval a NewRangeLUT table is exact on, 0 for a table whose
+	// polynomial may take all t.
+	d int
 }
 
 // NewLUT builds a table from a signed function: f receives the centered
@@ -49,15 +60,130 @@ func NewLUT(t uint64, f func(x int64) int64) *LUT {
 	return l
 }
 
-// AppendTable appends the little-endian words of NewLUT(t, f).Table to
-// dst without building the LUT: the bytes whose SHA-256 keys a compiled
-// table wherever it is shared, whichever function value produced it.
-func AppendTable(dst []byte, t uint64, f func(x int64) int64) []byte {
+// Span returns the interval of inputs a table asked for on [lo, hi] is
+// exact on: [lo, hi] widened to hold 0 — the value of every structural
+// zero a packing carries — or, when that has t points or more, the
+// centered Z_t, [−⌊t/2⌋, ⌊t/2⌋], where the table is the full one.
+func Span(t uint64, lo, hi int64) (int64, int64) {
+	lo, hi = min(lo, 0), max(hi, 0)
+	if uint64(hi-lo) >= t-1 {
+		return -int64(t / 2), int64(t / 2)
+	}
+	return lo, hi
+}
+
+// AppendTable appends lo and hi, as Span widens them, and the
+// little-endian words f takes on every point of that span to dst,
+// without building the LUT: the bytes whose SHA-256 keys a compiled
+// table wherever it is shared, whichever function value produced it. A
+// full table is the span that covers Z_t, so every table has one key
+// format.
+func AppendTable(dst []byte, t uint64, lo, hi int64, f func(x int64) int64) []byte {
 	tm := ring.NewModulus(t)
-	for k := uint64(0); k < t; k++ {
-		dst = binary.LittleEndian.AppendUint64(dst, tm.ReduceInt64(f(tm.Centered(k))))
+	lo, hi = Span(t, lo, hi)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(lo))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(hi))
+	for x := lo; x <= hi; x++ {
+		dst = binary.LittleEndian.AppendUint64(dst, tm.ReduceInt64(f(x)))
 	}
 	return dst
+}
+
+// NewRangeLUT builds the table of f on the span of [lo, hi] (Span): a
+// full NewLUT when the span covers Z_t; otherwise f on its d points,
+// completed off them by the unique polynomial of degree < d that matches
+// f there, so that Interpolate finds that polynomial and NewEvaluator
+// evaluates only its d coefficients. Inside the span the table is f of
+// the integer itself, not of its centered residue: a span may reach past
+// t/2 on one side, as long as it holds fewer than t points.
+func NewRangeLUT(t uint64, lo, hi int64, f func(x int64) int64) (*LUT, error) {
+	lo, hi = Span(t, lo, hi)
+	d := int(hi-lo) + 1
+	if uint64(d) >= t {
+		return NewLUT(t, f), nil
+	}
+	tm := ring.NewModulus(t)
+	vals := make([]uint64, t)
+	for j := range vals[:d] {
+		vals[j] = tm.ReduceInt64(f(lo + int64(j)))
+	}
+	if err := complete(tm, vals, d); err != nil {
+		return nil, err
+	}
+	l := &LUT{T: t, Table: make([]uint64, t), d: d}
+	for u, v := range vals {
+		l.Table[tm.ReduceInt64(lo+int64(u))] = v
+	}
+	return l, nil
+}
+
+// convPrime is the NTT prime the completion's convolution is exact at:
+// the 60-bit P = 1 048 570·2^40 + 1 ≡ 1 (mod 2^40) that lwe's ring switch
+// also uses, so any power-of-two length up to 2^39 has its roots.
+const convPrime = 0xffffa0000000001
+
+// convNTTs holds the transform at convPrime of each length asked for
+// (logN → *ring.NTTTable): building one costs a third of a completion,
+// and a process compiles its tables at a single t.
+var convNTTs sync.Map
+
+func convNTT(logN int) *ring.NTTTable {
+	if ntt, ok := convNTTs.Load(logN); ok {
+		return ntt.(*ring.NTTTable)
+	}
+	ntt, _ := convNTTs.LoadOrStore(logN, ring.NewNTTTable(convPrime, logN))
+	return ntt.(*ring.NTTTable)
+}
+
+// complete extends vals[0:d], the values of a polynomial p of degree < d
+// at u = 0 … d−1, to p(u) for every u < t in place. Lagrange's formula on
+// consecutive points is
+//
+//	p(u) = W(u)·Σ_j b_j/(u − j),   W(u) = u!/(u − d)!,
+//	b_j = vals[j]·(−1)^(d−1−j)/(j!·(d−1−j)!),
+//
+// for u ≥ d, where no u − j is 0 mod t. The sum is a convolution of b
+// with the inverses 1/k, k = 1 … t−1; its terms are below t², so with
+// d·(t−1)² < P it is the integer convolution, one product of transforms
+// at P, and a table completes in O(t log t).
+func complete(tm ring.Modulus, vals []uint64, d int) error {
+	t := tm.Q
+	hi, sq := bits.Mul64(t-1, t-1)
+	if top, bound := bits.Mul64(sq, uint64(d)); hi != 0 || top != 0 || bound >= convPrime {
+		return fmt.Errorf("fbs: a table of %d points mod %d does not complete exactly at %d", d, t, uint64(convPrime))
+	}
+	fact, inv := make([]uint64, t), make([]uint64, t) // k! and, in turn, 1/k! and 1/k
+	fact[0] = 1
+	for k := uint64(1); k < t; k++ {
+		fact[k] = tm.Mul(fact[k-1], k)
+	}
+	inv[t-1] = tm.Inv(fact[t-1])
+	for k := t - 1; k > 0; k-- {
+		inv[k-1] = tm.Mul(inv[k], tm.Reduce(k))
+	}
+	ntt := convNTT(bits.Len64(t - 1))
+	b, c := make([]uint64, ntt.N), make([]uint64, ntt.N)
+	for j := range b[:d] {
+		b[j] = tm.Mul(vals[j], tm.Mul(inv[j], inv[d-1-j]))
+		if (d-1-j)%2 == 1 {
+			b[j] = tm.Neg(b[j])
+		}
+	}
+	for k := uint64(1); k < t; k++ {
+		c[k] = tm.Mul(inv[k], fact[k-1]) // 1/k
+	}
+	// The length is at least t, so no index u < t wraps: u − j ≥ 1 reads
+	// only c[1 … t−1], and u − j + N would read past it.
+	ntt.Forward(b)
+	ntt.Forward(c)
+	ntt.M.MulVec(b, c, b)
+	ntt.Inverse(b)
+	for u := uint64(d); u < t; u++ {
+		// W(u) = u!·(1/(u−d)!), the 1/k! still in inv.
+		w := tm.Mul(fact[u], inv[u-uint64(d)])
+		vals[u] = tm.Mul(w, tm.Reduce(b[u]))
+	}
+	return nil
 }
 
 // ReLULUT returns the plain ReLU table (no remapping).
@@ -74,6 +200,15 @@ func ReLULUT(t uint64) *LUT {
 func (l *LUT) Lookup(x int64) int64 {
 	tm := ring.NewModulus(l.T)
 	return tm.Centered(l.Table[tm.ReduceInt64(x)])
+}
+
+// coeffCount bounds the coefficients of the table's polynomial: t, or
+// the points of the span a NewRangeLUT table is exact on.
+func (l *LUT) coeffCount() int {
+	if l.d == 0 {
+		return int(l.T)
+	}
+	return l.d
 }
 
 // Interpolate returns the coefficients c_0..c_{t-1} of the unique

@@ -6,11 +6,12 @@ import (
 	"math/bits"
 )
 
-// split is the three-digit index decomposition of a plan: coefficient
-// index = b + bs·(a₁ + g₁·a₂) with b < bs, a₁ < g₁, a₂ < g₂. gs =
-// ⌈t/bs⌉ counts the giant steps a = a₁ + g₁·a₂ that exist, so g₂ =
+// split is the three-digit index decomposition of a plan of d
+// coefficients — t for a full table, fewer for a range-sized one:
+// coefficient index = b + bs·(a₁ + g₁·a₂) with b < bs, a₁ < g₁, a₂ < g₂.
+// gs = ⌈d/bs⌉ counts the giant steps a = a₁ + g₁·a₂ that exist, so g₂ =
 // ⌈gs/g₁⌉ and the last middle sum may be ragged (gs not a multiple of
-// g₁). 2 ≤ bs < t, hence gs ≥ 2, and 2 ≤ g₁ ≤ gs: the flat Alg. 2 split
+// g₁). 2 ≤ bs < d, hence gs ≥ 2, and 2 ≤ g₁ ≤ gs: the flat Alg. 2 split
 // is g₁ = gs, g₂ = 1.
 type split struct{ bs, g1, g2, gs int }
 
@@ -31,26 +32,27 @@ const (
 )
 
 // newSplit returns the split with baby step bs and first giant digit g₁
-// for the modulus t.
-func newSplit(t, bs, g1 int) (split, error) {
-	if bs < 2 || bs >= t {
-		return split{}, fmt.Errorf("fbs: baby step %d outside [2, t) for t = %d", bs, t)
+// for d coefficients.
+func newSplit(d, bs, g1 int) (split, error) {
+	if bs < 2 || bs >= d {
+		return split{}, fmt.Errorf("fbs: baby step %d outside [2, d) for d = %d", bs, d)
 	}
-	gs := (t + bs - 1) / bs
+	gs := (d + bs - 1) / bs
 	if g1 < 2 || g1 > gs {
-		return split{}, fmt.Errorf("fbs: giant digit %d outside [2, %d] for t = %d, baby step %d", g1, gs, t, bs)
+		return split{}, fmt.Errorf("fbs: giant digit %d outside [2, %d] for d = %d, baby step %d", g1, gs, d, bs)
 	}
 	return split{bs: bs, g1: g1, g2: (gs + g1 - 1) / g1, gs: gs}, nil
 }
 
-// flatSplit is Alg. 2's single-level split, bs = ⌈√t⌉: the reference the
-// chosen split's depth is held to. There is none below t = 3.
-func flatSplit(t int) (split, error) {
-	if t < 3 {
-		return split{}, fmt.Errorf("fbs: no split of t = %d", t)
+// flatSplit is Alg. 2's single-level split of d coefficients, bs =
+// ⌈√d⌉: the reference the chosen split's depth is held to. There is none
+// below d = 3.
+func flatSplit(d int) (split, error) {
+	if d < 3 {
+		return split{}, fmt.Errorf("fbs: no split of d = %d", d)
 	}
-	bs := int(math.Ceil(math.Sqrt(float64(t))))
-	return newSplit(t, bs, (t+bs-1)/bs)
+	bs := int(math.Ceil(math.Sqrt(float64(d))))
+	return newSplit(d, bs, (d+bs-1)/bs)
 }
 
 // yTop is the highest power of y = x^bs the plan builds: y^(g₁−1) is the
@@ -117,20 +119,21 @@ func (s split) depth() int {
 // z in the final one.
 func (s split) terms() int { return s.g1 - 1 + s.g2 - 1 }
 
-// chooseSplit returns the cheapest split for t — the first in (bs, g₁)
-// order among those of least cost — whose depth does not exceed the flat
-// split's and whose accumulators stay within capacity (the context's
-// bfv.Context.SumCapacity). It fails when no split satisfies both.
-func chooseSplit(t, capacity int) (split, error) {
-	flat, err := flatSplit(t)
+// chooseSplit returns the cheapest split of d coefficients — the first
+// in (bs, g₁) order among those of least cost — whose depth does not
+// exceed the flat split's and whose accumulators stay within capacity
+// (the context's bfv.Context.SumCapacity). It fails when no split
+// satisfies both.
+func chooseSplit(d, capacity int) (split, error) {
+	flat, err := flatSplit(d)
 	if err != nil {
 		return split{}, err
 	}
 	limit := flat.depth()
 	var best split
 	bestCost := math.MaxInt
-	for bs := 2; bs < t; bs++ {
-		gs := (t + bs - 1) / bs
+	for bs := 2; bs < d; bs++ {
+		gs := (d + bs - 1) / bs
 		for g1 := 2; g1 <= gs; g1++ {
 			s := split{bs: bs, g1: g1, g2: (gs + g1 - 1) / g1, gs: gs}
 			if c := s.cost(); c < bestCost && s.depth() <= limit && s.terms() <= capacity {
@@ -139,7 +142,7 @@ func chooseSplit(t, capacity int) (split, error) {
 		}
 	}
 	if best.bs == 0 {
-		return split{}, fmt.Errorf("fbs: no split of t = %d within depth %d keeps its sums within %d products", t, limit, capacity)
+		return split{}, fmt.Errorf("fbs: no split of d = %d within depth %d keeps its sums within %d products", d, limit, capacity)
 	}
 	return best, nil
 }

@@ -122,6 +122,22 @@ func EmsSigma(n int, sigma float64, logQ, logT int) float64 {
 	return math.Sqrt(first*first + second)
 }
 
+// SwitchDigitSigma returns the standard deviation, at the switch's own
+// modulus, of the error a gadget keyswitch adds: Σ_d a_d ⋆ e_d over its
+// digits d, a_d the base-base digits of a uniform mask of degree n (each
+// in [0, base), mean square (base−1)(2·base−1)/6) and e_d the key's
+// Gaussian errors of width sigma — n·digits products per coefficient.
+// EmsSigma leaves it out; Step ③'s ring switch runs at qMid, so divided
+// by qMid/t it is the second term of the e_ms an extracted value carries.
+func SwitchDigitSigma(n, digits int, base uint64, sigma float64) float64 {
+	b := float64(base)
+	return sigma * math.Sqrt(float64(n*digits)*(b-1)*(2*b-1)/6)
+}
+
+// TailZ returns the z with P(|X| > z·σ) = p for a centred Gaussian X of
+// width σ: a bound that a Gaussian value exceeds with probability p.
+func TailZ(p float64) float64 { return math.Sqrt2 * math.Erfcinv(p) }
+
 // LayerStat is one layer's point on Fig. 4: the calibrated maximum
 // accumulator magnitude (orange line, against the t/2 bound) and the
 // fraction of outputs whose remapped value changes under e_ms noise

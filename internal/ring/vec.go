@@ -359,6 +359,10 @@ func (m Modulus) MulSumPairVec(a, b0, b1 [][]uint64, out0, out1 []uint64) {
 		return
 	}
 	b0, b1 = b0[:kn], b1[:kn]
+	if kn == 2 {
+		m.sumPairReduce2(a[0], a[1], b0[0], b0[1], b1[0], b1[1], out0, out1)
+		return
+	}
 	fold := min(m.SumTerms(), kn)
 	var accs [4 * sumPairCols]uint64
 	for j0 := 0; j0 < n; j0 += sumPairCols {
@@ -388,6 +392,28 @@ func (m Modulus) MulSumPairVec(a, b0, b1 [][]uint64, out0, out1 []uint64) {
 		for j := range o0 {
 			o0[j], o1[j] = m.ReduceWide(acc[4*j], acc[4*j+1]), m.ReduceWide(acc[4*j+2], acc[4*j+3])
 		}
+	}
+}
+
+// sumPairReduce2 is MulSumPairVec of exactly two rows, a keyswitch at
+// two limbs: a column's two products are added in registers and reduced
+// at once into o0 and o1, with no accumulator stored and read back.
+//
+//lint:noalloc
+func (m Modulus) sumPairReduce2(x0, x1, y0, y1, z0, z1, o0, o1 []uint64) {
+	x0, x1, y0, y1, z0, z1, o1 = x0[:len(o0)], x1[:len(o0)], y0[:len(o0)], y1[:len(o0)], z0[:len(o0)], z1[:len(o0)], o1[:len(o0)]
+	for j, u := range x0 {
+		v := x1[j]
+		h, l := bits.Mul64(u, y0[j])
+		ph, pl := bits.Mul64(v, y1[j])
+		l, cy := bits.Add64(l, pl, 0)
+		h, _ = bits.Add64(h, ph, cy)
+		o0[j] = m.ReduceWide(h, l)
+		h, l = bits.Mul64(u, z0[j])
+		ph, pl = bits.Mul64(v, z1[j])
+		l, cy = bits.Add64(l, pl, 0)
+		h, _ = bits.Add64(h, ph, cy)
+		o1[j] = m.ReduceWide(h, l)
 	}
 }
 
