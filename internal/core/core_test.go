@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -134,23 +136,56 @@ func TestEncryptedAvgPool(t *testing.T) {
 	compareLogits(t, got, want, 2)
 }
 
+// TestEncryptedMaxPool runs a 6×6 conv → K×K max pool → dense net at
+// K = 2 and K = 3. The pool issues one LUT round to materialize its 72
+// inputs in the scaled domain, then the tree: each level pairs two
+// candidates of every window and carries an odd one, so a level of m
+// candidates batches windows·⌊m/2⌋ ReLUs and leaves ⌈m/2⌉, for
+// ⌈log₂ K²⌉ levels. The dense layer's input rounds fuse the pending
+// divide.
 func TestEncryptedMaxPool(t *testing.T) {
 	e := testEngine(t)
-	net := &qnn.QNetwork{
-		Name: "tiny-max", InC: 1, InH: 6, InW: 6, WBits: 2, ABits: 4, InScale: 1,
-		Blocks: []qnn.QBlock{qnn.QSeq{
-			tinyConv(coeffenc.ConvShape{H: 6, W: 6, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16, 6),
-			&qnn.QMaxPool{K: 2},
-			tinyConv(coeffenc.FCShape(2*3*3, 4), qnn.ActNone, 1.0/8, 7),
-		}},
+	for _, k := range []int{2, 3} {
+		oh := 6 / k
+		dense := tinyConv(coeffenc.FCShape(2*oh*oh, 4), qnn.ActNone, 1.0/8, 7)
+		net := &qnn.QNetwork{
+			Name: fmt.Sprintf("tiny-max%d", k), InC: 1, InH: 6, InW: 6, WBits: 2, ABits: 4, InScale: 1,
+			Blocks: []qnn.QBlock{qnn.QSeq{
+				tinyConv(coeffenc.ConvShape{H: 6, W: 6, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16, 6),
+				&qnn.QMaxPool{K: k},
+				dense,
+			}},
+		}
+		x := randInput(1, 6, 6, 7, 12)
+		want := net.ForwardInt(x).Data
+		e.Stats = OpStats{}
+		got, err := e.Infer(net, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareLogits(t, got, want, 3)
+
+		n := e.Ctx.N
+		rounds := func(vals int) int { return (vals + n - 1) / n }
+		windows, levels, tree := 2*oh*oh, 0, 0
+		for m := k * k; m > 1; m = (m + 1) / 2 {
+			tree += rounds(windows * (m / 2))
+			levels++
+		}
+		if levels != bits.Len(uint(k*k-1)) {
+			t.Fatalf("K = %d: %d tree levels, want ⌈log₂ %d⌉", k, levels, k*k)
+		}
+		plan, err := coeffenc.NewPlan(dense.Shape, n, coeffenc.AthenaOrder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := n / plan.InputLen()
+		wantCalls := rounds(2*6*6) + tree + (plan.InBatches+g-1)/g
+		if e.Stats.FBSCalls != wantCalls {
+			t.Fatalf("K = %d: %d FBS calls, want %d (%d in the tree)", k, e.Stats.FBSCalls, wantCalls, tree)
+		}
+		t.Logf("K = %d: logits %v (plaintext %v), stats %+v", k, got, want, e.Stats)
 	}
-	x := randInput(1, 6, 6, 7, 12)
-	want := net.ForwardInt(x).Data
-	got, err := e.Infer(net, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareLogits(t, got, want, 3)
 }
 
 func resNet() *qnn.QNetwork {

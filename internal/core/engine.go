@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
 
 	"athena/internal/bfv"
 	"athena/internal/coeffenc"
@@ -127,7 +126,7 @@ func newClientEngine(p Params, fullChain bool) (*Engine, *EvalKeys, error) {
 	// LWE material: a fresh dimension-n key, and the switch from the ring
 	// secret to its embedding in the ring.
 	e.lweSK = lwe.NewSecretKey(p.LWEDim, p.Seed^0x17e)
-	ksk := e.ks.NewKey(&lwe.SecretKey{S: e.sk.Signed}, e.lweSK, p.Sigma, p.Seed^0x55)
+	ksk := e.ks.NewKey(&lwe.SecretKey{S: e.sk.Signed}, e.lweSK, e.params.Sigma, p.Seed^0x55)
 
 	pkFull, err := pack.NewPacker(ctx, e.enc, e.lweSK)
 	if err != nil {
@@ -186,21 +185,23 @@ func (e *Engine) install(ek *EvalKeys) error {
 	return nil
 }
 
-// vkey identifies one activation value in (channel, y, x) coordinates.
-type vkey struct{ C, Y, X int }
-
-// valSet is the inter-layer state: labeled LWE ciphertexts at modulus t
-// carrying the previous layer's raw accumulators, with that layer's
-// fused LUT still pending.
+// valSet is the inter-layer state: one image's values as LWE
+// ciphertexts at modulus t carrying the previous layer's raw
+// accumulators, with that layer's fused LUT still pending. vals holds
+// all C·H·W of them in row-major (c, y, x) order, which is also the
+// flatten order a dense layer reads.
 type valSet struct {
 	C, H, W int
-	vals    map[vkey]lwe.Ciphertext
+	vals    []lwe.Ciphertext
 	pending *fbs.Evaluator    // nil = values are already materialized
 	fn      func(int64) int64 // plaintext shadow of pending (nil = identity)
 	// span is the proven interval of the values once pending is applied:
 	// what the next layer's interval pass reads.
 	span qnn.Interval
 }
+
+// idx is the position of the value at (c, y, x) in vals.
+func (vs *valSet) idx(c, y, x int) int { return (c*vs.H+y)*vs.W + x }
 
 // lut returns the plan's compiled evaluator of the table of f on span
 // (fbs.NewRangeLUT). The key is the SHA-256 of the span and the table's
@@ -293,23 +294,17 @@ func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, valid int, pending *fbs.
 
 // maskSlots sets out to ct times a 0/1 slot vector: 1 at the slots to
 // keep, 0 at structural zeros and at slots that belong to someone else.
-// It follows every LUT because tables with LUT(0) ≠ 0 (sigmoid, GELU,
-// biased remaps) turn structural zeros into non-zero activations.
+// Only a conv input needs it: a convolution mixes coefficients, and
+// tables with LUT(0) ≠ 0 (sigmoid, GELU, biased remaps) turn structural
+// zeros into non-zero activations. A round that is only extracted or
+// decoded needs none — S2C maps slot i to coefficient i, and nothing
+// past its values is read.
 func (wk *evalWorker) maskSlots(ct *bfv.Ciphertext, mask []int64, out *bfv.Ciphertext) {
 	pt, pm := wk.plain()
 	wk.codP.EncodeSlotsInto(mask, pt)
 	wk.codP.LiftToMulInto(pt, pm)
 	wk.stats.PMult++
 	wk.evP.MulPlainInto(ct, pm, out)
-}
-
-// prefixMask is the slot mask keeping the first n slots.
-func (e *Engine) prefixMask(n int) []int64 {
-	m := make([]int64, e.Ctx.N)
-	for i := range m[:n] {
-		m[i] = 1
-	}
-	return m
 }
 
 // toCoeffs sets out to S2C of ct: slot i -> coefficient i. out may alias
@@ -387,80 +382,29 @@ func (wk *evalWorker) materializeScaled(vs *valSet, scale int64) (*valSet, error
 	return wk.materialize(&valSet{C: vs.C, H: vs.H, W: vs.W, vals: vs.vals, pending: ev})
 }
 
-// materialize applies the pending LUT of vs (if any), returning int8
-// activations as LWE values: a shared materialization of one set.
+// materialize applies the pending LUT of vs (if any) in one LUT round
+// over its values, returning int8 activations as LWE values in the same
+// order.
 func (wk *evalWorker) materialize(vs *valSet) (*valSet, error) {
 	if vs.pending == nil {
 		return vs, nil
 	}
-	out, err := wk.materializeSets([]*valSet{vs})
+	vals, err := wk.batchLUT(vs.vals, vs.pending)
 	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
-}
-
-// materializeSets applies the pending LUT the sets share in one LUT
-// round over their concatenated values and returns each set's
-// materialized (identity-pending) replacement. The slot order is fixed
-// by (set, sorted key), so packs fill across set boundaries and the
-// redistribution is independent of scheduling.
-func (wk *evalWorker) materializeSets(sets []*valSet) ([]*valSet, error) {
-	var flat []lwe.Ciphertext
-	keys := make([][]vkey, len(sets))
-	for i, vs := range sets {
-		keys[i] = sortedKeys(vs.vals)
-		for _, k := range keys[i] {
-			flat = append(flat, vs.vals[k])
-		}
-	}
-	flat, err := wk.batchLUT(flat, sets[0].pending)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*valSet, len(sets))
-	for i, vs := range sets {
-		vals := make(map[vkey]lwe.Ciphertext, len(keys[i]))
-		for j, k := range keys[i] {
-			vals[k] = flat[j]
-		}
-		flat = flat[len(keys[i]):]
-		out[i] = &valSet{C: vs.C, H: vs.H, W: vs.W, vals: vals, span: vs.span}
-	}
-	return out, nil
-}
-
-// sortedKeys returns m's keys in (C, Y, X) order: the fixed order every
-// value set is walked in, so slot assignment never depends on map order.
-func sortedKeys[V any](m map[vkey]V) []vkey {
-	keys := make([]vkey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.C != b.C {
-			return a.C < b.C
-		}
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		return a.X < b.X
-	})
-	return keys
+	return &valSet{C: vs.C, H: vs.H, W: vs.W, vals: vals, span: vs.span}, nil
 }
 
 // at resolves the layer-geometry coordinate (c, h, w) of a layer of shape
 // s to vs's value, handling the implicit flatten when a feature map feeds
-// a fully-connected layer (Cin = C·H·W, H = W = 1). A value vs does not
-// hold reads as absent: a structural zero.
-func (vs *valSet) at(s coeffenc.ConvShape, c, h, w int) (lwe.Ciphertext, bool) {
-	k := vkey{c, h, w}
+// a fully-connected layer (Cin = C·H·W, H = W = 1): vals is in flatten
+// order, so a dense layer's c is its index.
+func (vs *valSet) at(s coeffenc.ConvShape, c, h, w int) lwe.Ciphertext {
 	if s.H == 1 && s.W == 1 {
-		k = vkey{c / (vs.H * vs.W), (c / vs.W) % vs.H, c % vs.W}
+		return vs.vals[c]
 	}
-	v, ok := vs.vals[k]
-	return v, ok
+	return vs.vals[vs.idx(c, h, w)]
 }
 
 // feeds reports whether vs has the geometry a layer of shape s reads,
@@ -530,10 +474,8 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.
 				if c >= s.Cin || h < 0 || h >= s.H || x < 0 || x >= s.W {
 					continue // a channel past the last, or zero padding
 				}
-				if v, ok := vs.at(s, c, h, x); ok {
-					ordered[o+i], masks[w][o+i] = v, 1
-					valid++
-				}
+				ordered[o+i], masks[w][o+i] = vs.at(s, c, h, x), 1
+				valid++
 			}
 		}
 		slots[r], errs[r] = ln.packFBS(ordered, valid, pending)
@@ -659,7 +601,7 @@ func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inf
 	if lastOp {
 		return &inferState{vs: &valSet{}, final: &finalResult{conv: q, plan: plan, accs: accs}}, nil
 	}
-	out := &valSet{C: q.Shape.Cout, H: q.Shape.OutH(), W: q.Shape.OutW(), vals: make(map[vkey]lwe.Ciphertext)}
+	out := &valSet{C: q.Shape.Cout, H: q.Shape.OutH(), W: q.Shape.OutW(), vals: make([]lwe.Ciphertext, q.Shape.Outputs())}
 	for ob, acc := range accs {
 		entries := valid[ob]
 		idx := make([]int, len(entries))
@@ -671,7 +613,7 @@ func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inf
 			return nil, err
 		}
 		for i, en := range entries {
-			out.vals[vkey{en.Cout, en.Y, en.X}] = cts[i]
+			out.vals[out.idx(en.Cout, en.Y, en.X)] = cts[i]
 		}
 	}
 	if out.pending, out.span, err = wk.lutFor(q, q.AccInterval(in)); err != nil {

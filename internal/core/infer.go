@@ -122,13 +122,9 @@ func (wk *evalWorker) residualBlock(r *qnn.QResidual, st *inferState) (*inferSta
 	// The sum of two extracted values carries two e_ms into the join
 	// table, which stays full: its image bounds the block's output.
 	sum := e.domain(body.span.Add(short.span), 2*e.margin)
-	out := &valSet{C: body.C, H: body.H, W: body.W, vals: make(map[vkey]lwe.Ciphertext, len(body.vals)), span: qnn.Image(r.JoinRemap, sum)}
-	for k, b := range body.vals {
-		s, ok := short.vals[k]
-		if !ok {
-			return nil, fmt.Errorf("core: residual shortcut missing value %v", k)
-		}
-		out.vals[k] = e.addLWE(b, s)
+	out := &valSet{C: body.C, H: body.H, W: body.W, vals: make([]lwe.Ciphertext, len(body.vals)), span: qnn.Image(r.JoinRemap, sum)}
+	for i, b := range body.vals {
+		out.vals[i] = e.addLWE(b, short.vals[i])
 		wk.stats.LWEAdds++
 	}
 	if out.pending, err = wk.lut(e.whole, r.JoinRemap); err != nil {
@@ -168,18 +164,18 @@ func (wk *evalWorker) avgPool(p *qnn.QAvgPool, vs *valSet, aMax int64) (*valSet,
 	}
 	oh, ow := in.H/p.K, in.W/p.K
 	// A window's rounded mean lies between its least and its greatest.
-	out := &valSet{C: in.C, H: oh, W: ow, vals: make(map[vkey]lwe.Ciphertext), span: vs.span}
+	out := &valSet{C: in.C, H: oh, W: ow, vals: make([]lwe.Ciphertext, 0, in.C*oh*ow), span: vs.span}
 	for c := 0; c < in.C; c++ {
 		for y := 0; y < oh; y++ {
 			for x := 0; x < ow; x++ {
 				acc := e.zeroLWE()
 				for i := 0; i < p.K; i++ {
 					for j := 0; j < p.K; j++ {
-						acc = e.addLWE(acc, in.vals[vkey{c, y*p.K + i, x*p.K + j}])
+						acc = e.addLWE(acc, in.vals[in.idx(c, y*p.K+i, x*p.K+j)])
 						wk.stats.LWEAdds++
 					}
 				}
-				out.vals[vkey{c, y, x}] = acc
+				out.vals = append(out.vals, acc)
 			}
 		}
 	}
@@ -192,11 +188,13 @@ func (wk *evalWorker) avgPool(p *qnn.QAvgPool, vs *valSet, aMax int64) (*valSet,
 	return out, nil
 }
 
-// maxPool runs the PEGASUS-style max tree: max(a,b) = b + ReLU(a−b),
-// with each tree level's ReLU batched into as few FBS calls as possible.
-// The tree operates in a scaled domain so the extraction noise of each
-// ReLU round stays far below one activation step; the divide back is
-// left pending for the consumer's LUT.
+// maxPool runs the PEGASUS-style max tree: max(a,b) = b + ReLU(a−b).
+// Each level pairs candidates (2j, 2j+1) of every window and carries an
+// odd last one, so m candidates become ⌈m/2⌉ and a K×K window takes
+// ⌈log₂ K²⌉ levels; a level's ReLUs over all windows are one batched
+// LUT round. The tree operates in a scaled domain so the extraction
+// noise of each ReLU round stays far below one activation step; the
+// divide back is left pending for the consumer's LUT.
 func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet, aMax int64) (*valSet, error) {
 	e := wk.e
 	scale := e.poolScale(aMax)
@@ -205,18 +203,18 @@ func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet, aMax int64) (*valSet,
 		return nil, err
 	}
 	oh, ow := in.H/p.K, in.W/p.K
-	// Gather each window's candidates.
-	windows := make(map[vkey][]lwe.Ciphertext)
+	windows, m := in.C*oh*ow, p.K*p.K
+	// cands holds every window's m candidates, window after window in
+	// (c, y, x) order.
+	cands := make([]lwe.Ciphertext, 0, windows*m)
 	for c := 0; c < in.C; c++ {
 		for y := 0; y < oh; y++ {
 			for x := 0; x < ow; x++ {
-				var cands []lwe.Ciphertext
 				for i := 0; i < p.K; i++ {
 					for j := 0; j < p.K; j++ {
-						cands = append(cands, in.vals[vkey{c, y*p.K + i, x*p.K + j}])
+						cands = append(cands, in.vals[in.idx(c, y*p.K+i, x*p.K+j)])
 					}
 				}
-				windows[vkey{c, y, x}] = cands
 			}
 		}
 	}
@@ -224,55 +222,38 @@ func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet, aMax int64) (*valSet,
 	if err != nil {
 		return nil, err
 	}
-	for levelHasPairs(windows) {
-		// Collect one (a,b) pair per window for this level.
-		type pend struct {
-			k    vkey
-			b    lwe.Ciphertext
-			rest []lwe.Ciphertext
-		}
-		var pends []pend
-		var diffs []lwe.Ciphertext
-		for _, k := range sortedKeys(windows) {
-			cands := windows[k]
-			if len(cands) < 2 {
-				continue
+	for m > 1 {
+		pairs := m / 2
+		diffs := make([]lwe.Ciphertext, 0, windows*pairs)
+		for w := 0; w < windows; w++ {
+			for j := 0; j < pairs; j++ {
+				diffs = append(diffs, e.subLWE(cands[w*m+2*j], cands[w*m+2*j+1]))
 			}
-			a, b := cands[0], cands[1]
-			diffs = append(diffs, e.subLWE(a, b))
-			pends = append(pends, pend{k: k, b: b, rest: cands[2:]})
 		}
-		// Batch-ReLU the differences, chunked by slot capacity.
 		relus, err := wk.batchLUT(diffs, relu)
 		if err != nil {
 			return nil, err
 		}
-		for i, pd := range pends {
-			m := e.addLWE(pd.b, relus[i]) // max(a,b)
-			wk.stats.LWEAdds++
-			windows[pd.k] = append([]lwe.Ciphertext{m}, pd.rest...)
+		next := make([]lwe.Ciphertext, 0, windows*((m+1)/2))
+		for w := 0; w < windows; w++ {
+			for j := 0; j < pairs; j++ {
+				next = append(next, e.addLWE(cands[w*m+2*j+1], relus[w*pairs+j])) // max(a,b)
+				wk.stats.LWEAdds++
+			}
+			if m%2 == 1 {
+				next = append(next, cands[w*m+m-1])
+			}
 		}
+		cands, m = next, (m+1)/2
 	}
 	// A window's maximum is one of its values.
-	out := &valSet{C: in.C, H: oh, W: ow, vals: make(map[vkey]lwe.Ciphertext), span: vs.span}
-	for k, cands := range windows {
-		out.vals[k] = cands[0]
-	}
+	out := &valSet{C: in.C, H: oh, W: ow, vals: cands, span: vs.span}
 	out.pending, err = wk.divideFor(int(scale))
 	if err != nil {
 		return nil, err
 	}
 	out.fn = func(x int64) int64 { return roundDiv(x, scale) }
 	return out, nil
-}
-
-func levelHasPairs(w map[vkey][]lwe.Ciphertext) bool {
-	for _, c := range w {
-		if len(c) >= 2 {
-			return true
-		}
-	}
-	return false
 }
 
 // reluFull is the plain ReLU LUT (no clamp change) used by the max tree.
@@ -301,13 +282,14 @@ func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, lut *fbs.Evaluator) ([]lwe
 		for i := range idx {
 			idx[i] = i
 		}
+		// S2C maps slot i to coefficient i: the values are coefficients
+		// [0, end−start), and the slots past them are never read.
 		ct, err := ln.packFBS(vals[start:end], end-start, lut)
 		if err != nil {
 			errs[ci] = err
 			return
 		}
-		// ct is packFBS's own result: mask and S2C run in place.
-		ln.maskSlots(ct, e.prefixMask(end-start), ct)
+		// ct is packFBS's own result: S2C runs in place.
 		if err := ln.toCoeffs(ct, ct); err != nil {
 			errs[ci] = err
 			return

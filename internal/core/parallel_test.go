@@ -42,14 +42,30 @@ func detNet() *qnn.QNetwork {
 // just self-consistency). Regenerate with -update after a change that
 // legitimately alters ciphertext bytes.
 func TestEvaluateBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	checkBitIdentical(t, detNet(), randInput(1, 6, 6, 7, 303), 2, "evaluate_fingerprint.txt")
+}
+
+// TestPoolResidualBitIdenticalAcrossGOMAXPROCS runs the same sweep over
+// the layouts a conv chain does not reach: maskNet's padded conv and
+// max-pool tree, and resNet's residual join, each against its own
+// fingerprint.
+func TestPoolResidualBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	checkBitIdentical(t, maskNet(), randInput(1, 4, 4, 7, 324), 3, "evaluate_fingerprint_mask.txt")
+	checkBitIdentical(t, resNet(), randInput(1, 6, 6, 7, 325), 3, "evaluate_fingerprint_res.txt")
+}
+
+// checkBitIdentical evaluates net on x with a fresh same-seed engine at
+// every worker count of gomaxprocsMatrix, requires byte-identical
+// encrypted logits, decrypted within tol of ForwardInt, and compares
+// their SHA-256 with testdata/golden.
+func checkBitIdentical(t *testing.T, net *qnn.QNetwork, x *qnn.IntTensor, tol int64, golden string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("GOMAXPROCS sweep builds fresh engines; run without -short")
 	}
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 
-	net := detNet()
-	x := randInput(1, 6, 6, 7, 303)
 	want := net.ForwardInt(x).Data
 
 	var blob []byte
@@ -77,34 +93,34 @@ func TestEvaluateBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareLogits(t, logits, want, 2)
+		compareLogits(t, logits, want, tol)
 		if blob == nil {
 			blob = buf.Bytes()
 			continue
 		}
 		if !bytes.Equal(buf.Bytes(), blob) {
-			t.Fatalf("GOMAXPROCS=%d: encrypted logits differ from the serial result", procs)
+			t.Fatalf("%s, GOMAXPROCS=%d: encrypted logits differ from the serial result", net.Name, procs)
 		}
 	}
 
 	sum := sha256.Sum256(blob)
 	got := hex.EncodeToString(sum[:])
-	golden := filepath.Join("testdata", "evaluate_fingerprint.txt")
+	path := filepath.Join("testdata", golden)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(got+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantSum, err := os.ReadFile(golden)
+	wantSum, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden fingerprint (regenerate with -update): %v", err)
 	}
 	if got != strings.TrimSpace(string(wantSum)) {
-		t.Fatalf("encrypted-logits fingerprint %s != golden %s (run with -update if the change is intended)",
-			got, strings.TrimSpace(string(wantSum)))
+		t.Fatalf("%s: encrypted-logits fingerprint %s != golden %s (run with -update if the change is intended)",
+			net.Name, got, strings.TrimSpace(string(wantSum)))
 	}
 }
 

@@ -24,14 +24,14 @@ import (
 
 // Params fixes an engine instance.
 type Params struct {
-	LogN   int    // BFV ring degree
-	QiBits int    // bits per RNS prime
-	QiNum  int    // number of RNS primes in Q
-	T      uint64 // plaintext modulus (prime, 1 mod 2N)
-	LWEDim int    // n: LWE dimension after the degree switch
-	MidExp uint   // qMid = T << MidExp: extraction modulus
-	KSBase uint64 // LWE keyswitch decomposition base
-	Sigma  float64
+	LogN   int     // BFV ring degree
+	QiBits int     // bits per RNS prime
+	QiNum  int     // number of RNS primes in Q
+	T      uint64  // plaintext modulus (prime, 1 mod 2N)
+	LWEDim int     // n: LWE dimension after the degree switch
+	MidExp uint    // qMid = T << MidExp: extraction modulus
+	KSBase uint64  // LWE keyswitch decomposition base
+	Sigma  float64 // error width of every key; 0 selects ring.DefaultSigma
 	Seed   uint64
 
 	// Level schedule for per-stage RNS modulus dropping. Packing and the

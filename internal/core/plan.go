@@ -21,16 +21,17 @@ import (
 // its keys: the three bfv contexts, the compiled S2C transform, the
 // shared zero, the modulus of the LWE arithmetic, and the memo tables of
 // compiled LUTs and shift multipliers. One plan is built per process for
-// each Params with Seed cleared (planFor) and shared by every engine at
-// those parameters, client or evaluation-only, so attaching a session is
-// decoding and verifying its keys — nothing here is rebuilt.
+// each Params with Seed cleared and Sigma resolved (planFor) and shared
+// by every engine at those parameters, client or evaluation-only, so
+// attaching a session is decoding and verifying its keys — nothing here
+// is rebuilt.
 //
 // Sharing is safe because a plan is immutable once newPlan returns: the
 // contexts, the transform and the zero are only read (bfv.Context's own
 // level cache is locked), and the two memo tables only gain entries,
 // each immutable once stored, the first stored winning a race.
 type plan struct {
-	params Params // Seed cleared: the cache key
+	params Params // Seed cleared, Sigma resolved (planFor): the cache key
 
 	// Ctx is the full-chain context. ctxF is the FBS-level context the
 	// packing and LUT ladders run under; ctxP is the post-level context
@@ -78,9 +79,9 @@ type plan struct {
 	shifts sync.Map
 }
 
-// plans memoizes one plan per Params with Seed cleared. A plan whose
-// build failed is remembered with its error: the build is a function of
-// the parameters alone.
+// plans memoizes one plan per Params with Seed cleared and Sigma
+// resolved. A plan whose build failed is remembered with its error: the
+// build is a function of the parameters alone.
 var plans = struct {
 	mu sync.Mutex
 	m  map[Params]*planOnce
@@ -93,9 +94,15 @@ type planOnce struct {
 }
 
 // planFor returns the process's plan for p, building it on first use;
-// concurrent first uses of one Params build it once.
+// concurrent first uses of one Params build it once. Params that differ
+// only in Seed, or in a Sigma of 0 against ring.DefaultSigma, share it:
+// the plan holds σ resolved as bfv resolves it, so the Step ③ key, the
+// margin E and the contexts all read one value.
 func planFor(p Params) (*plan, error) {
 	p.Seed = 0
+	if p.Sigma <= 0 {
+		p.Sigma = ring.DefaultSigma
+	}
 	plans.mu.Lock()
 	po := plans.m[p]
 	if po == nil {

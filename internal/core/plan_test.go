@@ -15,6 +15,7 @@ import (
 	"athena/internal/bfv"
 	"athena/internal/lwe"
 	"athena/internal/qnn"
+	"athena/internal/ring"
 )
 
 // TestEvalKeysBytesPinned: the bundle a TestParams client uploads hashes
@@ -299,6 +300,33 @@ func TestPlanShared(t *testing.T) {
 	}
 	if c.ctxF.Level() != 4 || a.ctxF.Level() != 5 {
 		t.Fatalf("FBS levels %d and %d, want 4 and 5", c.ctxF.Level(), a.ctxF.Level())
+	}
+}
+
+// TestSigmaZeroIsDefault: a Sigma of 0 selects ring.DefaultSigma for
+// every key — the Step ③ switching key as well as bfv's — and for the
+// margin E: the two Params share one plan, so one E, and engines at one
+// seed write byte-identical evaluation-key bundles.
+func TestSigmaZeroIsDefault(t *testing.T) {
+	p := TestParams()
+	p.Sigma = 0
+	a, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := testEngine(t)
+	if a.plan != b.plan || a.EmsMargin() != b.EmsMargin() {
+		t.Fatalf("Sigma 0 and %v: plans %p and %p, E = %d and %d", ring.DefaultSigma, a.plan, b.plan, a.EmsMargin(), b.EmsMargin())
+	}
+	var ka, kb bytes.Buffer
+	if err := a.WriteEvalKeys(&ka); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteEvalKeys(&kb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ka.Bytes(), kb.Bytes()) {
+		t.Fatalf("Sigma 0 and %v write different eval-key bundles (%d and %d bytes)", ring.DefaultSigma, ka.Len(), kb.Len())
 	}
 }
 

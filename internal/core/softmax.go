@@ -122,13 +122,14 @@ func (e *Engine) SoftmaxEncrypted(logits []int64, cfg SoftmaxConfig) ([]float64,
 	if err != nil {
 		return nil, err
 	}
-	w0.maskSlots(invCT, e.prefixMask(cfg.Classes), invCT)
 	expCT, err := w0.packFBS(exps, cfg.Classes, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	// Step ③: CMult — prob_i · InvScale ≈ exp_i · round(InvScale/sum).
+	// Only slots [0, Classes) are decoded, so neither operand's slots
+	// past them need clearing.
 	prodCT, err := w0.evP.Mul(expCT, invCT)
 	if err != nil {
 		return nil, err

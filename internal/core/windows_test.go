@@ -45,8 +45,9 @@ func genWindowCase(rng *rand.Rand) windowCase {
 // coefficient for coefficient over all N of them, to plan.EncodeInput of
 // the plaintext activations — so a window lands at [0, per), a
 // neighbour's window never aliases into it, and everything above per is
-// zero. Value sets miss values at random (images with different valid
-// sets) and the LUT has LUT(0) ≠ 0, so a structural zero that the mask
+// zero. Value sets are full, as every layer leaves them; structural
+// zeros come from padding, channels past the last, and the slots of a
+// ragged last round, and the LUT has LUT(0) ≠ 0, so one that the mask
 // let through would show. Fixed cases in front make sure the sweep
 // covers a window that fills the round (G = 1, where the operations must
 // be exactly the per-input-batch path's), windows that fill N exactly,
@@ -130,9 +131,7 @@ func TestConvInputWindows(t *testing.T) {
 			want := OpStats{Packs: rounds, S2CCalls: windows, PMult: masks + shifts}
 			if c.lut {
 				want.FBSCalls, want.CMult, want.SMult, want.HAdd = rounds, rounds*lut.CMults, rounds*lut.SMults, rounds*lut.HAdds
-				for _, vs := range sets {
-					want.FBSInputs += validInputs(plan, vs)
-				}
+				want.FBSInputs = c.batch * validInputs(plan)
 			}
 			if st != want {
 				t.Fatalf("N=%d %v (per=%d, G=%d): ops %+v, want %+v", n, c, per, g, st, want)
@@ -149,16 +148,76 @@ func TestConvInputWindows(t *testing.T) {
 	}
 }
 
-// windowSets draws c.batch value sets of c's source geometry — trivial
-// LWE encryptions (zero mask, the value as body: what softmax feeds the
-// packer too), each missing about a fifth of its values — with lut
-// pending, whose plaintext shadow is fn, when c.lut is set, and the
+// TestValidCoeffsDense: a layer's values land in a dense slice at
+// (c, y, x) row-major, so the output entries of all its output batches
+// must be a permutation of [0, Outputs()) in that order — every
+// coordinate extracted exactly once, none out of range. It holds for the
+// shapes of core's tests and of the benchmark nets at their ring sizes
+// (stride 1 and 2, pad 0 and 1, dense layers) and for the window sweep's
+// generated shapes.
+func TestValidCoeffsDense(t *testing.T) {
+	cases := map[int][]coeffenc.ConvShape{
+		128: {
+			{H: 6, W: 6, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1},
+			{H: 6, W: 6, Cin: 2, Cout: 2, K: 3, Stride: 1, Pad: 1},
+			{H: 4, W: 4, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1},
+			{H: 6, W: 6, Cin: 1, Cout: 1, K: 3, Stride: 1, Pad: 1},
+			{H: 6, W: 6, Cin: 2, Cout: 3, K: 3, Stride: 1, Pad: 0},
+			{H: 8, W: 8, Cin: 2, Cout: 3, K: 1, Stride: 2, Pad: 0},
+			coeffenc.FCShape(2*6*6, 4),
+			coeffenc.FCShape(2*4*4, 4),
+			coeffenc.FCShape(2*3*3, 4),
+			coeffenc.FCShape(2*2*2, 4),
+			coeffenc.FCShape(36, 2),
+		},
+		512: {
+			{H: 14, W: 14, Cin: 1, Cout: 4, K: 3, Stride: 2, Pad: 1},
+			coeffenc.FCShape(4*7*7, 10),
+		},
+	}
+	for _, n := range []int{64, 128} {
+		rng := rand.New(rand.NewPCG(uint64(n), 0x18))
+		for i := 0; i < 48; i++ {
+			cases[n] = append(cases[n], genWindowCase(rng).shape)
+		}
+	}
+	for n, shapes := range cases {
+		for _, s := range shapes {
+			plan, err := coeffenc.NewPlan(s, n, coeffenc.AthenaOrder)
+			if err != nil {
+				continue // the layer does not fit this ring
+			}
+			seen := make([]bool, s.Outputs())
+			for ob := 0; ob < plan.OutBatches; ob++ {
+				for _, en := range plan.ValidCoeffs(ob) {
+					if en.Cout < 0 || en.Cout >= s.Cout || en.Y < 0 || en.Y >= s.OutH() || en.X < 0 || en.X >= s.OutW() {
+						t.Fatalf("N=%d %+v: output batch %d has entry %+v out of range", n, s, ob, en)
+					}
+					i := (en.Cout*s.OutH()+en.Y)*s.OutW() + en.X
+					if seen[i] {
+						t.Fatalf("N=%d %+v: output %d extracted twice", n, s, i)
+					}
+					seen[i] = true
+				}
+			}
+			for i, ok := range seen {
+				if !ok {
+					t.Fatalf("N=%d %+v: output %d never extracted", n, s, i)
+				}
+			}
+		}
+	}
+}
+
+// windowSets draws c.batch full value sets of c's source geometry —
+// trivial LWE encryptions (zero mask, the value as body: what softmax
+// feeds the packer too) — with lut pending, whose plaintext shadow is fn, when c.lut is set, and the
 // activations the layer should see.
 func windowSets(e *Engine, c windowCase, lut *fbs.Evaluator, fn func(int64) int64, rng *rand.Rand) ([]*valSet, [][][][]int64) {
 	sets := make([]*valSet, c.batch)
 	acts := make([][][][]int64, c.batch)
 	for b := range sets {
-		vs := &valSet{C: c.srcC, H: c.srcH, W: c.srcH, vals: make(map[vkey]lwe.Ciphertext)}
+		vs := &valSet{C: c.srcC, H: c.srcH, W: c.srcH, vals: make([]lwe.Ciphertext, 0, c.srcC*c.srcH*c.srcH)}
 		if c.lut {
 			vs.pending, vs.fn = lut, fn
 		}
@@ -166,13 +225,10 @@ func windowSets(e *Engine, c windowCase, lut *fbs.Evaluator, fn func(int64) int6
 		for ch := 0; ch < c.srcC; ch++ {
 			for y := 0; y < c.srcH; y++ {
 				for x := 0; x < c.srcH; x++ {
-					if rng.IntN(5) == 0 {
-						continue
-					}
 					v := int64(rng.IntN(17)) - 8
 					ct := e.zeroLWE()
 					ct.B = e.Ctx.TMod.ReduceInt64(v)
-					vs.vals[vkey{ch, y, x}] = ct
+					vs.vals = append(vs.vals, ct)
 					if c.lut {
 						v = fn(v)
 					}
@@ -216,8 +272,8 @@ func checkConvInputs(t *testing.T, e *Engine, plan *coeffenc.Plan, c windowCase,
 }
 
 // TestLoneWindowMask: a window alone in its round is cut out by its mask
-// only when its LUT moves 0. Its structural zeros — the padding ring and
-// the values its set misses — are the exact zero LWE, and the slots past
+// only when its LUT moves 0. Its structural zeros — the padding ring —
+// are the exact zero LWE, and the slots past
 // the window (N = 128, per = 64) are left at 0 by the pack, so a LUT with
 // f(0) = 0 keeps every one of them at 0: the input decrypts to
 // plan.EncodeInput over all N coefficients, which S2C maps one to one
@@ -267,10 +323,10 @@ func TestLoneWindowMask(t *testing.T) {
 	}
 }
 
-// validInputs counts the values of vs a layer actually reads: those at
-// coordinates some input batch encodes (a strided 1×1 layer subsamples,
-// so it skips the rest).
-func validInputs(plan *coeffenc.Plan, vs *valSet) int {
+// validInputs counts the values of one image a layer actually reads:
+// those at coordinates some input batch encodes (a strided 1×1 layer
+// subsamples, so it skips the rest).
+func validInputs(plan *coeffenc.Plan) int {
 	s, sub := plan.Shape, plan.SubFactor()
 	n := 0
 	for c := 0; c < s.Cin; c++ {
@@ -280,13 +336,7 @@ func validInputs(plan *coeffenc.Plan, vs *valSet) int {
 				if h < 0 || h >= s.H || w < 0 || w >= s.W {
 					continue
 				}
-				k := vkey{c, h, w}
-				if s.H == 1 && s.W == 1 {
-					k = vkey{c / (vs.H * vs.W), c / vs.W % vs.H, c % vs.W}
-				}
-				if _, ok := vs.vals[k]; ok {
-					n++
-				}
+				n++
 			}
 		}
 	}

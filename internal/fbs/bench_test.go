@@ -24,9 +24,9 @@ func BenchmarkInterpolateT12289(b *testing.B) {
 
 // digitNetSpan is the span DigitNet14's conv table is evaluated on at
 // the single_t12289 parameters: its proven accumulator interval
-// [−1 991, 1 690] widened by that shape's e_ms margin E = 14, 3 710
+// [−1 991, 1 690] widened by that shape's e_ms margin E = 24, 3 730
 // points.
-const digitNetLo, digitNetHi = -1991 - 14, 1690 + 14
+const digitNetLo, digitNetHi = -1991 - 24, 1690 + 24
 
 // BenchmarkInterpolateRange compiles a range table's polynomial: the
 // completion off its span (NewRangeLUT) and the DFT of the completed
@@ -112,7 +112,7 @@ func BenchmarkFBSEvaluateT12289Dense(b *testing.B) {
 }
 
 // BenchmarkFBSEvaluateT12289Range runs the Dense benchmark's table on
-// DigitNet14's span only, as single_t12289 evaluates it: 3 710
+// DigitNet14's span only, as single_t12289 evaluates it: 3 730
 // coefficients on a split chosen for them.
 func BenchmarkFBSEvaluateT12289Range(b *testing.B) {
 	l, err := NewRangeLUT(12289, digitNetLo, digitNetHi, func(x int64) int64 { return max(x, 0) / 8 })
