@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint vet vet-lostcancel race bench bench-check fuzz-smoke store-test crash-test cluster-test loc
+.PHONY: build test check lint vet vet-lostcancel race bench bench-check keys-full fuzz-smoke store-test crash-test cluster-test loc
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,12 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke
 
+# The FullParams evaluation keys by level, wire and held bytes, counted
+# from their shapes: the key arithmetic of the paper's operating point,
+# which no engine here can build, runs on every check.
+keys-full:
+	$(GO) run ./cmd/athena-keygen -preset full -dry-run
+
 # Every native fuzz target of the arithmetic packages, of the eval-key
 # bundle reader (FuzzReadEvalKeys in core), of the store (FuzzOpenDir:
 # arbitrary names and contents in a data directory), of the serving
@@ -75,8 +81,9 @@ fuzz-smoke:
 # check is the CI gate: compile, vet (plus the pinned lostcancel
 # analyzer), FHE-aware static analysis, the full suite under the race
 # detector (store suite included), the crash-recovery integration test
-# against a real binary, then the benchmark module.
-check: build vet vet-lostcancel lint race crash-test bench-check
+# against a real binary, the FullParams key sizes, then the benchmark
+# module.
+check: build vet vet-lostcancel lint race crash-test keys-full bench-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -134,15 +134,6 @@ func (c *Context) writeHeader(w *wireWriter, magic, version uint64) {
 	w.u64(magic, version, uint64(c.Params.LogN), uint64(len(c.Params.Qi)), c.Params.T)
 }
 
-// polyWords is the length of wireWriter.poly's output for p in words.
-func polyWords(p ring.Poly) int64 {
-	n := int64(1)
-	for _, limb := range p.Coeffs {
-		n += 1 + int64(len(limb))
-	}
-	return n
-}
-
 func (c *Context) readHeader(r *wireReader, magic, version uint64) error {
 	if got := r.u64(); r.err == nil && got != magic {
 		return fmt.Errorf("bfv: bad magic %#x", got)
@@ -172,12 +163,6 @@ func (c *Context) WriteCiphertext(ct *Ciphertext, w io.Writer) error {
 		return ww.err
 	}
 	return ww.w.Flush()
-}
-
-// CiphertextWireSize returns the length in bytes of WriteCiphertext's
-// encoding of ct, counted from its shape.
-func CiphertextWireSize(ct *Ciphertext) int64 {
-	return 8 * (headerWords + polyWords(ct.C0) + polyWords(ct.C1))
 }
 
 // ReadCiphertext deserializes a ciphertext produced under the same
@@ -304,27 +289,29 @@ func (c *Context) WriteKeySet(ks *KeySet, w io.Writer) error {
 	return ww.w.Flush()
 }
 
-// KeySetResidentSize returns the bytes ks's keys hold once expanded:
-// the B and A polynomials of each key at its level, framed as the key
-// set's wire framing frames them — the length of the version-1 layout,
-// which carried both halves — counted from the keys' shapes.
-func KeySetResidentSize(ks *KeySet) int64 {
-	swk := func(s *SwitchingKey) int64 {
-		n := int64(1) // the level
-		for i := range s.B {
-			n += polyWords(s.B[i]) + polyWords(s.A[i])
-		}
-		return n
-	}
-	words := int64(headerWords) + 2 // the relinearization flag and the Galois count
-	if ks.Relin != nil {
-		words += swk(&ks.Relin.SwitchingKey)
-	}
-	for _, gk := range ks.Galois {
-		words += 1 + swk(&gk.SwitchingKey) // the element
-	}
-	return 8 * words
+// KeySetFrameSize is the bytes of a key set's framing around its keys:
+// the header, the relinearization flag and the Galois count.
+const KeySetFrameSize = 8 * (headerWords + 2)
+
+// SwitchingKeySize returns, from its shape alone, the bytes one level-l
+// switching key over a ring of degree n adds to a key set: on the wire
+// (WriteKeySet) its level, its seed and its B rows; held, once A is
+// expanded, its level and both halves, framed alike. A Galois key adds
+// its element's word to both.
+func SwitchingKeySize(l, n int) (wire, held int64) {
+	rows := int64(l) * polyShapeWords(l, n) // l polynomials of l limbs
+	return 8 * (1 + 4 + rows), 8 * (1 + 2*rows)
 }
+
+// CiphertextWireSize returns the length in bytes of WriteCiphertext's
+// encoding of a ciphertext of l limbs over a ring of degree n.
+func CiphertextWireSize(l, n int) int64 {
+	return 8 * (headerWords + 2*polyShapeWords(l, n))
+}
+
+// polyShapeWords is the length in words of wireWriter.poly's output for
+// a polynomial of l limbs of n words.
+func polyShapeWords(l, n int) int64 { return 1 + int64(l)*(1+int64(n)) }
 
 // ErrKeyShape reports switching-key wire data whose level is outside the
 // context's chain or whose polynomials disagree with the key's level.

@@ -324,9 +324,15 @@ func CompileWithOptions(q *qnn.QNetwork, p core.Params, opts Options) (*Trace, e
 					geomH /= o.K
 					geomW /= o.K
 				case *qnn.QMaxPool:
+					// The pool's inputs come out of the round above in the
+					// scaled domain (the pending LUT fused with the scale)
+					// and are extracted back to LWE for the tree.
+					in := int64(geomC * geomH * geomW)
+					lo.convert(o.OpName(), int((in+int64(lo.n)-1)/int64(lo.n)), in, CatPooling)
 					// The max tree runs level by level: each level computes
-					// ReLU(a−b) for every surviving pair (one batched FBS
-					// round + conversion), then b + ReLU(a−b) as LWE adds.
+					// a−b for every surviving pair, ReLU(a−b) (one batched
+					// FBS round + conversion), then b + ReLU(a−b): two LWE
+					// additions per pair.
 					vals := int64(geomC * (geomH / o.K) * (geomW / o.K))
 					remaining := int64(o.K * o.K)
 					for remaining > 1 {
@@ -340,6 +346,9 @@ func CompileWithOptions(q *qnn.QNetwork, p core.Params, opts Options) (*Trace, e
 						lo.convert(o.OpName(), int(groups), pairs, CatPooling)
 						remaining = (remaining + 1) / 2
 					}
+					// The maxima carry the scale: the next layer's input
+					// round divides it out with a full-domain table.
+					lo.activation(o.OpName(), vals, LUTSize(int64(lo.p.T/2)-1, lo.p.T), CatPooling)
 					geomH /= o.K
 					geomW /= o.K
 				default:

@@ -68,20 +68,9 @@ func TestTraceTracksEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var packs, s2c int
-	var keySwitches, extractions int64
+	checkTraceCounts(t, tr, e.Stats)
 	for _, s := range tr.Steps {
-		switch s.Kind {
-		case KPack:
-			packs++
-		case KS2C:
-			s2c++
-		case KSE:
-			if s.Cat != CatSoftmax {
-				keySwitches += s.Counts.KeySwitch
-				extractions += s.Counts.SE
-			}
-		case KFBS:
+		if s.Kind == KFBS {
 			// Alg. 2 on the step's LUT: bs − 1 baby powers, gs − 2 giant
 			// powers, gs − 1 block products.
 			bs := int64(math.Ceil(math.Sqrt(float64(s.LUTSize))))
@@ -90,21 +79,6 @@ func TestTraceTracksEngine(t *testing.T) {
 				t.Fatalf("FBS step %q, LUT size %d: trace has %d CMult, Alg. 2 issues %d", s.Layer, s.LUTSize, s.Counts.CMult, want)
 			}
 		}
-	}
-	// The trace includes the softmax epilogue (2 extra pack/FBS/S2C
-	// rounds) that the engine's plain Infer path does not execute.
-	packs -= 2
-	s2c -= 2
-
-	if packs != e.Stats.Packs {
-		t.Fatalf("pack count: trace %d vs engine %d", packs, e.Stats.Packs)
-	}
-	if s2c != e.Stats.S2CCalls {
-		t.Fatalf("S2C count: trace %d vs engine %d", s2c, e.Stats.S2CCalls)
-	}
-	if keySwitches != int64(e.Stats.KeySwitches) || extractions != int64(e.Stats.Extractions) {
-		t.Fatalf("Step ③: trace %d keyswitches and %d extractions, engine %d and %d",
-			keySwitches, extractions, e.Stats.KeySwitches, e.Stats.Extractions)
 	}
 	// The engine: every FBS call runs the plan of its layer's table, the
 	// one on the layer's proven interval widened by the margin E; the
@@ -134,4 +108,68 @@ func TestTraceTracksEngine(t *testing.T) {
 		t.Fatalf("FBS CMult count: engine %d in %d calls, the layers' two plans %d", e.Stats.CMult, e.Stats.FBSCalls, perCall)
 	}
 	t.Logf("engine: %d FBS calls, %d CMult", e.Stats.FBSCalls, perCall)
+
+	// A pooled net: conv → 2×2 max pool → dense, every layer in one input
+	// batch. The pool's tree issues its ReLU rounds and LWE work as the
+	// trace lowers them.
+	pooled := &qnn.QNetwork{
+		Name: "xcheck-max", InC: 1, InH: 6, InW: 6, WBits: 2, ABits: 4, InScale: 1,
+		Blocks: []qnn.QBlock{qnn.QSeq{
+			mk(coeffenc.ConvShape{H: 6, W: 6, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16),
+			&qnn.QMaxPool{K: 2},
+			mk(coeffenc.FCShape(18, 4), qnn.ActNone, 1.0/8),
+		}},
+	}
+	x = qnn.NewIntTensor(1, 6, 6)
+	for i := range x.Data {
+		x.Data[i] = int64(rng.IntN(8))
+	}
+	e.Stats = core.OpStats{}
+	if _, err := e.Infer(pooled, x); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err = Compile(pooled, p); err != nil {
+		t.Fatal(err)
+	}
+	checkTraceCounts(t, tr, e.Stats)
+}
+
+// checkTraceCounts requires the trace's packs, S2C calls, Step ③
+// keyswitches and extractions, and LWE additions to equal the engine's
+// counters. The trace includes the softmax epilogue (2 extra
+// pack/FBS/S2C rounds) that the engine's plain Infer path does not
+// execute.
+func checkTraceCounts(t *testing.T, tr *Trace, st core.OpStats) {
+	t.Helper()
+	var packs, s2c int
+	var keySwitches, extractions, lweAdds int64
+	for _, s := range tr.Steps {
+		if s.Cat == CatSoftmax {
+			continue
+		}
+		switch s.Kind {
+		case KPack:
+			packs++
+		case KS2C:
+			s2c++
+		case KSE:
+			keySwitches += s.Counts.KeySwitch
+			extractions += s.Counts.SE
+		}
+		lweAdds += s.Counts.LWEAdd
+	}
+	if packs != st.Packs {
+		t.Fatalf("%s: pack count: trace %d vs engine %d", tr.Model, packs, st.Packs)
+	}
+	if s2c != st.S2CCalls {
+		t.Fatalf("%s: S2C count: trace %d vs engine %d", tr.Model, s2c, st.S2CCalls)
+	}
+	if keySwitches != int64(st.KeySwitches) || extractions != int64(st.Extractions) {
+		t.Fatalf("%s: Step ③: trace %d keyswitches and %d extractions, engine %d and %d",
+			tr.Model, keySwitches, extractions, st.KeySwitches, st.Extractions)
+	}
+	if lweAdds != int64(st.LWEAdds) {
+		t.Fatalf("%s: LWE additions: trace %d vs engine %d", tr.Model, lweAdds, st.LWEAdds)
+	}
+	t.Logf("%s: %d packs, %d S2C, %d keyswitches, %d extractions, %d LWE additions", tr.Model, packs, s2c, keySwitches, extractions, lweAdds)
 }

@@ -141,8 +141,9 @@ func TestEncryptedAvgPool(t *testing.T) {
 // inputs in the scaled domain, then the tree: each level pairs two
 // candidates of every window and carries an odd one, so a level of m
 // candidates batches windows·⌊m/2⌋ ReLUs and leaves ⌈m/2⌉, for
-// ⌈log₂ K²⌉ levels. The dense layer's input rounds fuse the pending
-// divide.
+// ⌈log₂ K²⌉ levels, and each pair costs two LWE additions, a − b before
+// its ReLU and b + ReLU(a − b) after (108 at K = 2: 72 + 36). The dense
+// layer's input rounds fuse the pending divide.
 func TestEncryptedMaxPool(t *testing.T) {
 	e := testEngine(t)
 	for _, k := range []int{2, 3} {
@@ -167,10 +168,14 @@ func TestEncryptedMaxPool(t *testing.T) {
 
 		n := e.Ctx.N
 		rounds := func(vals int) int { return (vals + n - 1) / n }
-		windows, levels, tree := 2*oh*oh, 0, 0
+		windows, levels, tree, pairs := 2*oh*oh, 0, 0, 0
 		for m := k * k; m > 1; m = (m + 1) / 2 {
 			tree += rounds(windows * (m / 2))
+			pairs += windows * (m / 2)
 			levels++
+		}
+		if e.Stats.LWEAdds != 2*pairs {
+			t.Fatalf("K = %d: %d LWE additions, want 2 × %d pairs", k, e.Stats.LWEAdds, pairs)
 		}
 		if levels != bits.Len(uint(k*k-1)) {
 			t.Fatalf("K = %d: %d tree levels, want ⌈log₂ %d⌉", k, levels, k*k)

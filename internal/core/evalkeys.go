@@ -109,22 +109,76 @@ func (e *Engine) WriteEvalKeys(w io.Writer) error {
 }
 
 // EvalKeysSize returns the key material the engine holds, counted from
-// the keys' shapes: the B and A rows of each key at its level of use,
-// whatever level its keys arrived at, framed as the bundle frames them
-// — what a bundle would weigh with every seed expanded. A server charges
-// a session this much memory, so a full-chain bundle costs what its cut
-// keys hold, and a seeded bundle what its keys hold once expanded. Nothing
-// is derived from the rows at decode, so this is what a session holds.
+// the keys' shapes (EvalKeyShapes): the B and A rows of each key at its
+// level of use, whatever level its keys arrived at, framed as the bundle
+// frames them — what a bundle would weigh with every seed expanded. A
+// server charges a session this much memory, so a full-chain bundle
+// costs what its cut keys hold, and a seeded bundle what its keys hold
+// once expanded. Nothing is derived from the rows at decode, so this is
+// what a session holds.
 func (e *Engine) EvalKeysSize() (int64, error) {
-	ek, err := e.EvalKeys()
-	if err != nil {
+	if _, err := e.EvalKeys(); err != nil {
 		return 0, err
 	}
-	n := 8*int64(evalKeysHeaderWords+1) + bfv.KeySetResidentSize(ek.KeySet) + ek.KSK.ResidentSize()
-	for _, ct := range ek.PackKeys {
-		n += bfv.CiphertextWireSize(ct)
+	_, _, held := keyShapes(e.params, e.ks, e.galois)
+	return held, nil
+}
+
+// KeyShape is one kind of evaluation key an engine holds, counted from
+// its shape: Count keys of Level limbs, each Wire bytes in the bundle
+// WriteEvalKeys writes and Held bytes in EvalKeysSize's count. Level is
+// 0 for Step ③'s keyswitch key, which lives at qMid, not over the chain.
+type KeyShape struct {
+	Kind         string
+	Count, Level int
+	Wire, Held   int64
+}
+
+// EvalKeyShapes lists the evaluation keys an engine at p reads, by kind
+// and level, and the bundle's wire and held totals, framing included,
+// from the parameters alone. It builds no context and compiles no
+// transform, so it runs at FullParams, whose S2C plan does not fit in
+// memory.
+func EvalKeyShapes(p Params) (shapes []KeyShape, wire, held int64, err error) {
+	ks, err := lwe.NewSwitchPlan(p.LogN, p.LWEDim, p.QMid(), p.KSBase)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("core: keyswitch base: %w", err)
 	}
-	return n, nil
+	shapes, wire, held = keyShapes(p, ks, galoisUses(p))
+	return shapes, wire, held, nil
+}
+
+// keyShapes is EvalKeyShapes over Step ③'s switch plan ks and the
+// Galois keys galois (galoisUses(p)).
+func keyShapes(p Params, ks *lwe.SwitchPlan, galois []keyUse) (shapes []KeyShape, wire, held int64) {
+	n := 1 << p.LogN
+	fbsL, _ := p.Levels()
+	add := func(kind string, count, level int, w, h int64) {
+		shapes = append(shapes, KeyShape{Kind: kind, Count: count, Level: level, Wire: w, Held: h})
+		wire += int64(count) * w
+		held += int64(count) * h
+	}
+	w, h := bfv.SwitchingKeySize(fbsL, n)
+	add("relinearization key", 1, fbsL, w, h)
+	count := map[int]int{}
+	var levels []int
+	for _, u := range galois {
+		if count[u.level] == 0 {
+			levels = append(levels, u.level)
+		}
+		count[u.level]++
+	}
+	for _, l := range levels {
+		w, h := bfv.SwitchingKeySize(l, n)
+		add("galois key", count[l], l, w+8, h+8)
+	}
+	c := bfv.CiphertextWireSize(fbsL, n)
+	add("packing baby", pack.BabySteps(p.LWEDim), fbsL, c, c)
+	w, h = ks.KeySize()
+	add("LWE keyswitch key", 1, 0, w, h)
+	// The bundle header and the babies' count frame the parts.
+	frame := 8*int64(evalKeysHeaderWords+1) + bfv.KeySetFrameSize
+	return shapes, wire + frame, held + frame
 }
 
 // writeEvalKeys serializes ek at whatever levels its keys hold.

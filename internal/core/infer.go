@@ -228,6 +228,7 @@ func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet, aMax int64) (*valSet,
 		for w := 0; w < windows; w++ {
 			for j := 0; j < pairs; j++ {
 				diffs = append(diffs, e.subLWE(cands[w*m+2*j], cands[w*m+2*j+1]))
+				wk.stats.LWEAdds++
 			}
 		}
 		relus, err := wk.batchLUT(diffs, relu)

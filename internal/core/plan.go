@@ -154,16 +154,7 @@ func newPlan(p Params) (*plan, error) {
 	if pl.s2c, err = pack.CompileTransform(pl.ctxP, pack.S2CMatrix(pl.ctxP)); err != nil {
 		return nil, err
 	}
-	// The merged list opens with the packer's own, deduplicated: the
-	// first len(packEls) elements are the ones read at ctxF.
-	packEls := pack.DedupGalois(pack.GaloisElements(pl.ctxF, p.LWEDim))
-	for i, g := range pack.DedupGalois(packEls, pl.s2c.GaloisElements()) {
-		u := keyUse{g: g, level: postL}
-		if i < len(packEls) {
-			u.level = fbsL
-		}
-		pl.galois = append(pl.galois, u)
-	}
+	pl.galois = galoisUses(p)
 	return pl, nil
 }
 
@@ -172,6 +163,26 @@ func newPlan(p Params) (*plan, error) {
 type keyUse struct {
 	g     uint64
 	level int
+}
+
+// galoisUses lists the Galois keys an engine at p reads, from the
+// parameters alone: the packer's rotation at the FBS level, then S2C's
+// elements not already listed at the post level.
+func galoisUses(p Params) []keyUse {
+	n := 1 << p.LogN
+	fbsL, postL := p.Levels()
+	// The merged list opens with the packer's own, deduplicated: the
+	// first len(packEls) elements are the ones read at the FBS level.
+	packEls := pack.DedupGalois(pack.GaloisElements(n, p.LWEDim))
+	var uses []keyUse
+	for i, g := range pack.DedupGalois(packEls, pack.TransformGaloisElements(n)) {
+		u := keyUse{g: g, level: postL}
+		if i < len(packEls) {
+			u.level = fbsL
+		}
+		uses = append(uses, u)
+	}
+	return uses
 }
 
 // ReadEvalKeys decodes an evaluation-key bundle for parameters p. All

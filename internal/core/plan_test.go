@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 
 	"athena/internal/bfv"
 	"athena/internal/lwe"
+	"athena/internal/pack"
 	"athena/internal/qnn"
 	"athena/internal/ring"
 )
@@ -21,13 +23,18 @@ import (
 // TestEvalKeysBytesPinned: the bundle a TestParams client uploads hashes
 // to the checked-in digest. Session IDs are the SHA-256 of these bytes
 // and stored objects are named by them, so the digest is a strict pin,
-// moved only with a reason. It last moved when every key came to travel
-// as its mask seed and its B rows (bundle version 3, 327 328 bytes; 610
-// 848 at version 2, with the ring-level keyswitch key, and 706 080 at
-// version 1, with the per-value matrix key): a bundle of an earlier
-// version is refused with a *BundleVersionError, and its session uploads
-// its keys again. Within a version, the full-chain layout still decodes
-// and evaluates identically (TestFullChainBundleStillLoads).
+// moved only with a reason. It last moved when the giant steps of the
+// packer and of S2C came to be summed by Horner's rule, which reads one
+// rotation key where one per giant step was read (159 424 bytes; 327 328
+// with a key per giant step of either). It moved before when
+// every key came to travel as its mask seed and its B rows (bundle
+// version 3; 610 848 bytes at version 2, with the ring-level keyswitch
+// key, and 706 080 at version 1, with the per-value matrix key): a
+// bundle of an earlier version is refused with a *BundleVersionError,
+// and its session uploads its keys again. Within a version, the
+// full-chain layout and a bundle that still carries the giant keys
+// decode and evaluate identically (TestFullChainBundleStillLoads,
+// TestGiantKeyBundleStillLoads).
 func TestEvalKeysBytesPinned(t *testing.T) {
 	e := testEngine(t)
 	var buf bytes.Buffer
@@ -46,16 +53,15 @@ func TestEvalKeysBytesPinned(t *testing.T) {
 
 // fullChainDigest is the SHA-256 of the TestParams bundle in the layout
 // written before keys were cut to their level of use: every switching
-// key and packing baby over the full chain, 1 021 472 bytes at version 3
-// (1 990 880 at version 2, 2 086 112 at version 1).
-const fullChainDigest = "f46b3e1ad79e9e18925ec683340072897bb7fa639d74af55756c97a41f236cb9"
+// key and packing baby over the full chain, 686 240 bytes at version 3
+// since the giant steps read one rotation key (1 021 472 with a key per
+// giant step; 1 990 880 at version 2, 2 086 112 at version 1).
+const fullChainDigest = "8aac1a504bfae55036380078bb325f8d7cce3db23af95c57f03d9da679d11f90"
 
 // TestFullChainBundleStillLoads generates the full-chain layout from the
 // client's seeds, proves it is the pinned bytes by their digest, and
-// requires the evaluation engine built from it to re-export today's
-// bundle byte for byte — the keys born at their level are the full-chain
-// keys' prefixes — and to return encrypted logits byte-equal to those of
-// the engine built from today's bundle.
+// requires it to load as today's bundle (checkStillLoads): the keys born
+// at their level are the full-chain keys' prefixes.
 func TestFullChainBundleStillLoads(t *testing.T) {
 	p := TestParams()
 	client, full, err := newClientEngine(p, true)
@@ -73,33 +79,100 @@ func TestFullChainBundleStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full-chain bundle refused: %v", err)
 	}
+	checkStillLoads(t, legacy)
+}
 
+// TestGiantKeyBundleStillLoads: a version-3 bundle written before the
+// giant steps were summed by Horner's rule also holds a rotation key per
+// giant step, the packer's at the FBS level and S2C's at the post level.
+// It decodes and validates, its unread keys are dropped when the keys are
+// cut to their levels of use, and it loads as today's bundle
+// (checkStillLoads).
+func TestGiantKeyBundleStillLoads(t *testing.T) {
+	p := TestParams()
+	client, gen, err := newClientEngine(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The giant rotations beyond the first, a·bs for the packer and a·bc
+	// for S2C, under the client's secret; a packer rotation S2C also read
+	// stays at the packer's level.
+	kg := bfv.NewKeyGenerator(client.Ctx, p.Seed^0x61a7)
+	old := 0
+	addGiants := func(step, count, level int) {
+		for a := 2; a < count; a++ {
+			g := ring.GaloisElementForRotation(client.Ctx.N, a*step)
+			if gen.KeySet.Galois[g] == nil {
+				gen.KeySet.Galois[g] = kg.GenGaloisKey(client.sk, g, level)
+				old++
+			}
+		}
+	}
+	bs := pack.BabySteps(p.LWEDim)
+	addGiants(bs, p.LWEDim/bs, client.ctxF.Level())
+	bc := pack.BabySteps(client.ctxP.N / 2)
+	addGiants(bc, client.ctxP.N/2/bc, client.ctxP.Level())
+	if old == 0 {
+		t.Fatal("TestParams has no giant rotation beyond the first")
+	}
+	var blob bytes.Buffer
+	if err := client.writeEvalKeys(gen, &blob); err != nil {
+		t.Fatal(err)
+	}
+	ek, err := ReadEvalKeys(p, bytes.NewReader(blob.Bytes()))
+	if err != nil {
+		t.Fatalf("bundle with %d old giant keys refused: %v", old, err)
+	}
+	if got, want := len(ek.KeySet.Galois), len(client.galois)+old; got != want {
+		t.Fatalf("decoded %d Galois keys, want %d", got, want)
+	}
+	legacy, err := NewEvaluationEngine(p, ek)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := legacy.ev.Keys().Galois
+	if len(held) != len(client.galois) {
+		t.Fatalf("engine holds %d Galois keys, the evaluation reads %d", len(held), len(client.galois))
+	}
+	for _, u := range client.galois {
+		if held[u.g] == nil {
+			t.Fatalf("engine dropped Galois key %d, which the evaluation reads", u.g)
+		}
+	}
+	t.Logf("bundle of %d bytes with %d old giant keys: %d Galois keys held", blob.Len(), old, len(held))
+	checkStillLoads(t, legacy)
+}
+
+// checkStillLoads requires legacy, an evaluation engine built from a
+// TestParams bundle of an older layout, to re-export today's bundle byte
+// for byte, to be charged today's EvalKeysSize — a server charges a
+// session what its keys hold at their levels of use, not the bytes
+// uploaded — and to return encrypted logits byte-equal to, and
+// decrypting as, those of the engine built from today's bundle.
+func checkStillLoads(t *testing.T, legacy *Engine) {
+	t.Helper()
 	e := testEngine(t)
 	var cur bytes.Buffer
 	if err := e.WriteEvalKeys(&cur); err != nil {
 		t.Fatal(err)
 	}
-	trimmed, err := NewEvaluationEngineFromReader(p, bytes.NewReader(cur.Bytes()))
+	today, err := NewEvaluationEngineFromReader(e.P, bytes.NewReader(cur.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut to their levels of use, the old keys are today's keys.
 	var re bytes.Buffer
 	if err := legacy.WriteEvalKeys(&re); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(re.Bytes(), cur.Bytes()) {
-		t.Fatal("the full-chain bundle's engine re-exports bytes other than today's bundle")
+		t.Fatal("the old bundle's engine re-exports bytes other than today's bundle")
 	}
-	// A server charges a session what its keys hold at their levels of
-	// use, so the old layout costs what its cut keys hold, not the bytes
-	// uploaded.
-	want, err := trimmed.EvalKeysSize()
+	want, err := today.EvalKeysSize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, err := legacy.EvalKeysSize(); err != nil || n != want {
-		t.Fatalf("full-chain engine sized at %d bytes (%v), want today's %d", n, err, want)
+		t.Fatalf("old bundle's engine sized at %d bytes (%v), want today's %d", n, err, want)
 	}
 
 	net := evalKeysTestNet()
@@ -112,7 +185,8 @@ func TestFullChainBundleStillLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logits [2]bytes.Buffer
-	for i, srv := range []*Engine{legacy, trimmed} {
+	var plain [2][]int64
+	for i, srv := range []*Engine{legacy, today} {
 		out, err := srv.EvaluateEncrypted(net, in)
 		if err != nil {
 			t.Fatal(err)
@@ -120,18 +194,23 @@ func TestFullChainBundleStillLoads(t *testing.T) {
 		if err := srv.WriteEncryptedLogits(out, &logits[i]); err != nil {
 			t.Fatal(err)
 		}
+		if plain[i], err = e.DecryptLogits(out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !bytes.Equal(logits[0].Bytes(), logits[1].Bytes()) {
-		t.Fatal("encrypted logits differ between the full-chain and the trimmed bundle")
+	if !bytes.Equal(logits[0].Bytes(), logits[1].Bytes()) || fmt.Sprint(plain[0]) != fmt.Sprint(plain[1]) {
+		t.Fatalf("the old bundle's engine returns logits %v, today's %v", plain[0], plain[1])
 	}
 }
 
 // TestEvalKeysSize bounds the TestParams bundle (2 086 112 bytes when
 // every key travelled over the full chain, 706 080 with the per-value
 // keyswitch matrix, 610 848 with the ring-level key, 327 328 with every
-// key shipped as its seed and its B rows), logs its bytes per component,
-// and checks that the memory a session is charged, EvalKeysSize, is the
-// bundle with every seed expanded into its A rows: 610 848 bytes.
+// key shipped as its seed and its B rows, 159 424 since the giant steps
+// read one rotation key), logs its bytes per component, and checks that
+// the memory a session is charged, EvalKeysSize, is the bundle with
+// every seed expanded into its A rows: 275 760 bytes (610 848 with a
+// rotation key per giant step).
 func TestEvalKeysSize(t *testing.T) {
 	e := testEngine(t)
 	ek, err := e.EvalKeys()
@@ -166,8 +245,8 @@ func TestEvalKeysSize(t *testing.T) {
 	fbsL, postL := e.ctxF.Level(), e.ctxP.Level()
 	t.Logf("eval-keys bytes: total %d | relinearization (level %d) %d | %d galois at FBS level %d: %d | %d galois at post level %d: %d | %d packing babies (level %d) %d | LWE keyswitch key %d",
 		total, fbsL, relin, count[fbsL], fbsL, galois[fbsL], count[postL], postL, galois[postL], len(ek.PackKeys), fbsL, babies, ksk)
-	if total > 335_000 {
-		t.Errorf("TestParams bundle is %d bytes, want ≤ 335 000", total)
+	if total > 165_000 {
+		t.Errorf("TestParams bundle is %d bytes, want ≤ 165 000", total)
 	}
 
 	// Expanding a key swaps its four seed words for its A polynomials,
@@ -187,8 +266,41 @@ func TestEvalKeysSize(t *testing.T) {
 		swk(&gk.SwitchingKey)
 	}
 	resident := int64(total) + 8*expanded
-	if n, err := e.EvalKeysSize(); err != nil || n != resident || n != 610_848 {
-		t.Errorf("EvalKeysSize %d (%v), want the expanded keys' %d bytes and 610 848", n, err, resident)
+	if n, err := e.EvalKeysSize(); err != nil || n != resident || n != 275_760 {
+		t.Errorf("EvalKeysSize %d (%v), want the expanded keys' %d bytes and 275 760", n, err, resident)
+	}
+}
+
+// TestEvalKeyShapes: the key shapes counted from the parameters alone
+// add up to the bundle WriteEvalKeys writes and to EvalKeysSize, so the
+// FullParams figures athena-keygen -dry-run prints are what an engine
+// would upload and hold.
+func TestEvalKeyShapes(t *testing.T) {
+	e := testEngine(t)
+	shapes, wire, held, err := EvalKeyShapes(e.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.WriteEvalKeys(&buf); err != nil {
+		t.Fatal(err)
+	}
+	size, err := e.EvalKeysSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire != int64(buf.Len()) || held != size {
+		t.Fatalf("shapes count %d bytes on the wire and %d held, the engine %d and %d", wire, held, buf.Len(), size)
+	}
+	galois := 0
+	for _, s := range shapes {
+		t.Logf("%d × %s at level %d: %d bytes on the wire, %d held", s.Count, s.Kind, s.Level, s.Wire, s.Held)
+		if s.Kind == "galois key" {
+			galois += s.Count
+		}
+	}
+	if galois != len(e.galois) {
+		t.Fatalf("shapes list %d Galois keys, the engine reads %d", galois, len(e.galois))
 	}
 }
 
@@ -197,7 +309,8 @@ func TestEvalKeysSize(t *testing.T) {
 // proportional to its polynomials and keyswitch rows (786 measured when
 // the A rows travelled; 690 once each key's A was expanded from its seed
 // into one backing array; 337 since no companion array is derived per
-// key row, bounded at that + 10 %), and writing a bundle or reading one
+// key row; 220 since the giant steps read one rotation key, bounded at
+// that + 10 %), and writing a bundle or reading one
 // ciphertext costs a small constant.
 func TestWireCodecAllocs(t *testing.T) {
 	e := testEngine(t)
@@ -217,8 +330,8 @@ func TestWireCodecAllocs(t *testing.T) {
 		if _, err := ReadEvalKeys(TestParams(), rd); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 371 {
-		t.Errorf("ReadEvalKeys allocates %v times, want ≤ 371", n)
+	}); n > 242 {
+		t.Errorf("ReadEvalKeys allocates %v times, want ≤ 242", n)
 	}
 
 	ct := e.enc.Encrypt(e.cod.EncodeCoeffs([]int64{1, 2, 3}))
@@ -239,7 +352,8 @@ func TestWireCodecAllocs(t *testing.T) {
 
 // TestReadEvalKeysResidentBytes: a decoded session allocates little more
 // than EvalKeysSize, the bytes the serve registry charges it — at most
-// 1.2× at TestParams. Decoding derives nothing per coefficient from the
+// 1.2× at TestParams (303 288 bytes for a 275 760-byte charge, 1.10×;
+// 663 672 for 610 848, 1.09×, with a rotation key per giant step). Decoding derives nothing per coefficient from the
 // key rows beyond the LWE key's NTT images; a companion array per row
 // would double the count.
 func TestReadEvalKeysResidentBytes(t *testing.T) {

@@ -100,9 +100,14 @@ func WriteKey(k *KeySwitchKey, w io.Writer) error {
 	return bw.Flush()
 }
 
-// ResidentSize returns the bytes k holds, its pairs' images and header:
-// the length of the version-2 layout, which carried both halves.
-func (k *KeySwitchKey) ResidentSize() int64 { return 8 * int64(7+len(k.w)) }
+// KeySize returns, from the plan's shape alone, the bytes a key of the
+// plan takes on the wire (WriteKey: the header, the seed and B_d by
+// digit) and held: the header and each digit's pair, the length of the
+// version-2 layout, which carried both halves.
+func (sp *SwitchPlan) KeySize() (wire, held int64) {
+	rows := int64(sp.Digits) * int64(sp.N)
+	return 8 * (11 + rows), 8 * (7 + 2*rows)
+}
 
 // ReadKey deserializes a key for the plan, expanding its A_d through
 // rows. The header must be the plan's before anything is allocated, so

@@ -21,8 +21,8 @@ type Transform struct {
 	// the multiplier polynomial is identically zero.
 	terms [][]*bfv.PlaintextMul
 
-	babyEls  []uint64 // galois elements 5^b and (2N-1)·5^b
-	giantEls []uint64 // galois elements 5^(a·B)
+	babyEls []uint64 // galois elements 5^b and (2N-1)·5^b
+	giantEl uint64   // galois element 5^B: the giant steps' Horner rotation
 }
 
 // TransformScratch is the staging of one ApplyInto caller: the baby-step
@@ -53,6 +53,26 @@ func (sc *TransformScratch) fit(tr *Transform) {
 			}
 		}
 	}
+}
+
+// TransformGaloisElements returns the Galois elements a Transform over
+// a ring of degree n reads, whatever its matrix: the baby steps 5^b and
+// their conjugates (2N−1)·5^b for b < B, then the giant steps' one
+// rotation 5^B when there is more than one giant step, with B =
+// BabySteps(n/2). Key generation reads the list without compiling a
+// transform; it may hold the identity, which DedupGalois drops.
+func TransformGaloisElements(n int) []uint64 {
+	bc := BabySteps(n / 2)
+	els := make([]uint64, 0, 2*bc+1)
+	conj := ring.GaloisElementConjugate(n)
+	for b := 0; b < bc; b++ {
+		g := ring.GaloisElementForRotation(n, b)
+		els = append(els, g, ring.GaloisCompose(n, g, conj))
+	}
+	if n/2 > bc {
+		els = append(els, ring.GaloisElementForRotation(n, bc))
+	}
+	return els
 }
 
 // DedupGalois merges Galois element lists into one, dropping duplicates
@@ -185,15 +205,12 @@ func CompileTransform(ctx *bfv.Context, m [][]uint64) (*Transform, error) {
 	half := n / 2
 	bc := BabySteps(half)
 	gc := half / bc
-	tr := &Transform{ctx: ctx, terms: make([][]*bfv.PlaintextMul, gc)}
+	els := TransformGaloisElements(n)
+	tr := &Transform{ctx: ctx, terms: make([][]*bfv.PlaintextMul, gc), babyEls: els[:2*bc]}
+	if gc > 1 {
+		tr.giantEl = els[2*bc]
+	}
 	conj := ring.GaloisElementConjugate(n)
-	for b := 0; b < bc; b++ {
-		g := ring.GaloisElementForRotation(n, b)
-		tr.babyEls = append(tr.babyEls, g, ring.GaloisCompose(n, g, conj))
-	}
-	for a := 0; a < gc; a++ {
-		tr.giantEls = append(tr.giantEls, ring.GaloisElementForRotation(n, a*bc))
-	}
 
 	dg := rt.NewPoly()
 	pPrime := rt.NewPoly()
@@ -237,7 +254,7 @@ func CompileTransform(ctx *bfv.Context, m [][]uint64) (*Transform, error) {
 // GaloisElements returns every Galois element ApplyInto will use, for
 // key generation (deduplicated, identity excluded).
 func (tr *Transform) GaloisElements() []uint64 {
-	return DedupGalois(tr.babyEls, tr.giantEls)
+	return DedupGalois(TransformGaloisElements(tr.ctx.N))
 }
 
 // Apply is ApplyInto into a fresh ciphertext on fresh staging. It exists
@@ -248,9 +265,14 @@ func (tr *Transform) Apply(ev *bfv.Evaluator, ct *bfv.Ciphertext) (*bfv.Cipherte
 }
 
 // ApplyInto sets out to the transform of ct, staging the baby-step
-// automorphisms and the giant steps' inner sums in sc. out may alias ct:
-// ct is read only while the babies are built. Once sc is sized, a call
-// allocates nothing.
+// automorphisms and the giant steps' inner sums in sc. The giant steps
+// are summed by Horner's rule from the highest one with a term down,
+// out ← σ(out) + inner_a with σ the rotation by the baby-step count B,
+// so the gc − 1 giant rotations all read σ's one key. The babies keep one
+// key each: they are rotated before the diagonals multiply them, and a
+// chain of them would have the diagonals amplify every link's keyswitch
+// error. out may alias ct: ct is read only while the babies are built.
+// Once sc is sized, a call allocates nothing.
 //
 //lint:noalloc
 func (tr *Transform) ApplyInto(ev *bfv.Evaluator, sc *TransformScratch, ct, out *bfv.Ciphertext) error {
@@ -263,16 +285,17 @@ func (tr *Transform) ApplyInto(ev *bfv.Evaluator, sc *TransformScratch, ct, out 
 			return err
 		}
 	}
-	// The first giant step with a term is summed in out, every later one
-	// in sc.inner and then added.
+	// The highest giant step with a term is summed in out, every lower
+	// one in sc.inner and added after out is rotated by σ.
 	empty := true
-	for a, terms := range tr.terms {
-		dst := sc.inner
-		if empty {
-			dst = out
+	for a := len(tr.terms) - 1; a >= 0; a-- {
+		if !empty {
+			if err := ev.AutomorphismInto(out, tr.giantEl, out); err != nil {
+				return err
+			}
 		}
 		n := 0
-		for idx, pm := range terms {
+		for idx, pm := range tr.terms[a] {
 			if pm != nil {
 				sc.cts[n], sc.pms[n] = sc.babies[idx], pm
 				n++
@@ -281,16 +304,13 @@ func (tr *Transform) ApplyInto(ev *bfv.Evaluator, sc *TransformScratch, ct, out 
 		if n == 0 {
 			continue
 		}
-		ev.MulPlainSumInto(sc.cts[:n], sc.pms[:n], dst)
-		if a > 0 {
-			if err := ev.AutomorphismInto(dst, tr.giantEls[a], dst); err != nil {
-				return err
-			}
+		if empty {
+			ev.MulPlainSumInto(sc.cts[:n], sc.pms[:n], out)
+			empty = false
+			continue
 		}
-		if !empty {
-			ev.AddInPlace(out, dst)
-		}
-		empty = false
+		ev.MulPlainSumInto(sc.cts[:n], sc.pms[:n], sc.inner)
+		ev.AddInPlace(out, sc.inner)
 	}
 	if empty {
 		// The zero map.

@@ -17,6 +17,7 @@ package pack
 
 import (
 	"fmt"
+	"sync"
 
 	"athena/internal/bfv"
 	"athena/internal/lwe"
@@ -45,85 +46,170 @@ type Packer struct {
 	// the row/column permutation per element.
 	rotIdx [][]int
 
-	// giantEls[a] is the Galois element of giant step a's rotation of
-	// both slot rows by a·bs (giantEls[0] = 1 is never applied).
-	giantEls []uint64
+	// rotEl is the Galois element σ rotating both slot rows by bs. The
+	// giant steps are summed by Horner's rule, so σ is the one rotation
+	// a packing reads: giant step a is rotated by σ^a, a·bs.
+	rotEl uint64
 }
 
 // Scratch holds the per-call staging of one PackInto caller: the call
-// being fanned out, the worker function over it, and the worker lanes of
-// the giant-step fan-out. Distinct Scratches over one Packer may run
-// concurrently; a single Scratch may not.
+// being fanned out, the worker function over it, the worker lanes that
+// compute the giant steps' inner sums, and the state of the Horner fold
+// they feed. Distinct Scratches over one Packer may run concurrently; a
+// single Scratch may not.
 type Scratch struct {
-	// The call being fanned out: its packer, inputs, output (lane 0's
-	// sum) and an error slot per giant step. step reads them through the
-	// scratch and is built once, so a fanned-out call costs no closure.
+	// The call being fanned out: its packer, inputs and output. step
+	// reads them through the scratch and is built once, so a fanned-out
+	// call costs no closure.
 	p    *Packer
 	cts  []lwe.Ciphertext
 	out  *bfv.Ciphertext
-	errs []error
-	step func(w, a int)
+	step func(w, i int)
 
 	// Giant-step fan-out lanes, keyed to the evaluator passed to
 	// PackInto and the baby-step count, and reused while both stay the
-	// same.
-	base  *bfv.Evaluator
-	bs    int
-	lanes *par.Pool[*packLane]
+	// same. The fold runs on an evaluator of its own, whichever lane
+	// runs it, so its rotation staging is built by the first call and
+	// not by whichever lane first folds.
+	base   *bfv.Evaluator
+	bs     int
+	lanes  *par.Pool[*packLane]
+	foldEv *bfv.Evaluator
+
+	// The fold, all guarded by mu. Position k is giant step gs−1−k. The
+	// lanes claim positions in order and held[k] is position k's inner
+	// sum once computed (out itself for position 0). The fold has added
+	// every position below next; folding is set while a lane runs it,
+	// and err is the first rotation that failed. freed is signalled each
+	// time the fold adds a position, which frees that position's buffer.
+	mu      sync.Mutex
+	freed   sync.Cond
+	held    []*bfv.Ciphertext
+	claimed int
+	next    int
+	folding bool
+	err     error
 }
 
 // packLane is one worker of the giant-step fan-out: a ShallowCopy'd
-// evaluator, its own diagonal staging (one plaintext per baby step), the
-// giant step it is computing, and the sum of the giant steps it has
-// computed this call (lane 0 sums into the output instead). After the
+// evaluator, its own diagonal staging (one plaintext per baby step), and
+// two buffers its inner sums wait in until the fold adds them; at[i] is
+// the position bufs[i] holds, free once the fold is past it. After the
 // fan-out lane 0 stages the b terms.
 type packLane struct {
-	ev         *bfv.Evaluator
-	cod        *bfv.Encoder
-	d          []int64
-	pts        []*bfv.Plaintext
-	inner, sum *bfv.Ciphertext
-	steps      int
+	ev   *bfv.Evaluator
+	cod  *bfv.Encoder
+	d    []int64
+	pts  []*bfv.Plaintext
+	bufs [2]*bfv.Ciphertext
+	at   [2]int
 }
 
 // NewScratch returns staging state for one concurrent PackInto caller.
 // Its lanes are built by the first call. A Scratch is not tied to p: each
 // call packs with the packer it is made on.
 func (p *Packer) NewScratch() *Scratch {
-	sc := &Scratch{errs: make([]error, p.n/p.bs)}
-	sc.step = func(w, a int) {
-		// Writes errs[a] and the lane it is handed, and lane 0 the output;
-		// the call's packer and inputs are only read.
+	sc := &Scratch{}
+	sc.freed.L = &sc.mu
+	sc.step = func(w, _ int) {
+		// A lane computes whichever position is next until none is
+		// left, owning each buffer it claims until the fold has added it.
 		ln := sc.lanes.Get(w)
-		sum := ln.sum
-		if w == 0 {
-			sum = sc.out
+		for {
+			sc.mu.Lock()
+			k, dst := sc.claim(ln)
+			sc.mu.Unlock()
+			if dst == nil {
+				return
+			}
+			sc.p.giantStep(ln, sc.cts, len(sc.held)-1-k, dst)
+			sc.mu.Lock()
+			sc.held[k] = dst
+			run := !sc.folding && sc.next == k
+			sc.folding = sc.folding || run
+			sc.mu.Unlock()
+			if run {
+				sc.fold()
+			}
 		}
-		dst := sum
-		if ln.steps > 0 {
-			dst = ln.inner
-		}
-		sc.errs[a] = sc.p.giantStep(ln, sc.cts, a, dst)
-		if ln.steps > 0 {
-			ln.ev.AddInPlace(sum, ln.inner)
-		}
-		ln.steps++
 	}
 	return sc
+}
+
+// claim reserves the next position for ln and returns it with the
+// ciphertext to compute it in, waiting while both of ln's buffers hold
+// sums the fold has not added; it returns a nil ciphertext once every
+// position is claimed or the fold has failed. Positions are claimed in
+// order, each with its buffer, so the position the fold waits for is
+// always being computed. Called with mu held.
+func (sc *Scratch) claim(ln *packLane) (int, *bfv.Ciphertext) {
+	for sc.err == nil && sc.claimed < len(sc.held) {
+		k := sc.claimed
+		if k == 0 {
+			sc.claimed++
+			return 0, sc.out
+		}
+		for i, at := range ln.at {
+			if at < sc.next {
+				sc.claimed++
+				ln.at[i] = k
+				return k, ln.bufs[i]
+			}
+		}
+		sc.freed.Wait() //lint:holdok Cond.Wait releases mu while it waits for the fold to free a buffer
+	}
+	return 0, nil
+}
+
+// fold runs the Horner chain out ← σ(out) + held[k] as far as the
+// computed positions reach: it adds position next, then, unless that was
+// the last, rotates out by σ before looking for the next one, so the
+// rotation overlaps the inner sums still being computed. It is run by
+// the lane that set folding on completing position next, and clears
+// folding when it stops.
+func (sc *Scratch) fold() {
+	for {
+		sc.mu.Lock()
+		k := sc.next
+		if sc.err != nil || k == len(sc.held) || sc.held[k] == nil {
+			sc.folding = false
+			sc.mu.Unlock()
+			return
+		}
+		inner := sc.held[k]
+		sc.mu.Unlock()
+		if k > 0 {
+			sc.foldEv.AddInPlace(sc.out, inner)
+		}
+		sc.mu.Lock()
+		sc.next++
+		last := sc.next == len(sc.held)
+		sc.freed.Broadcast()
+		sc.mu.Unlock()
+		if last {
+			continue
+		}
+		if err := sc.foldEv.AutomorphismInto(sc.out, sc.p.rotEl, sc.out); err != nil {
+			sc.mu.Lock()
+			sc.err = err
+			sc.freed.Broadcast()
+			sc.mu.Unlock()
+		}
+	}
 }
 
 // bind builds the fan-out lanes over ev, an evaluator of ctx, for bs
 // baby steps.
 func (sc *Scratch) bind(ctx *bfv.Context, ev *bfv.Evaluator, bs int) {
-	sc.base, sc.bs = ev, bs
+	sc.base, sc.bs, sc.foldEv = ev, bs, ev.ShallowCopy()
 	sc.lanes = par.NewPool(func() *packLane {
 		ln := &packLane{
-			ev:    ev.ShallowCopy(),
-			cod:   bfv.NewEncoder(ctx),
-			d:     make([]int64, ctx.N),
-			pts:   make([]*bfv.Plaintext, bs),
-			inner: ctx.NewCiphertext(),
-			sum:   ctx.NewCiphertext(),
+			ev:   ev.ShallowCopy(),
+			cod:  bfv.NewEncoder(ctx),
+			d:    make([]int64, ctx.N),
+			pts:  make([]*bfv.Plaintext, bs),
+			bufs: [2]*bfv.Ciphertext{ctx.NewCiphertext(), ctx.NewCiphertext()},
+			at:   [2]int{-1, -1},
 		}
 		for b := range ln.pts {
 			ln.pts[b] = ctx.NewPlaintext()
@@ -180,9 +266,9 @@ func NewPackerFromKeys(ctx *bfv.Context, n int, babies []*bfv.Ciphertext) (*Pack
 	if len(babies) != bs {
 		return nil, fmt.Errorf("pack: %d packing keys, dimension %d needs %d", len(babies), n, bs)
 	}
-	p := &Packer{ctx: ctx, n: n, bs: bs, babies: babies}
+	p := &Packer{ctx: ctx, n: n, bs: bs, babies: babies, rotEl: ring.GaloisElementForRotation(ctx.N, bs)}
 	gs := n / bs
-	p.rotIdx, p.giantEls = make([][]int, gs), make([]uint64, gs)
+	p.rotIdx = make([][]int, gs)
 	for a := 0; a < gs; a++ {
 		idx := make([]int, ctx.N)
 		for i := range idx {
@@ -190,7 +276,6 @@ func NewPackerFromKeys(ctx *bfv.Context, n int, babies []*bfv.Ciphertext) (*Pack
 			idx[i] = r*row + ((c-a*bs)%row+row)%row
 		}
 		p.rotIdx[a] = idx
-		p.giantEls[a] = ring.GaloisElementForRotation(ctx.N, a*bs)
 	}
 	return p, nil
 }
@@ -200,21 +285,21 @@ func NewPackerFromKeys(ctx *bfv.Context, n int, babies []*bfv.Ciphertext) (*Pack
 // slice is the packer's own (treat as read-only).
 func (p *Packer) Keys() (n int, babies []*bfv.Ciphertext) { return p.n, p.babies }
 
-// GaloisElements returns the rotation elements the evaluator needs:
-// multiples of the baby-step count.
-func (p *Packer) GaloisElements() []uint64 { return GaloisElements(p.ctx, p.n) }
+// GaloisElements returns the rotation elements the evaluator needs: the
+// one rotation by the baby-step count.
+func (p *Packer) GaloisElements() []uint64 { return GaloisElements(p.ctx.N, p.n) }
 
 // GaloisElements returns the rotation elements a packer of LWE dimension
-// n over ctx reads (its giant steps), without building one: key
-// generation and key validation need them before any packer exists.
-func GaloisElements(ctx *bfv.Context, n int) []uint64 {
+// n over a ring of degree ringN reads, without building one: key
+// generation and key validation need them before any packer exists. The
+// Horner fold of the giant steps reads one, the rotation by the
+// baby-step count, and none when there is one giant step.
+func GaloisElements(ringN, n int) []uint64 {
 	bs := BabySteps(n)
-	gs := n / bs
-	rots := make([]int, 0, gs-1)
-	for a := 1; a < gs; a++ {
-		rots = append(rots, a*bs)
+	if n/bs < 2 {
+		return nil
 	}
-	return bfv.RotationGaloisElements(ctx, rots)
+	return []uint64{ring.GaloisElementForRotation(ringN, bs)}
 }
 
 // PackWith is PackInto into a fresh ciphertext. It exists for bench/'s
@@ -226,15 +311,22 @@ func (p *Packer) PackWith(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext) 
 
 // PackInto homomorphically decrypts cts into slots 0..len(cts)-1 of out,
 // a ciphertext of the packer's context. All inputs must have dimension n
-// and modulus t; at most N fit. The BSGS giant steps fan out over sc's
-// lanes, each a ShallowCopy of ev summing its giant steps into a
-// ciphertext it owns — lane 0 into out — and the lane sums are added
-// into out. The additions are exact modulo q, so out is bit-identical at
-// any GOMAXPROCS. out must not alias a ciphertext of sc. Once sc's lanes
-// are built, a call allocates nothing beyond par.ForEach's own spawn
-// (TestPackIntoZeroAllocs, TestPackIntoFannedOutAllocs); the spawn and
-// the lanes' closures keep it off the static noalloc contract, which
-// giantStep carries.
+// and modulus t; at most N fit. The giant steps are summed by Horner's
+// rule, out = σ(… σ(σ(inner_{gs−1}) + inner_{gs−2}) …) + inner_0 with σ
+// the rotation by bs: the same gs − 1 keyswitches as one rotation per
+// giant step, all under σ's one key. The inner sums fan out over sc's
+// lanes, each a ShallowCopy of ev, in the fold's order and each into a
+// buffer of its lane (inner_{gs−1} into out), so at most two per lane
+// wait to be added. Whichever lane completes the sum the fold needs next
+// runs the fold as far as the completed sums reach, rotating out before
+// it waits for the next, so the chain overlaps the sums still being
+// computed. The fold's order is fixed and its additions exact modulo q,
+// so out is bit-identical at any GOMAXPROCS. out must not alias a
+// ciphertext of sc. Once sc's lanes are built, a call allocates nothing
+// beyond par.ForEach's own spawn (TestPackIntoZeroAllocs,
+// TestPackIntoFannedOutAllocs); the spawn, the lanes' closures and the
+// fold's lock keep it off the static noalloc contract, which giantStep
+// carries.
 func (p *Packer) PackInto(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext, out *bfv.Ciphertext) error {
 	ctx := p.ctx
 	if len(cts) == 0 || len(cts) > ctx.N {
@@ -251,27 +343,25 @@ func (p *Packer) PackInto(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext, 
 	if sc.lanes == nil || sc.base != ev || sc.bs != p.bs {
 		sc.bind(ctx, ev, p.bs)
 	}
-	if gs := p.n / p.bs; len(sc.errs) != gs {
-		sc.errs = make([]error, gs) // a scratch made by a packer of another split
+	if gs := p.n / p.bs; len(sc.held) != gs {
+		sc.held = make([]*bfv.Ciphertext, gs) // a scratch made by a packer of another split
 	}
-	sc.lanes.Each(func(ln *packLane) { ln.steps = 0 })
-	// One giant step costs bs diagonal gathers + encodes + plaintext
-	// products plus one rotation — always worth a worker, even at gs of
-	// a few.
+	clear(sc.held)
+	sc.claimed, sc.next, sc.err = 0, 0, nil
+	sc.lanes.Each(func(ln *packLane) { ln.at = [2]int{-1, -1} })
+	// One inner sum costs bs diagonal gathers + encodes and one lazy
+	// plaintext product — always worth a worker, even at gs of a few.
+	// Each worker runs one step, which claims positions until none is
+	// left: a lane that folds claims fewer.
 	sc.p, sc.cts, sc.out = p, cts, out
-	par.ForEach(len(sc.errs), sc.step)
+	par.ForEach(par.Workers(len(sc.held)), sc.step)
 	sc.p, sc.cts, sc.out = nil, nil, nil
-	if err := par.FirstErr(sc.errs); err != nil {
-		return err
+	if sc.err != nil {
+		return sc.err
 	}
-	ln := sc.lanes.Get(0)
-	sc.lanes.Each(func(part *packLane) {
-		if part != ln && part.steps > 0 {
-			ev.AddInPlace(out, part.sum)
-		}
-	})
 
 	// Add the b terms as a plaintext, staged in lane 0.
+	ln := sc.lanes.Get(0)
 	d := ln.d
 	for i := range d {
 		d[i] = 0
@@ -284,18 +374,17 @@ func (p *Packer) PackInto(ev *bfv.Evaluator, sc *Scratch, cts []lwe.Ciphertext, 
 	return nil
 }
 
-// giantStep sets dst to giant step a of the BSGS product: the baby-step
-// inner sum Σ_b babies[b]·diag(a·bs+b), rotated by a·bs, staged in the
-// lane. The plaintext multiplier for giant step a, baby step b is the
-// matrix diagonal diag(a·bs+b)[i] = A[i][(col(i)+a·bs+b) mod n]
-// pre-rotated by -a·bs; composing both permutations through the cached
-// rotIdx table reduces it to one gather per slot. The bs diagonals are
-// encoded into the lane's plaintexts and summed against the babies in
-// one lazy sum per limb (bfv.Evaluator.MulPlainSumLiftInto). The
-// rotation runs dst -> dst in the evaluator's scratch.
+// giantStep sets dst to giant step a's inner sum Σ_b babies[b]·diag(a·bs+b),
+// staged in the lane, left unrotated: the fold rotates it by a·bs. The
+// plaintext multiplier for giant step a, baby step b is the matrix
+// diagonal diag(a·bs+b)[i] = A[i][(col(i)+a·bs+b) mod n] pre-rotated by
+// -a·bs; composing both permutations through the cached rotIdx table
+// reduces it to one gather per slot. The bs diagonals are encoded into
+// the lane's plaintexts and summed against the babies in one lazy sum per
+// limb (bfv.Evaluator.MulPlainSumLiftInto).
 //
 //lint:noalloc
-func (p *Packer) giantStep(ln *packLane, cts []lwe.Ciphertext, a int, dst *bfv.Ciphertext) error {
+func (p *Packer) giantStep(ln *packLane, cts []lwe.Ciphertext, a int, dst *bfv.Ciphertext) {
 	row := p.ctx.N / 2
 	src := p.rotIdx[a]
 	d := ln.d
@@ -312,8 +401,4 @@ func (p *Packer) giantStep(ln *packLane, cts []lwe.Ciphertext, a int, dst *bfv.C
 		ln.cod.EncodeSlotsInto(d, pt)
 	}
 	ln.ev.MulPlainSumLiftInto(p.babies, ln.pts, dst)
-	if a > 0 {
-		return ln.ev.AutomorphismInto(dst, p.giantEls[a], dst)
-	}
-	return nil
 }

@@ -113,3 +113,39 @@ func TestPackConcurrentScratches(t *testing.T) {
 		}
 	}
 }
+
+// TestPackMissingKeyFails: a fold whose rotation key is absent fails the
+// call, inline or fanned out, with no lane left waiting on the fold, and
+// the scratch packs correctly again with the key present.
+func TestPackMissingKeyFails(t *testing.T) {
+	k := newKit(t, 6, 3)
+	sk := lwe.NewSecretKey(16, 71)
+	p, err := NewPacker(k.ctx, k.enc, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp := lwe.NewStream(72)
+	cts := make([]lwe.Ciphertext, k.ctx.N)
+	for i := range cts {
+		cts[i] = lwe.Encrypt(sk, uint64(i)%k.ctx.Params.T, k.ctx.Params.T, 0, smp)
+	}
+	keyless, ev := k.evaluator(nil), k.evaluator(p.GaloisElements())
+	want, err := pack(p, ev, cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		sc, out := p.NewScratch(), k.ctx.NewCiphertext()
+		if err := p.PackInto(keyless, sc, cts, out); err == nil {
+			t.Fatalf("GOMAXPROCS=%d: packed without the rotation key", procs)
+		}
+		if err := p.PackInto(ev, sc, cts, out); err != nil {
+			t.Fatal(err)
+		}
+		if !samePackCT(out, want) {
+			t.Fatalf("GOMAXPROCS=%d: the scratch of a failed call packs other bytes", procs)
+		}
+	}
+}
