@@ -178,7 +178,7 @@ type (
 	SimResult = arch.Result
 )
 
-// CompileTrace lowers a quantized network at the given parameters.
+// CompileTrace prices the engine's schedule of a quantized network at p.
 func CompileTrace(q *QNetwork, p Params) (*Trace, error) { return compiler.Compile(q, p) }
 
 // SpecModel builds an untrained benchmark model with heuristic

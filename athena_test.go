@@ -144,7 +144,9 @@ func TestEncryptedInferenceAllocs(t *testing.T) {
 		}
 	}
 	infer() // compiles the LUTs, which is set-up
-	if n := testing.AllocsPerRun(5, infer); n > ceiling {
+	n := testing.AllocsPerRun(5, infer)
+	if n > ceiling {
 		t.Fatalf("one inference allocates %.0f times, ceiling %d", n, ceiling)
 	}
+	t.Logf("one inference allocates %.0f times", n)
 }

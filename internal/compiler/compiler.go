@@ -1,20 +1,23 @@
-// Package compiler lowers a quantized network onto the Athena framework
-// at a given parameter set, producing the operation trace the
-// accelerator simulator prices: per-step counts of PMult/CMult/SMult/
-// HAdd/HRot, sample extractions, keyswitches, packing and S2C calls, and
-// the per-layer LUT sizes that determine FBS cost.
+// Package compiler prices the engine's program with the paper's
+// per-step formulas. It lowers core's schedule of a network — the steps
+// the engine runs, built without keys — step by step into the operation
+// trace the accelerator simulator prices: per-step counts of PMult/
+// CMult/SMult/HAdd/HRot, sample extractions, keyswitches, packing and
+// S2C calls, and the LUT sizes that determine FBS cost.
 //
-// The trace follows the paper's hardware-side ordering: one ring degree
-// switch per ciphertext before sample extraction, as the engine runs it,
-// and the three-level S2C of Table 3, where the engine runs a generic
-// BSGS transform; DESIGN.md discusses the equivalence.
+// What a step issues is the engine's: its LUT rounds, ring switches,
+// extractions and LWE additions. What each costs is the paper's: a pack
+// of n diagonals, flat Alg. 2 on the table LUTSize sizes by the layer's
+// calibrated MaxAcc and one S2C a round, the three-level S2C of Table 3
+// where the engine runs a generic BSGS transform (DESIGN.md discusses
+// the equivalence), and the softmax epilogue.
 package compiler
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
-	"athena/internal/coeffenc"
 	"athena/internal/core"
 	"athena/internal/qnn"
 )
@@ -100,147 +103,122 @@ func (t *Trace) TotalsByCategory() map[Category]OpCounts {
 	return out
 }
 
-type lowering struct {
-	p     core.Params
-	n     int
-	steps []Step
-
-	// uniformLUT forces every FBS to the full t-sized table (ablation:
-	// no per-layer LUT shrinking).
-	uniformLUT bool
-	// batch scales per-image work (≥1).
-	batch int64
-}
-
 // Options tweaks the lowering for ablation and throughput studies.
 type Options struct {
 	// UniformLUT disables per-layer LUT sizing: every FBS uses the full
 	// t-sized table, as a framework without the paper's "matching small
 	// LUT for layers" flexibility would.
 	UniformLUT bool
-	// BatchSize lowers the network for B-image batched inference: linear
-	// layers, conversions, and value counts scale by B while the shared
-	// FBS packs fill across the batch (Engine.InferBatch's schedule).
-	// 0/1 = single image.
+	// BatchSize is the batch of the schedule lowered (0/1: one image):
+	// Engine.EvaluateEncryptedBatch's B images, with its shared rounds.
 	BatchSize int
 }
 
-// linear emits Step ① for one conv/FC (per image in a batch).
-func (lo *lowering) linear(q *qnn.QConv, plan *coeffenc.Plan) {
-	pm, ha := plan.Counts()
-	lo.steps = append(lo.steps, Step{
-		Layer: q.OpName(), Kind: KLinear, Cat: CatLinear,
-		Counts: OpCounts{
-			PMult: int64(pm) * lo.batch,
-			HAdd:  int64(ha+plan.OutBatches) * lo.batch,
-		},
-	})
+// lowering appends the priced steps of a schedule.
+type lowering struct {
+	p          core.Params
+	uniformLUT bool
+	steps      []Step
 }
 
-// convert emits Steps ②-③: per result ciphertext one modulus switch and
-// one ring-degree switch (keyswitch), then the valid extractions.
-func (lo *lowering) convert(layer string, resultCTs int, values int64, cat Category) {
-	lo.steps = append(lo.steps, Step{
-		Layer: layer, Kind: KSE, Cat: cat,
-		Counts: OpCounts{
-			KeySwitch: int64(resultCTs) * lo.batch,
-			SE:        values * lo.batch,
-		},
-	})
+func (lo *lowering) emit(layer string, k Kind, c Category, o OpCounts, lutSize int) {
+	lo.steps = append(lo.steps, Step{Layer: layer, Kind: k, Cat: c, Counts: o, LUTSize: lutSize})
 }
 
-// activation emits Steps ④-⑤ for `values` activations with the given
-// LUT size: packing groups of N, FBS per group, S2C per group.
-func (lo *lowering) activation(layer string, values int64, lutSize int, cat Category) {
-	if lo.uniformLUT {
-		lutSize = LUTSize(int64(lo.p.T/2)-1, lo.p.T)
-	}
-	// Batched inference fills the FBS packs across images.
-	values *= lo.batch
-	groups := (values + int64(lo.n) - 1) / int64(lo.n)
-	nLWE := int64(lo.p.LWEDim)
-	bsP := int64(pow2Sqrt(lo.p.LWEDim))
-	gsP := nLWE / bsP
+// packCounts prices one packing of n LWE values (Step ④): n plaintext
+// diagonals and additions, and the giant-step rotations of a BSGS split
+// of n whose baby steps are the largest power of two at most √n.
+func (lo *lowering) packCounts() OpCounts {
+	n := int64(lo.p.LWEDim)
+	return OpCounts{PMult: n, HAdd: n, HRot: n>>((bits.Len64(uint64(n))-1)/2) - 1}
+}
 
+// s2cCounts prices one S2C as Table 3's three levels of ∛N.
+func (lo *lowering) s2cCounts() OpCounts {
+	c := int64(math.Cbrt(float64(int(1)<<lo.p.LogN)) + 0.5)
+	return OpCounts{PMult: 3 * c, HRot: 3 * c}
+}
+
+// fbsCounts prices one FBS as flat Alg. 2 on a table of lutSize entries:
+// bs − 1 baby powers, gs − 2 giant powers and gs − 1 block products,
+// and a scalar product and addition per entry.
+func fbsCounts(lutSize int) OpCounts {
 	bs := int64(math.Ceil(math.Sqrt(float64(lutSize))))
 	gs := (int64(lutSize) + bs - 1) / bs
+	return OpCounts{CMult: (bs - 1) + (gs - 2) + (gs - 1), SMult: int64(lutSize), HAdd: int64(lutSize)}
+}
 
-	cbrtN := int64(math.Cbrt(float64(lo.n)) + 0.5)
+// lutSize is the table a round is priced at: LUTSize of the bound the
+// paper sizes it by, or the full table under UniformLUT.
+func (lo *lowering) lutSize(bound int64) int {
+	if lo.uniformLUT {
+		bound = int64(lo.p.T/2) - 1
+	}
+	return LUTSize(bound, lo.p.T)
+}
 
-	for g := int64(0); g < groups; g++ {
-		lo.steps = append(lo.steps,
-			Step{Layer: layer, Kind: KPack, Cat: cat, Counts: OpCounts{
-				PMult: nLWE,
-				HAdd:  nLWE,
-				HRot:  gsP - 1,
-			}},
-			Step{Layer: layer, Kind: KFBS, Cat: cat, LUTSize: lutSize, Counts: OpCounts{
-				CMult: (bs - 1) + (gs - 2) + (gs - 1),
-				SMult: int64(lutSize),
-				HAdd:  int64(lutSize),
-			}},
-			Step{Layer: layer, Kind: KS2C, Cat: cat, Counts: OpCounts{
-				PMult: 3 * cbrtN,
-				HRot:  3 * cbrtN,
-			}},
-		)
+// category is the Fig. 9 bucket of what a table computes: a pool's
+// scale, tree or divide, or an activation.
+func category(of core.StepKind) Category {
+	switch of {
+	case core.StepAvgPool, core.StepMaxPool, core.StepMaxLevel:
+		return CatPooling
+	}
+	return CatActivation
+}
+
+// step lowers one schedule step. A round that applies a table is priced
+// as the paper's Steps ④–⑤: a pack, the FBS and one S2C. The engine's
+// per-window S2C, masks and shifts, which land each window at
+// coefficient 0 for its conv, are not: on the paper's dataflow one S2C
+// of the round feeds the layer. Neither is a round that applies no table
+// (a residual branch repacking settled values): the settling round's S2C
+// output is that input. Then Step ① of a conv, the step's extractions
+// (Steps ②–③) and its LWE additions, as the step issues them.
+func (lo *lowering) step(s *core.Step, batch int64) {
+	name, st := "residual", s.Stats
+	if s.Op != nil {
+		name = s.Op.OpName()
+	}
+	for _, r := range s.Rounds {
+		if r.Table.Fn == nil {
+			continue
+		}
+		cat, size := category(r.Table.Of), lo.lutSize(r.Table.Bound)
+		lo.emit(name, KPack, cat, lo.packCounts(), 0)
+		lo.emit(name, KFBS, cat, fbsCounts(size), size)
+		lo.emit(name, KS2C, cat, lo.s2cCounts(), 0)
+	}
+	if s.Kind == core.StepConv {
+		pm, ha := s.Plan.Counts()
+		lo.emit(name, KLinear, CatLinear, OpCounts{PMult: int64(pm) * batch, HAdd: int64(ha+s.Plan.OutBatches) * batch}, 0)
+	}
+	own, add := CatConvert, CatLinear // a layer's results or settled values; the residual join
+	if category(s.Kind) == CatPooling {
+		own, add = CatPooling, CatPooling
+	}
+	if st.KeySwitches > 0 {
+		lo.emit(name, KSE, own, OpCounts{KeySwitch: int64(st.KeySwitches), SE: int64(st.Extractions)}, 0)
+	}
+	if st.LWEAdds > 0 {
+		lo.emit(name, KLWEAdd, add, OpCounts{LWEAdd: int64(st.LWEAdds)}, 0)
 	}
 }
 
-// residual lowers a QResidual block.
-func (lo *lowering) residual(r *qnn.QResidual) error {
-	for _, op := range r.Body {
-		c, ok := op.(*qnn.QConv)
-		if !ok {
-			return fmt.Errorf("compiler: residual body op %T", op)
-		}
-		plan, err := coeffenc.NewPlan(c.Shape, lo.n, coeffenc.AthenaOrder)
-		if err != nil {
-			return err
-		}
-		lo.linear(c, plan)
-		lo.convert(c.OpName(), plan.OutBatches, int64(c.Shape.Outputs()), CatConvert)
-		lo.activation(c.OpName(), int64(c.Shape.Outputs()), LUTSize(c.MaxAcc, lo.p.T), CatActivation)
-	}
-	var joinVals int64
-	if len(r.Body) > 0 {
-		if c, ok := r.Body[len(r.Body)-1].(*qnn.QConv); ok {
-			joinVals = int64(c.Shape.Outputs())
+// softmax prices the three-step softmax of Section 3.2.3 on the final
+// layer's outputs, which the engine leaves to the client: an exp and an
+// inverse LUT over packs filled across the batch, and one CMult.
+func (lo *lowering) softmax(last *qnn.QConv, batch int64) {
+	vals := int64(last.Shape.Outputs()) * batch
+	size := lo.lutSize(last.MaxAcc)
+	for _, layer := range []string{"softmax-exp", "softmax-inv"} {
+		for g := int64(0); g < (vals+int64(1)<<lo.p.LogN-1)>>lo.p.LogN; g++ {
+			lo.emit(layer, KPack, CatSoftmax, lo.packCounts(), 0)
+			lo.emit(layer, KFBS, CatSoftmax, fbsCounts(size), size)
+			lo.emit(layer, KS2C, CatSoftmax, lo.s2cCounts(), 0)
 		}
 	}
-	for _, op := range r.Shortcut {
-		c, ok := op.(*qnn.QConv)
-		if !ok {
-			return fmt.Errorf("compiler: residual shortcut op %T", op)
-		}
-		plan, err := coeffenc.NewPlan(c.Shape, lo.n, coeffenc.AthenaOrder)
-		if err != nil {
-			return err
-		}
-		lo.linear(c, plan)
-		lo.convert(c.OpName(), plan.OutBatches, int64(c.Shape.Outputs()), CatConvert)
-		lo.activation(c.OpName(), int64(c.Shape.Outputs()), LUTSize(c.MaxAcc, lo.p.T), CatActivation)
-	}
-	// Join: LWE adds + post-add ReLU-clamp LUT over the int8 sums.
-	lo.steps = append(lo.steps, Step{
-		Layer: "residual-add", Kind: KLWEAdd, Cat: CatLinear,
-		Counts: OpCounts{LWEAdd: joinVals * lo.batch},
-	})
-	lo.activation("residual-relu", joinVals, 1<<uint(r.ActBits+2), CatActivation)
-	return nil
-}
-
-// softmax emits the three-step softmax of Section 3.2.3 on the final
-// layer's outputs.
-func (lo *lowering) softmax(last *qnn.QConv) {
-	vals := int64(last.Shape.Outputs())
-	lut := LUTSize(last.MaxAcc, lo.p.T)
-	lo.activation("softmax-exp", vals, lut, CatSoftmax)
-	lo.activation("softmax-inv", vals, lut, CatSoftmax)
-	lo.steps = append(lo.steps, Step{
-		Layer: "softmax-div", Kind: KFBS, Cat: CatSoftmax, LUTSize: 2,
-		Counts: OpCounts{CMult: 1},
-	})
+	lo.emit("softmax-div", KFBS, CatSoftmax, OpCounts{CMult: 1}, 2)
 }
 
 // LUTSize returns the FBS table size a layer needs: the power of two
@@ -259,115 +237,22 @@ func LUTSize(maxAcc int64, t uint64) int {
 	return size
 }
 
-func pow2Sqrt(n int) int {
-	b := 1
-	for b*b < n {
-		b <<= 1
-	}
-	if b*b > n {
-		b >>= 1
-	}
-	return b
-}
-
-// Compile lowers q at parameters p, tracking tensor geometry through
-// the network so pooling layers can be lowered.
+// Compile prices the schedule of q at parameters p for one image.
 func Compile(q *qnn.QNetwork, p core.Params) (*Trace, error) {
 	return CompileWithOptions(q, p, Options{})
 }
 
-// CompileWithOptions is Compile with ablation switches.
+// CompileWithOptions is Compile with ablation switches: it prices every
+// step of the schedule, then the softmax epilogue on its last layer.
 func CompileWithOptions(q *qnn.QNetwork, p core.Params, opts Options) (*Trace, error) {
-	batch := int64(opts.BatchSize)
-	if batch < 1 {
-		batch = 1
+	s, err := core.NewSchedule(q, p, max(opts.BatchSize, 1))
+	if err != nil {
+		return nil, fmt.Errorf("compiler: %w", err)
 	}
-	lo := &lowering{p: p, n: 1 << p.LogN, uniformLUT: opts.UniformLUT, batch: batch}
-	convs := q.Convs()
-	if len(convs) == 0 {
-		return nil, fmt.Errorf("compiler: network has no linear layers")
+	lo := &lowering{p: p, uniformLUT: opts.UniformLUT}
+	for i := range s.Steps {
+		lo.step(&s.Steps[i], int64(s.Batch))
 	}
-	geomC, geomH, geomW := q.InC, q.InH, q.InW
-	var actBits = q.ABits
-
-	emitConv := func(c *qnn.QConv, last bool) error {
-		plan, err := coeffenc.NewPlan(c.Shape, lo.n, coeffenc.AthenaOrder)
-		if err != nil {
-			return err
-		}
-		lo.linear(c, plan)
-		geomC, geomH, geomW = c.Shape.Cout, c.Shape.OutH(), c.Shape.OutW()
-		if !last {
-			lo.convert(c.OpName(), plan.OutBatches, int64(c.Shape.Outputs()), CatConvert)
-			lo.activation(c.OpName(), int64(c.Shape.Outputs()), LUTSize(c.MaxAcc, lo.p.T), CatActivation)
-		}
-		return nil
-	}
-
-	for bi, b := range q.Blocks {
-		switch blk := b.(type) {
-		case qnn.QSeq:
-			for oi, op := range blk {
-				last := bi == len(q.Blocks)-1 && oi == len(blk)-1
-				switch o := op.(type) {
-				case *qnn.QConv:
-					if err := emitConv(o, last); err != nil {
-						return nil, err
-					}
-				case *qnn.QAvgPool:
-					vals := int64(geomC * (geomH / o.K) * (geomW / o.K))
-					lo.steps = append(lo.steps, Step{
-						Layer: o.OpName(), Kind: KLWEAdd, Cat: CatPooling,
-						Counts: OpCounts{LWEAdd: vals * int64(o.K*o.K-1) * lo.batch},
-					})
-					lo.activation(o.OpName(), vals, LUTSize(int64(o.K*o.K)<<uint(actBits-1), lo.p.T), CatPooling)
-					geomH /= o.K
-					geomW /= o.K
-				case *qnn.QMaxPool:
-					// The pool's inputs come out of the round above in the
-					// scaled domain (the pending LUT fused with the scale)
-					// and are extracted back to LWE for the tree.
-					in := int64(geomC * geomH * geomW)
-					lo.convert(o.OpName(), int((in+int64(lo.n)-1)/int64(lo.n)), in, CatPooling)
-					// The max tree runs level by level: each level computes
-					// a−b for every surviving pair, ReLU(a−b) (one batched
-					// FBS round + conversion), then b + ReLU(a−b): two LWE
-					// additions per pair.
-					vals := int64(geomC * (geomH / o.K) * (geomW / o.K))
-					remaining := int64(o.K * o.K)
-					for remaining > 1 {
-						pairs := vals * (remaining / 2)
-						lo.steps = append(lo.steps, Step{
-							Layer: o.OpName(), Kind: KLWEAdd, Cat: CatPooling,
-							Counts: OpCounts{LWEAdd: 2 * pairs * lo.batch},
-						})
-						lo.activation(o.OpName(), pairs, 1<<uint(actBits+2), CatPooling)
-						groups := (pairs + int64(lo.n) - 1) / int64(lo.n)
-						lo.convert(o.OpName(), int(groups), pairs, CatPooling)
-						remaining = (remaining + 1) / 2
-					}
-					// The maxima carry the scale: the next layer's input
-					// round divides it out with a full-domain table.
-					lo.activation(o.OpName(), vals, LUTSize(int64(lo.p.T/2)-1, lo.p.T), CatPooling)
-					geomH /= o.K
-					geomW /= o.K
-				default:
-					return nil, fmt.Errorf("compiler: unsupported op %T", op)
-				}
-			}
-		case *qnn.QResidual:
-			if err := lo.residual(blk); err != nil {
-				return nil, err
-			}
-			if len(blk.Body) > 0 {
-				if c, ok := blk.Body[len(blk.Body)-1].(*qnn.QConv); ok {
-					geomC, geomH, geomW = c.Shape.Cout, c.Shape.OutH(), c.Shape.OutW()
-				}
-			}
-		default:
-			return nil, fmt.Errorf("compiler: unsupported block %T", b)
-		}
-	}
-	lo.softmax(convs[len(convs)-1])
-	return &Trace{Model: q.Name, Params: p, Steps: lo.steps}, nil
+	lo.softmax(s.Steps[len(s.Steps)-1].Conv, int64(s.Batch))
+	return &Trace{Model: s.Model, Params: p, Steps: lo.steps}, nil
 }

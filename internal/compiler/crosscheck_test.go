@@ -11,15 +11,21 @@ import (
 	"athena/internal/qnn"
 )
 
-// TestTraceTracksEngine cross-validates the compiler against the real
-// software pipeline: for a small network executed under encryption at
-// test parameters, the trace's pack and S2C counts, and its Step ③
-// counts — one ring keyswitch per result ciphertext, one extraction per
-// value — must equal the engine's counters. The FBS CMult counts are two algorithms and are
-// checked each against its own arithmetic: the trace models the paper's
-// flat Alg. 2 on the layer's range-sized LUT (what internal/arch
-// simulates), the engine evaluates the table on the layer's proven
-// interval on the split internal/fbs chooses for it.
+// TestTraceTracksEngine checks the one walk from both ends. Each net
+// runs under encryption, and every counter the schedule states must
+// equal the engine's after the run, with no tolerance; the products and
+// additions inside the LUTs must equal, round by round, those of the
+// table the round applies, compiled as the engine compiles it. Then each
+// step's lowering must price what the step issues: a pack, an FBS and an
+// S2C per LUT round — Alg. 2 on the table LUTSize sizes by the layer's
+// bound —, its ring switches and extractions, and its LWE additions.
+//
+// The nets: a conv chain, conv → max pool → dense, conv → avg pool →
+// dense, a residual block with a projection shortcut, the shapes of
+// bench's single_t257 net alone and in a batch of 4 (whose dense layer
+// shares its rounds), a batch of 4 whose windows fill their rounds (so
+// none is shared), and the shapes of DigitNet14 at the single_t12289
+// parameters.
 func TestTraceTracksEngine(t *testing.T) {
 	p := core.TestParams()
 	e, err := core.NewEngine(p)
@@ -44,132 +50,175 @@ func TestTraceTracksEngine(t *testing.T) {
 		return &qnn.QConv{Shape: shape, Weights: w, Bias: make([]int64, shape.Cout),
 			Act: act, Multiplier: mult, ActBits: 4, MaxAcc: 120}
 	}
-	// Every layer fits one input batch at N=128 so the engine's
-	// per-input-batch packing and the trace's per-value-count grouping
-	// coincide (at full scale they coincide for all the benchmarks; at
-	// test scale fragmented layers pack more often in software).
-	net := &qnn.QNetwork{
-		Name: "xcheck", InC: 1, InH: 5, InW: 5, WBits: 2, ABits: 4, InScale: 1,
-		Blocks: []qnn.QBlock{qnn.QSeq{
-			mk(coeffenc.ConvShape{H: 5, W: 5, Cin: 1, Cout: 1, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16),
-			mk(coeffenc.ConvShape{H: 5, W: 5, Cin: 1, Cout: 1, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16),
+	conv := func(h, cin, cout, k, stride, pad int) coeffenc.ConvShape {
+		return coeffenc.ConvShape{H: h, W: h, Cin: cin, Cout: cout, K: k, Stride: stride, Pad: pad}
+	}
+	net := func(name string, in int, blocks ...qnn.QBlock) *qnn.QNetwork {
+		return &qnn.QNetwork{Name: name, InC: 1, InH: in, InW: in, WBits: 2, ABits: 4, InScale: 1, Blocks: blocks}
+	}
+	tiny := net("xcheck-tiny", 6, qnn.QSeq{
+		mk(conv(6, 1, 2, 3, 1, 1), qnn.ActReLU, 1.0/2),
+		mk(conv(6, 2, 2, 3, 1, 1), qnn.ActReLU, 1.0/2),
+		mk(coeffenc.FCShape(2*6*6, 4), qnn.ActNone, 1.0/8),
+	})
+	cases := []struct {
+		net    *qnn.QNetwork
+		batch  int
+		shared bool
+	}{
+		{net("xcheck", 5, qnn.QSeq{
+			mk(conv(5, 1, 1, 3, 1, 1), qnn.ActReLU, 1.0/16),
+			mk(conv(5, 1, 1, 3, 1, 1), qnn.ActReLU, 1.0/16),
 			mk(coeffenc.FCShape(25, 4), qnn.ActNone, 1.0/8),
-		}},
+		}), 1, false},
+		{net("xcheck-max", 6, qnn.QSeq{
+			mk(conv(6, 1, 2, 3, 1, 1), qnn.ActReLU, 1.0/16),
+			&qnn.QMaxPool{K: 2},
+			mk(coeffenc.FCShape(18, 4), qnn.ActNone, 1.0/8),
+		}), 1, false},
+		{net("xcheck-avg", 6, qnn.QSeq{
+			mk(conv(6, 1, 2, 3, 1, 1), qnn.ActReLU, 1.0/16),
+			&qnn.QAvgPool{K: 2},
+			mk(coeffenc.FCShape(18, 4), qnn.ActNone, 1.0/8),
+		}), 1, false},
+		{net("xcheck-proj", 6,
+			qnn.QSeq{mk(conv(6, 1, 2, 3, 1, 1), qnn.ActReLU, 1.0/16)},
+			&qnn.QResidual{
+				Body:     qnn.QSeq{mk(conv(6, 2, 4, 3, 2, 1), qnn.ActReLU, 1.0/16), mk(conv(3, 4, 4, 3, 1, 1), qnn.ActNone, 1.0/16)},
+				Shortcut: qnn.QSeq{mk(conv(6, 2, 4, 1, 2, 0), qnn.ActNone, 1.0/8)},
+				ActBits:  4,
+			},
+			qnn.QSeq{mk(coeffenc.FCShape(4*3*3, 4), qnn.ActNone, 1.0/8)},
+		), 1, false},
+		{tiny, 1, false},
+		{tiny, 4, true},
+		{net("xcheck-full", 8, qnn.QSeq{
+			mk(conv(8, 1, 1, 3, 1, 1), qnn.ActReLU, 1.0/16),
+			mk(conv(8, 1, 1, 3, 1, 1), qnn.ActReLU, 1.0/16),
+			mk(conv(8, 1, 1, 3, 1, 1), qnn.ActNone, 1.0/8),
+		}), 4, false},
 	}
-	x := qnn.NewIntTensor(1, 5, 5)
-	for i := range x.Data {
-		x.Data[i] = int64(rng.IntN(8))
-	}
-	if _, err := e.Infer(net, x); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		checkSchedule(t, e, p, c.net, c.batch, c.shared, rng)
 	}
 
-	tr, err := Compile(net, p)
+	if testing.Short() {
+		t.Skip("the DigitNet14 shape needs an N = 512, t = 12289 engine; run without -short")
+	}
+	p = core.Params{LogN: 9, QiBits: 55, QiNum: 10, T: 12289, LWEDim: 64, MidExp: 12, KSBase: 1 << 7, Seed: 3}
+	if e, err = core.NewEngine(p); err != nil {
+		t.Fatal(err)
+	}
+	digit := net("xcheck-digit", 14, qnn.QSeq{
+		mk(conv(14, 1, 4, 3, 2, 1), qnn.ActReLU, 1.0/16),
+		mk(coeffenc.FCShape(4*7*7, 10), qnn.ActNone, 1.0/8),
+	})
+	checkSchedule(t, e, p, digit, 1, false, rng)
+}
+
+// checkSchedule runs net on batch random inputs and holds the engine's
+// counters and the lowering of every step to net's schedule.
+func checkSchedule(t *testing.T, e *core.Engine, p core.Params, net *qnn.QNetwork, batch int, shared bool, rng *rand.Rand) {
+	t.Helper()
+	s, err := core.NewSchedule(net, p, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTraceCounts(t, tr, e.Stats)
-	for _, s := range tr.Steps {
-		if s.Kind == KFBS {
-			// Alg. 2 on the step's LUT: bs − 1 baby powers, gs − 2 giant
-			// powers, gs − 1 block products.
-			bs := int64(math.Ceil(math.Sqrt(float64(s.LUTSize))))
-			gs := (int64(s.LUTSize) + bs - 1) / bs
-			if want := (bs - 1) + (gs - 2) + (gs - 1); s.Cat != CatSoftmax && s.Counts.CMult != want {
-				t.Fatalf("FBS step %q, LUT size %d: trace has %d CMult, Alg. 2 issues %d", s.Layer, s.LUTSize, s.Counts.CMult, want)
-			}
+	ins := make([]*core.EncryptedInput, batch)
+	for i := range ins {
+		x := qnn.NewIntTensor(net.InC, net.InH, net.InW)
+		for j := range x.Data {
+			x.Data[j] = int64(rng.IntN(8))
+		}
+		if ins[i], err = e.EncryptInput(net, x); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The engine: every FBS call runs the plan of its layer's table, the
-	// one on the layer's proven interval widened by the margin E; the
-	// next layer reads that table's image there.
+	e.Stats = core.OpStats{}
+	if _, err := e.EvaluateEncryptedBatch(net, ins); err != nil {
+		t.Fatalf("%s: %v", net.Name, err)
+	}
+
 	fbsL, _ := p.Levels()
 	ctxF, err := e.Ctx.AtLevel(fbsL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perCall, in := 0, qnn.Interval{Lo: -7, Hi: 7}
-	for _, op := range net.Blocks[0].(qnn.QSeq)[:2] {
-		q := op.(*qnn.QConv)
-		acc := q.AccInterval(in)
-		lo, hi := fbs.Span(p.T, acc.Lo-e.EmsMargin(), acc.Hi+e.EmsMargin())
-		lut, err := fbs.NewRangeLUT(p.T, lo, hi, q.Remap)
-		if err != nil {
-			t.Fatal(err)
+	compiled := map[string]*fbs.Evaluator{}
+	var want core.OpStats
+	sawShared := false
+	for i := range s.Steps {
+		st := &s.Steps[i]
+		want.Add(st.Stats)
+		sawShared = sawShared || st.Shared
+		for _, r := range st.Rounds {
+			tb := r.Table
+			if tb.Fn == nil {
+				continue
+			}
+			key := string(fbs.AppendTable(nil, p.T, tb.Span.Lo, tb.Span.Hi, tb.Fn))
+			ev := compiled[key]
+			if ev == nil {
+				lut, err := fbs.NewRangeLUT(p.T, tb.Span.Lo, tb.Span.Hi, tb.Fn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ev, err = fbs.NewEvaluator(ctxF, lut); err != nil {
+					t.Fatal(err)
+				}
+				compiled[key] = ev
+			}
+			want.CMult += ev.CMults
+			want.SMult += ev.SMults
+			want.HAdd += ev.HAdds
 		}
-		plan, err := fbs.NewEvaluator(ctxF, lut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perCall += plan.CMults
-		in = qnn.Image(q.Remap, qnn.Interval{Lo: lo, Hi: hi})
+		checkLowering(t, net.Name, i, st, p, int64(batch))
 	}
-	if e.Stats.FBSCalls != 2 || e.Stats.CMult != perCall {
-		t.Fatalf("FBS CMult count: engine %d in %d calls, the layers' two plans %d", e.Stats.CMult, e.Stats.FBSCalls, perCall)
+	if sawShared != shared {
+		t.Fatalf("%s at batch %d: shared rounds %v, want %v", net.Name, batch, sawShared, shared)
 	}
-	t.Logf("engine: %d FBS calls, %d CMult", e.Stats.FBSCalls, perCall)
-
-	// A pooled net: conv → 2×2 max pool → dense, every layer in one input
-	// batch. The pool's tree issues its ReLU rounds and LWE work as the
-	// trace lowers them.
-	pooled := &qnn.QNetwork{
-		Name: "xcheck-max", InC: 1, InH: 6, InW: 6, WBits: 2, ABits: 4, InScale: 1,
-		Blocks: []qnn.QBlock{qnn.QSeq{
-			mk(coeffenc.ConvShape{H: 6, W: 6, Cin: 1, Cout: 2, K: 3, Stride: 1, Pad: 1}, qnn.ActReLU, 1.0/16),
-			&qnn.QMaxPool{K: 2},
-			mk(coeffenc.FCShape(18, 4), qnn.ActNone, 1.0/8),
-		}},
+	if e.Stats != want {
+		t.Fatalf("%s at batch %d: engine %+v, schedule %+v", net.Name, batch, e.Stats, want)
 	}
-	x = qnn.NewIntTensor(1, 6, 6)
-	for i := range x.Data {
-		x.Data[i] = int64(rng.IntN(8))
-	}
-	e.Stats = core.OpStats{}
-	if _, err := e.Infer(pooled, x); err != nil {
-		t.Fatal(err)
-	}
-	if tr, err = Compile(pooled, p); err != nil {
-		t.Fatal(err)
-	}
-	checkTraceCounts(t, tr, e.Stats)
+	t.Logf("%s at batch %d: %d steps, %+v", net.Name, batch, len(s.Steps), want)
 }
 
-// checkTraceCounts requires the trace's packs, S2C calls, Step ③
-// keyswitches and extractions, and LWE additions to equal the engine's
-// counters. The trace includes the softmax epilogue (2 extra
-// pack/FBS/S2C rounds) that the engine's plain Infer path does not
-// execute.
-func checkTraceCounts(t *testing.T, tr *Trace, st core.OpStats) {
+// checkLowering requires step i's lowering to price what the step
+// issues.
+func checkLowering(t *testing.T, name string, i int, st *core.Step, p core.Params, batch int64) {
 	t.Helper()
-	var packs, s2c int
-	var keySwitches, extractions, lweAdds int64
-	for _, s := range tr.Steps {
-		if s.Cat == CatSoftmax {
-			continue
-		}
-		switch s.Kind {
+	lo := &lowering{p: p}
+	lo.step(st, batch)
+	var packs, fbsSteps, s2c, linear int
+	var got OpCounts
+	for _, ts := range lo.steps {
+		got.Add(ts.Counts)
+		switch ts.Kind {
 		case KPack:
 			packs++
 		case KS2C:
 			s2c++
-		case KSE:
-			keySwitches += s.Counts.KeySwitch
-			extractions += s.Counts.SE
+		case KLinear:
+			linear++
+		case KFBS:
+			fbsSteps++
+			// Alg. 2 on the step's LUT: bs − 1 baby powers, gs − 2 giant
+			// powers, gs − 1 block products.
+			bs := int64(math.Ceil(math.Sqrt(float64(ts.LUTSize))))
+			gs := (int64(ts.LUTSize) + bs - 1) / bs
+			if want := (bs - 1) + (gs - 2) + (gs - 1); ts.Counts.CMult != want {
+				t.Fatalf("%s step %d: LUT size %d priced at %d CMult, Alg. 2 issues %d", name, i, ts.LUTSize, ts.Counts.CMult, want)
+			}
 		}
-		lweAdds += s.Counts.LWEAdd
 	}
-	if packs != st.Packs {
-		t.Fatalf("%s: pack count: trace %d vs engine %d", tr.Model, packs, st.Packs)
+	n := st.Stats
+	wantLinear := 0
+	if st.Kind == core.StepConv {
+		wantLinear = 1
 	}
-	if s2c != st.S2CCalls {
-		t.Fatalf("%s: S2C count: trace %d vs engine %d", tr.Model, s2c, st.S2CCalls)
+	if fbsSteps != n.FBSCalls || packs != n.FBSCalls || s2c != n.FBSCalls || linear != wantLinear ||
+		got.SE != int64(n.Extractions) || got.KeySwitch != int64(n.KeySwitches) || got.LWEAdd != int64(n.LWEAdds) {
+		t.Fatalf("%s step %d: lowered to %d packs, %d FBS, %d S2C, %d linear, %+v; the step issues %+v",
+			name, i, packs, fbsSteps, s2c, linear, got, n)
 	}
-	if keySwitches != int64(st.KeySwitches) || extractions != int64(st.Extractions) {
-		t.Fatalf("%s: Step ③: trace %d keyswitches and %d extractions, engine %d and %d",
-			tr.Model, keySwitches, extractions, st.KeySwitches, st.Extractions)
-	}
-	if lweAdds != int64(st.LWEAdds) {
-		t.Fatalf("%s: LWE additions: trace %d vs engine %d", tr.Model, lweAdds, st.LWEAdds)
-	}
-	t.Logf("%s: %d packs, %d S2C, %d keyswitches, %d extractions, %d LWE additions", tr.Model, packs, s2c, keySwitches, extractions, lweAdds)
 }

@@ -134,6 +134,11 @@ func TestEncryptedAvgPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareLogits(t, got, want, 2)
+	// Each of the 2·3·3 windows is summed from its first value: K² − 1
+	// additions, not K² from a zero.
+	if windows := 2 * 3 * 3; e.Stats.LWEAdds != windows*(2*2-1) {
+		t.Fatalf("%d LWE additions, want %d windows × (K² − 1)", e.Stats.LWEAdds, windows)
+	}
 }
 
 // TestEncryptedMaxPool runs a 6×6 conv → K×K max pool → dense net at

@@ -185,24 +185,6 @@ func (e *Engine) install(ek *EvalKeys) error {
 	return nil
 }
 
-// valSet is the inter-layer state: one image's values as LWE
-// ciphertexts at modulus t carrying the previous layer's raw
-// accumulators, with that layer's fused LUT still pending. vals holds
-// all C·H·W of them in row-major (c, y, x) order, which is also the
-// flatten order a dense layer reads.
-type valSet struct {
-	C, H, W int
-	vals    []lwe.Ciphertext
-	pending *fbs.Evaluator    // nil = values are already materialized
-	fn      func(int64) int64 // plaintext shadow of pending (nil = identity)
-	// span is the proven interval of the values once pending is applied:
-	// what the next layer's interval pass reads.
-	span qnn.Interval
-}
-
-// idx is the position of the value at (c, y, x) in vals.
-func (vs *valSet) idx(c, y, x int) int { return (c*vs.H+y)*vs.W + x }
-
 // lut returns the plan's compiled evaluator of the table of f on span
 // (fbs.NewRangeLUT). The key is the SHA-256 of the span and the table's
 // words there, staged in the worker's own buffer, so a lookup allocates
@@ -210,46 +192,6 @@ func (vs *valSet) idx(c, y, x int) int { return (c*vs.H+y)*vs.W + x }
 func (wk *evalWorker) lut(span qnn.Interval, f func(int64) int64) (*fbs.Evaluator, error) {
 	wk.table = fbs.AppendTable(wk.table[:0], wk.e.P.T, span.Lo, span.Hi, f)
 	return wk.e.compiled(sha256.Sum256(wk.table), span, f)
-}
-
-// lutFor returns the FBS evaluator of a conv's fused remap for
-// accumulators proven to lie in acc: the table on acc widened by the
-// margin E, the lowest-degree one that is exact for every accumulator
-// plus its e_ms, and the interval of the values it writes there.
-func (wk *evalWorker) lutFor(q *qnn.QConv, acc qnn.Interval) (*fbs.Evaluator, qnn.Interval, error) {
-	if t := wk.e.P.T; q.MaxAcc >= int64(t/2) {
-		return nil, qnn.Interval{}, fmt.Errorf("core: %s accumulator bound %d exceeds t/2 = %d", q.OpName(), q.MaxAcc, t/2)
-	}
-	span := wk.e.domain(acc, wk.e.margin)
-	ev, err := wk.lut(span, q.Remap)
-	return ev, qnn.Image(q.Remap, span), err
-}
-
-// reluClampFor returns the post-add ReLU clamped to actBits.
-func (wk *evalWorker) reluClampFor(actBits int) (*fbs.Evaluator, error) {
-	lim := int64(1)<<(actBits-1) - 1
-	return wk.lut(wk.e.whole, func(x int64) int64 {
-		if x < 0 {
-			return 0
-		}
-		if x > lim {
-			return lim
-		}
-		return x
-	})
-}
-
-// divideFor returns the rounded divide by kk (avg-pool's k², or a pooling
-// domain scale).
-func (wk *evalWorker) divideFor(kk int) (*fbs.Evaluator, error) {
-	return wk.lut(wk.e.whole, func(x int64) int64 { return roundDiv(x, int64(kk)) })
-}
-
-func roundDiv(a, b int64) int64 {
-	if a >= 0 {
-		return (a + b/2) / b
-	}
-	return -((-a + b/2) / b)
 }
 
 // packFBS packs an ordered list of LWE values, of which valid are real
@@ -292,16 +234,22 @@ func (wk *evalWorker) packFBS(ordered []lwe.Ciphertext, valid int, pending *fbs.
 	return e.Ctx.ModDownWith(ct, e.ctxP.Level(), &wk.rescale)
 }
 
-// maskSlots sets out to ct times a 0/1 slot vector: 1 at the slots to
-// keep, 0 at structural zeros and at slots that belong to someone else.
-// Only a conv input needs it: a convolution mixes coefficients, and
-// tables with LUT(0) ≠ 0 (sigmoid, GELU, biased remaps) turn structural
-// zeros into non-zero activations. A round that is only extracted or
-// decoded needs none — S2C maps slot i to coefficient i, and nothing
-// past its values is read.
-func (wk *evalWorker) maskSlots(ct *bfv.Ciphertext, mask []int64, out *bfv.Ciphertext) {
+// maskSlots sets out to ct times the 0/1 slot vector of window w: 1 at
+// the slots i of w that keep, 0 at structural zeros and at slots that
+// belong to someone else. Only a conv input needs it: a convolution
+// mixes coefficients, and tables with LUT(0) ≠ 0 (sigmoid, GELU, biased
+// remaps) turn structural zeros into non-zero activations. A round that
+// is only extracted or decoded needs none — S2C maps slot i to
+// coefficient i, and nothing past its values is read.
+func (wk *evalWorker) maskSlots(ct *bfv.Ciphertext, w *Window, keep func(i int) bool, out *bfv.Ciphertext) {
 	pt, pm := wk.plain()
-	wk.codP.EncodeSlotsInto(mask, pt)
+	clear(wk.mask)
+	for i := 0; i < w.Len; i++ {
+		if keep(i) {
+			wk.mask[w.Offset+i] = 1
+		}
+	}
+	wk.codP.EncodeSlotsInto(wk.mask, pt)
 	wk.codP.LiftToMulInto(pt, pm)
 	wk.stats.PMult++
 	wk.evP.MulPlainInto(ct, pm, out)
@@ -344,141 +292,49 @@ func (wk *evalWorker) extract(ct *bfv.Ciphertext, idx []int) ([]lwe.Ciphertext, 
 	return out, nil
 }
 
-// scaledEvaluator returns the evaluator of the composition scale·fn (fn =
-// identity when nil). Pooling runs its trees in a scaled domain so that
-// the extraction noise e_ms, which lands at fixed absolute magnitude, is
-// crushed by the divide folded into the consumer's LUT — the same
-// remap-compression argument as Section 3.3.
-func (wk *evalWorker) scaledEvaluator(fn func(int64) int64, scale int64) (*fbs.Evaluator, error) {
-	return wk.lut(wk.e.whole, func(x int64) int64 {
-		if fn != nil {
-			x = fn(x)
-		}
-		return x * scale
-	})
-}
-
-// poolScale picks the largest power-of-two domain scale such that
-// maxVal·scale stays below t/2 with slack for accumulated tree noise.
-func (e *Engine) poolScale(maxVal int64) int64 {
-	limit := int64(e.P.T/2) - int64(e.P.T/16)
-	s := int64(1)
-	for maxVal*s*2 <= limit {
-		s *= 2
-	}
-	return s
-}
-
-// materializeScaled applies pending (or identity) composed with a domain
-// scale, returning LWE values carrying value·scale.
-func (wk *evalWorker) materializeScaled(vs *valSet, scale int64) (*valSet, error) {
-	if vs.pending != nil && vs.fn == nil {
-		return nil, fmt.Errorf("core: pending LUT without plaintext shadow")
-	}
-	ev, err := wk.scaledEvaluator(vs.fn, scale)
-	if err != nil {
-		return nil, err
-	}
-	return wk.materialize(&valSet{C: vs.C, H: vs.H, W: vs.W, vals: vs.vals, pending: ev})
-}
-
-// materialize applies the pending LUT of vs (if any) in one LUT round
-// over its values, returning int8 activations as LWE values in the same
-// order.
-func (wk *evalWorker) materialize(vs *valSet) (*valSet, error) {
-	if vs.pending == nil {
-		return vs, nil
-	}
-	vals, err := wk.batchLUT(vs.vals, vs.pending)
-	if err != nil {
-		return nil, err
-	}
-	return &valSet{C: vs.C, H: vs.H, W: vs.W, vals: vals, span: vs.span}, nil
-}
-
-// at resolves the layer-geometry coordinate (c, h, w) of a layer of shape
-// s to vs's value, handling the implicit flatten when a feature map feeds
-// a fully-connected layer (Cin = C·H·W, H = W = 1): vals is in flatten
-// order, so a dense layer's c is its index.
-func (vs *valSet) at(s coeffenc.ConvShape, c, h, w int) lwe.Ciphertext {
-	if s.H == 1 && s.W == 1 {
-		return vs.vals[c]
-	}
-	return vs.vals[vs.idx(c, h, w)]
-}
-
-// feeds reports whether vs has the geometry a layer of shape s reads,
-// directly or through the flatten.
-func (vs *valSet) feeds(s coeffenc.ConvShape) bool {
-	return (s.Cin == vs.C && s.H == vs.H && s.W == vs.W) ||
-		(s.H == 1 && s.W == 1 && s.Cin == vs.C*vs.H*vs.W)
-}
-
-// convInputs is the one place a conv input is packed: it prepares the
-// coefficient-encoded input ciphertexts of a conv plan for every value
-// set of sets — one image is a list of one — and returns them per set,
-// per input batch, fusing the pending LUT the sets share.
+// convInputs is the one place a conv input is packed: it prepares a
+// conv plan's coefficient-encoded inputs in the rounds the schedule lays
+// (builder.windows) under lut (nil: packed only), per image — sets[i] is
+// image first+i's values — and input batch.
 //
-// An input batch occupies a window of per = CB·EH·EW slots, so G = ⌊N/per⌋
-// windows fill one LUT round, whichever set or input batch each belongs
-// to: the windows of all (set, input batch) pairs are laid G to a round,
-// and a round is packed, bootstrapped and rescaled once. Then each window
-// is cut out by the 0/1 mask of its valid slots (which also clears the
-// LUT's image of structural zeros; a window alone in its round under a
-// LUT that keeps zeros needs no cut), moved to coefficients by the one
-// compiled S2C, and shifted from coefficients [o, o+per) to [0, per) by
-// the monomial −X^(N−o). Rounds, then windows, fan out across worker
-// lanes; the value maps are only read.
-func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.Ciphertext, error) {
-	e := wk.e
-	s := plan.Shape
-	sub := plan.SubFactor()
-	n, per := e.Ctx.N, plan.InputLen()
-	if per > n {
-		return nil, fmt.Errorf("core: an input batch of %d coefficients exceeds %d slots", per, n)
+// A round is packed, bootstrapped and rescaled once. Then each window is
+// cut out by the 0/1 mask of its valid slots if masked (which clears the
+// LUT's image of structural zeros too), moved to coefficients by the one
+// S2C, and shifted from [o, o+per) to [0, per) by the monomial −X^(N−o).
+// Rounds, then windows, fan out across worker lanes; values are read.
+func (wk *evalWorker) convInputs(plan *coeffenc.Plan, rounds []Round, sets [][]lwe.Ciphertext, first int, lut *fbs.Evaluator) ([][]*bfv.Ciphertext, error) {
+	e, s, sub := wk.e, plan.Shape, plan.SubFactor()
+	// value returns what slot i of window w holds: slot i is coefficient i
+	// of plan.EncodeInput, a channel past the last or zero padding holds
+	// nothing, and a feature map feeding a dense layer (Cin = C·H·W,
+	// H = W = 1) is read in its (c, y, x) order, which is the flatten's.
+	value := func(w *Window, i int) (lwe.Ciphertext, bool) {
+		c, h, x := w.Batch*plan.CB+i/(plan.EH*plan.EW), i/plan.EW%plan.EH*sub-s.Pad, i%plan.EW*sub-s.Pad
+		if c >= s.Cin || h < 0 || h >= s.H || x < 0 || x >= s.W {
+			return e.zero, false
+		}
+		return sets[w.Image-first][(c*s.H+h)*s.W+x], true
 	}
-	pending := sets[0].pending
-	for _, vs := range sets {
-		if vs.pending != pending {
-			return nil, fmt.Errorf("core: value sets packed together carry different pending LUTs")
-		}
-		if !vs.feeds(s) {
-			return nil, fmt.Errorf("core: layer expects %dx%dx%d input but got %dx%dx%d",
-				s.Cin, s.H, s.W, vs.C, vs.H, vs.W)
-		}
+	windows := 0
+	for _, r := range rounds {
+		windows += len(r.Windows)
 	}
-	g := n / per
-	windows := len(sets) * plan.InBatches
-	keepsZero := pending == nil || (sets[0].fn != nil && sets[0].fn(0) == 0)
-	rounds := (windows + g - 1) / g
-
-	// Window w = (set w/InBatches, input batch w%InBatches) sits in round
-	// w/g at slot offset (w%g)·per.
-	slots := make([]*bfv.Ciphertext, rounds)
-	masks := make([][]int64, windows)
-	errs := make([]error, rounds)
-	wk.forEach(rounds, func(ln *evalWorker, r int) {
-		lo, hi := r*g, min((r+1)*g, windows)
-		ordered := make([]lwe.Ciphertext, (hi-lo)*per)
-		for i := range ordered {
-			ordered[i] = e.zero
-		}
+	slots := make([]*bfv.Ciphertext, len(rounds))
+	errs := make([]error, len(rounds))
+	wk.forEach(len(rounds), func(ln *evalWorker, r int) {
+		ws := rounds[r].Windows
+		ordered := make([]lwe.Ciphertext, ws[len(ws)-1].Offset+ws[len(ws)-1].Len)
 		valid := 0
-		for w := lo; w < hi; w++ {
-			vs, ib, o := sets[w/plan.InBatches], w%plan.InBatches, (w-lo)*per
-			masks[w] = make([]int64, n)
-			for i := 0; i < per; i++ {
-				// Slot i of the window is coefficient i of plan.EncodeInput.
-				cl, eh, ew := i/(plan.EH*plan.EW), i/plan.EW%plan.EH, i%plan.EW
-				c, h, x := ib*plan.CB+cl, eh*sub-s.Pad, ew*sub-s.Pad
-				if c >= s.Cin || h < 0 || h >= s.H || x < 0 || x >= s.W {
-					continue // a channel past the last, or zero padding
+		for k := range ws {
+			for i := 0; i < ws[k].Len; i++ {
+				v, ok := value(&ws[k], i)
+				if ok {
+					valid++
 				}
-				ordered[o+i], masks[w][o+i] = vs.at(s, c, h, x), 1
-				valid++
+				ordered[ws[k].Offset+i] = v
 			}
 		}
-		slots[r], errs[r] = ln.packFBS(ordered, valid, pending)
+		slots[r], errs[r] = ln.packFBS(ordered, valid, lut)
 	})
 	if err := par.FirstErr(errs); err != nil {
 		return nil, err
@@ -489,37 +345,39 @@ func (wk *evalWorker) convInputs(plan *coeffenc.Plan, sets []*valSet) ([][]*bfv.
 		inputs[i] = make([]*bfv.Ciphertext, plan.InBatches)
 	}
 	errs = make([]error, windows)
-	wk.forEach(windows, func(ln *evalWorker, w int) {
-		r, o := w/g, w%g*per
+	wk.forEach(windows, func(ln *evalWorker, wi int) {
+		r, k := 0, wi
+		for k >= len(rounds[r].Windows) {
+			k -= len(rounds[r].Windows)
+			r++
+		}
+		w := &rounds[r].Windows[k]
 		// The window's input outlives the fan-out; what it passes through
 		// is the lane's.
 		ct, in := slots[r], e.ctxP.NewCiphertext()
 		if ln.window == nil {
 			ln.window = e.ctxP.NewCiphertext()
 		}
-		// A window alone in its round needs no mask when the LUT keeps
-		// zeros: there is no neighbour to cut away, and its structural
-		// zeros pack to exact zeros, which an identity leaves as they are
-		// and an exact LUT with f(0) = 0 maps to 0. Skipping the product
-		// also spares its noise, about log2(√N·t) bits — at N = 2^11 and
-		// t = 65537 more than S2C leaves at the post level.
-		if !keepsZero || min((r+1)*g, windows)-r*g > 1 {
-			ln.maskSlots(ct, masks[w], ln.window)
+		// Skipping the mask of a lone window also spares its noise, about
+		// log2(√N·t) bits — at N = 2^11 and t = 65537 more than S2C leaves
+		// at the post level.
+		if w.Masked {
+			ln.maskSlots(ct, w, func(i int) bool { _, ok := value(w, i); return ok }, ln.window)
 			ct = ln.window
 		}
 		// S2C lands in the input itself unless a shift follows.
 		dst := in
-		if o > 0 {
+		if w.Offset > 0 {
 			dst = ln.window
 		}
-		if errs[w] = ln.toCoeffs(ct, dst); errs[w] != nil {
+		if errs[wi] = ln.toCoeffs(ct, dst); errs[wi] != nil {
 			return
 		}
-		if o > 0 {
-			ln.evP.MulPlainInto(dst, e.shiftFor(o), in)
+		if w.Offset > 0 {
+			ln.evP.MulPlainInto(dst, e.shiftFor(w.Offset), in)
 			ln.stats.PMult++
 		}
-		inputs[w/plan.InBatches][w%plan.InBatches] = in
+		inputs[w.Image-first][w.Batch] = in
 	})
 	if err := par.FirstErr(errs); err != nil {
 		return nil, err
@@ -566,81 +424,19 @@ func (wk *evalWorker) convAccumulate(q *qnn.QConv, plan *coeffenc.Plan, inputs [
 	return accs, valid
 }
 
-// convLayer runs the loop for one quantized linear layer. Its inputs are
-// either already prepared — the client's coefficient encodings before the
-// first layer, or the batch barrier's — or are packed here from the
-// labeled LWE values of st.vs, fusing the pending LUT. Both then share
-// one tail: accumulate, extract, and leave the layer's own LUT pending,
-// sized to the accumulators' proven interval — except that the network's
-// last op stops at its accumulators, which are the encrypted logits.
-func (wk *evalWorker) convLayer(q *qnn.QConv, st *inferState, lastOp bool) (*inferState, error) {
-	e := wk.e
-	plan, inputs, in := st.plan, st.inputs, st.span
-	var err error
-	if inputs != nil {
-		// Client ciphertexts arrive at the full chain — drop them to the
-		// post level so the accumulation runs on the short chain like
-		// every later layer. The barrier's are there already.
-		inputs = make([]*bfv.Ciphertext, len(st.inputs))
-		for i, ct := range st.inputs {
-			if inputs[i], err = e.Ctx.ModDownWith(ct, e.ctxP.Level(), &wk.rescale); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if plan, err = coeffenc.NewPlan(q.Shape, e.Ctx.N, coeffenc.AthenaOrder); err != nil {
-			return nil, err
-		}
-		prepared, err := wk.convInputs(plan, []*valSet{st.vs})
-		if err != nil {
-			return nil, err
-		}
-		inputs, in = prepared[0], st.vs.span
-	}
-	accs, valid := wk.convAccumulate(q, plan, inputs)
-	if lastOp {
-		return &inferState{vs: &valSet{}, final: &finalResult{conv: q, plan: plan, accs: accs}}, nil
-	}
-	out := &valSet{C: q.Shape.Cout, H: q.Shape.OutH(), W: q.Shape.OutW(), vals: make([]lwe.Ciphertext, q.Shape.Outputs())}
-	for ob, acc := range accs {
-		entries := valid[ob]
-		idx := make([]int, len(entries))
-		for i, en := range entries {
-			idx[i] = en.Coeff
-		}
-		cts, err := wk.extract(acc, idx)
-		if err != nil {
-			return nil, err
-		}
-		for i, en := range entries {
-			out.vals[out.idx(en.Cout, en.Y, en.X)] = cts[i]
-		}
-	}
-	if out.pending, out.span, err = wk.lutFor(q, q.AccInterval(in)); err != nil {
-		return nil, err
-	}
-	out.fn = q.Remap
-	return &inferState{vs: out}, nil
-}
-
-// addLWE returns a+b at modulus t (phase addition under the shared key).
-func (e *Engine) addLWE(a, b lwe.Ciphertext) lwe.Ciphertext {
+// addLWE returns a+b at modulus t (phase addition under the shared key),
+// and a−b when sub is set.
+func (e *Engine) addLWE(a, b lwe.Ciphertext, sub bool) lwe.Ciphertext {
 	m := e.tMod
-	out := lwe.Ciphertext{A: make([]uint64, len(a.A)), Q: e.P.T}
-	for i := range a.A {
-		out.A[i] = m.Add(a.A[i], b.A[i])
+	op := func(x, y uint64) uint64 {
+		if sub {
+			return m.Sub(x, y)
+		}
+		return m.Add(x, y)
 	}
-	out.B = m.Add(a.B, b.B)
-	return out
-}
-
-// subLWE returns a−b at modulus t.
-func (e *Engine) subLWE(a, b lwe.Ciphertext) lwe.Ciphertext {
-	m := e.tMod
-	out := lwe.Ciphertext{A: make([]uint64, len(a.A)), Q: e.P.T}
+	out := lwe.Ciphertext{A: make([]uint64, len(a.A)), Q: e.P.T, B: op(a.B, b.B)}
 	for i := range a.A {
-		out.A[i] = m.Sub(a.A[i], b.A[i])
+		out.A[i] = op(a.A[i], b.A[i])
 	}
-	out.B = m.Sub(a.B, b.B)
 	return out
 }

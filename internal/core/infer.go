@@ -28,66 +28,22 @@ func (e *Engine) Infer(q *qnn.QNetwork, x *qnn.IntTensor) ([]int64, error) {
 	return e.DecryptLogits(out)
 }
 
-// inferState is one image's state between ops: either prepared conv
-// inputs, the usual labeled LWE values, or the terminal accumulators.
+// inferState is one image's state between steps.
 type inferState struct {
-	vs *valSet
-	// inputs holds the coefficient-encoded input ciphertexts of the next
-	// linear layer, laid out by plan and consumed once: the client's
-	// encryptions before the first layer, or what the batch barrier
-	// prepared for this image in rounds shared across the batch. span is
-	// the proven interval of the values they encode.
+	// vals holds the image's values as LWE ciphertexts at modulus t, all
+	// C·H·W of them in row-major (c, y, x) order, which is also the
+	// flatten order a dense layer reads; a max tree's candidates, window
+	// after window, between its levels. held is a residual block's input,
+	// or its body while the shortcut runs.
+	vals, held []lwe.Ciphertext
+	// inputs holds the next linear layer's coefficient-encoded inputs,
+	// consumed once: the client's encryptions before the first layer, or
+	// what the batch barrier prepared for this image.
 	inputs []*bfv.Ciphertext
-	plan   *coeffenc.Plan
-	span   qnn.Interval
-
-	// final carries the terminal layer's accumulators once the last op
-	// has run. Keeping it in the per-inference state (rather than on the
-	// engine) lets batched images evaluate concurrently.
-	final *finalResult
+	final  *finalResult // the last layer's accumulators, once it has run
 }
 
-var (
-	errEmptyNetwork = errors.New("core: empty network")
-	errNilInput     = errors.New("core: nil encrypted input")
-	errNoFinal      = errors.New("core: network did not end in a linear layer")
-)
-
-func firstConv(q *qnn.QNetwork) (*qnn.QConv, error) {
-	if len(q.Blocks) == 0 {
-		return nil, errEmptyNetwork
-	}
-	seq, ok := q.Blocks[0].(qnn.QSeq)
-	if !ok || len(seq) == 0 {
-		return nil, fmt.Errorf("core: network must start with a QSeq")
-	}
-	c, ok := seq[0].(*qnn.QConv)
-	if !ok {
-		return nil, fmt.Errorf("core: network must start with a linear layer")
-	}
-	return c, nil
-}
-
-// applyOp dispatches one quantized operation. aMax is the network's
-// largest activation, which sizes the pooling domains.
-func (wk *evalWorker) applyOp(op qnn.QOp, st *inferState, lastOp bool, aMax int64) (*inferState, error) {
-	var vs *valSet
-	var err error
-	switch o := op.(type) {
-	case *qnn.QConv:
-		return wk.convLayer(o, st, lastOp)
-	case *qnn.QMaxPool:
-		vs, err = wk.maxPool(o, st.vs, aMax)
-	case *qnn.QAvgPool:
-		vs, err = wk.avgPool(o, st.vs, aMax)
-	default:
-		return nil, fmt.Errorf("core: unsupported op %T", op)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &inferState{vs: vs}, nil
-}
+var errNilInput = errors.New("core: nil encrypted input")
 
 // finalResult holds the terminal layer's accumulator ciphertexts for
 // decryption.
@@ -97,207 +53,191 @@ type finalResult struct {
 	accs []*bfv.Ciphertext
 }
 
-// residualBlock runs body and shortcut, joins them with an LWE addition,
-// and leaves the post-add ReLU-clamp LUT pending.
-func (wk *evalWorker) residualBlock(r *qnn.QResidual, st *inferState) (*inferState, error) {
-	e := wk.e
-	if st.inputs != nil {
-		return nil, fmt.Errorf("core: residual block cannot be the first block")
+// run advances image img's state by step s, whose rounds apply ev.
+func (wk *evalWorker) run(s *Step, img, batch int, st *inferState, ev *fbs.Evaluator) error {
+	e, rounds := wk.e, s.Rounds
+	if !s.Shared && len(rounds) > 0 {
+		r := len(rounds) / batch // every image has as many, image after image
+		rounds = rounds[img*r : (img+1)*r]
 	}
-	in, err := wk.materialize(st.vs)
-	if err != nil {
-		return nil, err
+	var err error
+	switch s.Kind {
+	case StepConv:
+		return wk.convLayer(s, rounds, img, st, ev)
+	case StepMaxLevel:
+		return wk.maxLevel(s.K, rounds, st, ev)
 	}
-	body, err := wk.residualBranch(r.Body, in, "body")
-	if err != nil {
-		return nil, err
-	}
-	short, err := wk.residualBranch(r.Shortcut, in, "shortcut")
-	if err != nil {
-		return nil, err
-	}
-	if body.C != short.C || body.H != short.H || body.W != short.W {
-		return nil, fmt.Errorf("core: residual branch shapes differ")
-	}
-	// The sum of two extracted values carries two e_ms into the join
-	// table, which stays full: its image bounds the block's output.
-	sum := e.domain(body.span.Add(short.span), 2*e.margin)
-	out := &valSet{C: body.C, H: body.H, W: body.W, vals: make([]lwe.Ciphertext, len(body.vals)), span: qnn.Image(r.JoinRemap, sum)}
-	for i, b := range body.vals {
-		out.vals[i] = e.addLWE(b, short.vals[i])
-		wk.stats.LWEAdds++
-	}
-	if out.pending, err = wk.lut(e.whole, r.JoinRemap); err != nil {
-		return nil, err
-	}
-	out.fn = r.JoinRemap
-	return &inferState{vs: out}, nil
-}
-
-// residualBranch runs one branch of a residual block (linear layers
-// only) on the materialized block input and materializes its result; an
-// empty branch is the identity.
-func (wk *evalWorker) residualBranch(ops qnn.QSeq, vs *valSet, name string) (*valSet, error) {
-	for _, op := range ops {
-		c, ok := op.(*qnn.QConv)
-		if !ok {
-			return nil, fmt.Errorf("core: residual %s supports linear layers only, got %T", name, op)
-		}
-		st, err := wk.convLayer(c, &inferState{vs: vs}, false)
-		if err != nil {
-			return nil, err
-		}
-		vs = st.vs
-	}
-	return wk.materialize(vs)
-}
-
-// avgPool sums each window with LWE additions in a scaled domain (so
-// the per-value extraction noise is crushed by the divide) and leaves
-// the divide LUT pending.
-func (wk *evalWorker) avgPool(p *qnn.QAvgPool, vs *valSet, aMax int64) (*valSet, error) {
-	e := wk.e
-	scale := e.poolScale(aMax * int64(p.K*p.K))
-	in, err := wk.materializeScaled(vs, scale)
-	if err != nil {
-		return nil, err
-	}
-	oh, ow := in.H/p.K, in.W/p.K
-	// A window's rounded mean lies between its least and its greatest.
-	out := &valSet{C: in.C, H: oh, W: ow, vals: make([]lwe.Ciphertext, 0, in.C*oh*ow), span: vs.span}
-	for c := 0; c < in.C; c++ {
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				acc := e.zeroLWE()
-				for i := 0; i < p.K; i++ {
-					for j := 0; j < p.K; j++ {
-						acc = e.addLWE(acc, in.vals[in.idx(c, y*p.K+i, x*p.K+j)])
-						wk.stats.LWEAdds++
-					}
-				}
-				out.vals = append(out.vals, acc)
-			}
+	if len(rounds) > 0 {
+		if st.vals, err = wk.batchLUT(st.vals, rounds, ev); err != nil {
+			return err
 		}
 	}
-	div := scale * int64(p.K*p.K)
-	out.pending, err = wk.divideFor(int(div))
-	if err != nil {
-		return nil, err
-	}
-	out.fn = func(x int64) int64 { return roundDiv(x, div) }
-	return out, nil
-}
-
-// maxPool runs the PEGASUS-style max tree: max(a,b) = b + ReLU(a−b).
-// Each level pairs candidates (2j, 2j+1) of every window and carries an
-// odd last one, so m candidates become ⌈m/2⌉ and a K×K window takes
-// ⌈log₂ K²⌉ levels; a level's ReLUs over all windows are one batched
-// LUT round. The tree operates in a scaled domain so the extraction
-// noise of each ReLU round stays far below one activation step; the
-// divide back is left pending for the consumer's LUT.
-func (wk *evalWorker) maxPool(p *qnn.QMaxPool, vs *valSet, aMax int64) (*valSet, error) {
-	e := wk.e
-	scale := e.poolScale(aMax)
-	in, err := wk.materializeScaled(vs, scale)
-	if err != nil {
-		return nil, err
-	}
-	oh, ow := in.H/p.K, in.W/p.K
-	windows, m := in.C*oh*ow, p.K*p.K
-	// cands holds every window's m candidates, window after window in
-	// (c, y, x) order.
-	cands := make([]lwe.Ciphertext, 0, windows*m)
-	for c := 0; c < in.C; c++ {
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				for i := 0; i < p.K; i++ {
-					for j := 0; j < p.K; j++ {
-						cands = append(cands, in.vals[in.idx(c, y*p.K+i, x*p.K+j)])
-					}
-				}
-			}
+	switch s.Kind {
+	case StepFork:
+		st.held = st.vals
+	case StepBranch:
+		st.vals, st.held = st.held, st.vals
+	case StepJoin:
+		for i, h := range st.held {
+			st.vals[i] = e.addLWE(h, st.vals[i], false)
+			wk.stats.LWEAdds++
 		}
-	}
-	relu, err := wk.reluFull()
-	if err != nil {
-		return nil, err
-	}
-	for m > 1 {
-		pairs := m / 2
-		diffs := make([]lwe.Ciphertext, 0, windows*pairs)
-		for w := 0; w < windows; w++ {
-			for j := 0; j < pairs; j++ {
-				diffs = append(diffs, e.subLWE(cands[w*m+2*j], cands[w*m+2*j+1]))
+		st.held = nil
+	case StepMaxPool:
+		st.vals = windowValues(s, st.vals)
+	case StepAvgPool:
+		// Each window's sum starts from its first value.
+		terms, kk := windowValues(s, st.vals), s.K*s.K
+		st.vals = make([]lwe.Ciphertext, len(terms)/kk)
+		for w := range st.vals {
+			st.vals[w] = terms[w*kk]
+			for _, v := range terms[w*kk+1 : (w+1)*kk] {
+				st.vals[w] = e.addLWE(st.vals[w], v, false)
 				wk.stats.LWEAdds++
 			}
 		}
-		relus, err := wk.batchLUT(diffs, relu)
+	}
+	return nil
+}
+
+// convLayer runs one linear layer on inputs prepared already — the
+// client's before the first layer, or the batch barrier's — or packed
+// here in the image's rounds: accumulate, then extract, except that the
+// last op stops at its accumulators, which are the encrypted logits.
+func (wk *evalWorker) convLayer(s *Step, rounds []Round, img int, st *inferState, ev *fbs.Evaluator) error {
+	e, q, plan, inputs := wk.e, s.Conv, s.Plan, st.inputs
+	st.inputs = nil
+	switch {
+	case s.Rounds == nil:
+		// Client ciphertexts arrive at the full chain — drop them to the
+		// post level so the accumulation runs on the short chain like
+		// every later layer.
+		if len(inputs) != plan.InBatches {
+			return fmt.Errorf("core: %d input ciphertexts, plan expects %d", len(inputs), plan.InBatches)
+		}
+		dropped := make([]*bfv.Ciphertext, len(inputs))
+		for i, ct := range inputs {
+			var err error
+			if dropped[i], err = e.Ctx.ModDownWith(ct, e.ctxP.Level(), &wk.rescale); err != nil {
+				return err
+			}
+		}
+		inputs = dropped
+	case !s.Shared:
+		prepared, err := wk.convInputs(plan, rounds, [][]lwe.Ciphertext{st.vals}, img, ev)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		next := make([]lwe.Ciphertext, 0, windows*((m+1)/2))
-		for w := 0; w < windows; w++ {
-			for j := 0; j < pairs; j++ {
-				next = append(next, e.addLWE(cands[w*m+2*j+1], relus[w*pairs+j])) // max(a,b)
-				wk.stats.LWEAdds++
-			}
-			if m%2 == 1 {
-				next = append(next, cands[w*m+m-1])
-			}
-		}
-		cands, m = next, (m+1)/2
+		inputs = prepared[0]
 	}
-	// A window's maximum is one of its values.
-	out := &valSet{C: in.C, H: oh, W: ow, vals: cands, span: vs.span}
-	out.pending, err = wk.divideFor(int(scale))
+	accs, valid := wk.convAccumulate(q, plan, inputs)
+	if s.Last {
+		st.vals, st.final = nil, &finalResult{conv: q, plan: plan, accs: accs}
+		return nil
+	}
+	if t := e.P.T; q.MaxAcc >= int64(t/2) {
+		return fmt.Errorf("core: %s accumulator bound %d exceeds t/2 = %d", q.OpName(), q.MaxAcc, t/2)
+	}
+	out := make([]lwe.Ciphertext, q.Shape.Outputs())
+	oh, ow := q.Shape.OutH(), q.Shape.OutW()
+	for ob, acc := range accs {
+		entries := valid[ob]
+		idx := make([]int, len(entries))
+		for i, en := range entries {
+			idx[i] = en.Coeff
+		}
+		cts, err := wk.extract(acc, idx)
+		if err != nil {
+			return err
+		}
+		for i, en := range entries {
+			out[(en.Cout*oh+en.Y)*ow+en.X] = cts[i]
+		}
+	}
+	st.vals = out
+	return nil
+}
+
+// windowValues lays out every K×K window's values, window after window
+// in (c, y, x) order: a max tree's candidates, or an average's terms.
+func windowValues(s *Step, in []lwe.Ciphertext) []lwe.Ciphertext {
+	oh, ow := s.H/s.K, s.W/s.K
+	out := make([]lwe.Ciphertext, 0, s.C*oh*ow*s.K*s.K)
+	for c := 0; c < s.C; c++ {
+		for y := 0; y < oh; y++ {
+			for x := 0; x < ow; x++ {
+				for i := 0; i < s.K; i++ {
+					for j := 0; j < s.K; j++ {
+						out = append(out, in[(c*s.H+y*s.K+i)*s.W+x*s.K+j])
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// maxLevel runs one level of the max tree on the image's candidates:
+// pairs (2j, 2j+1) of every window become max(a,b) = b + ReLU(a−b), the
+// ReLUs in rounds, and an odd last candidate is carried.
+func (wk *evalWorker) maxLevel(m int, rounds []Round, st *inferState, relu *fbs.Evaluator) error {
+	e, cands := wk.e, st.vals
+	windows, pairs := len(cands)/m, m/2
+	diffs := make([]lwe.Ciphertext, 0, windows*pairs)
+	for w := 0; w < windows; w++ {
+		for j := 0; j < pairs; j++ {
+			diffs = append(diffs, e.addLWE(cands[w*m+2*j], cands[w*m+2*j+1], true))
+			wk.stats.LWEAdds++
+		}
+	}
+	relus, err := wk.batchLUT(diffs, rounds, relu)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out.fn = func(x int64) int64 { return roundDiv(x, scale) }
-	return out, nil
+	next := make([]lwe.Ciphertext, 0, windows*((m+1)/2))
+	for w := 0; w < windows; w++ {
+		for j := 0; j < pairs; j++ {
+			next = append(next, e.addLWE(cands[w*m+2*j+1], relus[w*pairs+j], false)) // max(a,b)
+			wk.stats.LWEAdds++
+		}
+		if m%2 == 1 {
+			next = append(next, cands[w*m+m-1])
+		}
+	}
+	st.vals = next
+	return nil
 }
 
-// reluFull is the plain ReLU LUT (no clamp change) used by the max tree.
-func (wk *evalWorker) reluFull() (*fbs.Evaluator, error) {
-	return wk.reluClampFor(63) // lim = 2^62-1: effectively unclamped ReLU
-}
-
-// batchLUT is the one LUT round of the pipeline: it applies lut to a
-// flat list of LWE values via pack→FBS→S2C→extract, preserving order.
-// The slot-capacity chunks are independent bootstrapping rounds and fan
-// out across worker lanes; each chunk writes only its own
-// out[start:end] window.
-func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, lut *fbs.Evaluator) ([]lwe.Ciphertext, error) {
-	e := wk.e
-	n := e.Ctx.N
+// batchLUT applies lut to a flat list of LWE values in rounds over
+// values (valueRounds) via pack→FBS→S2C→extract, preserving order. The
+// rounds are independent and fan out across worker lanes; each writes
+// only its own window of out.
+func (wk *evalWorker) batchLUT(vals []lwe.Ciphertext, rounds []Round, lut *fbs.Evaluator) ([]lwe.Ciphertext, error) {
+	n := wk.e.Ctx.N
 	out := make([]lwe.Ciphertext, len(vals))
-	chunks := (len(vals) + n - 1) / n
-	errs := make([]error, chunks)
-	wk.forEach(chunks, func(ln *evalWorker, ci int) {
-		start := ci * n
-		end := start + n
-		if end > len(vals) {
-			end = len(vals)
-		}
-		idx := make([]int, end-start)
+	errs := make([]error, len(rounds))
+	wk.forEach(len(rounds), func(ln *evalWorker, ri int) {
+		w := rounds[ri].Windows[0]
+		start, end := w.Batch*n, w.Batch*n+w.Len
+		idx := make([]int, w.Len)
 		for i := range idx {
 			idx[i] = i
 		}
 		// S2C maps slot i to coefficient i: the values are coefficients
-		// [0, end−start), and the slots past them are never read.
-		ct, err := ln.packFBS(vals[start:end], end-start, lut)
+		// [0, Len), and the slots past them are never read.
+		ct, err := ln.packFBS(vals[start:end], w.Valid, lut)
 		if err != nil {
-			errs[ci] = err
+			errs[ri] = err
 			return
 		}
 		// ct is packFBS's own result: S2C runs in place.
 		if err := ln.toCoeffs(ct, ct); err != nil {
-			errs[ci] = err
+			errs[ri] = err
 			return
 		}
 		flat, err := ln.extract(ct, idx)
 		if err != nil {
-			errs[ci] = err
+			errs[ri] = err
 			return
 		}
 		copy(out[start:end], flat)

@@ -142,7 +142,7 @@ func newPlan(p Params) (*plan, error) {
 		margin: emsMargin(p, ks.Digits),
 		luts:   map[[sha256.Size]byte]*fbs.Evaluator{},
 	}
-	pl.whole = pl.domain(qnn.Interval{Lo: -int64(p.T), Hi: int64(p.T)}, 0)
+	pl.whole = domain(p.T, qnn.Interval{Lo: -int64(p.T), Hi: int64(p.T)}, 0)
 	pl.zero = pl.zeroLWE()
 	fbsL, postL := p.Levels()
 	if pl.ctxF, err = ctx.AtLevel(fbsL); err != nil {
@@ -240,14 +240,6 @@ func emsMargin(p Params, digits int) int64 {
 // EmsMargin returns the margin E every range-sized table of the engine
 // is widened by on each side of its proven interval (emsMargin).
 func (e *Engine) EmsMargin() int64 { return e.margin }
-
-// domain returns the span (fbs.Span) of iv widened by e on each side: the
-// inputs a table reading values of iv, each carrying at most e of noise,
-// is evaluated on.
-func (pl *plan) domain(iv qnn.Interval, e int64) qnn.Interval {
-	lo, hi := fbs.Span(pl.params.T, iv.Lo-e, iv.Hi+e)
-	return qnn.Interval{Lo: lo, Hi: hi}
-}
 
 // compiled returns the evaluator stored under key, the SHA-256 of the
 // table of f on span (evalWorker.lut), compiling that table on the first

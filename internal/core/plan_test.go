@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"athena/internal/bfv"
+	"athena/internal/fbs"
 	"athena/internal/lwe"
 	"athena/internal/pack"
 	"athena/internal/qnn"
@@ -473,7 +474,10 @@ func TestPlanLUTsByContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	half := func(x int64) int64 { return roundDiv(x, 2) }
-	a, err := e.w0.divideFor(2)
+	divide := func(d int64) (*fbs.Evaluator, error) {
+		return e.w0.lut(e.whole, func(x int64) int64 { return roundDiv(x, d) })
+	}
+	a, err := divide(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,14 +485,14 @@ func TestPlanLUTsByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := e.w0.scaledEvaluator(half, 1)
+	c, err := e.w0.lut(e.whole, func(x int64) int64 { return half(x) * 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b || b != c {
 		t.Fatal("one table compiled into several evaluators")
 	}
-	d, err := e.w0.divideFor(3)
+	d, err := divide(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +500,7 @@ func TestPlanLUTsByContent(t *testing.T) {
 		t.Fatal("different tables share an evaluator")
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := e.w0.divideFor(2); err != nil {
+		if _, err := e.w0.lut(e.whole, half); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

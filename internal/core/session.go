@@ -22,7 +22,6 @@ import (
 type EncryptedInput struct {
 	model  string
 	inputs []*bfv.Ciphertext
-	plan   *coeffenc.Plan
 }
 
 // Size returns the ciphertext count of the bundle.
@@ -63,7 +62,7 @@ func (e *Engine) EncryptInput(q *qnn.QNetwork, x *qnn.IntTensor) (*EncryptedInpu
 		return nil, fmt.Errorf("core: input %dx%dx%d does not match first layer %dx%dx%d",
 			x.C, x.H, x.W, first.Shape.Cin, first.Shape.H, first.Shape.W)
 	}
-	lim := activationLimit(q)
+	_, lim := activationLimit(q)
 	for i, v := range x.Data {
 		if v < -lim || v > lim {
 			return nil, &InputRangeError{Index: i, Value: v, Limit: lim}
@@ -79,7 +78,7 @@ func (e *Engine) EncryptInput(q *qnn.QNetwork, x *qnn.IntTensor) (*EncryptedInpu
 		vec := plan.EncodeInput(m3, ib)
 		inputs[ib] = e.enc.Encrypt(e.cod.EncodeCoeffs(vec))
 	}
-	return &EncryptedInput{model: q.Name, inputs: inputs, plan: plan}, nil
+	return &EncryptedInput{model: q.Name, inputs: inputs}, nil
 }
 
 // EvaluateEncrypted runs the network on the encrypted input and returns

@@ -98,7 +98,7 @@ func (e *Engine) SoftmaxEncrypted(logits []int64, cfg SoftmaxConfig) ([]float64,
 	if err != nil {
 		return nil, err
 	}
-	exps, err := w0.batchLUT(in, expLUT)
+	exps, err := w0.batchLUT(in, valueRounds(1, len(in), e.Ctx.N, Table{}), expLUT)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func (e *Engine) SoftmaxEncrypted(logits []int64, cfg SoftmaxConfig) ([]float64,
 	// sum so the division can happen slot-wise.
 	sum := e.zeroLWE()
 	for _, ct := range exps {
-		sum = e.addLWE(sum, ct)
+		sum = e.addLWE(sum, ct, false)
 		w0.stats.LWEAdds++
 	}
 	sums := make([]lwe.Ciphertext, cfg.Classes)

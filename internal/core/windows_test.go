@@ -102,10 +102,10 @@ func TestConvInputWindows(t *testing.T) {
 			sawRagged = sawRagged || plan.InBatches%g != 0 && g > 1
 			sawIdentityShared = sawIdentityShared || !c.lut && windows > 1 && g > 1
 
-			sets, acts := windowSets(e, c, lut, lutFn, rng)
+			sets, acts := windowSets(e, c, lutFn, rng)
 
 			e.Stats = OpStats{}
-			inputs, err := e.w0.convInputs(plan, sets)
+			inputs, err := e.w0.convInputs(plan, sharedRounds(plan, n, c.batch, c.lut, lutFn), sets, 0, pendingLUT(c.lut, lut))
 			if err != nil {
 				t.Fatalf("N=%d %v: %v", n, c, err)
 			}
@@ -209,18 +209,34 @@ func TestValidCoeffsDense(t *testing.T) {
 	}
 }
 
+// sharedRounds lays the windows of batch images of plan into rounds as
+// the schedule of a shared conv does, under a table of fn when lut is
+// set.
+func sharedRounds(plan *coeffenc.Plan, n, batch int, lut bool, fn func(int64) int64) []Round {
+	b := &builder{s: Schedule{Batch: batch}, n: n}
+	if lut {
+		b.pending = Table{Fn: fn}
+	}
+	return b.windows(plan, true)
+}
+
+// pendingLUT is lut when the case has one pending, else nil.
+func pendingLUT(pending bool, lut *fbs.Evaluator) *fbs.Evaluator {
+	if pending {
+		return lut
+	}
+	return nil
+}
+
 // windowSets draws c.batch full value sets of c's source geometry —
 // trivial LWE encryptions (zero mask, the value as body: what softmax
-// feeds the packer too) — with lut pending, whose plaintext shadow is fn, when c.lut is set, and the
-// activations the layer should see.
-func windowSets(e *Engine, c windowCase, lut *fbs.Evaluator, fn func(int64) int64, rng *rand.Rand) ([]*valSet, [][][][]int64) {
-	sets := make([]*valSet, c.batch)
+// feeds the packer too) — and the activations the layer should see:
+// fn of the values when c.lut is set.
+func windowSets(e *Engine, c windowCase, fn func(int64) int64, rng *rand.Rand) ([][]lwe.Ciphertext, [][][][]int64) {
+	sets := make([][]lwe.Ciphertext, c.batch)
 	acts := make([][][][]int64, c.batch)
 	for b := range sets {
-		vs := &valSet{C: c.srcC, H: c.srcH, W: c.srcH, vals: make([]lwe.Ciphertext, 0, c.srcC*c.srcH*c.srcH)}
-		if c.lut {
-			vs.pending, vs.fn = lut, fn
-		}
+		vals := make([]lwe.Ciphertext, 0, c.srcC*c.srcH*c.srcH)
 		act := qnn.NewIntTensor(c.shape.Cin, c.shape.H, c.shape.W)
 		for ch := 0; ch < c.srcC; ch++ {
 			for y := 0; y < c.srcH; y++ {
@@ -228,7 +244,7 @@ func windowSets(e *Engine, c windowCase, lut *fbs.Evaluator, fn func(int64) int6
 					v := int64(rng.IntN(17)) - 8
 					ct := e.zeroLWE()
 					ct.B = e.Ctx.TMod.ReduceInt64(v)
-					vs.vals = append(vs.vals, ct)
+					vals = append(vals, ct)
 					if c.lut {
 						v = fn(v)
 					}
@@ -237,7 +253,7 @@ func windowSets(e *Engine, c windowCase, lut *fbs.Evaluator, fn func(int64) int6
 				}
 			}
 		}
-		sets[b], acts[b] = vs, act.To3D()
+		sets[b], acts[b] = vals, act.To3D()
 	}
 	return sets, acts
 }
@@ -308,9 +324,9 @@ func TestLoneWindowMask(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sets, acts := windowSets(e, c, lut, l.fn, rand.New(rand.NewPCG(uint64(logN), 0x17)))
+			sets, acts := windowSets(e, c, l.fn, rand.New(rand.NewPCG(uint64(logN), 0x17)))
 			e.Stats = OpStats{}
-			inputs, err := e.w0.convInputs(plan, sets)
+			inputs, err := e.w0.convInputs(plan, sharedRounds(plan, e.Ctx.N, 1, true, l.fn), sets, 0, lut)
 			if err != nil {
 				t.Fatalf("N=%d %s: %v", e.Ctx.N, l.name, err)
 			}

@@ -106,7 +106,7 @@ func (e *Engine) ReadEncryptedInput(q *qnn.QNetwork, r io.Reader) (*EncryptedInp
 		}
 		inputs[i] = ct
 	}
-	return &EncryptedInput{model: model, inputs: inputs, plan: plan}, nil
+	return &EncryptedInput{model: model, inputs: inputs}, nil
 }
 
 // WriteEncryptedLogits serializes the server's result bundle.

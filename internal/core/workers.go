@@ -29,9 +29,11 @@ type evalWorker struct {
 	// built on first use.
 	round, window *bfv.Ciphertext
 	// pt and pm stage a one-shot post-level plaintext — a mask, a kernel,
-	// a bias — from its encoding through its lift; built on first use.
-	pt *bfv.Plaintext
-	pm *bfv.PlaintextMul
+	// a bias — from its encoding through its lift, mask a mask's slot
+	// values; built on first use.
+	pt   *bfv.Plaintext
+	pm   *bfv.PlaintextMul
+	mask []int64
 	// rescale stages ModDown and Step ②'s modulus switch; sw holds the
 	// qMid pair Step ② writes and Step ③'s ring switch, built on the
 	// worker's first extract.
@@ -98,6 +100,7 @@ func (wk *evalWorker) plain() (*bfv.Plaintext, *bfv.PlaintextMul) {
 		ctxP := wk.e.ctxP
 		wk.pt = ctxP.NewPlaintext()
 		wk.pm = &bfv.PlaintextMul{Value: ctxP.RingQ.NewPoly()}
+		wk.mask = make([]int64, wk.e.Ctx.N)
 	}
 	return wk.pt, wk.pm
 }
