@@ -1,6 +1,7 @@
 package qnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -382,6 +383,14 @@ func TestReadoutTraining(t *testing.T) {
 	cfg.Epochs = 10
 	cfg.LR = 0.1
 	TrainReadout(net, train, cfg)
+	last := net.Blocks[len(net.Blocks)-1].(Seq)
+	dense := last[len(last)-1].(*Dense)
+	var g goldenText
+	for o := 0; o < dense.Out; o++ {
+		g.add(fmt.Sprintf("weights %d", o), dense.Weight.W[o*dense.In:(o+1)*dense.In]...)
+	}
+	g.add("bias", dense.Bias.W...)
+	g.check(t, "readout.golden")
 	acc := Accuracy(net, test)
 	if acc < 0.4 {
 		t.Fatalf("readout-trained ResNet-20 accuracy %.2f below 0.4 (chance is 0.1)", acc)

@@ -2,7 +2,12 @@ package qnn
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"athena/internal/coeffenc"
@@ -76,6 +81,56 @@ func TestRetrainHeadIsolated(t *testing.T) {
 	}
 	if head.Multiplier <= 0 {
 		t.Fatalf("head multiplier %v", head.Multiplier)
+	}
+	var g goldenText
+	for o, ws := range head.Weights {
+		row := make([]float64, len(ws))
+		for j, w := range ws {
+			row[j] = float64(w[0][0])
+		}
+		g.add(fmt.Sprintf("weights %d", o), row...)
+	}
+	bias := make([]float64, len(head.Bias))
+	for o, b := range head.Bias {
+		bias[o] = float64(b)
+	}
+	g.add("bias", bias...)
+	g.add("max_acc", float64(head.MaxAcc))
+	g.add("multiplier", head.Multiplier)
+	g.check(t, "retrain_head.golden")
+}
+
+// goldenText is a list of named values, each printed with the fewest
+// digits that read back as the same float64.
+type goldenText struct{ strings.Builder }
+
+func (g *goldenText) add(name string, vs ...float64) {
+	g.WriteString(name)
+	for _, v := range vs {
+		g.WriteString(" " + strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	g.WriteString("\n")
+}
+
+// check compares the recorded values with testdata/name line by line.
+func (g *goldenText) check(t *testing.T, name string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(g.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		var a, b string
+		if i < len(got) {
+			a = got[i]
+		}
+		if i < len(wantLines) {
+			b = wantLines[i]
+		}
+		if a != b {
+			t.Fatalf("%s line %d:\n got  %q\n want %q", name, i+1, a, b)
+		}
 	}
 }
 

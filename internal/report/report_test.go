@@ -1,8 +1,16 @@
 package report
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"athena/internal/ckksref"
+	"athena/internal/noise"
+	"athena/internal/qnn"
 )
 
 func mustContain(t *testing.T, s string, subs ...string) {
@@ -108,10 +116,101 @@ func TestAccuracyStudiesSmall(t *testing.T) {
 	cfg.Epochs = 2
 	mustContain(t, Fig4(cfg), "maxAcc", "error ratio")
 	mustContain(t, Fig12Accuracy(cfg), "w4a4", "w7a7")
+	var g goldenText
+	accuracyGolden(t, &g, cfg)
 	cfg.SkipResNet56 = true
 	cfg.TrainCIFAR = 60
-	s := Table5(cfg)
-	mustContain(t, s, "MNIST", "LeNet", "ResNet-20", "plain-G")
+	rows, err := Table5Rows(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		g.add("table5 "+r.Model, r.PlainG, r.PlainQ7, r.Cipher7, r.PlainQ6, r.Cipher6)
+	}
+	if len(rows) != 3 || rows[0].Model != "MNIST" || rows[1].Model != "LeNet" || rows[2].Model != "ResNet-20" {
+		t.Fatalf("table 5 rows %+v", rows)
+	}
+	// Table 5's cached ResNet-20 puts the approximated residual join on
+	// the model curve.
+	resnet, resTrain, _, err := TrainedModel("ResNet-20", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.add("modelbit ResNet-20 order 7 delta 35", ckksref.ModelBitAccuracy(resnet, resTrain, 2, 7, 35))
+	g.check(t, "accuracy.golden")
+}
+
+// accuracyGolden records, at full float64 precision, the values behind
+// Fig. 4, Fig. 12's accuracy half and Fig. 1's model curve at cfg: the
+// plaintext quantized reference every figure is computed on.
+func accuracyGolden(t *testing.T, g *goldenText, cfg AccuracyConfig) {
+	t.Helper()
+	net, train, test, err := TrainedModel("MNIST", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc := qnn.DefaultQuantConfig()
+	qc.AccCap = 29000
+	qnet, err := qnn.Quantize(net, train, qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range noise.Fig4Stats(qnet, train, 16, noise.EmsSigma(1<<15, 3.2, 720, 16), cfg.Seed) {
+		g.add("fig4 "+s.Name, float64(s.MaxAcc), s.MaxAccBits, s.ErrorRatio)
+	}
+	// The loop of Fig12Accuracy, keeping the values it renders.
+	for _, m := range [][2]int{{4, 4}, {5, 5}, {6, 6}, {6, 7}, {7, 7}, {8, 8}} {
+		qc := qnn.DefaultQuantConfig()
+		qc.WBits, qc.ABits = m[0], m[1]
+		qc.AccCap = 29000
+		qnet, err := qnn.Quantize(net, train, qc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := qnet.RetrainHead(train, 20, 0.02, cfg.Seed+3); err != nil {
+			t.Fatal(err)
+		}
+		g.add(fmt.Sprintf("fig12 w%da%d", m[0], m[1]), qnet.AccuracyInt(test), qnet.AccuracyNoisy(test, cfg.EmsSigma, cfg.Seed+3))
+	}
+	for _, order := range []int{3, 7, 15, 27} {
+		for _, d := range []int{25, 30, 35, 40} {
+			g.add(fmt.Sprintf("modelbit MNIST order %d delta %d", order, d), ckksref.ModelBitAccuracy(net, train, 16, order, d))
+		}
+	}
+}
+
+// goldenText is a list of named values, each printed with the fewest
+// digits that read back as the same float64.
+type goldenText struct{ strings.Builder }
+
+func (g *goldenText) add(name string, vs ...float64) {
+	g.WriteString(name)
+	for _, v := range vs {
+		g.WriteString(" " + strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	g.WriteString("\n")
+}
+
+// check compares the recorded values with testdata/name line by line.
+func (g *goldenText) check(t *testing.T, name string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(g.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		var a, b string
+		if i < len(got) {
+			a = got[i]
+		}
+		if i < len(wantLines) {
+			b = wantLines[i]
+		}
+		if a != b {
+			t.Fatalf("%s line %d:\n got  %q\n want %q", name, i+1, a, b)
+		}
+	}
 }
 
 func TestThroughputRenders(t *testing.T) {
