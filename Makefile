@@ -63,7 +63,9 @@ keys-full:
 	$(GO) run ./cmd/athena-keygen -preset full -dry-run
 
 # Every native fuzz target of the arithmetic packages, of the eval-key
-# bundle reader (FuzzReadEvalKeys in core), of the store (FuzzOpenDir:
+# bundle reader (FuzzReadEvalKeys in core), of the model reader
+# (FuzzReadJSONNetwork in qnn: every accepted model evaluates), of the
+# store (FuzzOpenDir:
 # arbitrary names and contents in a data directory), of the serving
 # protocol (FuzzFrames: the frame reader and every payload decoder) and
 # of the cluster control plane (FuzzControlRPC: arbitrary JSON-RPC
@@ -71,7 +73,7 @@ keys-full:
 # invocation): the checked-in corpora always run under `go test`; this
 # looks a little past them on every push.
 fuzz-smoke:
-	@set -e; for pkg in ring rns bfv fbs lwe core store serve cluster; do \
+	@set -e; for pkg in ring rns bfv fbs lwe core qnn store serve cluster; do \
 		for f in $$($(GO) test -list '^Fuzz' ./internal/$$pkg | grep '^Fuzz'); do \
 			echo "fuzz ./internal/$$pkg $$f"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 15s ./internal/$$pkg; \

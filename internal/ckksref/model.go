@@ -17,13 +17,27 @@ func ModelBitAccuracy(net *qnn.Network, ds *qnn.Dataset, samples, order, delta i
 		samples = len(ds.Samples)
 	}
 	coeffs := Coefficients(ReLU, Chebyshev, order)
+	// Activations are normalized into the expansion's [-1, 1] domain per
+	// tensor (the standard range-scaling CKKS pipelines apply before a
+	// polynomial activation).
+	series := func(t *qnn.Tensor) *qnn.Tensor {
+		out := t.Clone()
+		scale := t.AbsMax()
+		if scale == 0 {
+			scale = 1
+		}
+		for i, v := range out.Data {
+			out.Data[i] = EvalFixed(coeffs, v/scale, delta) * scale
+		}
+		return out
+	}
 
 	var errSum float64
 	var count int
 	for i := 0; i < samples; i++ {
 		x := ds.Samples[i].X
-		exact := softmaxF(forwardApprox(net, x, nil, 0))
-		approx := softmaxF(forwardApprox(net, x, coeffs, delta))
+		exact := softmaxF(net.Forward(x, nil).Data)
+		approx := softmaxF(net.Forward(x, series).Data)
 		for j := range exact {
 			errSum += math.Abs(exact[j] - approx[j])
 			count++
@@ -41,68 +55,6 @@ func ModelBitAccuracy(net *qnn.Network, ds *qnn.Dataset, samples, order, delta i
 		b = 0
 	}
 	return b
-}
-
-// forwardApprox runs the float network, replacing ReLU activations with
-// the scaled series expansion when coeffs is non-nil. Activations are
-// normalized into the expansion's [-1, 1] domain per tensor (the
-// standard range-scaling CKKS pipelines apply before polynomial
-// activation).
-func forwardApprox(net *qnn.Network, x *qnn.Tensor, coeffs []float64, delta int) []float64 {
-	cur := x
-	apply := func(l qnn.Layer, t *qnn.Tensor) *qnn.Tensor {
-		if _, isRelu := l.(*qnn.ReLU); isRelu && coeffs != nil {
-			out := t.Clone()
-			scale := t.AbsMax()
-			if scale == 0 {
-				scale = 1
-			}
-			for i, v := range out.Data {
-				out.Data[i] = EvalFixed(coeffs, v/scale, delta) * scale
-			}
-			return out
-		}
-		return l.Forward(t, false)
-	}
-	for _, b := range net.Blocks {
-		switch blk := b.(type) {
-		case qnn.Seq:
-			for _, l := range blk {
-				cur = apply(l, cur)
-			}
-		case *qnn.Residual:
-			body := cur
-			for _, l := range blk.Body {
-				body = apply(l, body)
-			}
-			short := cur
-			for _, l := range blk.Shortcut {
-				short = apply(l, short)
-			}
-			out := body.Clone()
-			for i, v := range short.Data {
-				out.Data[i] += v
-			}
-			if coeffs != nil {
-				// The joining ReLU is approximated like the others.
-				scale := out.AbsMax()
-				if scale == 0 {
-					scale = 1
-				}
-				for i, v := range out.Data {
-					out.Data[i] = EvalFixed(coeffs, v/scale, delta) * scale
-				}
-			} else {
-				for i, v := range out.Data {
-					if v < 0 {
-						out.Data[i] = 0
-					}
-				}
-			}
-			cur = out
-		}
-	}
-	return cur.Data
 }
 
 func softmaxF(logits []float64) []float64 {

@@ -473,9 +473,9 @@ func TestPlanLUTsByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := func(x int64) int64 { return roundDiv(x, 2) }
+	half := func(x int64) int64 { return qnn.RoundDiv(x, 2) }
 	divide := func(d int64) (*fbs.Evaluator, error) {
-		return e.w0.lut(e.whole, func(x int64) int64 { return roundDiv(x, d) })
+		return e.w0.lut(e.whole, func(x int64) int64 { return qnn.RoundDiv(x, d) })
 	}
 	a, err := divide(2)
 	if err != nil {

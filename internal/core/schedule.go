@@ -386,7 +386,7 @@ func (b *builder) pool(kind StepKind, op qnn.QOp, k int, maxVal, d, bound int64)
 	st.K, st.C, st.H, st.W = k, b.c, b.h, b.w
 	b.h, b.w = b.h/k, b.w/k
 	div := d * st.Scale
-	b.pending = Table{Of: kind, Span: b.whole, Fn: func(x int64) int64 { return roundDiv(x, div) }, Bound: bound}
+	b.pending = Table{Of: kind, Span: b.whole, Fn: func(x int64) int64 { return qnn.RoundDiv(x, div) }, Bound: bound}
 	return st
 }
 
@@ -456,11 +456,4 @@ func (b *builder) residual(r *qnn.QResidual) error {
 	b.pending = Table{Of: StepJoin, Span: b.whole, Fn: r.JoinRemap, Bound: 1 << (r.ActBits + 1)}
 	b.iv = qnn.Image(r.JoinRemap, sum)
 	return nil
-}
-
-func roundDiv(a, b int64) int64 {
-	if a >= 0 {
-		return (a + b/2) / b
-	}
-	return -((-a + b/2) / b)
 }

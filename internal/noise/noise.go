@@ -165,17 +165,9 @@ func Fig4Stats(q *qnn.QNetwork, ds *qnn.Dataset, samples int, sigma float64, see
 	counts := make([]int64, len(convs))
 	changed := make([]int64, len(convs))
 	for s := 0; s < samples; s++ {
-		x := q.QuantizeInput(ds.Samples[s].X)
-		// Walk the network, instrumenting each conv.
-		walkConvs(q, x, func(li int, acc *qnn.IntTensor, c *qnn.QConv) {
+		q.Walk(q.QuantizeInput(ds.Samples[s].X), func(li int, c *qnn.QConv, acc *qnn.IntTensor) {
 			for _, v := range acc.Data {
-				a := v
-				if a < 0 {
-					a = -a
-				}
-				if a > stats[li].MaxAcc {
-					stats[li].MaxAcc = a
-				}
+				stats[li].MaxAcc = max(stats[li].MaxAcc, v, -v)
 				counts[li]++
 				if c.Remap(v) != c.Remap(v+nm.Sample()) {
 					changed[li]++
@@ -192,45 +184,4 @@ func Fig4Stats(q *qnn.QNetwork, ds *qnn.Dataset, samples int, sigma float64, see
 		}
 	}
 	return stats
-}
-
-// walkConvs runs the exact integer network, invoking fn with each conv's
-// accumulator tensor (before remap) in Convs() order.
-func walkConvs(q *qnn.QNetwork, x *qnn.IntTensor, fn func(int, *qnn.IntTensor, *qnn.QConv)) {
-	li := 0
-	apply := func(op qnn.QOp, in *qnn.IntTensor) *qnn.IntTensor {
-		if c, ok := op.(*qnn.QConv); ok {
-			acc := c.Accumulate(in)
-			fn(li, acc, c)
-			li++
-			out := qnn.NewIntTensor(acc.C, acc.H, acc.W)
-			for i, v := range acc.Data {
-				out.Data[i] = c.Remap(v)
-			}
-			return out
-		}
-		return op.Apply(in)
-	}
-	for _, b := range q.Blocks {
-		switch blk := b.(type) {
-		case qnn.QSeq:
-			for _, op := range blk {
-				x = apply(op, x)
-			}
-		case *qnn.QResidual:
-			body := x
-			for _, op := range blk.Body {
-				body = apply(op, body)
-			}
-			short := x
-			for _, op := range blk.Shortcut {
-				short = apply(op, short)
-			}
-			out := body.Clone()
-			for i, v := range short.Data {
-				out.Data[i] = blk.JoinRemap(out.Data[i] + v)
-			}
-			x = out
-		}
-	}
 }

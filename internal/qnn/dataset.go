@@ -61,7 +61,7 @@ func renderDigit(label int, rng *rand.Rand) *Tensor {
 		y1 := oy + float64(s[1])*scale + rng.Float64() - 0.5
 		x2 := ox + float64(s[2])*scale + rng.Float64() - 0.5
 		y2 := oy + float64(s[3])*scale + rng.Float64() - 0.5
-		steps := 2 * int(max64(abs64(x2-x1), abs64(y2-y1))+1)
+		steps := 2 * int(max(math.Abs(x2-x1), math.Abs(y2-y1))+1)
 		for st := 0; st <= steps; st++ {
 			f := float64(st) / float64(steps)
 			cx := int(x1 + (x2-x1)*f)
@@ -87,20 +87,6 @@ func renderDigit(label int, rng *rand.Rand) *Tensor {
 		}
 	}
 	return img
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SynthCIFAR generates n 3×32×32 images in 10 classes. Each class is a
@@ -153,7 +139,7 @@ func SynthCIFAR(n int, seed uint64) *Dataset {
 			ph := cp.phase + rng.NormFloat64()*0.25
 			for y := 0; y < 32; y++ {
 				for x := 0; x < 32; x++ {
-					v := cp.amp * sinApprox(cp.fx*(float64(x)+dx)+cp.fy*(float64(y)+dy)+ph)
+					v := cp.amp * math.Sin(cp.fx*(float64(x)+dx)+cp.fy*(float64(y)+dy)+ph)
 					img.Data[(cp.ch*32+y)*32+x] += v * contrast
 				}
 			}
@@ -183,5 +169,3 @@ func clamp(v, lo, hi float64) float64 {
 	}
 	return v
 }
-
-func sinApprox(x float64) float64 { return math.Sin(x) }

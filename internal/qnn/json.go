@@ -172,7 +172,9 @@ func (q *QNetwork) WriteJSON(w io.Writer) error {
 	return enc.Encode(jn)
 }
 
-// ReadJSONNetwork deserializes a network written by WriteJSON.
+// ReadJSONNetwork deserializes a network written by WriteJSON. A model
+// file is outside input: the network is validated against the geometry
+// its ops run on, so every network it returns can be evaluated.
 func ReadJSONNetwork(r io.Reader) (*QNetwork, error) {
 	var jn jsonNetwork
 	if err := json.NewDecoder(r).Decode(&jn); err != nil {
@@ -209,5 +211,141 @@ func ReadJSONNetwork(r io.Reader) (*QNetwork, error) {
 			return nil, fmt.Errorf("qnn: unknown block kind %q", b.Kind)
 		}
 	}
+	if err := q.validate(); err != nil {
+		return nil, fmt.Errorf("qnn: invalid model: %w", err)
+	}
 	return q, nil
+}
+
+// maxValues bounds a model's input volume, so that no product of its
+// dimensions overflows.
+const maxValues = 1 << 24
+
+// dims is the C×H×W geometry of the values between two ops.
+type dims struct{ c, h, w int }
+
+// validate checks every op of q against the geometry it runs on, from
+// the input's InC×InH×InW on: a conv's shape, weights [Cout][Cin][K][K]
+// and bias [Cout], a pool's window, equal residual branches, and every
+// activation width in [2, 16]. An op that failed one of these would
+// panic at its first evaluation.
+func (q *QNetwork) validate() error {
+	if err := checkBits(q.ABits); err != nil {
+		return fmt.Errorf("a_bits: %w", err)
+	}
+	if q.InC < 1 || q.InH < 1 || q.InW < 1 || q.InC > maxValues/q.InH/q.InW {
+		return fmt.Errorf("input geometry %d×%d×%d", q.InC, q.InH, q.InW)
+	}
+	d := dims{q.InC, q.InH, q.InW}
+	for bi, b := range q.Blocks {
+		var err error
+		switch blk := b.(type) {
+		case QSeq:
+			d, err = checkOps(blk, d)
+		case *QResidual:
+			d, err = blk.check(d)
+		}
+		if err != nil {
+			return fmt.Errorf("block %d: %w", bi, err)
+		}
+	}
+	return nil
+}
+
+// check validates a residual block on input geometry d.
+func (r *QResidual) check(d dims) (dims, error) {
+	if err := checkBits(r.ActBits); err != nil {
+		return d, fmt.Errorf("act_bits: %w", err)
+	}
+	body, err := checkOps(r.Body, d)
+	if err != nil {
+		return d, fmt.Errorf("body: %w", err)
+	}
+	short, err := checkOps(r.Shortcut, d)
+	if err != nil {
+		return d, fmt.Errorf("shortcut: %w", err)
+	}
+	if body != short {
+		return d, fmt.Errorf("body gives %d×%d×%d, shortcut %d×%d×%d", body.c, body.h, body.w, short.c, short.h, short.w)
+	}
+	return body, nil
+}
+
+// checkOps validates a sequence of ops on input geometry d and returns
+// the geometry of its output.
+func checkOps(ops QSeq, d dims) (dims, error) {
+	for i, op := range ops {
+		var err error
+		switch o := op.(type) {
+		case *QConv:
+			d, err = o.check(d)
+		case *QMaxPool:
+			d, err = checkPool(o.K, d)
+		case *QAvgPool:
+			d, err = checkPool(o.K, d)
+		}
+		if err != nil {
+			return d, fmt.Errorf("op %d: %w", i, err)
+		}
+	}
+	return d, nil
+}
+
+// check validates a conv on input geometry d: a dense layer reads the
+// flattened input, any other conv exactly d, and its padding is less
+// than its kernel, which fits the padded input.
+func (q *QConv) check(d dims) (dims, error) {
+	s := q.Shape
+	if err := checkBits(q.ActBits); err != nil {
+		return d, fmt.Errorf("act_bits: %w", err)
+	}
+	want := coeffenc.ConvShape{H: d.h, W: d.w, Cin: d.c, Cout: s.Cout, K: s.K, Stride: s.Stride, Pad: s.Pad}
+	if q.IsDense {
+		want = coeffenc.FCShape(d.c*d.h*d.w, s.Cout)
+	}
+	if s != want {
+		return d, fmt.Errorf("shape %+v on a %d×%d×%d input", s, d.c, d.h, d.w)
+	}
+	if s.Cout < 1 || s.Stride < 1 || s.Pad < 0 || s.Pad >= s.K || s.K > s.H+2*s.Pad || s.K > s.W+2*s.Pad {
+		return d, fmt.Errorf("shape %+v", s)
+	}
+	if len(q.Bias) != s.Cout {
+		return d, fmt.Errorf("%d biases for %d outputs", len(q.Bias), s.Cout)
+	}
+	if len(q.Weights) != s.Cout {
+		return d, fmt.Errorf("weights for %d of %d outputs", len(q.Weights), s.Cout)
+	}
+	for _, ws := range q.Weights {
+		if len(ws) != s.Cin {
+			return d, fmt.Errorf("weights for %d of %d input channels", len(ws), s.Cin)
+		}
+		for _, plane := range ws {
+			if len(plane) != s.K {
+				return d, fmt.Errorf("a kernel of %d rows, not %d", len(plane), s.K)
+			}
+			for _, row := range plane {
+				if len(row) != s.K {
+					return d, fmt.Errorf("a kernel row of %d weights, not %d", len(row), s.K)
+				}
+			}
+		}
+	}
+	return dims{s.Cout, s.OutH(), s.OutW()}, nil
+}
+
+// checkPool validates a k×k pool on input geometry d.
+func checkPool(k int, d dims) (dims, error) {
+	if k < 1 || k > d.h || k > d.w {
+		return d, fmt.Errorf("pool window %d on a %d×%d input", k, d.h, d.w)
+	}
+	return dims{d.c, d.h / k, d.w / k}, nil
+}
+
+// checkBits validates an activation width: the remap clamps to
+// 2^(bits-1) − 1.
+func checkBits(bits int) error {
+	if bits < 2 || bits > 16 {
+		return fmt.Errorf("%d outside [2, 16]", bits)
+	}
+	return nil
 }

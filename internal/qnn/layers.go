@@ -344,11 +344,13 @@ func (p *AvgPool) Name() string { return fmt.Sprintf("avgpool%d", p.K) }
 // Sigmoid is the logistic activation.
 type Sigmoid struct{ lastOut *Tensor }
 
+func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+
 // Forward applies 1/(1+e^-x).
 func (s *Sigmoid) Forward(x *Tensor, train bool) *Tensor {
 	out := x.Clone()
 	for i, v := range out.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
+		out.Data[i] = sigmoid(v)
 	}
 	if train {
 		s.lastOut = out
@@ -375,7 +377,7 @@ func (s *Sigmoid) Name() string { return "sigmoid" }
 // GELU is the Gaussian-error linear unit (tanh approximation).
 type GELU struct{ lastIn *Tensor }
 
-func geluF(v float64) float64 {
+func gelu(v float64) float64 {
 	return 0.5 * v * (1 + math.Tanh(0.7978845608*(v+0.044715*v*v*v)))
 }
 
@@ -383,7 +385,7 @@ func geluF(v float64) float64 {
 func (g *GELU) Forward(x *Tensor, train bool) *Tensor {
 	out := x.Clone()
 	for i, v := range out.Data {
-		out.Data[i] = geluF(v)
+		out.Data[i] = gelu(v)
 	}
 	if train {
 		g.lastIn = x

@@ -1,9 +1,7 @@
 package qnn
 
-// Block is a structural unit of a network: a plain layer sequence or a
-// residual block.
+// Block is a structural unit of a network: a Seq or a Residual.
 type Block interface {
-	Forward(x *Tensor, train bool) *Tensor
 	Layers() []Layer
 }
 
@@ -39,26 +37,6 @@ type Residual struct {
 	Shortcut Seq
 }
 
-// Forward runs both branches and the joining ReLU.
-func (r *Residual) Forward(x *Tensor, train bool) *Tensor {
-	b := r.Body.Forward(x, train)
-	s := x
-	if len(r.Shortcut) > 0 {
-		s = r.Shortcut.Forward(x, train)
-	}
-	if !b.SameShape(s) {
-		panic("qnn: residual branch shapes differ: " + b.shapeString() + " vs " + s.shapeString())
-	}
-	out := b.Clone()
-	for i, v := range s.Data {
-		out.Data[i] += v
-		if out.Data[i] < 0 {
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
-
 // Layers returns all contained layers (body then shortcut).
 func (r *Residual) Layers() []Layer {
 	return append(append([]Layer{}, r.Body...), r.Shortcut...)
@@ -73,12 +51,47 @@ type Network struct {
 	Blocks []Block
 }
 
-// Forward runs the whole network.
-func (n *Network) Forward(x *Tensor, train bool) *Tensor {
+// Forward runs the network for inference. relu is the rectifier applied
+// at every ReLU layer and residual join; nil applies ReLU itself, and
+// ckksref passes a series expansion in its place.
+func (n *Network) Forward(x *Tensor, relu func(*Tensor) *Tensor) *Tensor {
+	if relu == nil {
+		relu = rectify
+	}
+	seq := func(layers []Layer, x *Tensor) *Tensor {
+		for _, l := range layers {
+			if _, ok := l.(*ReLU); ok {
+				x = relu(x)
+			} else {
+				x = l.Forward(x, false)
+			}
+		}
+		return x
+	}
 	for _, b := range n.Blocks {
-		x = b.Forward(x, train)
+		r, ok := b.(*Residual)
+		if !ok {
+			x = seq(b.Layers(), x)
+			continue
+		}
+		x = relu(r.sum(seq(r.Body, x), seq(r.Shortcut, x)))
 	}
 	return x
+}
+
+// rectify is the exact ReLU of a tensor.
+func rectify(t *Tensor) *Tensor { return (&ReLU{}).Forward(t, false) }
+
+// sum adds a residual block's branch outputs: the join before its ReLU.
+func (r *Residual) sum(body, short *Tensor) *Tensor {
+	if !body.SameShape(short) {
+		panic("qnn: residual branch shapes differ: " + body.shapeString() + " vs " + short.shapeString())
+	}
+	out := body.Clone()
+	for i, v := range short.Data {
+		out.Data[i] += v
+	}
+	return out
 }
 
 // Params collects every trainable parameter.
@@ -94,5 +107,5 @@ func (n *Network) Params() []*Param {
 
 // Predict returns the argmax class for the input.
 func (n *Network) Predict(x *Tensor) int {
-	return Argmax(n.Forward(x, false).Data)
+	return Argmax(n.Forward(x, nil).Data)
 }

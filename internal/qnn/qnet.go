@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 
 	"athena/internal/coeffenc"
+	"athena/internal/par"
 )
 
 // Activation enumerates the non-linearities an Athena remap LUT fuses.
@@ -84,49 +85,24 @@ func (q *QConv) Remap(acc int64) int64 {
 	return y
 }
 
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+// Apply runs the integer convolution and remap.
+func (q *QConv) Apply(x *IntTensor) *IntTensor { return q.remap(q.Accumulate(x)) }
 
-func gelu(v float64) float64 {
-	return 0.5 * v * (1 + math.Tanh(0.7978845608*(v+0.044715*v*v*v)))
+// remap applies Remap to every accumulator of acc, in place.
+func (q *QConv) remap(acc *IntTensor) *IntTensor {
+	for i, v := range acc.Data {
+		acc.Data[i] = q.Remap(v)
+	}
+	return acc
 }
 
-// Apply runs the integer convolution and remap.
-func (q *QConv) Apply(x *IntTensor) *IntTensor {
+// Accumulate runs the convolution without the remap: the accumulators
+// an FHE linear layer outputs, and what Walk's hook sees.
+func (q *QConv) Accumulate(x *IntTensor) *IntTensor {
 	s := q.Shape
 	if x.Len() != s.Cin*s.H*s.W {
 		panic(fmt.Sprintf("qnn: %s expects %d×%d×%d input, got %d elements", q.OpName(), s.Cin, s.H, s.W, x.Len()))
 	}
-	out := NewIntTensor(s.Cout, s.OutH(), s.OutW())
-	for co := 0; co < s.Cout; co++ {
-		for y := 0; y < s.OutH(); y++ {
-			for xx := 0; xx < s.OutW(); xx++ {
-				acc := q.Bias[co]
-				for ci := 0; ci < s.Cin; ci++ {
-					for i := 0; i < s.K; i++ {
-						h := y*s.Stride + i - s.Pad
-						if h < 0 || h >= s.H {
-							continue
-						}
-						for j := 0; j < s.K; j++ {
-							w := xx*s.Stride + j - s.Pad
-							if w < 0 || w >= s.W {
-								continue
-							}
-							acc += x.Data[(ci*s.H+h)*s.W+w] * q.Weights[co][ci][i][j]
-						}
-					}
-				}
-				out.Set(co, y, xx, q.Remap(acc))
-			}
-		}
-	}
-	return out
-}
-
-// Accumulate runs the convolution without the remap (used to compare the
-// FHE linear-layer output and for Fig. 4 statistics).
-func (q *QConv) Accumulate(x *IntTensor) *IntTensor {
-	s := q.Shape
 	out := NewIntTensor(s.Cout, s.OutH(), s.OutW())
 	for co := 0; co < s.Cout; co++ {
 		for y := 0; y < s.OutH(); y++ {
@@ -210,14 +186,16 @@ func (q *QAvgPool) Apply(x *IntTensor) *IntTensor {
 						acc += x.At(c, y*q.K+i, xx*q.K+j)
 					}
 				}
-				out.Set(c, y, xx, roundDiv(acc, div))
+				out.Set(c, y, xx, RoundDiv(acc, div))
 			}
 		}
 	}
 	return out
 }
 
-func roundDiv(a, b int64) int64 {
+// RoundDiv is a/b rounded half away from zero: the average pool's
+// divide-back, which the encrypted pool's table must reproduce exactly.
+func RoundDiv(a, b int64) int64 {
 	if a >= 0 {
 		return (a + b/2) / b
 	}
@@ -227,22 +205,14 @@ func roundDiv(a, b int64) int64 {
 // OpName identifies the operation.
 func (q *QAvgPool) OpName() string { return fmt.Sprintf("qavgpool%d", q.K) }
 
-// QBlock is a structural unit of a quantized network.
+// QBlock is a structural unit of a quantized network: a QSeq or a
+// QResidual.
 type QBlock interface {
-	ForwardInt(x *IntTensor) *IntTensor
 	Ops() []QOp
 }
 
 // QSeq applies ops in order.
 type QSeq []QOp
-
-// ForwardInt runs the sequence.
-func (s QSeq) ForwardInt(x *IntTensor) *IntTensor {
-	for _, op := range s {
-		x = op.Apply(x)
-	}
-	return x
-}
 
 // Ops returns the contained operations.
 func (s QSeq) Ops() []QOp { return s }
@@ -259,7 +229,7 @@ type QResidual struct {
 	Multiplier float64 // 0 or 1 = no rescale
 }
 
-// joinRemap applies the block's post-add LUT to one summed value.
+// JoinRemap applies the block's post-add LUT to one summed value.
 func (r *QResidual) JoinRemap(y int64) int64 {
 	if y < 0 {
 		y = 0
@@ -272,20 +242,6 @@ func (r *QResidual) JoinRemap(y int64) int64 {
 		y = lim
 	}
 	return y
-}
-
-// ForwardInt runs the block.
-func (r *QResidual) ForwardInt(x *IntTensor) *IntTensor {
-	b := r.Body.ForwardInt(x)
-	s := x
-	if len(r.Shortcut) > 0 {
-		s = r.Shortcut.ForwardInt(x)
-	}
-	out := b.Clone()
-	for i, v := range s.Data {
-		out.Data[i] = r.JoinRemap(out.Data[i] + v)
-	}
-	return out
 }
 
 // Ops returns all contained operations (body then shortcut).
@@ -308,37 +264,82 @@ func (q *QNetwork) QuantizeInput(x *Tensor) *IntTensor {
 	out := NewIntTensor(x.C, x.H, x.W)
 	lim := int64(1)<<(q.ABits-1) - 1
 	for i, v := range x.Data {
-		iv := int64(math.Round(v / q.InScale))
-		if iv > lim {
-			iv = lim
-		}
-		if iv < -lim {
-			iv = -lim
-		}
-		out.Data[i] = iv
+		out.Data[i] = min(max(int64(math.Round(v/q.InScale)), -lim), lim)
 	}
 	return out
 }
 
 // ForwardInt runs the integer network and returns the final tensor
 // (logits for classifiers).
-func (q *QNetwork) ForwardInt(x *IntTensor) *IntTensor {
+func (q *QNetwork) ForwardInt(x *IntTensor) *IntTensor { return q.Walk(x, nil) }
+
+// Walk runs the integer network on x. hook, when not nil, gets each
+// QConv's accumulator tensor before its remap, in Convs() order with the
+// conv's index there; it may read the values or change them in place
+// (AccuracyNoisy adds e_ms, noise.Fig4Stats observes).
+func (q *QNetwork) Walk(x *IntTensor, hook func(i int, c *QConv, acc *IntTensor)) *IntTensor {
+	next := 0
+	seq := func(ops []QOp, x *IntTensor) *IntTensor {
+		for _, op := range ops {
+			c, ok := op.(*QConv)
+			if !ok {
+				x = op.Apply(x)
+				continue
+			}
+			acc := c.Accumulate(x)
+			if hook != nil {
+				hook(next, c, acc)
+			}
+			next++
+			x = c.remap(acc)
+		}
+		return x
+	}
 	for _, b := range q.Blocks {
-		x = b.ForwardInt(x)
+		r, ok := b.(*QResidual)
+		if !ok {
+			x = seq(b.Ops(), x)
+			continue
+		}
+		out := seq(r.Body, x).Clone()
+		for i, v := range seq(r.Shortcut, x).Data {
+			out.Data[i] = r.JoinRemap(out.Data[i] + v)
+		}
+		x = out
 	}
 	return x
 }
 
 // Predict classifies a float input through the quantized pipeline.
 func (q *QNetwork) Predict(x *Tensor) int {
-	return ArgmaxInt(q.ForwardInt(q.QuantizeInput(x)).Data)
+	return Argmax(q.ForwardInt(q.QuantizeInput(x)).Data)
 }
 
 // AccuracyInt measures top-1 accuracy of the quantized network.
 func (q *QNetwork) AccuracyInt(ds *Dataset) float64 {
+	return accuracy(ds, func(_ int, x *Tensor) int { return q.Predict(x) })
+}
+
+// AccuracyNoisy measures top-1 accuracy with e_ms of width sigma added to
+// every accumulator before its remap, where modulus switching adds it in
+// the real pipeline; sample i draws from its own deterministic stream.
+func (q *QNetwork) AccuracyNoisy(ds *Dataset, sigma float64, seed uint64) float64 {
+	return accuracy(ds, func(i int, x *Tensor) int {
+		nm := NewNoiseModel(sigma, seed+uint64(i)*0x9e37)
+		return Argmax(q.Walk(q.QuantizeInput(x), func(_ int, _ *QConv, acc *IntTensor) {
+			for j := range acc.Data {
+				acc.Data[j] += nm.Sample()
+			}
+		}).Data)
+	})
+}
+
+// accuracy is the share of ds's samples that predict(i, X) labels
+// correctly, the samples fanned out over par.ForEach.
+func accuracy(ds *Dataset, predict func(i int, x *Tensor) int) float64 {
 	correct := make([]int64, len(ds.Samples))
-	parallelFor(len(ds.Samples), func(i int) {
-		if q.Predict(ds.Samples[i].X) == ds.Samples[i].Label {
+	par.ForEach(len(ds.Samples), func(_, i int) {
+		if predict(i, ds.Samples[i].X) == ds.Samples[i].Label {
 			correct[i] = 1
 		}
 	})
@@ -380,62 +381,8 @@ func NewNoiseModel(sigma float64, seed uint64) *NoiseModel {
 
 // Sample draws one noise value.
 func (nm *NoiseModel) Sample() int64 {
-	if nm == nil || nm.Sigma == 0 {
+	if nm.Sigma == 0 {
 		return 0
 	}
 	return int64(math.Round(nm.rng.NormFloat64() * nm.Sigma))
-}
-
-// ForwardIntNoisy runs the network injecting e_ms into every linear-layer
-// accumulator before its remap, mirroring where modulus switching adds
-// noise in the real pipeline.
-func (q *QNetwork) ForwardIntNoisy(x *IntTensor, nm *NoiseModel) *IntTensor {
-	for _, b := range q.Blocks {
-		x = forwardBlockNoisy(b, x, nm)
-	}
-	return x
-}
-
-func forwardBlockNoisy(b QBlock, x *IntTensor, nm *NoiseModel) *IntTensor {
-	switch blk := b.(type) {
-	case QSeq:
-		for _, op := range blk {
-			x = applyNoisy(op, x, nm)
-		}
-		return x
-	case *QResidual:
-		body := x
-		for _, op := range blk.Body {
-			body = applyNoisy(op, body, nm)
-		}
-		short := x
-		for _, op := range blk.Shortcut {
-			short = applyNoisy(op, short, nm)
-		}
-		out := body.Clone()
-		for i, v := range short.Data {
-			out.Data[i] = blk.JoinRemap(out.Data[i] + v)
-		}
-		return out
-	default:
-		return b.ForwardInt(x)
-	}
-}
-
-func applyNoisy(op QOp, x *IntTensor, nm *NoiseModel) *IntTensor {
-	c, ok := op.(*QConv)
-	if !ok {
-		return op.Apply(x)
-	}
-	acc := c.Accumulate(x)
-	out := NewIntTensor(acc.C, acc.H, acc.W)
-	for i, v := range acc.Data {
-		out.Data[i] = c.Remap(v + nm.Sample())
-	}
-	return out
-}
-
-// PredictNoisy classifies through the noise-injected pipeline.
-func (q *QNetwork) PredictNoisy(x *Tensor, nm *NoiseModel) int {
-	return ArgmaxInt(q.ForwardIntNoisy(q.QuantizeInput(x), nm).Data)
 }

@@ -27,7 +27,7 @@ func TestTensorBasics(t *testing.T) {
 	if td[1][1][1] != -3 {
 		t.Fatal("To3D broken")
 	}
-	if Argmax([]float64{1, 5, 2}) != 1 || ArgmaxInt([]int64{3, 1, 7}) != 2 {
+	if Argmax([]float64{1, 5, 2}) != 1 || Argmax([]int64{3, 1, 7}) != 2 {
 		t.Fatal("argmax broken")
 	}
 }
@@ -208,7 +208,7 @@ func TestModelShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := NewTensor(net.InC, net.InH, net.InW)
-		out := net.Forward(x, false)
+		out := net.Forward(x, nil)
 		if out.Len() != 10 {
 			t.Fatalf("%s output size %d", name, out.Len())
 		}
@@ -363,8 +363,8 @@ func TestRoundDiv(t *testing.T) {
 		{10, 4, 3}, {9, 4, 2}, {-10, 4, -3}, {-9, 4, -2}, {0, 4, 0}, {8, 4, 2},
 	}
 	for _, c := range cases {
-		if got := roundDiv(c.a, c.b); got != c.want {
-			t.Errorf("roundDiv(%d,%d)=%d want %d", c.a, c.b, got, c.want)
+		if got := RoundDiv(c.a, c.b); got != c.want {
+			t.Errorf("RoundDiv(%d,%d)=%d want %d", c.a, c.b, got, c.want)
 		}
 	}
 }

@@ -7,10 +7,8 @@ import (
 	"sort"
 
 	"athena/internal/coeffenc"
+	"athena/internal/par"
 )
-
-// newHeadRNG builds the deterministic shuffler RetrainHead uses.
-func newHeadRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0x4ead)) }
 
 // QuantConfig controls post-training quantization.
 type QuantConfig struct {
@@ -181,25 +179,24 @@ func (st *quantState) quantizeLinear(l Layer, act Activation, pinScale float64) 
 		weights [][][][]int64
 		biasF   []float64
 		isDense bool
-		wAbs    float64
 	)
 	in := st.cur[0]
 	switch lay := l.(type) {
 	case *Conv2D:
 		shape = coeffenc.ConvShape{H: in.H, W: in.W, Cin: lay.Cin, Cout: lay.Cout, K: lay.K, Stride: lay.Stride, Pad: lay.Pad}
-		wAbs = absMax(lay.Weight.W)
 		biasF = lay.Bias.W
 	case *Dense:
 		shape = coeffenc.FCShape(lay.In, lay.Out)
-		wAbs = absMax(lay.Weight.W)
 		biasF = lay.Bias.W
 		isDense = true
 	default:
 		return nil, fmt.Errorf("qnn: not a linear layer: %T", l)
 	}
-	if clip := st.cfg.WClip; clip > 0 && clip < 1 {
-		wAbs = percentileAbs(weightSlab(l), clip)
+	clip := st.cfg.WClip
+	if clip <= 0 || clip >= 1 {
+		clip = 1 // the maximum
 	}
+	wAbs := percentileAbs(weightSlab(l), clip)
 	if wAbs == 0 {
 		wAbs = 1
 	}
@@ -267,11 +264,11 @@ func (st *quantState) quantizeLinear(l Layer, act Activation, pinScale float64) 
 			}
 		case ActSigmoid:
 			for j, v := range o.Data {
-				o.Data[j] = 1 / (1 + math.Exp(-v))
+				o.Data[j] = sigmoid(v)
 			}
 		case ActGELU:
 			for j, v := range o.Data {
-				o.Data[j] = geluF(v)
+				o.Data[j] = gelu(v)
 			}
 		}
 		if v := o.AbsMax(); v > outMax {
@@ -394,19 +391,6 @@ func percentileAbs(xs []float64, q float64) float64 {
 	return abs[idx]
 }
 
-func absMax(xs []float64) float64 {
-	m := 0.0
-	for _, v := range xs {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 func (st *quantState) quantizeResidual(r *Residual) (QBlock, error) {
 	inActs := st.cur
 	inScale := st.curScale
@@ -447,13 +431,7 @@ func (st *quantState) quantizeResidual(r *Residual) (QBlock, error) {
 	joined := make([]*Tensor, len(bodyActs))
 	joinMax := 0.0
 	for i := range bodyActs {
-		o := bodyActs[i].Clone()
-		for j, v := range shortActs[i].Data {
-			o.Data[j] += v
-			if o.Data[j] < 0 {
-				o.Data[j] = 0
-			}
-		}
+		o := rectify(r.sum(bodyActs[i], shortActs[i]))
 		if v := o.AbsMax(); v > joinMax {
 			joinMax = v
 		}
@@ -478,45 +456,6 @@ func cloneTensors(ts []*Tensor) []*Tensor {
 	return out
 }
 
-// AccuracyNoisy measures top-1 accuracy through the e_ms-injected
-// pipeline, with an independent deterministic noise stream per sample.
-func (q *QNetwork) AccuracyNoisy(ds *Dataset, sigma float64, seed uint64) float64 {
-	correct := make([]int64, len(ds.Samples))
-	parallelFor(len(ds.Samples), func(i int) {
-		nm := NewNoiseModel(sigma, seed+uint64(i)*0x9e37)
-		if q.PredictNoisy(ds.Samples[i].X, nm) == ds.Samples[i].Label {
-			correct[i] = 1
-		}
-	})
-	var sum int64
-	for _, c := range correct {
-		sum += c
-	}
-	return float64(sum) / float64(len(ds.Samples))
-}
-
-// TrunkFeatures runs the quantized network up to (but excluding) the
-// final linear layer, returning the integer feature tensor the
-// classifier head consumes.
-func (q *QNetwork) TrunkFeatures(x *Tensor) *IntTensor {
-	it := q.QuantizeInput(x)
-	for bi, b := range q.Blocks {
-		last := bi == len(q.Blocks)-1
-		switch blk := b.(type) {
-		case QSeq:
-			for oi, op := range blk {
-				if last && oi == len(blk)-1 {
-					return it
-				}
-				it = op.Apply(it)
-			}
-		default:
-			it = b.ForwardInt(it)
-		}
-	}
-	return it
-}
-
 // RetrainHead performs quantization-aware retraining of the final
 // classifier: the head is re-fit by logistic regression on the quantized
 // trunk's integer features (so it sees exactly the distribution it will
@@ -536,98 +475,31 @@ func (q *QNetwork) RetrainHead(ds *Dataset, epochs int, lr float64, seed uint64)
 	in := head.Shape.Cin
 	out := head.Shape.Cout
 
-	feats := make([]*IntTensor, len(ds.Samples))
-	parallelFor(len(ds.Samples), func(i int) {
-		feats[i] = q.TrunkFeatures(ds.Samples[i].X)
+	// The trunk is the network minus its head: its outputs are exactly
+	// the integer features the head receives.
+	trunk := *q
+	trunk.Blocks = append(q.Blocks[:len(q.Blocks)-1:len(q.Blocks)-1], lastBlk[:len(lastBlk)-1])
+	ints := make([]*IntTensor, len(ds.Samples))
+	par.ForEach(len(ds.Samples), func(_, i int) {
+		ints[i] = trunk.ForwardInt(trunk.QuantizeInput(ds.Samples[i].X))
 	})
-	for i, f := range feats {
+	feats := make([][]float64, len(ints))
+	for i, f := range ints {
 		if f.Len() != in {
 			return fmt.Errorf("qnn: trunk features of sample %d have %d values, head expects %d", i, f.Len(), in)
 		}
-	}
-
-	// Standardize the integer features for training (the common mode and
-	// per-dimension anisotropy of quantized trunk features otherwise
-	// cripple SGD); the affine map is folded back into the head weights
-	// before requantization, exactly as TrainReadout does.
-	mu := make([]float64, in)
-	sd := make([]float64, in)
-	for _, f := range feats {
+		feats[i] = make([]float64, in)
 		for j, v := range f.Data {
-			x := float64(v)
-			mu[j] += x
-			sd[j] += x * x
+			feats[i][j] = float64(v)
 		}
 	}
-	nf := float64(len(feats))
-	var sdSum float64
-	for j := range mu {
-		mu[j] /= nf
-		sd[j] = math.Sqrt(math.Max(sd[j]/nf-mu[j]*mu[j], 0))
-		sdSum += sd[j]
-	}
-	floor := 0.5*sdSum/float64(in) + 1e-8
-	for j := range sd {
-		if sd[j] < floor {
-			sd[j] = floor
-		}
-	}
-	std := func(f *IntTensor, j int) float64 { return (float64(f.Data[j]) - mu[j]) / sd[j] }
-
-	scale := 1.0 / float64(int64(1)<<(q.ABits-1))
 	w := make([]float64, out*in)
 	bias := make([]float64, out)
-	rng := newHeadRNG(seed)
-	order := make([]int, len(ds.Samples))
-	for i := range order {
-		order[i] = i
-	}
-	logits := make([]float64, out)
-	probs := make([]float64, out)
-	for ep := 0; ep < epochs; ep++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, idx := range order {
-			f := feats[idx]
-			maxv := math.Inf(-1)
-			for o := 0; o < out; o++ {
-				acc := bias[o]
-				row := w[o*in : (o+1)*in]
-				for j := 0; j < in; j++ {
-					acc += row[j] * std(f, j)
-				}
-				logits[o] = acc
-				if acc > maxv {
-					maxv = acc
-				}
-			}
-			sum := 0.0
-			for o := range probs {
-				probs[o] = math.Exp(logits[o] - maxv)
-				sum += probs[o]
-			}
-			for o := range probs {
-				g := probs[o]/sum - b2f(o == ds.Samples[idx].Label)
-				bias[o] -= lr * g
-				row := w[o*in : (o+1)*in]
-				for j := 0; j < in; j++ {
-					row[j] -= lr * (g*std(f, j) + 1e-4*row[j])
-				}
-			}
-		}
-	}
+	fitSoftmax(ds, feats, w, bias, epochs, lr, 0.5, 1e-4, rand.New(rand.NewPCG(seed, 0x4ead)))
 
-	// Fold the standardization back: logits = Σ (w/σ)·f + (b − Σ w·μ/σ)
-	// now act on the raw integer features.
-	for o := 0; o < out; o++ {
-		row := w[o*in : (o+1)*in]
-		for j := range row {
-			bias[o] -= row[j] * mu[j] / sd[j]
-			row[j] /= sd[j]
-		}
-	}
 	// Requantize the head in place, choosing the weight scale from the
-	// folded range (the interpretation below treats the weights as acting
-	// on raw integers, so `scale` drops out of the bias fold).
+	// folded range (the folded weights act on the raw integer features,
+	// so the input scale drops out of the bias fold).
 	wMax := int64(1)<<(q.WBits-1) - 1
 	maxAbs := 0.0
 	for _, v := range w {
@@ -641,31 +513,15 @@ func (q *QNetwork) RetrainHead(ds *Dataset, epochs int, lr float64, seed uint64)
 	wScale := maxAbs / float64(wMax)
 	for o := 0; o < out; o++ {
 		for j := 0; j < in; j++ {
-			iv := int64(math.Round(w[o*in+j] / wScale))
-			if iv > wMax {
-				iv = wMax
-			}
-			if iv < -wMax {
-				iv = -wMax
-			}
-			head.Weights[o][j][0][0] = iv
+			head.Weights[o][j][0][0] = min(max(int64(math.Round(w[o*in+j]/wScale)), -wMax), wMax)
 		}
 		head.Bias[o] = int64(math.Round(bias[o] / wScale))
 	}
 	// Accumulator bound for the LUT/modulus checks.
 	bound := int64(0)
-	for i := range feats {
-		if i >= 32 {
-			break
-		}
-		acc := head.Accumulate(feats[i])
-		for _, v := range acc.Data {
-			if v < 0 {
-				v = -v
-			}
-			if v > bound {
-				bound = v
-			}
+	for _, f := range ints[:min(32, len(ints))] {
+		for _, v := range head.Accumulate(f).Data {
+			bound = max(bound, v, -v)
 		}
 	}
 	if bound == 0 {
@@ -677,15 +533,8 @@ func (q *QNetwork) RetrainHead(ds *Dataset, epochs int, lr float64, seed uint64)
 	// rounding.
 	lim := float64(int64(1)<<(q.ABits-1) - 1)
 	head.WScale = wScale
-	head.InScale = scale
+	head.InScale = 1.0 / float64(int64(1)<<(q.ABits-1))
 	head.Multiplier = lim / float64(bound)
 	head.OutScale = wScale / head.Multiplier
 	return nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

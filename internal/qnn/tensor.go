@@ -98,18 +98,7 @@ func (t *IntTensor) To3D() [][][]int64 {
 }
 
 // Argmax returns the index of the maximum element (ties to the first).
-func Argmax(v []float64) int {
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgmaxInt is Argmax over int64 data.
-func ArgmaxInt(v []int64) int {
+func Argmax[T int64 | float64](v []T) int {
 	best := 0
 	for i, x := range v {
 		if x > v[best] {

@@ -3,8 +3,8 @@ package qnn
 import (
 	"math"
 	"math/rand/v2"
-	"runtime"
-	"sync"
+
+	"athena/internal/par"
 )
 
 // TrainConfig controls SGD training.
@@ -100,7 +100,9 @@ func Train(net *Network, ds *Dataset, cfg TrainConfig) float64 {
 // TrainReadout trains only the final Dense layer of a network on frozen
 // features (reservoir-style). This is how the deep ResNets obtain a
 // usable classifier without full backprop training (see DESIGN.md for
-// the substitution rationale). Feature extraction is parallelized.
+// the substitution rationale). The features are the forward of the
+// network minus that Dense; they are fitted by fitSoftmax from the
+// layer's own weights, and it returns the last epoch's mean loss.
 func TrainReadout(net *Network, ds *Dataset, cfg TrainConfig) float64 {
 	lastBlock, ok := net.Blocks[len(net.Blocks)-1].(Seq)
 	if !ok || len(lastBlock) == 0 {
@@ -110,141 +112,99 @@ func TrainReadout(net *Network, ds *Dataset, cfg TrainConfig) float64 {
 	if !ok {
 		panic("qnn: TrainReadout needs a trailing Dense layer")
 	}
-	// Features = everything before the final Dense.
-	features := make([]*Tensor, len(ds.Samples))
-	forwardToFeatures := func(x *Tensor) *Tensor {
-		for _, b := range net.Blocks[:len(net.Blocks)-1] {
-			x = b.Forward(x, false)
-		}
-		for _, l := range lastBlock[:len(lastBlock)-1] {
-			x = l.Forward(x, false)
-		}
-		return x
-	}
-	parallelFor(len(ds.Samples), func(i int) {
-		features[i] = forwardToFeatures(ds.Samples[i].X)
+	trunk := *net
+	trunk.Blocks = append(net.Blocks[:len(net.Blocks)-1:len(net.Blocks)-1], lastBlock[:len(lastBlock)-1])
+	feats := make([][]float64, len(ds.Samples))
+	par.ForEach(len(ds.Samples), func(_, i int) {
+		feats[i] = trunk.Forward(ds.Samples[i].X, nil).Data
 	})
+	// The decay keeps the weight spread quantization-friendly.
+	return fitSoftmax(ds, feats, dense.Weight.W, dense.Bias.W, cfg.Epochs, cfg.LR, 0.1, 1e-3, rand.New(rand.NewPCG(cfg.Seed, 0x8b)))
+}
 
-	// Standardize each feature dimension (random deep features share a
-	// large common mode that would swamp logistic training). The affine
-	// standardization is folded back into the dense layer afterwards:
-	// w'_j = w_j/σ_j and b' = b − Σ_j w_j·μ_j/σ_j, so the deployed
-	// network is unchanged structurally.
-	dim := features[0].Len()
-	mu := make([]float64, dim)
-	sigma := make([]float64, dim)
-	for _, f := range features {
-		for j, v := range f.Data {
+// fitSoftmax fits the softmax classifier b + w·x (w row-major, one row
+// per class, starting from the values passed in) to the labels of ds,
+// whose samples' features feats holds, and returns the last epoch's mean
+// loss. Each feature dimension is standardized first: features share a
+// large common mode and per-dimension anisotropy that would otherwise
+// cripple SGD. A dimension's deviation is floored at floor times the
+// mean deviation, since near-constant features would fold back into
+// extreme weights that wreck per-tensor weight quantization. Every epoch
+// visits the samples in an order shuffled by rng, one SGD step each with
+// weight decay; at the end the standardization is folded back,
+// w'_j = w_j/σ_j and b' = b − Σ_j w_j·μ_j/σ_j, so w and b act on the raw
+// features.
+func fitSoftmax(ds *Dataset, feats [][]float64, w, b []float64, epochs int, lr, floor, decay float64, rng *rand.Rand) float64 {
+	in := len(w) / len(b)
+	mu := make([]float64, in)
+	sd := make([]float64, in)
+	for _, f := range feats {
+		for j, v := range f {
 			mu[j] += v
-			sigma[j] += v * v
+			sd[j] += v * v
 		}
 	}
-	nf := float64(len(features))
-	var sigmaSum float64
+	nf := float64(len(feats))
+	var sdSum float64
 	for j := range mu {
 		mu[j] /= nf
-		sigma[j] = math.Sqrt(math.Max(sigma[j]/nf-mu[j]*mu[j], 0))
-		sigmaSum += sigma[j]
+		sd[j] = math.Sqrt(math.Max(sd[j]/nf-mu[j]*mu[j], 0))
+		sdSum += sd[j]
 	}
-	// Floor each dimension's deviation at a fraction of the mean
-	// deviation: near-constant features would otherwise fold back into
-	// extreme dense weights that wreck per-tensor weight quantization.
-	floor := 0.1*sigmaSum/float64(dim) + 1e-8
-	for j := range sigma {
-		if sigma[j] < floor {
-			sigma[j] = floor
+	least := floor*sdSum/float64(in) + 1e-8
+	for j := range sd {
+		sd[j] = max(sd[j], least)
+	}
+	xs := make([][]float64, len(feats))
+	for i, f := range feats {
+		xs[i] = make([]float64, in)
+		for j, v := range f {
+			xs[i][j] = (v - mu[j]) / sd[j]
 		}
 	}
-	for _, f := range features {
-		for j := range f.Data {
-			f.Data[j] = (f.Data[j] - mu[j]) / sigma[j]
-		}
-	}
-	defer func() {
-		for o := 0; o < dense.Out; o++ {
-			row := dense.Weight.W[o*dense.In : (o+1)*dense.In]
-			for j := range row {
-				dense.Bias.W[o] -= row[j] * mu[j] / sigma[j]
-				row[j] /= sigma[j]
-			}
-		}
-	}()
 
-	rng := rand.New(rand.NewPCG(cfg.Seed, 0x8b))
-	order := make([]int, len(ds.Samples))
+	order := make([]int, len(xs))
 	for i := range order {
 		order[i] = i
 	}
-	var lastLoss float64
-	for ep := 0; ep < cfg.Epochs; ep++ {
+	logits := NewVector(len(b))
+	var loss float64
+	for ep := 0; ep < epochs; ep++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		total := 0.0
 		for _, idx := range order {
-			f := features[idx]
-			logits := dense.Forward(f, true)
-			grad, loss := softmaxGrad(logits, ds.Samples[idx].Label)
-			total += loss
-			for j := range dense.Weight.G {
-				dense.Weight.G[j] = 0
+			x := xs[idx]
+			for o := range b {
+				acc := b[o]
+				for j, v := range x {
+					acc += w[o*in+j] * v
+				}
+				logits.Data[o] = acc
 			}
-			for j := range dense.Bias.G {
-				dense.Bias.G[j] = 0
-			}
-			dense.Backward(grad)
-			const decay = 1e-3 // keeps the weight spread quantization-friendly
-			for j := range dense.Weight.W {
-				dense.Weight.W[j] -= cfg.LR * (dense.Weight.G[j] + decay*dense.Weight.W[j])
-			}
-			for j := range dense.Bias.W {
-				dense.Bias.W[j] -= cfg.LR * dense.Bias.G[j]
+			grad, l := softmaxGrad(logits, ds.Samples[idx].Label)
+			total += l
+			for o, g := range grad.Data {
+				b[o] -= lr * g
+				row := w[o*in : (o+1)*in]
+				for j, v := range x {
+					row[j] -= lr * (g*v + decay*row[j])
+				}
 			}
 		}
-		lastLoss = total / float64(len(order))
+		loss = total / float64(len(order))
 	}
-	return lastLoss
+
+	for o := range b {
+		row := w[o*in : (o+1)*in]
+		for j := range row {
+			b[o] -= row[j] * mu[j] / sd[j]
+			row[j] /= sd[j]
+		}
+	}
+	return loss
 }
 
-// Accuracy measures top-1 accuracy of the float network (parallelized).
+// Accuracy measures top-1 accuracy of the float network.
 func Accuracy(net *Network, ds *Dataset) float64 {
-	correct := make([]int64, len(ds.Samples))
-	parallelFor(len(ds.Samples), func(i int) {
-		if net.Predict(ds.Samples[i].X) == ds.Samples[i].Label {
-			correct[i] = 1
-		}
-	})
-	var sum int64
-	for _, c := range correct {
-		sum += c
-	}
-	return float64(sum) / float64(len(ds.Samples))
-}
-
-// parallelFor runs f(i) for i in [0, n) across NumCPU workers.
-func parallelFor(n int, f func(int)) {
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return accuracy(ds, func(_ int, x *Tensor) int { return net.Predict(x) })
 }

@@ -137,8 +137,13 @@ func Table5(cfg AccuracyConfig) string {
 	if err != nil {
 		return "table 5: " + err.Error()
 	}
+	return renderTable5(rows, cfg.TestSamples)
+}
+
+// renderTable5 prints Table5Rows' rows, evaluated on samples test samples.
+func renderTable5(rows []Table5Row, samples int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 5: accuracy under plaintext and ciphertext inference (synthetic datasets, %d test samples)\n", cfg.TestSamples)
+	fmt.Fprintf(&b, "Table 5: accuracy under plaintext and ciphertext inference (synthetic datasets, %d test samples)\n", samples)
 	fmt.Fprintf(&b, "%-11s %8s | %8s %8s %7s | %8s %8s %7s\n",
 		"model", "plain-G", "plainQ7", "cipher7", "delta", "plainQ6", "cipher6", "delta")
 	for _, r := range rows {
