@@ -97,37 +97,49 @@ func (q *QConv) remap(acc *IntTensor) *IntTensor {
 }
 
 // Accumulate runs the convolution without the remap: the accumulators
-// an FHE linear layer outputs, and what Walk's hook sees.
+// an FHE linear layer outputs, and what Walk's hook sees. Each weight
+// adds its products into every output whose window puts it inside the
+// input (the zero padding adds nothing); integer sums are exact in any
+// order.
 func (q *QConv) Accumulate(x *IntTensor) *IntTensor {
 	s := q.Shape
 	if x.Len() != s.Cin*s.H*s.W {
 		panic(fmt.Sprintf("qnn: %s expects %d×%d×%d input, got %d elements", q.OpName(), s.Cin, s.H, s.W, x.Len()))
 	}
-	out := NewIntTensor(s.Cout, s.OutH(), s.OutW())
+	oh, ow := s.OutH(), s.OutW()
+	out := NewIntTensor(s.Cout, oh, ow)
 	for co := 0; co < s.Cout; co++ {
-		for y := 0; y < s.OutH(); y++ {
-			for xx := 0; xx < s.OutW(); xx++ {
-				acc := q.Bias[co]
-				for ci := 0; ci < s.Cin; ci++ {
-					for i := 0; i < s.K; i++ {
-						h := y*s.Stride + i - s.Pad
-						if h < 0 || h >= s.H {
-							continue
-						}
-						for j := 0; j < s.K; j++ {
-							w := xx*s.Stride + j - s.Pad
-							if w < 0 || w >= s.W {
-								continue
-							}
-							acc += x.Data[(ci*s.H+h)*s.W+w] * q.Weights[co][ci][i][j]
+		o := out.Data[co*oh*ow : (co+1)*oh*ow]
+		for k := range o {
+			o[k] = q.Bias[co]
+		}
+		for ci, kernel := range q.Weights[co][:s.Cin] {
+			plane := x.Data[ci*s.H*s.W : (ci+1)*s.H*s.W]
+			for i, ws := range kernel[:s.K] {
+				ylo, yhi := taps(oh, s.H, s.Stride, s.Pad, i)
+				for j, w := range ws[:s.K] {
+					xlo, xhi := taps(ow, s.W, s.Stride, s.Pad, j)
+					for y := ylo; y < yhi; y++ {
+						row, orow := plane[(y*s.Stride+i-s.Pad)*s.W:], o[y*ow:]
+						for xx := xlo; xx < xhi; xx++ {
+							orow[xx] += w * row[xx*s.Stride+j-s.Pad]
 						}
 					}
 				}
-				out.Set(co, y, xx, acc)
 			}
 		}
 	}
 	return out
+}
+
+// taps returns the output positions [lo, hi), of n, whose kernel tap t
+// reads inside an input of size values at the given stride and padding.
+func taps(n, size, stride, pad, t int) (lo, hi int) {
+	last := size - 1 + pad - t // the greatest position·stride inside
+	if last < 0 {
+		return 0, 0
+	}
+	return max(0, (pad-t+stride-1)/stride), min(n, last/stride+1)
 }
 
 // OpName identifies the operation.

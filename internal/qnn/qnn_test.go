@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"athena/internal/coeffenc"
 )
 
 func TestTensorBasics(t *testing.T) {
@@ -396,4 +398,57 @@ func TestReadoutTraining(t *testing.T) {
 		t.Fatalf("readout-trained ResNet-20 accuracy %.2f below 0.4 (chance is 0.1)", acc)
 	}
 	t.Logf("ResNet-20 readout accuracy on synth-CIFAR: %.3f", acc)
+}
+
+// Accumulate adds each weight's products over the outputs its tap
+// reaches; it must equal the direct sum over each output's window on
+// every geometry: strides, padding up to K−1, non-square inputs.
+func TestAccumulateMatchesWindowSums(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 5000; trial++ {
+		k := 1 + rng.IntN(5)
+		s := coeffenc.ConvShape{H: 1 + rng.IntN(9), W: 1 + rng.IntN(9), Cin: 1 + rng.IntN(3), Cout: 1 + rng.IntN(3), K: k, Stride: 1 + rng.IntN(3), Pad: rng.IntN(k)}
+		if s.K > s.H+2*s.Pad || s.K > s.W+2*s.Pad {
+			continue
+		}
+		q := &QConv{Shape: s, Bias: make([]int64, s.Cout), Weights: make([][][][]int64, s.Cout)}
+		for co := range q.Weights {
+			q.Bias[co] = rng.Int64N(100) - 50
+			q.Weights[co] = make([][][]int64, s.Cin)
+			for ci := range q.Weights[co] {
+				q.Weights[co][ci] = make([][]int64, k)
+				for i := range q.Weights[co][ci] {
+					q.Weights[co][ci][i] = make([]int64, k)
+					for j := range q.Weights[co][ci][i] {
+						q.Weights[co][ci][i][j] = rng.Int64N(15) - 7
+					}
+				}
+			}
+		}
+		x := NewIntTensor(s.Cin, s.H, s.W)
+		for i := range x.Data {
+			x.Data[i] = rng.Int64N(31) - 15
+		}
+		got := q.Accumulate(x)
+		for co := 0; co < s.Cout; co++ {
+			for y := 0; y < s.OutH(); y++ {
+				for xx := 0; xx < s.OutW(); xx++ {
+					want := q.Bias[co]
+					for ci := 0; ci < s.Cin; ci++ {
+						for i := 0; i < k; i++ {
+							for j := 0; j < k; j++ {
+								h, w := y*s.Stride+i-s.Pad, xx*s.Stride+j-s.Pad
+								if h >= 0 && h < s.H && w >= 0 && w < s.W {
+									want += x.At(ci, h, w) * q.Weights[co][ci][i][j]
+								}
+							}
+						}
+					}
+					if v := got.At(co, y, xx); v != want {
+						t.Fatalf("%+v: output (%d,%d,%d) = %d, window sum %d", s, co, y, xx, v, want)
+					}
+				}
+			}
+		}
+	}
 }
