@@ -276,7 +276,14 @@ func (q *QNetwork) QuantizeInput(x *Tensor) *IntTensor {
 	out := NewIntTensor(x.C, x.H, x.W)
 	lim := int64(1)<<(q.ABits-1) - 1
 	for i, v := range x.Data {
-		out.Data[i] = min(max(int64(math.Round(v/q.InScale)), -lim), lim)
+		iv := int64(math.Round(v / q.InScale))
+		if iv > lim {
+			iv = lim
+		}
+		if iv < -lim {
+			iv = -lim
+		}
+		out.Data[i] = iv
 	}
 	return out
 }
